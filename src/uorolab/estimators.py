@@ -30,6 +30,7 @@ import numpy as np
 
 from . import rnn
 from .errors import NumericOverflowError, ShapeError, SingularMatrixError
+from .linalg import sqrt_ratio_or_one
 from .noise import EpisodeNoise
 from .rnn import CutVertex, EpisodeTape
 
@@ -62,9 +63,6 @@ class GradientReport:
     per_step: np.ndarray | None = None  # (T, P) contributions
     realized_gamma: np.ndarray | None = None
     realized_beta: np.ndarray | None = None
-    predicted_vq: float | None = None
-    measured_error: float | None = None
-    wall_clock: float | None = None
 
 
 class ScalingSchedule:
@@ -90,16 +88,7 @@ class ScalingSchedule:
         self.Q0 = None
         self.Q0_inv = None
         if Q0 is not None:
-            Q0 = np.asarray(Q0, dtype=np.float64)
-            if Q0.ndim != 2 or Q0.shape[0] != Q0.shape[1]:
-                raise ShapeError("Q0 must be square")
-            cond = np.linalg.cond(Q0)
-            if not np.isfinite(cond) or cond > MAX_Q0_CONDITION:
-                raise SingularMatrixError(
-                    f"Q0 condition number {cond:.3e} exceeds {MAX_Q0_CONDITION:.0e}"
-                )
-            self.Q0 = Q0
-            self.Q0_inv = np.linalg.inv(Q0)
+            self.Q0, self.Q0_inv = _checked_q0(Q0)
         self.alpha = None
         self._beta = None
         self._gamma = None
@@ -127,44 +116,31 @@ class ScalingSchedule:
         return v if self.Q0_inv is None else self.Q0_inv.T @ v
 
 
-def _ratio_or_one(numerator: float, denominator: float) -> float:
-    if (
-        numerator <= 0.0
-        or denominator <= 0.0
-        or not np.isfinite(numerator)
-        or not np.isfinite(denominator)
-    ):
-        return 1.0
-    return float(np.sqrt(numerator / denominator))
-
-
-def gir_coefficients(state: RankOneState, cache, cut, u: np.ndarray,
-                     Q0: np.ndarray | None = None):
-    """Greedy per-step rescaling coefficients.
-
-    gamma_t^2 = ||w~_{t-1}|| / ||J_state h~_{t-1}||
-    beta_t^2  = ||u^T Q0^{-1} J_theta|| / ||J_cut Q0 u||
-
-    Degenerate numerators/denominators (zero norms, first step) fall back
-    to 1, which leaves the rank-one expansion intact.
-    """
-    schedule = ScalingSchedule(GIR, Q0=Q0)
-    forwarded = rnn.jvp_state(cache, state.h_tilde)
-    spatial_in = rnn.jvp_cut(cache, cut, schedule.shape_spatial(u))
-    spatial_out = rnn.vjp_cut(cache, cut, schedule.unshape_spatial(u))
-    gamma = _ratio_or_one(
-        float(np.linalg.norm(state.w_tilde)), float(np.linalg.norm(forwarded))
-    )
-    beta = _ratio_or_one(
-        float(np.linalg.norm(spatial_out)), float(np.linalg.norm(spatial_in))
-    )
-    return gamma, beta
+def _checked_q0(Q0: np.ndarray):
+    """(Q0, Q0^{-1}) for a square spatial matrix whose condition number is at
+    most MAX_Q0_CONDITION; raises SingularMatrixError otherwise."""
+    Q0 = np.asarray(Q0, dtype=np.float64)
+    if Q0.ndim != 2 or Q0.shape[0] != Q0.shape[1]:
+        raise ShapeError("Q0 must be square")
+    cond = np.linalg.cond(Q0)
+    if not np.isfinite(cond) or cond > MAX_Q0_CONDITION:
+        raise SingularMatrixError(
+            f"Q0 condition number {cond:.3e} exceeds {MAX_Q0_CONDITION:.0e}"
+        )
+    return Q0, np.linalg.inv(Q0)
 
 
 def uoro_step(state: RankOneState, cache, cut, u: np.ndarray,
               schedule: ScalingSchedule, t: int):
     """Advance the rank-one sketch one step.
 
+    In "gir" mode the coefficients equalize the cross-term norms:
+
+        gamma_t^2 = ||w~_{t-1}|| / ||J_state h~_{t-1}||
+        beta_t^2  = ||u^T Q0^{-1} J_theta|| / ||J_cut Q0 u||
+
+    Degenerate ratios (zero norms, first step) fall back to 1, which leaves
+    the rank-one expansion intact.
     Returns (new state, gamma_t, beta_t).  Raises NumericOverflowError naming
     the step if the propagated quantities leave the float range.
     """
@@ -172,10 +148,10 @@ def uoro_step(state: RankOneState, cache, cut, u: np.ndarray,
     spatial_in = rnn.jvp_cut(cache, cut, schedule.shape_spatial(u))
     spatial_out = rnn.vjp_cut(cache, cut, schedule.unshape_spatial(u))
     if schedule.mode == GIR:
-        gamma = _ratio_or_one(
+        gamma = sqrt_ratio_or_one(
             float(np.linalg.norm(state.w_tilde)), float(np.linalg.norm(forwarded))
         ) * schedule.gir_scale
-        beta = _ratio_or_one(
+        beta = sqrt_ratio_or_one(
             float(np.linalg.norm(spatial_out)), float(np.linalg.norm(spatial_in))
         ) * schedule.gir_scale
     else:
@@ -250,11 +226,11 @@ def preuoro_step(state: PreUoroState, cache, tau_t: float,
     forwarded = rnn.dense_state_jacobian(cache) @ state.H_tilde
     immediate = rnn.dense_cut_jacobian(cache, CutVertex.PREACTIVATION)
     if schedule.mode == GIR:
-        gamma = _ratio_or_one(
+        gamma = sqrt_ratio_or_one(
             float(np.linalg.norm(state.w_tilde)),
             float(np.linalg.norm(forwarded)),
         ) * schedule.gir_scale
-        beta = _ratio_or_one(
+        beta = sqrt_ratio_or_one(
             float(np.linalg.norm(cache.a)), float(np.linalg.norm(immediate))
         ) * schedule.gir_scale
     else:
@@ -356,8 +332,7 @@ def reinforce_episode(params: rnn.RnnParams, inputs, targets, head,
     h_size = params.hidden_size
     if noise.dim != h_size:
         raise ShapeError(f"noise dim {noise.dim} != hidden size {h_size}")
-    q0 = np.eye(h_size) if Q0 is None else np.asarray(Q0, dtype=np.float64)
-    q0_inv_t = np.linalg.inv(q0).T
+    q0, q0_inv = (None, None) if Q0 is None else _checked_q0(Q0)
 
     if isinstance(baseline, str) and baseline == BASELINE_NOISE_FREE:
         clean = rnn.run_episode(params, inputs, targets, head)
@@ -375,9 +350,10 @@ def reinforce_episode(params: rnn.RnnParams, inputs, targets, head,
     per_step = np.zeros((t_len, params.num_params))
     for t in range(t_len):
         state, cache = rnn.step(params, state, inputs[t])
-        score_dir = rnn.embed_state_grad(params, q0_inv_t @ u[t])
+        score_dir = rnn.embed_state_grad(
+            params, u[t] if q0 is None else q0_inv.T @ u[t])
         w_bar = w_bar + rnn.vjp_params(cache, score_dir) / sigma
-        h_bar = state[:h_size] + sigma * (q0 @ u[t])
+        h_bar = state[:h_size] + sigma * (u[t] if q0 is None else q0 @ u[t])
         state = state.copy()
         state[:h_size] = h_bar
         loss_t, _ = rnn.loss_grad(h_bar, targets[t], head)

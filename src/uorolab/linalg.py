@@ -1,5 +1,5 @@
-"""Minimal dense real linear algebra: symmetric eigendecomposition by cyclic
-Jacobi rotations, fractional powers of PSD matrices, and Frobenius/trace
+"""Minimal dense real linear algebra: symmetric eigendecomposition (LAPACK,
+through numpy), fractional powers of PSD matrices, and Frobenius/trace
 utilities.
 
 Everything operates on plain float64 numpy arrays and is dimensioned for desk
@@ -18,10 +18,6 @@ from .errors import (
 )
 
 SYMMETRY_RTOL = 1e-8
-# Stop sweeping once the off-diagonal Frobenius mass falls below this fraction
-# of the matrix norm, or after the sweep cap.
-JACOBI_OFFDIAG_RTOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -46,53 +42,9 @@ def _require_square_symmetric(m: np.ndarray) -> np.ndarray:
 
 
 def sym_eig(m: np.ndarray) -> SymEig:
-    """Eigendecompose a symmetric matrix by cyclic Jacobi rotations.
-
-    Rotations are applied in sweeps over all (p, q) pairs until the
-    off-diagonal Frobenius mass is below JACOBI_OFFDIAG_RTOL * ||M||_F
-    (or the sweep cap is hit, which at these sizes it never is).
-    """
-    a = _require_square_symmetric(m)
-    n = a.shape[0]
-    v = np.eye(n)
-    scale = max(frob_norm(a), 1e-300)
-    target = JACOBI_OFFDIAG_RTOL * scale
-
-    def offdiag_mass() -> float:
-        return np.sqrt(2.0 * np.sum(np.triu(a, 1) ** 2))
-
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if offdiag_mass() <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    a[p, q] = a[q, p] = 0.0
-                    continue
-                # Stable rotation: tan(2 phi) = 2 a_pq / (a_qq - a_pp).
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) if theta != 0 else 1.0
-                t = t / (abs(theta) + np.hypot(theta, 1.0))
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-
-    values = np.diag(a).copy()
-    order = np.argsort(values)[::-1]
-    return SymEig(values=values[order], vectors=v[:, order])
+    """Eigendecompose a symmetric matrix with LAPACK (numpy's eigh)."""
+    values, vectors = np.linalg.eigh(_require_square_symmetric(m))
+    return SymEig(values=values[::-1], vectors=vectors[:, ::-1])
 
 
 def psd_frac_power(m: np.ndarray, p: float) -> np.ndarray:
@@ -115,6 +67,19 @@ def psd_frac_power(m: np.ndarray, p: float) -> np.ndarray:
         raise SingularMatrixError("negative power of a singular PSD matrix")
     powered = (eig.vectors * lam**p) @ eig.vectors.T
     return 0.5 * (powered + powered.T)
+
+
+def sqrt_ratio_or_one(numerator: float, denominator: float) -> float:
+    """sqrt(numerator / denominator), or 1 when either is nonpositive or not
+    finite (the fallback of the greedy rescaling coefficients)."""
+    if (
+        numerator <= 0.0
+        or denominator <= 0.0
+        or not np.isfinite(numerator)
+        or not np.isfinite(denominator)
+    ):
+        return 1.0
+    return float(np.sqrt(numerator / denominator))
 
 
 def frob_inner(a: np.ndarray, b: np.ndarray) -> float:

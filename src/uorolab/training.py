@@ -19,11 +19,17 @@ from .config import ExperimentConfig, as_dict, canonical_estimator
 from .estimators import (
     FIXED_ALPHA,
     GIR,
+    PreUoroState,
+    RankOneState,
     ScalingSchedule,
+    preuoro_contribution,
+    preuoro_step,
     reinforce_episode,
     run_preuoro,
     run_spatial,
     run_uoro,
+    uoro_contribution,
+    uoro_step,
 )
 from .exact import bptt_gradient, episode_tensors, rtrl_jacobians
 from .noise import episode_noise
@@ -347,8 +353,6 @@ def _run_streaming(config, task, params, head, w_state, head_state, out_dir,
     """Queue streaming mode: the parameters update at every step, so the
     sketch carries stale influence (accepted and documented; the estimate is
     only unbiased for slowly moving parameters)."""
-    from .estimators import PreUoroState, RankOneState, preuoro_step, uoro_step
-
     estimator = canonical_estimator(config.estimator)
     rows = []
     losses = []
@@ -376,12 +380,11 @@ def _run_streaming(config, task, params, head, w_state, head_state, out_dir,
             if estimator == "uoro":
                 sketch, _, _ = uoro_step(sketch, cache, CutVertex.PREACTIVATION,
                                          noise.u[t], schedule, t)
-                contribution = float(g_full @ sketch.h_tilde) * sketch.w_tilde
+                contribution = uoro_contribution(sketch, g_full)
             else:
                 sketch, _, _ = preuoro_step(sketch, cache, float(noise.tau[t]),
                                             schedule, t)
-                contribution = np.outer(sketch.H_tilde.T @ g_full,
-                                        sketch.w_tilde).reshape(-1)
+                contribution = preuoro_contribution(sketch, g_full)
             if targets[t] is not None:
                 supervised += 1
                 episode_loss += loss_t

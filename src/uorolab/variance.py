@@ -24,7 +24,7 @@ import numpy as np
 from . import rnn
 from .errors import ShapeError, SingularMatrixError, UnsupportedCutError
 from .exact import EpisodeTensors, GradientVector
-from .linalg import frob_norm, psd_frac_power, trace
+from .linalg import frob_norm, psd_frac_power, sqrt_ratio_or_one, trace
 from .noise import EpisodeNoise
 from .rnn import CutVertex, EpisodeTape
 
@@ -150,6 +150,9 @@ class AlphaSolution:
     converged: bool
 
 
+EPS = np.finfo(np.float64).eps
+
+
 def _alpha_objective(c_scaled: np.ndarray) -> float:
     return float(np.sum(c_scaled))
 
@@ -168,7 +171,9 @@ def solve_alpha_newton(C: np.ndarray, eta: float = 1.0, damping: float = 1e-8,
     Cbar + Cbar^T, damped because the all-ones shift is a null direction.
     Stationarity is equal row and column sums of Cbar.  The step is halved on
     stall.  C is normalized by its largest entry first (the minimizer is
-    scale-invariant), so tolerances are relative.
+    scale-invariant), so tolerances are relative.  A solve also counts as
+    converged when the objective can no longer resolve the Newton step;
+    residual still reports the gradient actually reached.
     """
     C = np.asarray(C, dtype=np.float64)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
@@ -181,20 +186,24 @@ def solve_alpha_newton(C: np.ndarray, eta: float = 1.0, damping: float = 1e-8,
     c = C / scale
     t_len = c.shape[0]
     zeta = np.zeros(t_len)
-    converged = False
     iterations = 0
-    residual = np.inf
+    resolved = False
     for iterations in range(1, max_iter + 1):
         cbar = _rescaled(c, zeta)
         grad = cbar.sum(axis=0) - cbar.sum(axis=1)
-        residual = float(np.max(np.abs(grad)))
-        if residual <= tol:
-            converged = True
+        if float(np.max(np.abs(grad))) <= tol:
             break
         s = cbar + cbar.T
         hess = np.diag(s.sum(axis=1)) - s
         direction = np.linalg.solve(hess + damping * np.eye(t_len), grad)
         obj = _alpha_objective(cbar)
+        if float(grad @ direction) <= t_len * EPS * obj:
+            # The Newton decrement is below the rounding error of the
+            # objective sum, so a line search could not tell descent from
+            # noise: take the full step and stop.
+            zeta = zeta - eta * direction
+            resolved = True
+            break
         step = eta
         for _ in range(50):
             candidate = zeta - step * direction
@@ -214,7 +223,7 @@ def solve_alpha_newton(C: np.ndarray, eta: float = 1.0, damping: float = 1e-8,
         residual=residual,
         objective=_alpha_objective(cbar) * scale,
         iterations=iterations,
-        converged=residual <= tol,
+        converged=residual <= tol or resolved,
     )
 
 
@@ -313,13 +322,19 @@ def compute_B(tensors: EpisodeTensors, alpha: np.ndarray, form: str = "qr") -> n
         inner = np.einsum("r,qri,qrj->qij", alpha**2, suffix, suffix)
         b_mat = np.einsum("q,qij->ij", a_sq / alpha**2, inner)
     elif form == "minst":
-        cum = np.cumsum(a_sq / alpha**2)
-        gram = np.einsum("r,sri,trj->stij", alpha**2, tensors.b, tensors.b)
-        mins = np.minimum.outer(np.arange(t_len), np.arange(t_len))
-        b_mat = np.einsum("st,stij->ij", cum[mins], gram)
+        b_mat = _minst_B(tensors.b, a_sq, alpha)
     else:
         raise ValueError(f"unknown form {form!r}")
     return 0.5 * (b_mat + b_mat.T)
+
+
+def _minst_B(b: np.ndarray, a_sq: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """The "minst" form of B summed over the loss steps s, t < len(b)."""
+    k = b.shape[0]
+    cum = np.cumsum(a_sq / alpha**2)
+    gram = np.einsum("r,sri,trj->stij", alpha**2, b, b)
+    mins = np.minimum.outer(np.arange(k), np.arange(k))
+    return np.einsum("st,stij->ij", cum[mins], gram)
 
 
 def compute_B_partial(tensors: EpisodeTensors, alpha: np.ndarray, k: int) -> np.ndarray:
@@ -327,12 +342,7 @@ def compute_B_partial(tensors: EpisodeTensors, alpha: np.ndarray, k: int) -> np.
     target of the online estimator at step k."""
     _require_preactivation(tensors, "compute_B_partial")
     alpha = np.asarray(alpha, dtype=np.float64)
-    a_sq = tensors.a_norms**2
-    cum = np.cumsum(a_sq / alpha**2)
-    b = tensors.b[:k]
-    gram = np.einsum("r,sri,trj->stij", alpha**2, b, b)
-    mins = np.minimum.outer(np.arange(k), np.arange(k))
-    out = np.einsum("st,stij->ij", cum[mins], gram)
+    out = _minst_B(tensors.b[:k], tensors.a_norms**2, alpha)
     return 0.5 * (out + out.T)
 
 
@@ -538,8 +548,8 @@ def estimate_B_online(tape: EpisodeTape, noise: EpisodeNoise,
             forwarded = gamma[t] * rnn.jvp_state(cache, h_tl)
             immediate = noise.tau[t] * beta[t] * rnn.jvp_cut(cache, cut, spatial)
             if eta_zeta == ETA_ZETA_GIR:
-                eta = _fallback_ratio(np.linalg.norm(v_tl), np.linalg.norm(forwarded))
-                zeta = _fallback_ratio(np.linalg.norm(spatial), np.linalg.norm(immediate))
+                eta = sqrt_ratio_or_one(np.linalg.norm(v_tl), np.linalg.norm(forwarded))
+                zeta = sqrt_ratio_or_one(np.linalg.norm(spatial), np.linalg.norm(immediate))
             elif eta_zeta == ETA_ZETA_ONES:
                 eta = zeta = 1.0
             else:
@@ -561,12 +571,6 @@ def estimate_B_online(tape: EpisodeTape, noise: EpisodeNoise,
         n_tilde=n_tilde,
     )
     return estimates, state
-
-
-def _fallback_ratio(num: float, den: float) -> float:
-    if num <= 0 or den <= 0 or not np.isfinite(num) or not np.isfinite(den):
-        return 1.0
-    return float(np.sqrt(num / den))
 
 
 class EmpiricalVariance(NamedTuple):

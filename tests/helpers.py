@@ -42,6 +42,25 @@ def make_queue_instance(rng, hidden=4, length=8, delay=2):
     return params, inputs, targets, head
 
 
+def balanced_alpha(c, sweeps=10000):
+    """Minimizer of sum_{q,r} (alpha_r^2 / alpha_q^2) C[q, r] by Osborne's
+    cyclic balancing: each coordinate in turn is set to equalize its row and
+    column sums of D^{-1} C D (D = diag(alpha^2)), until no entry moves by
+    more than 1e-14 in log scale.  Returns alpha with min entry 1."""
+    c = np.asarray(c, dtype=np.float64) / np.max(c)
+    off = c - np.diag(np.diag(c))
+    d = np.ones(c.shape[0])
+    for _ in range(sweeps):
+        change = 0.0
+        for q in range(d.size):
+            new = np.sqrt((off[q] @ d) / (off[:, q] @ (1.0 / d)))
+            change = max(change, abs(np.log(new / d[q])))
+            d[q] = new
+        if change < 1e-14:
+            break
+    return np.sqrt(d / d.min())
+
+
 def episode_loss(params, inputs, targets, head, initial_state=None):
     tape = run_episode(params, inputs, targets, head, initial_state)
     return tape.total_loss()

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from uorolab.errors import NumericOverflowError, SingularMatrixError
-from uorolab.estimators import FIXED_ALPHA, GIR, RankOneState, ScalingSchedule, uoro_step
+from uorolab.estimators import (
+    FIXED_ALPHA,
+    GIR,
+    RankOneState,
+    ScalingSchedule,
+    reinforce_episode,
+    uoro_step,
+)
+from uorolab.noise import episode_noise
 from uorolab.rnn import CutVertex, run_episode
 
 from helpers import make_instance
@@ -27,6 +35,27 @@ class TestScheduleValidation:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             ScalingSchedule("adaptive")
+
+
+class TestReinforceQ0Validation:
+    @pytest.mark.parametrize("q0", [np.zeros((4, 4)), np.diag([1.0, 1.0, 1.0, 1e-12])],
+                             ids=["zero", "ill-conditioned"])
+    def test_singular_q0_rejected(self, q0):
+        rng = np.random.default_rng(131)
+        params, inputs, targets, head = make_instance(rng, hidden=4, length=3)
+        noise = episode_noise(132, 0, 3, 4)
+        with pytest.raises(SingularMatrixError):
+            reinforce_episode(params, inputs, targets, head, sigma=0.1,
+                              noise=noise, Q0=q0)
+
+    def test_identity_q0_matches_none(self):
+        rng = np.random.default_rng(133)
+        params, inputs, targets, head = make_instance(rng, hidden=4, length=3)
+        noise = episode_noise(134, 0, 3, 4)
+        plain = reinforce_episode(params, inputs, targets, head, 0.1, noise)
+        shaped = reinforce_episode(params, inputs, targets, head, 0.1, noise,
+                                   Q0=np.eye(4))
+        np.testing.assert_array_equal(plain.estimate, shaped.estimate)
 
 
 class TestOverflowReporting:

@@ -11,7 +11,6 @@ from uorolab.estimators import (
     PreUoroState,
     RankOneState,
     ScalingSchedule,
-    gir_coefficients,
     preuoro_step,
     reinforce_episode,
     run_preuoro,
@@ -51,6 +50,12 @@ def mc_mean_matrix(sample_fn, n_seeds):
     return mean, se
 
 
+def gir_step(state, cache, cut, u):
+    """(gamma, beta) of one greedy step of the rank-one sketch."""
+    _, gamma, beta = uoro_step(state, cache, cut, u, ScalingSchedule(GIR), 0)
+    return gamma, beta
+
+
 class TestGirCoefficients:
     def test_direct_formula(self):
         rng = np.random.default_rng(41)
@@ -63,8 +68,8 @@ class TestGirCoefficients:
         w_tilde = rng.standard_normal(params.num_params)
         w_tilde *= 4.0 / np.linalg.norm(w_tilde)
         state = RankOneState(h_tilde, w_tilde)
-        gamma, _ = gir_coefficients(state, cache, CutVertex.PREACTIVATION,
-                                    rng.standard_normal(4))
+        gamma, _ = gir_step(state, cache, CutVertex.PREACTIVATION,
+                            rng.standard_normal(4))
         assert gamma == pytest.approx(2.0, rel=1e-12)
 
     def test_first_step_fallback(self):
@@ -72,8 +77,8 @@ class TestGirCoefficients:
         params, inputs, _, _ = make_instance(rng, length=1)
         _, cache = rnn.step(params, np.zeros(4), inputs[0])
         state = RankOneState(np.zeros(4), np.zeros(params.num_params))
-        gamma, beta = gir_coefficients(state, cache, CutVertex.PREACTIVATION,
-                                       rng.standard_normal(4))
+        gamma, beta = gir_step(state, cache, CutVertex.PREACTIVATION,
+                               rng.standard_normal(4))
         assert gamma == 1.0
         assert beta > 0
 
@@ -86,7 +91,7 @@ class TestGirCoefficients:
         )
         u = rng.standard_normal(4)
         cut = CutVertex.PREACTIVATION
-        gamma, beta = gir_coefficients(state, cache, cut, u)
+        gamma, beta = gir_step(state, cache, cut, u)
         fwd = np.linalg.norm(rnn.jvp_state(cache, state.h_tilde))
         out = np.linalg.norm(rnn.vjp_cut(cache, cut, u))
         inn = np.linalg.norm(rnn.jvp_cut(cache, cut, u))

@@ -57,6 +57,16 @@ class TestSymEig:
         shifted = sym_eig(m + c * np.eye(6)).values
         np.testing.assert_allclose(shifted, base + c, atol=1e-10)
 
+    def test_repeated_eigenvalues(self):
+        rng = np.random.default_rng(17)
+        q, _ = np.linalg.qr(rng.standard_normal((7, 7)))
+        spectrum = np.array([3.0, 3.0, 3.0, 1.0, 1.0, -2.0, -2.0])
+        m = (q * spectrum) @ q.T
+        eig = sym_eig(m)
+        assert np.all(np.diff(eig.values) <= 0.0)
+        np.testing.assert_allclose(eig.values, spectrum, atol=1e-12)
+        assert frob_norm(eig.reconstruct() - m) <= 1e-10 * frob_norm(m)
+
     def test_rejects_nonsquare_and_asymmetric(self):
         with pytest.raises(ShapeError):
             sym_eig(np.zeros((2, 3)))
@@ -89,6 +99,13 @@ class TestPsdFracPower:
         m = random_psd(rng, 5, floor=0.5)
         prod = psd_frac_power(m, 0.3) @ psd_frac_power(m, -0.3)
         np.testing.assert_allclose(prod, np.eye(5), atol=1e-9)
+
+    def test_inverse_fourth_root_at_digits_size(self):
+        rng = np.random.default_rng(41)
+        m = random_psd(rng, 200, floor=1.0)
+        p = psd_frac_power(m, -0.25)
+        residual = np.linalg.matrix_power(p, 4) @ m - np.eye(200)
+        assert frob_norm(residual) <= 1e-9 * np.sqrt(200)
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefiniteError):

@@ -29,7 +29,7 @@ from uorolab.variance import (
     trace_product_c,
 )
 
-from helpers import make_instance
+from helpers import balanced_alpha, make_instance
 
 
 def draw_u(rng, n, dim, kappa):
@@ -224,6 +224,20 @@ class TestAlphaNewton:
             solve_alpha_newton(-np.ones((2, 2)))
 
 
+class TestAlphaNewtonStoppingRule:
+    def test_unresolvable_decrement_counts_as_converged(self):
+        # Newton reaches a gradient of ~1e-7 here, where the objective can no
+        # longer resolve the step; the solve must stop there, converged.
+        rng = np.random.default_rng(21)
+        c = np.exp(rng.uniform(np.log(0.139), np.log(266), (28, 28)))
+        sol = solve_alpha_newton(c)
+        assert sol.converged
+        assert sol.iterations < 200
+        reference = balanced_alpha(c)
+        log_ratio = np.log(sol.alpha / reference)
+        assert np.max(np.abs(np.expm1(log_ratio - log_ratio.mean()))) <= 1e-6
+
+
 class TestAlphaClosedForm:
     def test_equal_vectors_give_ones(self):
         np.testing.assert_array_equal(
@@ -298,6 +312,14 @@ class TestComputeB:
         minst = compute_B(tensors, alpha, form="minst")
         scale = max(np.abs(qr).max(), 1e-12)
         assert np.abs(qr - minst).max() <= 1e-9 * scale
+
+    def test_partial_at_full_length_is_B(self):
+        rng = np.random.default_rng(91)
+        _, tensors = make_tensors(91, hidden=3, length=5)
+        alpha = rng.uniform(0.5, 2.0, size=5)
+        full = compute_B(tensors, alpha)
+        partial = compute_B_partial(tensors, alpha, 5)
+        assert np.abs(partial - full).max() <= 1e-12 * np.abs(full).max()
 
     def test_result_is_psd(self):
         _, tensors = make_tensors(89, hidden=4, length=5)
