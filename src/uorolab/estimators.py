@@ -24,6 +24,7 @@ the realized losses; with a noise-free baseline and sigma -> 0 it converges
 to the plain UORO estimate on the same noise.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,13 +96,24 @@ class ScalingSchedule:
         if mode == FIXED_ALPHA:
             if alpha is None:
                 raise ValueError("fixed-alpha mode needs an alpha vector")
-            alpha = np.asarray(alpha, dtype=np.float64)
-            if np.any(alpha <= 0):
-                raise ValueError("alpha entries must be positive")
-            from .variance import alpha_to_beta_gamma
+            self._set_alpha(alpha)
 
-            self.alpha = alpha
-            self._beta, self._gamma = alpha_to_beta_gamma(alpha)
+    def _set_alpha(self, alpha):
+        alpha = np.asarray(alpha, dtype=np.float64)
+        if np.any(alpha <= 0):
+            raise ValueError("alpha entries must be positive")
+        from .variance import alpha_to_beta_gamma
+
+        self.alpha = alpha
+        self._beta, self._gamma = alpha_to_beta_gamma(alpha)
+
+    def with_alpha(self, alpha: np.ndarray) -> "ScalingSchedule":
+        """A fixed-alpha copy that shares this schedule's already checked
+        Q0 and Q0^{-1}, so a Q0 used for many episodes is inverted once."""
+        schedule = copy.copy(self)
+        schedule.mode = FIXED_ALPHA
+        schedule._set_alpha(alpha)
+        return schedule
 
     def fixed_coefficients(self, t: int):
         """(gamma_t, beta_t) for 0-indexed step t in fixed-alpha mode."""
@@ -184,6 +196,8 @@ def run_uoro(tape: EpisodeTape, cut, noise: EpisodeNoise,
     n_z = params.cut_size(cut)
     if noise.dim != n_z:
         raise ShapeError(f"noise dim {noise.dim} != cut dim {n_z}")
+    if schedule.Q0 is not None and schedule.Q0.shape[0] != n_z:
+        raise ShapeError(f"Q0 shape {schedule.Q0.shape} != cut dim ({n_z}, {n_z})")
     state = RankOneState(np.zeros(params.state_size), np.zeros(params.num_params))
     per_step = np.zeros((tape.length, params.num_params))
     gammas = np.zeros(tape.length)
@@ -333,6 +347,8 @@ def reinforce_episode(params: rnn.RnnParams, inputs, targets, head,
     if noise.dim != h_size:
         raise ShapeError(f"noise dim {noise.dim} != hidden size {h_size}")
     q0, q0_inv = (None, None) if Q0 is None else _checked_q0(Q0)
+    if q0 is not None and q0.shape[0] != h_size:
+        raise ShapeError(f"Q0 shape {q0.shape} != hidden size ({h_size}, {h_size})")
 
     if isinstance(baseline, str) and baseline == BASELINE_NOISE_FREE:
         clean = rnn.run_episode(params, inputs, targets, head)

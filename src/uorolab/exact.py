@@ -15,7 +15,9 @@ from . import rnn
 from .errors import ShapeError, SizeGuardError
 from .rnn import CutVertex, EpisodeTape
 
-TENSOR_GUARD = 10**5  # cap on T * state_size for the O(T^2) adjoint sweep
+# Cap on T * state_size for the adjoint sweep, whose output b holds
+# O(T^2 * N_z) floats.
+TENSOR_GUARD = 10**5
 
 
 @dataclass
@@ -116,7 +118,14 @@ class EpisodeTensors:
 
 
 def episode_tensors(tape: EpisodeTape, cut) -> EpisodeTensors:
-    """One backward sweep per loss index (O(T^2) work, desk scale only)."""
+    """One reverse sweep that carries the adjoints of all losses at once.
+
+    Going from s = T-1 down to 0, row t of the (T, S) adjoint matrix holds
+    dL_t/d(state_s) for every t >= s; at step s row s gains dL_s/d(state_s),
+    rows t >= s are pulled back to the cut to give b[t, s], and then through
+    one stacked vjp_state to state_{s-1}.  Costs T stacked vjp calls and
+    O(T^2 * N_z) memory for b (desk scale only).
+    """
     cut = rnn.CutVertex(cut) if not isinstance(cut, CutVertex) else cut
     params = tape.params
     t_len = tape.length
@@ -126,11 +135,12 @@ def episode_tensors(tape: EpisodeTape, cut) -> EpisodeTensors:
         )
     n_z = params.cut_size(cut)
     b = np.zeros((t_len, t_len, n_z))
-    for t in range(t_len):
-        delta = tape.loss_grad_full(t)
-        for s in range(t, -1, -1):
-            b[t, s] = rnn.vjp_to_cut(tape.caches[s], cut, delta)
-            delta = rnn.vjp_state(tape.caches[s], delta)
+    deltas = np.zeros((t_len, params.state_size))  # row t: dL_t/d(state_s)
+    for s in range(t_len - 1, -1, -1):
+        deltas[s] = tape.loss_grad_full(s)
+        live = deltas[s:]  # causality: losses before s have no adjoint here
+        b[s:, s] = rnn.vjp_to_cut(tape.caches[s], cut, live)
+        deltas[s:] = rnn.vjp_state(tape.caches[s], live)
     a = np.stack([c.a for c in tape.caches])
     tensors = EpisodeTensors(
         cut=cut,

@@ -228,8 +228,9 @@ def embed_state_grad(params: RnnParams, g_h: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Local Jacobian products.  All take/return plain vectors; see module
-# docstring for which Jacobian each computes.
+# Local Jacobian products.  All take/return plain vectors, except that
+# vjp_state and vjp_to_cut also pull back adjoints stacked as rows (..., S);
+# see module docstring for which Jacobian each computes.
 # ---------------------------------------------------------------------------
 
 def _lstm_zc_jvp(cache: StepCache, dz: np.ndarray, dc_prev: np.ndarray):
@@ -246,20 +247,20 @@ def _lstm_zc_jvp(cache: StepCache, dz: np.ndarray, dc_prev: np.ndarray):
 
 
 def _lstm_adjoint(cache: StepCache, v: np.ndarray):
-    """Adjoint (g_h, g_c) -> (g_zbar, g_h_prev, g_c_prev)."""
+    """Adjoint (g_h, g_c) -> (g_zbar, g_c_prev); v may stack adjoints as
+    rows of shape (..., 2H).  g_h_prev is g_zbar W_h, left to the caller
+    that needs it."""
     h = cache.params.hidden_size
     gt = cache.gates
-    g_h, g_c = v[:h], v[h:]
+    g_h, g_c = v[..., :h], v[..., h:]
     gc_total = g_c + g_h * gt["o"] * (1 - gt["tanh_c"] ** 2)
     g_z = np.concatenate([
         gc_total * gt["g"] * gt["i"] * (1 - gt["i"]),
         gc_total * cache.c_prev * gt["f"] * (1 - gt["f"]),
         gc_total * gt["i"] * (1 - gt["g"] ** 2),
         g_h * gt["tanh_c"] * gt["o"] * (1 - gt["o"]),
-    ])
-    g_h_prev = g_z @ cache.params.weights[:, :h]
-    g_c_prev = gc_total * gt["f"]
-    return g_z, g_h_prev, g_c_prev
+    ], axis=-1)
+    return g_z, gc_total * gt["f"]
 
 
 def jvp_state(cache: StepCache, v: np.ndarray) -> np.ndarray:
@@ -277,15 +278,18 @@ def jvp_state(cache: StepCache, v: np.ndarray) -> np.ndarray:
 
 
 def vjp_state(cache: StepCache, v: np.ndarray) -> np.ndarray:
-    """v^T J_state: pull a state adjoint back to the previous state."""
+    """v^T J_state: pull a state adjoint back to the previous state.
+
+    v may stack adjoints as rows of shape (..., S); each row is pulled back.
+    """
     p = cache.params
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != (p.state_size,):
-        raise ShapeError(f"state vector shape {v.shape} != ({p.state_size},)")
+    if v.shape[-1:] != (p.state_size,):
+        raise ShapeError(f"state vector shape {v.shape} != (..., {p.state_size})")
     h = p.hidden_size
     if p.cell_kind == LSTM:
-        _, g_h_prev, g_c_prev = _lstm_adjoint(cache, v)
-        return np.concatenate([g_h_prev, g_c_prev])
+        g_z, g_c_prev = _lstm_adjoint(cache, v)
+        return np.concatenate([g_z @ p.weights[:, :h], g_c_prev], axis=-1)
     return (v * cache.d) @ p.weights[:, :h]
 
 
@@ -310,21 +314,26 @@ def jvp_cut(cache: StepCache, cut, v: np.ndarray) -> np.ndarray:
 
 
 def vjp_to_cut(cache: StepCache, cut, v: np.ndarray) -> np.ndarray:
-    """v^T J_cut: pull a state adjoint back to the cut value."""
+    """v^T J_cut: pull a state adjoint back to the cut value.
+
+    v may stack adjoints as rows of shape (..., S); each row is pulled back.
+    """
     p = cache.params
     cut = _as_cut(cut)
     p.cut_size(cut)  # validates cut/cell compatibility
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != (p.state_size,):
-        raise ShapeError(f"state vector shape {v.shape} != ({p.state_size},)")
+    if v.shape[-1:] != (p.state_size,):
+        raise ShapeError(f"state vector shape {v.shape} != (..., {p.state_size})")
     if cut == CutVertex.STATE:
         return v.copy()
-    if cut == CutVertex.PARAMETER:
-        return vjp_params(cache, v)
     if p.cell_kind == LSTM:
-        g_z, _, _ = _lstm_adjoint(cache, v)
-        return g_z
-    return v * cache.d
+        g_z, _ = _lstm_adjoint(cache, v)
+    else:
+        g_z = v * cache.d
+    if cut == CutVertex.PARAMETER:
+        # row-wise vec(g_z a^T), as vjp_params computes for one vector
+        return (g_z[..., :, None] * cache.a).reshape(*v.shape[:-1], -1)
+    return g_z
 
 
 def vjp_cut(cache: StepCache, cut, v: np.ndarray) -> np.ndarray:
@@ -353,7 +362,7 @@ def vjp_params(cache: StepCache, v: np.ndarray) -> np.ndarray:
     p = cache.params
     v = np.asarray(v, dtype=np.float64)
     if p.cell_kind == LSTM:
-        g_z, _, _ = _lstm_adjoint(cache, v)
+        g_z, _ = _lstm_adjoint(cache, v)
     else:
         g_z = v * cache.d
     return np.outer(g_z, cache.a).reshape(-1)

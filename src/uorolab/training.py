@@ -17,7 +17,6 @@ from . import batch as batch_mod
 from . import rnn
 from .config import ExperimentConfig, as_dict, canonical_estimator
 from .estimators import (
-    FIXED_ALPHA,
     GIR,
     PreUoroState,
     RankOneState,
@@ -112,22 +111,27 @@ def realized_alpha(report) -> np.ndarray:
     return report.realized_beta * suffix
 
 
-def _episode_schedule(config, tensors, q0):
-    """Resolve the alpha policy for one episode."""
+def _episode_schedule(config, tensors, schedule):
+    """Resolve the alpha policy for one episode from the GIR schedule that
+    holds the update's checked Q0 and its inverse."""
     if config.alpha_mode == "gir":
-        return ScalingSchedule(GIR, Q0=q0, gir_scale=config.gir_scale), None
+        return schedule, None
     if config.alpha_mode == "ones":
         alpha = np.ones(tensors.length)
     elif config.alpha_mode == "ours":
-        alpha = solve_alpha_newton(compute_C(tensors, q0)).alpha
+        alpha = solve_alpha_newton(
+            compute_C(tensors, schedule.Q0, schedule.Q0_inv)).alpha
     else:
         raise ValueError(f"unknown alpha mode {config.alpha_mode!r}")
-    return ScalingSchedule(FIXED_ALPHA, Q0=q0, alpha=alpha), alpha
+    return schedule.with_alpha(alpha), alpha
 
 
-def estimate_episode(config, params, tape, noise, q0, tensors=None):
+def estimate_episode(config, params, tape, noise, schedule, tensors=None):
     """One gradient estimate per the configured estimator.
 
+    schedule is the GIR ScalingSchedule shared by the episodes of an update:
+    it holds the spatial Q0 (none for preuoro), checked and inverted once,
+    and the rank-one estimators specialize it to the episode's alpha policy.
     Returns (estimate vector, realized alpha or None, report or None).
     """
     estimator = canonical_estimator(config.estimator)
@@ -141,13 +145,13 @@ def estimate_episode(config, params, tape, noise, q0, tensors=None):
     if estimator == "spatial":
         report = run_spatial(tape, cut, noise)
         return report.estimate, None, report
-    if estimator == "uoro":
-        schedule, alpha = _episode_schedule(config, tensors, q0)
-        report = run_uoro(tape, cut, noise, schedule, contribution=config.contribution)
-        return report.estimate, (alpha if alpha is not None else realized_alpha(report)), report
-    if estimator == "preuoro":
-        schedule, alpha = _episode_schedule(config, tensors, None)
-        report = run_preuoro(tape, noise, schedule)
+    if estimator in ("uoro", "preuoro"):
+        schedule, alpha = _episode_schedule(config, tensors, schedule)
+        if estimator == "uoro":
+            report = run_uoro(tape, cut, noise, schedule,
+                              contribution=config.contribution)
+        else:
+            report = run_preuoro(tape, noise, schedule)
         return report.estimate, (alpha if alpha is not None else realized_alpha(report)), report
     raise ValueError(f"unknown estimator {config.estimator!r}")
 
@@ -288,10 +292,15 @@ def _generic_update(config, params, head, episodes, update, b_bar, q0):
     head_grads = []
     losses = []
     supervised_counts = []
-    b_mats = []
+    # a running sum keeps one N_z x N_z matrix alive instead of one per episode
+    b_sum, b_count = None, 0
     audit = None
     if config.q0_mode == "ours" and b_bar is not None:
         q0 = optimal_Q0(b_bar, damping=config.damping)
+    # q0 is fixed for the whole update: check and invert it once here (the
+    # projection-free sketch takes no Q0)
+    schedule = ScalingSchedule(GIR, Q0=q0 if estimator == "uoro" else None,
+                               gir_scale=config.gir_scale)
     for j, (inputs, targets) in enumerate(episodes):
         index = update * config.minibatch + j
         tape = run_episode(params, inputs, targets, head)
@@ -316,17 +325,20 @@ def _generic_update(config, params, head, episodes, update, b_bar, q0):
                 noise = episode_noise(config.base_seed, index, tape.length,
                                       cut_dim, config.tau_kind)
             estimate, alpha, report = estimate_episode(
-                config, params, tape, noise, q0, tensors
+                config, params, tape, noise, schedule, tensors
             )
             if (
                 tensors is not None and estimator == "uoro"
                 and config.audit_every and index % config.audit_every == 0
             ):
-                offline = offline_total_estimate(tensors, noise.u, alpha, q0)
+                offline = offline_total_estimate(tensors, noise.u, alpha,
+                                                 schedule.Q0, schedule.Q0_inv)
                 scale = max(np.linalg.norm(offline), 1e-300)
                 audit = float(np.linalg.norm(estimate - offline) / scale)
         if config.q0_mode == "ours" and alpha is not None:
-            b_mats.append(compute_B(tensors, alpha))
+            b_episode = compute_B(tensors, alpha)
+            b_sum = b_episode if b_sum is None else b_sum + b_episode
+            b_count += 1
         n_sup = sum(1 for t in targets if t is not None)
         supervised_counts.append(max(n_sup, 1))
         grads.append(estimate / supervised_counts[-1])
@@ -338,8 +350,8 @@ def _generic_update(config, params, head, episodes, update, b_bar, q0):
             ) / supervised_counts[-1]
         )
         losses.append(tape.total_loss() / supervised_counts[-1])
-    if b_mats:
-        b_mean = np.mean(np.stack(b_mats), axis=0)
+    if b_count:
+        b_mean = b_sum / b_count
         b_bar = b_mean if b_bar is None else (
             config.bbar_decay * b_bar + (1.0 - config.bbar_decay) * b_mean
         )
@@ -468,12 +480,13 @@ def _grid_cell(config, params, tape, tensors, q0_mode, alpha_mode, n_seeds,
         q0 = optimal_Q0(compute_B(tensors, probe_alpha), damping=config.damping)
     else:
         q0 = None
+    schedule = ScalingSchedule(GIR, Q0=q0, gir_scale=config.gir_scale)
     if alpha_mode == "ours":
-        alpha = solve_alpha_newton(compute_C(tensors, q0)).alpha
-        schedule = ScalingSchedule(FIXED_ALPHA, Q0=q0, alpha=alpha)
+        alpha = solve_alpha_newton(
+            compute_C(tensors, schedule.Q0, schedule.Q0_inv)).alpha
+        schedule = schedule.with_alpha(alpha)
         predicted = predicted_VQ(tensors, alpha, q0)
     else:
-        schedule = ScalingSchedule(GIR, Q0=q0, gir_scale=config.gir_scale)
         predicted = None  # resolved below from realized alphas (upper estimate)
     estimates = measure_estimator(config, params, tape, tensors, "uoro",
                                   schedule, n_seeds)

@@ -111,10 +111,13 @@ def _theta_weights(tensors: EpisodeTensors, Q0_inv: np.ndarray | None) -> np.nda
     )
 
 
-def _q0_pair(Q0: np.ndarray | None):
+def _q0_pair(Q0: np.ndarray | None, Q0_inv: np.ndarray | None = None):
+    """(Q0, Q0^{-1}); a Q0_inv the caller already computed is taken as is."""
     if Q0 is None:
         return None, None
     Q0 = np.asarray(Q0, dtype=np.float64)
+    if Q0_inv is not None:
+        return Q0, Q0_inv
     try:
         Q0_inv = np.linalg.inv(Q0)
     except np.linalg.LinAlgError as exc:
@@ -124,13 +127,17 @@ def _q0_pair(Q0: np.ndarray | None):
     return Q0, Q0_inv
 
 
-def compute_C(tensors: EpisodeTensors, Q0: np.ndarray | None = None) -> np.ndarray:
+def compute_C(tensors: EpisodeTensors, Q0: np.ndarray | None = None,
+              Q0_inv: np.ndarray | None = None) -> np.ndarray:
     """The T x T nonnegative matrix defining the alpha objective
     sum_{q,r} (alpha_r^2 / alpha_q^2) C[q, r]:
 
         C[q, r] = || sum_{t>=q} b[t, r]^T Q0 ||^2 * ||Q0^{-1} J_q||_F^2.
+
+    Q0_inv, if given, must be the inverse of Q0 (as ScalingSchedule holds
+    it); otherwise it is computed here.
     """
-    Q0, Q0_inv = _q0_pair(Q0)
+    Q0, Q0_inv = _q0_pair(Q0, Q0_inv)
     suffix = _suffix_sums(tensors.b)
     shaped = suffix if Q0 is None else suffix @ Q0
     weights = _theta_weights(tensors, Q0_inv)
@@ -318,14 +325,24 @@ def compute_B(tensors: EpisodeTensors, alpha: np.ndarray, form: str = "qr") -> n
         raise ShapeError(f"alpha shape {alpha.shape} != ({t_len},)")
     a_sq = tensors.a_norms**2
     if form == "qr":
-        suffix = _suffix_sums(tensors.b)  # v[q, r] = suffix[q, r]
-        inner = np.einsum("r,qri,qrj->qij", alpha**2, suffix, suffix)
-        b_mat = np.einsum("q,qij->ij", a_sq / alpha**2, inner)
+        b_mat = _qr_B(tensors.b, a_sq, alpha)
     elif form == "minst":
         b_mat = _minst_B(tensors.b, a_sq, alpha)
     else:
         raise ValueError(f"unknown form {form!r}")
     return 0.5 * (b_mat + b_mat.T)
+
+
+def _qr_B(b: np.ndarray, a_sq: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """The "qr" form of B summed over the loss steps q < len(b), as the one
+    weighted product V^T diag(w) V with V[(q, r)] = v_qr and
+    w[(q, r)] = (alpha_r^2 / alpha_q^2) ||a_q||^2, evaluated as R^T R with
+    R = diag(sqrt(w)) V so that BLAS forms a symmetric rank-k product."""
+    k = b.shape[0]
+    v = _suffix_sums(b).reshape(-1, b.shape[2])
+    w = np.outer(a_sq[:k] / alpha[:k] ** 2, alpha**2).reshape(-1)
+    root = np.sqrt(w)[:, None] * v
+    return root.T @ root
 
 
 def _minst_B(b: np.ndarray, a_sq: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -342,7 +359,7 @@ def compute_B_partial(tensors: EpisodeTensors, alpha: np.ndarray, k: int) -> np.
     target of the online estimator at step k."""
     _require_preactivation(tensors, "compute_B_partial")
     alpha = np.asarray(alpha, dtype=np.float64)
-    out = _minst_B(tensors.b[:k], tensors.a_norms**2, alpha)
+    out = _qr_B(tensors.b[:k], tensors.a_norms**2, alpha)
     return 0.5 * (out + out.T)
 
 
@@ -457,7 +474,8 @@ def check_minimizer(A: np.ndarray, X: np.ndarray, Y: np.ndarray,
 
 def offline_total_estimate(tensors: EpisodeTensors, u: np.ndarray,
                            alpha: np.ndarray,
-                           Q0: np.ndarray | None = None) -> np.ndarray:
+                           Q0: np.ndarray | None = None,
+                           Q0_inv: np.ndarray | None = None) -> np.ndarray:
     """Evaluate the total gradient estimate directly from the adjoint tensors
     and the realized noise:
 
@@ -465,9 +483,10 @@ def offline_total_estimate(tensors: EpisodeTensors, u: np.ndarray,
               (sum_{r<=t} alpha_r^{-1} u_r^T Q0^{-1} J_r).
 
     This is the audit oracle for the online recursions: with matching alpha
-    and noise it reproduces their accumulated estimate to roundoff.
+    and noise it reproduces their accumulated estimate to roundoff.  Q0_inv,
+    if given, must be the inverse of Q0.
     """
-    Q0, Q0_inv = _q0_pair(Q0)
+    Q0, Q0_inv = _q0_pair(Q0, Q0_inv)
     alpha = np.asarray(alpha, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     t_len = tensors.length

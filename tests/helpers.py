@@ -61,6 +61,26 @@ def balanced_alpha(c, sweeps=10000):
     return np.sqrt(d / d.min())
 
 
+def episode_tensors_per_loss(tape, cut):
+    """b[t, s] = dL_t/dz_s by one backward sweep per loss index t, each
+    pulling a single adjoint vector back from step t to step 0 (O(T^2)
+    vector Jacobian products).  The parameter cut goes through vjp_params."""
+    params = tape.params
+    t_len = tape.length
+    cut = rnn.CutVertex(cut)
+    b = np.zeros((t_len, t_len, params.cut_size(cut)))
+    for t in range(t_len):
+        delta = tape.loss_grad_full(t)
+        for s in range(t, -1, -1):
+            cache = tape.caches[s]
+            if cut == rnn.CutVertex.PARAMETER:
+                b[t, s] = rnn.vjp_params(cache, delta)
+            else:
+                b[t, s] = rnn.vjp_to_cut(cache, cut, delta)
+            delta = rnn.vjp_state(cache, delta)
+    return b
+
+
 def episode_loss(params, inputs, targets, head, initial_state=None):
     tape = run_episode(params, inputs, targets, head, initial_state)
     return tape.total_loss()

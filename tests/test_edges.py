@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from uorolab.errors import NumericOverflowError, SingularMatrixError
+from uorolab import estimators, rnn
+from uorolab.errors import NumericOverflowError, ShapeError, SingularMatrixError
 from uorolab.estimators import (
     FIXED_ALPHA,
     GIR,
     RankOneState,
     ScalingSchedule,
     reinforce_episode,
+    run_uoro,
     uoro_step,
 )
 from uorolab.noise import episode_noise
@@ -35,6 +37,52 @@ class TestScheduleValidation:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             ScalingSchedule("adaptive")
+
+    def test_with_alpha_shares_checked_q0(self, monkeypatch):
+        rng = np.random.default_rng(135)
+        m = rng.standard_normal((3, 3))
+        base = ScalingSchedule(GIR, Q0=m @ m.T + np.eye(3))
+        alpha = np.array([1.0, 2.0, 0.5])
+        monkeypatch.setattr(estimators, "_checked_q0", None)  # must not run again
+        fixed = base.with_alpha(alpha)
+        assert fixed.mode == FIXED_ALPHA and base.mode == GIR
+        assert fixed.Q0 is base.Q0 and fixed.Q0_inv is base.Q0_inv
+        monkeypatch.undo()
+        direct = ScalingSchedule(FIXED_ALPHA, Q0=base.Q0, alpha=alpha)
+        for t in range(3):
+            assert fixed.fixed_coefficients(t) == direct.fixed_coefficients(t)
+        with pytest.raises(ValueError):
+            base.with_alpha(np.array([1.0, -1.0, 1.0]))
+
+
+def _forbid_steps(monkeypatch):
+    """Make any transition or sketch step fail the test."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a step ran before the Q0 size was checked")
+
+    monkeypatch.setattr(rnn, "step", fail)
+    monkeypatch.setattr(estimators, "uoro_step", fail)
+
+
+class TestQ0SizeChecked:
+    def test_run_uoro_rejects_q0_of_wrong_size(self, monkeypatch):
+        rng = np.random.default_rng(136)
+        params, inputs, targets, head = make_instance(rng, hidden=4, length=3)
+        tape = run_episode(params, inputs, targets, head)
+        noise = episode_noise(137, 0, 3, 4)
+        schedule = ScalingSchedule(GIR, Q0=np.eye(3))
+        _forbid_steps(monkeypatch)
+        with pytest.raises(ShapeError, match="Q0"):
+            run_uoro(tape, CutVertex.PREACTIVATION, noise, schedule)
+
+    def test_reinforce_rejects_q0_of_wrong_size(self, monkeypatch):
+        rng = np.random.default_rng(138)
+        params, inputs, targets, head = make_instance(rng, hidden=4, length=3)
+        noise = episode_noise(139, 0, 3, 4)
+        _forbid_steps(monkeypatch)
+        with pytest.raises(ShapeError, match="Q0"):
+            reinforce_episode(params, inputs, targets, head, sigma=0.1,
+                              noise=noise, Q0=np.eye(3))
 
 
 class TestReinforceQ0Validation:

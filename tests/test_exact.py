@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uorolab import rnn
-from uorolab.errors import ShapeError, SizeGuardError
+from uorolab.errors import ShapeError, SizeGuardError, UnsupportedCutError
 from uorolab.exact import bptt_gradient, episode_tensors, rtrl_jacobians
 from uorolab.rnn import CutVertex, RnnParams, SoftmaxHead, run_episode, vjp_params
 
 from helpers import (
+    episode_tensors_per_loss,
     finite_difference_gradient,
     finite_difference_loss_at_cut,
     make_instance,
@@ -158,6 +161,78 @@ class TestEpisodeTensors:
         tape.caches = tape.caches * 40000  # absurd tape length
         with pytest.raises(SizeGuardError):
             episode_tensors(tape, CutVertex.PREACTIVATION)
+
+
+# Every (cell, cut) pair that episode_tensors supports.
+CELL_CUTS = [
+    (rnn.VANILLA_TANH, CutVertex.STATE),
+    (rnn.VANILLA_TANH, CutVertex.PREACTIVATION),
+    (rnn.VANILLA_TANH, CutVertex.PARAMETER),
+    (rnn.VANILLA_LINEAR, CutVertex.STATE),
+    (rnn.VANILLA_LINEAR, CutVertex.PREACTIVATION),
+    (rnn.VANILLA_LINEAR, CutVertex.PARAMETER),
+    (rnn.LSTM, CutVertex.PREACTIVATION),
+    (rnn.LSTM, CutVertex.PARAMETER),
+]
+
+
+def assert_matches_per_loss_oracle(tape, cut):
+    b = episode_tensors(tape, cut).b
+    oracle = episode_tensors_per_loss(tape, cut)
+    assert b.shape == oracle.shape
+    assert np.linalg.norm(b - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+class TestOneSweepTensors:
+    @pytest.mark.parametrize("cell,cut", CELL_CUTS)
+    def test_matches_per_loss_sweeps(self, cell, cut):
+        rng = np.random.default_rng(34)
+        params, inputs, targets, head = make_instance(
+            rng, cell_kind=cell, hidden=5, inputs_dim=3, length=9
+        )
+        assert_matches_per_loss_oracle(run_episode(params, inputs, targets, head), cut)
+
+    def test_lstm_state_cut_rejected(self):
+        rng = np.random.default_rng(35)
+        params, inputs, targets, head = make_instance(rng, cell_kind=rnn.LSTM)
+        tape = run_episode(params, inputs, targets, head)
+        with pytest.raises(UnsupportedCutError):
+            episode_tensors(tape, CutVertex.STATE)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cell_cut=st.sampled_from(CELL_CUTS),
+        hidden=st.integers(1, 6),
+        length=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_matches_per_loss_sweeps(self, cell_cut, hidden, length, seed):
+        cell, cut = cell_cut
+        params, inputs, targets, head = make_instance(
+            np.random.default_rng(seed), cell_kind=cell, hidden=hidden, length=length
+        )
+        assert_matches_per_loss_oracle(run_episode(params, inputs, targets, head), cut)
+
+    def test_stacked_vjps_match_row_by_row(self):
+        rng = np.random.default_rng(36)
+        for cell, cut in CELL_CUTS:
+            params, inputs, targets, head = make_instance(rng, cell_kind=cell, length=2)
+            cache = run_episode(params, inputs, targets, head).caches[1]
+            rows = rng.standard_normal((2, 3, params.state_size))
+            stacked_state = rnn.vjp_state(cache, rows)
+            stacked_cut = rnn.vjp_to_cut(cache, cut, rows)
+            for i in range(2):
+                for j in range(3):
+                    np.testing.assert_allclose(
+                        stacked_state[i, j], rnn.vjp_state(cache, rows[i, j]),
+                        rtol=1e-13, atol=1e-15)
+                    np.testing.assert_allclose(
+                        stacked_cut[i, j], rnn.vjp_to_cut(cache, cut, rows[i, j]),
+                        rtol=1e-13, atol=1e-15)
+            with pytest.raises(ShapeError):
+                rnn.vjp_state(cache, rows[..., :-1])
+            with pytest.raises(ShapeError):
+                rnn.vjp_to_cut(cache, cut, rows[..., :-1])
 
 
 class TestCrossEngineAgreement:

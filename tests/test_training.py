@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uorolab import training
+from uorolab import estimators, training
 from uorolab.config import ExperimentConfig
 from uorolab.exact import bptt_gradient
 from uorolab.optim import AdamState, adam_update
@@ -120,6 +120,44 @@ class TestRunTraining:
         )
         summary = training.run_training(cfg)
         assert np.isfinite(summary["final_loss"])
+
+    def test_q0_checked_and_inverted_once_per_update(self, monkeypatch):
+        calls = {"checked_q0": 0, "cond": 0, "inv": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(estimators, "_checked_q0",
+                            counted("checked_q0", estimators._checked_q0))
+        monkeypatch.setattr(np.linalg, "cond", counted("cond", np.linalg.cond))
+        monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+        per_update = []
+        generic_update = training._generic_update
+
+        def update(*args):
+            before = dict(calls)
+            result = generic_update(*args)
+            per_update.append({k: calls[k] - before[k] for k in calls})
+            return result
+
+        monkeypatch.setattr(training, "_generic_update", update)
+        cfg = ExperimentConfig(
+            task="rowwise-digits", cell="lstm", hidden=5, estimator="uoro",
+            alpha_mode="ours", q0_mode="ours", minibatch=3, updates=2,
+            digits_limit=8, learning_rate=0.003, momentum=0.8,
+            bbar_decay=0.9, damping=0.005, base_seed=3, data_seed=4,
+            audit_every=1,
+        )
+        summary = training.run_training(cfg)
+        assert np.isfinite(summary["final_loss"])
+        # update 0 runs at identity Q0; update 1 shares one Q0 over 3 episodes
+        assert per_update == [
+            {"checked_q0": 0, "cond": 0, "inv": 0},
+            {"checked_q0": 1, "cond": 1, "inv": 1},
+        ]
 
     def test_audit_metric_value(self, tmp_path):
         cfg = tiny_queue_config(estimator="uoro", alpha_mode="ours",

@@ -3,10 +3,10 @@ import pytest
 
 from uorolab.errors import SingularMatrixError, UnsupportedCutError
 from uorolab.estimators import FIXED_ALPHA, ScalingSchedule, run_preuoro, run_uoro
-from uorolab.exact import bptt_gradient, episode_tensors
+from uorolab.exact import EpisodeTensors, bptt_gradient, episode_tensors
 from uorolab.linalg import psd_frac_power, trace
 from uorolab.noise import episode_noise
-from uorolab.rnn import CutVertex, run_episode
+from uorolab.rnn import LSTM, CutVertex, run_episode
 from uorolab.variance import (
     alpha_closed_form_rank1,
     alpha_to_beta_gamma,
@@ -154,6 +154,13 @@ class TestComputeC:
                         right = trace(j_dense[q] @ j_dense[q].T @ qq_inv)
                         brute[q, r] += left * right
         np.testing.assert_allclose(compute_C(tensors, q0), brute, rtol=1e-9, atol=1e-12)
+
+    def test_precomputed_inverse_gives_same_C(self):
+        rng = np.random.default_rng(94)
+        _, tensors = make_tensors(94)
+        q0 = random_pd(rng, 3)
+        np.testing.assert_array_equal(
+            compute_C(tensors, q0, np.linalg.inv(q0)), compute_C(tensors, q0))
 
     def test_singular_q0_rejected(self):
         _, tensors = make_tensors(76)
@@ -320,6 +327,33 @@ class TestComputeB:
         full = compute_B(tensors, alpha)
         partial = compute_B_partial(tensors, alpha, 5)
         assert np.abs(partial - full).max() <= 1e-12 * np.abs(full).max()
+
+    def test_lstm_matches_minst_and_double_loop(self):
+        rng = np.random.default_rng(92)
+        _, tensors = make_tensors(92, hidden=50, length=5, cell_kind=LSTM)
+        assert tensors.cut_dim == 200
+        alpha = rng.uniform(0.5, 2.0, size=5)
+        a_sq = tensors.a_norms**2
+        brute = np.zeros((200, 200))
+        for q in range(5):
+            for r in range(5):
+                v = tensors.b[q:, r].sum(axis=0)
+                brute += (alpha[r] ** 2 / alpha[q] ** 2) * a_sq[q] * np.outer(v, v)
+        scale = np.abs(brute).max()
+        assert np.abs(compute_B(tensors, alpha) - brute).max() <= 1e-12 * scale
+        minst = compute_B(tensors, alpha, form="minst")
+        assert np.abs(minst - brute).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_partial_is_minst_B_of_truncated_episode(self, k):
+        rng = np.random.default_rng(93)
+        _, tensors = make_tensors(93, hidden=3, length=6)
+        alpha = rng.uniform(0.5, 2.0, size=6)
+        truncated = EpisodeTensors(cut=tensors.cut, b=tensors.b[:k, :k],
+                                   a=tensors.a[:k], a_norms=tensors.a_norms[:k])
+        expected = compute_B(truncated, alpha[:k], form="minst")
+        partial = compute_B_partial(tensors, alpha, k)
+        assert np.abs(partial - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_result_is_psd(self):
         _, tensors = make_tensors(89, hidden=4, length=5)
