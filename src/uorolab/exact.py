@@ -67,8 +67,7 @@ def rtrl_jacobians(tape: EpisodeTape):
     for t in range(tape.length):
         cache = tape.caches[t]
         j_state = rnn.dense_state_jacobian(cache)
-        immediate = np.stack([rnn.vjp_params(cache, eye[i]) for i in range(params.state_size)])
-        influence = j_state @ influence + immediate
+        influence = j_state @ influence + rnn.vjp_params(cache, eye)
         jacobians.append(influence.copy())
         grad += tape.loss_grad_full(t) @ influence
     return jacobians, GradientVector(g=grad, total_loss=tape.total_loss())

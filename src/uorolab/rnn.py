@@ -229,8 +229,8 @@ def embed_state_grad(params: RnnParams, g_h: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Local Jacobian products.  All take/return plain vectors, except that
-# vjp_state and vjp_to_cut also pull back adjoints stacked as rows (..., S);
-# see module docstring for which Jacobian each computes.
+# vjp_state, vjp_to_cut and vjp_params also pull back adjoints stacked as
+# rows (..., S); see module docstring for which Jacobian each computes.
 # ---------------------------------------------------------------------------
 
 def _lstm_zc_jvp(cache: StepCache, dz: np.ndarray, dc_prev: np.ndarray):
@@ -326,14 +326,12 @@ def vjp_to_cut(cache: StepCache, cut, v: np.ndarray) -> np.ndarray:
         raise ShapeError(f"state vector shape {v.shape} != (..., {p.state_size})")
     if cut == CutVertex.STATE:
         return v.copy()
+    if cut == CutVertex.PARAMETER:
+        return vjp_params(cache, v)
     if p.cell_kind == LSTM:
         g_z, _ = _lstm_adjoint(cache, v)
-    else:
-        g_z = v * cache.d
-    if cut == CutVertex.PARAMETER:
-        # row-wise vec(g_z a^T), as vjp_params computes for one vector
-        return (g_z[..., :, None] * cache.a).reshape(*v.shape[:-1], -1)
-    return g_z
+        return g_z
+    return v * cache.d
 
 
 def vjp_cut(cache: StepCache, cut, v: np.ndarray) -> np.ndarray:
@@ -358,14 +356,17 @@ def vjp_cut(cache: StepCache, cut, v: np.ndarray) -> np.ndarray:
 
 
 def vjp_params(cache: StepCache, v: np.ndarray) -> np.ndarray:
-    """v^T d(new state)/d(theta): the step's immediate parameter adjoint."""
+    """v^T d(new state)/d(theta): the step's immediate parameter adjoint.
+
+    v may stack adjoints as rows of shape (..., S); each row gives vec(g_z a^T).
+    """
     p = cache.params
     v = np.asarray(v, dtype=np.float64)
     if p.cell_kind == LSTM:
         g_z, _ = _lstm_adjoint(cache, v)
     else:
         g_z = v * cache.d
-    return np.outer(g_z, cache.a).reshape(-1)
+    return (g_z[..., :, None] * cache.a).reshape(*v.shape[:-1], -1)
 
 
 def dense_state_jacobian(cache: StepCache) -> np.ndarray:

@@ -111,13 +111,20 @@ def realized_alpha(report) -> np.ndarray:
     return report.realized_beta * suffix
 
 
-def _episode_schedule(config, tensors, schedule):
+def _q0_schedule(gir_scale, alpha_mode, q0):
+    """The GIR schedule that holds q0, checked and inverted once for all the
+    episodes that share it; gir_scale is read only by the greedy policy."""
+    return ScalingSchedule(GIR, Q0=q0,
+                           gir_scale=gir_scale if alpha_mode == "gir" else 1.0)
+
+
+def _episode_schedule(config, tape, tensors, schedule):
     """Resolve the alpha policy for one episode from the GIR schedule that
     holds the update's checked Q0 and its inverse."""
     if config.alpha_mode == "gir":
         return schedule, None
     if config.alpha_mode == "ones":
-        alpha = np.ones(tensors.length)
+        alpha = np.ones(tape.length)
     elif config.alpha_mode == "ours":
         alpha = solve_alpha_newton(
             compute_C(tensors, schedule.Q0, schedule.Q0_inv)).alpha
@@ -126,7 +133,7 @@ def _episode_schedule(config, tensors, schedule):
     return schedule.with_alpha(alpha), alpha
 
 
-def estimate_episode(config, params, tape, noise, schedule, tensors=None):
+def _estimate_episode(config, params, tape, noise, schedule, tensors=None):
     """One gradient estimate per the configured estimator.
 
     schedule is the GIR ScalingSchedule shared by the episodes of an update:
@@ -146,7 +153,7 @@ def estimate_episode(config, params, tape, noise, schedule, tensors=None):
         report = run_spatial(tape, cut, noise)
         return report.estimate, None, report
     if estimator in ("uoro", "preuoro"):
-        schedule, alpha = _episode_schedule(config, tensors, schedule)
+        schedule, alpha = _episode_schedule(config, tape, tensors, schedule)
         if estimator == "uoro":
             report = run_uoro(tape, cut, noise, schedule,
                               contribution=config.contribution)
@@ -299,8 +306,10 @@ def _generic_update(config, params, head, episodes, update, b_bar, q0):
         q0 = optimal_Q0(b_bar, damping=config.damping)
     # q0 is fixed for the whole update: check and invert it once here (the
     # projection-free sketch takes no Q0)
-    schedule = ScalingSchedule(GIR, Q0=q0 if estimator == "uoro" else None,
-                               gir_scale=config.gir_scale)
+    schedule = None
+    if estimator in ("uoro", "preuoro"):
+        schedule = _q0_schedule(config.gir_scale, config.alpha_mode,
+                                q0 if estimator == "uoro" else None)
     for j, (inputs, targets) in enumerate(episodes):
         index = update * config.minibatch + j
         tape = run_episode(params, inputs, targets, head)
@@ -324,7 +333,7 @@ def _generic_update(config, params, head, episodes, update, b_bar, q0):
                 cut_dim = params.cut_size(CutVertex(config.cut))
                 noise = episode_noise(config.base_seed, index, tape.length,
                                       cut_dim, config.tau_kind)
-            estimate, alpha, report = estimate_episode(
+            estimate, alpha, report = _estimate_episode(
                 config, params, tape, noise, schedule, tensors
             )
             if (
@@ -480,7 +489,7 @@ def _grid_cell(config, params, tape, tensors, q0_mode, alpha_mode, n_seeds,
         q0 = optimal_Q0(compute_B(tensors, probe_alpha), damping=config.damping)
     else:
         q0 = None
-    schedule = ScalingSchedule(GIR, Q0=q0, gir_scale=config.gir_scale)
+    schedule = _q0_schedule(config.gir_scale, alpha_mode, q0)
     if alpha_mode == "ours":
         alpha = solve_alpha_newton(
             compute_C(tensors, schedule.Q0, schedule.Q0_inv)).alpha

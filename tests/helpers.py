@@ -64,7 +64,7 @@ def balanced_alpha(c, sweeps=10000):
 def episode_tensors_per_loss(tape, cut):
     """b[t, s] = dL_t/dz_s by one backward sweep per loss index t, each
     pulling a single adjoint vector back from step t to step 0 (O(T^2)
-    vector Jacobian products).  The parameter cut goes through vjp_params."""
+    vector Jacobian products)."""
     params = tape.params
     t_len = tape.length
     cut = rnn.CutVertex(cut)
@@ -73,10 +73,7 @@ def episode_tensors_per_loss(tape, cut):
         delta = tape.loss_grad_full(t)
         for s in range(t, -1, -1):
             cache = tape.caches[s]
-            if cut == rnn.CutVertex.PARAMETER:
-                b[t, s] = rnn.vjp_params(cache, delta)
-            else:
-                b[t, s] = rnn.vjp_to_cut(cache, cut, delta)
+            b[t, s] = rnn.vjp_to_cut(cache, cut, delta)
             delta = rnn.vjp_state(cache, delta)
     return b
 

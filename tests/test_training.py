@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from uorolab import estimators, training
-from uorolab.config import ExperimentConfig
+from uorolab.config import ExperimentConfig, as_dict
 from uorolab.exact import bptt_gradient
 from uorolab.optim import AdamState, adam_update
 from uorolab.rnn import init_params, run_episode
@@ -158,6 +158,22 @@ class TestRunTraining:
             {"checked_q0": 0, "cond": 0, "inv": 0},
             {"checked_q0": 1, "cond": 1, "inv": 1},
         ]
+
+    @pytest.mark.parametrize("estimator,alpha_mode", [
+        ("bptt", "gir"), ("spatial", "gir"), ("uoro", "ones"),
+        ("preuoro", "ones"),
+    ])
+    def test_gir_scale_read_only_by_greedy_policy(self, estimator, alpha_mode):
+        cfg = ExperimentConfig(
+            task="rowwise-digits", cell="lstm", hidden=3, estimator=estimator,
+            alpha_mode=alpha_mode, minibatch=1, updates=1, digits_limit=4,
+            gir_scale=0.0, base_seed=3, data_seed=4,
+        )
+        assert np.isfinite(training.run_training(cfg)["final_loss"])
+        greedy = ExperimentConfig(**{**as_dict(cfg), "estimator": "uoro",
+                                     "alpha_mode": "gir"})
+        with pytest.raises(ValueError, match="gir_scale"):
+            training.run_training(greedy)
 
     def test_audit_metric_value(self, tmp_path):
         cfg = tiny_queue_config(estimator="uoro", alpha_mode="ours",
