@@ -9,7 +9,6 @@ estimates.
 """
 
 from . import (
-    batch,
     config,
     estimators,
     exact,
@@ -24,7 +23,6 @@ from . import (
 )
 
 __all__ = [
-    "batch",
     "config",
     "estimators",
     "exact",

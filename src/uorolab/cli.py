@@ -7,6 +7,7 @@ and prints a one-line summary.
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -26,13 +27,14 @@ from .variance import (
 
 def _load_config(args) -> config_mod.ExperimentConfig:
     cfg = config_mod.load(args.config) if args.config else config_mod.ExperimentConfig()
+    overrides = {}
     if args.seed is not None:
-        cfg.base_seed = args.seed
+        overrides["base_seed"] = args.seed
     if args.estimator:
-        cfg.estimator = args.estimator
+        overrides["estimator"] = args.estimator
     if args.task:
-        cfg.task = args.task
-    return cfg
+        overrides["task"] = args.task
+    return dataclasses.replace(cfg, **overrides)  # checks the overrides too
 
 
 def _add_common(parser):

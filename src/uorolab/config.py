@@ -3,30 +3,56 @@ losslessly, plus the published hyperparameter tables."""
 
 from dataclasses import asdict, dataclass, fields
 
+_ALIASES = {
+    "neither": "rtrl",
+    "temporal": "preuoro",
+    "both": "uoro",
+}
+
+# The allowed values of every enumerated key.
+CHOICES = {
+    "task": ("queue", "rowwise-digits"),
+    "digits_source": ("synthetic-stripes", "idx-files"),
+    "cell": ("vanilla-tanh", "lstm"),
+    "estimator": ("bptt", "rtrl", "spatial", "preuoro", "uoro", "reinforce",
+                  *_ALIASES),
+    "cut": ("preactivation", "state"),
+    "alpha_mode": ("gir", "ours", "ones"),
+    "q0_mode": ("identity", "ours"),
+    "contribution": ("current", "stale-w", "split"),
+    "tau_kind": ("sign", "gaussian"),
+    "baseline": ("none", "noise-free"),
+    "exact_method": ("bptt", "rtrl"),
+}
+
+
 @dataclass
 class ExperimentConfig:
+    """Every setting of a run; enumerated keys are checked against CHOICES
+    when the config is built, and so when it is loaded."""
+
     # task
-    task: str = "queue"  # queue | rowwise-digits
+    task: str = "queue"
     delay: int = 4
     stream_length: int = 16
-    digits_source: str = "synthetic-stripes"  # synthetic-stripes | idx-files
+    digits_source: str = "synthetic-stripes"
     idx_images: str = ""
     idx_labels: str = ""
     digits_limit: int = 512
     # model
-    cell: str = "vanilla-tanh"  # vanilla-tanh | lstm
+    cell: str = "vanilla-tanh"
     hidden: int = 50
     # estimator
-    estimator: str = "uoro"  # bptt|rtrl|neither|spatial|temporal|preuoro|both|uoro|reinforce
-    cut: str = "preactivation"  # preactivation | state
-    alpha_mode: str = "gir"  # gir | ours | ones
-    q0_mode: str = "identity"  # identity | ours
-    contribution: str = "current"  # current | stale-w | split
-    tau_kind: str = "sign"  # sign | gaussian
+    estimator: str = "uoro"
+    cut: str = "preactivation"
+    alpha_mode: str = "gir"
+    q0_mode: str = "identity"
+    contribution: str = "current"
+    tau_kind: str = "sign"
     gir_scale: float = 1.0
     sigma: float = 0.001  # reinforce state-noise scale
-    baseline: str = "noise-free"  # none | noise-free
-    exact_method: str = "bptt"  # bptt | rtrl (how 'neither' computes the gradient)
+    baseline: str = "noise-free"
+    exact_method: str = "bptt"  # how the exact arms compute the gradient
     streaming: bool = False
     # optimization
     learning_rate: float = 0.002
@@ -43,12 +69,12 @@ class ExperimentConfig:
     num_seeds: int = 2000
     audit_every: int = 100
 
-
-_ALIASES = {
-    "neither": "rtrl",
-    "temporal": "preuoro",
-    "both": "uoro",
-}
+    def __post_init__(self):
+        for key, allowed in CHOICES.items():
+            value = getattr(self, key)
+            if value not in allowed:
+                raise ValueError(f"{key} = {value!r} is not one of "
+                                 f"{', '.join(allowed)}")
 
 
 def canonical_estimator(name: str) -> str:

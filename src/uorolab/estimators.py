@@ -1,7 +1,10 @@
 """Stochastic online gradient estimators.
 
 All estimators consume an EpisodeTape (parameters frozen within the episode)
-plus an EpisodeNoise, and return a GradientReport.  The rank-one sketch
+plus an EpisodeNoise, and return a GradientReport.  The rank-one sketches are
+batch-first: given a sequence of B noises they advance B episodes of a
+batched tape, or B seeds on one tape, in one pass, with one estimate row per
+episode or seed.  The rank-one sketch
 (h_tilde, w_tilde) of the state-to-parameter influence matrix is maintained
 by the pair of recursions
 
@@ -12,7 +15,9 @@ with (gamma, beta) either rescaled greedily per step to equalize the
 cross-term norms ("gir") or derived from a supplied per-step alpha schedule
 ("fixed-alpha").  Q0 shapes the spatial noise; the identity recovers the
 plain recursions.  The per-step gradient contribution is
-(dL_t/dh_t . h~_t) w~_t.
+(dL_t/dh_t . h~_t) w~_t.  Under the greedy rescaling a sketch that cancels to
+roundoff of its two terms is set exactly to zero, so that its last bits
+cannot pick the next coefficient.
 
 preUORO exploits the rank-one structure of the preactivation-to-parameter
 Jacobian to skip the spatial projection: the sketch carries a full S x N_z
@@ -33,37 +38,42 @@ from . import rnn
 from .errors import NumericOverflowError, ShapeError, SingularMatrixError
 from .linalg import sqrt_ratio_or_one
 from .noise import EpisodeNoise
-from .rnn import CutVertex, EpisodeTape
+from .rnn import CutVertex, EpisodeTape, outer_rows
 
 GIR = "gir"
 FIXED_ALPHA = "fixed-alpha"
 
 MAX_Q0_CONDITION = 1e8
+# Under GIR a new sketch (h~, w~ or H~) whose norm is at most this multiple of
+# eps times the summed norms of the two terms it was formed from is exact
+# cancellation plus roundoff, and is set to zero.
+CANCEL_EPS_MULTIPLE = 16
+_CANCEL_RTOL = CANCEL_EPS_MULTIPLE * np.finfo(np.float64).eps
 
 
 @dataclass
 class RankOneState:
-    h_tilde: np.ndarray  # (S,)
-    w_tilde: np.ndarray  # (P,)
+    h_tilde: np.ndarray  # ([B,] S)
+    w_tilde: np.ndarray  # ([B,] P)
 
 
 @dataclass
 class PreUoroState:
-    H_tilde: np.ndarray  # (S, N_z)
-    w_tilde: np.ndarray  # (A,)
+    H_tilde: np.ndarray  # ([B,] S, N_z)
+    w_tilde: np.ndarray  # ([B,] A)
 
 
 @dataclass
 class GradientReport:
-    """A total gradient estimate plus provenance."""
+    """A total gradient estimate plus provenance; batched runs hold one row
+    per episode or seed, and tuples of seeds and indices."""
 
     estimator: str
-    base_seed: int
-    episode_index: int
-    estimate: np.ndarray
-    per_step: np.ndarray | None = None  # (T, P) contributions
-    realized_gamma: np.ndarray | None = None
-    realized_beta: np.ndarray | None = None
+    base_seed: int | tuple
+    episode_index: int | tuple
+    estimate: np.ndarray  # ([B,] P)
+    realized_gamma: np.ndarray | None = None  # (T, [B])
+    realized_beta: np.ndarray | None = None  # (T, [B])
 
 
 class ScalingSchedule:
@@ -121,11 +131,12 @@ class ScalingSchedule:
         return gamma, float(self._beta[t])
 
     def shape_spatial(self, v: np.ndarray) -> np.ndarray:
-        return v if self.Q0 is None else self.Q0 @ v
+        """Q0 v for each row of v."""
+        return v if self.Q0 is None else v @ self.Q0.T
 
     def unshape_spatial(self, v: np.ndarray) -> np.ndarray:
-        """Q0^{-T} v, so that (unshape(u))^T J = u^T Q0^{-1} J."""
-        return v if self.Q0_inv is None else self.Q0_inv.T @ v
+        """Q0^{-T} v for each row, so that (unshape(u))^T J = u^T Q0^{-1} J."""
+        return v if self.Q0_inv is None else v @ self.Q0_inv
 
 
 def _checked_q0(Q0: np.ndarray):
@@ -142,9 +153,58 @@ def _checked_q0(Q0: np.ndarray):
     return Q0, np.linalg.inv(Q0)
 
 
+def _col(x) -> np.ndarray:
+    """Per-row scalars as a column that scales rows (..., n)."""
+    return np.asarray(x)[..., None]
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row (..., n)."""
+    return np.sqrt(np.einsum("...i,...i->...", x, x))
+
+
+def _frobenius(rows: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix stored as stacked rows (K, ..., n)."""
+    return np.sqrt(np.einsum("k...i,k...i->...", rows, rows))
+
+
+def _columns_as_rows(m: np.ndarray) -> np.ndarray:
+    """The columns of matrices ([B,] S, N_z) as stacked rows (N_z, [B], S)."""
+    return m.transpose(m.ndim - 1, *range(m.ndim - 1))
+
+
+def _rows_as_columns(rows: np.ndarray) -> np.ndarray:
+    """Inverse of _columns_as_rows."""
+    return rows.transpose(*range(1, rows.ndim), 0)
+
+
+def _zero_cancelled(x: np.ndarray, norm, scale) -> np.ndarray:
+    """x with every row whose norm is roundoff of scale set exactly to 0."""
+    cancelled = norm <= _CANCEL_RTOL * scale
+    return np.where(_col(cancelled), 0.0, x) if cancelled.any() else x
+
+
+def _draws(noise, stream: str) -> np.ndarray:
+    """A stream (T, ...) of one EpisodeNoise, or (T, B, ...) stacked over a
+    sequence of B of them."""
+    if isinstance(noise, EpisodeNoise):
+        return getattr(noise, stream)
+    return np.stack([getattr(n, stream) for n in noise], axis=1)
+
+
+def _report(name, noise, estimate, gammas=None, betas=None) -> GradientReport:
+    if isinstance(noise, EpisodeNoise):
+        seed, index = noise.base_seed, noise.episode_index
+    else:
+        seed = tuple(n.base_seed for n in noise)
+        index = tuple(n.episode_index for n in noise)
+    return GradientReport(name, seed, index, estimate, gammas, betas)
+
+
 def uoro_step(state: RankOneState, cache, cut, u: np.ndarray,
               schedule: ScalingSchedule, t: int):
-    """Advance the rank-one sketch one step.
+    """Advance the rank-one sketch one step; u and the state may carry a
+    batch axis.
 
     In "gir" mode the coefficients equalize the cross-term norms:
 
@@ -152,141 +212,160 @@ def uoro_step(state: RankOneState, cache, cut, u: np.ndarray,
         beta_t^2  = ||u^T Q0^{-1} J_theta|| / ||J_cut Q0 u||
 
     Degenerate ratios (zero norms, first step) fall back to 1, which leaves
-    the rank-one expansion intact.
+    the rank-one expansion intact; a new sketch within CANCEL_EPS_MULTIPLE
+    eps of its two terms' summed norms is set to zero.
     Returns (new state, gamma_t, beta_t).  Raises NumericOverflowError naming
     the step if the propagated quantities leave the float range.
     """
     forwarded = rnn.jvp_state(cache, state.h_tilde)
     spatial_in = rnn.jvp_cut(cache, cut, schedule.shape_spatial(u))
     spatial_out = rnn.vjp_cut(cache, cut, schedule.unshape_spatial(u))
-    if schedule.mode == GIR:
-        gamma = sqrt_ratio_or_one(
-            float(np.linalg.norm(state.w_tilde)), float(np.linalg.norm(forwarded))
-        ) * schedule.gir_scale
-        beta = sqrt_ratio_or_one(
-            float(np.linalg.norm(spatial_out)), float(np.linalg.norm(spatial_in))
-        ) * schedule.gir_scale
+    greedy = schedule.mode == GIR
+    if greedy:
+        w_norm, fwd_norm = _norms(state.w_tilde), _norms(forwarded)
+        out_norm, in_norm = _norms(spatial_out), _norms(spatial_in)
+        gamma = sqrt_ratio_or_one(w_norm, fwd_norm) * schedule.gir_scale
+        beta = sqrt_ratio_or_one(out_norm, in_norm) * schedule.gir_scale
     else:
         gamma, beta = schedule.fixed_coefficients(t)
     with np.errstate(over="ignore", invalid="ignore"):
-        h_tilde = gamma * forwarded + beta * spatial_in
-        w_tilde = state.w_tilde / gamma + spatial_out / beta
-    if not (np.all(np.isfinite(h_tilde)) and np.all(np.isfinite(w_tilde))):
+        h_tilde = _col(gamma) * forwarded + _col(beta) * spatial_in
+        w_tilde = state.w_tilde / _col(gamma) + spatial_out / _col(beta)
+        if greedy:
+            h_tilde = _zero_cancelled(h_tilde, _norms(h_tilde),
+                                      gamma * fwd_norm + beta * in_norm)
+            w_tilde = _zero_cancelled(w_tilde, _norms(w_tilde),
+                                      w_norm / gamma + out_norm / beta)
+    if not (np.isfinite(h_tilde).all() and np.isfinite(w_tilde).all()):
         raise NumericOverflowError(f"rank-one sketch overflowed at step {t}")
     return RankOneState(h_tilde, w_tilde), gamma, beta
 
 
 def uoro_contribution(state: RankOneState, loss_grad_full: np.ndarray) -> np.ndarray:
     """Per-step gradient contribution (dL_t/d state . h~_t) w~_t."""
-    return float(loss_grad_full @ state.h_tilde) * state.w_tilde
+    return _col(np.sum(loss_grad_full * state.h_tilde, axis=-1)) * state.w_tilde
 
 
 CONTRIBUTION_CURRENT = "current"  # (g_t . h~_t) w~_t
 CONTRIBUTION_STALE_W = "stale-w"  # (g_t . h~_t) w~_{t-1}
 CONTRIBUTION_SPLIT = "split"  # exact immediate + forwarded previous sketch
+CONTRIBUTIONS = (CONTRIBUTION_CURRENT, CONTRIBUTION_STALE_W, CONTRIBUTION_SPLIT)
 
 
-def run_uoro(tape: EpisodeTape, cut, noise: EpisodeNoise,
-             schedule: ScalingSchedule,
+def run_uoro(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
              contribution: str = CONTRIBUTION_CURRENT,
              estimator_name: str = "uoro") -> GradientReport:
-    """Run the rank-one estimator over a full episode tape."""
+    """Run the rank-one estimator over a full episode tape.
+
+    noise is one EpisodeNoise, or a sequence of B: one per episode of a
+    batched tape, or B seeds on one episode.
+    """
     params = tape.params
-    cut = CutVertex(cut) if not isinstance(cut, CutVertex) else cut
+    cut = CutVertex(cut)
     n_z = params.cut_size(cut)
-    if noise.dim != n_z:
-        raise ShapeError(f"noise dim {noise.dim} != cut dim {n_z}")
+    if contribution not in CONTRIBUTIONS:
+        raise ValueError(f"unknown contribution mode {contribution!r}")
+    u = _draws(noise, "u")
+    if u.shape[-1] != n_z:
+        raise ShapeError(f"noise dim {u.shape[-1]} != cut dim {n_z}")
     if schedule.Q0 is not None and schedule.Q0.shape[0] != n_z:
         raise ShapeError(f"Q0 shape {schedule.Q0.shape} != cut dim ({n_z}, {n_z})")
-    state = RankOneState(np.zeros(params.state_size), np.zeros(params.num_params))
-    per_step = np.zeros((tape.length, params.num_params))
-    gammas = np.zeros(tape.length)
-    betas = np.zeros(tape.length)
-    u = noise.u
-    for t in range(tape.length):
+    batch = np.broadcast_shapes(tape.batch_shape, u.shape[1:-1])
+    state = RankOneState(np.zeros((*batch, params.state_size)),
+                         np.zeros((*batch, params.num_params)))
+    estimate = np.zeros((*batch, params.num_params))
+    gammas = np.zeros((tape.length, *batch))
+    betas = np.zeros((tape.length, *batch))
+    for t, cache in enumerate(tape.caches):
         prev = state
-        state, gammas[t], betas[t] = uoro_step(state, tape.caches[t], cut, u[t], schedule, t)
+        state, gammas[t], betas[t] = uoro_step(state, cache, cut, u[t], schedule, t)
         g_full = tape.loss_grad_full(t)
         if contribution == CONTRIBUTION_CURRENT:
-            per_step[t] = uoro_contribution(state, g_full)
+            estimate += uoro_contribution(state, g_full)
         elif contribution == CONTRIBUTION_STALE_W:
-            per_step[t] = float(g_full @ state.h_tilde) * prev.w_tilde
-        elif contribution == CONTRIBUTION_SPLIT:
-            immediate = rnn.vjp_params(tape.caches[t], g_full)
-            carried = float(g_full @ rnn.jvp_state(tape.caches[t], prev.h_tilde))
-            per_step[t] = immediate + carried * prev.w_tilde
+            estimate += uoro_contribution(RankOneState(state.h_tilde, prev.w_tilde),
+                                          g_full)
         else:
-            raise ValueError(f"unknown contribution mode {contribution!r}")
-    return GradientReport(
-        estimator=estimator_name,
-        base_seed=noise.base_seed,
-        episode_index=noise.episode_index,
-        estimate=per_step.sum(axis=0),
-        per_step=per_step,
-        realized_gamma=gammas,
-        realized_beta=betas,
-    )
+            carried = RankOneState(rnn.jvp_state(cache, prev.h_tilde), prev.w_tilde)
+            estimate += rnn.vjp_params(cache, g_full) + uoro_contribution(carried, g_full)
+    return _report(estimator_name, noise, estimate, gammas, betas)
 
 
-def preuoro_step(state: PreUoroState, cache, tau_t: float,
-                 schedule: ScalingSchedule, t: int):
-    """Advance the projection-free sketch one step (preactivation cut only).
+def preuoro_step(state: PreUoroState, cache, tau_t, schedule: ScalingSchedule,
+                 t: int):
+    """Advance the projection-free sketch one step (preactivation cut only);
+    tau_t and the state may carry a batch axis.
 
     H~_t = gamma_t J_state H~_{t-1} + beta_t tau_t J_cut
     w~_t = (1/gamma_t) w~_{t-1} + (tau_t/beta_t) a_t
+
+    Both products act on the columns of H~ stacked as rows (N_z, [B], S), so
+    each is one matrix product; the new H~ is a view of those rows.
     """
     if schedule.Q0 is not None:
         raise ValueError("the projection-free sketch takes no spatial Q0")
-    forwarded = rnn.dense_state_jacobian(cache) @ state.H_tilde
-    immediate = rnn.dense_cut_jacobian(cache, CutVertex.PREACTIVATION)
-    if schedule.mode == GIR:
-        gamma = sqrt_ratio_or_one(
-            float(np.linalg.norm(state.w_tilde)),
-            float(np.linalg.norm(forwarded)),
-        ) * schedule.gir_scale
-        beta = sqrt_ratio_or_one(
-            float(np.linalg.norm(cache.a)), float(np.linalg.norm(immediate))
-        ) * schedule.gir_scale
+    n_z = cache.params.preactivation_size
+    batch_ndim = max(state.w_tilde.ndim - 1, len(cache.batch_shape))
+    forwarded = rnn.jvp_state(cache, _columns_as_rows(state.H_tilde))
+    immediate = rnn.jvp_cut(cache, CutVertex.PREACTIVATION,
+                            rnn.basis_rows(n_z, batch_ndim))
+    greedy = schedule.mode == GIR
+    if greedy:
+        w_norm, a_norm = _norms(state.w_tilde), _norms(cache.a)
+        fwd_norm, imm_norm = _frobenius(forwarded), _frobenius(immediate)
+        gamma = sqrt_ratio_or_one(w_norm, fwd_norm) * schedule.gir_scale
+        beta = sqrt_ratio_or_one(a_norm, imm_norm) * schedule.gir_scale
     else:
         gamma, beta = schedule.fixed_coefficients(t)
     with np.errstate(over="ignore", invalid="ignore"):
-        H_tilde = gamma * forwarded + beta * tau_t * immediate
-        w_tilde = state.w_tilde / gamma + (tau_t / beta) * cache.a
-    if not (np.all(np.isfinite(H_tilde)) and np.all(np.isfinite(w_tilde))):
+        rows = np.multiply(forwarded, _col(gamma), out=forwarded)
+        rows += _col(beta * tau_t) * immediate
+        w_tilde = state.w_tilde / _col(gamma) + _col(tau_t / beta) * cache.a
+        if greedy:
+            size = np.abs(tau_t)
+            rows = _zero_cancelled(rows, _frobenius(rows),
+                                   gamma * fwd_norm + beta * size * imm_norm)
+            w_tilde = _zero_cancelled(w_tilde, _norms(w_tilde),
+                                      w_norm / gamma + size / beta * a_norm)
+    if not (np.isfinite(rows).all() and np.isfinite(w_tilde).all()):
         raise NumericOverflowError(f"projection-free sketch overflowed at step {t}")
-    return PreUoroState(H_tilde, w_tilde), gamma, beta
+    return PreUoroState(_rows_as_columns(rows), w_tilde), gamma, beta
+
+
+def _carried(state: PreUoroState, loss_grad_full: np.ndarray) -> np.ndarray:
+    """H~_t^T dL/dstate for each row."""
+    return np.einsum("...sk,...s->...k", state.H_tilde, loss_grad_full)
 
 
 def preuoro_contribution(state: PreUoroState, loss_grad_full: np.ndarray) -> np.ndarray:
     """vec of the outer product (H~_t^T dL/dstate) w~_t^T, row-major."""
-    return np.outer(state.H_tilde.T @ loss_grad_full, state.w_tilde).reshape(-1)
+    return outer_rows(_carried(state, loss_grad_full), state.w_tilde)
 
 
-def run_preuoro(tape: EpisodeTape, noise: EpisodeNoise,
-                schedule: ScalingSchedule,
+def run_preuoro(tape: EpisodeTape, noise, schedule: ScalingSchedule,
                 estimator_name: str = "preuoro") -> GradientReport:
+    """Run the projection-free estimator; noise as for run_uoro.  The
+    contributions sum_t vec(r_t w~_t^T) are one matrix product over the
+    steps at the end."""
     params = tape.params
     n_z = params.preactivation_size
+    tau = _draws(noise, "tau")
+    batch = np.broadcast_shapes(tape.batch_shape, tau.shape[1:])
     state = PreUoroState(
-        np.zeros((params.state_size, n_z)), np.zeros(params.augmented_size)
+        _rows_as_columns(np.zeros((n_z, *batch, params.state_size))),
+        np.zeros((*batch, params.augmented_size)),
     )
-    per_step = np.zeros((tape.length, params.num_params))
-    gammas = np.zeros(tape.length)
-    betas = np.zeros(tape.length)
-    for t in range(tape.length):
-        state, gammas[t], betas[t] = preuoro_step(
-            state, tape.caches[t], float(noise.tau[t]), schedule, t
-        )
-        per_step[t] = preuoro_contribution(state, tape.loss_grad_full(t))
-    return GradientReport(
-        estimator=estimator_name,
-        base_seed=noise.base_seed,
-        episode_index=noise.episode_index,
-        estimate=per_step.sum(axis=0),
-        per_step=per_step,
-        realized_gamma=gammas,
-        realized_beta=betas,
-    )
+    carried = np.empty((tape.length, *batch, n_z))
+    w_rows = np.empty((tape.length, *batch, params.augmented_size))
+    gammas = np.zeros((tape.length, *batch))
+    betas = np.zeros((tape.length, *batch))
+    for t, cache in enumerate(tape.caches):
+        state, gammas[t], betas[t] = preuoro_step(state, cache, tau[t], schedule, t)
+        carried[t] = _carried(state, tape.loss_grad_full(t))
+        w_rows[t] = state.w_tilde
+    estimate = np.moveaxis(carried, 0, -1) @ np.moveaxis(w_rows, 0, -2)
+    return _report(estimator_name, noise, estimate.reshape(*batch, -1),
+                   gammas, betas)
 
 
 def run_spatial(tape: EpisodeTape, cut, noise: EpisodeNoise,
@@ -295,26 +374,19 @@ def run_spatial(tape: EpisodeTape, cut, noise: EpisodeNoise,
     rank-one spatial projection (J_cut nu)(nu^T J_theta); no temporal noise.
     """
     params = tape.params
-    cut = CutVertex(cut) if not isinstance(cut, CutVertex) else cut
+    cut = CutVertex(cut)
     if params.num_params * params.state_size > rnn.DENSE_GUARD:
         raise ShapeError("influence matrix too large for the spatial estimator")
     influence = np.zeros((params.state_size, params.num_params))
-    per_step = np.zeros((tape.length, params.num_params))
-    for t in range(tape.length):
-        cache = tape.caches[t]
+    estimate = np.zeros(params.num_params)
+    for t, cache in enumerate(tape.caches):
         nu = noise.nu[t]
         j_state = rnn.dense_state_jacobian(cache)
         influence = j_state @ influence + np.outer(
             rnn.jvp_cut(cache, cut, nu), rnn.vjp_cut(cache, cut, nu)
         )
-        per_step[t] = tape.loss_grad_full(t) @ influence
-    return GradientReport(
-        estimator=estimator_name,
-        base_seed=noise.base_seed,
-        episode_index=noise.episode_index,
-        estimate=per_step.sum(axis=0),
-        per_step=per_step,
-    )
+        estimate += tape.loss_grad_full(t) @ influence
+    return _report(estimator_name, noise, estimate)
 
 
 BASELINE_NONE = "none"
@@ -363,7 +435,7 @@ def reinforce_episode(params: rnn.RnnParams, inputs, targets, head,
     u = noise.u
     state = np.zeros(params.state_size)
     w_bar = np.zeros(params.num_params)
-    per_step = np.zeros((t_len, params.num_params))
+    estimate = np.zeros(params.num_params)
     for t in range(t_len):
         state, cache = rnn.step(params, state, inputs[t])
         score_dir = rnn.embed_state_grad(
@@ -373,11 +445,5 @@ def reinforce_episode(params: rnn.RnnParams, inputs, targets, head,
         state = state.copy()
         state[:h_size] = h_bar
         loss_t, _ = rnn.loss_grad(h_bar, targets[t], head)
-        per_step[t] = (loss_t - baseline_values[t]) * w_bar
-    return GradientReport(
-        estimator="reinforce",
-        base_seed=noise.base_seed,
-        episode_index=noise.episode_index,
-        estimate=per_step.sum(axis=0),
-        per_step=per_step,
-    )
+        estimate += (loss_t - baseline_values[t]) * w_bar
+    return _report("reinforce", noise, estimate)

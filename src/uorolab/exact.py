@@ -20,12 +20,19 @@ from .rnn import CutVertex, EpisodeTape
 TENSOR_GUARD = 10**5
 
 
+def _require_one_episode(tape: EpisodeTape):
+    if tape.batch_shape:
+        raise ShapeError("this engine takes one episode: slice a batched "
+                         "tape with tape.episode(i)")
+
+
 @dataclass
 class GradientVector:
-    """Total gradient dL/dtheta plus the total loss it differentiates."""
+    """Total gradient dL/dtheta plus the total loss it differentiates; one
+    row (and one loss) per episode of a batched tape."""
 
     g: np.ndarray
-    total_loss: float
+    total_loss: float | np.ndarray
 
 
 def bptt_gradient(tape: EpisodeTape) -> GradientVector:
@@ -33,18 +40,23 @@ def bptt_gradient(tape: EpisodeTape) -> GradientVector:
 
     Maintains delta_t = dL/d(state_t) by
         delta_t = delta_{t+1} J_state(t+1) + dL_t/d(state_t)
-    and accumulates delta_t^T d(state_t)/d(theta) at each step.
+    and pulls it back to the preactivations, g_t = delta_t J_cut(t); the
+    gradient sum_t vec(g_t a_t^T) is then one matrix product over the steps.
+    A batched tape gives one gradient row per episode.
     """
     if tape.length == 0:
         raise ShapeError("empty tape")
     params = tape.params
-    grad = np.zeros(params.num_params)
-    delta = np.zeros(params.state_size)
+    batch = tape.batch_shape
+    g_z = np.empty((tape.length, *batch, params.preactivation_size))
+    delta = np.zeros((*batch, params.state_size))
     for t in range(tape.length - 1, -1, -1):
         delta = delta + tape.loss_grad_full(t)
-        grad += rnn.vjp_params(tape.caches[t], delta)
+        g_z[t] = rnn.vjp_to_cut(tape.caches[t], CutVertex.PREACTIVATION, delta)
         delta = rnn.vjp_state(tape.caches[t], delta)
-    return GradientVector(g=grad, total_loss=tape.total_loss())
+    a = np.stack([c.a for c in tape.caches])
+    grad = np.moveaxis(g_z, 0, -1) @ np.moveaxis(a, 0, -2)
+    return GradientVector(g=grad.reshape(*batch, -1), total_loss=tape.total_loss())
 
 
 def rtrl_jacobians(tape: EpisodeTape):
@@ -53,10 +65,11 @@ def rtrl_jacobians(tape: EpisodeTape):
 
     The influence matrix G_t = d(state_t)/d(theta) obeys
         G_t = J_state(t) G_{t-1} + d(state_t)/d(theta_t)
-    and the gradient is sum_t dL_t/d(state_t) G_t.
+    and the gradient is sum_t dL_t/d(state_t) G_t.  One episode per call.
     """
     if tape.length == 0:
         raise ShapeError("empty tape")
+    _require_one_episode(tape)
     params = tape.params
     if params.num_params * params.state_size > rnn.DENSE_GUARD:
         raise SizeGuardError("influence matrix too large to materialize")
@@ -123,9 +136,10 @@ def episode_tensors(tape: EpisodeTape, cut) -> EpisodeTensors:
     dL_t/d(state_s) for every t >= s; at step s row s gains dL_s/d(state_s),
     rows t >= s are pulled back to the cut to give b[t, s], and then through
     one stacked vjp_state to state_{s-1}.  Costs T stacked vjp calls and
-    O(T^2 * N_z) memory for b (desk scale only).
+    O(T^2 * N_z) memory for b (desk scale only).  One episode per call.
     """
-    cut = rnn.CutVertex(cut) if not isinstance(cut, CutVertex) else cut
+    cut = CutVertex(cut)
+    _require_one_episode(tape)
     params = tape.params
     t_len = tape.length
     if t_len * params.state_size > TENSOR_GUARD:

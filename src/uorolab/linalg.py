@@ -69,17 +69,15 @@ def psd_frac_power(m: np.ndarray, p: float) -> np.ndarray:
     return 0.5 * (powered + powered.T)
 
 
-def sqrt_ratio_or_one(numerator: float, denominator: float) -> float:
-    """sqrt(numerator / denominator), or 1 when either is nonpositive or not
-    finite (the fallback of the greedy rescaling coefficients)."""
-    if (
-        numerator <= 0.0
-        or denominator <= 0.0
-        or not np.isfinite(numerator)
-        or not np.isfinite(denominator)
-    ):
-        return 1.0
-    return float(np.sqrt(numerator / denominator))
+def sqrt_ratio_or_one(numerator, denominator):
+    """sqrt(numerator / denominator), or 1 where either is nonpositive or not
+    finite (the fallback of the greedy rescaling coefficients).  Elementwise
+    over arrays; a float for scalar arguments."""
+    num = np.asarray(numerator, dtype=np.float64)
+    den = np.asarray(denominator, dtype=np.float64)
+    good = (num > 0.0) & (den > 0.0) & np.isfinite(num) & np.isfinite(den)
+    out = np.where(good, np.sqrt(np.where(good, num, 1.0) / np.where(good, den, 1.0)), 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def frob_inner(a: np.ndarray, b: np.ndarray) -> float:

@@ -15,6 +15,7 @@ processed in any order.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,33 +35,46 @@ def _generator(base_seed: int, episode_index: int, stream: str) -> np.random.Gen
 def _scalars(gen: np.random.Generator, length: int, kind: str) -> np.ndarray:
     if kind == SIGN:
         return gen.integers(0, 2, size=length) * 2.0 - 1.0
-    if kind == GAUSSIAN:
-        return gen.standard_normal(length)
-    raise ValueError(f"unknown tau kind {kind!r}")
+    return gen.standard_normal(length)
 
 
 @dataclass(frozen=True)
 class EpisodeNoise:
-    """All random draws one estimator needs for one episode."""
+    """All random draws one estimator needs for one episode.  Each stream is
+    drawn on first access, so an estimator pays only for what it reads."""
 
     base_seed: int
     episode_index: int
-    tau: np.ndarray  # (T,)
-    nu: np.ndarray  # (T, dim)
-    sigma: np.ndarray  # (T,)
-    mu: np.ndarray  # (T, dim)
+    length: int
+    dim: int
+    tau_kind: str = SIGN
 
-    @property
+    def __post_init__(self):
+        if self.tau_kind not in (SIGN, GAUSSIAN):
+            raise ValueError(f"unknown tau kind {self.tau_kind!r}")
+
+    def _gen(self, stream: str) -> np.random.Generator:
+        return _generator(self.base_seed, self.episode_index, stream)
+
+    @cached_property
+    def tau(self) -> np.ndarray:  # (T,)
+        return _scalars(self._gen("tau"), self.length, self.tau_kind)
+
+    @cached_property
+    def nu(self) -> np.ndarray:  # (T, dim)
+        return self._gen("nu").standard_normal((self.length, self.dim))
+
+    @cached_property
+    def sigma(self) -> np.ndarray:  # (T,)
+        return _scalars(self._gen("sigma"), self.length, self.tau_kind)
+
+    @cached_property
+    def mu(self) -> np.ndarray:  # (T, dim)
+        return self._gen("mu").standard_normal((self.length, self.dim))
+
+    @cached_property
     def u(self) -> np.ndarray:
         return self.tau[:, None] * self.nu
-
-    @property
-    def length(self) -> int:
-        return self.tau.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.nu.shape[1]
 
 
 def episode_noise(
@@ -70,11 +84,4 @@ def episode_noise(
     dim: int,
     tau_kind: str = SIGN,
 ) -> EpisodeNoise:
-    return EpisodeNoise(
-        base_seed=base_seed,
-        episode_index=episode_index,
-        tau=_scalars(_generator(base_seed, episode_index, "tau"), length, tau_kind),
-        nu=_generator(base_seed, episode_index, "nu").standard_normal((length, dim)),
-        sigma=_scalars(_generator(base_seed, episode_index, "sigma"), length, tau_kind),
-        mu=_generator(base_seed, episode_index, "mu").standard_normal((length, dim)),
-    )
+    return EpisodeNoise(base_seed, episode_index, length, dim, tau_kind)

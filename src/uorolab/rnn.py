@@ -18,6 +18,13 @@ where the cut vertex z is either the new hidden output itself ("state",
 vanilla only), the stacked preactivations W a_t ("preactivation"), or the
 parameter vector ("parameter").  For the preactivation cut J_theta is exactly
 the Kronecker structure I (x) a_t^T, which the estimators exploit.
+
+Everything is batch-first: a step taken from states (B, S) and inputs (B, X)
+records a cache whose arrays carry that leading batch axis, and the products
+then take vectors (..., B, S), so B episodes advance in one call.  Without a
+batch axis the same functions run one episode.  Either way a vector may stack
+further rows in front: B noise seeds on one episode are rows (B, S) against an
+unbatched cache.
 """
 
 from dataclasses import dataclass, field
@@ -143,21 +150,37 @@ def init_params(
 
 @dataclass
 class StepCache:
-    """Everything needed to contract the step's local Jacobians."""
+    """Everything needed to contract the step's local Jacobians.  Arrays
+    carry the step's batch shape, () or (B,), in front."""
 
     params: RnnParams
-    a: np.ndarray  # (A,) augmented input (h_prev, x, 1)
-    z: np.ndarray  # (N_z,) preactivations W a
-    h: np.ndarray  # (H,) new hidden output
+    a: np.ndarray  # ([B,] A) augmented input (h_prev, x, 1)
+    z: np.ndarray  # ([B,] N_z) preactivations W a
+    h: np.ndarray  # ([B,] H) new hidden output
     d: np.ndarray | None = None  # vanilla: activation derivative f'(z)
     # LSTM internals
     c_prev: np.ndarray | None = None
     gates: dict | None = None  # i, f, g, o, c, tanh_c
 
+    @property
+    def batch_shape(self) -> tuple:
+        return self.a.shape[:-1]
+
     def state(self) -> np.ndarray:
         if self.params.cell_kind == LSTM:
-            return np.concatenate([self.h, self.gates["c"]])
+            return np.concatenate([self.h, self.gates["c"]], axis=-1)
         return self.h
+
+    def episode(self, i: int) -> "StepCache":
+        """The cache of episode i of a batched step."""
+        def row(x):
+            return None if x is None else x[i]
+
+        return StepCache(
+            self.params, self.a[i], self.z[i], self.h[i], d=row(self.d),
+            c_prev=row(self.c_prev),
+            gates=None if self.gates is None else {k: v[i] for k, v in self.gates.items()},
+        )
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -173,21 +196,22 @@ def step(params: RnnParams, state_prev: np.ndarray, x: np.ndarray):
     """Run one transition; returns (new full state, cache).
 
     state_prev is the full recurrent state: (H,) for vanilla cells,
-    (2H,) = (h, c) for the LSTM.
+    (2H,) = (h, c) for the LSTM, or (B, S) for B episodes with inputs (B, X).
     """
     h_size = params.hidden_size
     state_prev = np.asarray(state_prev, dtype=np.float64)
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if state_prev.shape != (params.state_size,):
+    if state_prev.ndim > 2 or state_prev.shape[-1:] != (params.state_size,):
         raise ShapeError(
-            f"state shape {state_prev.shape} != ({params.state_size},)"
+            f"state shape {state_prev.shape} != ([B,] {params.state_size})"
         )
-    if x.shape != (params.input_size,):
-        raise ShapeError(f"input shape {x.shape} != ({params.input_size},)")
+    batch = state_prev.shape[:-1]
+    if x.shape != (*batch, params.input_size):
+        raise ShapeError(f"input shape {x.shape} != {(*batch, params.input_size)}")
 
-    h_prev = state_prev[:h_size]
-    a = np.concatenate([h_prev, x, [1.0]])
-    z = params.weights @ a
+    h_prev = state_prev[..., :h_size]
+    a = np.concatenate([h_prev, x, np.ones((*batch, 1))], axis=-1)
+    z = a @ params.weights.T
 
     if params.cell_kind == VANILLA_TANH:
         h = np.tanh(z)
@@ -198,11 +222,11 @@ def step(params: RnnParams, state_prev: np.ndarray, x: np.ndarray):
         cache = StepCache(params, a, z, h, d=np.ones_like(z))
         new_state = h
     elif params.cell_kind == LSTM:
-        c_prev = state_prev[h_size:]
-        i = _sigmoid(z[:h_size])
-        f = _sigmoid(z[h_size : 2 * h_size])
-        g = np.tanh(z[2 * h_size : 3 * h_size])
-        o = _sigmoid(z[3 * h_size :])
+        c_prev = state_prev[..., h_size:]
+        i = _sigmoid(z[..., :h_size])
+        f = _sigmoid(z[..., h_size : 2 * h_size])
+        g = np.tanh(z[..., 2 * h_size : 3 * h_size])
+        o = _sigmoid(z[..., 3 * h_size :])
         c = f * c_prev + i * g
         tanh_c = np.tanh(c)
         h = o * tanh_c
@@ -211,45 +235,58 @@ def step(params: RnnParams, state_prev: np.ndarray, x: np.ndarray):
             c_prev=c_prev.copy(),
             gates={"i": i, "f": f, "g": g, "o": o, "c": c, "tanh_c": tanh_c},
         )
-        new_state = np.concatenate([h, c])
+        new_state = np.concatenate([h, c], axis=-1)
     else:
         raise ValueError(f"unknown cell kind {params.cell_kind!r}")
 
-    if not np.all(np.isfinite(new_state)):
+    if not np.isfinite(new_state).all():
         raise NumericOverflowError("step produced non-finite state")
     return new_state, cache
 
 
 def embed_state_grad(params: RnnParams, g_h: np.ndarray) -> np.ndarray:
-    """Lift a dL/dh vector (H,) into the full state space (zero c-part)."""
+    """Lift dL/dh rows (..., H) into the full state space (zero c-part)."""
+    g_h = np.asarray(g_h, dtype=np.float64)
     if params.cell_kind == LSTM:
-        return np.concatenate([g_h, np.zeros(params.hidden_size)])
-    return np.asarray(g_h, dtype=np.float64)
+        return np.concatenate([g_h, np.zeros_like(g_h)], axis=-1)
+    return g_h
 
 
 # ---------------------------------------------------------------------------
-# Local Jacobian products.  All take/return plain vectors, except that
-# vjp_state, vjp_to_cut and vjp_params also pull back adjoints stacked as
-# rows (..., S); see module docstring for which Jacobian each computes.
+# Local Jacobian products.  Vectors are rows (..., S) (or (..., N_z) in cut
+# space) whose trailing axes line up with the cache's batch shape; see the
+# module docstring for which Jacobian each computes.
 # ---------------------------------------------------------------------------
 
-def _lstm_zc_jvp(cache: StepCache, dz: np.ndarray, dc_prev: np.ndarray):
+def _rows(v, size: int, what: str) -> np.ndarray:
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape[-1:] != (size,):
+        raise ShapeError(f"{what} vector shape {v.shape} != (..., {size})")
+    return v
+
+
+def outer_rows(v: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """vec(v a^T) row by row: (..., N) and (..., M) give (..., N*M)."""
+    out = np.multiply(v[..., :, None], a[..., None, :], order="C")
+    return out.reshape(*out.shape[:-2], -1)
+
+
+def _lstm_zc_jvp(cache: StepCache, dz: np.ndarray, dc_prev):
     """Perturbation (dz, dc_prev) -> (dh, dc) through the LSTM gates."""
     h = cache.params.hidden_size
     gt = cache.gates
-    di = gt["i"] * (1 - gt["i"]) * dz[:h]
-    df = gt["f"] * (1 - gt["f"]) * dz[h : 2 * h]
-    dg = (1 - gt["g"] ** 2) * dz[2 * h : 3 * h]
-    do = gt["o"] * (1 - gt["o"]) * dz[3 * h :]
+    di = gt["i"] * (1 - gt["i"]) * dz[..., :h]
+    df = gt["f"] * (1 - gt["f"]) * dz[..., h : 2 * h]
+    dg = (1 - gt["g"] ** 2) * dz[..., 2 * h : 3 * h]
+    do = gt["o"] * (1 - gt["o"]) * dz[..., 3 * h :]
     dc = df * cache.c_prev + gt["f"] * dc_prev + di * gt["g"] + gt["i"] * dg
     dh = do * gt["tanh_c"] + gt["o"] * (1 - gt["tanh_c"] ** 2) * dc
     return dh, dc
 
 
 def _lstm_adjoint(cache: StepCache, v: np.ndarray):
-    """Adjoint (g_h, g_c) -> (g_zbar, g_c_prev); v may stack adjoints as
-    rows of shape (..., 2H).  g_h_prev is g_zbar W_h, left to the caller
-    that needs it."""
+    """Adjoint rows (g_h, g_c) -> (g_zbar, g_c_prev).  g_h_prev is
+    g_zbar W_h, left to the caller that needs it."""
     h = cache.params.hidden_size
     gt = cache.gates
     g_h, g_c = v[..., :h], v[..., h:]
@@ -264,28 +301,21 @@ def _lstm_adjoint(cache: StepCache, v: np.ndarray):
 
 
 def jvp_state(cache: StepCache, v: np.ndarray) -> np.ndarray:
-    """J_state v: forward-propagate a state perturbation through the step."""
+    """J_state v: forward-propagate state perturbations through the step."""
     p = cache.params
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (p.state_size,):
-        raise ShapeError(f"state vector shape {v.shape} != ({p.state_size},)")
+    v = _rows(v, p.state_size, "state")
     h = p.hidden_size
-    dz = p.weights[:, :h] @ v[:h]
+    dz = v[..., :h] @ p.weights[:, :h].T
     if p.cell_kind == LSTM:
-        dh, dc = _lstm_zc_jvp(cache, dz, v[h:])
-        return np.concatenate([dh, dc])
+        dh, dc = _lstm_zc_jvp(cache, dz, v[..., h:])
+        return np.concatenate([dh, dc], axis=-1)
     return cache.d * dz
 
 
 def vjp_state(cache: StepCache, v: np.ndarray) -> np.ndarray:
-    """v^T J_state: pull a state adjoint back to the previous state.
-
-    v may stack adjoints as rows of shape (..., S); each row is pulled back.
-    """
+    """v^T J_state: pull state adjoints back to the previous state."""
     p = cache.params
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape[-1:] != (p.state_size,):
-        raise ShapeError(f"state vector shape {v.shape} != (..., {p.state_size})")
+    v = _rows(v, p.state_size, "state")
     h = p.hidden_size
     if p.cell_kind == LSTM:
         g_z, g_c_prev = _lstm_adjoint(cache, v)
@@ -294,36 +324,28 @@ def vjp_state(cache: StepCache, v: np.ndarray) -> np.ndarray:
 
 
 def jvp_cut(cache: StepCache, cut, v: np.ndarray) -> np.ndarray:
-    """J_cut v: propagate a perturbation of the cut value to the new state."""
+    """J_cut v: propagate perturbations of the cut value to the new state."""
     p = cache.params
     cut = _as_cut(cut)
     if cut == CutVertex.PARAMETER:
         raise UnsupportedCutError(
             "parameter-cut jvp is handled by composition, not directly"
         )
-    n_z = p.cut_size(cut)
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (n_z,):
-        raise ShapeError(f"cut vector shape {v.shape} != ({n_z},)")
+    v = _rows(v, p.cut_size(cut), "cut")
     if cut == CutVertex.STATE:
         return v.copy()
     if p.cell_kind == LSTM:
-        dh, dc = _lstm_zc_jvp(cache, v, np.zeros(p.hidden_size))
-        return np.concatenate([dh, dc])
+        dh, dc = _lstm_zc_jvp(cache, v, 0.0)
+        return np.concatenate([dh, dc], axis=-1)
     return cache.d * v
 
 
 def vjp_to_cut(cache: StepCache, cut, v: np.ndarray) -> np.ndarray:
-    """v^T J_cut: pull a state adjoint back to the cut value.
-
-    v may stack adjoints as rows of shape (..., S); each row is pulled back.
-    """
+    """v^T J_cut: pull state adjoints back to the cut value."""
     p = cache.params
     cut = _as_cut(cut)
     p.cut_size(cut)  # validates cut/cell compatibility
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape[-1:] != (p.state_size,):
-        raise ShapeError(f"state vector shape {v.shape} != (..., {p.state_size})")
+    v = _rows(v, p.state_size, "state")
     if cut == CutVertex.STATE:
         return v.copy()
     if cut == CutVertex.PARAMETER:
@@ -335,7 +357,7 @@ def vjp_to_cut(cache: StepCache, cut, v: np.ndarray) -> np.ndarray:
 
 
 def vjp_cut(cache: StepCache, cut, v: np.ndarray) -> np.ndarray:
-    """v^T J_theta: contract a cut-space adjoint against d(cut)/d(theta).
+    """v^T J_theta: contract cut-space adjoints against d(cut)/d(theta).
 
     For the preactivation cut this is exactly vec(v a^T) by the Kronecker
     structure; for the state cut it composes through the preactivation; for
@@ -343,76 +365,58 @@ def vjp_cut(cache: StepCache, cut, v: np.ndarray) -> np.ndarray:
     """
     p = cache.params
     cut = _as_cut(cut)
-    n_z = p.cut_size(cut)
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (n_z,):
-        raise ShapeError(f"cut vector shape {v.shape} != ({n_z},)")
+    v = _rows(v, p.cut_size(cut), "cut")
     if cut == CutVertex.PREACTIVATION:
-        return np.outer(v, cache.a).reshape(-1)
+        return outer_rows(v, cache.a)
     if cut == CutVertex.PARAMETER:
         return v.copy()
     # state cut, vanilla: d(h)/d(theta) = diag(d) (I (x) a^T)
-    return np.outer(v * cache.d, cache.a).reshape(-1)
+    return outer_rows(v * cache.d, cache.a)
 
 
 def vjp_params(cache: StepCache, v: np.ndarray) -> np.ndarray:
-    """v^T d(new state)/d(theta): the step's immediate parameter adjoint.
-
-    v may stack adjoints as rows of shape (..., S); each row gives vec(g_z a^T).
-    """
+    """v^T d(new state)/d(theta): the step's immediate parameter adjoint,
+    vec(g_z a^T) for each row of v."""
     p = cache.params
     v = np.asarray(v, dtype=np.float64)
     if p.cell_kind == LSTM:
         g_z, _ = _lstm_adjoint(cache, v)
     else:
         g_z = v * cache.d
-    return (g_z[..., :, None] * cache.a).reshape(*v.shape[:-1], -1)
+    return outer_rows(g_z, cache.a)
+
+
+def basis_rows(size: int, batch_ndim: int) -> np.ndarray:
+    """The identity as `size` stacked rows that broadcast over batch_ndim
+    batch axes: shape (size, 1, .., 1, size)."""
+    return np.eye(size).reshape(size, *(1,) * batch_ndim, size)
 
 
 def dense_state_jacobian(cache: StepCache) -> np.ndarray:
-    """Materialize J_state (S x S)."""
-    p = cache.params
-    h = p.hidden_size
-    if p.cell_kind != LSTM:
-        return cache.d[:, None] * p.weights[:, :h]
-    s = p.state_size
-    out = np.empty((s, s))
-    eye = np.eye(s)
-    for j in range(s):
-        out[:, j] = jvp_state(cache, eye[:, j])
-    return out
+    """Materialize J_state ([B,] S x S)."""
+    s = cache.params.state_size
+    return np.moveaxis(jvp_state(cache, basis_rows(s, len(cache.batch_shape))), 0, -1)
 
 
 def dense_cut_jacobian(cache: StepCache, cut) -> np.ndarray:
-    """Materialize J_cut (S x N_z)."""
-    p = cache.params
+    """Materialize J_cut ([B,] S x N_z)."""
     cut = _as_cut(cut)
-    n_z = p.cut_size(cut)
+    n_z = cache.params.cut_size(cut)
     if cut == CutVertex.STATE:
-        return np.eye(n_z)
-    if p.cell_kind != LSTM:
-        return np.diag(cache.d)
-    out = np.empty((p.state_size, n_z))
-    eye = np.eye(n_z)
-    for j in range(n_z):
-        out[:, j] = jvp_cut(cache, cut, eye[:, j])
-    return out
+        return np.zeros((*cache.batch_shape, n_z, n_z)) + np.eye(n_z)
+    return np.moveaxis(jvp_cut(cache, cut, basis_rows(n_z, len(cache.batch_shape))), 0, -1)
 
 
 def dense_theta_jacobian(cache: StepCache, cut) -> np.ndarray:
-    """Materialize J_theta (N_z x P), guarded against absurd sizes."""
+    """Materialize J_theta ([B,] N_z x P), guarded against absurd sizes."""
     p = cache.params
     cut = _as_cut(cut)
     if p.num_params * p.state_size > DENSE_GUARD:
         raise SizeGuardError(
             f"dense Jacobian of {p.num_params} params refused (guard {DENSE_GUARD})"
         )
-    if cut == CutVertex.PARAMETER:
-        return np.eye(p.num_params)
-    if cut == CutVertex.PREACTIVATION:
-        return np.kron(np.eye(p.preactivation_size), cache.a[None, :])
-    # state cut, vanilla
-    return cache.d[:, None] * np.kron(np.eye(p.hidden_size), cache.a[None, :])
+    n_z = p.cut_size(cut)
+    return np.moveaxis(vjp_cut(cache, cut, basis_rows(n_z, len(cache.batch_shape))), 0, -2)
 
 
 def dense_jacobians(cache: StepCache, cut):
@@ -428,10 +432,32 @@ def dense_jacobians(cache: StepCache, cut):
 # Loss heads
 # ---------------------------------------------------------------------------
 
+def _with_bias(h: np.ndarray) -> np.ndarray:
+    return np.concatenate([h, np.ones((*h.shape[:-1], 1))], axis=-1)
+
+
+def _step_targets(target, batch_shape: tuple, fill):
+    """Targets for h of shape (*batch_shape, H), as (a flat list of one value
+    per row, supervised mask of batch_shape): a single target for one h, a
+    sequence of B for (B, H), nested sequences for more leading axes.  A None
+    target marks an unsupervised row (zero loss, zero gradient) and reads as
+    fill."""
+    rows = [target]
+    for _ in batch_shape:
+        rows = [t for nested in rows for t in nested]
+    supervised = np.array([t is not None for t in rows], dtype=np.float64)
+    return [fill if t is None else t for t in rows], supervised.reshape(batch_shape)
+
+
+def _scalar_or_rows(x: np.ndarray):
+    return float(x) if x.ndim == 0 else x
+
+
 class SoftmaxHead:
     """Linear softmax readout with cross-entropy loss.
 
-    weights has shape (K, H + 1); logits = weights @ (h, 1).
+    weights has shape (K, H + 1); logits = weights @ (h, 1).  h may carry
+    leading axes, such as B episodes (B, H) with one target per episode.
     """
 
     def __init__(self, weights: np.ndarray):
@@ -444,41 +470,41 @@ class SoftmaxHead:
         return self.weights.shape[0]
 
     def logits(self, h: np.ndarray) -> np.ndarray:
-        return self.weights @ np.concatenate([h, [1.0]])
+        return h @ self.weights[:, :-1].T + self.weights[:, -1]
 
-    def _probs(self, h):
-        lg = self.logits(h)
-        lg = lg - lg.max()
-        e = np.exp(lg)
-        return e / e.sum()
+    def _error(self, h, target):
+        """Loss and probs - onehot(target) per row."""
+        labels, supervised = _step_targets(target, h.shape[:-1], 0)
+        labels = [int(k) for k in labels]
+        if min(labels) < 0 or max(labels) >= self.n_classes:
+            raise ValueError(f"target {target} out of range [0, {self.n_classes})")
+        probs = self.logits(h).reshape(-1, self.n_classes)
+        probs -= probs.max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        flat = probs.reshape(-1)  # a view: probs is a new contiguous array
+        picked = np.array([i * self.n_classes + k for i, k in enumerate(labels)])
+        loss = -np.log(np.maximum(flat[picked], 1e-300))
+        flat[picked] -= 1.0
+        err = probs.reshape(*supervised.shape, -1)
+        return loss.reshape(supervised.shape) * supervised, err * supervised[..., None]
 
     def loss_and_grad(self, h: np.ndarray, target):
-        if target is None:
-            return 0.0, np.zeros_like(h)
-        target = int(target)
-        if not 0 <= target < self.n_classes:
-            raise ValueError(f"target {target} out of range [0, {self.n_classes})")
-        probs = self._probs(h)
-        loss = -np.log(max(probs[target], 1e-300))
-        err = probs.copy()
-        err[target] -= 1.0
-        return float(loss), err @ self.weights[:, :-1]
+        loss, err = self._error(h, target)
+        return _scalar_or_rows(loss), err @ self.weights[:, :-1]
 
     def param_grad(self, h: np.ndarray, target) -> np.ndarray:
-        """Exact dL/d(head weights); the head never feeds back into h."""
-        if target is None:
-            return np.zeros_like(self.weights)
-        probs = self._probs(h)
-        err = probs.copy()
-        err[int(target)] -= 1.0
-        return np.outer(err, np.concatenate([h, [1.0]]))
+        """Exact dL/d(head weights) per row; the head never feeds back into h."""
+        _, err = self._error(h, target)
+        return err[..., :, None] * _with_bias(h)[..., None, :]
 
 
 class BernoulliHead:
     """Per-bit sigmoid readout with Bernoulli cross-entropy.
 
     weights has shape (n_bits, H + 1).  A target of None marks a masked step
-    (zero loss, zero gradient).
+    (zero loss, zero gradient).  h may carry leading axes, as for
+    SoftmaxHead.
     """
 
     def __init__(self, weights: np.ndarray):
@@ -489,26 +515,27 @@ class BernoulliHead:
         return self.weights.shape[0]
 
     def logits(self, h: np.ndarray) -> np.ndarray:
-        return self.weights @ np.concatenate([h, [1.0]])
+        return h @ self.weights[:, :-1].T + self.weights[:, -1]
 
-    def loss_and_grad(self, h: np.ndarray, target):
-        if target is None:
-            return 0.0, np.zeros_like(h)
-        t = np.atleast_1d(np.asarray(target, dtype=np.float64))
-        if t.shape != (self.n_bits,):
-            raise ShapeError(f"target shape {t.shape} != ({self.n_bits},)")
+    def _error(self, h, target):
+        """Loss and sigmoid(logits) - target per row."""
+        t, supervised = _step_targets(target, h.shape[:-1], np.zeros(self.n_bits))
+        t = np.array(t, dtype=np.float64).reshape(*h.shape[:-1], -1)
+        if t.shape[-1] != self.n_bits:
+            raise ShapeError(f"target shape {t.shape[-1:]} != ({self.n_bits},)")
         lg = self.logits(h)
         # log(1 + exp(-|x|)) form keeps the loss finite for saturated logits
-        loss = np.sum(np.maximum(lg, 0.0) - lg * t + np.log1p(np.exp(-np.abs(lg))))
-        err = _sigmoid(lg) - t
-        return float(loss), err @ self.weights[:, :-1]
+        loss = np.sum(np.maximum(lg, 0.0) - lg * t + np.log1p(np.exp(-np.abs(lg))),
+                      axis=-1)
+        return loss * supervised, (_sigmoid(lg) - t) * supervised[..., None]
+
+    def loss_and_grad(self, h: np.ndarray, target):
+        loss, err = self._error(h, target)
+        return _scalar_or_rows(loss), err @ self.weights[:, :-1]
 
     def param_grad(self, h: np.ndarray, target) -> np.ndarray:
-        if target is None:
-            return np.zeros_like(self.weights)
-        t = np.atleast_1d(np.asarray(target, dtype=np.float64))
-        err = _sigmoid(self.logits(h)) - t
-        return np.outer(err, np.concatenate([h, [1.0]]))
+        _, err = self._error(h, target)
+        return err[..., :, None] * _with_bias(h)[..., None, :]
 
 
 def loss_grad(h: np.ndarray, target, head):
@@ -522,29 +549,47 @@ def loss_grad(h: np.ndarray, target, head):
 
 @dataclass
 class EpisodeTape:
-    """Per-step record of one episode: caches, losses and loss gradients.
+    """Per-step record of one episode, or of B episodes run together:
+    caches, losses and loss gradients.
 
     loss_grads rows are dL_t/dh_t (dimension H); embed_state_grad lifts them
     into the full state space where needed.
     """
 
     params: RnnParams
-    initial_state: np.ndarray
-    inputs: np.ndarray  # (T, X)
+    initial_state: np.ndarray  # ([B,] S)
+    inputs: np.ndarray  # ([B,] T, X)
     caches: list = field(default_factory=list)
-    losses: np.ndarray | None = None  # (T,)
-    loss_grads: np.ndarray | None = None  # (T, H)
-    targets: list | None = None
+    losses: np.ndarray | None = None  # (T, [B])
+    loss_grads: np.ndarray | None = None  # (T, [B,] H)
+    targets: list | None = None  # T targets, or one list of T per episode
 
     @property
     def length(self) -> int:
         return len(self.caches)
 
-    def total_loss(self) -> float:
-        return float(np.sum(self.losses))
+    @property
+    def batch_shape(self) -> tuple:
+        return self.initial_state.shape[:-1]
+
+    def total_loss(self):
+        """The summed loss of the episode, or (B,) per-episode sums."""
+        return _scalar_or_rows(np.sum(self.losses, axis=0))
 
     def loss_grad_full(self, t: int) -> np.ndarray:
         return embed_state_grad(self.params, self.loss_grads[t])
+
+    def episode(self, i: int) -> "EpisodeTape":
+        """The tape of episode i of a batched tape; its arrays are views."""
+        return EpisodeTape(
+            params=self.params,
+            initial_state=self.initial_state[i],
+            inputs=self.inputs[i],
+            caches=[c.episode(i) for c in self.caches],
+            losses=self.losses[:, i],
+            loss_grads=self.loss_grads[:, i],
+            targets=self.targets[i],
+        )
 
 
 def run_episode(
@@ -554,28 +599,38 @@ def run_episode(
     head,
     initial_state: np.ndarray | None = None,
 ) -> EpisodeTape:
-    """Forward pass over one episode, recording caches and per-step losses."""
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    total = inputs.shape[0]
+    """Forward pass over one episode, recording caches and per-step losses.
+
+    inputs (B, T, X) with one target list per episode run B episodes as one
+    batch.
+    """
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if inputs.ndim < 3:
+        inputs = np.atleast_2d(inputs)
+    batch = inputs.shape[:-2]
+    total = inputs.shape[-2]
     if total < 1:
         raise ShapeError("an episode needs at least one step")
     state = (
-        np.zeros(params.state_size)
+        np.zeros((*batch, params.state_size))
         if initial_state is None
         else np.asarray(initial_state, dtype=np.float64)
     )
+    targets = list(targets)
     tape = EpisodeTape(
         params=params,
         initial_state=state.copy(),
         inputs=inputs,
-        targets=list(targets),
+        targets=targets,
     )
-    losses = np.zeros(total)
-    grads = np.zeros((total, params.hidden_size))
+    losses = np.zeros((total, *batch))
+    grads = np.zeros((total, *batch, params.hidden_size))
     for t in range(total):
-        state, cache = step(params, state, inputs[t])
+        state, cache = step(params, state, inputs[..., t, :])
         tape.caches.append(cache)
-        losses[t], grads[t] = loss_grad(state[: params.hidden_size], targets[t], head)
+        step_targets = [tg[t] for tg in targets] if batch else targets[t]
+        losses[t], grads[t] = loss_grad(state[..., : params.hidden_size],
+                                        step_targets, head)
     tape.losses = losses
     tape.loss_grads = grads
     return tape

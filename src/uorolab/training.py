@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import batch as batch_mod
 from . import rnn
 from .config import ExperimentConfig, as_dict, canonical_estimator
 from .estimators import (
@@ -37,7 +36,6 @@ from .reports import write_json_summary, write_metrics_csv
 from .rnn import BernoulliHead, CutVertex, SoftmaxHead, init_params, run_episode
 from .tasks import QueueSpec, load_rowwise_digits, make_queue_episode
 from .variance import (
-    alpha_to_beta_gamma,
     compute_B,
     compute_C,
     empirical_variance,
@@ -105,9 +103,11 @@ def build_task(config: ExperimentConfig) -> TaskBundle:
 
 
 def realized_alpha(report) -> np.ndarray:
-    """Overall per-step scalings beta_s * gamma_{s+1} ... gamma_T of a run."""
+    """Overall per-step scalings beta_s * gamma_{s+1} ... gamma_T of a run,
+    shaped (T, [B]) like its realized coefficients."""
     gammas = report.realized_gamma
-    suffix = np.concatenate([np.cumprod(gammas[::-1])[::-1][1:], [1.0]])
+    suffix = np.cumprod(gammas[::-1], axis=0)[::-1]
+    suffix = np.concatenate([suffix[1:], np.ones_like(suffix[:1])])
     return report.realized_beta * suffix
 
 
@@ -118,67 +118,69 @@ def _q0_schedule(gir_scale, alpha_mode, q0):
                            gir_scale=gir_scale if alpha_mode == "gir" else 1.0)
 
 
-def _episode_schedule(config, tape, tensors, schedule):
-    """Resolve the alpha policy for one episode from the GIR schedule that
-    holds the update's checked Q0 and its inverse."""
+def _episode_schedule(config, length, tensors, schedule):
+    """Resolve the alpha policy for a batch from the GIR schedule that holds
+    the update's checked Q0 and its inverse; "ours" solves alpha from the
+    adjoint tensors of the batch's one episode."""
     if config.alpha_mode == "gir":
         return schedule, None
     if config.alpha_mode == "ones":
-        alpha = np.ones(tape.length)
-    elif config.alpha_mode == "ours":
+        alpha = np.ones(length)
+    else:
         alpha = solve_alpha_newton(
             compute_C(tensors, schedule.Q0, schedule.Q0_inv)).alpha
-    else:
-        raise ValueError(f"unknown alpha mode {config.alpha_mode!r}")
     return schedule.with_alpha(alpha), alpha
 
 
-def _estimate_episode(config, params, tape, noise, schedule, tensors=None):
-    """One gradient estimate per the configured estimator.
+def _estimate_batch(config, params, head, tape, first, schedule, tensors):
+    """Gradient estimates (B, P) for the B episodes of a batched tape, whose
+    episode indices start at first, plus the alpha each episode used, (T, B),
+    and its noise (None for the estimators that take neither).
 
     schedule is the GIR ScalingSchedule shared by the episodes of an update:
     it holds the spatial Q0 (none for preuoro), checked and inverted once,
-    and the rank-one estimators specialize it to the episode's alpha policy.
-    Returns (estimate vector, realized alpha or None, report or None).
+    and the rank-one estimators specialize it to the alpha policy.  The
+    per-episode engines (rtrl, spatial, reinforce) read slices of the tape.
     """
     estimator = canonical_estimator(config.estimator)
     cut = CutVertex(config.cut)
+    episodes = range(tape.batch_shape[0])
     if estimator in EXACT_ESTIMATORS:
         if config.exact_method == "rtrl":
-            _, grad = rtrl_jacobians(tape)
-        else:
-            grad = bptt_gradient(tape)
-        return grad.g, None, None
-    if estimator == "spatial":
-        report = run_spatial(tape, cut, noise)
-        return report.estimate, None, report
-    if estimator in ("uoro", "preuoro"):
-        schedule, alpha = _episode_schedule(config, tape, tensors, schedule)
+            grads = [rtrl_jacobians(tape.episode(j))[1].g for j in episodes]
+            return np.stack(grads), None, None
+        return bptt_gradient(tape).g, None, None
+    dim = params.hidden_size if estimator == "reinforce" else params.cut_size(cut)
+    noises = [episode_noise(config.base_seed, first + j, tape.length, dim,
+                            config.tau_kind) for j in episodes]
+    if estimator == "reinforce":
+        # the tape's losses are the noise-free baseline: no second forward
+        estimates = [
+            reinforce_episode(
+                params, tape.inputs[j], tape.targets[j], head, config.sigma,
+                noises[j],
+                baseline=tape.losses[:, j] if config.baseline == "noise-free"
+                else config.baseline)
+            for j in episodes]
+    elif estimator == "spatial":
+        estimates = [run_spatial(tape.episode(j), cut, noises[j]) for j in episodes]
+    else:
+        schedule, alpha = _episode_schedule(config, tape.length, tensors, schedule)
         if estimator == "uoro":
-            report = run_uoro(tape, cut, noise, schedule,
+            report = run_uoro(tape, cut, noises, schedule,
                               contribution=config.contribution)
         else:
-            report = run_preuoro(tape, noise, schedule)
-        return report.estimate, (alpha if alpha is not None else realized_alpha(report)), report
-    raise ValueError(f"unknown estimator {config.estimator!r}")
+            report = run_preuoro(tape, noises, schedule)
+        if alpha is None:
+            alpha = realized_alpha(report)
+        else:
+            alpha = np.broadcast_to(alpha[:, None], report.realized_beta.shape)
+        return report.estimate, alpha, noises
+    return np.stack([r.estimate for r in estimates]), None, noises
 
 
 def _needs_tensors(config) -> bool:
     return config.alpha_mode == "ours" or config.q0_mode == "ours"
-
-
-def _fast_path(config) -> bool:
-    return (
-        config.task == "queue"
-        and config.cell == "vanilla-tanh"
-        and canonical_estimator(config.estimator) in ("bptt", "rtrl", "uoro", "preuoro")
-        and config.cut == "preactivation"
-        and config.alpha_mode in ("gir", "ones")
-        and config.q0_mode == "identity"
-        and not config.streaming
-        and config.contribution == "current"
-        and config.exact_method == "bptt"
-    )
 
 
 def run_training(config: ExperimentConfig, out_dir=None) -> dict:
@@ -196,7 +198,6 @@ def run_training(config: ExperimentConfig, out_dir=None) -> dict:
     q0 = None  # identity until a Bbar exists
     rows = []
     losses_per_update = []
-    audits = []
 
     if config.streaming:
         if config.task != "queue" or estimator not in ("uoro", "preuoro"):
@@ -205,23 +206,16 @@ def run_training(config: ExperimentConfig, out_dir=None) -> dict:
         return _run_streaming(config, task, params, head, w_state, head_state,
                               out_dir, started)
 
-    fast = _fast_path(config)
     for update in range(config.updates):
         episodes = [
             task.episode(config.data_seed, update * config.minibatch + j)
             for j in range(config.minibatch)
         ]
-        if fast:
-            grad, head_grad, mean_loss = _fast_queue_update(
-                config, params, head, episodes, update
-            )
-        else:
-            grad, head_grad, mean_loss, b_bar, q0, audit = _generic_update(
-                config, params, head, episodes, update, b_bar, q0
-            )
-            if audit is not None:
-                audits.append(audit)
-                rows.append((update, config.base_seed, "audit_offline_rel_err", audit))
+        grad, head_grad, mean_loss, b_bar, q0, audit = _update(
+            config, params, head, episodes, update, b_bar, q0
+        )
+        if audit is not None:
+            rows.append((update, config.base_seed, "audit_offline_rel_err", audit))
         params = params.with_theta(
             adam_update(params.theta(), grad, w_state, config.learning_rate,
                         config.momentum, config.beta2, config.eps)
@@ -247,61 +241,21 @@ def run_training(config: ExperimentConfig, out_dir=None) -> dict:
     return summary
 
 
-def _fast_queue_update(config, params, head, episodes, update):
-    """Vectorized minibatch update for the vanilla queue configuration."""
-    estimator = canonical_estimator(config.estimator)
-    inputs = np.stack([ep[0] for ep in episodes])  # (B, T, 1)
-    t_len = inputs.shape[1]
-    bits = np.zeros((t_len, len(episodes)))
-    mask = np.zeros(t_len, dtype=bool)
-    for t in range(t_len):
-        if episodes[0][1][t] is not None:
-            mask[t] = True
-            bits[t] = [float(ep[1][t][0]) for ep in episodes]
-    tape = batch_mod.forward_batch(params, inputs)
-    head_grad = batch_mod.attach_bernoulli_losses(tape, head.weights, bits, mask)
-    supervised = tape.supervised.sum()
-    if estimator in EXACT_ESTIMATORS:
-        per_episode = batch_mod.bptt_batch(params, tape)
-    else:
-        base = update * config.minibatch
-        noises = [
-            episode_noise(config.base_seed, base + j, t_len, params.hidden_size,
-                          config.tau_kind)
-            for j in range(len(episodes))
-        ]
-        abg = None
-        mode = config.alpha_mode
-        if mode == "ones":
-            abg = alpha_to_beta_gamma(np.ones(t_len))
-            mode = "fixed"
-        if estimator == "uoro":
-            u = np.stack([n.u for n in noises], axis=1)  # (T, B, H)
-            per_episode, _, _ = batch_mod.uoro_batch(
-                params, tape, u, mode=mode, alpha_beta_gamma=abg,
-                gir_scale=config.gir_scale)
-        else:
-            tau = np.stack([n.tau for n in noises], axis=1)
-            per_episode, _, _ = batch_mod.preuoro_batch(
-                params, tape, tau, mode=mode, alpha_beta_gamma=abg,
-                gir_scale=config.gir_scale)
-    per_steps = tape.supervised.sum(axis=0)  # (B,)
-    grad = np.mean(per_episode / per_steps[:, None, None], axis=0).reshape(-1)
-    mean_loss = float(tape.losses.sum() / supervised)
-    return grad, head_grad, mean_loss
+def _update(config, params, head, episodes, update, b_bar, q0):
+    """One minibatch update, for every estimator and for the optimal-Q0 /
+    exact-alpha protocol.
 
-
-def _generic_update(config, params, head, episodes, update, b_bar, q0):
-    """Per-episode minibatch update; handles every estimator and the
-    optimal-Q0 / exact-alpha protocol."""
+    The minibatch runs as one batch, or as batches of one when the config
+    needs each episode's adjoint tensors (alpha or Q0 "ours"): each episode
+    then solves its own alpha, and on the LSTM digits protocol a batch of
+    dense w~ sketches (50 x 15800 floats, 6.3 MB per array, several live per
+    step) would outgrow the memory of one episode at a time.  Returns the mean
+    gradient, head gradient and loss per supervised step, the updated Bbar
+    and Q0, and the largest online/offline audit error (None if no episode
+    was audited).
+    """
     estimator = canonical_estimator(config.estimator)
-    grads = []
-    head_grads = []
-    losses = []
-    supervised_counts = []
-    # a running sum keeps one N_z x N_z matrix alive instead of one per episode
-    b_sum, b_count = None, 0
-    audit = None
+    cut = CutVertex(config.cut)
     if config.q0_mode == "ours" and b_bar is not None:
         q0 = optimal_Q0(b_bar, damping=config.damping)
     # q0 is fixed for the whole update: check and invert it once here (the
@@ -310,63 +264,48 @@ def _generic_update(config, params, head, episodes, update, b_bar, q0):
     if estimator in ("uoro", "preuoro"):
         schedule = _q0_schedule(config.gir_scale, config.alpha_mode,
                                 q0 if estimator == "uoro" else None)
-    for j, (inputs, targets) in enumerate(episodes):
-        index = update * config.minibatch + j
-        tape = run_episode(params, inputs, targets, head)
-        tensors = None
-        if _needs_tensors(config) or (
-            config.audit_every and index % config.audit_every == 0
-            and estimator in ("uoro",)
-        ):
-            tensors = episode_tensors(tape, CutVertex(config.cut))
-        if estimator == "reinforce":
-            noise = episode_noise(config.base_seed, index, tape.length,
-                                  params.hidden_size, config.tau_kind)
-            report = reinforce_episode(params, inputs, targets, head,
-                                       config.sigma, noise,
-                                       baseline=config.baseline)
-            estimate, alpha = report.estimate, None
-        else:
-            # exact arms consume no noise draws (oracle mode)
-            noise = None
-            if estimator not in EXACT_ESTIMATORS:
-                cut_dim = params.cut_size(CutVertex(config.cut))
-                noise = episode_noise(config.base_seed, index, tape.length,
-                                      cut_dim, config.tau_kind)
-            estimate, alpha, report = _estimate_episode(
-                config, params, tape, noise, schedule, tensors
-            )
-            if (
-                tensors is not None and estimator == "uoro"
-                and config.audit_every and index % config.audit_every == 0
-            ):
-                offline = offline_total_estimate(tensors, noise.u, alpha,
-                                                 schedule.Q0, schedule.Q0_inv)
-                scale = max(np.linalg.norm(offline), 1e-300)
-                audit = float(np.linalg.norm(estimate - offline) / scale)
-        if config.q0_mode == "ours" and alpha is not None:
-            b_episode = compute_B(tensors, alpha)
-            b_sum = b_episode if b_sum is None else b_sum + b_episode
-            b_count += 1
-        n_sup = sum(1 for t in targets if t is not None)
-        supervised_counts.append(max(n_sup, 1))
-        grads.append(estimate / supervised_counts[-1])
-        head_grads.append(
-            sum(
-                (head.param_grad(tape.caches[t].h, targets[t])
-                 for t in range(tape.length)),
-                start=np.zeros_like(head.weights),
-            ) / supervised_counts[-1]
-        )
-        losses.append(tape.total_loss() / supervised_counts[-1])
+    size = 1 if _needs_tensors(config) else len(episodes)
+    grad_sum = head_grad_sum = loss_sum = 0.0
+    # a running sum keeps one N_z x N_z matrix alive instead of one per episode
+    b_sum, b_count = None, 0
+    audits = []
+    for start in range(0, len(episodes), size):
+        batch = episodes[start:start + size]
+        first = update * config.minibatch + start
+        targets = [ep[1] for ep in batch]
+        tape = run_episode(params, np.stack([ep[0] for ep in batch]), targets, head)
+        audited = [j for j in range(len(batch))
+                   if estimator == "uoro" and config.audit_every
+                   and (first + j) % config.audit_every == 0]
+        tensors = {j: episode_tensors(tape.episode(j), cut)
+                   for j in (range(len(batch)) if _needs_tensors(config) else audited)}
+        estimates, alphas, noises = _estimate_batch(
+            config, params, head, tape, first, schedule, tensors.get(0))
+        for j in audited:
+            offline = offline_total_estimate(tensors[j], noises[j].u, alphas[:, j],
+                                             schedule.Q0, schedule.Q0_inv)
+            scale = max(np.linalg.norm(offline), 1e-300)
+            audits.append(float(np.linalg.norm(estimates[j] - offline) / scale))
+        if config.q0_mode == "ours" and alphas is not None:
+            for j, tensor in tensors.items():
+                b_episode = compute_B(tensor, alphas[:, j])
+                b_sum = b_episode if b_sum is None else b_sum + b_episode
+                b_count += 1
+        counts = np.array([max(sum(t is not None for t in tg), 1) for tg in targets])
+        grad_sum = grad_sum + np.sum(estimates / counts[:, None], axis=0)
+        steps = [[tg[t] for tg in targets] for t in range(tape.length)]
+        head_grads = head.param_grad(np.stack([c.h for c in tape.caches]), steps)
+        head_grad_sum = head_grad_sum + np.sum(
+            head_grads.sum(axis=0) / counts[:, None, None], axis=0)
+        loss_sum += float(np.sum(tape.total_loss() / counts))
     if b_count:
         b_mean = b_sum / b_count
         b_bar = b_mean if b_bar is None else (
             config.bbar_decay * b_bar + (1.0 - config.bbar_decay) * b_mean
         )
-    grad = np.mean(np.stack(grads), axis=0)
-    head_grad = np.mean(np.stack(head_grads), axis=0)
-    return grad, head_grad, float(np.mean(losses)), b_bar, q0, audit
+    n = len(episodes)
+    audit = max(audits) if audits else None
+    return grad_sum / n, head_grad_sum / n, loss_sum / n, b_bar, q0, audit
 
 
 def _run_streaming(config, task, params, head, w_state, head_state, out_dir,
@@ -452,27 +391,42 @@ def build_report_instance(config: ExperimentConfig):
     return params, head, inputs, targets, tape, tensors
 
 
+# Seeds per batched call of the rank-one estimators on a fixed tape: a block
+# holds SEED_BLOCK estimate rows of P floats.
+SEED_BLOCK = 64
+
+
+def _seed_blocks(config, length, dim, n_seeds, seed_offset=0):
+    """(start, noises) for the seeds seed_offset + i, i < n_seeds, in blocks
+    of SEED_BLOCK."""
+    for start in range(0, n_seeds, SEED_BLOCK):
+        yield start, [
+            episode_noise(config.base_seed, seed_offset + i, length, dim,
+                          config.tau_kind)
+            for i in range(start, min(start + SEED_BLOCK, n_seeds))
+        ]
+
+
 def measure_estimator(config, params, tape, tensors, estimator, schedule,
                       n_seeds, seed_offset=0):
     """Collect n_seeds estimates of one estimator on a fixed tape."""
     estimator = canonical_estimator(estimator)
     cut = CutVertex(config.cut)
-    cut_dim = params.cut_size(cut)
+    if estimator not in ("uoro", "preuoro", "spatial", *EXACT_ESTIMATORS):
+        raise ValueError(f"estimator {estimator!r} not measurable here")
     estimates = np.empty((n_seeds, params.num_params))
-    for i in range(n_seeds):
-        noise = episode_noise(config.base_seed, seed_offset + i, tape.length,
-                              cut_dim, config.tau_kind)
+    for start, noises in _seed_blocks(config, tape.length, params.cut_size(cut),
+                                      n_seeds, seed_offset):
+        block = slice(start, start + len(noises))
         if estimator == "uoro":
-            estimates[i] = run_uoro(tape, cut, noise, schedule,
-                                    contribution=config.contribution).estimate
+            estimates[block] = run_uoro(tape, cut, noises, schedule,
+                                        contribution=config.contribution).estimate
         elif estimator == "preuoro":
-            estimates[i] = run_preuoro(tape, noise, schedule).estimate
+            estimates[block] = run_preuoro(tape, noises, schedule).estimate
         elif estimator == "spatial":
-            estimates[i] = run_spatial(tape, cut, noise).estimate
-        elif estimator in EXACT_ESTIMATORS:
-            estimates[i] = bptt_gradient(tape).g
+            estimates[block] = [run_spatial(tape, cut, n).estimate for n in noises]
         else:
-            raise ValueError(f"estimator {estimator!r} not measurable here")
+            estimates[block] = bptt_gradient(tape).g
     return estimates
 
 
@@ -501,13 +455,12 @@ def _grid_cell(config, params, tape, tensors, q0_mode, alpha_mode, n_seeds,
                                   schedule, n_seeds)
     if predicted is None:
         # noise-dependent coefficients: average the per-seed predictions
+        cut = CutVertex(config.cut)
         sample = []
-        cut_dim = params.cut_size(CutVertex(config.cut))
-        for i in range(min(n_seeds, 64)):
-            noise = episode_noise(config.base_seed, i, tape.length, cut_dim,
-                                  config.tau_kind)
-            report = run_uoro(tape, CutVertex(config.cut), noise, schedule)
-            sample.append(predicted_VQ(tensors, realized_alpha(report), q0))
+        for _, noises in _seed_blocks(config, tape.length, params.cut_size(cut),
+                                      min(n_seeds, 64)):
+            alphas = realized_alpha(run_uoro(tape, cut, noises, schedule))
+            sample.extend(predicted_VQ(tensors, a, q0) for a in alphas.T)
         predicted = float(np.mean(sample))
     measured = empirical_variance(estimates, exact_g)
     se = float(np.std(np.sum((estimates - exact_g) ** 2, axis=1), ddof=1)

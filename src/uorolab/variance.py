@@ -544,8 +544,6 @@ def estimate_B_online(tape: EpisodeTape, noise: EpisodeNoise,
     n_z = params.preactivation_size
     if noise.dim != n_z:
         raise ShapeError(f"noise dim {noise.dim} != preactivation dim {n_z}")
-    if noise.mu is None or noise.sigma is None:
-        raise ValueError("online B estimation needs the replica streams")
     beta = np.asarray(beta, dtype=np.float64)
     gamma = np.asarray(gamma, dtype=np.float64)
     cut = CutVertex.PREACTIVATION

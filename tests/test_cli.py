@@ -81,6 +81,12 @@ class TestCli:
         rows = read_metrics_csv(out / "metrics.csv")
         assert any(metric == "loss" for (_, _, metric, _) in rows)
 
+    def test_overrides_are_checked(self, tmp_path):
+        with pytest.raises(ValueError, match="estimator"):
+            main(["train", "--estimator", "uroro", "--out", str(tmp_path)])
+        with pytest.raises(ValueError, match="task"):
+            main(["train", "--task", "queues", "--out", str(tmp_path)])
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["nonexistent-command"])

@@ -241,14 +241,14 @@ class TestOnlineOfflineEquality:
 class TestContributionModes:
     def test_stale_w_uses_previous_vector(self):
         rng = np.random.default_rng(50)
-        params, inputs, targets, head = make_instance(rng, hidden=3, length=2)
+        params, inputs, targets, head = make_instance(rng, hidden=3, length=1)
         tape = run_episode(params, inputs, targets, head)
-        noise = episode_noise(51, 0, 2, 3)
-        schedule = fixed_schedule(2)
+        noise = episode_noise(51, 0, 1, 3)
+        schedule = fixed_schedule(1)
         stale = run_uoro(tape, CutVertex.PREACTIVATION, noise, schedule,
                          contribution=CONTRIBUTION_STALE_W)
-        # first-step contribution is zero: w~_0 = 0
-        np.testing.assert_array_equal(stale.per_step[0], np.zeros(params.num_params))
+        # a one-step tape has only the first-step contribution, zero: w~_0 = 0
+        np.testing.assert_array_equal(stale.estimate, np.zeros(params.num_params))
 
     def test_split_mode_exact_at_t1(self):
         rng = np.random.default_rng(52)

@@ -72,6 +72,23 @@ class TestConfig:
         with pytest.raises(ValueError):
             from_text("not_a_key = 3\n")
 
+    @pytest.mark.parametrize("key,bad", [
+        ("task", "queues"), ("digits_source", "mnist"), ("cell", "gru"),
+        ("estimator", "uroro"), ("cut", "parameter"), ("alpha_mode", "greedy"),
+        ("q0_mode", "our"), ("contribution", "stale"), ("tau_kind", "uniform"),
+        ("baseline", "noisefree"), ("exact_method", "rtlr"),
+    ])
+    def test_enum_values_checked_at_construction_and_load(self, key, bad):
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig(**{key: bad})
+        with pytest.raises(ValueError, match=key):
+            from_text(f"{key} = {bad!r}\n")
+
+    def test_every_estimator_alias_accepted(self):
+        for name in ("bptt", "rtrl", "neither", "spatial", "temporal", "preuoro",
+                     "both", "uoro", "reinforce"):
+            assert ExperimentConfig(estimator=name).estimator == name
+
     def test_estimator_aliases(self):
         assert canonical_estimator("neither") == "rtrl"
         assert canonical_estimator("temporal") == "preuoro"

@@ -4,6 +4,7 @@ import pytest
 from uorolab import estimators, training
 from uorolab.config import ExperimentConfig, as_dict
 from uorolab.exact import bptt_gradient
+from uorolab.noise import episode_noise
 from uorolab.optim import AdamState, adam_update
 from uorolab.rnn import init_params, run_episode
 from uorolab.tasks import QueueSpec, make_queue_episode
@@ -80,13 +81,48 @@ class TestRunTraining:
             losses.append(float(np.mean(batch_losses)))
         assert summary["final_loss"] == pytest.approx(losses[-1], rel=1e-9)
 
-    def test_fast_path_matches_generic_path(self, monkeypatch, tmp_path):
-        cfg = tiny_queue_config(updates=4)
-        assert training._fast_path(cfg)
-        fast = training.run_training(cfg, out_dir=tmp_path / "fast")
-        monkeypatch.setattr(training, "_fast_path", lambda c: False)
-        slow = training.run_training(cfg, out_dir=tmp_path / "slow")
-        assert fast["final_loss"] == pytest.approx(slow["final_loss"], rel=1e-9)
+    @pytest.mark.parametrize("estimator", ["uoro", "preuoro"])
+    def test_batched_update_matches_per_episode_replay(self, estimator):
+        """A queue run updates from whole-minibatch batches: replay it with
+        one unbatched estimator call per episode."""
+        cfg = tiny_queue_config(estimator=estimator, updates=4, minibatch=3)
+        summary = training.run_training(cfg)
+
+        spec = QueueSpec(delay=cfg.delay, length=cfg.stream_length)
+        rng = np.random.default_rng(cfg.base_seed)
+        task = training.build_task(cfg)
+        params = init_params(cfg.cell, cfg.hidden, 1, rng)
+        head = task.make_head(rng)
+        w_state = AdamState.zeros_like(params.theta())
+        h_state = AdamState.zeros_like(head.weights)
+        schedule = estimators.ScalingSchedule(estimators.GIR)
+        losses = []
+        for update in range(cfg.updates):
+            grads, head_grads, batch_losses = [], [], []
+            for j in range(cfg.minibatch):
+                index = update * cfg.minibatch + j
+                inputs, targets = make_queue_episode(spec, cfg.data_seed, index)
+                tape = run_episode(params, inputs, targets, head)
+                noise = episode_noise(cfg.base_seed, index, tape.length, cfg.hidden)
+                if estimator == "uoro":
+                    report = estimators.run_uoro(tape, "preactivation", noise, schedule)
+                else:
+                    report = estimators.run_preuoro(tape, noise, schedule)
+                n_sup = sum(1 for t in targets if t is not None)
+                grads.append(report.estimate / n_sup)
+                head_grads.append(sum(
+                    head.param_grad(tape.caches[t].h, targets[t])
+                    for t in range(tape.length)
+                ) / n_sup)
+                batch_losses.append(tape.total_loss() / n_sup)
+            params = params.with_theta(adam_update(
+                params.theta(), np.mean(grads, axis=0), w_state,
+                cfg.learning_rate, cfg.momentum, cfg.beta2, cfg.eps))
+            head.weights = adam_update(head.weights, np.mean(head_grads, axis=0),
+                                       h_state, cfg.learning_rate, cfg.momentum,
+                                       cfg.beta2, cfg.eps)
+            losses.append(float(np.mean(batch_losses)))
+        assert summary["final_loss"] == pytest.approx(losses[-1], rel=1e-9)
 
     @pytest.mark.parametrize("estimator", ["preuoro", "spatial", "reinforce"])
     def test_other_estimators_smoke(self, estimator):
@@ -135,15 +171,15 @@ class TestRunTraining:
         monkeypatch.setattr(np.linalg, "cond", counted("cond", np.linalg.cond))
         monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
         per_update = []
-        generic_update = training._generic_update
+        one_update = training._update
 
         def update(*args):
             before = dict(calls)
-            result = generic_update(*args)
+            result = one_update(*args)
             per_update.append({k: calls[k] - before[k] for k in calls})
             return result
 
-        monkeypatch.setattr(training, "_generic_update", update)
+        monkeypatch.setattr(training, "_update", update)
         cfg = ExperimentConfig(
             task="rowwise-digits", cell="lstm", hidden=5, estimator="uoro",
             alpha_mode="ours", q0_mode="ours", minibatch=3, updates=2,
@@ -184,6 +220,20 @@ class TestRunTraining:
         rows = read_metrics_csv(tmp_path / "metrics.csv")
         audits = [v for (_, _, metric, v) in rows if metric == "audit_offline_rel_err"]
         assert audits and max(audits) < 1e-9
+
+    def test_queue_uoro_run_writes_audit_rows(self, tmp_path):
+        """A greedy queue run updates from whole-minibatch batches; every
+        audited episode is a slice of the batch, checked against the offline
+        formula with its realized alpha."""
+        cfg = tiny_queue_config(estimator="uoro", updates=3, minibatch=4,
+                                audit_every=4)
+        training.run_training(cfg, out_dir=tmp_path)
+        from uorolab.reports import read_metrics_csv
+
+        rows = read_metrics_csv(tmp_path / "metrics.csv")
+        audits = [v for (_, _, metric, v) in rows if metric == "audit_offline_rel_err"]
+        assert len(audits) == cfg.updates
+        assert max(audits) <= 1e-8
 
 
 @pytest.fixture(scope="module")
