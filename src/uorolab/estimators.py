@@ -19,6 +19,12 @@ plain recursions.  The per-step gradient contribution is
 roundoff of its two terms is set exactly to zero, so that its last bits
 cannot pick the next coefficient.
 
+Over a whole tape w~ is never formed: every term u_r^T Q0^{-1} J_theta,r is
+the rank-one vec(L_r a_r^T) at the preactivation and state cuts, so run_uoro
+carries w~_t as its coefficients over those terms and contracts the estimate
+once at the end.  uoro_step is the same recursion with a dense w~, for
+streaming updates and as the test oracle.
+
 preUORO exploits the rank-one structure of the preactivation-to-parameter
 Jacobian to skip the spatial projection: the sketch carries a full S x N_z
 matrix forward and only scalar temporal noise remains.
@@ -35,7 +41,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rnn
-from .errors import NumericOverflowError, ShapeError, SingularMatrixError
+from .errors import (
+    NumericOverflowError,
+    ShapeError,
+    SingularMatrixError,
+    UnsupportedCutError,
+)
 from .linalg import sqrt_ratio_or_one
 from .noise import EpisodeNoise
 from .rnn import CutVertex, EpisodeTape, outer_rows
@@ -49,6 +60,10 @@ MAX_Q0_CONDITION = 1e8
 # cancellation plus roundoff, and is set to zero.
 CANCEL_EPS_MULTIPLE = 16
 _CANCEL_RTOL = CANCEL_EPS_MULTIPLE * np.finfo(np.float64).eps
+# A norm taken from the Gram of the rank-one terms of w~ is off by about
+# eps * scale^2 in its square, so below this fraction of the scale it cannot
+# decide the cancellation rule; such a row is formed densely instead.
+GRAM_NORM_RTOL = 1e-6
 
 
 @dataclass
@@ -103,6 +118,7 @@ class ScalingSchedule:
         self.alpha = None
         self._beta = None
         self._gamma = None
+        self.sketch_coefficients = None
         if mode == FIXED_ALPHA:
             if alpha is None:
                 raise ValueError("fixed-alpha mode needs an alpha vector")
@@ -116,6 +132,14 @@ class ScalingSchedule:
 
         self.alpha = alpha
         self._beta, self._gamma = alpha_to_beta_gamma(alpha)
+        # row t: the coefficients of w~_t over the terms of steps r <= t
+        coefficients = np.zeros((alpha.shape[0], alpha.shape[0]))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for t in range(alpha.shape[0]):
+                gamma, beta = self.fixed_coefficients(t)
+                coefficients[t, :t] = coefficients[t - 1, :t] / gamma
+                coefficients[t, t] = 1.0 / beta
+        self.sketch_coefficients = coefficients
 
     def with_alpha(self, alpha: np.ndarray) -> "ScalingSchedule":
         """A fixed-alpha copy that shares this schedule's already checked
@@ -184,6 +208,18 @@ def _zero_cancelled(x: np.ndarray, norm, scale) -> np.ndarray:
     return np.where(_col(cancelled), 0.0, x) if cancelled.any() else x
 
 
+def _gir_coefficients(w_norm, fwd_norm, out_norm, in_norm, gir_scale):
+    """The greedy (gamma_t, beta_t) that equalize the cross-term norms,
+
+        gamma_t^2 = ||w~_{t-1}|| / ||forwarded sketch||
+        beta_t^2  = ||new term of w~|| / ||new term of the forward sketch||,
+
+    each falling back to 1 where its ratio is degenerate (zero norms, first
+    step), which leaves the rank-one expansion intact."""
+    return (sqrt_ratio_or_one(w_norm, fwd_norm) * gir_scale,
+            sqrt_ratio_or_one(out_norm, in_norm) * gir_scale)
+
+
 def _draws(noise, stream: str) -> np.ndarray:
     """A stream (T, ...) of one EpisodeNoise, or (T, B, ...) stacked over a
     sequence of B of them."""
@@ -206,14 +242,14 @@ def uoro_step(state: RankOneState, cache, cut, u: np.ndarray,
     """Advance the rank-one sketch one step; u and the state may carry a
     batch axis.
 
-    In "gir" mode the coefficients equalize the cross-term norms:
+    In "gir" mode the coefficients equalize the cross-term norms
+    (_gir_coefficients):
 
         gamma_t^2 = ||w~_{t-1}|| / ||J_state h~_{t-1}||
         beta_t^2  = ||u^T Q0^{-1} J_theta|| / ||J_cut Q0 u||
 
-    Degenerate ratios (zero norms, first step) fall back to 1, which leaves
-    the rank-one expansion intact; a new sketch within CANCEL_EPS_MULTIPLE
-    eps of its two terms' summed norms is set to zero.
+    and a new sketch within CANCEL_EPS_MULTIPLE eps of its two terms' summed
+    norms is set to zero.
     Returns (new state, gamma_t, beta_t).  Raises NumericOverflowError naming
     the step if the propagated quantities leave the float range.
     """
@@ -224,8 +260,8 @@ def uoro_step(state: RankOneState, cache, cut, u: np.ndarray,
     if greedy:
         w_norm, fwd_norm = _norms(state.w_tilde), _norms(forwarded)
         out_norm, in_norm = _norms(spatial_out), _norms(spatial_in)
-        gamma = sqrt_ratio_or_one(w_norm, fwd_norm) * schedule.gir_scale
-        beta = sqrt_ratio_or_one(out_norm, in_norm) * schedule.gir_scale
+        gamma, beta = _gir_coefficients(w_norm, fwd_norm, out_norm, in_norm,
+                                        schedule.gir_scale)
     else:
         gamma, beta = schedule.fixed_coefficients(t)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -259,10 +295,26 @@ def run_uoro(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
 
     noise is one EpisodeNoise, or a sequence of B: one per episode of a
     batched tape, or B seeds on one episode.
+
+    The recursion is uoro_step's, with w~ factored: at the preactivation and
+    state cuts the term of step r is vec(L_r a_r^T), with the left factor
+    L_r = Q0^{-T} u_r (times f'(z_r) at the state cut), so w~_t is carried
+    as its coefficients c_t[r] over those terms, row t of a (T, [B,] T)
+    array: c_t[:t] = c_{t-1}[:t] / gamma_t and c_t[t] = 1 / beta_t, taken
+    whole from the schedule under fixed alpha.  Under GIR ||w~_t||^2 is
+    tracked from the Gram of the terms, (L L^T) * (A A^T); a row whose norm
+    is too small for the Gram to decide the cancellation rule
+    (GRAM_NORM_RTOL) is formed densely, and its coefficients are zeroed when
+    it cancels.  With s_t the step's score (dL_t/dstate . h~_t), the
+    estimate sum_t s_t w~_t is one contraction over the steps at the end.
+    No P-long vector is formed before it.
     """
     params = tape.params
     cut = CutVertex(cut)
     n_z = params.cut_size(cut)
+    if cut == CutVertex.PARAMETER:
+        raise UnsupportedCutError("the rank-one sketch runs at the preactivation "
+                                  "or the state cut")
     if contribution not in CONTRIBUTIONS:
         raise ValueError(f"unknown contribution mode {contribution!r}")
     u = _draws(noise, "u")
@@ -271,24 +323,111 @@ def run_uoro(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
     if schedule.Q0 is not None and schedule.Q0.shape[0] != n_z:
         raise ShapeError(f"Q0 shape {schedule.Q0.shape} != cut dim ({n_z}, {n_z})")
     batch = np.broadcast_shapes(tape.batch_shape, u.shape[1:-1])
-    state = RankOneState(np.zeros((*batch, params.state_size)),
-                         np.zeros((*batch, params.num_params)))
-    estimate = np.zeros((*batch, params.num_params))
-    gammas = np.zeros((tape.length, *batch))
-    betas = np.zeros((tape.length, *batch))
-    for t, cache in enumerate(tape.caches):
-        prev = state
-        state, gammas[t], betas[t] = uoro_step(state, cache, cut, u[t], schedule, t)
-        g_full = tape.loss_grad_full(t)
-        if contribution == CONTRIBUTION_CURRENT:
-            estimate += uoro_contribution(state, g_full)
-        elif contribution == CONTRIBUTION_STALE_W:
-            estimate += uoro_contribution(RankOneState(state.h_tilde, prev.w_tilde),
-                                          g_full)
+    t_len = tape.length
+    caches = tape.caches
+    u = _steps_first(u, len(batch))
+    a = _steps_first(np.stack([cache.a for cache in caches]), len(batch))
+    left = np.broadcast_to(schedule.unshape_spatial(u), (t_len, *batch, n_z))
+    if cut == CutVertex.STATE:
+        left = left * _steps_first(np.stack([cache.d for cache in caches]), len(batch))
+    shaped = schedule.shape_spatial(u)
+    greedy = schedule.mode == GIR
+    if greedy:
+        coefficients = np.zeros((t_len, *batch, t_len))
+        gram = _gram(left) * _gram(a)
+        out_norms = _norms(left) * _norms(a)
+        w_sq = np.zeros(batch)
+    else:
+        if schedule.alpha.shape[0] < t_len:
+            raise ShapeError(f"alpha of length {schedule.alpha.shape[0]} for a tape "
+                             f"of {t_len} steps")
+        coefficients = schedule.sketch_coefficients[:t_len, :t_len]
+    split = contribution == CONTRIBUTION_SPLIT
+    h_tilde = np.zeros((*batch, params.state_size))
+    # the sketch each step's score reads: h~_t, or J_state h~_{t-1} for split
+    scored = np.empty((t_len, *batch, params.state_size))
+    immediate = np.zeros((t_len, *batch, params.preactivation_size)) if split else None
+    gammas = np.zeros((t_len, *batch))
+    betas = np.zeros((t_len, *batch))
+    for t, cache in enumerate(caches):
+        forwarded = rnn.jvp_state(cache, h_tilde)
+        spatial_in = rnn.jvp_cut(cache, cut, shaped[t])
+        if greedy:
+            w_norm = np.sqrt(w_sq)
+            fwd_norm, in_norm = _norms(forwarded), _norms(spatial_in)
+            gamma, beta = _gir_coefficients(w_norm, fwd_norm, out_norms[t], in_norm,
+                                            schedule.gir_scale)
         else:
-            carried = RankOneState(rnn.jvp_state(cache, prev.h_tilde), prev.w_tilde)
-            estimate += rnn.vjp_params(cache, g_full) + uoro_contribution(carried, g_full)
-    return _report(estimator_name, noise, estimate, gammas, betas)
+            gamma, beta = schedule.fixed_coefficients(t)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            h_tilde = _col(gamma) * forwarded + _col(beta) * spatial_in
+            if greedy:
+                h_tilde = _zero_cancelled(h_tilde, _norms(h_tilde),
+                                          gamma * fwd_norm + beta * in_norm)
+                w_sq = _advance_coefficients(coefficients, t, gamma, beta, w_sq,
+                                             gram, w_norm / gamma + out_norms[t] / beta,
+                                             left, a)
+        if not (np.isfinite(h_tilde).all() and np.isfinite(coefficients[t]).all()):
+            raise NumericOverflowError(f"rank-one sketch overflowed at step {t}")
+        gammas[t], betas[t] = gamma, beta
+        scored[t] = forwarded if split else h_tilde
+        if split:
+            immediate[t] = rnn.vjp_to_cut(cache, CutVertex.PREACTIVATION,
+                                          tape.loss_grad_full(t))
+    loss_grads = _steps_first(rnn.embed_state_grad(params, tape.loss_grads), len(batch))
+    scores = np.sum(loss_grads * scored, axis=-1)
+    if contribution != CONTRIBUTION_CURRENT:  # both weight w~_{t-1}
+        coefficients = np.concatenate([np.zeros_like(coefficients[:1]),
+                                       coefficients[:-1]])
+    weights = np.einsum("t...,t...r->r...", scores, coefficients)
+    rows = weights[..., None] * left
+    if split:  # plus the exact immediate term, vec(g_z,t a_t^T)
+        rows += immediate
+    estimate = _rows_as_columns(rows) @ np.swapaxes(a, 0, -2)
+    return _report(estimator_name, noise, estimate.reshape(*batch, -1), gammas, betas)
+
+
+def _steps_first(rows: np.ndarray, batch_ndim: int) -> np.ndarray:
+    """Per-step rows (T, ..., n) with a unit axis in front of their batch
+    axes for each batch axis they lack, such as the tape's rows when B seeds
+    run on one tape."""
+    pad = (1,) * (batch_ndim + 2 - rows.ndim)
+    return rows.reshape(rows.shape[0], *pad, *rows.shape[1:])
+
+
+def _gram(rows: np.ndarray) -> np.ndarray:
+    """Inner products of the steps' rows (T, ..., n) as (..., T, T)."""
+    stacked = np.swapaxes(rows, 0, -2)
+    return stacked @ np.swapaxes(stacked, -1, -2)
+
+
+def _advance_coefficients(coefficients, t, gamma, beta, w_sq, gram, scale, left, a):
+    """Write c_t = (c_{t-1} / gamma, 1 / beta) into row t of the (T, [B,] T)
+    GIR coefficients and return ||w~_t||^2 per row, from the Gram of the
+    terms.  Rows whose Gram norm is below GRAM_NORM_RTOL of scale, the summed
+    norms of w~_t's two terms, are formed densely: the cancellation rule
+    zeroes their coefficients or their exact norm is kept."""
+    row = coefficients[t]
+    if t:
+        np.divide(coefficients[t - 1], _col(gamma), out=row)
+    row[..., t] = 1.0 / beta
+    cross = np.einsum("...r,...r->...", row[..., :t], gram[..., :t, t])
+    w_sq = w_sq / gamma**2 + 2.0 * cross / beta + gram[..., t, t] / beta**2
+    near = np.sqrt(np.maximum(w_sq, 0.0)) <= GRAM_NORM_RTOL * scale
+    if not near.any():
+        return w_sq
+    w_sq = np.array(w_sq)
+    terms = np.broadcast_to(a, (a.shape[0], *left.shape[1:-1], a.shape[-1]))
+    for i in map(tuple, np.argwhere(near)):
+        steps = (slice(0, t + 1), *i)
+        dense = np.einsum("r,ri,rj->ij", row[i][: t + 1], left[steps], terms[steps])
+        norm = np.sqrt(np.sum(dense * dense))
+        if norm <= _CANCEL_RTOL * np.asarray(scale)[i]:
+            row[i] = 0.0
+            w_sq[i] = 0.0
+        else:
+            w_sq[i] = norm * norm
+    return w_sq
 
 
 def preuoro_step(state: PreUoroState, cache, tau_t, schedule: ScalingSchedule,
@@ -313,8 +452,8 @@ def preuoro_step(state: PreUoroState, cache, tau_t, schedule: ScalingSchedule,
     if greedy:
         w_norm, a_norm = _norms(state.w_tilde), _norms(cache.a)
         fwd_norm, imm_norm = _frobenius(forwarded), _frobenius(immediate)
-        gamma = sqrt_ratio_or_one(w_norm, fwd_norm) * schedule.gir_scale
-        beta = sqrt_ratio_or_one(a_norm, imm_norm) * schedule.gir_scale
+        gamma, beta = _gir_coefficients(w_norm, fwd_norm, a_norm, imm_norm,
+                                        schedule.gir_scale)
     else:
         gamma, beta = schedule.fixed_coefficients(t)
     with np.errstate(over="ignore", invalid="ignore"):

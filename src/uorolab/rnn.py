@@ -158,9 +158,10 @@ class StepCache:
     z: np.ndarray  # ([B,] N_z) preactivations W a
     h: np.ndarray  # ([B,] H) new hidden output
     d: np.ndarray | None = None  # vanilla: activation derivative f'(z)
-    # LSTM internals
-    c_prev: np.ndarray | None = None
-    gates: dict | None = None  # i, f, g, o, c, tanh_c
+    # LSTM: forget gate f, cell c, and the step's gate derivatives, computed
+    # once: dz = (dc/dz_i, dc/dz_f, dc/dz_g, direct dh/dz_o) per unit, stacked
+    # like z, and dh_dc = o (1 - tanh(c)^2)
+    gates: dict | None = None
 
     @property
     def batch_shape(self) -> tuple:
@@ -178,7 +179,6 @@ class StepCache:
 
         return StepCache(
             self.params, self.a[i], self.z[i], self.h[i], d=row(self.d),
-            c_prev=row(self.c_prev),
             gates=None if self.gates is None else {k: v[i] for k, v in self.gates.items()},
         )
 
@@ -230,11 +230,10 @@ def step(params: RnnParams, state_prev: np.ndarray, x: np.ndarray):
         c = f * c_prev + i * g
         tanh_c = np.tanh(c)
         h = o * tanh_c
-        cache = StepCache(
-            params, a, z, h,
-            c_prev=c_prev.copy(),
-            gates={"i": i, "f": f, "g": g, "o": o, "c": c, "tanh_c": tanh_c},
-        )
+        dz = np.concatenate([g * (i * (1 - i)), c_prev * (f * (1 - f)),
+                             i * (1 - g * g), tanh_c * (o * (1 - o))], axis=-1)
+        cache = StepCache(params, a, z, h, gates={
+            "f": f, "c": c, "dz": dz, "dh_dc": o * (1 - tanh_c * tanh_c)})
         new_state = np.concatenate([h, c], axis=-1)
     else:
         raise ValueError(f"unknown cell kind {params.cell_kind!r}")
@@ -275,13 +274,10 @@ def _lstm_zc_jvp(cache: StepCache, dz: np.ndarray, dc_prev):
     """Perturbation (dz, dc_prev) -> (dh, dc) through the LSTM gates."""
     h = cache.params.hidden_size
     gt = cache.gates
-    di = gt["i"] * (1 - gt["i"]) * dz[..., :h]
-    df = gt["f"] * (1 - gt["f"]) * dz[..., h : 2 * h]
-    dg = (1 - gt["g"] ** 2) * dz[..., 2 * h : 3 * h]
-    do = gt["o"] * (1 - gt["o"]) * dz[..., 3 * h :]
-    dc = df * cache.c_prev + gt["f"] * dc_prev + di * gt["g"] + gt["i"] * dg
-    dh = do * gt["tanh_c"] + gt["o"] * (1 - gt["tanh_c"] ** 2) * dc
-    return dh, dc
+    scaled = gt["dz"] * dz
+    dc = (scaled[..., :h] + scaled[..., h : 2 * h] + scaled[..., 2 * h : 3 * h]
+          + gt["f"] * dc_prev)
+    return scaled[..., 3 * h :] + gt["dh_dc"] * dc, dc
 
 
 def _lstm_adjoint(cache: StepCache, v: np.ndarray):
@@ -290,13 +286,8 @@ def _lstm_adjoint(cache: StepCache, v: np.ndarray):
     h = cache.params.hidden_size
     gt = cache.gates
     g_h, g_c = v[..., :h], v[..., h:]
-    gc_total = g_c + g_h * gt["o"] * (1 - gt["tanh_c"] ** 2)
-    g_z = np.concatenate([
-        gc_total * gt["g"] * gt["i"] * (1 - gt["i"]),
-        gc_total * cache.c_prev * gt["f"] * (1 - gt["f"]),
-        gc_total * gt["i"] * (1 - gt["g"] ** 2),
-        g_h * gt["tanh_c"] * gt["o"] * (1 - gt["o"]),
-    ], axis=-1)
+    gc_total = g_c + g_h * gt["dh_dc"]
+    g_z = np.concatenate([gc_total, gc_total, gc_total, g_h], axis=-1) * gt["dz"]
     return g_z, gc_total * gt["f"]
 
 

@@ -247,12 +247,12 @@ def _update(config, params, head, episodes, update, b_bar, q0):
 
     The minibatch runs as one batch, or as batches of one when the config
     needs each episode's adjoint tensors (alpha or Q0 "ours"): each episode
-    then solves its own alpha, and on the LSTM digits protocol a batch of
-    dense w~ sketches (50 x 15800 floats, 6.3 MB per array, several live per
-    step) would outgrow the memory of one episode at a time.  Returns the mean
-    gradient, head gradient and loss per supervised step, the updated Bbar
-    and Q0, and the largest online/offline audit error (None if no episode
-    was audited).
+    then solves its own alpha from its own tensors, and those tensors are
+    built for one episode at a time.  Only "current" uoro runs are audited,
+    since offline_total_estimate is the estimate of that contribution mode.
+    Returns the mean gradient, head gradient and loss per supervised step,
+    the updated Bbar and Q0, and the largest online/offline audit error
+    (None if no episode was audited).
     """
     estimator = canonical_estimator(config.estimator)
     cut = CutVertex(config.cut)
@@ -275,8 +275,8 @@ def _update(config, params, head, episodes, update, b_bar, q0):
         targets = [ep[1] for ep in batch]
         tape = run_episode(params, np.stack([ep[0] for ep in batch]), targets, head)
         audited = [j for j in range(len(batch))
-                   if estimator == "uoro" and config.audit_every
-                   and (first + j) % config.audit_every == 0]
+                   if estimator == "uoro" and config.contribution == "current"
+                   and config.audit_every and (first + j) % config.audit_every == 0]
         tensors = {j: episode_tensors(tape.episode(j), cut)
                    for j in (range(len(batch)) if _needs_tensors(config) else audited)}
         estimates, alphas, noises = _estimate_batch(

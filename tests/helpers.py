@@ -7,7 +7,7 @@ cross-check.
 
 import numpy as np
 
-from uorolab import rnn
+from uorolab import estimators, rnn
 from uorolab.rnn import BernoulliHead, RnnParams, SoftmaxHead, run_episode
 
 
@@ -124,3 +124,33 @@ def finite_difference_loss_at_cut(tape, cut, t_loss, s_cut, direction, head,
         return loss_t
 
     return (perturbed_loss(eps) - perturbed_loss(-eps)) / (2 * eps)
+
+
+def uoro_replay(tape, cut, noise, schedule, contribution=estimators.CONTRIBUTION_CURRENT):
+    """run_uoro's estimate and realized (gamma, beta) replayed step by step
+    with the dense one-step form: uoro_step carries w~ as a P-long vector
+    and uoro_contribution adds each step's contribution."""
+    params = tape.params
+    u = estimators._draws(noise, "u")
+    batch = np.broadcast_shapes(tape.batch_shape, u.shape[1:-1])
+    state = estimators.RankOneState(np.zeros((*batch, params.state_size)),
+                                    np.zeros((*batch, params.num_params)))
+    estimate = np.zeros((*batch, params.num_params))
+    gammas = np.zeros((tape.length, *batch))
+    betas = np.zeros((tape.length, *batch))
+    for t, cache in enumerate(tape.caches):
+        prev = state
+        state, gammas[t], betas[t] = estimators.uoro_step(state, cache, cut, u[t],
+                                                          schedule, t)
+        g_full = tape.loss_grad_full(t)
+        if contribution == estimators.CONTRIBUTION_CURRENT:
+            estimate += estimators.uoro_contribution(state, g_full)
+        elif contribution == estimators.CONTRIBUTION_STALE_W:
+            estimate += estimators.uoro_contribution(
+                estimators.RankOneState(state.h_tilde, prev.w_tilde), g_full)
+        else:
+            carried = estimators.RankOneState(rnn.jvp_state(cache, prev.h_tilde),
+                                              prev.w_tilde)
+            estimate += (rnn.vjp_params(cache, g_full)
+                         + estimators.uoro_contribution(carried, g_full))
+    return estimate, gammas, betas

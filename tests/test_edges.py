@@ -62,6 +62,9 @@ def _forbid_steps(monkeypatch):
 
     monkeypatch.setattr(rnn, "step", fail)
     monkeypatch.setattr(estimators, "uoro_step", fail)
+    # run_uoro advances h~ itself through these products
+    monkeypatch.setattr(rnn, "jvp_state", fail)
+    monkeypatch.setattr(rnn, "jvp_cut", fail)
 
 
 class TestQ0SizeChecked:

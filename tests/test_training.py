@@ -235,6 +235,22 @@ class TestRunTraining:
         assert len(audits) == cfg.updates
         assert max(audits) <= 1e-8
 
+    @pytest.mark.parametrize("contribution,audited", [
+        ("current", True), ("stale-w", False), ("split", False)])
+    def test_only_current_runs_are_audited(self, tmp_path, contribution, audited):
+        """offline_total_estimate is the estimate of contribution "current";
+        the other modes estimate something else and write no audit rows."""
+        cfg = tiny_queue_config(estimator="uoro", updates=2, audit_every=1,
+                                contribution=contribution)
+        training.run_training(cfg, out_dir=tmp_path)
+        from uorolab.reports import read_metrics_csv
+
+        rows = read_metrics_csv(tmp_path / "metrics.csv")
+        audits = [v for (_, _, metric, v) in rows if metric == "audit_offline_rel_err"]
+        assert len(audits) == (cfg.updates if audited else 0)
+        if audited:
+            assert max(audits) <= 1e-8
+
 
 @pytest.fixture(scope="module")
 def report(tmp_path_factory):
