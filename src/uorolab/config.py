@@ -25,11 +25,15 @@ CHOICES = {
     "exact_method": ("bptt", "rtrl"),
 }
 
+# Keys whose values must be positive.
+POSITIVE = ("hidden", "minibatch", "updates", "num_seeds", "sigma", "learning_rate")
+
 
 @dataclass
 class ExperimentConfig:
-    """Every setting of a run; enumerated keys are checked against CHOICES
-    when the config is built, and so when it is loaded."""
+    """Every setting of a run.  Enumerated keys are checked against CHOICES,
+    and the ranges and combinations a run cannot take are refused, when the
+    config is built, and so when it is loaded."""
 
     # task
     task: str = "queue"
@@ -75,6 +79,21 @@ class ExperimentConfig:
             if value not in allowed:
                 raise ValueError(f"{key} = {value!r} is not one of "
                                  f"{', '.join(allowed)}")
+        for key in POSITIVE:
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} = {getattr(self, key)!r} must be positive")
+        if not self.damping >= 0:
+            raise ValueError(f"damping = {self.damping!r} must be nonnegative")
+        if self.task == "queue" and self.delay >= self.stream_length:
+            raise ValueError(f"delay = {self.delay} must be below stream_length = "
+                             f"{self.stream_length} on the queue task")
+        if self.cut == "state" and self.cell == "lstm":
+            raise ValueError("cut = 'state' is a cut vertex of the vanilla cell "
+                             "only, not of cell = 'lstm'")
+        if self.streaming and (self.task != "queue" or canonical_estimator(
+                self.estimator) not in ("uoro", "preuoro")):
+            raise ValueError("streaming = True covers queue training with the "
+                             "rank-one estimators uoro and preuoro")
 
 
 def canonical_estimator(name: str) -> str:

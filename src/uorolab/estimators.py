@@ -99,6 +99,7 @@ class ScalingSchedule:
     mode "fixed-alpha" takes a positive per-step alpha vector and realizes it
     as beta_s = alpha_s / g^(T-s), gamma = g constant (the geometric average
     ratio of consecutive alphas), which reproduces exactly the same estimate.
+    A (T, B) alpha holds one such schedule per row of a batched run.
     gir_scale multiplies both greedy coefficients, exposing the free overall
     scale of the greedy solution (their ratio is what the rescaling pins).
     """
@@ -133,26 +134,31 @@ class ScalingSchedule:
         self.alpha = alpha
         self._beta, self._gamma = alpha_to_beta_gamma(alpha)
         # row t: the coefficients of w~_t over the terms of steps r <= t
-        coefficients = np.zeros((alpha.shape[0], alpha.shape[0]))
+        t_len = alpha.shape[0]
+        coefficients = np.zeros((t_len, *alpha.shape[1:], t_len))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for t in range(alpha.shape[0]):
+            for t in range(t_len):
                 gamma, beta = self.fixed_coefficients(t)
-                coefficients[t, :t] = coefficients[t - 1, :t] / gamma
-                coefficients[t, t] = 1.0 / beta
+                coefficients[t, ..., :t] = coefficients[t - 1, ..., :t] / _col(gamma)
+                coefficients[t, ..., t] = 1.0 / beta
         self.sketch_coefficients = coefficients
 
     def with_alpha(self, alpha: np.ndarray) -> "ScalingSchedule":
         """A fixed-alpha copy that shares this schedule's already checked
-        Q0 and Q0^{-1}, so a Q0 used for many episodes is inverted once."""
+        Q0 and Q0^{-1}, so a Q0 used for many episodes is inverted once.
+
+        alpha is (T,), one schedule for every row, or (T, B), column j for
+        row j of a batch of B episodes or seeds."""
         schedule = copy.copy(self)
         schedule.mode = FIXED_ALPHA
         schedule._set_alpha(alpha)
         return schedule
 
     def fixed_coefficients(self, t: int):
-        """(gamma_t, beta_t) for 0-indexed step t in fixed-alpha mode."""
-        gamma = 1.0 if t == 0 else float(self._gamma[t - 1])
-        return gamma, float(self._beta[t])
+        """(gamma_t, beta_t) for 0-indexed step t in fixed-alpha mode:
+        scalars, or (B,) rows under a (T, B) alpha (gamma_0 is 1)."""
+        gamma = 1.0 if t == 0 else self._gamma[t - 1]
+        return gamma, self._beta[t]
 
     def shape_spatial(self, v: np.ndarray) -> np.ndarray:
         """Q0 v for each row of v."""
@@ -338,10 +344,8 @@ def run_uoro(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
         out_norms = _norms(left) * _norms(a)
         w_sq = np.zeros(batch)
     else:
-        if schedule.alpha.shape[0] < t_len:
-            raise ShapeError(f"alpha of length {schedule.alpha.shape[0]} for a tape "
-                             f"of {t_len} steps")
-        coefficients = schedule.sketch_coefficients[:t_len, :t_len]
+        _check_alpha(schedule, t_len, batch)
+        coefficients = schedule.sketch_coefficients[:t_len, ..., :t_len]
     split = contribution == CONTRIBUTION_SPLIT
     h_tilde = np.zeros((*batch, params.state_size))
     # the sketch each step's score reads: h~_t, or J_state h~_{t-1} for split
@@ -385,6 +389,18 @@ def run_uoro(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
         rows += immediate
     estimate = _rows_as_columns(rows) @ np.swapaxes(a, 0, -2)
     return _report(estimator_name, noise, estimate.reshape(*batch, -1), gammas, betas)
+
+
+def _check_alpha(schedule: ScalingSchedule, t_len: int, batch: tuple):
+    """Raise ShapeError unless the fixed alpha covers t_len steps and has one
+    column per row of the batch, or a single column for all of them."""
+    alpha = schedule.alpha
+    if alpha.shape[0] < t_len:
+        raise ShapeError(f"alpha of length {alpha.shape[0]} for a tape "
+                         f"of {t_len} steps")
+    if alpha.shape[1:] not in ((), batch):
+        raise ShapeError(f"alpha of shape {alpha.shape} for a batch of shape "
+                         f"{batch}")
 
 
 def _steps_first(rows: np.ndarray, batch_ndim: int) -> np.ndarray:
@@ -458,7 +474,13 @@ def preuoro_step(state: PreUoroState, cache, tau_t, schedule: ScalingSchedule,
         gamma, beta = schedule.fixed_coefficients(t)
     with np.errstate(over="ignore", invalid="ignore"):
         rows = np.multiply(forwarded, _col(gamma), out=forwarded)
-        rows += _col(beta * tau_t) * immediate
+        if immediate.shape == rows.shape:
+            # scaled in place: a fresh (N_z, B, S) temporary per step makes
+            # the allocator return and refault pages whenever it sits at the
+            # top of the heap
+            rows += np.multiply(immediate, _col(beta * tau_t), out=immediate)
+        else:  # B seeds on one tape: the unbatched term broadcasts over them
+            rows += _col(beta * tau_t) * immediate
         w_tilde = state.w_tilde / _col(gamma) + _col(tau_t / beta) * cache.a
         if greedy:
             size = np.abs(tau_t)
@@ -490,6 +512,8 @@ def run_preuoro(tape: EpisodeTape, noise, schedule: ScalingSchedule,
     n_z = params.preactivation_size
     tau = _draws(noise, "tau")
     batch = np.broadcast_shapes(tape.batch_shape, tau.shape[1:])
+    if schedule.mode == FIXED_ALPHA:
+        _check_alpha(schedule, tape.length, batch)
     state = PreUoroState(
         _rows_as_columns(np.zeros((n_z, *batch, params.state_size))),
         np.zeros((*batch, params.augmented_size)),

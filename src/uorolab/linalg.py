@@ -6,6 +6,7 @@ Everything operates on plain float64 numpy arrays and is dimensioned for desk
 scale (up to a few hundred); all functions are pure.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,11 +74,18 @@ def sqrt_ratio_or_one(numerator, denominator):
     """sqrt(numerator / denominator), or 1 where either is nonpositive or not
     finite (the fallback of the greedy rescaling coefficients).  Elementwise
     over arrays; a float for scalar arguments."""
+    if np.ndim(numerator) == 0 and np.ndim(denominator) == 0:
+        num, den = float(numerator), float(denominator)
+        if 0.0 < num < math.inf and 0.0 < den < math.inf:
+            return math.sqrt(num / den)
+        return 1.0
     num = np.asarray(numerator, dtype=np.float64)
     den = np.asarray(denominator, dtype=np.float64)
-    good = (num > 0.0) & (den > 0.0) & np.isfinite(num) & np.isfinite(den)
-    out = np.where(good, np.sqrt(np.where(good, num, 1.0) / np.where(good, den, 1.0)), 1.0)
-    return float(out) if out.ndim == 0 else out
+    # min and max propagate nan, so both comparisons fail on it
+    good = (np.minimum(num, den) > 0.0) & (np.maximum(num, den) < np.inf)
+    out = np.ones(good.shape)
+    np.divide(num, den, out=out, where=good)
+    return np.sqrt(out, out=out)
 
 
 def frob_inner(a: np.ndarray, b: np.ndarray) -> float:

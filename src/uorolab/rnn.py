@@ -184,12 +184,11 @@ class StepCache:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so no exp
+    overflows."""
+    ex = np.exp(-np.abs(x))
+    denominator = 1.0 + ex
+    return np.where(x >= 0, 1.0 / denominator, ex / denominator)
 
 
 def step(params: RnnParams, state_prev: np.ndarray, x: np.ndarray):
@@ -465,6 +464,8 @@ class SoftmaxHead:
 
     def _error(self, h, target):
         """Loss and probs - onehot(target) per row."""
+        if h.ndim == 1:
+            return self._error_one(h, target)
         labels, supervised = _step_targets(target, h.shape[:-1], 0)
         labels = [int(k) for k in labels]
         if min(labels) < 0 or max(labels) >= self.n_classes:
@@ -479,6 +480,20 @@ class SoftmaxHead:
         flat[picked] -= 1.0
         err = probs.reshape(*supervised.shape, -1)
         return loss.reshape(supervised.shape) * supervised, err * supervised[..., None]
+
+    def _error_one(self, h, target):
+        """_error for one unbatched h, with the same arithmetic and without
+        the per-row target bookkeeping."""
+        label = 0 if target is None else int(target)
+        if not 0 <= label < self.n_classes:
+            raise ValueError(f"target {target} out of range [0, {self.n_classes})")
+        probs = self.logits(h)
+        probs -= probs.max()
+        np.exp(probs, out=probs)
+        probs /= probs.sum()
+        loss = -np.log(max(probs[label], 1e-300))
+        probs[label] -= 1.0
+        return (loss * 0.0, probs * 0.0) if target is None else (loss, probs)
 
     def loss_and_grad(self, h: np.ndarray, target):
         loss, err = self._error(h, target)
@@ -510,6 +525,8 @@ class BernoulliHead:
 
     def _error(self, h, target):
         """Loss and sigmoid(logits) - target per row."""
+        if h.ndim == 1:
+            return self._error_one(h, target)
         t, supervised = _step_targets(target, h.shape[:-1], np.zeros(self.n_bits))
         t = np.array(t, dtype=np.float64).reshape(*h.shape[:-1], -1)
         if t.shape[-1] != self.n_bits:
@@ -519,6 +536,18 @@ class BernoulliHead:
         loss = np.sum(np.maximum(lg, 0.0) - lg * t + np.log1p(np.exp(-np.abs(lg))),
                       axis=-1)
         return loss * supervised, (_sigmoid(lg) - t) * supervised[..., None]
+
+    def _error_one(self, h, target):
+        """_error for one unbatched h, with the same arithmetic and without
+        the per-row target bookkeeping."""
+        t = (np.zeros(self.n_bits) if target is None
+             else np.asarray(target, dtype=np.float64).reshape(-1))
+        if t.shape[-1] != self.n_bits:
+            raise ShapeError(f"target shape {t.shape[-1:]} != ({self.n_bits},)")
+        lg = self.logits(h)
+        loss = np.sum(np.maximum(lg, 0.0) - lg * t + np.log1p(np.exp(-np.abs(lg))))
+        err = _sigmoid(lg) - t
+        return (loss * 0.0, err * 0.0) if target is None else (loss, err)
 
     def loss_and_grad(self, h: np.ndarray, target):
         loss, err = self._error(h, target)

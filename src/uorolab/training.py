@@ -5,7 +5,10 @@ The per-episode protocol with the optimal spatial matrix follows the
 exact-computation recipe: hold a running average Bbar across minibatches,
 set Q0 = (Bbar + damping * mean-eig * I)^{-1/4} for the next minibatch,
 solve for alpha exactly per episode where requested, and fold the episode's
-exact B (computed with the alpha actually used) back into Bbar.
+exact B (computed with the alpha actually used) back into Bbar.  The
+minibatch runs in blocks of TENSOR_BLOCK episodes, each one batched forward
+and one sketch call whose schedule holds every episode's alpha as a column;
+the adjoint tensors the protocol needs are built one episode at a time.
 """
 
 import time
@@ -46,6 +49,11 @@ from .variance import (
 )
 
 EXACT_ESTIMATORS = ("bptt", "rtrl")
+
+# Episodes per forward and per sketch call in the exact alpha / Q0 protocol.
+# More rows buy no speed (the per-episode tensors dominate) and grow the
+# block's tape.
+TENSOR_BLOCK = 10
 
 
 @dataclass
@@ -118,41 +126,27 @@ def _q0_schedule(gir_scale, alpha_mode, q0):
                            gir_scale=gir_scale if alpha_mode == "gir" else 1.0)
 
 
-def _episode_schedule(config, length, tensors, schedule):
-    """Resolve the alpha policy for a batch from the GIR schedule that holds
-    the update's checked Q0 and its inverse; "ours" solves alpha from the
-    adjoint tensors of the batch's one episode."""
-    if config.alpha_mode == "gir":
-        return schedule, None
-    if config.alpha_mode == "ones":
-        alpha = np.ones(length)
-    else:
-        alpha = solve_alpha_newton(
-            compute_C(tensors, schedule.Q0, schedule.Q0_inv)).alpha
-    return schedule.with_alpha(alpha), alpha
+def _episode_noises(config, dim, tape, first):
+    """The noise of each episode of a batched tape, whose episode indices
+    start at first."""
+    return [episode_noise(config.base_seed, first + j, tape.length, dim,
+                          config.tau_kind) for j in range(tape.batch_shape[0])]
 
 
-def _estimate_batch(config, params, head, tape, first, schedule, tensors):
-    """Gradient estimates (B, P) for the B episodes of a batched tape, whose
-    episode indices start at first, plus the alpha each episode used, (T, B),
-    and its noise (None for the estimators that take neither).
-
-    schedule is the GIR ScalingSchedule shared by the episodes of an update:
-    it holds the spatial Q0 (none for preuoro), checked and inverted once,
-    and the rank-one estimators specialize it to the alpha policy.  The
-    per-episode engines (rtrl, spatial, reinforce) read slices of the tape.
-    """
+def _estimate_batch(config, params, head, tape, first):
+    """Gradient estimates (B, P) of the exact and the per-episode engines
+    (bptt, rtrl, spatial, reinforce) for the B episodes of a batched tape,
+    whose episode indices start at first.  The per-episode engines (rtrl,
+    spatial, reinforce) read slices of the tape."""
     estimator = canonical_estimator(config.estimator)
     cut = CutVertex(config.cut)
     episodes = range(tape.batch_shape[0])
     if estimator in EXACT_ESTIMATORS:
         if config.exact_method == "rtrl":
-            grads = [rtrl_jacobians(tape.episode(j))[1].g for j in episodes]
-            return np.stack(grads), None, None
-        return bptt_gradient(tape).g, None, None
+            return np.stack([rtrl_jacobians(tape.episode(j))[1].g for j in episodes])
+        return bptt_gradient(tape).g
     dim = params.hidden_size if estimator == "reinforce" else params.cut_size(cut)
-    noises = [episode_noise(config.base_seed, first + j, tape.length, dim,
-                            config.tau_kind) for j in episodes]
+    noises = _episode_noises(config, dim, tape, first)
     if estimator == "reinforce":
         # the tape's losses are the noise-free baseline: no second forward
         estimates = [
@@ -162,25 +156,87 @@ def _estimate_batch(config, params, head, tape, first, schedule, tensors):
                 baseline=tape.losses[:, j] if config.baseline == "noise-free"
                 else config.baseline)
             for j in episodes]
-    elif estimator == "spatial":
-        estimates = [run_spatial(tape.episode(j), cut, noises[j]) for j in episodes]
     else:
-        schedule, alpha = _episode_schedule(config, tape.length, tensors, schedule)
-        if estimator == "uoro":
-            report = run_uoro(tape, cut, noises, schedule,
-                              contribution=config.contribution)
-        else:
-            report = run_preuoro(tape, noises, schedule)
-        if alpha is None:
-            alpha = realized_alpha(report)
-        else:
-            alpha = np.broadcast_to(alpha[:, None], report.realized_beta.shape)
-        return report.estimate, alpha, noises
-    return np.stack([r.estimate for r in estimates]), None, noises
+        estimates = [run_spatial(tape.episode(j), cut, noises[j]) for j in episodes]
+    return np.stack([r.estimate for r in estimates])
+
+
+def _rank_one_batch(config, params, tape, first, schedule, b_sum, audits):
+    """uoro or preuoro on the B episodes of a batched tape, whose episode
+    indices start at first, in one call.
+
+    schedule is the GIR ScalingSchedule shared by the episodes of an update:
+    it holds the spatial Q0 (none for preuoro), checked and inverted once.
+    Under alpha "ours" the exact pass solves each episode's alpha before the
+    run, which takes them as one (T, B) schedule; otherwise the alphas come
+    from the run and the exact pass follows it.  Only "current" uoro runs
+    are audited, since offline_total_estimate is the estimate of that
+    contribution mode; their errors are appended to audits.  Returns the
+    estimates (B, P) and b_sum plus the batch's exact B if Q0 is "ours".
+    """
+    estimator = canonical_estimator(config.estimator)
+    cut = CutVertex(config.cut)
+    noises = _episode_noises(config, params.cut_size(cut), tape, first)
+    audited = [j for j in range(len(noises))
+               if estimator == "uoro" and config.contribution == "current"
+               and config.audit_every and (first + j) % config.audit_every == 0]
+    solve = config.alpha_mode == "ours"
+    run_schedule = schedule
+    if solve:
+        alphas, offline, b_sum = _exact_pass(config, tape, cut, schedule, noises,
+                                             audited, None, b_sum)
+        run_schedule = schedule.with_alpha(alphas)
+    elif config.alpha_mode == "ones":
+        run_schedule = schedule.with_alpha(np.ones(tape.length))
+    if estimator == "uoro":
+        report = run_uoro(tape, cut, noises, run_schedule,
+                          contribution=config.contribution)
+    else:
+        report = run_preuoro(tape, noises, run_schedule)
+    if not solve:
+        alphas = (realized_alpha(report) if config.alpha_mode == "gir"
+                  else np.ones(report.realized_beta.shape))
+        _, offline, b_sum = _exact_pass(config, tape, cut, schedule, noises,
+                                        audited, alphas, b_sum)
+    for j, estimate in offline.items():
+        scale = max(np.linalg.norm(estimate), 1e-300)
+        audits.append(float(np.linalg.norm(report.estimate[j] - estimate) / scale))
+    return report.estimate, b_sum
+
+
+def _exact_pass(config, tape, cut, schedule, noises, audited, alphas, b_sum):
+    """Episode by episode of a batched tape, build the adjoint tensors where
+    they are needed and use them: solve the episode's alpha (when alphas is
+    None), add its exact B to the running sum b_sum (Q0 "ours") and take the
+    offline estimate of an audited episode.  The tensors, O(T^2 N_z) floats,
+    are dropped before the next episode's are built.  Returns the alphas
+    (T, B), the offline estimates by episode and b_sum."""
+    solve = alphas is None
+    if solve:
+        alphas = np.empty((tape.length, len(noises)))
+    add_b = config.q0_mode == "ours"
+    offline = {}
+    for j, noise in enumerate(noises):
+        if not (solve or add_b or j in audited):
+            continue
+        tensors = episode_tensors(tape.episode(j), cut)
+        if solve:
+            alphas[:, j] = solve_alpha_newton(
+                compute_C(tensors, schedule.Q0, schedule.Q0_inv)).alpha
+        if add_b:
+            b_episode = compute_B(tensors, alphas[:, j])
+            b_sum = b_episode if b_sum is None else b_sum + b_episode
+        if j in audited:
+            offline[j] = offline_total_estimate(tensors, noise.u, alphas[:, j],
+                                                schedule.Q0, schedule.Q0_inv)
+    return alphas, offline, b_sum
 
 
 def _needs_tensors(config) -> bool:
-    return config.alpha_mode == "ours" or config.q0_mode == "ours"
+    """Whether every episode's adjoint tensors are built: the exact alpha or
+    Q0 protocol of the rank-one sketches."""
+    return (canonical_estimator(config.estimator) in ("uoro", "preuoro")
+            and (config.alpha_mode == "ours" or config.q0_mode == "ours"))
 
 
 def run_training(config: ExperimentConfig, out_dir=None) -> dict:
@@ -193,16 +249,12 @@ def run_training(config: ExperimentConfig, out_dir=None) -> dict:
     head = task.make_head(rng)
     w_state = AdamState.zeros_like(params.theta())
     head_state = AdamState.zeros_like(head.weights)
-    estimator = canonical_estimator(config.estimator)
     b_bar = None
     q0 = None  # identity until a Bbar exists
     rows = []
     losses_per_update = []
 
     if config.streaming:
-        if config.task != "queue" or estimator not in ("uoro", "preuoro"):
-            raise ValueError("streaming mode covers queue training with the "
-                             "rank-one estimators")
         return _run_streaming(config, task, params, head, w_state, head_state,
                               out_dir, started)
 
@@ -245,17 +297,16 @@ def _update(config, params, head, episodes, update, b_bar, q0):
     """One minibatch update, for every estimator and for the optimal-Q0 /
     exact-alpha protocol.
 
-    The minibatch runs as one batch, or as batches of one when the config
-    needs each episode's adjoint tensors (alpha or Q0 "ours"): each episode
-    then solves its own alpha from its own tensors, and those tensors are
-    built for one episode at a time.  Only "current" uoro runs are audited,
-    since offline_total_estimate is the estimate of that contribution mode.
+    The minibatch runs as one batch, or in blocks of TENSOR_BLOCK episodes
+    when the config needs each episode's adjoint tensors (alpha or Q0
+    "ours" with a rank-one sketch): each block is one forward and one
+    estimator call, and its episodes' tensors are built one episode at a
+    time (_exact_pass), so at most one episode's tensors are alive.
     Returns the mean gradient, head gradient and loss per supervised step,
     the updated Bbar and Q0, and the largest online/offline audit error
     (None if no episode was audited).
     """
     estimator = canonical_estimator(config.estimator)
-    cut = CutVertex(config.cut)
     if config.q0_mode == "ours" and b_bar is not None:
         q0 = optimal_Q0(b_bar, damping=config.damping)
     # q0 is fixed for the whole update: check and invert it once here (the
@@ -264,48 +315,47 @@ def _update(config, params, head, episodes, update, b_bar, q0):
     if estimator in ("uoro", "preuoro"):
         schedule = _q0_schedule(config.gir_scale, config.alpha_mode,
                                 q0 if estimator == "uoro" else None)
-    size = 1 if _needs_tensors(config) else len(episodes)
+    size = TENSOR_BLOCK if _needs_tensors(config) else len(episodes)
     grad_sum = head_grad_sum = loss_sum = 0.0
     # a running sum keeps one N_z x N_z matrix alive instead of one per episode
-    b_sum, b_count = None, 0
+    b_sum = None
     audits = []
     for start in range(0, len(episodes), size):
-        batch = episodes[start:start + size]
-        first = update * config.minibatch + start
-        targets = [ep[1] for ep in batch]
-        tape = run_episode(params, np.stack([ep[0] for ep in batch]), targets, head)
-        audited = [j for j in range(len(batch))
-                   if estimator == "uoro" and config.contribution == "current"
-                   and config.audit_every and (first + j) % config.audit_every == 0]
-        tensors = {j: episode_tensors(tape.episode(j), cut)
-                   for j in (range(len(batch)) if _needs_tensors(config) else audited)}
-        estimates, alphas, noises = _estimate_batch(
-            config, params, head, tape, first, schedule, tensors.get(0))
-        for j in audited:
-            offline = offline_total_estimate(tensors[j], noises[j].u, alphas[:, j],
-                                             schedule.Q0, schedule.Q0_inv)
-            scale = max(np.linalg.norm(offline), 1e-300)
-            audits.append(float(np.linalg.norm(estimates[j] - offline) / scale))
-        if config.q0_mode == "ours" and alphas is not None:
-            for j, tensor in tensors.items():
-                b_episode = compute_B(tensor, alphas[:, j])
-                b_sum = b_episode if b_sum is None else b_sum + b_episode
-                b_count += 1
-        counts = np.array([max(sum(t is not None for t in tg), 1) for tg in targets])
-        grad_sum = grad_sum + np.sum(estimates / counts[:, None], axis=0)
-        steps = [[tg[t] for tg in targets] for t in range(tape.length)]
-        head_grads = head.param_grad(np.stack([c.h for c in tape.caches]), steps)
-        head_grad_sum = head_grad_sum + np.sum(
-            head_grads.sum(axis=0) / counts[:, None, None], axis=0)
-        loss_sum += float(np.sum(tape.total_loss() / counts))
-    if b_count:
-        b_mean = b_sum / b_count
+        grad, head_grad, loss, b_sum = _block_sums(
+            config, params, head, episodes[start:start + size],
+            update * config.minibatch + start, schedule, b_sum, audits)
+        grad_sum = grad_sum + grad
+        head_grad_sum = head_grad_sum + head_grad
+        loss_sum += loss
+    n = len(episodes)
+    if b_sum is not None:
+        b_mean = b_sum / n
         b_bar = b_mean if b_bar is None else (
             config.bbar_decay * b_bar + (1.0 - config.bbar_decay) * b_mean
         )
-    n = len(episodes)
     audit = max(audits) if audits else None
     return grad_sum / n, head_grad_sum / n, loss_sum / n, b_bar, q0, audit
+
+
+def _block_sums(config, params, head, batch, first, schedule, b_sum, audits):
+    """Run the episodes of one block of a minibatch, whose episode indices
+    start at first, as one batch.  Returns the block's summed gradient, head
+    gradient and loss, each per supervised step, and b_sum plus the block's
+    exact B; appends the block's audit errors to audits.  The block's tape
+    and per-episode arrays are freed on return, before the next block runs."""
+    targets = [ep[1] for ep in batch]
+    tape = run_episode(params, np.stack([ep[0] for ep in batch]), targets, head)
+    if schedule is not None:
+        estimates, b_sum = _rank_one_batch(config, params, tape, first, schedule,
+                                           b_sum, audits)
+    else:
+        estimates = _estimate_batch(config, params, head, tape, first)
+    counts = np.array([max(sum(t is not None for t in tg), 1) for tg in targets])
+    steps = [[tg[t] for tg in targets] for t in range(tape.length)]
+    head_grads = head.param_grad(np.stack([c.h for c in tape.caches]), steps)
+    return (np.sum(estimates / counts[:, None], axis=0),
+            np.sum(head_grads.sum(axis=0) / counts[:, None, None], axis=0),
+            float(np.sum(tape.total_loss() / counts)), b_sum)
 
 
 def _run_streaming(config, task, params, head, w_state, head_state, out_dir,

@@ -138,10 +138,12 @@ def compute_C(tensors: EpisodeTensors, Q0: np.ndarray | None = None,
     it); otherwise it is computed here.
     """
     Q0, Q0_inv = _q0_pair(Q0, Q0_inv)
-    suffix = _suffix_sums(tensors.b)
-    shaped = suffix if Q0 is None else suffix @ Q0
+    shaped = _suffix_sums(tensors.b)
+    if Q0 is not None:
+        shaped = shaped @ Q0
     weights = _theta_weights(tensors, Q0_inv)
-    return np.sum(shaped**2, axis=2) * weights[:, None]
+    # squared in place: one (T, T, N_z) array fewer alive
+    return np.sum(np.square(shaped, out=shaped), axis=2) * weights[:, None]
 
 
 @dataclass
@@ -285,19 +287,22 @@ def alpha_to_beta_gamma(alpha: np.ndarray):
     gamma is constant at the geometric average ratio of consecutive alphas,
     (alpha_T / alpha_1)^{1/(T-1)}, and beta solves
     alpha_s = beta_s gamma_{s+1} ... gamma_T exactly (in log space).
-    Returns (beta of length T, gamma of length T-1).
+    alpha (T, [B]) holds one schedule per column.  Returns (beta (T, [B]),
+    gamma (T-1, [B])).
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     if np.any(alpha <= 0):
         raise ValueError("alpha entries must be positive")
     t_len = alpha.shape[0]
     if t_len == 1:
-        return alpha.copy(), np.zeros(0)
+        return alpha.copy(), np.zeros((0, *alpha.shape[1:]))
     log_alpha = np.log(alpha)
     log_gamma = (log_alpha[-1] - log_alpha[0]) / (t_len - 1)
-    trailing = log_gamma * np.arange(t_len - 1, -1, -1)  # (T-s) factors
+    # the (T-s) factors
+    steps = np.arange(t_len - 1, -1, -1).reshape(-1, *(1,) * log_gamma.ndim)
+    trailing = log_gamma * steps
     beta = np.exp(log_alpha - trailing)
-    return beta, np.full(t_len - 1, np.exp(log_gamma))
+    return beta, np.full((t_len - 1, *alpha.shape[1:]), np.exp(log_gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +505,8 @@ def offline_total_estimate(tensors: EpisodeTensors, u: np.ndarray,
         rows = np.stack(
             [unshaped[s] @ tensors.j_dense[s] / alpha[s] for s in range(t_len)]
         )
-    running = np.cumsum(rows, axis=0)
-    return left @ running
+    # summed in place: one (T, P) array fewer alive
+    return left @ np.cumsum(rows, axis=0, out=rows)
 
 
 @dataclass

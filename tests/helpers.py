@@ -61,6 +61,17 @@ def balanced_alpha(c, sweeps=10000):
     return np.sqrt(d / d.min())
 
 
+def sqrt_ratio_or_one_oracle(numerator, denominator):
+    """linalg.sqrt_ratio_or_one by explicit masks: sqrt(numerator /
+    denominator), or 1 where either is nonpositive or not finite; a float
+    for scalar arguments."""
+    num = np.asarray(numerator, dtype=np.float64)
+    den = np.asarray(denominator, dtype=np.float64)
+    good = (num > 0.0) & (den > 0.0) & np.isfinite(num) & np.isfinite(den)
+    out = np.where(good, np.sqrt(np.where(good, num, 1.0) / np.where(good, den, 1.0)), 1.0)
+    return float(out) if out.ndim == 0 else out
+
+
 def episode_tensors_per_loss(tape, cut):
     """b[t, s] = dL_t/dz_s by one backward sweep per loss index t, each
     pulling a single adjoint vector back from step t to step 0 (O(T^2)

@@ -226,6 +226,60 @@ class TestGradientKernels:
                 assert rel(report.estimate[b], offline) <= RTOL, f"{cell}/{b}"
 
 
+class TestPerRowAlpha:
+    """A (T, B) alpha gives row j of a batched run the schedule of column j:
+    the rows equal single-episode runs under with_alpha(alpha[:, j])."""
+
+    def test_uoro_rows_match_single_episode_schedules(self):
+        rng = np.random.default_rng(130)
+        for cell, cut in CONFIGS:
+            for use_q0 in (False, True):
+                params, inputs, targets, head = softmax_batch(rng, cell=cell)
+                n_z = params.cut_size(cut)
+                base = ScalingSchedule(GIR, Q0=general_q0(rng, n_z) if use_q0 else None)
+                alpha = rng.uniform(0.5, 2.0, (6, 3))
+                schedule = base.with_alpha(alpha)
+                noises = [episode_noise(10, j, 6, n_z) for j in range(3)]
+                report = run_uoro(run_episode(params, inputs, targets, head), cut,
+                                  noises, schedule)
+                for b, single in enumerate(singles(params, inputs, targets, head)):
+                    column = base.with_alpha(alpha[:, b])
+                    np.testing.assert_array_equal(schedule.sketch_coefficients[:, b],
+                                                  column.sketch_coefficients)
+                    ref = run_uoro(single, cut, noises[b], column)
+                    where = f"{cell}/{cut.value}/Q0={use_q0}/episode {b}"
+                    assert rel(report.estimate[b], ref.estimate) <= RTOL, where
+                    np.testing.assert_allclose(report.realized_beta[:, b],
+                                               ref.realized_beta, rtol=RTOL)
+                    np.testing.assert_allclose(report.realized_gamma[:, b],
+                                               ref.realized_gamma, rtol=RTOL)
+
+    def test_preuoro_rows_match_single_episode_schedules(self):
+        rng = np.random.default_rng(131)
+        params, inputs, targets, head = softmax_batch(rng, cell=rnn.LSTM)
+        alpha = rng.uniform(0.5, 2.0, (6, 3))
+        noises = [episode_noise(11, j, 6, params.preactivation_size) for j in range(3)]
+        report = run_preuoro(run_episode(params, inputs, targets, head), noises,
+                             ScalingSchedule(GIR).with_alpha(alpha))
+        for b, single in enumerate(singles(params, inputs, targets, head)):
+            ref = run_preuoro(single, noises[b],
+                              ScalingSchedule(GIR).with_alpha(alpha[:, b]))
+            assert rel(report.estimate[b], ref.estimate) <= RTOL, f"episode {b}"
+
+    def test_alpha_rows_must_match_the_batch(self):
+        rng = np.random.default_rng(132)
+        params, inputs, targets, head = softmax_batch(rng)
+        tape = run_episode(params, inputs, targets, head)
+        noises = [episode_noise(12, j, 6, 4) for j in range(3)]
+        schedule = ScalingSchedule(GIR).with_alpha(np.ones((6, 2)))
+        with pytest.raises(ShapeError, match=r"\(6, 2\).*\(3,\)"):
+            run_uoro(tape, CutVertex.PREACTIVATION, noises, schedule)
+        with pytest.raises(ShapeError, match=r"\(6, 2\).*\(3,\)"):
+            run_preuoro(tape, noises, schedule)
+        with pytest.raises(ShapeError, match=r"\(6, 2\).*\(\)"):
+            run_uoro(tape.episode(0), CutVertex.PREACTIVATION, noises[0], schedule)
+
+
 class TestSeedsOnOneTape:
     @pytest.mark.parametrize("mode", ["gir", "fixed"])
     def test_seed_rows_match_per_seed_runs(self, mode):

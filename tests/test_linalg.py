@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uorolab.errors import (
     NotPositiveDefiniteError,
@@ -7,7 +9,16 @@ from uorolab.errors import (
     ShapeError,
     SingularMatrixError,
 )
-from uorolab.linalg import frob_inner, frob_norm, psd_frac_power, sym_eig, trace
+from uorolab.linalg import (
+    frob_inner,
+    frob_norm,
+    psd_frac_power,
+    sqrt_ratio_or_one,
+    sym_eig,
+    trace,
+)
+
+from helpers import sqrt_ratio_or_one_oracle
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -149,3 +160,33 @@ class TestFrobeniusAndTrace:
             frob_inner(np.zeros((2, 2)), np.zeros((2, 3)))
         with pytest.raises(ShapeError):
             trace(np.zeros((2, 3)))
+
+
+# 0, signed zeros, negatives, infinities, nan, subnormals and the float range
+EDGE_VALUES = [0.0, -0.0, -1.0, 1.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+               2.2e-308, 1.7e308, 1e-300, 1e300]
+ratio_operands = st.one_of(st.sampled_from(EDGE_VALUES),
+                           st.floats(allow_nan=True, allow_infinity=True))
+
+
+# a good pair whose ratio leaves the float range warns in both forms
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestSqrtRatioOrOne:
+    @settings(max_examples=300, deadline=None)
+    @given(ratio_operands, ratio_operands)
+    def test_scalars_match_the_masked_form(self, num, den):
+        value = sqrt_ratio_or_one(num, den)
+        assert type(value) is float
+        assert value == sqrt_ratio_or_one_oracle(num, den)
+        assert sqrt_ratio_or_one(np.float64(num), np.asarray(den)) == value
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(ratio_operands, ratio_operands), min_size=1,
+                    max_size=12))
+    def test_arrays_match_the_masked_form(self, pairs):
+        num, den = np.array(pairs).T
+        np.testing.assert_array_equal(sqrt_ratio_or_one(num, den),
+                                      sqrt_ratio_or_one_oracle(num, den))
+        # a 0-d operand broadcasts against rows
+        np.testing.assert_array_equal(sqrt_ratio_or_one(num[0], den),
+                                      sqrt_ratio_or_one_oracle(num[0], den))

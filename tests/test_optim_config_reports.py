@@ -56,7 +56,7 @@ class TestAdam:
 
 class TestConfig:
     def test_round_trip_lossless(self):
-        cfg = ExperimentConfig(task="rowwise-digits", hidden=13,
+        cfg = ExperimentConfig(task="queue", hidden=13,
                                learning_rate=0.00313, streaming=True,
                                idx_images="/tmp/x y.idx")
         rebuilt = from_text(to_text(cfg))
@@ -83,6 +83,34 @@ class TestConfig:
             ExperimentConfig(**{key: bad})
         with pytest.raises(ValueError, match=key):
             from_text(f"{key} = {bad!r}\n")
+
+    @pytest.mark.parametrize("key,values", [
+        ("delay", {"task": "queue", "delay": 8, "stream_length": 8}),
+        ("hidden", {"hidden": 0}),
+        ("minibatch", {"minibatch": 0}),
+        ("updates", {"updates": -1}),
+        ("num_seeds", {"num_seeds": 0}),
+        ("sigma", {"sigma": 0.0}),
+        ("learning_rate", {"learning_rate": -0.001}),
+        ("learning_rate", {"learning_rate": float("nan")}),
+        ("damping", {"damping": -1e-3}),
+        ("cut", {"cell": "lstm", "cut": "state"}),
+        ("streaming", {"task": "rowwise-digits", "streaming": True}),
+        ("streaming", {"estimator": "reinforce", "streaming": True}),
+        ("streaming", {"estimator": "neither", "streaming": True}),
+    ])
+    def test_bad_ranges_refused_at_construction_and_load(self, key, values):
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig(**values)
+        text = "".join(f"{k} = {v!r}\n" for k, v in values.items())
+        with pytest.raises(ValueError, match=key):
+            from_text(text)
+
+    def test_range_edges_accepted(self):
+        ExperimentConfig(task="queue", delay=7, stream_length=8, damping=0.0)
+        ExperimentConfig(task="rowwise-digits", delay=20, stream_length=8)
+        ExperimentConfig(cell="vanilla-tanh", cut="state")
+        ExperimentConfig(streaming=True, estimator="temporal")
 
     def test_every_estimator_alias_accepted(self):
         for name in ("bptt", "rtrl", "neither", "spatial", "temporal", "preuoro",

@@ -112,6 +112,28 @@ class TestLossHeads:
             fd[i] = (up - down) / (2 * eps)
         np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
 
+    @pytest.mark.parametrize("head_kind", ["softmax", "bernoulli"])
+    def test_one_row_equals_a_batch_of_one(self, head_kind):
+        """An unbatched h takes its own path: it gives bit for bit what the
+        same row gives as a batch of one, supervised or masked, down to
+        saturated logits."""
+        rng = np.random.default_rng(9)
+        for scale in (0.5, 40.0):
+            if head_kind == "softmax":
+                head = SoftmaxHead(scale * rng.standard_normal((4, 6)))
+                targets = [0, 3, None]
+            else:
+                head = BernoulliHead(scale * rng.standard_normal((3, 6)))
+                targets = [np.array([1.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0]), None]
+            for target in targets:
+                h = rng.standard_normal(5)
+                loss, grad = loss_grad(h, target, head)
+                losses, grads = loss_grad(h[None], [target], head)
+                assert type(loss) is float and loss == losses[0]
+                np.testing.assert_array_equal(grad, grads[0])
+                np.testing.assert_array_equal(head.param_grad(h, target),
+                                              head.param_grad(h[None], [target])[0])
+
     def test_masked_step_is_silent(self):
         head = BernoulliHead(np.ones((1, 4)))
         loss, grad = loss_grad(np.ones(3), None, head)

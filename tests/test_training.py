@@ -3,11 +3,13 @@ import pytest
 
 from uorolab import estimators, training
 from uorolab.config import ExperimentConfig, as_dict
-from uorolab.exact import bptt_gradient
+from uorolab.exact import bptt_gradient, episode_tensors
 from uorolab.noise import episode_noise
 from uorolab.optim import AdamState, adam_update
-from uorolab.rnn import init_params, run_episode
+from uorolab.reports import read_metrics_csv
+from uorolab.rnn import CutVertex, init_params, run_episode
 from uorolab.tasks import QueueSpec, make_queue_episode
+from uorolab.variance import compute_B, compute_C, optimal_Q0, solve_alpha_newton
 
 
 def tiny_queue_config(**overrides):
@@ -24,6 +26,17 @@ def tiny_queue_config(**overrides):
         momentum=0.5,
         base_seed=11,
         data_seed=12,
+    )
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+def tiny_digits_config(q0_mode, alpha_mode, **overrides):
+    base = dict(
+        task="rowwise-digits", cell="lstm", hidden=3, estimator="uoro",
+        q0_mode=q0_mode, alpha_mode=alpha_mode, digits_limit=16,
+        learning_rate=0.003, momentum=0.8, bbar_decay=0.9, damping=0.005,
+        base_seed=3, data_seed=4,
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -81,33 +94,61 @@ class TestRunTraining:
             losses.append(float(np.mean(batch_losses)))
         assert summary["final_loss"] == pytest.approx(losses[-1], rel=1e-9)
 
-    @pytest.mark.parametrize("estimator", ["uoro", "preuoro"])
-    def test_batched_update_matches_per_episode_replay(self, estimator):
-        """A queue run updates from whole-minibatch batches: replay it with
-        one unbatched estimator call per episode."""
-        cfg = tiny_queue_config(estimator=estimator, updates=4, minibatch=3)
-        summary = training.run_training(cfg)
+    @pytest.mark.parametrize("estimator,q0_mode,alpha_mode", [
+        ("uoro", "identity", "gir"), ("preuoro", "identity", "gir"),
+        ("uoro", "ours", "ours"), ("uoro", "identity", "ours"),
+        ("uoro", "ours", "gir"),
+    ])
+    def test_batched_update_matches_per_episode_replay(
+            self, tmp_path, monkeypatch, estimator, q0_mode, alpha_mode):
+        """A queue run updates from whole-minibatch batches, and an LSTM
+        digits run of the exact alpha / Q0 protocol from blocks of
+        TENSOR_BLOCK episodes (2 here, for a minibatch of 5).  Replay either
+        with one unbatched estimator call per episode; the exact protocol
+        solves each episode's alpha from its own tensors, runs it through
+        with_alpha, and folds each episode's exact B into Bbar."""
+        if (q0_mode, alpha_mode) == ("identity", "gir"):
+            cfg = tiny_queue_config(estimator=estimator, updates=4, minibatch=3)
+        else:
+            monkeypatch.setattr(training, "TENSOR_BLOCK", 2)
+            cfg = tiny_digits_config(q0_mode, alpha_mode, minibatch=5, updates=3)
+        training.run_training(cfg, out_dir=tmp_path)
 
-        spec = QueueSpec(delay=cfg.delay, length=cfg.stream_length)
         rng = np.random.default_rng(cfg.base_seed)
         task = training.build_task(cfg)
-        params = init_params(cfg.cell, cfg.hidden, 1, rng)
+        params = init_params(cfg.cell, cfg.hidden, task.input_size, rng)
         head = task.make_head(rng)
         w_state = AdamState.zeros_like(params.theta())
         h_state = AdamState.zeros_like(head.weights)
-        schedule = estimators.ScalingSchedule(estimators.GIR)
-        losses = []
+        cut = CutVertex(cfg.cut)
+        b_bar = q0 = None
+        expected = []
         for update in range(cfg.updates):
-            grads, head_grads, batch_losses = [], [], []
+            if q0_mode == "ours" and b_bar is not None:
+                q0 = optimal_Q0(b_bar, damping=cfg.damping)
+            base = estimators.ScalingSchedule(estimators.GIR, Q0=q0)
+            grads, head_grads, batch_losses, b_mats = [], [], [], []
             for j in range(cfg.minibatch):
                 index = update * cfg.minibatch + j
-                inputs, targets = make_queue_episode(spec, cfg.data_seed, index)
+                inputs, targets = task.episode(cfg.data_seed, index)
                 tape = run_episode(params, inputs, targets, head)
-                noise = episode_noise(cfg.base_seed, index, tape.length, cfg.hidden)
+                noise = episode_noise(cfg.base_seed, index, tape.length,
+                                      params.cut_size(cut))
+                schedule = base
+                if alpha_mode == "ours":
+                    tensors = episode_tensors(tape, cut)
+                    alpha = solve_alpha_newton(
+                        compute_C(tensors, base.Q0, base.Q0_inv)).alpha
+                    schedule = base.with_alpha(alpha)
                 if estimator == "uoro":
-                    report = estimators.run_uoro(tape, "preactivation", noise, schedule)
+                    report = estimators.run_uoro(tape, cut, noise, schedule)
                 else:
                     report = estimators.run_preuoro(tape, noise, schedule)
+                if q0_mode == "ours":
+                    if alpha_mode == "gir":
+                        tensors = episode_tensors(tape, cut)
+                        alpha = training.realized_alpha(report)
+                    b_mats.append(compute_B(tensors, alpha))
                 n_sup = sum(1 for t in targets if t is not None)
                 grads.append(report.estimate / n_sup)
                 head_grads.append(sum(
@@ -115,14 +156,53 @@ class TestRunTraining:
                     for t in range(tape.length)
                 ) / n_sup)
                 batch_losses.append(tape.total_loss() / n_sup)
+            if b_mats:
+                b_mean = np.mean(b_mats, axis=0)
+                b_bar = b_mean if b_bar is None else (
+                    cfg.bbar_decay * b_bar + (1.0 - cfg.bbar_decay) * b_mean)
+            grad = np.mean(grads, axis=0)
             params = params.with_theta(adam_update(
-                params.theta(), np.mean(grads, axis=0), w_state,
+                params.theta(), grad, w_state,
                 cfg.learning_rate, cfg.momentum, cfg.beta2, cfg.eps))
             head.weights = adam_update(head.weights, np.mean(head_grads, axis=0),
                                        h_state, cfg.learning_rate, cfg.momentum,
                                        cfg.beta2, cfg.eps)
-            losses.append(float(np.mean(batch_losses)))
-        assert summary["final_loss"] == pytest.approx(losses[-1], rel=1e-9)
+            expected += [float(np.mean(batch_losses)), float(np.linalg.norm(grad))]
+        rows = read_metrics_csv(tmp_path / "metrics.csv")
+        written = [v for (_, _, metric, v) in rows if metric in ("loss", "grad_norm")]
+        np.testing.assert_allclose(written, expected, rtol=1e-9)
+
+    @pytest.mark.parametrize("q0_mode,alpha_mode", [
+        ("ours", "ours"), ("identity", "ours"), ("ours", "gir")])
+    def test_exact_protocol_runs_in_blocks(self, monkeypatch, q0_mode, alpha_mode):
+        """Per update the exact protocol builds each episode's tensors once,
+        audited or not, and runs one forward per block of TENSOR_BLOCK
+        episodes."""
+        calls = {"episode_tensors": 0, "run_episode": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(training, name, counted(name, getattr(training, name)))
+        monkeypatch.setattr(training, "TENSOR_BLOCK", 2)
+        per_update = []
+        one_update = training._update
+
+        def update(*args):
+            before = dict(calls)
+            result = one_update(*args)
+            per_update.append({k: calls[k] - before[k] for k in calls})
+            return result
+
+        monkeypatch.setattr(training, "_update", update)
+        cfg = tiny_digits_config(q0_mode, alpha_mode, minibatch=5, updates=2,
+                                 audit_every=2)
+        training.run_training(cfg)
+        assert per_update == [{"episode_tensors": 5, "run_episode": 3}] * 2
 
     @pytest.mark.parametrize("estimator", ["preuoro", "spatial", "reinforce"])
     def test_other_estimators_smoke(self, estimator):
