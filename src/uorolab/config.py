@@ -90,8 +90,16 @@ class ExperimentConfig:
         if self.cut == "state" and self.cell == "lstm":
             raise ValueError("cut = 'state' is a cut vertex of the vanilla cell "
                              "only, not of cell = 'lstm'")
-        if self.streaming and (self.task != "queue" or canonical_estimator(
-                self.estimator) not in ("uoro", "preuoro")):
+        estimator = canonical_estimator(self.estimator)
+        if self.q0_mode == "ours" and estimator != "uoro":
+            raise ValueError(f"q0_mode = 'ours' shapes the spatial noise of uoro; "
+                             f"estimator = {self.estimator!r} takes no Q0")
+        if self.alpha_mode == "ours" and estimator not in ("uoro", "preuoro"):
+            raise ValueError(f"alpha_mode = 'ours' schedules the rank-one sketches "
+                             f"uoro and preuoro; estimator = {self.estimator!r} "
+                             f"has no alpha")
+        if self.streaming and (self.task != "queue"
+                               or estimator not in ("uoro", "preuoro")):
             raise ValueError("streaming = True covers queue training with the "
                              "rank-one estimators uoro and preuoro")
 

@@ -27,7 +27,12 @@ streaming updates and as the test oracle.
 
 preUORO exploits the rank-one structure of the preactivation-to-parameter
 Jacobian to skip the spatial projection: the sketch carries a full S x N_z
-matrix forward and only scalar temporal noise remains.
+matrix forward and only scalar temporal noise remains.  Its immediate term
+beta_t tau_t J_cut is sparse (the diagonal f'(z) of the vanilla cell, 7H
+gate entries of the LSTM), so each step adds it at the nonzeros of J_cut
+into the forwarded sketch, which run_preuoro writes into one of two reused
+buffers, and under GIR takes the new sketch's norm from scalars: one
+Frobenius pass over the forwarded sketch and sums over the nonzeros.
 
 The perturbed-state score-function estimator (REINFORCE) runs the network
 with Gaussian state noise sigma Q u_t and weights the accumulated score by
@@ -193,9 +198,10 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...i,...i->...", x, x))
 
 
-def _frobenius(rows: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix stored as stacked rows (K, ..., n)."""
-    return np.sqrt(np.einsum("k...i,k...i->...", rows, rows))
+def _frobenius_sq(rows: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix stored as stacked rows
+    (K, ..., n)."""
+    return np.einsum("k...i,k...i->...", rows, rows)
 
 
 def _columns_as_rows(m: np.ndarray) -> np.ndarray:
@@ -209,9 +215,12 @@ def _rows_as_columns(rows: np.ndarray) -> np.ndarray:
 
 
 def _zero_cancelled(x: np.ndarray, norm, scale) -> np.ndarray:
-    """x with every row whose norm is roundoff of scale set exactly to 0."""
+    """Set every row of x whose norm is roundoff of scale exactly to 0, in
+    place; returns x."""
     cancelled = norm <= _CANCEL_RTOL * scale
-    return np.where(_col(cancelled), 0.0, x) if cancelled.any() else x
+    if cancelled.any():
+        np.copyto(x, 0.0, where=_col(cancelled))
+    return x
 
 
 def _gir_coefficients(w_norm, fwd_norm, out_norm, in_norm, gir_scale):
@@ -447,50 +456,77 @@ def _advance_coefficients(coefficients, t, gamma, beta, w_sq, gram, scale, left,
 
 
 def preuoro_step(state: PreUoroState, cache, tau_t, schedule: ScalingSchedule,
-                 t: int):
+                 t: int, out: np.ndarray | None = None):
     """Advance the projection-free sketch one step (preactivation cut only);
     tau_t and the state may carry a batch axis.
 
     H~_t = gamma_t J_state H~_{t-1} + beta_t tau_t J_cut
     w~_t = (1/gamma_t) w~_{t-1} + (tau_t/beta_t) a_t
 
-    Both products act on the columns of H~ stacked as rows (N_z, [B], S), so
-    each is one matrix product; the new H~ is a view of those rows.
+    The columns of H~ are stacked as rows (N_z, [B,] S): J_state acts on them
+    in one matrix product, written into out if given (a rows array that
+    shares no memory with state.H_tilde), and is scaled by gamma in place.
+    The immediate term is added at the nonzeros of J_cut alone
+    (rnn.preactivation_cut_nonzeros).  Under GIR the norms come from those
+    nonzeros and one Frobenius pass over the forwarded rows F, with
+    ||H~_t||^2 = gamma^2 ||F||^2 + 2 gamma beta tau <F, J_cut>
+    + beta^2 tau^2 ||J_cut||^2; a row below GRAM_NORM_RTOL of its terms'
+    summed norms takes its norm densely for the cancellation rule, and a
+    non-finite norm is confirmed densely before it raises.  The new H~ is a
+    view of the rows.
     """
     if schedule.Q0 is not None:
         raise ValueError("the projection-free sketch takes no spatial Q0")
-    n_z = cache.params.preactivation_size
-    batch_ndim = max(state.w_tilde.ndim - 1, len(cache.batch_shape))
-    forwarded = rnn.jvp_state(cache, _columns_as_rows(state.H_tilde))
-    immediate = rnn.jvp_cut(cache, CutVertex.PREACTIVATION,
-                            rnn.basis_rows(n_z, batch_ndim))
+    state_index, cut_index, values = rnn.preactivation_cut_nonzeros(cache)
+    rows = rnn.jvp_state(cache, _columns_as_rows(state.H_tilde), out=out)
+    at = (cut_index, Ellipsis, state_index)  # rows[at] is (nnz, [B])
+    values = values.T  # (nnz, [B]): a cache carries at most one batch axis
+    if values.ndim < rows.ndim - 1:  # B seeds on one tape
+        values = values[:, None]
     greedy = schedule.mode == GIR
     if greedy:
         w_norm, a_norm = _norms(state.w_tilde), _norms(cache.a)
-        fwd_norm, imm_norm = _frobenius(forwarded), _frobenius(immediate)
+        fwd_sq = _frobenius_sq(rows)
+        imm_sq = np.einsum("k...,k...->...", values, values)
+        cross = np.einsum("k...,k...->...", rows[at], values)
+        fwd_norm, imm_norm = np.sqrt(fwd_sq), np.sqrt(imm_sq)
         gamma, beta = _gir_coefficients(w_norm, fwd_norm, a_norm, imm_norm,
                                         schedule.gir_scale)
     else:
         gamma, beta = schedule.fixed_coefficients(t)
+    beta_tau = beta * tau_t
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = np.multiply(forwarded, _col(gamma), out=forwarded)
-        if immediate.shape == rows.shape:
-            # scaled in place: a fresh (N_z, B, S) temporary per step makes
-            # the allocator return and refault pages whenever it sits at the
-            # top of the heap
-            rows += np.multiply(immediate, _col(beta * tau_t), out=immediate)
-        else:  # B seeds on one tape: the unbatched term broadcasts over them
-            rows += _col(beta * tau_t) * immediate
+        np.multiply(rows, _col(gamma), out=rows)
+        rows[at] += values * beta_tau
         w_tilde = state.w_tilde / _col(gamma) + _col(tau_t / beta) * cache.a
         if greedy:
+            rows_sq = (gamma * gamma * fwd_sq + 2.0 * gamma * beta_tau * cross
+                       + beta_tau * beta_tau * imm_sq)
             size = np.abs(tau_t)
-            rows = _zero_cancelled(rows, _frobenius(rows),
-                                   gamma * fwd_norm + beta * size * imm_norm)
-            w_tilde = _zero_cancelled(w_tilde, _norms(w_tilde),
-                                      w_norm / gamma + size / beta * a_norm)
-    if not (np.isfinite(rows).all() and np.isfinite(w_tilde).all()):
+            _zero_cancelled_rows(rows, rows_sq,
+                                 gamma * fwd_norm + beta * size * imm_norm)
+            _zero_cancelled(w_tilde, _norms(w_tilde),
+                            w_norm / gamma + size / beta * a_norm)
+    finite = greedy and np.isfinite(rows_sq).all()
+    if not ((finite or np.isfinite(rows).all()) and np.isfinite(w_tilde).all()):
         raise NumericOverflowError(f"projection-free sketch overflowed at step {t}")
     return PreUoroState(_rows_as_columns(rows), w_tilde), gamma, beta
+
+
+def _zero_cancelled_rows(rows, rows_sq, scale):
+    """Set exactly to 0 each H~ (stacked rows (N_z, [B,] S)) that cancels to
+    roundoff of scale, the summed norms of its two terms.  rows_sq holds the
+    squared norms from the step's formula; a row whose formula norm is below
+    GRAM_NORM_RTOL of scale is too close to cancellation for it, and its
+    norm is taken densely."""
+    near = rows_sq <= (GRAM_NORM_RTOL * scale) ** 2
+    if not near.any():
+        return
+    scale = np.broadcast_to(scale, near.shape)
+    for i in map(tuple, np.argwhere(near)):
+        row = rows[(slice(None), *i)]
+        if np.sqrt(_frobenius_sq(row)) <= _CANCEL_RTOL * scale[i]:
+            row[...] = 0.0
 
 
 def _carried(state: PreUoroState, loss_grad_full: np.ndarray) -> np.ndarray:
@@ -508,22 +544,25 @@ def run_preuoro(tape: EpisodeTape, noise, schedule: ScalingSchedule,
     """Run the projection-free estimator; noise as for run_uoro.  The
     contributions sum_t vec(r_t w~_t^T) are one matrix product over the
     steps at the end."""
+    if schedule.Q0 is not None:
+        raise ValueError("the projection-free sketch takes no spatial Q0")
     params = tape.params
     n_z = params.preactivation_size
     tau = _draws(noise, "tau")
     batch = np.broadcast_shapes(tape.batch_shape, tau.shape[1:])
     if schedule.mode == FIXED_ALPHA:
         _check_alpha(schedule, tape.length, batch)
-    state = PreUoroState(
-        _rows_as_columns(np.zeros((n_z, *batch, params.state_size))),
-        np.zeros((*batch, params.augmented_size)),
-    )
+    # H~ lives in one of two rows buffers; each step writes the other one
+    buffers = [np.zeros((n_z, *batch, params.state_size)) for _ in range(2)]
+    state = PreUoroState(_rows_as_columns(buffers[0]),
+                         np.zeros((*batch, params.augmented_size)))
     carried = np.empty((tape.length, *batch, n_z))
     w_rows = np.empty((tape.length, *batch, params.augmented_size))
     gammas = np.zeros((tape.length, *batch))
     betas = np.zeros((tape.length, *batch))
     for t, cache in enumerate(tape.caches):
-        state, gammas[t], betas[t] = preuoro_step(state, cache, tau[t], schedule, t)
+        state, gammas[t], betas[t] = preuoro_step(state, cache, tau[t], schedule, t,
+                                                  out=buffers[(t + 1) % 2])
         carried[t] = _carried(state, tape.loss_grad_full(t))
         w_rows[t] = state.w_tilde
     estimate = np.moveaxis(carried, 0, -1) @ np.moveaxis(w_rows, 0, -2)

@@ -269,14 +269,28 @@ def outer_rows(v: np.ndarray, a: np.ndarray) -> np.ndarray:
     return out.reshape(*out.shape[:-2], -1)
 
 
-def _lstm_zc_jvp(cache: StepCache, dz: np.ndarray, dc_prev):
-    """Perturbation (dz, dc_prev) -> (dh, dc) through the LSTM gates."""
+def _scaled(factors: np.ndarray, product: np.ndarray) -> np.ndarray:
+    """factors * product, written over product (a fresh array or a caller's
+    out) when it already has the shape of the result."""
+    fits = product.shape[product.ndim - factors.ndim:] == factors.shape
+    return np.multiply(factors, product, out=product if fits else None)
+
+
+def _lstm_zc_jvp(cache: StepCache, scaled: np.ndarray, dc_prev, out=None):
+    """Perturbation (dz, dc_prev) -> state rows (dh, dc) through the LSTM
+    gates, written into out if given; scaled is dz times the cache's gate
+    derivatives."""
     h = cache.params.hidden_size
     gt = cache.gates
-    scaled = gt["dz"] * dz
-    dc = (scaled[..., :h] + scaled[..., h : 2 * h] + scaled[..., 2 * h : 3 * h]
-          + gt["f"] * dc_prev)
-    return scaled[..., 3 * h :] + gt["dh_dc"] * dc, dc
+    if out is None:
+        out = np.empty((*scaled.shape[:-1], 2 * h))
+    dh, dc = out[..., :h], out[..., h:]
+    np.add(scaled[..., :h], scaled[..., h : 2 * h], out=dc)
+    dc += scaled[..., 2 * h : 3 * h]
+    dc += gt["f"] * dc_prev
+    np.multiply(gt["dh_dc"], dc, out=dh)
+    dh += scaled[..., 3 * h :]
+    return out
 
 
 def _lstm_adjoint(cache: StepCache, v: np.ndarray):
@@ -290,16 +304,19 @@ def _lstm_adjoint(cache: StepCache, v: np.ndarray):
     return g_z, gc_total * gt["f"]
 
 
-def jvp_state(cache: StepCache, v: np.ndarray) -> np.ndarray:
-    """J_state v: forward-propagate state perturbations through the step."""
+def jvp_state(cache: StepCache, v: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """J_state v: forward-propagate state perturbations through the step.
+
+    out, if given, receives the result: an array of the result's shape that
+    shares no memory with v."""
     p = cache.params
     v = _rows(v, p.state_size, "state")
     h = p.hidden_size
-    dz = v[..., :h] @ p.weights[:, :h].T
     if p.cell_kind == LSTM:
-        dh, dc = _lstm_zc_jvp(cache, dz, v[..., h:])
-        return np.concatenate([dh, dc], axis=-1)
-    return cache.d * dz
+        dz = v[..., :h] @ p.weights[:, :h].T
+        return _lstm_zc_jvp(cache, _scaled(cache.gates["dz"], dz), v[..., h:], out)
+    return _scaled(cache.d, np.matmul(v, p.weights[:, :h].T, out=out))
 
 
 def vjp_state(cache: StepCache, v: np.ndarray) -> np.ndarray:
@@ -325,8 +342,7 @@ def jvp_cut(cache: StepCache, cut, v: np.ndarray) -> np.ndarray:
     if cut == CutVertex.STATE:
         return v.copy()
     if p.cell_kind == LSTM:
-        dh, dc = _lstm_zc_jvp(cache, v, 0.0)
-        return np.concatenate([dh, dc], axis=-1)
+        return _lstm_zc_jvp(cache, cache.gates["dz"] * v, 0.0)
     return cache.d * v
 
 
@@ -374,6 +390,30 @@ def vjp_params(cache: StepCache, v: np.ndarray) -> np.ndarray:
     else:
         g_z = v * cache.d
     return outer_rows(g_z, cache.a)
+
+
+def preactivation_cut_nonzeros(cache: StepCache):
+    """The nonzeros of J_cut at the preactivation cut, as (state_index,
+    cut_index, values): J_cut[..., state_index[n], cut_index[n]] =
+    values[..., n], values carrying the cache's batch shape.
+
+    vanilla: the H diagonal entries f'(z).  LSTM: 7H entries.  Column k of
+    the input, forget or candidate gate of unit j holds dh_dc[j] dz[k] at h_j
+    and dz[k] at c_j; column k of the output gate holds dz[k] at h_j (dz and
+    dh_dc are the cache's gate derivatives)."""
+    h = cache.params.hidden_size
+    units = np.arange(h)
+    if cache.params.cell_kind != LSTM:
+        return units, units, cache.d
+    gt = cache.gates
+    dz = gt["dz"]
+    cell_gates = dz[..., : 3 * h]
+    through_c = (cell_gates.reshape(*dz.shape[:-1], 3, h)
+                 * gt["dh_dc"][..., None, :]).reshape(cell_gates.shape)
+    gate_columns = np.arange(3 * h)
+    return (np.concatenate([np.tile(units, 3), np.tile(units + h, 3), units]),
+            np.concatenate([gate_columns, gate_columns, units + 3 * h]),
+            np.concatenate([through_c, cell_gates, dz[..., 3 * h :]], axis=-1))
 
 
 def basis_rows(size: int, batch_ndim: int) -> np.ndarray:

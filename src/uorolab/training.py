@@ -234,9 +234,8 @@ def _exact_pass(config, tape, cut, schedule, noises, audited, alphas, b_sum):
 
 def _needs_tensors(config) -> bool:
     """Whether every episode's adjoint tensors are built: the exact alpha or
-    Q0 protocol of the rank-one sketches."""
-    return (canonical_estimator(config.estimator) in ("uoro", "preuoro")
-            and (config.alpha_mode == "ours" or config.q0_mode == "ours"))
+    Q0 protocol, which the config allows for the rank-one sketches only."""
+    return config.alpha_mode == "ours" or config.q0_mode == "ours"
 
 
 def run_training(config: ExperimentConfig, out_dir=None) -> dict:
@@ -310,11 +309,10 @@ def _update(config, params, head, episodes, update, b_bar, q0):
     if config.q0_mode == "ours" and b_bar is not None:
         q0 = optimal_Q0(b_bar, damping=config.damping)
     # q0 is fixed for the whole update: check and invert it once here (the
-    # projection-free sketch takes no Q0)
+    # config allows Q0 "ours" with uoro only)
     schedule = None
     if estimator in ("uoro", "preuoro"):
-        schedule = _q0_schedule(config.gir_scale, config.alpha_mode,
-                                q0 if estimator == "uoro" else None)
+        schedule = _q0_schedule(config.gir_scale, config.alpha_mode, q0)
     size = TENSOR_BLOCK if _needs_tensors(config) else len(episodes)
     grad_sum = head_grad_sum = loss_sum = 0.0
     # a running sum keeps one N_z x N_z matrix alive instead of one per episode

@@ -8,6 +8,7 @@ cross-check.
 import numpy as np
 
 from uorolab import estimators, rnn
+from uorolab.errors import NumericOverflowError
 from uorolab.rnn import BernoulliHead, RnnParams, SoftmaxHead, run_episode
 
 
@@ -70,6 +71,13 @@ def sqrt_ratio_or_one_oracle(numerator, denominator):
     good = (num > 0.0) & (den > 0.0) & np.isfinite(num) & np.isfinite(den)
     out = np.where(good, np.sqrt(np.where(good, num, 1.0) / np.where(good, den, 1.0)), 1.0)
     return float(out) if out.ndim == 0 else out
+
+
+def row_rel(value, reference):
+    """Largest relative difference over the rows (..., n)."""
+    diff = np.linalg.norm(np.atleast_2d(value - reference), axis=-1)
+    return float(np.max(diff / np.maximum(np.linalg.norm(np.atleast_2d(reference),
+                                                          axis=-1), 1e-300)))
 
 
 def episode_tensors_per_loss(tape, cut):
@@ -164,4 +172,60 @@ def uoro_replay(tape, cut, noise, schedule, contribution=estimators.CONTRIBUTION
                                               prev.w_tilde)
             estimate += (rnn.vjp_params(cache, g_full)
                          + estimators.uoro_contribution(carried, g_full))
+    return estimate, gammas, betas
+
+
+def preuoro_replay(tape, noise, schedule):
+    """run_preuoro's estimate and realized (gamma, beta) replayed step by step
+    with the dense one-step form: the immediate term is J_cut applied to the
+    identity basis, every norm is taken over the whole (N_z, [B,] S) rows,
+    the cancellation rule zeroes a sketch by its dense norm, and
+    preuoro_contribution adds each step's contribution."""
+    params = tape.params
+    n_z = params.preactivation_size
+    tau = estimators._draws(noise, "tau")
+    batch = np.broadcast_shapes(tape.batch_shape, tau.shape[1:])
+    rows = np.zeros((n_z, *batch, params.state_size))
+    w_tilde = np.zeros((*batch, params.augmented_size))
+    estimate = np.zeros((*batch, params.num_params))
+    gammas = np.zeros((tape.length, *batch))
+    betas = np.zeros((tape.length, *batch))
+    cancel_rtol = estimators.CANCEL_EPS_MULTIPLE * np.finfo(np.float64).eps
+
+    def frobenius(x):
+        return np.sqrt(np.einsum("k...i,k...i->...", x, x))
+
+    def zero_cancelled(x, norm, scale):
+        return np.where(np.asarray(norm <= cancel_rtol * scale)[..., None], 0.0, x)
+
+    for t, cache in enumerate(tape.caches):
+        forwarded = rnn.jvp_state(cache, rows)
+        immediate = rnn.jvp_cut(cache, rnn.CutVertex.PREACTIVATION,
+                                rnn.basis_rows(n_z, len(batch)))
+        greedy = schedule.mode == estimators.GIR
+        if greedy:
+            w_norm = np.linalg.norm(w_tilde, axis=-1)
+            a_norm = np.linalg.norm(cache.a, axis=-1)
+            fwd_norm, imm_norm = frobenius(forwarded), frobenius(immediate)
+            gamma, beta = estimators._gir_coefficients(w_norm, fwd_norm, a_norm,
+                                                       imm_norm, schedule.gir_scale)
+        else:
+            gamma, beta = schedule.fixed_coefficients(t)
+        gamma_col = np.asarray(gamma)[..., None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = (gamma_col * forwarded
+                    + np.asarray(beta * tau[t])[..., None] * immediate)
+            w_tilde = (w_tilde / gamma_col
+                       + np.asarray(tau[t] / beta)[..., None] * cache.a)
+            if greedy:
+                size = np.abs(tau[t])
+                rows = zero_cancelled(rows, frobenius(rows),
+                                      gamma * fwd_norm + beta * size * imm_norm)
+                w_tilde = zero_cancelled(w_tilde, np.linalg.norm(w_tilde, axis=-1),
+                                         w_norm / gamma + size / beta * a_norm)
+        if not (np.isfinite(rows).all() and np.isfinite(w_tilde).all()):
+            raise NumericOverflowError(f"projection-free sketch overflowed at step {t}")
+        gammas[t], betas[t] = gamma, beta
+        state = estimators.PreUoroState(np.moveaxis(rows, 0, -1), w_tilde)
+        estimate += estimators.preuoro_contribution(state, tape.loss_grad_full(t))
     return estimate, gammas, betas

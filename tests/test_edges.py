@@ -11,6 +11,7 @@ from uorolab.estimators import (
     RankOneState,
     ScalingSchedule,
     reinforce_episode,
+    run_preuoro,
     run_uoro,
     uoro_step,
 )
@@ -58,10 +59,11 @@ class TestScheduleValidation:
 def _forbid_steps(monkeypatch):
     """Make any transition or sketch step fail the test."""
     def fail(*args, **kwargs):
-        raise AssertionError("a step ran before the Q0 size was checked")
+        raise AssertionError("a step ran before the Q0 was checked")
 
     monkeypatch.setattr(rnn, "step", fail)
     monkeypatch.setattr(estimators, "uoro_step", fail)
+    monkeypatch.setattr(estimators, "preuoro_step", fail)
     # run_uoro advances h~ itself through these products
     monkeypatch.setattr(rnn, "jvp_state", fail)
     monkeypatch.setattr(rnn, "jvp_cut", fail)
@@ -77,6 +79,16 @@ class TestQ0SizeChecked:
         _forbid_steps(monkeypatch)
         with pytest.raises(ShapeError, match="Q0"):
             run_uoro(tape, CutVertex.PREACTIVATION, noise, schedule)
+
+    def test_run_preuoro_rejects_any_q0_before_a_step(self, monkeypatch):
+        rng = np.random.default_rng(140)
+        params, inputs, targets, head = make_instance(rng, hidden=4, length=3)
+        tape = run_episode(params, inputs, targets, head)
+        noises = [episode_noise(141, j, 3, 4) for j in range(2)]
+        schedule = ScalingSchedule(FIXED_ALPHA, Q0=np.eye(4), alpha=np.ones(3))
+        _forbid_steps(monkeypatch)
+        with pytest.raises(ValueError, match="Q0"):
+            run_preuoro(tape, noises, schedule)
 
     def test_reinforce_rejects_q0_of_wrong_size(self, monkeypatch):
         rng = np.random.default_rng(138)

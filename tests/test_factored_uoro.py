@@ -23,7 +23,7 @@ from uorolab.rnn import CutVertex, RnnParams, SoftmaxHead, run_episode
 from uorolab.training import realized_alpha
 from uorolab.variance import offline_total_estimate
 
-from helpers import make_instance, uoro_replay
+from helpers import make_instance, row_rel, uoro_replay
 
 RTOL = 1e-12
 
@@ -46,13 +46,6 @@ def schedule_for(mode, length, rng, q0=None):
 def general_q0(rng, n):
     """A well-conditioned Q0 that is not symmetric, so Q0 and Q0^T differ."""
     return rng.standard_normal((n, n)) + 3.0 * np.eye(n)
-
-
-def row_rel(value, reference):
-    """Largest relative difference over the rows (..., n)."""
-    diff = np.linalg.norm(np.atleast_2d(value - reference), axis=-1)
-    return float(np.max(diff / np.maximum(np.linalg.norm(np.atleast_2d(reference),
-                                                          axis=-1), 1e-300)))
 
 
 def assert_matches_replay(tape, cut, noise, schedule, contribution, where=""):

@@ -98,6 +98,14 @@ class TestConfig:
         ("streaming", {"task": "rowwise-digits", "streaming": True}),
         ("streaming", {"estimator": "reinforce", "streaming": True}),
         ("streaming", {"estimator": "neither", "streaming": True}),
+        ("q0_mode", {"estimator": "preuoro", "q0_mode": "ours"}),
+        ("q0_mode", {"estimator": "temporal", "q0_mode": "ours", "alpha_mode": "ours"}),
+        ("q0_mode", {"estimator": "bptt", "q0_mode": "ours"}),
+        ("q0_mode", {"estimator": "reinforce", "q0_mode": "ours"}),
+        ("alpha_mode", {"estimator": "bptt", "alpha_mode": "ours"}),
+        ("alpha_mode", {"estimator": "neither", "alpha_mode": "ours"}),
+        ("alpha_mode", {"estimator": "spatial", "alpha_mode": "ours"}),
+        ("alpha_mode", {"estimator": "reinforce", "alpha_mode": "ours"}),
     ])
     def test_bad_ranges_refused_at_construction_and_load(self, key, values):
         with pytest.raises(ValueError, match=key):
@@ -111,6 +119,8 @@ class TestConfig:
         ExperimentConfig(task="rowwise-digits", delay=20, stream_length=8)
         ExperimentConfig(cell="vanilla-tanh", cut="state")
         ExperimentConfig(streaming=True, estimator="temporal")
+        ExperimentConfig(estimator="both", q0_mode="ours", alpha_mode="ours")
+        ExperimentConfig(estimator="temporal", alpha_mode="ours")
 
     def test_every_estimator_alias_accepted(self):
         for name in ("bptt", "rtrl", "neither", "spatial", "temporal", "preuoro",
