@@ -102,6 +102,11 @@ class ExperimentConfig:
                                or estimator not in ("uoro", "preuoro")):
             raise ValueError("streaming = True covers queue training with the "
                              "rank-one estimators uoro and preuoro")
+        if self.streaming:  # the streaming loop runs GIR without Q0
+            for key, plain in (("alpha_mode", "gir"), ("q0_mode", "identity")):
+                if getattr(self, key) != plain:
+                    raise ValueError(f"streaming = True runs {key} = {plain!r} "
+                                     f"only, not {getattr(self, key)!r}")
 
 
 def canonical_estimator(name: str) -> str:

@@ -214,10 +214,16 @@ def _rows_as_columns(rows: np.ndarray) -> np.ndarray:
     return rows.transpose(*range(1, rows.ndim), 0)
 
 
+def _cancels(norm, scale):
+    """Where a new sketch's norm is roundoff of scale, the summed norms of
+    its two terms.  An infinite scale is overflow, not cancellation."""
+    return (norm <= _CANCEL_RTOL * scale) & np.isfinite(scale)
+
+
 def _zero_cancelled(x: np.ndarray, norm, scale) -> np.ndarray:
     """Set every row of x whose norm is roundoff of scale exactly to 0, in
     place; returns x."""
-    cancelled = norm <= _CANCEL_RTOL * scale
+    cancelled = _cancels(norm, scale)
     if cancelled.any():
         np.copyto(x, 0.0, where=_col(cancelled))
     return x
@@ -266,7 +272,8 @@ def uoro_step(state: RankOneState, cache, cut, u: np.ndarray,
     and a new sketch within CANCEL_EPS_MULTIPLE eps of its two terms' summed
     norms is set to zero.
     Returns (new state, gamma_t, beta_t).  Raises NumericOverflowError naming
-    the step if the propagated quantities leave the float range.
+    the step if the propagated quantities leave the float range; under GIR
+    that includes their norms, which the next coefficients are taken from.
     """
     forwarded = rnn.jvp_state(cache, state.h_tilde)
     spatial_in = rnn.jvp_cut(cache, cut, schedule.shape_spatial(u))
@@ -283,11 +290,13 @@ def uoro_step(state: RankOneState, cache, cut, u: np.ndarray,
         h_tilde = _col(gamma) * forwarded + _col(beta) * spatial_in
         w_tilde = state.w_tilde / _col(gamma) + spatial_out / _col(beta)
         if greedy:
-            h_tilde = _zero_cancelled(h_tilde, _norms(h_tilde),
+            h_norm, w_new_norm = _norms(h_tilde), _norms(w_tilde)
+            h_tilde = _zero_cancelled(h_tilde, h_norm,
                                       gamma * fwd_norm + beta * in_norm)
-            w_tilde = _zero_cancelled(w_tilde, _norms(w_tilde),
+            w_tilde = _zero_cancelled(w_tilde, w_new_norm,
                                       w_norm / gamma + out_norm / beta)
-    if not (np.isfinite(h_tilde).all() and np.isfinite(w_tilde).all()):
+    checked = (h_norm, w_new_norm) if greedy else (h_tilde, w_tilde)
+    if not all(np.isfinite(x).all() for x in checked):
         raise NumericOverflowError(f"rank-one sketch overflowed at step {t}")
     return RankOneState(h_tilde, w_tilde), gamma, beta
 
@@ -375,12 +384,14 @@ def run_uoro(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             h_tilde = _col(gamma) * forwarded + _col(beta) * spatial_in
             if greedy:
-                h_tilde = _zero_cancelled(h_tilde, _norms(h_tilde),
+                h_norm = _norms(h_tilde)
+                h_tilde = _zero_cancelled(h_tilde, h_norm,
                                           gamma * fwd_norm + beta * in_norm)
                 w_sq = _advance_coefficients(coefficients, t, gamma, beta, w_sq,
                                              gram, w_norm / gamma + out_norms[t] / beta,
                                              left, a)
-        if not (np.isfinite(h_tilde).all() and np.isfinite(coefficients[t]).all()):
+        checked = (h_norm, w_sq) if greedy else (h_tilde, coefficients[t])
+        if not all(np.isfinite(x).all() for x in checked):
             raise NumericOverflowError(f"rank-one sketch overflowed at step {t}")
         gammas[t], betas[t] = gamma, beta
         scored[t] = forwarded if split else h_tilde
@@ -430,15 +441,18 @@ def _advance_coefficients(coefficients, t, gamma, beta, w_sq, gram, scale, left,
     """Write c_t = (c_{t-1} / gamma, 1 / beta) into row t of the (T, [B,] T)
     GIR coefficients and return ||w~_t||^2 per row, from the Gram of the
     terms.  Rows whose Gram norm is below GRAM_NORM_RTOL of scale, the summed
-    norms of w~_t's two terms, are formed densely: the cancellation rule
-    zeroes their coefficients or their exact norm is kept."""
+    norms of w~_t's two terms, or not finite are formed densely: the
+    cancellation rule zeroes their coefficients or their exact norm is
+    kept."""
     row = coefficients[t]
     if t:
         np.divide(coefficients[t - 1], _col(gamma), out=row)
     row[..., t] = 1.0 / beta
     cross = np.einsum("...r,...r->...", row[..., :t], gram[..., :t, t])
-    w_sq = w_sq / gamma**2 + 2.0 * cross / beta + gram[..., t, t] / beta**2
-    near = np.sqrt(np.maximum(w_sq, 0.0)) <= GRAM_NORM_RTOL * scale
+    # products, not powers: a float's ** raises where its product overflows
+    w_sq = w_sq / (gamma * gamma) + 2.0 * cross / beta + gram[..., t, t] / (beta * beta)
+    near = ((np.sqrt(np.maximum(w_sq, 0.0)) <= GRAM_NORM_RTOL * scale)
+            | ~np.isfinite(w_sq))
     if not near.any():
         return w_sq
     w_sq = np.array(w_sq)
@@ -447,7 +461,7 @@ def _advance_coefficients(coefficients, t, gamma, beta, w_sq, gram, scale, left,
         steps = (slice(0, t + 1), *i)
         dense = np.einsum("r,ri,rj->ij", row[i][: t + 1], left[steps], terms[steps])
         norm = np.sqrt(np.sum(dense * dense))
-        if norm <= _CANCEL_RTOL * np.asarray(scale)[i]:
+        if _cancels(norm, np.asarray(scale)[i]):
             row[i] = 0.0
             w_sq[i] = 0.0
         else:
@@ -505,10 +519,14 @@ def preuoro_step(state: PreUoroState, cache, tau_t, schedule: ScalingSchedule,
             size = np.abs(tau_t)
             _zero_cancelled_rows(rows, rows_sq,
                                  gamma * fwd_norm + beta * size * imm_norm)
-            _zero_cancelled(w_tilde, _norms(w_tilde),
-                            w_norm / gamma + size / beta * a_norm)
-    finite = greedy and np.isfinite(rows_sq).all()
-    if not ((finite or np.isfinite(rows).all()) and np.isfinite(w_tilde).all()):
+            w_new_norm = _norms(w_tilde)
+            _zero_cancelled(w_tilde, w_new_norm, w_norm / gamma + size / beta * a_norm)
+    if greedy:  # a non-finite formula norm is confirmed densely
+        finite = ((np.isfinite(rows_sq).all() or np.isfinite(_frobenius_sq(rows)).all())
+                  and np.isfinite(w_new_norm).all())
+    else:
+        finite = np.isfinite(rows).all() and np.isfinite(w_tilde).all()
+    if not finite:
         raise NumericOverflowError(f"projection-free sketch overflowed at step {t}")
     return PreUoroState(_rows_as_columns(rows), w_tilde), gamma, beta
 
@@ -525,7 +543,7 @@ def _zero_cancelled_rows(rows, rows_sq, scale):
     scale = np.broadcast_to(scale, near.shape)
     for i in map(tuple, np.argwhere(near)):
         row = rows[(slice(None), *i)]
-        if np.sqrt(_frobenius_sq(row)) <= _CANCEL_RTOL * scale[i]:
+        if _cancels(np.sqrt(_frobenius_sq(row)), scale[i]):
             row[...] = 0.0
 
 

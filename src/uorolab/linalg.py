@@ -88,15 +88,6 @@ def sqrt_ratio_or_one(numerator, denominator):
     return np.sqrt(out, out=out)
 
 
-def frob_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius inner product <A, B> = sum_ij A_ij B_ij."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
-    return float(np.sum(a * b))
-
-
 def frob_norm(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.asarray(a, dtype=np.float64) ** 2)))
 

@@ -8,24 +8,6 @@ produce byte-identical files.  Each run also writes a JSON summary mirror.
 import json
 from pathlib import Path
 
-import numpy as np
-
-
-def median_filter(values, window: int = 9) -> np.ndarray:
-    """Report-layer smoothing for plotting training curves (window 9 by
-    default); never part of training itself.  Edges use the available
-    samples."""
-    values = np.asarray(values, dtype=np.float64)
-    if window < 1 or window % 2 == 0:
-        raise ValueError("window must be a positive odd integer")
-    half = window // 2
-    out = np.empty_like(values)
-    for i in range(values.size):
-        lo = max(0, i - half)
-        hi = min(values.size, i + half + 1)
-        out[i] = np.median(values[lo:hi])
-    return out
-
 
 def format_value(value) -> str:
     if isinstance(value, float):

@@ -50,10 +50,6 @@ def make_queue_episode(spec: QueueSpec, seed: int, episode_index: int):
     return inputs, targets
 
 
-def make_queue_batch(spec: QueueSpec, seed: int, batch: int):
-    return [make_queue_episode(spec, seed, i) for i in range(batch)]
-
-
 @dataclass
 class DigitDataset:
     images: np.ndarray  # (N, 28, 28) floats in [0, 1]

@@ -360,7 +360,8 @@ def _run_streaming(config, task, params, head, w_state, head_state, out_dir,
                    started):
     """Queue streaming mode: the parameters update at every step, so the
     sketch carries stale influence (accepted and documented; the estimate is
-    only unbiased for slowly moving parameters)."""
+    only unbiased for slowly moving parameters).  It runs GIR without Q0,
+    the only alpha_mode and q0_mode the config admits with streaming."""
     estimator = canonical_estimator(config.estimator)
     rows = []
     losses = []

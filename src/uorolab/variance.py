@@ -6,8 +6,7 @@ estimators, and optimizes the two structural degrees of freedom of the
 noise-shaping matrices Q_s = alpha_s Q0:
 
   * the per-step scalars alpha via a convex equilibration problem on a
-    nonnegative T x T matrix C (Newton solver, closed form for rank-one C,
-    and a greedy per-step variant usable online);
+    nonnegative T x T matrix C (Newton solver, closed form for rank-one C);
   * the spatial matrix Q0 via the PSD matrix B, whose -1/4 power minimizes
     tr(B Q0 Q0^T) tr((Q0 Q0^T)^{-1}), attaining tr(B^{1/2})^2.
 
@@ -94,9 +93,21 @@ def covariance_closed_trace(x, y, V, W, kappa: float = 0.0) -> float:
 # The C matrix and the alpha equilibration problem
 # ---------------------------------------------------------------------------
 
-def _suffix_sums(b: np.ndarray) -> np.ndarray:
-    """suffix[q, r] = sum_{t >= q} b[t, r]; shape (T, T, N_z)."""
-    return np.flip(np.cumsum(np.flip(b, axis=0), axis=0), axis=0)
+def _causal_suffix_rows(b: np.ndarray):
+    """The distinct suffix rows v_qr = sum_{t>=q} b[t, r] of a causal b
+    (T, T, N_z), with b[t, r] = 0 for r > t and hence v_qr = v_rr for
+    q <= r.  Returns (rows, q, r): the T(T+1)/2 rows with q >= r in
+    np.tril_indices order, and their index arrays.  Row q's block
+    (q, 0..q) gains the first q + 1 rows of block q + 1 in one in-place
+    reverse pass, the same sums as a cumulative sum from the last step."""
+    t_len = b.shape[0]
+    q, r = np.tril_indices(t_len)
+    rows = b[q, r]
+    for t in range(t_len - 2, -1, -1):
+        start = t * (t + 1) // 2
+        end = start + t + 1
+        rows[start:end] += rows[end:end + t + 1]
+    return rows, q, r
 
 
 def _theta_weights(tensors: EpisodeTensors, Q0_inv: np.ndarray | None) -> np.ndarray:
@@ -134,16 +145,21 @@ def compute_C(tensors: EpisodeTensors, Q0: np.ndarray | None = None,
 
         C[q, r] = || sum_{t>=q} b[t, r]^T Q0 ||^2 * ||Q0^{-1} J_q||_F^2.
 
-    Q0_inv, if given, must be the inverse of Q0 (as ScalingSchedule holds
-    it); otherwise it is computed here.
+    b must be causal, b[t, r] = 0 for r > t (as episode_tensors builds it):
+    Q0 acts on the T(T+1)/2 distinct suffix rows only, and C[q, r] for
+    q < r reads the diagonal row (r, r).  Q0_inv, if given, must be the
+    inverse of Q0 (as ScalingSchedule holds it); otherwise it is computed
+    here.
     """
     Q0, Q0_inv = _q0_pair(Q0, Q0_inv)
-    shaped = _suffix_sums(tensors.b)
+    rows, q, r = _causal_suffix_rows(tensors.b)
     if Q0 is not None:
-        shaped = shaped @ Q0
+        rows = rows @ Q0
+    norms = np.sum(np.square(rows, out=rows), axis=1)
     weights = _theta_weights(tensors, Q0_inv)
-    # squared in place: one (T, T, N_z) array fewer alive
-    return np.sum(np.square(shaped, out=shaped), axis=2) * weights[:, None]
+    c = np.outer(weights, norms[q == r])  # above the diagonal v_qr = v_rr
+    c[q, r] = norms * weights[q]
+    return c
 
 
 @dataclass
@@ -247,40 +263,6 @@ def alpha_closed_form_rank1(m: np.ndarray, n: np.ndarray) -> np.ndarray:
     return (n / m) ** 0.25
 
 
-def greedy_coefficients(tensors: EpisodeTensors, Q0: np.ndarray | None = None):
-    """Per-step (beta_s, gamma_s) from the incremental equilibration problem
-    that treats future adjoints as zero:
-
-        beta_s^4  = ||Q0^{-1} J_s||_F^2 / ||b_s^{(s)T} Q0||^2
-        gamma_s^4 = sum_{q<s} (overall_q)^{-2} ||Q0^{-1} J_q||_F^2
-                    / sum_{r<s} (overall_r)^2 ||b_r^{(s)T} Q0||^2
-
-    where overall_q is the running product beta_q gamma_{q+1} ... gamma_{s-1}.
-    Degenerate sums fall back to 1 (in particular gamma_1).
-    """
-    Q0, Q0_inv = _q0_pair(Q0)
-    t_len = tensors.length
-    weights = _theta_weights(tensors, Q0_inv)
-    beta = np.ones(t_len)
-    gamma = np.ones(t_len)
-    overall = np.ones(t_len)  # running beta_q gamma_{q+1}..gamma_{s-1}
-    for s in range(t_len):
-        if s > 0:
-            b_rows = tensors.b[s, :s]  # b_r^{(s)} for r < s
-            shaped = b_rows if Q0 is None else b_rows @ Q0
-            num = float(np.sum(weights[:s] / overall[:s] ** 2))
-            den = float(np.sum(overall[:s] ** 2 * np.sum(shaped**2, axis=1)))
-            if num > 0 and den > 0 and np.isfinite(num) and np.isfinite(den):
-                gamma[s] = (num / den) ** 0.25
-            overall[:s] *= gamma[s]
-        own = tensors.b[s, s] if Q0 is None else tensors.b[s, s] @ Q0
-        den = float(own @ own)
-        if weights[s] > 0 and den > 0:
-            beta[s] = (weights[s] / den) ** 0.25
-        overall[s] = beta[s]
-    return beta, gamma
-
-
 def alpha_to_beta_gamma(alpha: np.ndarray):
     """Realize a per-step alpha schedule as recursion coefficients.
 
@@ -322,6 +304,9 @@ def compute_B(tensors: EpisodeTensors, alpha: np.ndarray, form: str = "qr") -> n
                with v_qr = sum_{s>=q} b[s, r];
       "minst": sum_{s,t} (sum_{q<=min} alpha_q^{-2} ||a_q||^2)
                          (sum_r alpha_r^2 b[s,r] b[t,r]^T).
+
+    Both need b causal, b[t, r] = 0 for r > t (as episode_tensors builds
+    it); "qr" sums over the T(T+1)/2 distinct rows v_qr, q >= r.
     """
     _require_preactivation(tensors, "compute_B")
     alpha = np.asarray(alpha, dtype=np.float64)
@@ -339,15 +324,21 @@ def compute_B(tensors: EpisodeTensors, alpha: np.ndarray, form: str = "qr") -> n
 
 
 def _qr_B(b: np.ndarray, a_sq: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """The "qr" form of B summed over the loss steps q < len(b), as the one
-    weighted product V^T diag(w) V with V[(q, r)] = v_qr and
-    w[(q, r)] = (alpha_r^2 / alpha_q^2) ||a_q||^2, evaluated as R^T R with
+    """The "qr" form of B summed over the loss steps q < len(b), for a
+    causal b (k, k, N_z), as the one weighted product V^T diag(w) V over
+    the distinct suffix rows.  A row (q, r) with q > r has weight
+    (alpha_r^2 / alpha_q^2) ||a_q||^2; the diagonal row (r, r) equals v_qr
+    for every q <= r and takes all their weights,
+    alpha_r^2 sum_{q<=r} ||a_q||^2 / alpha_q^2.  Evaluated as R^T R with
     R = diag(sqrt(w)) V so that BLAS forms a symmetric rank-k product."""
     k = b.shape[0]
-    v = _suffix_sums(b).reshape(-1, b.shape[2])
-    w = np.outer(a_sq[:k] / alpha[:k] ** 2, alpha**2).reshape(-1)
-    root = np.sqrt(w)[:, None] * v
-    return root.T @ root
+    rows, q, r = _causal_suffix_rows(b)
+    alpha_sq = alpha[:k] ** 2
+    ratio = a_sq[:k] / alpha_sq
+    w = ratio[q] * alpha_sq[r]
+    w[q == r] = alpha_sq * np.cumsum(ratio)
+    rows *= np.sqrt(w)[:, None]
+    return rows.T @ rows
 
 
 def _minst_B(b: np.ndarray, a_sq: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -363,8 +354,10 @@ def compute_B_partial(tensors: EpisodeTensors, alpha: np.ndarray, k: int) -> np.
     """The running B truncated to the first k steps (1 <= k <= T): the exact
     target of the online estimator at step k."""
     _require_preactivation(tensors, "compute_B_partial")
+    if not 1 <= k <= tensors.length:
+        raise ValueError(f"k = {k} is outside 1..{tensors.length}")
     alpha = np.asarray(alpha, dtype=np.float64)
-    out = _qr_B(tensors.b[:k], tensors.a_norms**2, alpha)
+    out = _qr_B(tensors.b[:k, :k], tensors.a_norms**2, alpha)
     return 0.5 * (out + out.T)
 
 

@@ -8,8 +8,9 @@ cross-check.
 import numpy as np
 
 from uorolab import estimators, rnn
-from uorolab.errors import NumericOverflowError
+from uorolab.errors import NumericOverflowError, ShapeError
 from uorolab.rnn import BernoulliHead, RnnParams, SoftmaxHead, run_episode
+from uorolab.tasks import make_queue_episode
 
 
 def make_instance(
@@ -179,7 +180,8 @@ def preuoro_replay(tape, noise, schedule):
     """run_preuoro's estimate and realized (gamma, beta) replayed step by step
     with the dense one-step form: the immediate term is J_cut applied to the
     identity basis, every norm is taken over the whole (N_z, [B,] S) rows,
-    the cancellation rule zeroes a sketch by its dense norm, and
+    the cancellation rule zeroes a sketch by its dense norm (never where the
+    terms' norms overflowed), a non-finite sketch norm under GIR raises, and
     preuoro_contribution adds each step's contribution."""
     params = tape.params
     n_z = params.preactivation_size
@@ -196,7 +198,8 @@ def preuoro_replay(tape, noise, schedule):
         return np.sqrt(np.einsum("k...i,k...i->...", x, x))
 
     def zero_cancelled(x, norm, scale):
-        return np.where(np.asarray(norm <= cancel_rtol * scale)[..., None], 0.0, x)
+        cancelled = (norm <= cancel_rtol * scale) & np.isfinite(scale)
+        return np.where(np.asarray(cancelled)[..., None], 0.0, x)
 
     for t, cache in enumerate(tape.caches):
         forwarded = rnn.jvp_state(cache, rows)
@@ -217,15 +220,121 @@ def preuoro_replay(tape, noise, schedule):
                     + np.asarray(beta * tau[t])[..., None] * immediate)
             w_tilde = (w_tilde / gamma_col
                        + np.asarray(tau[t] / beta)[..., None] * cache.a)
+            checked = (rows, w_tilde)
             if greedy:
                 size = np.abs(tau[t])
-                rows = zero_cancelled(rows, frobenius(rows),
+                checked = (frobenius(rows), np.linalg.norm(w_tilde, axis=-1))
+                rows = zero_cancelled(rows, checked[0],
                                       gamma * fwd_norm + beta * size * imm_norm)
-                w_tilde = zero_cancelled(w_tilde, np.linalg.norm(w_tilde, axis=-1),
+                w_tilde = zero_cancelled(w_tilde, checked[1],
                                          w_norm / gamma + size / beta * a_norm)
-        if not (np.isfinite(rows).all() and np.isfinite(w_tilde).all()):
+        if not all(np.isfinite(x).all() for x in checked):
             raise NumericOverflowError(f"projection-free sketch overflowed at step {t}")
         gammas[t], betas[t] = gamma, beta
         state = estimators.PreUoroState(np.moveaxis(rows, 0, -1), w_tilde)
         estimate += estimators.preuoro_contribution(state, tape.loss_grad_full(t))
     return estimate, gammas, betas
+
+
+def suffix_sums(b):
+    """suffix[q, r] = sum_{t >= q} b[t, r] over all T^2 pairs (q, r), by a
+    cumulative sum over the flipped step axis."""
+    return np.flip(np.cumsum(np.flip(b, axis=0), axis=0), axis=0)
+
+
+def theta_weights_oracle(tensors, Q0=None):
+    """w_q = ||Q0^{-1} J_q||_F^2 with J_q formed densely at every cut."""
+    t_len = tensors.length
+    if tensors.cut == rnn.CutVertex.PREACTIVATION:
+        j_dense = [np.kron(np.eye(tensors.cut_dim), tensors.a[q][None, :])
+                   for q in range(t_len)]
+    else:
+        j_dense = tensors.j_dense
+    q0_inv = np.eye(tensors.cut_dim) if Q0 is None else np.linalg.inv(Q0)
+    return np.array([np.sum((q0_inv @ j_dense[q]) ** 2) for q in range(t_len)])
+
+
+def compute_C_oracle(tensors, Q0=None):
+    """variance.compute_C over all T^2 suffix rows:
+    C[q, r] = ||v_qr^T Q0||^2 ||Q0^{-1} J_q||_F^2, v_qr = sum_{t>=q} b[t, r]."""
+    shaped = suffix_sums(tensors.b)
+    if Q0 is not None:
+        shaped = shaped @ Q0
+    return np.sum(shaped**2, axis=2) * theta_weights_oracle(tensors, Q0)[:, None]
+
+
+def qr_B_oracle(tensors, alpha, k=None):
+    """The "qr" B truncated to the loss steps q < k (all of them by default)
+    over all k T suffix rows: sum_{q,r} (alpha_r^2 / alpha_q^2) ||a_q||^2
+    v_qr v_qr^T, symmetrized."""
+    b = tensors.b if k is None else tensors.b[:k]
+    k = b.shape[0]
+    a_sq = tensors.a_norms**2
+    v = suffix_sums(b).reshape(-1, b.shape[2])
+    w = np.outer(a_sq[:k] / alpha[:k] ** 2, alpha**2).reshape(-1)
+    root = np.sqrt(w)[:, None] * v
+    out = root.T @ root
+    return 0.5 * (out + out.T)
+
+
+def greedy_coefficients(tensors, Q0=None):
+    """Per-step (beta_s, gamma_s) from the incremental equilibration problem
+    that treats future adjoints as zero:
+
+        beta_s^4  = ||Q0^{-1} J_s||_F^2 / ||b_s^{(s)T} Q0||^2
+        gamma_s^4 = sum_{q<s} (overall_q)^{-2} ||Q0^{-1} J_q||_F^2
+                    / sum_{r<s} (overall_r)^2 ||b_r^{(s)T} Q0||^2
+
+    where overall_q is the running product beta_q gamma_{q+1} ... gamma_{s-1}.
+    Degenerate sums fall back to 1 (in particular gamma_1).
+    """
+    t_len = tensors.length
+    weights = theta_weights_oracle(tensors, Q0)
+    beta = np.ones(t_len)
+    gamma = np.ones(t_len)
+    overall = np.ones(t_len)  # running beta_q gamma_{q+1}..gamma_{s-1}
+    for s in range(t_len):
+        if s > 0:
+            b_rows = tensors.b[s, :s]  # b_r^{(s)} for r < s
+            shaped = b_rows if Q0 is None else b_rows @ Q0
+            num = float(np.sum(weights[:s] / overall[:s] ** 2))
+            den = float(np.sum(overall[:s] ** 2 * np.sum(shaped**2, axis=1)))
+            if num > 0 and den > 0 and np.isfinite(num) and np.isfinite(den):
+                gamma[s] = (num / den) ** 0.25
+            overall[:s] *= gamma[s]
+        own = tensors.b[s, s] if Q0 is None else tensors.b[s, s] @ Q0
+        den = float(own @ own)
+        if weights[s] > 0 and den > 0:
+            beta[s] = (weights[s] / den) ** 0.25
+        overall[s] = beta[s]
+    return beta, gamma
+
+
+def make_queue_batch(spec, seed, batch):
+    """The first batch queue episodes of a seed, one make_queue_episode call
+    each."""
+    return [make_queue_episode(spec, seed, i) for i in range(batch)]
+
+
+def median_filter(values, window=9):
+    """Running median over an odd window (9 by default), as for smoothing a
+    training curve; edges use the available samples."""
+    values = np.asarray(values, dtype=np.float64)
+    if window < 1 or window % 2 == 0:
+        raise ValueError("window must be a positive odd integer")
+    half = window // 2
+    out = np.empty_like(values)
+    for i in range(values.size):
+        lo = max(0, i - half)
+        hi = min(values.size, i + half + 1)
+        out[i] = np.median(values[lo:hi])
+    return out
+
+
+def frob_inner(a, b):
+    """Frobenius inner product <A, B> = sum_ij A_ij B_ij."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
+    return float(np.sum(a * b))

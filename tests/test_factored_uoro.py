@@ -208,6 +208,26 @@ class TestOverflowAndLength:
         with pytest.raises(NumericOverflowError, match="step 1"):
             run_uoro(tape, CutVertex.PREACTIVATION, noise, schedule)
 
+    @pytest.mark.parametrize("cell", [rnn.VANILLA_TANH, rnn.LSTM])
+    def test_greedy_norm_overflow_names_the_step(self, cell):
+        """gir_scale = 1e300 puts entries of about 1e300 into h~ at step 0:
+        finite, but with an infinite norm, which is overflow and not the
+        cancellation that an infinite scale would otherwise pass for."""
+        rng = np.random.default_rng(69)
+        params, inputs, targets, head = make_instance(rng, cell_kind=cell, hidden=3,
+                                                      length=3)
+        tape = run_episode(params, inputs, targets, head)
+        n_z = params.preactivation_size
+        noise = episode_noise(70, 0, 3, n_z)
+        schedule = ScalingSchedule(GIR, gir_scale=1e300)
+        with pytest.raises(NumericOverflowError, match="step 0"):
+            uoro_replay(tape, CutVertex.PREACTIVATION, noise, schedule)
+        with pytest.raises(NumericOverflowError, match="step 0"):
+            run_uoro(tape, CutVertex.PREACTIVATION, noise, schedule)
+        with pytest.raises(NumericOverflowError, match="step 0"):
+            run_uoro(tape, CutVertex.PREACTIVATION,
+                     [noise, episode_noise(71, 0, 3, n_z)], schedule)
+
     def test_alpha_shorter_than_tape_rejected(self):
         rng = np.random.default_rng(67)
         params, inputs, targets, head = make_instance(rng, hidden=3, length=4)

@@ -10,13 +10,14 @@ from uorolab.errors import (
     SingularMatrixError,
 )
 from uorolab.linalg import (
-    frob_inner,
     frob_norm,
     psd_frac_power,
     sqrt_ratio_or_one,
     sym_eig,
     trace,
 )
+
+from helpers import frob_inner
 
 from helpers import sqrt_ratio_or_one_oracle
 

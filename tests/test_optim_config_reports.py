@@ -11,7 +11,9 @@ from uorolab.config import (
     to_text,
 )
 from uorolab.optim import AdamState, adam_update
-from uorolab.reports import median_filter, read_metrics_csv, write_metrics_csv
+from uorolab.reports import read_metrics_csv, write_metrics_csv
+
+from helpers import median_filter
 
 
 class TestAdam:
@@ -106,6 +108,10 @@ class TestConfig:
         ("alpha_mode", {"estimator": "neither", "alpha_mode": "ours"}),
         ("alpha_mode", {"estimator": "spatial", "alpha_mode": "ours"}),
         ("alpha_mode", {"estimator": "reinforce", "alpha_mode": "ours"}),
+        ("alpha_mode", {"streaming": True, "alpha_mode": "ones"}),
+        ("alpha_mode", {"streaming": True, "estimator": "temporal", "alpha_mode": "ours"}),
+        ("q0_mode", {"streaming": True, "q0_mode": "ours"}),
+        ("alpha_mode", {"streaming": True, "alpha_mode": "ours", "q0_mode": "ours"}),
     ])
     def test_bad_ranges_refused_at_construction_and_load(self, key, values):
         with pytest.raises(ValueError, match=key):

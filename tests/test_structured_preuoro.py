@@ -186,3 +186,36 @@ class TestOverflow:
         state = estimators.PreUoroState(np.full((3, 3), np.nan), np.ones(6))
         with pytest.raises(NumericOverflowError, match="step 2"):
             estimators.preuoro_step(state, tape.caches[2], 1.0, ScalingSchedule(GIR), 2)
+
+    def test_overflowed_sketch_is_not_taken_for_cancellation(self):
+        """An H~ of 1e300 entries forwards to finite entries whose squared
+        norms overflow: the terms' summed norms are infinite, which is no
+        roundoff of a cancellation, so the step raises instead of zeroing
+        the sketch."""
+        rng = np.random.default_rng(79)
+        params, inputs, targets, head = make_instance(rng, hidden=3, length=3)
+        tape = run_episode(params, inputs, targets, head)
+        state = estimators.PreUoroState(np.full((3, 3), 1e300), np.ones(6))
+        with pytest.raises(NumericOverflowError, match="step 1"):
+            estimators.preuoro_step(state, tape.caches[1], 1.0, ScalingSchedule(GIR), 1)
+        sketch = np.full((2, 3), 1e300)
+        estimators._zero_cancelled(sketch, np.full(2, np.inf), np.full(2, np.inf))
+        np.testing.assert_array_equal(sketch, 1e300)
+
+    @pytest.mark.parametrize("cell", [rnn.VANILLA_TANH, rnn.LSTM])
+    def test_greedy_run_with_overflowing_norms_names_the_step(self, cell):
+        """gir_scale = 1e300 puts entries of about 1e300 into H~ at step 0:
+        finite, but with an infinite norm for the next coefficients."""
+        rng = np.random.default_rng(80)
+        params, inputs, targets, head = make_instance(rng, cell_kind=cell, hidden=3,
+                                                      length=3)
+        tape = run_episode(params, inputs, targets, head)
+        noise = episode_noise(81, 0, 3, params.preactivation_size)
+        schedule = ScalingSchedule(GIR, gir_scale=1e300)
+        with pytest.raises(NumericOverflowError, match="step 0"):
+            preuoro_replay(tape, noise, schedule)
+        with pytest.raises(NumericOverflowError, match="step 0"):
+            run_preuoro(tape, noise, schedule)
+        with pytest.raises(NumericOverflowError, match="step 0"):
+            run_preuoro(tape, [noise, episode_noise(82, 0, 3, params.preactivation_size)],
+                        schedule)

@@ -9,10 +9,11 @@ from uorolab.tasks import (
     load_idx_images,
     load_idx_labels,
     load_rowwise_digits,
-    make_queue_batch,
     make_queue_episode,
     synthetic_stripes,
 )
+
+from helpers import make_queue_batch
 
 
 class TestQueue:

@@ -18,7 +18,6 @@ from uorolab.variance import (
     covariance_closed_trace,
     empirical_variance,
     estimate_B_online,
-    greedy_coefficients,
     minimal_trace_product,
     minimize_trace_product,
     offline_total_estimate,
@@ -29,7 +28,7 @@ from uorolab.variance import (
     trace_product_c,
 )
 
-from helpers import balanced_alpha, make_instance
+from helpers import balanced_alpha, greedy_coefficients, make_instance
 
 
 def draw_u(rng, n, dim, kappa):
