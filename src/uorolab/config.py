@@ -90,6 +90,9 @@ class ExperimentConfig:
         if self.cut == "state" and self.cell == "lstm":
             raise ValueError("cut = 'state' is a cut vertex of the vanilla cell "
                              "only, not of cell = 'lstm'")
+        if self.q0_mode == "ours" and self.cut != "preactivation":
+            raise ValueError(f"q0_mode = 'ours' needs the exact B, defined at "
+                             f"cut = 'preactivation' only, not cut = {self.cut!r}")
         estimator = canonical_estimator(self.estimator)
         if self.q0_mode == "ours" and estimator != "uoro":
             raise ValueError(f"q0_mode = 'ours' shapes the spatial noise of uoro; "

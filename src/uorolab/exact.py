@@ -4,7 +4,9 @@ Two exact engines compute the same total gradient by the two accumulation
 orders: reverse accumulation (bptt_gradient) propagates a state adjoint
 backwards, forward accumulation (rtrl_jacobians) carries the full
 state-to-parameter influence matrix forwards.  episode_tensors materializes
-the per-step adjoints dL_t/dz_s that the variance toolkit consumes.
+the per-step adjoints dL_t/dz_s that the variance toolkit consumes, and
+suffix_rows, from the same reverse sweep, only their causal suffix sums, for
+a whole block of episodes at once.
 """
 
 from dataclasses import dataclass
@@ -15,9 +17,15 @@ from . import rnn
 from .errors import ShapeError, SizeGuardError
 from .rnn import CutVertex, EpisodeTape
 
-# Cap on T * state_size for the adjoint sweep, whose output b holds
-# O(T^2 * N_z) floats.
+# Cap on T * state_size for the adjoint sweep, whose output holds
+# O(T^2 * N_z) floats per episode.
 TENSOR_GUARD = 10**5
+
+
+def _require_tensor_guard(tape: EpisodeTape):
+    t_s = tape.length * tape.params.state_size
+    if t_s > TENSOR_GUARD:
+        raise SizeGuardError(f"adjoint sweep guard exceeded: T*S = {t_s}")
 
 
 def _require_one_episode(tape: EpisodeTape):
@@ -52,8 +60,8 @@ def bptt_gradient(tape: EpisodeTape) -> GradientVector:
     delta = np.zeros((*batch, params.state_size))
     for t in range(tape.length - 1, -1, -1):
         delta = delta + tape.loss_grad_full(t)
-        g_z[t] = rnn.vjp_to_cut(tape.caches[t], CutVertex.PREACTIVATION, delta)
-        delta = rnn.vjp_state(tape.caches[t], delta)
+        g_z[t], delta = rnn.vjp_to_cut_and_state(tape.caches[t],
+                                                 CutVertex.PREACTIVATION, delta)
     a = np.stack([c.a for c in tape.caches])
     grad = np.moveaxis(g_z, 0, -1) @ np.moveaxis(a, 0, -2)
     return GradientVector(g=grad.reshape(*batch, -1), total_loss=tape.total_loss())
@@ -129,38 +137,100 @@ class EpisodeTensors:
         return grad
 
 
-def episode_tensors(tape: EpisodeTape, cut) -> EpisodeTensors:
-    """One reverse sweep that carries the adjoints of all losses at once.
+def _adjoint_sweep(tape: EpisodeTape, cut: CutVertex, suffix: bool):
+    """The reverse sweep behind episode_tensors and suffix_rows.
 
-    Going from s = T-1 down to 0, row t of the (T, S) adjoint matrix holds
-    dL_t/d(state_s) for every t >= s; at step s row s gains dL_s/d(state_s),
-    rows t >= s are pulled back to the cut to give b[t, s], and then through
-    one stacked vjp_state to state_{s-1}.  Costs T stacked vjp calls and
-    O(T^2 * N_z) memory for b (desk scale only).  One episode per call.
-    """
-    cut = CutVertex(cut)
-    _require_one_episode(tape)
-    params = tape.params
+    Going from s = T-1 down to 0, row t of the (T, [B,] S) adjoint matrix D
+    holds, for every t >= s, dL_t/d(state_s), or with suffix the suffix sum
+    sum_{t'>=t} dL_t'/d(state_s), which needs only D[s] = D[s+1] +
+    dL_s/d(state_s) at step s.  The live rows t >= s are pulled back to the
+    cut and through J_state to state_{s-1} in one product.  Yields (s, g),
+    g (T - s, [B,] N_z) the cut adjoints of rows s..T-1 at step s."""
     t_len = tape.length
-    if t_len * params.state_size > TENSOR_GUARD:
-        raise SizeGuardError(
-            f"episode_tensors guard exceeded: T*S = {t_len * params.state_size}"
-        )
-    n_z = params.cut_size(cut)
-    b = np.zeros((t_len, t_len, n_z))
-    deltas = np.zeros((t_len, params.state_size))  # row t: dL_t/d(state_s)
+    deltas = np.zeros((t_len, *tape.batch_shape, tape.params.state_size))
     for s in range(t_len - 1, -1, -1):
         deltas[s] = tape.loss_grad_full(s)
-        live = deltas[s:]  # causality: losses before s have no adjoint here
-        b[s:, s] = rnn.vjp_to_cut(tape.caches[s], cut, live)
-        deltas[s:] = rnn.vjp_state(tape.caches[s], live)
+        if suffix and s + 1 < t_len:
+            deltas[s] += deltas[s + 1]
+        # causality: losses before s have no adjoint here
+        g, deltas[s:] = rnn.vjp_to_cut_and_state(tape.caches[s], cut, deltas[s:])
+        yield s, g
+
+
+def _step_terms(tape: EpisodeTape, cut: CutVertex):
+    """(a, a_norms, j_dense) of the tape's steps: the augmented inputs
+    (T, [B,] A), their norms and, for cuts other than the preactivation, the
+    dense d(z_s)/d(theta) per step ([B,] N_z, P)."""
     a = np.stack([c.a for c in tape.caches])
-    tensors = EpisodeTensors(
-        cut=cut,
-        b=b,
-        a=a,
-        a_norms=np.linalg.norm(a, axis=1),
-    )
+    j_dense = None
     if cut != CutVertex.PREACTIVATION:
-        tensors.j_dense = [rnn.dense_theta_jacobian(c, cut) for c in tape.caches]
-    return tensors
+        j_dense = [rnn.dense_theta_jacobian(c, cut) for c in tape.caches]
+    return a, np.linalg.norm(a, axis=-1), j_dense
+
+
+def episode_tensors(tape: EpisodeTape, cut) -> EpisodeTensors:
+    """One reverse sweep that carries the adjoints of all losses at once:
+    at step s the live rows t >= s give b[t, s] (_adjoint_sweep).  Costs T
+    stacked pullbacks and O(T^2 * N_z) memory for b (desk scale only).  One
+    episode per call."""
+    cut = CutVertex(cut)
+    _require_one_episode(tape)
+    _require_tensor_guard(tape)
+    t_len = tape.length
+    b = np.zeros((t_len, t_len, tape.params.cut_size(cut)))
+    for s, g in _adjoint_sweep(tape, cut, suffix=False):
+        b[s:, s] = g
+    a, a_norms, j_dense = _step_terms(tape, cut)
+    return EpisodeTensors(cut=cut, b=b, a=a, a_norms=a_norms, j_dense=j_dense)
+
+
+@dataclass
+class SuffixRows:
+    """The distinct causal suffix rows of one episode or of a block of B.
+
+    v_qr = sum_{t>=q} b[t, r] at a fixed cut vertex; v_qr = v_rr for q <= r
+    by causality, so only the T(T+1)/2 rows with q >= r are kept, in
+    np.tril_indices(T) order: row q(q+1)/2 + r holds v_qr ([B,] N_z).
+    a_norms and j_dense are those of EpisodeTensors, with the block's batch
+    axis after the step axis.
+    """
+
+    cut: CutVertex
+    rows: np.ndarray  # (T(T+1)/2, [B,] N_z)
+    a_norms: np.ndarray  # (T, [B])
+    j_dense: list | None = None  # per step ([B,] N_z, P)
+
+    @property
+    def length(self) -> int:
+        return self.a_norms.shape[0]
+
+    @property
+    def cut_dim(self) -> int:
+        return self.rows.shape[-1]
+
+    def episode(self, j: int) -> "SuffixRows":
+        """The rows of episode j of a block, as views."""
+        if self.rows.ndim != 3:
+            raise ShapeError("these are the rows of one episode, not a block")
+        return SuffixRows(
+            self.cut, self.rows[:, j], self.a_norms[:, j],
+            None if self.j_dense is None else [x[j] for x in self.j_dense])
+
+
+def suffix_rows(tape: EpisodeTape, cut) -> SuffixRows:
+    """The causal suffix rows of every episode of a (batched) tape from one
+    reverse sweep that carries suffix-summed adjoints (_adjoint_sweep): at
+    step s its live rows pulled back to the cut are v_qs, q >= s, written
+    straight into the packed rows.  Equal to the rows
+    variance._causal_suffix_rows builds from episode_tensors(...).b, to
+    roundoff (the sums are taken in state space before the pullback)."""
+    cut = CutVertex(cut)
+    _require_tensor_guard(tape)
+    t_len = tape.length
+    rows = np.empty((t_len * (t_len + 1) // 2, *tape.batch_shape,
+                     tape.params.cut_size(cut)))
+    for s, g in _adjoint_sweep(tape, cut, suffix=True):
+        q = np.arange(s, t_len)
+        rows[q * (q + 1) // 2 + s] = g
+    _, a_norms, j_dense = _step_terms(tape, cut)
+    return SuffixRows(cut=cut, rows=rows, a_norms=a_norms, j_dense=j_dense)

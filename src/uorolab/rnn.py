@@ -362,6 +362,23 @@ def vjp_to_cut(cache: StepCache, cut, v: np.ndarray) -> np.ndarray:
     return v * cache.d
 
 
+def vjp_to_cut_and_state(cache: StepCache, cut, v: np.ndarray):
+    """(v^T J_cut, v^T J_state): vjp_to_cut and vjp_state of the same rows,
+    equal to them bit for bit.  At the preactivation cut both come from one
+    pullback to the preactivations (one _lstm_adjoint for the LSTM)."""
+    p = cache.params
+    cut = _as_cut(cut)
+    if cut != CutVertex.PREACTIVATION:
+        return vjp_to_cut(cache, cut, v), vjp_state(cache, v)
+    v = _rows(v, p.state_size, "state")
+    w_h = p.weights[:, : p.hidden_size]
+    if p.cell_kind == LSTM:
+        g_z, g_c_prev = _lstm_adjoint(cache, v)
+        return g_z, np.concatenate([g_z @ w_h, g_c_prev], axis=-1)
+    g_z = v * cache.d
+    return g_z, g_z @ w_h
+
+
 def vjp_cut(cache: StepCache, cut, v: np.ndarray) -> np.ndarray:
     """v^T J_theta: contract cut-space adjoints against d(cut)/d(theta).
 

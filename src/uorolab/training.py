@@ -6,9 +6,11 @@ exact-computation recipe: hold a running average Bbar across minibatches,
 set Q0 = (Bbar + damping * mean-eig * I)^{-1/4} for the next minibatch,
 solve for alpha exactly per episode where requested, and fold the episode's
 exact B (computed with the alpha actually used) back into Bbar.  The
-minibatch runs in blocks of TENSOR_BLOCK episodes, each one batched forward
-and one sketch call whose schedule holds every episode's alpha as a column;
-the adjoint tensors the protocol needs are built one episode at a time.
+minibatch runs in blocks of TENSOR_BLOCK episodes, each one batched forward,
+one reverse sweep that gives every episode's causal suffix rows (from which
+each episode's C, alpha and B follow) and one sketch call whose schedule
+holds every episode's alpha as a column; only audited episodes build their
+full adjoint tensors.
 """
 
 import time
@@ -32,7 +34,7 @@ from .estimators import (
     uoro_contribution,
     uoro_step,
 )
-from .exact import bptt_gradient, episode_tensors, rtrl_jacobians
+from .exact import bptt_gradient, episode_tensors, rtrl_jacobians, suffix_rows
 from .noise import episode_noise
 from .optim import AdamState, adam_update
 from .reports import write_json_summary, write_metrics_csv
@@ -50,10 +52,13 @@ from .variance import (
 
 EXACT_ESTIMATORS = ("bptt", "rtrl")
 
-# Episodes per forward and per sketch call in the exact alpha / Q0 protocol.
-# More rows buy no speed (the per-episode tensors dominate) and grow the
-# block's tape.
-TENSOR_BLOCK = 10
+# Episodes per forward, suffix-row sweep and sketch call in the exact alpha /
+# Q0 protocol.  Larger blocks take fewer Python-level steps per episode but
+# hold the block's suffix rows, T(T+1)/2 x N_z floats per episode (0.65 MB at
+# the digits shape), at once.  perfbench digits-q0 (LSTM, N_z = 200, T = 28,
+# 50 episodes per update; one Xeon core, one BLAS thread) measured round_ms /
+# peak_rss_mb of about 340 / 59.3 at 5, 327 / 62.9 at 8 and 300 / 65.7 at 10.
+TENSOR_BLOCK = 8
 
 
 @dataclass
@@ -205,31 +210,40 @@ def _rank_one_batch(config, params, tape, first, schedule, b_sum, audits):
 
 
 def _exact_pass(config, tape, cut, schedule, noises, audited, alphas, b_sum):
-    """Episode by episode of a batched tape, build the adjoint tensors where
-    they are needed and use them: solve the episode's alpha (when alphas is
-    None), add its exact B to the running sum b_sum (Q0 "ours") and take the
-    offline estimate of an audited episode.  The tensors, O(T^2 N_z) floats,
-    are dropped before the next episode's are built.  Returns the alphas
-    (T, B), the offline estimates by episode and b_sum."""
-    solve = alphas is None
-    if solve:
-        alphas = np.empty((tape.length, len(noises)))
-    add_b = config.q0_mode == "ours"
-    offline = {}
-    for j, noise in enumerate(noises):
-        if not (solve or add_b or j in audited):
-            continue
-        tensors = episode_tensors(tape.episode(j), cut)
-        if solve:
-            alphas[:, j] = solve_alpha_newton(
-                compute_C(tensors, schedule.Q0, schedule.Q0_inv)).alpha
-        if add_b:
-            b_episode = compute_B(tensors, alphas[:, j])
-            b_sum = b_episode if b_sum is None else b_sum + b_episode
-        if j in audited:
-            offline[j] = offline_total_estimate(tensors, noise.u, alphas[:, j],
-                                                schedule.Q0, schedule.Q0_inv)
+    """The exact protocol on the episodes of a batched tape: solve their
+    alphas (when alphas is None) and add their exact B to the running sum
+    b_sum (Q0 "ours"), from one sweep over the tape (_suffix_row_pass), and
+    take the offline estimate of each audited episode from its own adjoint
+    tensors (episode_tensors), built after the block's rows are freed.
+    Returns the alphas (T, B), the offline estimates by episode and b_sum."""
+    if alphas is None or config.q0_mode == "ours":
+        alphas, b_sum = _suffix_row_pass(config, tape, cut, schedule, alphas,
+                                         b_sum)
+    offline = {
+        j: offline_total_estimate(episode_tensors(tape.episode(j), cut),
+                                  noises[j].u, alphas[:, j], schedule.Q0,
+                                  schedule.Q0_inv)
+        for j in audited}
     return alphas, offline, b_sum
+
+
+def _suffix_row_pass(config, tape, cut, schedule, alphas, b_sum):
+    """One reverse sweep gives the causal suffix rows of every episode of the
+    tape (suffix_rows); each episode's alpha is solved from its own C (when
+    alphas is None), and each episode's exact B is added to b_sum (Q0
+    "ours").  Returns the alphas (T, B) and b_sum."""
+    rows = suffix_rows(tape, cut)
+    episodes = range(tape.batch_shape[0])
+    if alphas is None:
+        alphas = np.stack([
+            solve_alpha_newton(compute_C(rows.episode(j), schedule.Q0,
+                                         schedule.Q0_inv)).alpha
+            for j in episodes], axis=1)
+    if config.q0_mode == "ours":
+        for j in episodes:
+            b_episode = compute_B(rows.episode(j), alphas[:, j])
+            b_sum = b_episode if b_sum is None else b_sum + b_episode
+    return alphas, b_sum
 
 
 def _needs_tensors(config) -> bool:
@@ -297,10 +311,10 @@ def _update(config, params, head, episodes, update, b_bar, q0):
     exact-alpha protocol.
 
     The minibatch runs as one batch, or in blocks of TENSOR_BLOCK episodes
-    when the config needs each episode's adjoint tensors (alpha or Q0
-    "ours" with a rank-one sketch): each block is one forward and one
-    estimator call, and its episodes' tensors are built one episode at a
-    time (_exact_pass), so at most one episode's tensors are alive.
+    when the config needs each episode's exact C or B (alpha or Q0 "ours"
+    with a rank-one sketch): each block is one forward, one suffix-row
+    sweep and one estimator call (_exact_pass), so one block's rows are
+    alive at a time.
     Returns the mean gradient, head gradient and loss per supervised step,
     the updated Bbar and Q0, and the largest online/offline audit error
     (None if no episode was audited).

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import rnn
 from .errors import ShapeError, SingularMatrixError, UnsupportedCutError
-from .exact import EpisodeTensors, GradientVector
+from .exact import EpisodeTensors, GradientVector, SuffixRows
 from .linalg import frob_norm, psd_frac_power, sqrt_ratio_or_one, trace
 from .noise import EpisodeNoise
 from .rnn import CutVertex, EpisodeTape
@@ -110,16 +110,28 @@ def _causal_suffix_rows(b: np.ndarray):
     return rows, q, r
 
 
-def _theta_weights(tensors: EpisodeTensors, Q0_inv: np.ndarray | None) -> np.ndarray:
+def _rows_of(tensors: EpisodeTensors | SuffixRows):
+    """(rows, q, r) as _causal_suffix_rows returns them: built from the b of
+    an EpisodeTensors, or the rows of one episode's SuffixRows.  The callers
+    read the rows and write nothing into them."""
+    if not isinstance(tensors, SuffixRows):
+        return _causal_suffix_rows(tensors.b)
+    if tensors.rows.ndim != 2:
+        raise ShapeError("this takes the rows of one episode: slice a block's "
+                         "rows with rows.episode(j)")
+    q, r = np.tril_indices(tensors.length)
+    return tensors.rows, q, r
+
+
+def _theta_weights(tensors: EpisodeTensors | SuffixRows,
+                   Q0_inv: np.ndarray | None) -> np.ndarray:
     """w_q = ||Q0^{-1} J_q||_F^2 per step."""
-    t_len = tensors.length
-    if Q0_inv is None:
-        return np.array([tensors.theta_frob_sq(q) for q in range(t_len)])
     if tensors.cut == CutVertex.PREACTIVATION:
-        return float(np.sum(Q0_inv**2)) * tensors.a_norms**2
-    return np.array(
-        [float(np.sum((Q0_inv @ tensors.j_dense[q]) ** 2)) for q in range(t_len)]
-    )
+        scale = tensors.cut_dim if Q0_inv is None else float(np.sum(Q0_inv**2))
+        return scale * tensors.a_norms**2
+    jacobians = tensors.j_dense if Q0_inv is None else [
+        Q0_inv @ j for j in tensors.j_dense]
+    return np.array([float(np.sum(j**2)) for j in jacobians])
 
 
 def _q0_pair(Q0: np.ndarray | None, Q0_inv: np.ndarray | None = None):
@@ -138,7 +150,7 @@ def _q0_pair(Q0: np.ndarray | None, Q0_inv: np.ndarray | None = None):
     return Q0, Q0_inv
 
 
-def compute_C(tensors: EpisodeTensors, Q0: np.ndarray | None = None,
+def compute_C(tensors: EpisodeTensors | SuffixRows, Q0: np.ndarray | None = None,
               Q0_inv: np.ndarray | None = None) -> np.ndarray:
     """The T x T nonnegative matrix defining the alpha objective
     sum_{q,r} (alpha_r^2 / alpha_q^2) C[q, r]:
@@ -147,15 +159,18 @@ def compute_C(tensors: EpisodeTensors, Q0: np.ndarray | None = None,
 
     b must be causal, b[t, r] = 0 for r > t (as episode_tensors builds it):
     Q0 acts on the T(T+1)/2 distinct suffix rows only, and C[q, r] for
-    q < r reads the diagonal row (r, r).  Q0_inv, if given, must be the
-    inverse of Q0 (as ScalingSchedule holds it); otherwise it is computed
-    here.
+    q < r reads the diagonal row (r, r).  The rows of one episode's
+    SuffixRows are taken as they are.  Q0_inv, if given, must be the inverse
+    of Q0 (as ScalingSchedule holds it); otherwise it is computed here.
     """
     Q0, Q0_inv = _q0_pair(Q0, Q0_inv)
-    rows, q, r = _causal_suffix_rows(tensors.b)
-    if Q0 is not None:
-        rows = rows @ Q0
-    norms = np.sum(np.square(rows, out=rows), axis=1)
+    rows, q, r = _rows_of(tensors)
+    if Q0 is None:
+        squares = np.square(rows)
+    else:
+        squares = rows @ Q0
+        np.square(squares, out=squares)
+    norms = np.sum(squares, axis=1)
     weights = _theta_weights(tensors, Q0_inv)
     c = np.outer(weights, norms[q == r])  # above the diagonal v_qr = v_rr
     c[q, r] = norms * weights[q]
@@ -296,7 +311,8 @@ def _require_preactivation(tensors: EpisodeTensors, what: str):
         raise UnsupportedCutError(f"{what} requires the preactivation cut")
 
 
-def compute_B(tensors: EpisodeTensors, alpha: np.ndarray, form: str = "qr") -> np.ndarray:
+def compute_B(tensors: EpisodeTensors | SuffixRows, alpha: np.ndarray,
+              form: str = "qr") -> np.ndarray:
     """The PSD matrix whose trace pair with Q0 Q0^T gives the structured
     variance.  Two algebraically equal forms are provided:
 
@@ -306,7 +322,8 @@ def compute_B(tensors: EpisodeTensors, alpha: np.ndarray, form: str = "qr") -> n
                          (sum_r alpha_r^2 b[s,r] b[t,r]^T).
 
     Both need b causal, b[t, r] = 0 for r > t (as episode_tensors builds
-    it); "qr" sums over the T(T+1)/2 distinct rows v_qr, q >= r.
+    it); "qr" sums over the T(T+1)/2 distinct rows v_qr, q >= r, which one
+    episode's SuffixRows holds already ("qr" only).
     """
     _require_preactivation(tensors, "compute_B")
     alpha = np.asarray(alpha, dtype=np.float64)
@@ -315,30 +332,30 @@ def compute_B(tensors: EpisodeTensors, alpha: np.ndarray, form: str = "qr") -> n
         raise ShapeError(f"alpha shape {alpha.shape} != ({t_len},)")
     a_sq = tensors.a_norms**2
     if form == "qr":
-        b_mat = _qr_B(tensors.b, a_sq, alpha)
-    elif form == "minst":
+        b_mat = _qr_B(*_rows_of(tensors), a_sq, alpha)
+    elif form == "minst" and isinstance(tensors, EpisodeTensors):
         b_mat = _minst_B(tensors.b, a_sq, alpha)
     else:
-        raise ValueError(f"unknown form {form!r}")
+        raise ValueError(f"unknown form {form!r} for {type(tensors).__name__}")
     return 0.5 * (b_mat + b_mat.T)
 
 
-def _qr_B(b: np.ndarray, a_sq: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """The "qr" form of B summed over the loss steps q < len(b), for a
-    causal b (k, k, N_z), as the one weighted product V^T diag(w) V over
-    the distinct suffix rows.  A row (q, r) with q > r has weight
+def _qr_B(rows: np.ndarray, q: np.ndarray, r: np.ndarray, a_sq: np.ndarray,
+          alpha: np.ndarray) -> np.ndarray:
+    """The "qr" form of B summed over the loss steps q < k, from the
+    distinct suffix rows (k(k+1)/2, N_z) in np.tril_indices(k) order, as the
+    one weighted product V^T diag(w) V over the rows.  A row (q, r) with q > r has weight
     (alpha_r^2 / alpha_q^2) ||a_q||^2; the diagonal row (r, r) equals v_qr
     for every q <= r and takes all their weights,
     alpha_r^2 sum_{q<=r} ||a_q||^2 / alpha_q^2.  Evaluated as R^T R with
     R = diag(sqrt(w)) V so that BLAS forms a symmetric rank-k product."""
-    k = b.shape[0]
-    rows, q, r = _causal_suffix_rows(b)
+    k = q[-1] + 1
     alpha_sq = alpha[:k] ** 2
     ratio = a_sq[:k] / alpha_sq
     w = ratio[q] * alpha_sq[r]
     w[q == r] = alpha_sq * np.cumsum(ratio)
-    rows *= np.sqrt(w)[:, None]
-    return rows.T @ rows
+    weighted = rows * np.sqrt(w)[:, None]
+    return weighted.T @ weighted
 
 
 def _minst_B(b: np.ndarray, a_sq: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -357,7 +374,7 @@ def compute_B_partial(tensors: EpisodeTensors, alpha: np.ndarray, k: int) -> np.
     if not 1 <= k <= tensors.length:
         raise ValueError(f"k = {k} is outside 1..{tensors.length}")
     alpha = np.asarray(alpha, dtype=np.float64)
-    out = _qr_B(tensors.b[:k, :k], tensors.a_norms**2, alpha)
+    out = _qr_B(*_causal_suffix_rows(tensors.b[:k, :k]), tensors.a_norms**2, alpha)
     return 0.5 * (out + out.T)
 
 

@@ -97,6 +97,8 @@ class TestConfig:
         ("learning_rate", {"learning_rate": float("nan")}),
         ("damping", {"damping": -1e-3}),
         ("cut", {"cell": "lstm", "cut": "state"}),
+        ("cut", {"cut": "state", "q0_mode": "ours"}),
+        ("cut", {"cut": "state", "q0_mode": "ours", "alpha_mode": "ours"}),
         ("streaming", {"task": "rowwise-digits", "streaming": True}),
         ("streaming", {"estimator": "reinforce", "streaming": True}),
         ("streaming", {"estimator": "neither", "streaming": True}),

@@ -175,10 +175,10 @@ class TestRunTraining:
     @pytest.mark.parametrize("q0_mode,alpha_mode", [
         ("ours", "ours"), ("identity", "ours"), ("ours", "gir")])
     def test_exact_protocol_runs_in_blocks(self, monkeypatch, q0_mode, alpha_mode):
-        """Per update the exact protocol builds each episode's tensors once,
-        audited or not, and runs one forward per block of TENSOR_BLOCK
-        episodes."""
-        calls = {"episode_tensors": 0, "run_episode": 0}
+        """Per update the exact protocol runs one forward and one suffix-row
+        sweep per block of TENSOR_BLOCK episodes, and builds the adjoint
+        tensors of the audited episodes only (0, 2, 4 and then 6, 8)."""
+        calls = {"episode_tensors": 0, "run_episode": 0, "suffix_rows": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -202,7 +202,60 @@ class TestRunTraining:
         cfg = tiny_digits_config(q0_mode, alpha_mode, minibatch=5, updates=2,
                                  audit_every=2)
         training.run_training(cfg)
-        assert per_update == [{"episode_tensors": 5, "run_episode": 3}] * 2
+        assert per_update == [
+            {"episode_tensors": 3, "run_episode": 3, "suffix_rows": 3},
+            {"episode_tensors": 2, "run_episode": 3, "suffix_rows": 3}]
+
+    def test_state_cut_exact_alpha_matches_per_episode_replay(self, tmp_path,
+                                                              monkeypatch):
+        """A vanilla run at the state cut with alpha "ours" solves each
+        episode's alpha from the suffix rows of its block's sweep; replay it
+        with one episode_tensors, Newton solve and unbatched run_uoro per
+        episode."""
+        monkeypatch.setattr(training, "TENSOR_BLOCK", 2)
+        cfg = tiny_queue_config(cut="state", alpha_mode="ours", minibatch=5,
+                                updates=3, audit_every=2)
+        training.run_training(cfg, out_dir=tmp_path)
+
+        rng = np.random.default_rng(cfg.base_seed)
+        task = training.build_task(cfg)
+        params = init_params(cfg.cell, cfg.hidden, task.input_size, rng)
+        head = task.make_head(rng)
+        w_state = AdamState.zeros_like(params.theta())
+        h_state = AdamState.zeros_like(head.weights)
+        cut = CutVertex.STATE
+        base = estimators.ScalingSchedule(estimators.GIR)
+        expected = []
+        for update in range(cfg.updates):
+            grads, head_grads, batch_losses = [], [], []
+            for j in range(cfg.minibatch):
+                index = update * cfg.minibatch + j
+                inputs, targets = task.episode(cfg.data_seed, index)
+                tape = run_episode(params, inputs, targets, head)
+                noise = episode_noise(cfg.base_seed, index, tape.length,
+                                      params.cut_size(cut))
+                alpha = solve_alpha_newton(compute_C(episode_tensors(tape, cut))).alpha
+                report = estimators.run_uoro(tape, cut, noise, base.with_alpha(alpha))
+                n_sup = sum(1 for t in targets if t is not None)
+                grads.append(report.estimate / n_sup)
+                head_grads.append(sum(
+                    head.param_grad(tape.caches[t].h, targets[t])
+                    for t in range(tape.length)
+                ) / n_sup)
+                batch_losses.append(tape.total_loss() / n_sup)
+            grad = np.mean(grads, axis=0)
+            params = params.with_theta(adam_update(
+                params.theta(), grad, w_state,
+                cfg.learning_rate, cfg.momentum, cfg.beta2, cfg.eps))
+            head.weights = adam_update(head.weights, np.mean(head_grads, axis=0),
+                                       h_state, cfg.learning_rate, cfg.momentum,
+                                       cfg.beta2, cfg.eps)
+            expected += [float(np.mean(batch_losses)), float(np.linalg.norm(grad))]
+        rows = read_metrics_csv(tmp_path / "metrics.csv")
+        written = [v for (_, _, metric, v) in rows if metric in ("loss", "grad_norm")]
+        np.testing.assert_allclose(written, expected, rtol=1e-9)
+        audits = [v for (_, _, metric, v) in rows if metric == "audit_offline_rel_err"]
+        assert len(audits) == cfg.updates and max(audits) <= 1e-8
 
     @pytest.mark.parametrize("estimator", ["preuoro", "spatial", "reinforce"])
     def test_other_estimators_smoke(self, estimator):
