@@ -320,14 +320,9 @@ def jvp_state(cache: StepCache, v: np.ndarray,
 
 
 def vjp_state(cache: StepCache, v: np.ndarray) -> np.ndarray:
-    """v^T J_state: pull state adjoints back to the previous state."""
-    p = cache.params
-    v = _rows(v, p.state_size, "state")
-    h = p.hidden_size
-    if p.cell_kind == LSTM:
-        g_z, g_c_prev = _lstm_adjoint(cache, v)
-        return np.concatenate([g_z @ p.weights[:, :h], g_c_prev], axis=-1)
-    return (v * cache.d) @ p.weights[:, :h]
+    """v^T J_state: pull state adjoints back to the previous state (through
+    the preactivations, whatever the cut)."""
+    return vjp_to_cut_and_state(cache, CutVertex.PREACTIVATION, v)[1]
 
 
 def jvp_cut(cache: StepCache, cut, v: np.ndarray) -> np.ndarray:
@@ -365,18 +360,20 @@ def vjp_to_cut(cache: StepCache, cut, v: np.ndarray) -> np.ndarray:
 def vjp_to_cut_and_state(cache: StepCache, cut, v: np.ndarray):
     """(v^T J_cut, v^T J_state): vjp_to_cut and vjp_state of the same rows,
     equal to them bit for bit.  At the preactivation cut both come from one
-    pullback to the preactivations (one _lstm_adjoint for the LSTM)."""
+    pullback to the preactivations (one _lstm_adjoint for the LSTM); the
+    state adjoint always goes through that pullback."""
     p = cache.params
     cut = _as_cut(cut)
-    if cut != CutVertex.PREACTIVATION:
-        return vjp_to_cut(cache, cut, v), vjp_state(cache, v)
+    to_cut = None if cut == CutVertex.PREACTIVATION else vjp_to_cut(cache, cut, v)
     v = _rows(v, p.state_size, "state")
     w_h = p.weights[:, : p.hidden_size]
     if p.cell_kind == LSTM:
         g_z, g_c_prev = _lstm_adjoint(cache, v)
-        return g_z, np.concatenate([g_z @ w_h, g_c_prev], axis=-1)
-    g_z = v * cache.d
-    return g_z, g_z @ w_h
+        to_state = np.concatenate([g_z @ w_h, g_c_prev], axis=-1)
+    else:
+        g_z = v * cache.d
+        to_state = g_z @ w_h
+    return (g_z if to_cut is None else to_cut), to_state
 
 
 def vjp_cut(cache: StepCache, cut, v: np.ndarray) -> np.ndarray:

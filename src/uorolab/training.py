@@ -246,9 +246,10 @@ def _suffix_row_pass(config, tape, cut, schedule, alphas, b_sum):
     return alphas, b_sum
 
 
-def _needs_tensors(config) -> bool:
-    """Whether every episode's adjoint tensors are built: the exact alpha or
-    Q0 protocol, which the config allows for the rank-one sketches only."""
+def _needs_exact_pass(config) -> bool:
+    """Whether the update runs the blocked exact protocol (_exact_pass: one
+    suffix-row sweep per block of TENSOR_BLOCK episodes): exact alpha or Q0
+    "ours", which the config allows for the rank-one sketches only."""
     return config.alpha_mode == "ours" or config.q0_mode == "ours"
 
 
@@ -327,7 +328,7 @@ def _update(config, params, head, episodes, update, b_bar, q0):
     schedule = None
     if estimator in ("uoro", "preuoro"):
         schedule = _q0_schedule(config.gir_scale, config.alpha_mode, q0)
-    size = TENSOR_BLOCK if _needs_tensors(config) else len(episodes)
+    size = TENSOR_BLOCK if _needs_exact_pass(config) else len(episodes)
     grad_sum = head_grad_sum = loss_sum = 0.0
     # a running sum keeps one N_z x N_z matrix alive instead of one per episode
     b_sum = None
