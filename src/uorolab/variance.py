@@ -344,9 +344,9 @@ def _qr_B(rows: np.ndarray, q: np.ndarray, r: np.ndarray, a_sq: np.ndarray,
           alpha: np.ndarray) -> np.ndarray:
     """The "qr" form of B summed over the loss steps q < k, from the
     distinct suffix rows (k(k+1)/2, N_z) in np.tril_indices(k) order, as the
-    one weighted product V^T diag(w) V over the rows.  A row (q, r) with q > r has weight
-    (alpha_r^2 / alpha_q^2) ||a_q||^2; the diagonal row (r, r) equals v_qr
-    for every q <= r and takes all their weights,
+    one weighted product V^T diag(w) V over the rows.  A row (q, r) with
+    q > r has weight (alpha_r^2 / alpha_q^2) ||a_q||^2; the diagonal row
+    (r, r) equals v_qr for every q <= r and takes all their weights,
     alpha_r^2 sum_{q<=r} ||a_q||^2 / alpha_q^2.  Evaluated as R^T R with
     R = diag(sqrt(w)) V so that BLAS forms a symmetric rank-k product."""
     k = q[-1] + 1
