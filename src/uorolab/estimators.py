@@ -35,9 +35,10 @@ buffers, and under GIR takes the new sketch's norm from scalars: one
 Frobenius pass over the forwarded sketch and sums over the nonzeros.
 
 The perturbed-state score-function estimator (REINFORCE) runs the network
-with Gaussian state noise sigma Q u_t and weights the accumulated score by
+with Gaussian state noise sigma Q u_t and weights the trajectory score by
 the realized losses; with a noise-free baseline and sigma -> 0 it converges
-to the plain UORO estimate on the same noise.
+to the plain UORO estimate on the same noise.  It too is batch-first: B
+seeds or B episodes, and the noise-free baseline, are rows of one sweep.
 """
 
 import copy
@@ -614,56 +615,115 @@ BASELINE_NOISE_FREE = "noise-free"
 
 
 def reinforce_episode(params: rnn.RnnParams, inputs, targets, head,
-                      sigma: float, noise: EpisodeNoise,
-                      Q0: np.ndarray | None = None,
+                      sigma: float, noise, Q0: np.ndarray | None = None,
                       baseline=BASELINE_NOISE_FREE) -> GradientReport:
     """Score-function gradient estimate for the state-perturbed network.
 
     Runs h_t = F(state with h-part h_bar_{t-1}), h_bar_t = h_t + sigma Q0 u_t,
-    maintains the trajectory score
+    and returns sum_t (L_t - baseline_t) w_bar_t with the trajectory score
 
-        w_bar_t = w_bar_{t-1} + (1/sigma) u_t^T Q0^{-1} d h_t / d theta_t
+        w_bar_t = sum_{s<=t} (1/sigma) u_s^T Q0^{-1} d h_s / d theta_s
 
-    (local parameter Jacobian, evaluated in the noisy system) and returns
-    sum_t (L_t - baseline_t) w_bar_t.  L_t is the loss at the perturbed state
-    h_bar_t, treated as a given scalar: only the score term is differentiated.
+    (local parameter Jacobians, evaluated in the noisy system).  L_t is the
+    loss at the perturbed state h_bar_t, treated as a given scalar: only the
+    score term is differentiated.
 
+    noise is one EpisodeNoise or a sequence of B, one estimate row each.
+    inputs (T, X) with T targets are one episode that every row runs;
+    inputs (B, T, X) with one target list per episode give row j episode j.
     baseline may be "none", "noise-free" (L_t of the unperturbed network on
-    the same inputs), or an explicit per-step array.
+    the same inputs), or an explicit per-step array: (T,) for every row, or
+    (T, B) with column j for row j.
+
+    The call is one batched rnn.step sweep.  Under "noise-free" the
+    unperturbed network runs as extra rows of the same sweep, one per
+    distinct episode.  The perturbed states of every step are kept and all
+    losses come from one head call after the sweep.  The score is not
+    accumulated: with the suffix sums R_s = sum_{t>=s} (L_t - baseline_t)
+    the estimate is (1/sigma) sum_s vjp_params(cache_s, R_s Q0^{-T} u_s),
+    since vjp_params is linear in its rows, and its vec(g_z a^T) terms are
+    one contraction over the steps.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    t_len = inputs.shape[0]
-    h_size = params.hidden_size
-    if noise.dim != h_size:
-        raise ShapeError(f"noise dim {noise.dim} != hidden size {h_size}")
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if inputs.ndim < 3:
+        inputs = np.atleast_2d(inputs)
+    episodes = inputs.shape[:-2]
+    t_len, h_size = inputs.shape[-2], params.hidden_size
+    single = isinstance(noise, EpisodeNoise)
+    noises = [noise] if single else list(noise)
+    for draws in noises:
+        if draws.dim != h_size:
+            raise ShapeError(f"noise dim {draws.dim} != hidden size {h_size}")
+        if draws.length < t_len:
+            raise ShapeError(f"noise of {draws.length} steps for an episode of {t_len}")
     q0, q0_inv = (None, None) if Q0 is None else _checked_q0(Q0)
     if q0 is not None and q0.shape[0] != h_size:
         raise ShapeError(f"Q0 shape {q0.shape} != hidden size ({h_size}, {h_size})")
+    try:
+        batch = np.broadcast_shapes(episodes, () if single else (len(noises),))
+    except ValueError:
+        raise ShapeError(f"{episodes[0]} episodes for {len(noises)} noises") from None
+    baseline_values = _baseline_rows(baseline, t_len, batch)
+    clean = baseline_values is None
 
-    if isinstance(baseline, str) and baseline == BASELINE_NOISE_FREE:
-        clean = rnn.run_episode(params, inputs, targets, head)
-        baseline_values = clean.losses
-    elif baseline is None or (isinstance(baseline, str) and baseline == BASELINE_NONE):
-        baseline_values = np.zeros(t_len)
-    elif isinstance(baseline, str):
-        raise ValueError(f"unknown baseline mode {baseline!r}")
-    else:
-        baseline_values = np.asarray(baseline, dtype=np.float64)
-
-    u = noise.u
-    state = np.zeros(params.state_size)
-    w_bar = np.zeros(params.num_params)
-    estimate = np.zeros(params.num_params)
+    # rows 0..n-1 are perturbed, then under "noise-free" one unperturbed row
+    # per episode
+    n = batch[0] if batch else 1
+    steps = np.swapaxes(inputs, 0, -2).reshape(t_len, -1, inputs.shape[-1])
+    x = np.empty((t_len, (n + steps.shape[1]) if clean else n, steps.shape[-1]))
+    x[:, :n] = steps
+    if clean:
+        x[:, n:] = steps
+    u = np.stack([draws.u[:t_len] for draws in noises], axis=1)  # (T, 1 or n, H)
+    shifts = sigma * (u if q0 is None else u @ q0.T)
+    hidden = np.empty((t_len, x.shape[1], h_size))
+    caches = []
+    state = np.zeros((x.shape[1], params.state_size))
     for t in range(t_len):
-        state, cache = rnn.step(params, state, inputs[t])
-        score_dir = rnn.embed_state_grad(
-            params, u[t] if q0 is None else q0_inv.T @ u[t])
-        w_bar = w_bar + rnn.vjp_params(cache, score_dir) / sigma
-        h_bar = state[:h_size] + sigma * (u[t] if q0 is None else q0 @ u[t])
-        state = state.copy()
-        state[:h_size] = h_bar
-        loss_t, _ = rnn.loss_grad(h_bar, targets[t], head)
-        estimate += (loss_t - baseline_values[t]) * w_bar
-    return _report("reinforce", noise, estimate)
+        state, cache = rnn.step(params, state, x[t])
+        caches.append(cache)
+        state = state.copy()  # a vanilla cell's new state is its cache's h
+        state[:n, :h_size] += shifts[t]
+        hidden[t] = state[:, :h_size]
+
+    losses, _ = rnn.loss_grad(hidden, _row_targets(targets, episodes, t_len, n, clean),
+                              head)
+    losses = np.zeros(hidden.shape[:2]) + losses  # a head may return one scalar
+    advantage = losses[:, :n] - (losses[:, n:] if clean else baseline_values)
+    suffix = np.cumsum(advantage[::-1], axis=0)[::-1]
+    directions = np.zeros((t_len, x.shape[1], params.state_size))
+    directions[:, :n, :h_size] = suffix[..., None] * (u if q0_inv is None else u @ q0_inv)
+    g_z = np.stack([rnn.vjp_to_cut(cache, CutVertex.PREACTIVATION, v)[:n]
+                    for cache, v in zip(caches, directions)])
+    a = np.stack([cache.a[:n] for cache in caches])
+    estimate = (g_z.transpose(1, 2, 0) @ a.transpose(1, 0, 2)) / sigma
+    return _report("reinforce", noise, estimate.reshape(*batch, -1))
+
+
+def _baseline_rows(baseline, t_len: int, batch: tuple):
+    """A reinforce baseline as (T, 1 or B) rows, 0.0 for "none", or None for
+    "noise-free", which the sweep computes."""
+    if baseline is None or isinstance(baseline, str):
+        if baseline == BASELINE_NOISE_FREE:
+            return None
+        if baseline in (None, BASELINE_NONE):
+            return 0.0
+        raise ValueError(f"unknown baseline mode {baseline!r}")
+    values = np.asarray(baseline, dtype=np.float64)
+    if values.shape not in ((t_len,), (t_len, *batch)):
+        raise ShapeError(f"baseline of shape {values.shape} for {t_len} steps "
+                         f"and a batch of shape {batch}")
+    return values.reshape(t_len, -1)
+
+
+def _row_targets(targets, episodes: tuple, t_len: int, n: int, clean: bool):
+    """Targets of the reinforce sweep's rows, step by step: episode targets
+    repeated over the n perturbed rows, then one per unperturbed row."""
+    rows = []
+    for t in range(t_len):
+        per_episode = [tg[t] for tg in targets] if episodes else [targets[t]]
+        rows.append(per_episode * (n // len(per_episode))
+                    + (per_episode if clean else []))
+    return rows

@@ -139,10 +139,11 @@ def _episode_noises(config, dim, tape, first):
 
 
 def _estimate_batch(config, params, head, tape, first):
-    """Gradient estimates (B, P) of the exact and the per-episode engines
-    (bptt, rtrl, spatial, reinforce) for the B episodes of a batched tape,
-    whose episode indices start at first.  The per-episode engines (rtrl,
-    spatial, reinforce) read slices of the tape."""
+    """Gradient estimates (B, P) of the exact and the other non-sketch
+    engines (bptt, rtrl, spatial, reinforce) for the B episodes of a batched
+    tape, whose episode indices start at first.  reinforce runs the block in
+    one call, with the tape's losses as its noise-free baseline; rtrl and
+    spatial read slices of the tape."""
     estimator = canonical_estimator(config.estimator)
     cut = CutVertex(config.cut)
     episodes = range(tape.batch_shape[0])
@@ -153,17 +154,11 @@ def _estimate_batch(config, params, head, tape, first):
     dim = params.hidden_size if estimator == "reinforce" else params.cut_size(cut)
     noises = _episode_noises(config, dim, tape, first)
     if estimator == "reinforce":
-        # the tape's losses are the noise-free baseline: no second forward
-        estimates = [
-            reinforce_episode(
-                params, tape.inputs[j], tape.targets[j], head, config.sigma,
-                noises[j],
-                baseline=tape.losses[:, j] if config.baseline == "noise-free"
-                else config.baseline)
-            for j in episodes]
-    else:
-        estimates = [run_spatial(tape.episode(j), cut, noises[j]) for j in episodes]
-    return np.stack([r.estimate for r in estimates])
+        baseline = tape.losses if config.baseline == "noise-free" else config.baseline
+        return reinforce_episode(params, tape.inputs, tape.targets, head,
+                                 config.sigma, noises, baseline=baseline).estimate
+    return np.stack([run_spatial(tape.episode(j), cut, noises[j]).estimate
+                     for j in episodes])
 
 
 def _rank_one_batch(config, params, tape, first, schedule, b_sum, audits):

@@ -33,6 +33,44 @@ def make_instance(
     return params, inputs, targets, head
 
 
+def forbid_steps(monkeypatch):
+    """Make any transition or sketch step fail the test, so that a check
+    must raise before the first one."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a step ran before the inputs were checked")
+
+    monkeypatch.setattr(rnn, "step", fail)
+    monkeypatch.setattr(estimators, "uoro_step", fail)
+    monkeypatch.setattr(estimators, "preuoro_step", fail)
+    # run_uoro advances h~ itself through these products
+    monkeypatch.setattr(rnn, "jvp_state", fail)
+    monkeypatch.setattr(rnn, "jvp_cut", fail)
+
+
+def reinforce_by_definition(params, inputs, targets, head, sigma, u, Q0=None,
+                            baseline=None):
+    """The score-function estimate of one episode by its definition, one
+    unbatched step at a time: the dense score w_bar_t = w_bar_{t-1} +
+    (1/sigma) u_t^T Q0^{-1} dh_t/dtheta_t and sum_t (L_t - b_t) w_bar_t.
+    baseline is a per-step array, or None for the noise-free losses."""
+    if baseline is None:
+        baseline = run_episode(params, inputs, targets, head).losses
+    q0_inv = np.eye(params.hidden_size) if Q0 is None else np.linalg.inv(Q0)
+    q0 = np.eye(params.hidden_size) if Q0 is None else Q0
+    state = np.zeros(params.state_size)
+    w_bar = np.zeros(params.num_params)
+    estimate = np.zeros(params.num_params)
+    for t in range(len(inputs)):
+        state, cache = rnn.step(params, state, inputs[t])
+        score = rnn.embed_state_grad(params, q0_inv.T @ u[t])
+        w_bar = w_bar + rnn.vjp_params(cache, score) / sigma
+        state = state.copy()
+        state[: params.hidden_size] += sigma * (q0 @ u[t])
+        loss, _ = head.loss_and_grad(state[: params.hidden_size], targets[t])
+        estimate += (loss - baseline[t]) * w_bar
+    return estimate
+
+
 def make_queue_instance(rng, hidden=4, length=8, delay=2):
     """A small queue-style instance with a one-bit Bernoulli head."""
     w = 0.5 * rng.standard_normal((hidden, hidden + 2)) / np.sqrt(hidden + 2)

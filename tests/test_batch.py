@@ -8,13 +8,14 @@ import pytest
 
 from uorolab import rnn, training
 from uorolab.config import ExperimentConfig, queue_config
-from uorolab.errors import ShapeError
+from uorolab.errors import ShapeError, SingularMatrixError
 from uorolab.estimators import (
     CONTRIBUTION_SPLIT,
     CONTRIBUTION_STALE_W,
     FIXED_ALPHA,
     GIR,
     ScalingSchedule,
+    reinforce_episode,
     run_preuoro,
     run_uoro,
 )
@@ -23,7 +24,7 @@ from uorolab.noise import episode_noise
 from uorolab.rnn import BernoulliHead, CutVertex, RnnParams, run_episode
 from uorolab.variance import offline_total_estimate
 
-from helpers import make_instance
+from helpers import forbid_steps, make_instance, reinforce_by_definition
 
 RTOL = 1e-12
 
@@ -322,6 +323,177 @@ class TestSeedsOnOneTape:
             for i in (0, training.SEED_BLOCK - 1, n_seeds - 1):
                 ref = run(episode_noise(41, 3 + i, 4, 3)).estimate
                 assert rel(rows[i], ref) <= RTOL, f"{estimator} seed {i}"
+
+
+SIGMA = 1e-3
+# The 1/sigma score amplifies roundoff in L_t - baseline_t, so reinforce rows
+# are held to this fraction of the largest entry rather than to RTOL.
+REINFORCE_RTOL = 1e-10
+
+
+def max_entry_rel(value, reference):
+    return np.max(np.abs(value - reference)) / max(np.max(np.abs(reference)), 1e-300)
+
+
+def spd_q0(rng, n):
+    m = rng.standard_normal((n, n))
+    return m @ m.T + 2.0 * np.eye(n)
+
+
+def reinforce_baselines(kind, rng, length, batch):
+    """(the batched call's baseline, row j -> the per-row call's baseline,
+    row j -> the by-definition baseline, None for noise-free)."""
+    if kind == "noise-free":
+        return kind, lambda j: kind, lambda j: None
+    if kind == "none":
+        return kind, lambda j: kind, lambda j: np.zeros(length)
+    if kind == "steps":
+        values = rng.standard_normal(length)
+        return values, lambda j: values, lambda j: values
+    values = rng.standard_normal((length, batch))
+    return values, lambda j: values[:, j], lambda j: values[:, j]
+
+
+def one_row(baseline):
+    """A per-row baseline as the baseline of a batch of one."""
+    return baseline[:, None] if np.ndim(baseline) == 1 else baseline
+
+
+class ConstantHead:
+    """A custom head whose loss is one scalar whatever the rows."""
+
+    def loss_and_grad(self, h, target):
+        return 1.7, np.zeros_like(h)
+
+
+class TestReinforceBatch:
+    """reinforce_episode over B seeds on one episode, or over B episodes:
+    every row equals the per-seed call, a batch of one and the estimate by
+    its definition (a dense score accumulated step by step) to
+    REINFORCE_RTOL of its largest entry."""
+
+    def assert_rows(self, batched, refs):
+        for name, ref in refs.items():
+            err = max_entry_rel(batched, ref)
+            assert err <= REINFORCE_RTOL, f"{name}: {err:.2e}"
+
+    @pytest.mark.parametrize("baseline", ["noise-free", "none", "steps", "rows"])
+    @pytest.mark.parametrize("cell", [rnn.VANILLA_TANH, rnn.LSTM])
+    def test_seed_rows_match_per_seed_calls(self, cell, baseline):
+        rng = np.random.default_rng(150)
+        params, inputs, targets, head = make_instance(rng, cell_kind=cell, hidden=4,
+                                                      length=6)
+        noises = [episode_noise(151, i, 6, 4) for i in range(5)]
+        batched_baseline, row_baseline, oracle_baseline = reinforce_baselines(
+            baseline, rng, 6, 5)
+        for q0 in (None, np.eye(4), spd_q0(rng, 4)):
+            report = reinforce_episode(params, inputs, targets, head, SIGMA, noises,
+                                       Q0=q0, baseline=batched_baseline)
+            assert report.estimate.shape == (5, params.num_params)
+            assert report.base_seed == (151,) * 5
+            for i, noise in enumerate(noises):
+                b = row_baseline(i)
+                self.assert_rows(report.estimate[i], {
+                    "per-seed": reinforce_episode(params, inputs, targets, head, SIGMA,
+                                                  noise, Q0=q0, baseline=b).estimate,
+                    "batch of one": reinforce_episode(
+                        params, inputs, targets, head, SIGMA, [noise], Q0=q0,
+                        baseline=b if isinstance(b, str) else one_row(b)).estimate[0],
+                    "definition": reinforce_by_definition(
+                        params, inputs, targets, head, SIGMA, noise.u, q0,
+                        oracle_baseline(i)),
+                })
+
+    @pytest.mark.parametrize("baseline", ["noise-free", "none", "steps", "rows"])
+    @pytest.mark.parametrize("instance", ["vanilla", "lstm", "queue"])
+    def test_episode_rows_match_per_episode_calls(self, instance, baseline):
+        rng = np.random.default_rng(152)
+        if instance == "queue":
+            params, inputs, targets, head = queue_batch(rng)
+        else:
+            cell = rnn.LSTM if instance == "lstm" else rnn.VANILLA_TANH
+            params, inputs, targets, head = softmax_batch(rng, cell=cell)
+        batch, length = inputs.shape[:2]
+        h = params.hidden_size
+        noises = [episode_noise(153, j, length, h) for j in range(batch)]
+        batched_baseline, row_baseline, oracle_baseline = reinforce_baselines(
+            baseline, rng, length, batch)
+        for q0 in (None, spd_q0(rng, h)):
+            report = reinforce_episode(params, inputs, targets, head, SIGMA, noises,
+                                       Q0=q0, baseline=batched_baseline)
+            if baseline == "noise-free":  # the training path's baseline
+                tape = run_episode(params, inputs, targets, head)
+                self.assert_rows(report.estimate, {"tape losses": reinforce_episode(
+                    params, inputs, targets, head, SIGMA, noises, Q0=q0,
+                    baseline=tape.losses).estimate})
+            for j, noise in enumerate(noises):
+                b = row_baseline(j)
+                self.assert_rows(report.estimate[j], {
+                    "per-episode": reinforce_episode(
+                        params, inputs[j], targets[j], head, SIGMA, noise, Q0=q0,
+                        baseline=b).estimate,
+                    "batch of one": reinforce_episode(
+                        params, inputs[j:j + 1], targets[j:j + 1], head, SIGMA,
+                        [noise], Q0=q0,
+                        baseline=b if isinstance(b, str) else one_row(b)).estimate[0],
+                    "definition": reinforce_by_definition(
+                        params, inputs[j], targets[j], head, SIGMA, noise.u, q0,
+                        oracle_baseline(j)),
+                })
+
+    def test_custom_head_with_a_scalar_loss(self):
+        rng = np.random.default_rng(154)
+        params, inputs, targets, _ = make_instance(rng, hidden=3, length=4)
+        noises = [episode_noise(155, i, 4, 3) for i in range(4)]
+        head = ConstantHead()
+        clean = reinforce_episode(params, inputs, targets, head, 0.5, noises)
+        np.testing.assert_array_equal(clean.estimate, 0.0)
+        report = reinforce_episode(params, inputs, targets, head, 0.5, noises,
+                                   baseline="none")
+        assert np.all(np.any(report.estimate != 0.0, axis=1))
+        for i, noise in enumerate(noises):
+            self.assert_rows(report.estimate[i], {
+                "per-seed": reinforce_episode(params, inputs, targets, head, 0.5, noise,
+                                              baseline="none").estimate,
+                "definition": reinforce_by_definition(params, inputs, targets, head,
+                                                      0.5, noise.u,
+                                                      baseline=np.zeros(4)),
+            })
+
+    @pytest.mark.parametrize("case, error, match", [
+        ("sigma", ValueError, "sigma"),
+        ("noise dim", ShapeError, "noise dim"),
+        ("noise length", ShapeError, "steps"),
+        ("Q0 size", ShapeError, "Q0"),
+        ("Q0 singular", SingularMatrixError, "condition"),
+        ("baseline shape", ShapeError, "baseline"),
+        ("baseline mode", ValueError, "baseline"),
+        ("episodes", ShapeError, "episodes"),
+    ])
+    def test_rejects_bad_inputs_before_a_step(self, monkeypatch, case, error, match):
+        rng = np.random.default_rng(156)
+        params, inputs, targets, head = softmax_batch(rng)
+        noises = [episode_noise(157, j, 6, 4) for j in range(3)]
+        kwargs = {"sigma": SIGMA, "noise": noises}
+        if case == "sigma":
+            kwargs["sigma"] = 0.0
+        elif case == "noise dim":  # only the last noise is wrong
+            kwargs["noise"] = noises[:2] + [episode_noise(157, 2, 6, 5)]
+        elif case == "noise length":
+            kwargs["noise"] = noises[:2] + [episode_noise(157, 2, 5, 4)]
+        elif case == "Q0 size":
+            kwargs["Q0"] = np.eye(3)
+        elif case == "Q0 singular":
+            kwargs["Q0"] = np.diag([1.0, 1.0, 1.0, 1e-12])
+        elif case == "baseline shape":
+            kwargs["baseline"] = np.zeros((6, 4))
+        elif case == "baseline mode":
+            kwargs["baseline"] = "mean"
+        else:
+            kwargs["noise"] = noises[:2]
+        forbid_steps(monkeypatch)
+        with pytest.raises(error, match=match):
+            reinforce_episode(params, inputs, targets, head, **kwargs)
 
 
 @pytest.fixture(scope="module")

@@ -18,7 +18,7 @@ from uorolab.estimators import (
 from uorolab.noise import episode_noise
 from uorolab.rnn import CutVertex, run_episode
 
-from helpers import make_instance
+from helpers import forbid_steps, make_instance
 
 
 class TestScheduleValidation:
@@ -56,19 +56,6 @@ class TestScheduleValidation:
             base.with_alpha(np.array([1.0, -1.0, 1.0]))
 
 
-def _forbid_steps(monkeypatch):
-    """Make any transition or sketch step fail the test."""
-    def fail(*args, **kwargs):
-        raise AssertionError("a step ran before the Q0 was checked")
-
-    monkeypatch.setattr(rnn, "step", fail)
-    monkeypatch.setattr(estimators, "uoro_step", fail)
-    monkeypatch.setattr(estimators, "preuoro_step", fail)
-    # run_uoro advances h~ itself through these products
-    monkeypatch.setattr(rnn, "jvp_state", fail)
-    monkeypatch.setattr(rnn, "jvp_cut", fail)
-
-
 class TestQ0SizeChecked:
     def test_run_uoro_rejects_q0_of_wrong_size(self, monkeypatch):
         rng = np.random.default_rng(136)
@@ -76,7 +63,7 @@ class TestQ0SizeChecked:
         tape = run_episode(params, inputs, targets, head)
         noise = episode_noise(137, 0, 3, 4)
         schedule = ScalingSchedule(GIR, Q0=np.eye(3))
-        _forbid_steps(monkeypatch)
+        forbid_steps(monkeypatch)
         with pytest.raises(ShapeError, match="Q0"):
             run_uoro(tape, CutVertex.PREACTIVATION, noise, schedule)
 
@@ -86,7 +73,7 @@ class TestQ0SizeChecked:
         tape = run_episode(params, inputs, targets, head)
         noises = [episode_noise(141, j, 3, 4) for j in range(2)]
         schedule = ScalingSchedule(FIXED_ALPHA, Q0=np.eye(4), alpha=np.ones(3))
-        _forbid_steps(monkeypatch)
+        forbid_steps(monkeypatch)
         with pytest.raises(ValueError, match="Q0"):
             run_preuoro(tape, noises, schedule)
 
@@ -94,7 +81,7 @@ class TestQ0SizeChecked:
         rng = np.random.default_rng(138)
         params, inputs, targets, head = make_instance(rng, hidden=4, length=3)
         noise = episode_noise(139, 0, 3, 4)
-        _forbid_steps(monkeypatch)
+        forbid_steps(monkeypatch)
         with pytest.raises(ShapeError, match="Q0"):
             reinforce_episode(params, inputs, targets, head, sigma=0.1,
                               noise=noise, Q0=np.eye(3))
