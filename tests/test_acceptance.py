@@ -54,16 +54,24 @@ def report(number, name, ok, detail=""):
     assert ok, line
 
 
-def mc_stats(sample_fn, n, dim):
+def mc_stats(block_fn, n, dim):
+    """Mean and standard error of n samples drawn training.SEED_BLOCK at a
+    time: block_fn(indices) returns the samples of those seed indices as
+    rows."""
     total = np.zeros(dim)
     total_sq = np.zeros(dim)
-    for i in range(n):
-        x = sample_fn(i)
-        total += x
-        total_sq += x * x
+    for start in range(0, n, training.SEED_BLOCK):
+        x = block_fn(range(start, min(start + training.SEED_BLOCK, n)))
+        total += x.sum(axis=0)
+        total_sq += np.einsum("ij,ij->j", x, x)
     mean = total / n
     se = np.sqrt(np.maximum(total_sq / n - mean**2, 0.0) / n)
     return mean, se
+
+
+def noises(base_seed, indices):
+    """The noise of the given seed indices on the H=4, T=6 instances."""
+    return [episode_noise(base_seed, i, 6, 4) for i in indices]
 
 
 @pytest.fixture(scope="module")
@@ -116,17 +124,17 @@ def test_criterion_02_unbiasedness(h4t6_instance):
     sched_i = ScalingSchedule(FIXED_ALPHA, alpha=np.ones(6))
     sched_q = ScalingSchedule(FIXED_ALPHA, alpha=np.ones(6), Q0=q_pd)
     arms = {
-        "uoro(Q0=I)": lambda i: run_uoro(
-            tape, CutVertex.PREACTIVATION, episode_noise(10, i, 6, 4), sched_i
+        "uoro(Q0=I)": lambda seeds: run_uoro(
+            tape, CutVertex.PREACTIVATION, noises(10, seeds), sched_i
         ).estimate,
-        "uoro(Q0=PD)": lambda i: run_uoro(
-            tape, CutVertex.PREACTIVATION, episode_noise(11, i, 6, 4), sched_q
+        "uoro(Q0=PD)": lambda seeds: run_uoro(
+            tape, CutVertex.PREACTIVATION, noises(11, seeds), sched_q
         ).estimate,
-        "preuoro": lambda i: run_preuoro(
-            tape, episode_noise(12, i, 6, 4), sched_i
+        "preuoro": lambda seeds: run_preuoro(
+            tape, noises(12, seeds), sched_i
         ).estimate,
-        "reinforce": lambda i: reinforce_episode(
-            params, inputs, targets, head, 1e-3, episode_noise(13, i, 6, 4),
+        "reinforce": lambda seeds: reinforce_episode(
+            params, inputs, targets, head, 1e-3, noises(13, seeds),
             baseline=clean_losses
         ).estimate,
     }
@@ -345,18 +353,20 @@ def test_criterion_10_score_function_limit():
     n = 400
     mean_diffs = []
     variances = []
+    common = noises(600, range(n))  # common noise across sigmas
+    blocks = [slice(start, start + training.SEED_BLOCK)
+              for start in range(0, n, training.SEED_BLOCK)]
     for sigma in sigmas:
         diff_sum = np.zeros(params.num_params)
         no_baseline = np.empty((n, params.num_params))
-        for i in range(n):
-            noise = episode_noise(600, i, 6, 4)  # common noise across sigmas
+        for block in blocks:
             corrected = reinforce_episode(params, inputs, targets, head, sigma,
-                                          noise, baseline=clean_losses)
-            same_noise = run_uoro(tape, CutVertex.STATE, noise, schedule)
-            diff_sum += corrected.estimate - same_noise.estimate
-            no_baseline[i] = reinforce_episode(params, inputs, targets, head,
-                                               sigma, noise,
-                                               baseline="none").estimate
+                                          common[block], baseline=clean_losses)
+            same_noise = run_uoro(tape, CutVertex.STATE, common[block], schedule)
+            diff_sum += np.sum(corrected.estimate - same_noise.estimate, axis=0)
+            no_baseline[block] = reinforce_episode(params, inputs, targets, head,
+                                                   sigma, common[block],
+                                                   baseline="none").estimate
         mean_diffs.append(float(np.linalg.norm(diff_sum / n)))
         variances.append(float(np.mean(np.var(no_baseline, axis=0))))
     logs = np.log10(sigmas)
