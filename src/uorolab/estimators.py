@@ -684,17 +684,17 @@ def reinforce_episode(params: rnn.RnnParams, inputs, targets, head,
     if clean:
         x[:, n:] = steps
     u = np.stack([draws.u[:t_len] for draws in noises], axis=1)  # (T, 1 or n, H)
-    shifts = sigma * (u if q0 is None else u @ q0.T)
-    hidden = np.empty((t_len, x.shape[1], h_size))
+    # the perturbed states h_bar; unperturbed rows and the LSTM cell add 0
+    states = np.zeros((t_len, x.shape[1], params.state_size))
+    states[:, :n, :h_size] = sigma * (u if q0 is None else u @ q0.T)
     caches = []
     state = np.zeros((x.shape[1], params.state_size))
     for t in range(t_len):
         state, cache = rnn.step(params, state, x[t])
         caches.append(cache)
-        state = state.copy()  # a vanilla cell's new state is its cache's h
-        state[:n, :h_size] += shifts[t]
-        hidden[t] = state[:, :h_size]
+        state = np.add(state, states[t], out=states[t])
 
+    hidden = states[..., :h_size]
     losses, _ = rnn.loss_grad(hidden, _row_targets(targets, episodes, t_len, n, clean),
                               head)
     losses = np.zeros(hidden.shape[:2]) + losses  # a head may return one scalar
