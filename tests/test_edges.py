@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from uorolab import estimators, rnn
+from uorolab import estimators
 from uorolab.errors import NumericOverflowError, ShapeError, SingularMatrixError
 from uorolab.estimators import (
     FIXED_ALPHA,
