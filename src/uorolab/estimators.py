@@ -76,8 +76,6 @@ GRAM_NORM_RTOL = 1e-6
 class RankOneState:
     h_tilde: np.ndarray  # ([B,] S)
     w_tilde: np.ndarray  # ([B,] P)
-    # under GIR, ||w_tilde|| per row as uoro_step took it; None: not taken yet
-    w_norm: np.ndarray | None = None
 
 
 @dataclass
@@ -274,19 +272,16 @@ def uoro_step(state: RankOneState, cache, cut, u: np.ndarray,
 
     and a new sketch within CANCEL_EPS_MULTIPLE eps of its two terms' summed
     norms is set to zero.
-    Returns (new state, gamma_t, beta_t).  Under GIR the new state carries
-    ||w~_t|| (zero where cancelled), which the next step reads instead of
-    taking it again.  Raises NumericOverflowError naming the step if the
-    propagated quantities leave the float range; under GIR that includes
-    their norms, which the next coefficients are taken from.
+    Returns (new state, gamma_t, beta_t).  Raises NumericOverflowError naming
+    the step if the propagated quantities leave the float range; under GIR
+    that includes their norms, which the next coefficients are taken from.
     """
     forwarded = rnn.jvp_state(cache, state.h_tilde)
     spatial_in = rnn.jvp_cut(cache, cut, schedule.shape_spatial(u))
     spatial_out = rnn.vjp_cut(cache, cut, schedule.unshape_spatial(u))
     greedy = schedule.mode == GIR
     if greedy:
-        w_norm = _norms(state.w_tilde) if state.w_norm is None else state.w_norm
-        fwd_norm = _norms(forwarded)
+        w_norm, fwd_norm = _norms(state.w_tilde), _norms(forwarded)
         out_norm, in_norm = _norms(spatial_out), _norms(spatial_in)
         gamma, beta = _gir_coefficients(w_norm, fwd_norm, out_norm, in_norm,
                                         schedule.gir_scale)
@@ -299,14 +294,12 @@ def uoro_step(state: RankOneState, cache, cut, u: np.ndarray,
             h_norm, w_new_norm = _norms(h_tilde), _norms(w_tilde)
             h_tilde = _zero_cancelled(h_tilde, h_norm,
                                       gamma * fwd_norm + beta * in_norm)
-            cancelled = _cancels(w_new_norm, w_norm / gamma + out_norm / beta)
-            if cancelled.any():
-                np.copyto(w_tilde, 0.0, where=_col(cancelled))
-                w_new_norm = np.where(cancelled, 0.0, w_new_norm)
+            w_tilde = _zero_cancelled(w_tilde, w_new_norm,
+                                      w_norm / gamma + out_norm / beta)
     checked = (h_norm, w_new_norm) if greedy else (h_tilde, w_tilde)
     if not all(np.isfinite(x).all() for x in checked):
         raise NumericOverflowError(f"rank-one sketch overflowed at step {t}")
-    return RankOneState(h_tilde, w_tilde, w_new_norm if greedy else None), gamma, beta
+    return RankOneState(h_tilde, w_tilde), gamma, beta
 
 
 def uoro_contribution(state: RankOneState, loss_grad_full: np.ndarray) -> np.ndarray:

@@ -176,32 +176,6 @@ class TestGramCancellation:
         assert batched.realized_gamma[2, 0] == 1.0
         assert row_rel(batched.estimate[0], estimate) <= RTOL
 
-    def test_carried_norm_is_the_norm_taken_again(self):
-        """uoro_step carries ||w~_t|| to the next step under GIR; dropping it
-        at every step, so that the next step takes it again from w~, gives
-        bit for bit the same run, a cancelled row (norm 0) included."""
-        tape, noise = cancelling_episode(7)
-        u = np.stack([noise.u, episode_noise(8, 0, 4, 2).u], axis=1)
-        schedule = ScalingSchedule(GIR)
-        runs = []
-        for carry in (True, False):
-            state = estimators.RankOneState(np.zeros((2, 2)),
-                                            np.zeros((2, tape.params.num_params)))
-            steps = []
-            for t, cache in enumerate(tape.caches):
-                if not carry:
-                    state = estimators.RankOneState(state.h_tilde, state.w_tilde)
-                state, gamma, beta = estimators.uoro_step(
-                    state, cache, CutVertex.PREACTIVATION, u[t], schedule, t)
-                steps.append((state.h_tilde, state.w_tilde, gamma, beta))
-                if carry and t == 1:
-                    assert state.w_norm[0] == 0.0
-                    np.testing.assert_array_equal(state.w_tilde[0], 0.0)
-            runs.append(steps)
-        for carried, taken in zip(*runs):
-            for x, y in zip(carried, taken):
-                np.testing.assert_array_equal(x, y)
-
     def test_cancelled_row_keeps_no_coefficients(self):
         """A row that cancels under the rule is zeroed in its coefficients,
         not only in its tracked norm, so no residual of the old terms is
