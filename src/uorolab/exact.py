@@ -58,13 +58,10 @@ def bptt_gradient(tape: EpisodeTape) -> GradientVector:
     batch = tape.batch_shape
     g_z = np.empty((tape.length, *batch, params.preactivation_size))
     delta = np.zeros((*batch, params.state_size))
-    for t in range(tape.length - 1, 0, -1):
+    for t in range(tape.length - 1, -1, -1):
         delta = delta + tape.loss_grad_full(t)
         g_z[t], delta = rnn.vjp_to_cut_and_state(tape.caches[t],
                                                  CutVertex.PREACTIVATION, delta)
-    # nothing reads the adjoint of the state before step 0
-    g_z[0] = rnn.vjp_to_cut(tape.caches[0], CutVertex.PREACTIVATION,
-                            delta + tape.loss_grad_full(0))
     a = np.stack([c.a for c in tape.caches])
     grad = np.moveaxis(g_z, 0, -1) @ np.moveaxis(a, 0, -2)
     return GradientVector(g=grad.reshape(*batch, -1), total_loss=tape.total_loss())
@@ -147,8 +144,7 @@ def _adjoint_sweep(tape: EpisodeTape, cut: CutVertex, suffix: bool):
     holds, for every t >= s, dL_t/d(state_s), or with suffix the suffix sum
     sum_{t'>=t} dL_t'/d(state_s), which needs only D[s] = D[s+1] +
     dL_s/d(state_s) at step s.  The live rows t >= s are pulled back to the
-    cut and through J_state to state_{s-1} in one product; at s = 0 only to
-    the cut, since nothing reads the state before step 0.  Yields (s, g),
+    cut and through J_state to state_{s-1} in one product.  Yields (s, g),
     g (T - s, [B,] N_z) the cut adjoints of rows s..T-1 at step s."""
     t_len = tape.length
     deltas = np.zeros((t_len, *tape.batch_shape, tape.params.state_size))
@@ -157,10 +153,7 @@ def _adjoint_sweep(tape: EpisodeTape, cut: CutVertex, suffix: bool):
         if suffix and s + 1 < t_len:
             deltas[s] += deltas[s + 1]
         # causality: losses before s have no adjoint here
-        if s:
-            g, deltas[s:] = rnn.vjp_to_cut_and_state(tape.caches[s], cut, deltas[s:])
-        else:
-            g = rnn.vjp_to_cut(tape.caches[0], cut, deltas)
+        g, deltas[s:] = rnn.vjp_to_cut_and_state(tape.caches[s], cut, deltas[s:])
         yield s, g
 
 
