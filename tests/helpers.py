@@ -33,6 +33,13 @@ def make_instance(
     return params, inputs, targets, head
 
 
+class ConstantHead:
+    """A custom head whose loss is one scalar whatever the rows."""
+
+    def loss_and_grad(self, h, target):
+        return 1.7, np.zeros_like(h)
+
+
 def forbid_steps(monkeypatch):
     """Make any transition or sketch step fail the test, so that a check
     must raise before the first one."""

@@ -24,7 +24,8 @@ from uorolab.noise import episode_noise
 from uorolab.rnn import BernoulliHead, CutVertex, RnnParams, run_episode
 from uorolab.variance import offline_total_estimate
 
-from helpers import forbid_steps, make_instance, reinforce_by_definition
+from helpers import (ConstantHead, forbid_steps, make_instance,
+                     reinforce_by_definition)
 
 RTOL = 1e-12
 
@@ -357,13 +358,6 @@ def reinforce_baselines(kind, rng, length, batch):
 def one_row(baseline):
     """A per-row baseline as the baseline of a batch of one."""
     return baseline[:, None] if np.ndim(baseline) == 1 else baseline
-
-
-class ConstantHead:
-    """A custom head whose loss is one scalar whatever the rows."""
-
-    def loss_and_grad(self, h, target):
-        return 1.7, np.zeros_like(h)
 
 
 class TestReinforceBatch:

@@ -24,7 +24,7 @@ from uorolab.noise import episode_noise
 from uorolab.rnn import CutVertex, run_episode
 from uorolab.variance import offline_total_estimate
 
-from helpers import make_instance
+from helpers import ConstantHead, make_instance
 
 
 def fixed_schedule(length, Q0=None, alpha=None):
@@ -343,10 +343,6 @@ class TestReinforce:
     def test_constant_loss_gives_zero_mean(self):
         rng = np.random.default_rng(62)
         params, inputs, _, _ = make_instance(rng, hidden=3, length=3)
-
-        class ConstantHead:
-            def loss_and_grad(self, h, target):
-                return 1.7, np.zeros_like(h)
 
         targets = [0, 0, 0]
         n = 4000
