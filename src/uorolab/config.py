@@ -27,6 +27,8 @@ CHOICES = {
 
 # Keys whose values must be positive.
 POSITIVE = ("hidden", "minibatch", "updates", "num_seeds", "sigma", "learning_rate")
+# Seeds, which numpy's SeedSequence (and so every stream) takes nonnegative.
+SEEDS = ("base_seed", "data_seed")
 
 
 @dataclass
@@ -82,6 +84,9 @@ class ExperimentConfig:
         for key in POSITIVE:
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key} = {getattr(self, key)!r} must be positive")
+        for key in SEEDS:
+            if not getattr(self, key) >= 0:
+                raise ValueError(f"{key} = {getattr(self, key)!r} must be nonnegative")
         if not self.damping >= 0:
             raise ValueError(f"damping = {self.damping!r} must be nonnegative")
         if self.task == "queue" and self.delay >= self.stream_length:

@@ -2,9 +2,9 @@
 
 All estimators consume an EpisodeTape (parameters frozen within the episode)
 plus an EpisodeNoise, and return a GradientReport.  The rank-one sketches are
-batch-first: given a sequence of B noises they advance B episodes of a
-batched tape, or B seeds on one tape, in one pass, with one estimate row per
-episode or seed.  The rank-one sketch
+batch-first: given B noises (a NoiseBlock, or a sequence of EpisodeNoise)
+they advance B episodes of a batched tape, or B seeds on one tape, in one
+pass, with one estimate row per episode or seed.  The rank-one sketch
 (h_tilde, w_tilde) of the state-to-parameter influence matrix is maintained
 by the pair of recursions
 
@@ -54,7 +54,7 @@ from .errors import (
     UnsupportedCutError,
 )
 from .linalg import sqrt_ratio_or_one
-from .noise import EpisodeNoise
+from .noise import EpisodeNoise, NoiseBlock
 from .rnn import CutVertex, EpisodeTape, outer_rows
 
 GIR = "gir"
@@ -243,9 +243,9 @@ def _gir_coefficients(w_norm, fwd_norm, out_norm, in_norm, gir_scale):
 
 
 def _draws(noise, stream: str) -> np.ndarray:
-    """A stream (T, ...) of one EpisodeNoise, or (T, B, ...) stacked over a
-    sequence of B of them."""
-    if isinstance(noise, EpisodeNoise):
+    """A stream (T, ...) of one EpisodeNoise, (T, B, ...) of a NoiseBlock,
+    or (T, B, ...) stacked over a sequence of B EpisodeNoise."""
+    if isinstance(noise, (EpisodeNoise, NoiseBlock)):
         return getattr(noise, stream)
     return np.stack([getattr(n, stream) for n in noise], axis=1)
 
@@ -253,6 +253,8 @@ def _draws(noise, stream: str) -> np.ndarray:
 def _report(name, noise, estimate, gammas=None, betas=None) -> GradientReport:
     if isinstance(noise, EpisodeNoise):
         seed, index = noise.base_seed, noise.episode_index
+    elif isinstance(noise, NoiseBlock):
+        seed, index = (noise.base_seed,) * len(noise), noise.indices
     else:
         seed = tuple(n.base_seed for n in noise)
         index = tuple(n.episode_index for n in noise)
@@ -318,8 +320,9 @@ def run_uoro(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
              estimator_name: str = "uoro") -> GradientReport:
     """Run the rank-one estimator over a full episode tape.
 
-    noise is one EpisodeNoise, or a sequence of B: one per episode of a
-    batched tape, or B seeds on one episode.
+    noise is one EpisodeNoise, or a NoiseBlock or sequence of B
+    EpisodeNoise: one per episode of a batched tape, or B seeds on one
+    episode.
 
     The recursion is uoro_step's, with w~ factored: at the preactivation and
     state cuts the term of step r is vec(L_r a_r^T), with the left factor
@@ -628,7 +631,8 @@ def reinforce_episode(params: rnn.RnnParams, inputs, targets, head,
     loss at the perturbed state h_bar_t, treated as a given scalar: only the
     score term is differentiated.
 
-    noise is one EpisodeNoise or a sequence of B, one estimate row each.
+    noise is one EpisodeNoise, or a NoiseBlock or sequence of B
+    EpisodeNoise, one estimate row each.
     inputs (T, X) with T targets are one episode that every row runs;
     inputs (B, T, X) with one target list per episode give row j episode j.
     baseline may be "none", "noise-free" (L_t of the unperturbed network on
@@ -652,7 +656,9 @@ def reinforce_episode(params: rnn.RnnParams, inputs, targets, head,
     episodes = inputs.shape[:-2]
     t_len, h_size = inputs.shape[-2], params.hidden_size
     single = isinstance(noise, EpisodeNoise)
-    noises = [noise] if single else list(noise)
+    block = isinstance(noise, NoiseBlock)
+    noises = [noise] if single or block else list(noise)
+    count = len(noise) if block else len(noises)
     for draws in noises:
         if draws.dim != h_size:
             raise ShapeError(f"noise dim {draws.dim} != hidden size {h_size}")
@@ -662,9 +668,9 @@ def reinforce_episode(params: rnn.RnnParams, inputs, targets, head,
     if q0 is not None and q0.shape[0] != h_size:
         raise ShapeError(f"Q0 shape {q0.shape} != hidden size ({h_size}, {h_size})")
     try:
-        batch = np.broadcast_shapes(episodes, () if single else (len(noises),))
+        batch = np.broadcast_shapes(episodes, () if single else (count,))
     except ValueError:
-        raise ShapeError(f"{episodes[0]} episodes for {len(noises)} noises") from None
+        raise ShapeError(f"{episodes[0]} episodes for {count} noises") from None
     baseline_values = _baseline_rows(baseline, t_len, batch)
     clean = baseline_values is None
 
@@ -676,7 +682,10 @@ def reinforce_episode(params: rnn.RnnParams, inputs, targets, head,
     x[:, :n] = steps
     if clean:
         x[:, n:] = steps
-    u = np.stack([draws.u[:t_len] for draws in noises], axis=1)  # (T, 1 or n, H)
+    if block:
+        u = noise.u[:t_len]  # (T, n, H)
+    else:
+        u = np.stack([draws.u[:t_len] for draws in noises], axis=1)  # (T, 1 or n, H)
     # the perturbed states h_bar; unperturbed rows and the LSTM cell add 0
     states = np.zeros((t_len, x.shape[1], params.state_size))
     states[:, :n, :h_size] = sigma * (u if q0 is None else u @ q0.T)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IdxFormatError
+from .noise import seeded_generator
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -36,11 +37,10 @@ class QueueSpec:
 
 def make_queue_episode(spec: QueueSpec, seed: int, episode_index: int):
     """One episode: (inputs (T, 1), targets list).  Inputs are iid fair-coin
-    bits; target at step t is the input from delay steps earlier, None (masked)
+    bits, drawn as from PCG64(SeedSequence(seed, spawn_key=(episode_index,)));
+    target at step t is the input from delay steps earlier, None (masked)
     while undefined."""
-    gen = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(episode_index,)))
-    )
+    gen = seeded_generator(seed, (episode_index,))
     bits = gen.integers(0, 2, size=spec.length).astype(np.float64)
     inputs = bits[:, None]
     targets = [

@@ -35,7 +35,7 @@ from .estimators import (
     uoro_step,
 )
 from .exact import bptt_gradient, episode_tensors, rtrl_jacobians, suffix_rows
-from .noise import episode_noise
+from .noise import episode_noise, episode_noises
 from .optim import AdamState, adam_update
 from .reports import write_json_summary, write_metrics_csv
 from .rnn import BernoulliHead, CutVertex, SoftmaxHead, init_params, run_episode
@@ -131,17 +131,10 @@ def _q0_schedule(gir_scale, alpha_mode, q0):
                            gir_scale=gir_scale if alpha_mode == "gir" else 1.0)
 
 
-def _episode_noises(config, dim, tape, first):
-    """The noise of each episode of a batched tape, whose episode indices
-    start at first."""
-    return [episode_noise(config.base_seed, first + j, tape.length, dim,
-                          config.tau_kind) for j in range(tape.batch_shape[0])]
-
-
-def _estimate_batch(config, params, head, tape, first):
+def _estimate_batch(config, params, head, tape, noises):
     """Gradient estimates (B, P) of the exact and the other non-sketch
     engines (bptt, rtrl, spatial, reinforce) for the B episodes of a batched
-    tape, whose episode indices start at first.  reinforce runs the block in
+    tape, whose noise is the NoiseBlock noises.  reinforce runs the block in
     one call, with the tape's losses as its noise-free baseline; rtrl and
     spatial read slices of the tape."""
     estimator = canonical_estimator(config.estimator)
@@ -151,8 +144,6 @@ def _estimate_batch(config, params, head, tape, first):
         if config.exact_method == "rtrl":
             return np.stack([rtrl_jacobians(tape.episode(j))[1].g for j in episodes])
         return bptt_gradient(tape).g
-    dim = params.hidden_size if estimator == "reinforce" else params.cut_size(cut)
-    noises = _episode_noises(config, dim, tape, first)
     if estimator == "reinforce":
         baseline = tape.losses if config.baseline == "noise-free" else config.baseline
         return reinforce_episode(params, tape.inputs, tape.targets, head,
@@ -161,9 +152,9 @@ def _estimate_batch(config, params, head, tape, first):
                      for j in episodes])
 
 
-def _rank_one_batch(config, params, tape, first, schedule, b_sum, audits):
-    """uoro or preuoro on the B episodes of a batched tape, whose episode
-    indices start at first, in one call.
+def _rank_one_batch(config, tape, noises, schedule, b_sum, audits):
+    """uoro or preuoro on the B episodes of a batched tape, whose noise is
+    the NoiseBlock noises, in one call.
 
     schedule is the GIR ScalingSchedule shared by the episodes of an update:
     it holds the spatial Q0 (none for preuoro), checked and inverted once.
@@ -176,10 +167,9 @@ def _rank_one_batch(config, params, tape, first, schedule, b_sum, audits):
     """
     estimator = canonical_estimator(config.estimator)
     cut = CutVertex(config.cut)
-    noises = _episode_noises(config, params.cut_size(cut), tape, first)
-    audited = [j for j in range(len(noises))
+    audited = [j for j, index in enumerate(noises.indices)
                if estimator == "uoro" and config.contribution == "current"
-               and config.audit_every and (first + j) % config.audit_every == 0]
+               and config.audit_every and index % config.audit_every == 0]
     solve = config.alpha_mode == "ours"
     run_schedule = schedule
     if solve:
@@ -216,7 +206,7 @@ def _exact_pass(config, tape, cut, schedule, noises, audited, alphas, b_sum):
                                          b_sum)
     offline = {
         j: offline_total_estimate(episode_tensors(tape.episode(j), cut),
-                                  noises[j].u, alphas[:, j], schedule.Q0,
+                                  noises.u[:, j], alphas[:, j], schedule.Q0,
                                   schedule.Q0_inv)
         for j in audited}
     return alphas, offline, b_sum
@@ -324,6 +314,13 @@ def _update(config, params, head, episodes, update, b_bar, q0):
     if estimator in ("uoro", "preuoro"):
         schedule = _q0_schedule(config.gir_scale, config.alpha_mode, q0)
     size = TENSOR_BLOCK if _needs_exact_pass(config) else len(episodes)
+    # the states of the minibatch's streams are derived once; each block
+    # draws its own columns
+    first = update * config.minibatch
+    dim = (params.hidden_size if estimator == "reinforce"
+           else params.cut_size(CutVertex(config.cut)))
+    noises = episode_noises(config.base_seed, range(first, first + len(episodes)),
+                            episodes[0][0].shape[0], dim, config.tau_kind)
     grad_sum = head_grad_sum = loss_sum = 0.0
     # a running sum keeps one N_z x N_z matrix alive instead of one per episode
     b_sum = None
@@ -331,7 +328,7 @@ def _update(config, params, head, episodes, update, b_bar, q0):
     for start in range(0, len(episodes), size):
         grad, head_grad, loss, b_sum = _block_sums(
             config, params, head, episodes[start:start + size],
-            update * config.minibatch + start, schedule, b_sum, audits)
+            noises[start:start + size], schedule, b_sum, audits)
         grad_sum = grad_sum + grad
         head_grad_sum = head_grad_sum + head_grad
         loss_sum += loss
@@ -345,19 +342,19 @@ def _update(config, params, head, episodes, update, b_bar, q0):
     return grad_sum / n, head_grad_sum / n, loss_sum / n, b_bar, q0, audit
 
 
-def _block_sums(config, params, head, batch, first, schedule, b_sum, audits):
-    """Run the episodes of one block of a minibatch, whose episode indices
-    start at first, as one batch.  Returns the block's summed gradient, head
+def _block_sums(config, params, head, batch, noises, schedule, b_sum, audits):
+    """Run the episodes of one block of a minibatch, whose noise is the
+    NoiseBlock noises, as one batch.  Returns the block's summed gradient, head
     gradient and loss, each per supervised step, and b_sum plus the block's
     exact B; appends the block's audit errors to audits.  The block's tape
     and per-episode arrays are freed on return, before the next block runs."""
     targets = [ep[1] for ep in batch]
     tape = run_episode(params, np.stack([ep[0] for ep in batch]), targets, head)
     if schedule is not None:
-        estimates, b_sum = _rank_one_batch(config, params, tape, first, schedule,
+        estimates, b_sum = _rank_one_batch(config, tape, noises, schedule,
                                            b_sum, audits)
     else:
-        estimates = _estimate_batch(config, params, head, tape, first)
+        estimates = _estimate_batch(config, params, head, tape, noises)
     counts = np.array([max(sum(t is not None for t in tg), 1) for tg in targets])
     steps = [[tg[t] for tg in targets] for t in range(tape.length)]
     head_grads = head.param_grad(np.stack([c.h for c in tape.caches]), steps)
@@ -379,7 +376,8 @@ def _run_streaming(config, task, params, head, w_state, head_state, out_dir,
         inputs, targets = task.episode(config.data_seed, episode_index)
         t_len = inputs.shape[0]
         noise = episode_noise(config.base_seed, episode_index, t_len,
-                              params.hidden_size, config.tau_kind)
+                              params.cut_size(CutVertex.PREACTIVATION),
+                              config.tau_kind)
         schedule = ScalingSchedule(GIR, gir_scale=config.gir_scale)
         state_vec = np.zeros(params.state_size)
         if estimator == "uoro":
@@ -456,14 +454,13 @@ SEED_BLOCK = 64
 
 
 def _seed_blocks(config, length, dim, n_seeds, seed_offset=0):
-    """(start, noises) for the seeds seed_offset + i, i < n_seeds, in blocks
-    of SEED_BLOCK."""
+    """(start, noises) for the seeds seed_offset + i, i < n_seeds, in
+    NoiseBlocks of SEED_BLOCK."""
     for start in range(0, n_seeds, SEED_BLOCK):
-        yield start, [
-            episode_noise(config.base_seed, seed_offset + i, length, dim,
-                          config.tau_kind)
-            for i in range(start, min(start + SEED_BLOCK, n_seeds))
-        ]
+        stop = min(start + SEED_BLOCK, n_seeds)
+        yield start, episode_noises(config.base_seed,
+                                    range(seed_offset + start, seed_offset + stop),
+                                    length, dim, config.tau_kind)
 
 
 def measure_estimator(config, params, tape, tensors, estimator, schedule,

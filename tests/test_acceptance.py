@@ -22,7 +22,7 @@ from uorolab.estimators import (
 )
 from uorolab.exact import bptt_gradient, episode_tensors, rtrl_jacobians
 from uorolab.linalg import psd_frac_power, trace
-from uorolab.noise import episode_noise
+from uorolab.noise import episode_noise, episode_noises
 from uorolab.rnn import CutVertex, run_episode
 from uorolab.variance import (
     alpha_closed_form_rank1,
@@ -70,8 +70,9 @@ def mc_stats(block_fn, n, dim):
 
 
 def noises(base_seed, indices):
-    """The noise of the given seed indices on the H=4, T=6 instances."""
-    return [episode_noise(base_seed, i, 6, 4) for i in indices]
+    """The noise of the given seed indices on the H=4, T=6 instances, as one
+    block."""
+    return episode_noises(base_seed, indices, 6, 4)
 
 
 @pytest.fixture(scope="module")

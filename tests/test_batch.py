@@ -20,7 +20,7 @@ from uorolab.estimators import (
     run_uoro,
 )
 from uorolab.exact import bptt_gradient, episode_tensors
-from uorolab.noise import episode_noise
+from uorolab.noise import episode_noise, episode_noises
 from uorolab.rnn import BernoulliHead, CutVertex, RnnParams, run_episode
 from uorolab.variance import offline_total_estimate
 
@@ -324,6 +324,34 @@ class TestSeedsOnOneTape:
             for i in (0, training.SEED_BLOCK - 1, n_seeds - 1):
                 ref = run(episode_noise(41, 3 + i, 4, 3)).estimate
                 assert rel(rows[i], ref) <= RTOL, f"{estimator} seed {i}"
+
+
+class TestNoiseBlocks:
+    """A NoiseBlock drives the batched estimators exactly as the list of its
+    episodes' EpisodeNoise does: same draws, so the same bits out."""
+
+    @pytest.mark.parametrize("cell", [rnn.VANILLA_TANH, rnn.LSTM])
+    def test_block_equals_list_of_episode_noises(self, cell):
+        rng = np.random.default_rng(130)
+        params, inputs, targets, head = make_instance(rng, cell_kind=cell, hidden=3,
+                                                      length=5)
+        tape = run_episode(params, inputs, targets, head)
+        n_z = params.preactivation_size
+        runs = [
+            (lambda n: run_uoro(tape, CutVertex.PREACTIVATION, n,
+                                ScalingSchedule(GIR)), n_z),
+            (lambda n: run_preuoro(tape, n, ScalingSchedule(GIR)), n_z),
+            (lambda n: reinforce_episode(params, inputs, targets, head, SIGMA, n),
+             params.hidden_size),
+        ]
+        for run, dim in runs:
+            block = episode_noises(61, range(2, 9), 5, dim, "gaussian")
+            listed = [episode_noise(61, i, 5, dim, "gaussian") for i in range(2, 9)]
+            a, b = run(block), run(listed)
+            assert np.array_equal(a.estimate, b.estimate)
+            assert (a.base_seed, a.episode_index) == (b.base_seed, b.episode_index)
+            if a.realized_gamma is not None:
+                assert np.array_equal(a.realized_gamma, b.realized_gamma)
 
 
 SIGMA = 1e-3

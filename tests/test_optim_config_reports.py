@@ -96,6 +96,9 @@ class TestConfig:
         ("learning_rate", {"learning_rate": -0.001}),
         ("learning_rate", {"learning_rate": float("nan")}),
         ("damping", {"damping": -1e-3}),
+        ("base_seed", {"base_seed": -1}),
+        ("data_seed", {"data_seed": -7}),
+        ("base_seed", {"base_seed": -2**32, "data_seed": 3}),
         ("cut", {"cell": "lstm", "cut": "state"}),
         ("cut", {"cut": "state", "q0_mode": "ours"}),
         ("cut", {"cut": "state", "q0_mode": "ours", "alpha_mode": "ours"}),
@@ -124,6 +127,8 @@ class TestConfig:
 
     def test_range_edges_accepted(self):
         ExperimentConfig(task="queue", delay=7, stream_length=8, damping=0.0)
+        ExperimentConfig(base_seed=0, data_seed=0)
+        ExperimentConfig(base_seed=2**64 + 3, data_seed=2**32)
         ExperimentConfig(task="rowwise-digits", delay=20, stream_length=8)
         ExperimentConfig(cell="vanilla-tanh", cut="state")
         ExperimentConfig(streaming=True, estimator="temporal")
