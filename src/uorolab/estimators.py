@@ -635,6 +635,7 @@ def reinforce_episode(params: rnn.RnnParams, inputs, targets, head,
     EpisodeNoise, one estimate row each.
     inputs (T, X) with T targets are one episode that every row runs;
     inputs (B, T, X) with one target list per episode give row j episode j.
+    targets may also be the (T, [B]) Targets pair of a tape.
     baseline may be "none", "noise-free" (L_t of the unperturbed network on
     the same inputs), or an explicit per-step array: (T,) for every row, or
     (T, B) with column j for row j.
@@ -655,6 +656,9 @@ def reinforce_episode(params: rnn.RnnParams, inputs, targets, head,
         inputs = np.atleast_2d(inputs)
     episodes = inputs.shape[:-2]
     t_len, h_size = inputs.shape[-2], params.hidden_size
+    targets = rnn.episode_targets(targets, episodes, t_len)
+    if not episodes:
+        targets = targets[:, None]
     single = isinstance(noise, EpisodeNoise)
     block = isinstance(noise, NoiseBlock)
     noises = [noise] if single or block else list(noise)
@@ -697,8 +701,10 @@ def reinforce_episode(params: rnn.RnnParams, inputs, targets, head,
         state = np.add(state, states[t], out=states[t])
 
     hidden = states[..., :h_size]
-    losses, _ = rnn.loss_grad(hidden, _row_targets(targets, episodes, t_len, n, clean),
-                              head)
+    # sweep row j runs episode j mod E of the E episodes, the perturbed rows
+    # and then the unperturbed ones alike
+    rows = np.arange(x.shape[1]) % targets.mask.shape[1]
+    losses, _ = rnn.loss_grad(hidden, targets[:, rows], head)
     losses = np.zeros(hidden.shape[:2]) + losses  # a head may return one scalar
     advantage = losses[:, :n] - (losses[:, n:] if clean else baseline_values)
     suffix = np.cumsum(advantage[::-1], axis=0)[::-1]
@@ -726,13 +732,3 @@ def _baseline_rows(baseline, t_len: int, batch: tuple):
                          f"and a batch of shape {batch}")
     return values.reshape(t_len, -1)
 
-
-def _row_targets(targets, episodes: tuple, t_len: int, n: int, clean: bool):
-    """Targets of the reinforce sweep's rows, step by step: episode targets
-    repeated over the n perturbed rows, then one per unperturbed row."""
-    rows = []
-    for t in range(t_len):
-        per_episode = [tg[t] for tg in targets] if episodes else [targets[t]]
-        rows.append(per_episode * (n // len(per_episode))
-                    + (per_episode if clean else []))
-    return rows

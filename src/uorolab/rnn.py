@@ -473,143 +473,142 @@ def dense_jacobians(cache: StepCache, cut):
 
 
 # ---------------------------------------------------------------------------
-# Loss heads
+# Targets and loss heads
 # ---------------------------------------------------------------------------
 
-def _with_bias(h: np.ndarray) -> np.ndarray:
-    return np.concatenate([h, np.ones((*h.shape[:-1], 1))], axis=-1)
+@dataclass(frozen=True)
+class Targets:
+    """The targets of a batch of rows as one array pair: values (*rows, K)
+    floats for BernoulliHead or (*rows,) integer labels for SoftmaxHead, and
+    mask (*rows,), 1.0 at supervised rows and 0.0 at masked rows, whose
+    values are a zero fill.  Indexing slices both arrays: of an episode's
+    (T, [B]) pair, targets[t] is step t and targets[:, i] episode i."""
+
+    values: np.ndarray
+    mask: np.ndarray
+
+    def __getitem__(self, index) -> "Targets":
+        return Targets(self.values[index], self.mask[index])
 
 
-def _step_targets(target, batch_shape: tuple, fill):
-    """Targets for h of shape (*batch_shape, H), as (a flat list of one value
-    per row, supervised mask of batch_shape): a single target for one h, a
-    sequence of B for (B, H), nested sequences for more leading axes.  A None
-    target marks an unsupervised row (zero loss, zero gradient) and reads as
-    fill."""
-    rows = [target]
-    for _ in batch_shape:
-        rows = [t for nested in rows for t in nested]
-    supervised = np.array([t is not None for t in rows], dtype=np.float64)
-    return [fill if t is None else t for t in rows], supervised.reshape(batch_shape)
+def _as_targets(targets, shape: tuple, axes: str = "") -> Targets:
+    """targets as a Targets pair of rows of the given shape: a Targets of
+    that shape as it is, or the list form, sequences nested to that shape
+    (one target for shape ()) of targets, None at masked rows.  Any other
+    shape raises ShapeError naming the expected one, its axes named axes."""
+    expected = f"{axes} = {shape}" if axes else f"{shape}"
+    if isinstance(targets, Targets):
+        if targets.mask.shape != shape:
+            raise ShapeError(f"targets of shape {targets.mask.shape}, "
+                             f"expected {expected}")
+        return targets
+    rows = [targets]
+    for size in shape:
+        try:
+            fits = all(len(r) == size for r in rows)
+        except TypeError:  # a target or None where a sequence belongs
+            fits = False
+        if not fits:
+            raise ShapeError(f"targets do not have the expected shape {expected}")
+        rows = [t for r in rows for t in r]
+    present = [t is not None for t in rows]
+    if not all(present):  # masked rows hold a zero fill
+        fill = next((np.zeros_like(t) for t in rows if t is not None), 0)
+        rows = [fill if t is None else t for t in rows]
+    values = np.array(rows)
+    return Targets(values.reshape(shape + values.shape[1:]),
+                   np.array(present, dtype=np.float64).reshape(shape))
+
+
+def episode_targets(targets, episodes: tuple, length: int) -> Targets:
+    """The targets of episodes of the given length as one (T, [B]) pair,
+    from a Targets of that shape or the list form: T targets for episodes
+    (), one list of T per episode for episodes (B,)."""
+    if isinstance(targets, Targets) or not episodes:
+        return _as_targets(targets, (length, *episodes),
+                           "(T, B)" if episodes else "(T,)")
+    pair = _as_targets(targets, (*episodes, length), "(B, T)")
+    return Targets(np.swapaxes(pair.values, 0, 1), pair.mask.T)
 
 
 def _scalar_or_rows(x: np.ndarray):
     return float(x) if x.ndim == 0 else x
 
 
-class SoftmaxHead:
-    """Linear softmax readout with cross-entropy loss.
-
-    weights has shape (K, H + 1); logits = weights @ (h, 1).  h may carry
-    leading axes, such as B episodes (B, H) with one target per episode.
-    """
+class _LinearHead:
+    """A linear readout, logits = weights @ (h, 1), with weights (K, H + 1).
+    h may carry leading axes, such as B episodes (B, H), and target is a
+    Targets pair of those axes or its list form (_as_targets); a masked row
+    has zero loss and zero gradient.  A subclass gives the loss and its logit
+    gradient per row in _error(h, values, mask)."""
 
     def __init__(self, weights: np.ndarray):
         self.weights = np.asarray(weights, dtype=np.float64)
         if self.weights.ndim != 2:
-            raise ShapeError("softmax head weights must be 2-d")
+            raise ShapeError("head weights must be 2-d")
+
+    def logits(self, h: np.ndarray) -> np.ndarray:
+        return h @ self.weights[:, :-1].T + self.weights[:, -1]
+
+    def _rows_error(self, h, target):
+        pair = _as_targets(target, h.shape[:-1])
+        return self._error(h, pair.values, pair.mask)
+
+    def loss_and_grad(self, h: np.ndarray, target):
+        loss, err = self._rows_error(h, target)
+        return _scalar_or_rows(loss), err @ self.weights[:, :-1]
+
+    def param_grad(self, h: np.ndarray, target) -> np.ndarray:
+        """Exact dL/d(head weights) per row; the head never feeds back into h."""
+        _, err = self._rows_error(h, target)
+        with_bias = np.concatenate([h, np.ones((*h.shape[:-1], 1))], axis=-1)
+        return err[..., :, None] * with_bias[..., None, :]
+
+
+class SoftmaxHead(_LinearHead):
+    """Linear softmax readout with cross-entropy loss; a target is a class
+    label in [0, K), and any other label raises ValueError naming it."""
 
     @property
     def n_classes(self) -> int:
         return self.weights.shape[0]
 
-    def logits(self, h: np.ndarray) -> np.ndarray:
-        return h @ self.weights[:, :-1].T + self.weights[:, -1]
-
-    def _error(self, h, target):
-        """Loss and probs - onehot(target) per row."""
-        if h.ndim == 1:
-            return self._error_one(h, target)
-        labels, supervised = _step_targets(target, h.shape[:-1], 0)
-        labels = [int(k) for k in labels]
-        if min(labels) < 0 or max(labels) >= self.n_classes:
-            raise ValueError(f"target {target} out of range [0, {self.n_classes})")
-        probs = self.logits(h).reshape(-1, self.n_classes)
+    def _error(self, h, labels, mask):
+        """Loss and probs - onehot(label) per row."""
+        onehot = labels[..., None] == np.arange(self.n_classes)
+        if np.count_nonzero(onehot) != labels.size:  # a label matches no class
+            bad = labels[~onehot.any(axis=-1)].flat[0]
+            if bad != np.trunc(bad):
+                raise ValueError(f"label {bad} is not an integer")
+            raise ValueError(f"label {bad} out of range [0, {self.n_classes})")
+        probs = self.logits(h)
         probs -= probs.max(axis=-1, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=-1, keepdims=True)
-        flat = probs.reshape(-1)  # a view: probs is a new contiguous array
-        picked = np.array([i * self.n_classes + k for i, k in enumerate(labels)])
-        loss = -np.log(np.maximum(flat[picked], 1e-300))
-        flat[picked] -= 1.0
-        err = probs.reshape(*supervised.shape, -1)
-        return loss.reshape(supervised.shape) * supervised, err * supervised[..., None]
-
-    def _error_one(self, h, target):
-        """_error for one unbatched h, with the same arithmetic and without
-        the per-row target bookkeeping."""
-        label = 0 if target is None else int(target)
-        if not 0 <= label < self.n_classes:
-            raise ValueError(f"target {target} out of range [0, {self.n_classes})")
-        probs = self.logits(h)
-        probs -= probs.max()
-        np.exp(probs, out=probs)
-        probs /= probs.sum()
-        loss = -np.log(max(probs[label], 1e-300))
-        probs[label] -= 1.0
-        return (loss * 0.0, probs * 0.0) if target is None else (loss, probs)
-
-    def loss_and_grad(self, h: np.ndarray, target):
-        loss, err = self._error(h, target)
-        return _scalar_or_rows(loss), err @ self.weights[:, :-1]
-
-    def param_grad(self, h: np.ndarray, target) -> np.ndarray:
-        """Exact dL/d(head weights) per row; the head never feeds back into h."""
-        _, err = self._error(h, target)
-        return err[..., :, None] * _with_bias(h)[..., None, :]
+        loss = -np.log(np.maximum(probs[onehot], 1e-300)).reshape(labels.shape)
+        probs[onehot] -= 1.0
+        return loss * mask, probs * mask[..., None]
 
 
-class BernoulliHead:
-    """Per-bit sigmoid readout with Bernoulli cross-entropy.
-
-    weights has shape (n_bits, H + 1).  A target of None marks a masked step
-    (zero loss, zero gradient).  h may carry leading axes, as for
-    SoftmaxHead.
-    """
-
-    def __init__(self, weights: np.ndarray):
-        self.weights = np.asarray(weights, dtype=np.float64)
+class BernoulliHead(_LinearHead):
+    """Per-bit sigmoid readout with Bernoulli cross-entropy; a target is
+    n_bits values in [0, 1]."""
 
     @property
     def n_bits(self) -> int:
         return self.weights.shape[0]
 
-    def logits(self, h: np.ndarray) -> np.ndarray:
-        return h @ self.weights[:, :-1].T + self.weights[:, -1]
-
-    def _error(self, h, target):
+    def _error(self, h, values, mask):
         """Loss and sigmoid(logits) - target per row."""
-        if h.ndim == 1:
-            return self._error_one(h, target)
-        t, supervised = _step_targets(target, h.shape[:-1], np.zeros(self.n_bits))
-        t = np.array(t, dtype=np.float64).reshape(*h.shape[:-1], -1)
-        if t.shape[-1] != self.n_bits:
+        t = np.asarray(values, dtype=np.float64).reshape(mask.shape + (-1,))
+        # with no supervised row the fill is one zero per row; it broadcasts
+        if t.shape[-1] != self.n_bits and mask.any():
             raise ShapeError(f"target shape {t.shape[-1:]} != ({self.n_bits},)")
         lg = self.logits(h)
         # log(1 + exp(-|x|)) form keeps the loss finite for saturated logits
         loss = np.sum(np.maximum(lg, 0.0) - lg * t + np.log1p(np.exp(-np.abs(lg))),
                       axis=-1)
-        return loss * supervised, (_sigmoid(lg) - t) * supervised[..., None]
-
-    def _error_one(self, h, target):
-        """_error for one unbatched h, with the same arithmetic and without
-        the per-row target bookkeeping."""
-        t = (np.zeros(self.n_bits) if target is None
-             else np.asarray(target, dtype=np.float64).reshape(-1))
-        if t.shape[-1] != self.n_bits:
-            raise ShapeError(f"target shape {t.shape[-1:]} != ({self.n_bits},)")
-        lg = self.logits(h)
-        loss = np.sum(np.maximum(lg, 0.0) - lg * t + np.log1p(np.exp(-np.abs(lg))))
-        err = _sigmoid(lg) - t
-        return (loss * 0.0, err * 0.0) if target is None else (loss, err)
-
-    def loss_and_grad(self, h: np.ndarray, target):
-        loss, err = self._error(h, target)
-        return _scalar_or_rows(loss), err @ self.weights[:, :-1]
-
-    def param_grad(self, h: np.ndarray, target) -> np.ndarray:
-        _, err = self._error(h, target)
-        return err[..., :, None] * _with_bias(h)[..., None, :]
+        return loss * mask, (_sigmoid(lg) - t) * mask[..., None]
 
 
 def loss_grad(h: np.ndarray, target, head):
@@ -624,7 +623,7 @@ def loss_grad(h: np.ndarray, target, head):
 @dataclass
 class EpisodeTape:
     """Per-step record of one episode, or of B episodes run together:
-    caches, losses and loss gradients.
+    caches, targets, losses and loss gradients.
 
     loss_grads rows are dL_t/dh_t (dimension H); embed_state_grad lifts them
     into the full state space where needed.
@@ -636,7 +635,7 @@ class EpisodeTape:
     caches: list = field(default_factory=list)
     losses: np.ndarray | None = None  # (T, [B])
     loss_grads: np.ndarray | None = None  # (T, [B,] H)
-    targets: list | None = None  # T targets, or one list of T per episode
+    targets: Targets | None = None  # (T, [B]) rows
 
     @property
     def length(self) -> int:
@@ -662,7 +661,7 @@ class EpisodeTape:
             caches=[c.episode(i) for c in self.caches],
             losses=self.losses[:, i],
             loss_grads=self.loss_grads[:, i],
-            targets=self.targets[i],
+            targets=self.targets[:, i],
         )
 
 
@@ -676,7 +675,10 @@ def run_episode(
     """Forward pass over one episode, recording caches and per-step losses.
 
     inputs (B, T, X) with one target list per episode run B episodes as one
-    batch.
+    batch.  The targets become the tape's (T, [B]) Targets once
+    (episode_targets), and one head call after the sweep takes every step:
+    the hidden states as (T, B, H), or (T, 1, H) for one episode, so that
+    each step's matrix products have the shapes, and round as, a call per step.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim < 3:
@@ -685,26 +687,27 @@ def run_episode(
     total = inputs.shape[-2]
     if total < 1:
         raise ShapeError("an episode needs at least one step")
+    targets = episode_targets(targets, batch, total)
     state = (
         np.zeros((*batch, params.state_size))
         if initial_state is None
         else np.asarray(initial_state, dtype=np.float64)
     )
-    targets = list(targets)
     tape = EpisodeTape(
         params=params,
         initial_state=state.copy(),
         inputs=inputs,
         targets=targets,
     )
-    losses = np.zeros((total, *batch))
-    grads = np.zeros((total, *batch, params.hidden_size))
+    rows = batch or (1,)
+    hidden = np.empty((total, *rows, params.hidden_size))
     for t in range(total):
         state, cache = step(params, state, inputs[..., t, :])
         tape.caches.append(cache)
-        step_targets = [tg[t] for tg in targets] if batch else targets[t]
-        losses[t], grads[t] = loss_grad(state[..., : params.hidden_size],
-                                        step_targets, head)
-    tape.losses = losses
-    tape.loss_grads = grads
+        hidden[t] = state[..., : params.hidden_size]
+    losses = np.empty((total, *rows))  # filled as well from one scalar loss
+    losses[...], grads = loss_grad(hidden, targets if batch else targets[:, None],
+                                   head)
+    tape.losses = losses.reshape(total, *batch)
+    tape.loss_grads = grads.reshape(total, *batch, params.hidden_size)
     return tape

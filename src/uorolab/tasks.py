@@ -38,16 +38,12 @@ class QueueSpec:
 def make_queue_episode(spec: QueueSpec, seed: int, episode_index: int):
     """One episode: (inputs (T, 1), targets list).  Inputs are iid fair-coin
     bits, drawn as from PCG64(SeedSequence(seed, spawn_key=(episode_index,)));
-    target at step t is the input from delay steps earlier, None (masked)
-    while undefined."""
+    target at step t is the input from delay steps earlier (a one-bit view of
+    the inputs), None (masked) while undefined."""
     gen = seeded_generator(seed, (episode_index,))
     bits = gen.integers(0, 2, size=spec.length).astype(np.float64)
     inputs = bits[:, None]
-    targets = [
-        None if t < spec.delay else np.array([bits[t - spec.delay]])
-        for t in range(spec.length)
-    ]
-    return inputs, targets
+    return inputs, [None] * spec.delay + list(inputs[: spec.length - spec.delay])
 
 
 @dataclass

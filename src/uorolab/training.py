@@ -67,9 +67,7 @@ class TaskBundle:
 
     input_size: int
     make_head: callable
-    episode: callable  # (data_seed, index) -> (inputs, targets)
-    supervised_steps: int
-    length: int
+    episode: callable  # (data_seed, index) -> (inputs, targets list)
 
 
 def build_task(config: ExperimentConfig) -> TaskBundle:
@@ -86,8 +84,6 @@ def build_task(config: ExperimentConfig) -> TaskBundle:
             input_size=1,
             make_head=make_head,
             episode=episode,
-            supervised_steps=spec.length - spec.delay,
-            length=spec.length,
         )
     if config.task == "rowwise-digits":
         data = load_rowwise_digits(
@@ -104,13 +100,10 @@ def build_task(config: ExperimentConfig) -> TaskBundle:
         def make_head(rng):
             return SoftmaxHead(0.1 * rng.standard_normal((10, config.hidden + 1)))
 
-        length = data.images.shape[1]
         return TaskBundle(
             input_size=data.images.shape[2],
             make_head=make_head,
             episode=episode,
-            supervised_steps=length,
-            length=length,
         )
     raise ValueError(f"unknown task {config.task!r}")
 
@@ -348,16 +341,15 @@ def _block_sums(config, params, head, batch, noises, schedule, b_sum, audits):
     gradient and loss, each per supervised step, and b_sum plus the block's
     exact B; appends the block's audit errors to audits.  The block's tape
     and per-episode arrays are freed on return, before the next block runs."""
-    targets = [ep[1] for ep in batch]
-    tape = run_episode(params, np.stack([ep[0] for ep in batch]), targets, head)
+    tape = run_episode(params, np.stack([ep[0] for ep in batch]),
+                       [ep[1] for ep in batch], head)
     if schedule is not None:
         estimates, b_sum = _rank_one_batch(config, tape, noises, schedule,
                                            b_sum, audits)
     else:
         estimates = _estimate_batch(config, params, head, tape, noises)
-    counts = np.array([max(sum(t is not None for t in tg), 1) for tg in targets])
-    steps = [[tg[t] for tg in targets] for t in range(tape.length)]
-    head_grads = head.param_grad(np.stack([c.h for c in tape.caches]), steps)
+    counts = np.maximum(tape.targets.mask.sum(axis=0), 1.0)
+    head_grads = head.param_grad(np.stack([c.h for c in tape.caches]), tape.targets)
     return (np.sum(estimates / counts[:, None], axis=0),
             np.sum(head_grads.sum(axis=0) / counts[:, None, None], axis=0),
             float(np.sum(tape.total_loss() / counts)), b_sum)
@@ -375,6 +367,7 @@ def _run_streaming(config, task, params, head, w_state, head_state, out_dir,
     for episode_index in range(config.updates):
         inputs, targets = task.episode(config.data_seed, episode_index)
         t_len = inputs.shape[0]
+        targets = rnn.episode_targets(targets, (), t_len)
         noise = episode_noise(config.base_seed, episode_index, t_len,
                               params.cut_size(CutVertex.PREACTIVATION),
                               config.tau_kind)
@@ -389,7 +382,6 @@ def _run_streaming(config, task, params, head, w_state, head_state, out_dir,
                 np.zeros(params.augmented_size),
             )
         episode_loss = 0.0
-        supervised = 0
         for t in range(t_len):
             state_vec, cache = rnn.step(params, state_vec, inputs[t])
             loss_t, g_t = rnn.loss_grad(cache.h, targets[t], head)
@@ -402,8 +394,7 @@ def _run_streaming(config, task, params, head, w_state, head_state, out_dir,
                 sketch, _, _ = preuoro_step(sketch, cache, float(noise.tau[t]),
                                             schedule, t)
                 contribution = preuoro_contribution(sketch, g_full)
-            if targets[t] is not None:
-                supervised += 1
+            if targets.mask[t]:
                 episode_loss += loss_t
                 params = params.with_theta(
                     adam_update(params.theta(), contribution, w_state,
@@ -414,7 +405,7 @@ def _run_streaming(config, task, params, head, w_state, head_state, out_dir,
                     head.weights, head.param_grad(cache.h, targets[t]),
                     head_state, config.learning_rate, config.momentum,
                     config.beta2, config.eps)
-        mean_loss = episode_loss / max(supervised, 1)
+        mean_loss = episode_loss / max(float(targets.mask.sum()), 1.0)
         losses.append(mean_loss)
         rows.append((episode_index, config.base_seed, "loss", mean_loss))
     summary = {

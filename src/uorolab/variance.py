@@ -89,6 +89,49 @@ def covariance_closed_trace(x, y, V, W, kappa: float = 0.0) -> float:
     return out
 
 
+def moment_lemma_zscores(rng: np.random.Generator, n: int) -> list:
+    """Monte-Carlo check of the moment lemmas against n draws of u.
+
+    For dim 2, 4 and 8, with Gaussian (kappa 0) and then sign (kappa -2)
+    draws, the largest |z| of quartic_moment_closed, covariance_closed and
+    covariance_closed_trace against their sample means, whose standard errors
+    come from the same draws.  Returns rows (dim, kappa, check, z) with
+    check "quartic", "cov" or "trace"."""
+    rows = []
+    for dim in (2, 4, 8):
+        for kappa in (0.0, -2.0):
+            a, b, c, d = (rng.standard_normal((dim, dim)) for _ in range(4))
+            if kappa == 0.0:
+                u = rng.standard_normal((n, dim))
+            else:
+                u = rng.integers(0, 2, size=(n, dim)) * 2.0 - 1.0
+            # proposition: E[A u u^T BC u u^T D]
+            s = np.einsum("ni,ij,nj->n", u, b @ c, u)
+            inner = np.einsum("n,ni,nj->ij", s, u, u) / n
+            second = np.einsum("n,ni,nj->ij", s * s, u * u, u * u) / n
+            inner_se = np.sqrt(np.maximum(second - inner**2, 0) / n)
+            se = np.abs(a) @ inner_se @ np.abs(d) + 1e-12
+            error = np.abs(quartic_moment_closed(a, b, c, d, kappa) - a @ inner @ d)
+            rows.append((dim, kappa, "quartic", float((error / se).max())))
+            # corollary: covariance matrix and its trace
+            x, y = rng.standard_normal(dim), rng.standard_normal(dim)
+            v, w = rng.standard_normal((dim, dim)), rng.standard_normal((dim, dim))
+            left = (u @ x)[:, None] * (u @ v)
+            right = (u @ y)[:, None] * (u @ w)
+            prod = np.einsum("ni,nj->ij", left, right) / n
+            cov_mc = prod - np.outer(x @ v, y @ w)
+            prod_second = np.einsum("ni,nj->ij", left**2, right**2) / n
+            cov_se = np.sqrt(np.maximum(prod_second - prod**2, 0) / n) + 1e-12
+            error = np.abs(covariance_closed(x, y, v, w, kappa) - cov_mc)
+            rows.append((dim, kappa, "cov", float((error / cov_se).max())))
+            tr_samples = np.sum(left * right, axis=1)
+            tr_mc = tr_samples.mean() - float((x @ v) @ (y @ w))
+            tr_se = tr_samples.std(ddof=1) / np.sqrt(n) + 1e-12
+            error = abs(covariance_closed_trace(x, y, v, w, kappa) - tr_mc)
+            rows.append((dim, kappa, "trace", float(error / tr_se)))
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # The C matrix and the alpha equilibration problem
 # ---------------------------------------------------------------------------

@@ -30,15 +30,13 @@ from uorolab.variance import (
     compute_B,
     compute_B_partial,
     compute_C,
-    covariance_closed,
-    covariance_closed_trace,
     empirical_variance,
     estimate_B_online,
     minimal_trace_product,
     minimize_trace_product,
+    moment_lemma_zscores,
     optimal_Q0,
     predicted_VQ,
-    quartic_moment_closed,
     solve_alpha_newton,
     trace_product_c,
 )
@@ -154,42 +152,8 @@ def test_criterion_02_unbiasedness(h4t6_instance):
 
 def test_criterion_03_moment_lemmas():
     started = time.monotonic()
-    rng = np.random.default_rng(71)
-    n = 1_000_000
-    worst = 0.0
-    for dim in (2, 4, 8):
-        for kappa in (0.0, -2.0):
-            a, b, c, d = (rng.standard_normal((dim, dim)) for _ in range(4))
-            if kappa == 0.0:
-                u = rng.standard_normal((n, dim))
-            else:
-                u = rng.integers(0, 2, size=(n, dim)) * 2.0 - 1.0
-            # proposition: E[A u u^T BC u u^T D]
-            closed = quartic_moment_closed(a, b, c, d, kappa)
-            s = np.einsum("ni,ij,nj->n", u, b @ c, u)
-            inner = np.einsum("n,ni,nj->ij", s, u, u) / n
-            second = np.einsum("n,ni,nj->ij", s * s, u * u, u * u) / n
-            inner_se = np.sqrt(np.maximum(second - inner**2, 0) / n)
-            se = np.abs(a) @ inner_se @ np.abs(d) + 1e-12
-            worst = max(worst, float((np.abs(closed - a @ inner @ d) / se).max()))
-            # corollary: covariance matrix and its trace
-            x, y = rng.standard_normal(dim), rng.standard_normal(dim)
-            v, w = rng.standard_normal((dim, dim)), rng.standard_normal((dim, dim))
-            cov_closed = covariance_closed(x, y, v, w, kappa)
-            left = (u @ x)[:, None] * (u @ v)
-            right = (u @ y)[:, None] * (u @ w)
-            prod = np.einsum("ni,nj->ij", left, right) / n
-            cov_mc = prod - np.outer(x @ v, y @ w)
-            prod_second = np.einsum("ni,nj->ij", left**2, right**2) / n
-            cov_se = np.sqrt(np.maximum(prod_second - prod**2, 0) / n) + 1e-12
-            worst = max(worst, float((np.abs(cov_closed - cov_mc) / cov_se).max()))
-            tr_samples = np.sum(left * right, axis=1)
-            tr_mc = tr_samples.mean() - float((x @ v) @ (y @ w))
-            tr_se = tr_samples.std(ddof=1) / np.sqrt(n) + 1e-12
-            worst = max(
-                worst,
-                abs(covariance_closed_trace(x, y, v, w, kappa) - tr_mc) / tr_se,
-            )
+    zscores = moment_lemma_zscores(np.random.default_rng(71), 1_000_000)
+    worst = max(z for *_, z in zscores)
     elapsed = time.monotonic() - started
     ok = worst < 4.0 and elapsed < 120.0
     report(3, "fourth-moment closed forms vs 1e6-sample MC", ok,

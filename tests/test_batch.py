@@ -64,11 +64,8 @@ def singles(params, inputs, targets, head):
 
 def head_grads(tape, head):
     """Summed head gradient of each episode, from per-step param_grad."""
-    batched = bool(tape.batch_shape)
-    return sum(
-        head.param_grad(c.h, [tg[t] for tg in tape.targets] if batched
-                        else tape.targets[t])
-        for t, c in enumerate(tape.caches))
+    return sum(head.param_grad(c.h, tape.targets[t])
+               for t, c in enumerate(tape.caches))
 
 
 def alpha_of(report):
@@ -121,6 +118,19 @@ class TestForwardAndLosses:
         # a step with no supervised episode contributes nothing
         tape = run_episode(params, inputs, [[None] * 5] * 4, head)
         assert np.all(tape.losses == 0.0) and np.all(tape.loss_grads == 0.0)
+
+    def test_target_count_must_match_inputs(self):
+        params, inputs, targets, head = softmax_batch(np.random.default_rng(124))
+        forms = [
+            (inputs[0], targets[0] + [1, 2, 0], r"\(T,\) = \(6,\)"),
+            (inputs[0], targets[0][:5], r"\(T,\) = \(6,\)"),
+            (inputs, targets[:2], r"\(B, T\) = \(3, 6\)"),
+            (inputs, targets[:2] + [targets[2][:4]], r"\(B, T\) = \(3, 6\)"),
+            (inputs, targets[0], r"\(B, T\) = \(3, 6\)"),
+        ]
+        for episode_inputs, episode_targets, match in forms:
+            with pytest.raises(ShapeError, match=match):
+                run_episode(params, episode_inputs, episode_targets, head)
 
     def test_batched_step_checks_shapes(self):
         params = RnnParams(np.zeros((3, 6)), rnn.VANILLA_TANH, 3, 2)
@@ -491,6 +501,7 @@ class TestReinforceBatch:
         ("baseline shape", ShapeError, "baseline"),
         ("baseline mode", ValueError, "baseline"),
         ("episodes", ShapeError, "episodes"),
+        ("targets", ShapeError, r"\(B, T\) = \(3, 6\)"),
     ])
     def test_rejects_bad_inputs_before_a_step(self, monkeypatch, case, error, match):
         rng = np.random.default_rng(156)
@@ -511,6 +522,8 @@ class TestReinforceBatch:
             kwargs["baseline"] = np.zeros((6, 4))
         elif case == "baseline mode":
             kwargs["baseline"] = "mean"
+        elif case == "targets":
+            targets = targets[:2]
         else:
             kwargs["noise"] = noises[:2]
         forbid_steps(monkeypatch)

@@ -114,9 +114,8 @@ class TestLossHeads:
 
     @pytest.mark.parametrize("head_kind", ["softmax", "bernoulli"])
     def test_one_row_equals_a_batch_of_one(self, head_kind):
-        """An unbatched h takes its own path: it gives bit for bit what the
-        same row gives as a batch of one, supervised or masked, down to
-        saturated logits."""
+        """An unbatched h gives bit for bit what the same row gives as a
+        batch of one, supervised or masked, down to saturated logits."""
         rng = np.random.default_rng(9)
         for scale in (0.5, 40.0):
             if head_kind == "softmax":
@@ -133,6 +132,24 @@ class TestLossHeads:
                 np.testing.assert_array_equal(grad, grads[0])
                 np.testing.assert_array_equal(head.param_grad(h, target),
                                               head.param_grad(h[None], [target])[0])
+
+    def test_non_integer_label_is_refused(self):
+        head = SoftmaxHead(np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="label 2.7 is not an integer"):
+            loss_grad(np.zeros(2), 2.7, head)
+        with pytest.raises(ValueError, match="label 0.5 is not an integer"):
+            loss_grad(np.zeros((3, 2)), [1, None, 0.5], head)
+        # an integral label of float type is that class
+        head.weights[:] = np.arange(9.0).reshape(3, 3)
+        loss, grad = loss_grad(np.ones(2), 2.0, head)
+        assert loss == loss_grad(np.ones(2), 2, head)[0]
+        np.testing.assert_array_equal(grad, loss_grad(np.ones(2), 2, head)[1])
+
+    def test_soft_bernoulli_target_is_valid(self):
+        head = BernoulliHead(np.array([[0.0, 0.0, 0.0]]))
+        loss, grad = loss_grad(np.zeros(2), np.array([0.5]), head)
+        assert loss == pytest.approx(np.log(2.0), rel=1e-12)
+        np.testing.assert_array_equal(grad, 0.0)
 
     def test_masked_step_is_silent(self):
         head = BernoulliHead(np.ones((1, 4)))
