@@ -1,10 +1,12 @@
 """Stochastic online gradient estimators.
 
 All estimators consume an EpisodeTape (parameters frozen within the episode)
-plus an EpisodeNoise, and return a GradientReport.  The rank-one sketches are
-batch-first: given B noises (a NoiseBlock, or a sequence of EpisodeNoise)
-they advance B episodes of a batched tape, or B seeds on one tape, in one
-pass, with one estimate row per episode or seed.  The rank-one sketch
+plus its noise, and return a GradientReport.  The noise is one EpisodeNoise
+or a NoiseBlock of B episodes of one base seed, and its first T steps drive a
+tape of T steps; a shorter noise raises ShapeError before any step.  The
+rank-one sketches and REINFORCE are batch-first: given a NoiseBlock they
+advance B episodes of a batched tape, or B seeds on one tape, in one pass,
+with one estimate row per episode or seed.  The rank-one sketch
 (h_tilde, w_tilde) of the state-to-parameter influence matrix is maintained
 by the pair of recursions
 
@@ -242,22 +244,18 @@ def _gir_coefficients(w_norm, fwd_norm, out_norm, in_norm, gir_scale):
             sqrt_ratio_or_one(out_norm, in_norm) * gir_scale)
 
 
-def _draws(noise, stream: str) -> np.ndarray:
-    """A stream (T, ...) of one EpisodeNoise, (T, B, ...) of a NoiseBlock,
-    or (T, B, ...) stacked over a sequence of B EpisodeNoise."""
-    if isinstance(noise, (EpisodeNoise, NoiseBlock)):
-        return getattr(noise, stream)
-    return np.stack([getattr(n, stream) for n in noise], axis=1)
+def _check_length(noise: EpisodeNoise | NoiseBlock, t_len: int):
+    """Raise ShapeError unless the noise covers a tape of t_len steps; an
+    estimator reads its first t_len."""
+    if noise.length < t_len:
+        raise ShapeError(f"noise of {noise.length} steps for an episode of {t_len}")
 
 
 def _report(name, noise, estimate, gammas=None, betas=None) -> GradientReport:
-    if isinstance(noise, EpisodeNoise):
-        seed, index = noise.base_seed, noise.episode_index
-    elif isinstance(noise, NoiseBlock):
+    if isinstance(noise, NoiseBlock):
         seed, index = (noise.base_seed,) * len(noise), noise.indices
     else:
-        seed = tuple(n.base_seed for n in noise)
-        index = tuple(n.episode_index for n in noise)
+        seed, index = noise.base_seed, noise.episode_index
     return GradientReport(name, seed, index, estimate, gammas, betas)
 
 
@@ -320,9 +318,8 @@ def run_uoro(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
              estimator_name: str = "uoro") -> GradientReport:
     """Run the rank-one estimator over a full episode tape.
 
-    noise is one EpisodeNoise, or a NoiseBlock or sequence of B
-    EpisodeNoise: one per episode of a batched tape, or B seeds on one
-    episode.
+    noise is one EpisodeNoise, or a NoiseBlock of B: one per episode of a
+    batched tape, or B seeds on one episode.  Its first T steps are used.
 
     The recursion is uoro_step's, with w~ factored: at the preactivation and
     state cuts the term of step r is vec(L_r a_r^T), with the left factor
@@ -345,13 +342,14 @@ def run_uoro(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
                                   "or the state cut")
     if contribution not in CONTRIBUTIONS:
         raise ValueError(f"unknown contribution mode {contribution!r}")
-    u = _draws(noise, "u")
-    if u.shape[-1] != n_z:
-        raise ShapeError(f"noise dim {u.shape[-1]} != cut dim {n_z}")
+    if noise.dim != n_z:
+        raise ShapeError(f"noise dim {noise.dim} != cut dim {n_z}")
+    t_len = tape.length
+    _check_length(noise, t_len)
+    u = noise.u[:t_len]
     if schedule.Q0 is not None and schedule.Q0.shape[0] != n_z:
         raise ShapeError(f"Q0 shape {schedule.Q0.shape} != cut dim ({n_z}, {n_z})")
     batch = np.broadcast_shapes(tape.batch_shape, u.shape[1:-1])
-    t_len = tape.length
     caches = tape.caches
     u = _steps_first(u, len(batch))
     a = _steps_first(np.stack([cache.a for cache in caches]), len(batch))
@@ -563,14 +561,15 @@ def preuoro_contribution(state: PreUoroState, loss_grad_full: np.ndarray) -> np.
 
 def run_preuoro(tape: EpisodeTape, noise, schedule: ScalingSchedule,
                 estimator_name: str = "preuoro") -> GradientReport:
-    """Run the projection-free estimator; noise as for run_uoro.  The
-    contributions sum_t vec(r_t w~_t^T) are one matrix product over the
-    steps at the end."""
+    """Run the projection-free estimator; noise is one EpisodeNoise or a
+    NoiseBlock as for run_uoro, of which only tau is read.  The contributions
+    sum_t vec(r_t w~_t^T) are one matrix product over the steps at the end."""
     if schedule.Q0 is not None:
         raise ValueError("the projection-free sketch takes no spatial Q0")
     params = tape.params
     n_z = params.preactivation_size
-    tau = _draws(noise, "tau")
+    _check_length(noise, tape.length)
+    tau = noise.tau
     batch = np.broadcast_shapes(tape.batch_shape, tau.shape[1:])
     if schedule.mode == FIXED_ALPHA:
         _check_alpha(schedule, tape.length, batch)
@@ -596,11 +595,14 @@ def run_spatial(tape: EpisodeTape, cut, noise: EpisodeNoise,
                 estimator_name: str = "spatial") -> GradientReport:
     """Forward accumulation with the immediate influence replaced by its
     rank-one spatial projection (J_cut nu)(nu^T J_theta); no temporal noise.
+    It runs one episode: its dense S x P influence matrix per row would make
+    a batch cost B times that memory.
     """
     params = tape.params
     cut = CutVertex(cut)
     if params.num_params * params.state_size > rnn.DENSE_GUARD:
         raise ShapeError("influence matrix too large for the spatial estimator")
+    _check_length(noise, tape.length)
     influence = np.zeros((params.state_size, params.num_params))
     estimate = np.zeros(params.num_params)
     for t, cache in enumerate(tape.caches):
@@ -631,8 +633,8 @@ def reinforce_episode(params: rnn.RnnParams, inputs, targets, head,
     loss at the perturbed state h_bar_t, treated as a given scalar: only the
     score term is differentiated.
 
-    noise is one EpisodeNoise, or a NoiseBlock or sequence of B
-    EpisodeNoise, one estimate row each.
+    noise is one EpisodeNoise, or a NoiseBlock of B with one estimate row
+    each; its first T steps are used.
     inputs (T, X) with T targets are one episode that every row runs;
     inputs (B, T, X) with one target list per episode give row j episode j.
     targets may also be the (T, [B]) Targets pair of a tape.
@@ -660,21 +662,16 @@ def reinforce_episode(params: rnn.RnnParams, inputs, targets, head,
     if not episodes:
         targets = targets[:, None]
     single = isinstance(noise, EpisodeNoise)
-    block = isinstance(noise, NoiseBlock)
-    noises = [noise] if single or block else list(noise)
-    count = len(noise) if block else len(noises)
-    for draws in noises:
-        if draws.dim != h_size:
-            raise ShapeError(f"noise dim {draws.dim} != hidden size {h_size}")
-        if draws.length < t_len:
-            raise ShapeError(f"noise of {draws.length} steps for an episode of {t_len}")
+    if noise.dim != h_size:
+        raise ShapeError(f"noise dim {noise.dim} != hidden size {h_size}")
+    _check_length(noise, t_len)
     q0, q0_inv = (None, None) if Q0 is None else _checked_q0(Q0)
     if q0 is not None and q0.shape[0] != h_size:
         raise ShapeError(f"Q0 shape {q0.shape} != hidden size ({h_size}, {h_size})")
     try:
-        batch = np.broadcast_shapes(episodes, () if single else (count,))
+        batch = np.broadcast_shapes(episodes, () if single else (len(noise),))
     except ValueError:
-        raise ShapeError(f"{episodes[0]} episodes for {count} noises") from None
+        raise ShapeError(f"{episodes[0]} episodes for {len(noise)} noises") from None
     baseline_values = _baseline_rows(baseline, t_len, batch)
     clean = baseline_values is None
 
@@ -686,10 +683,7 @@ def reinforce_episode(params: rnn.RnnParams, inputs, targets, head,
     x[:, :n] = steps
     if clean:
         x[:, n:] = steps
-    if block:
-        u = noise.u[:t_len]  # (T, n, H)
-    else:
-        u = np.stack([draws.u[:t_len] for draws in noises], axis=1)  # (T, 1 or n, H)
+    u = (noise.block if single else noise).u[:t_len]  # (T, 1 or n, H)
     # the perturbed states h_bar; unperturbed rows and the LSTM cell add 0
     states = np.zeros((t_len, x.shape[1], params.state_size))
     states[:, :n, :h_size] = sigma * (u if q0 is None else u @ q0.T)

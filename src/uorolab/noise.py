@@ -22,23 +22,22 @@ Derivation.  No SeedSequence or PCG64 is built per stream.  The part of
 SeedSequence's pool hash that depends only on the base seed (its entropy
 words and the pool mixes) is computed once per seed and cached.  The spawn
 words (index, stream) are mixed in and the output words formed by the same
-32-bit arithmetic, on Python ints for one episode or on uint64 arrays for a
-block of indices that are each one 32-bit word.  PCG64's two seeding steps
+32-bit arithmetic, on Python ints for one episode or on uint64 arrays for
+several indices that are each one 32-bit word.  PCG64's two seeding steps
 run on 128-bit Python ints.  Each stream is then drawn by the same Generator
 calls as with a fresh generator, on one generator per thread whose PCG64
 state is set just before the stream is drawn.
 
-Forms.  EpisodeNoise is one episode: each stream (T, ...) is drawn on first
-access, so an estimator pays only for what it reads.  NoiseBlock
-(episode_noises) is a block of episode indices of one base seed: each
-stream is (T, B, ...), column j the stream of episode indices[j], drawn on
-first access in that layout.  The block derives each stream's states once;
-a slice is a sub-block that shares that derivation and draws its own
-columns, and an integer gives the EpisodeNoise of one episode.
+Forms.  NoiseBlock (episode_noises) is a block of episode indices of one
+base seed: each stream is (T, B, ...), column j the stream of episode
+indices[j], drawn on first access in that layout.  The block derives each
+stream's states once; a slice is a sub-block that shares that derivation
+and draws its own columns.  EpisodeNoise (episode_noise, or an integer
+index of a block) is one episode: the one-column view of a block of that
+one index, whose streams (T, ...) are column 0 of the block's.
 """
 
 import threading
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -108,8 +107,8 @@ def _absorb(pool, const, words):
     pairs, const = _hash_consts(const, _MULT_A, _POOL_SIZE * len(words))
     pool = list(pool)
     for k, word in enumerate(words):
-        for i in range(_POOL_SIZE):
-            pool[i] = _mix(pool[i], _hash(word, *pairs[_POOL_SIZE * k + i]))
+        for i, (xor, mult) in enumerate(pairs[_POOL_SIZE * k:_POOL_SIZE * (k + 1)]):
+            pool[i] = _mix(pool[i], _hash(word, xor, mult))
     return pool, const
 
 
@@ -131,12 +130,6 @@ def _seed_pool(base_seed: int):
     return tuple(pool), const
 
 
-def _key_pool(entropy, spawn_key):
-    """The pool and hash const of SeedSequence(entropy, spawn_key), for a
-    non-empty spawn_key of Python ints."""
-    return _absorb(*_seed_pool(int(entropy)), [w for k in spawn_key for w in _words(k)])
-
-
 _OUTPUT_CONSTS = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)[0]
 
 
@@ -147,7 +140,8 @@ def _pcg64_states(pool) -> list:
     SeedSequence.generate_state(4, uint64) gives the 128-bit seed and
     sequence words; PCG64 seeds with inc = 2 seq + 1 and
     state = (seed + inc) * MULT + inc."""
-    w = [_hash(pool[i % _POOL_SIZE], *pair) for i, pair in enumerate(_OUTPUT_CONSTS)]
+    w = [_hash(pool[i % _POOL_SIZE], xor, mult)
+         for i, (xor, mult) in enumerate(_OUTPUT_CONSTS)]
     # little-endian pairs of 32-bit words make the four uint64 words
     quads = (w[0] | (w[1] << 32), w[2] | (w[3] << 32),
              w[4] | (w[5] << 32), w[6] | (w[7] << 32))
@@ -184,7 +178,8 @@ def seeded_generator(entropy: int, spawn_key) -> np.random.Generator:
     """A generator in the state of Generator(PCG64(SeedSequence(entropy,
     spawn_key=spawn_key))) for a non-empty spawn_key.  It is this thread's
     shared generator: draw from it before the next call in the thread."""
-    pool, _ = _key_pool(entropy, spawn_key)
+    pool, _ = _absorb(*_seed_pool(int(entropy)),
+                      [w for k in spawn_key for w in _words(k)])
     return _generator(_pcg64_states(pool)[0])
 
 
@@ -199,47 +194,29 @@ def _check_kind(tau_kind: str):
         raise ValueError(f"unknown tau kind {tau_kind!r}")
 
 
-@dataclass(frozen=True)
+def _column(stream: str) -> cached_property:
+    """A stream of a one-column view: column 0 of its block's, read on first
+    access."""
+    return cached_property(lambda view: getattr(view.block, stream)[:, 0])
+
+
 class EpisodeNoise:
-    """All random draws one estimator needs for one episode.  Each stream is
-    drawn on first access, so an estimator pays only for what it reads."""
+    """The noise of one episode: the one-column view of a NoiseBlock of that
+    one index, with the block's base_seed, length, dim and tau_kind, its
+    episode_index, and streams tau and sigma (T,) and nu, mu and u (T, dim),
+    column 0 of the block's."""
 
-    base_seed: int
-    episode_index: int
-    length: int
-    dim: int
-    tau_kind: str = SIGN
+    def __init__(self, block: "NoiseBlock"):
+        (self.episode_index,) = block.indices
+        self.base_seed, self.length = block.base_seed, block.length
+        self.dim, self.tau_kind = block.dim, block.tau_kind
+        self.block = block
 
-    def __post_init__(self):
-        _check_kind(self.tau_kind)
-
-    @cached_property
-    def _pool(self):
-        return _key_pool(self.base_seed, (self.episode_index,))
-
-    def _gen(self, stream: str) -> np.random.Generator:
-        pool, _ = _absorb(*self._pool, [_STREAMS[stream]])
-        return _generator(_pcg64_states(pool)[0])
-
-    @cached_property
-    def tau(self) -> np.ndarray:  # (T,)
-        return _scalars(self._gen("tau"), self.length, self.tau_kind)
-
-    @cached_property
-    def nu(self) -> np.ndarray:  # (T, dim)
-        return self._gen("nu").standard_normal((self.length, self.dim))
-
-    @cached_property
-    def sigma(self) -> np.ndarray:  # (T,)
-        return _scalars(self._gen("sigma"), self.length, self.tau_kind)
-
-    @cached_property
-    def mu(self) -> np.ndarray:  # (T, dim)
-        return self._gen("mu").standard_normal((self.length, self.dim))
-
-    @cached_property
-    def u(self) -> np.ndarray:
-        return self.tau[:, None] * self.nu
+    tau = _column("tau")
+    nu = _column("nu")
+    sigma = _column("sigma")
+    mu = _column("mu")
+    u = _column("u")
 
 
 def episode_noise(
@@ -249,7 +226,7 @@ def episode_noise(
     dim: int,
     tau_kind: str = SIGN,
 ) -> EpisodeNoise:
-    return EpisodeNoise(base_seed, episode_index, length, dim, tau_kind)
+    return EpisodeNoise(NoiseBlock(base_seed, (episode_index,), length, dim, tau_kind))
 
 
 class NoiseBlock:
@@ -257,15 +234,15 @@ class NoiseBlock:
     (T, B), nu, mu and u (T, B, dim), column j the stream of episode
     indices[j].  Each stream is drawn on first access.
 
-    block[j] is the EpisodeNoise of episode indices[j]; block[a:b] is the
-    sub-block of those columns, which draws from the states its root block
-    derived, so the states are derived once per root."""
+    block[a:b] is the sub-block of those columns, which draws from the
+    states its root block derived, so the states are derived once per root;
+    block[j] is the EpisodeNoise view of the sub-block block[j:j+1]."""
 
     def __init__(self, base_seed: int, indices, length: int, dim: int,
                  tau_kind: str = SIGN):
         _check_kind(tau_kind)
         self.base_seed = base_seed
-        self.indices = tuple(int(i) for i in indices)
+        self.indices = tuple(map(int, indices))
         self.length = length
         self.dim = dim
         self.tau_kind = tau_kind
@@ -281,8 +258,8 @@ class NoiseBlock:
 
     def __getitem__(self, rows):
         if not isinstance(rows, slice):
-            return EpisodeNoise(self.base_seed, self.indices[rows], self.length,
-                                self.dim, self.tau_kind)
+            j = range(len(self))[rows]
+            return EpisodeNoise(self[j:j + 1])
         part = NoiseBlock(self.base_seed, self.indices[rows], self.length,
                           self.dim, self.tau_kind)
         part._root = self if self._root is None else self._root
@@ -292,11 +269,11 @@ class NoiseBlock:
     @cached_property
     def _index_pools(self) -> list:
         """(pool, const) after the episode indices, in groups: one group of
-        (B,) uint64 arrays when every index is one 32-bit word, else one
-        group per index, of any number of words (a negative index raises
-        as in SeedSequence)."""
+        (B,) uint64 arrays when there are several indices and each is one
+        32-bit word, else one group of Python ints per index, of any number
+        of words (a negative index raises as in SeedSequence)."""
         base = _seed_pool(int(self.base_seed))
-        if all(0 <= i <= _MASK32 for i in self.indices):
+        if len(self) > 1 and all(0 <= i <= _MASK32 for i in self.indices):
             return [_absorb(*base, [np.array(self.indices, dtype=np.uint64)])]
         return [_absorb(*base, _words(i)) for i in self.indices]
 
@@ -317,8 +294,11 @@ class NoiseBlock:
     def _draw(self, stream: str, shape: tuple, draw) -> np.ndarray:
         """A (T, B, *shape) array whose column j is draw(generator of
         episode j's stream)."""
+        states = self._states(stream)
+        if len(states) == 1:  # the one draw, viewed as its only column
+            return draw(_generator(states[0]))[:, None]
         out = np.empty((self.length, len(self), *shape))
-        for j, state in enumerate(self._states(stream)):
+        for j, state in enumerate(states):
             out[:, j] = draw(_generator(state))
         return out
 

@@ -23,8 +23,17 @@ import numpy as np
 from . import rnn
 from .errors import ShapeError, SingularMatrixError, UnsupportedCutError
 from .exact import EpisodeTensors, GradientVector, SuffixRows
-from .linalg import frob_norm, psd_frac_power, sqrt_ratio_or_one, trace
-from .noise import EpisodeNoise
+from .estimators import (
+    FIXED_ALPHA,
+    ScalingSchedule,
+    _check_alpha,
+    _check_length,
+    _col,
+    _gir_coefficients,
+    _norms,
+)
+from .linalg import frob_norm, psd_frac_power, trace
+from .noise import EpisodeNoise, NoiseBlock
 from .rnn import CutVertex, EpisodeTape
 
 # ---------------------------------------------------------------------------
@@ -562,29 +571,17 @@ def offline_total_estimate(tensors: EpisodeTensors, u: np.ndarray,
     return left @ np.cumsum(rows, axis=0, out=rows)
 
 
-@dataclass
-class OnlineBState:
-    """Running state of the online B estimator (one spatial replica each)."""
-
-    a_tilde: float
-    h_tilde: np.ndarray
-    nu_tilde: np.ndarray
-    m_tilde: np.ndarray
-    h_tilde_rep: np.ndarray
-    mu_tilde: np.ndarray
-    n_tilde: np.ndarray
-
-
 ETA_ZETA_ONES = "ones"
 ETA_ZETA_GIR = "gir"
 
 
-def estimate_B_online(tape: EpisodeTape, noise: EpisodeNoise,
-                      beta: np.ndarray, gamma: np.ndarray,
-                      eta_zeta: str = ETA_ZETA_ONES):
+def estimate_B_online(tape: EpisodeTape, noise: EpisodeNoise | NoiseBlock,
+                      schedule: ScalingSchedule,
+                      eta_zeta: str = ETA_ZETA_ONES) -> np.ndarray:
     """Unbiased per-step estimates of the running B matrix.
 
-    Maintains, alongside the usual sketch coefficients (beta, gamma),
+    Maintains, alongside the sketch coefficients (gamma_t, beta_t) of a
+    fixed-alpha schedule without Q0 (fixed_coefficients),
 
         a~_t  = a~_{t-1}/gamma_t + sigma_t ||a_t|| / beta_t
         h~_t  = eta_t gamma_t J_state h~_{t-1} + zeta_t tau_t beta_t J_cut nu_t
@@ -594,58 +591,51 @@ def estimate_B_online(tape: EpisodeTape, noise: EpisodeNoise,
     plus a replica n~ driven by the independent spatial stream mu (same
     temporal sigma, tau), and emits the symmetrized cross products
     (m~ n~^T + n~ m~^T)/2, one per step.  The inner coefficients (eta, zeta)
-    only reduce variance; "gir" picks them by the same norm-equalizing rule.
+    only reduce variance; "gir" picks them by the sketches' norm-equalizing
+    rule.
 
-    Returns (list of per-step N_z x N_z estimates, final OnlineBState).
+    It is batch-first: the main sketch and its replica are the two rows of a
+    leading axis, and noise is one EpisodeNoise or a NoiseBlock of B, one per
+    episode of a batched tape or B seeds on one tape, of which the first T
+    steps are used.  Returns the (T, [B,] N_z, N_z) estimates.
     """
     params = tape.params
     n_z = params.preactivation_size
+    t_len = tape.length
     if noise.dim != n_z:
         raise ShapeError(f"noise dim {noise.dim} != preactivation dim {n_z}")
-    beta = np.asarray(beta, dtype=np.float64)
-    gamma = np.asarray(gamma, dtype=np.float64)
-    cut = CutVertex.PREACTIVATION
-
-    a_tilde = 0.0
-    sketches = {
-        "main": [np.zeros(params.state_size), np.zeros(n_z)],  # h~, nu~
-        "rep": [np.zeros(params.state_size), np.zeros(n_z)],
-    }
-    m_tilde = np.zeros(n_z)
-    n_tilde = np.zeros(n_z)
-    estimates = []
-    for t in range(tape.length):
-        cache = tape.caches[t]
-        g_full = tape.loss_grad_full(t)
-        a_tilde = a_tilde / gamma[t] + noise.sigma[t] * float(np.linalg.norm(cache.a)) / beta[t]
-        for key, spatial in (("main", noise.nu[t]), ("rep", noise.mu[t])):
-            h_tl, v_tl = sketches[key]
-            forwarded = gamma[t] * rnn.jvp_state(cache, h_tl)
-            immediate = noise.tau[t] * beta[t] * rnn.jvp_cut(cache, cut, spatial)
-            if eta_zeta == ETA_ZETA_GIR:
-                eta = sqrt_ratio_or_one(np.linalg.norm(v_tl), np.linalg.norm(forwarded))
-                zeta = sqrt_ratio_or_one(np.linalg.norm(spatial), np.linalg.norm(immediate))
-            elif eta_zeta == ETA_ZETA_ONES:
-                eta = zeta = 1.0
-            else:
-                raise ValueError(f"unknown eta/zeta mode {eta_zeta!r}")
-            sketches[key] = [
-                eta * forwarded + zeta * immediate,
-                v_tl / eta + spatial / zeta,
-            ]
-        m_tilde = m_tilde + a_tilde * float(g_full @ sketches["main"][0]) * sketches["main"][1]
-        n_tilde = n_tilde + a_tilde * float(g_full @ sketches["rep"][0]) * sketches["rep"][1]
-        estimates.append(0.5 * (np.outer(m_tilde, n_tilde) + np.outer(n_tilde, m_tilde)))
-    state = OnlineBState(
-        a_tilde=a_tilde,
-        h_tilde=sketches["main"][0],
-        nu_tilde=sketches["main"][1],
-        m_tilde=m_tilde,
-        h_tilde_rep=sketches["rep"][0],
-        mu_tilde=sketches["rep"][1],
-        n_tilde=n_tilde,
-    )
-    return estimates, state
+    _check_length(noise, t_len)
+    if eta_zeta not in (ETA_ZETA_ONES, ETA_ZETA_GIR):
+        raise ValueError(f"unknown eta/zeta mode {eta_zeta!r}")
+    if schedule.mode != FIXED_ALPHA or schedule.Q0 is not None:
+        raise ValueError("the online B estimator takes a fixed-alpha schedule "
+                         "without Q0")
+    batch = np.broadcast_shapes(tape.batch_shape, noise.tau.shape[1:])
+    _check_alpha(schedule, t_len, batch)
+    spatial = np.stack([noise.nu, noise.mu], axis=1)  # (T, 2, [B,] N_z)
+    a_tilde = np.zeros(batch)
+    h_tilde = np.zeros((2, *batch, params.state_size))
+    nu_tilde = np.zeros((2, *batch, n_z))
+    m_tilde = np.zeros((2, *batch, n_z))  # m~ and n~
+    estimates = np.empty((t_len, *batch, n_z, n_z))
+    for t, cache in enumerate(tape.caches):
+        gamma, beta = schedule.fixed_coefficients(t)
+        a_tilde = a_tilde / gamma + noise.sigma[t] * _norms(cache.a) / beta
+        forwarded = _col(gamma) * rnn.jvp_state(cache, h_tilde)
+        immediate = _col(noise.tau[t] * beta) * rnn.jvp_cut(
+            cache, CutVertex.PREACTIVATION, spatial[t])
+        if eta_zeta == ETA_ZETA_GIR:
+            eta, zeta = _gir_coefficients(_norms(nu_tilde), _norms(forwarded),
+                                          _norms(spatial[t]), _norms(immediate), 1.0)
+        else:
+            eta = zeta = 1.0
+        h_tilde = _col(eta) * forwarded + _col(zeta) * immediate
+        nu_tilde = nu_tilde / _col(eta) + spatial[t] / _col(zeta)
+        scores = np.sum(tape.loss_grad_full(t) * h_tilde, axis=-1)
+        m_tilde = m_tilde + _col(a_tilde * scores) * nu_tilde
+        cross = m_tilde[0][..., :, None] * m_tilde[1][..., None, :]
+        estimates[t] = 0.5 * (cross + np.swapaxes(cross, -1, -2))
+    return estimates
 
 
 class EmpiricalVariance(NamedTuple):

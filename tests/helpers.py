@@ -196,7 +196,7 @@ def uoro_replay(tape, cut, noise, schedule, contribution=estimators.CONTRIBUTION
     with the dense one-step form: uoro_step carries w~ as a P-long vector
     and uoro_contribution adds each step's contribution."""
     params = tape.params
-    u = estimators._draws(noise, "u")
+    u = noise.u
     batch = np.broadcast_shapes(tape.batch_shape, u.shape[1:-1])
     state = estimators.RankOneState(np.zeros((*batch, params.state_size)),
                                     np.zeros((*batch, params.num_params)))
@@ -230,7 +230,7 @@ def preuoro_replay(tape, noise, schedule):
     preuoro_contribution adds each step's contribution."""
     params = tape.params
     n_z = params.preactivation_size
-    tau = estimators._draws(noise, "tau")
+    tau = noise.tau
     batch = np.broadcast_shapes(tape.batch_shape, tau.shape[1:])
     rows = np.zeros((n_z, *batch, params.state_size))
     w_tilde = np.zeros((*batch, params.augmented_size))
@@ -279,6 +279,40 @@ def preuoro_replay(tape, noise, schedule):
         state = estimators.PreUoroState(np.moveaxis(rows, 0, -1), w_tilde)
         estimate += estimators.preuoro_contribution(state, tape.loss_grad_full(t))
     return estimate, gammas, betas
+
+
+def online_B_replay(tape, noise, schedule, eta_zeta="ones"):
+    """estimate_B_online for one episode and one EpisodeNoise, written out
+    step by step with scalar coefficients and one sketch (h~, nu~) per
+    spatial stream, nu for m~ and mu for n~.  Returns the (T, N_z, N_z)
+    estimates and the final a~."""
+    cut = rnn.CutVertex.PREACTIVATION
+    a_tilde = 0.0
+    sketches = {stream: (np.zeros(tape.params.state_size), np.zeros(noise.dim))
+                for stream in ("nu", "mu")}
+    sums = {stream: np.zeros(noise.dim) for stream in sketches}
+    estimates = []
+    for t, cache in enumerate(tape.caches):
+        gamma, beta = schedule.fixed_coefficients(t)
+        a_tilde = a_tilde / gamma + noise.sigma[t] * np.linalg.norm(cache.a) / beta
+        for stream, (h_tilde, v_tilde) in sketches.items():
+            spatial = getattr(noise, stream)[t]
+            forwarded = gamma * rnn.jvp_state(cache, h_tilde)
+            immediate = noise.tau[t] * beta * rnn.jvp_cut(cache, cut, spatial)
+            eta = zeta = 1.0
+            if eta_zeta == "gir":
+                eta = sqrt_ratio_or_one_oracle(np.linalg.norm(v_tilde),
+                                               np.linalg.norm(forwarded))
+                zeta = sqrt_ratio_or_one_oracle(np.linalg.norm(spatial),
+                                                np.linalg.norm(immediate))
+            h_tilde = eta * forwarded + zeta * immediate
+            v_tilde = v_tilde / eta + spatial / zeta
+            sketches[stream] = h_tilde, v_tilde
+            score = float(tape.loss_grad_full(t) @ h_tilde)
+            sums[stream] = sums[stream] + a_tilde * score * v_tilde
+        m, n = sums["nu"], sums["mu"]
+        estimates.append(0.5 * (np.outer(m, n) + np.outer(n, m)))
+    return np.array(estimates), a_tilde
 
 
 def suffix_sums(b):

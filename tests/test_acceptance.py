@@ -22,7 +22,7 @@ from uorolab.estimators import (
 )
 from uorolab.exact import bptt_gradient, episode_tensors, rtrl_jacobians
 from uorolab.linalg import psd_frac_power, trace
-from uorolab.noise import episode_noise, episode_noises
+from uorolab.noise import episode_noises
 from uorolab.rnn import CutVertex, run_episode
 from uorolab.variance import (
     alpha_closed_form_rank1,
@@ -52,14 +52,28 @@ def report(number, name, ok, detail=""):
     assert ok, line
 
 
+def seed_blocks(n):
+    """The seed indices 0..n-1 in ranges of training.SEED_BLOCK."""
+    for start in range(0, n, training.SEED_BLOCK):
+        yield range(start, min(start + training.SEED_BLOCK, n))
+
+
+def mc_rows(block_fn, n, dim):
+    """n samples drawn training.SEED_BLOCK at a time, as (n, dim) rows:
+    block_fn(indices) returns the samples of those seed indices as rows."""
+    rows = np.empty((n, dim))
+    for seeds in seed_blocks(n):
+        rows[seeds.start:seeds.stop] = block_fn(seeds)
+    return rows
+
+
 def mc_stats(block_fn, n, dim):
-    """Mean and standard error of n samples drawn training.SEED_BLOCK at a
-    time: block_fn(indices) returns the samples of those seed indices as
-    rows."""
+    """Mean and standard error of n samples drawn as in mc_rows, without
+    keeping them."""
     total = np.zeros(dim)
     total_sq = np.zeros(dim)
-    for start in range(0, n, training.SEED_BLOCK):
-        x = block_fn(range(start, min(start + training.SEED_BLOCK, n)))
+    for seeds in seed_blocks(n):
+        x = block_fn(seeds)
         total += x.sum(axis=0)
         total_sq += np.einsum("ij,ij->j", x, x)
     mean = total / n
@@ -166,10 +180,9 @@ def test_criterion_04_variance_prediction(h4t6_instance):
     predicted = predicted_VQ(tensors, alpha)
     schedule = ScalingSchedule(FIXED_ALPHA, alpha=alpha)
     n = 10_000
-    estimates = np.empty((n, params.num_params))
-    for i in range(n):
-        noise = episode_noise(0, i, 6, 4)
-        estimates[i] = run_uoro(tape, CutVertex.PREACTIVATION, noise, schedule).estimate
+    estimates = mc_rows(lambda seeds: run_uoro(tape, CutVertex.PREACTIVATION,
+                                               noises(0, seeds), schedule).estimate,
+                        n, params.num_params)
     measured = empirical_variance(estimates, exact)
     rel = abs(measured.vq / predicted - 1.0)
     ok = rel <= 0.05
@@ -199,12 +212,16 @@ def test_criterion_05_variance_reduction_ordering():
         cs_ok &= target <= trace(b_mat) * b_mat.shape[0] * (1 + 1e-12)
         sched_base = ScalingSchedule(FIXED_ALPHA, alpha=np.ones(5))
         sched_opt = ScalingSchedule(FIXED_ALPHA, alpha=solution.alpha, Q0=q0)
-        base = np.empty((n_seeds, params.num_params))
-        opt = np.empty_like(base)
-        for i in range(n_seeds):
-            noise = episode_noise(400 + k, i, 5, 3)
-            base[i] = run_uoro(tape, CutVertex.PREACTIVATION, noise, sched_base).estimate
-            opt[i] = run_uoro(tape, CutVertex.PREACTIVATION, noise, sched_opt).estimate
+
+        def both(seeds):  # both schedules on the same noise
+            block = episode_noises(400 + k, seeds, 5, 3)
+            return np.hstack([run_uoro(tape, CutVertex.PREACTIVATION, block,
+                                       schedule).estimate
+                              for schedule in (sched_base, sched_opt)])
+
+        p = params.num_params
+        rows = mc_rows(both, n_seeds, 2 * p)
+        base, opt = rows[:, :p], rows[:, p:]
         if empirical_variance(opt, exact).vq < empirical_variance(base, exact).vq:
             wins += 1
     ok = wins >= 18 and pred_ok and cs_ok
@@ -218,15 +235,13 @@ def test_criterion_06_projection_free_ratio(h4t6_instance):
     alpha = np.ones(6)
     schedule = ScalingSchedule(FIXED_ALPHA, alpha=alpha)
     n = 20_000
-    eu = np.empty((n, params.num_params))
-    ep = np.empty_like(eu)
-    for i in range(n):
-        eu[i] = run_uoro(tape, CutVertex.PREACTIVATION,
-                         episode_noise(100, i, 6, 4, tau_kind="sign"),
-                         schedule).estimate
-        ep[i] = run_preuoro(tape,
-                            episode_noise(200, i, 6, 4, tau_kind="gaussian"),
-                            schedule).estimate
+    eu = mc_rows(lambda seeds: run_uoro(
+        tape, CutVertex.PREACTIVATION,
+        episode_noises(100, seeds, 6, 4, tau_kind="sign"), schedule).estimate,
+        n, params.num_params)
+    ep = mc_rows(lambda seeds: run_preuoro(
+        tape, episode_noises(200, seeds, 6, 4, tau_kind="gaussian"),
+        schedule).estimate, n, params.num_params)
     ratio = empirical_variance(eu, exact).vq / empirical_variance(ep, exact).vq
     n_z = params.preactivation_size
     ok = abs(ratio / n_z - 1.0) <= 0.25
@@ -286,21 +301,14 @@ def test_criterion_09_online_B_estimator():
     tape = run_episode(params, inputs, targets, head)
     tensors = episode_tensors(tape, CutVertex.PREACTIVATION)
     alpha = np.ones(2)
-    exact = [compute_B_partial(tensors, alpha, k) for k in (1, 2)]
+    exact = np.array([compute_B_partial(tensors, alpha, k) for k in (1, 2)])
+    schedule = ScalingSchedule(FIXED_ALPHA, alpha=alpha)
     n = 100_000
-    sums = [np.zeros((1, 1)) for _ in range(2)]
-    sums_sq = [np.zeros((1, 1)) for _ in range(2)]
-    for i in range(n):
-        noise = episode_noise(106, i, 2, 1)
-        estimates, _ = estimate_B_online(tape, noise, np.ones(2), np.ones(2))
-        for k in range(2):
-            sums[k] += estimates[k]
-            sums_sq[k] += estimates[k] ** 2
-    worst = 0.0
-    for k in range(2):
-        mean = sums[k] / n
-        se = np.sqrt(np.maximum(sums_sq[k] / n - mean**2, 0) / n)
-        worst = max(worst, float((np.abs(mean - exact[k]) / np.maximum(se, 1e-300)).max()))
+    # per seed, the estimates of steps 1 and 2 as one row
+    mean, se = mc_stats(lambda seeds: estimate_B_online(
+        tape, episode_noises(106, seeds, 2, 1), schedule).swapaxes(0, 1).reshape(
+            len(seeds), -1), n, exact.size)
+    worst = float((np.abs(mean - exact.ravel()) / np.maximum(se, 1e-300)).max())
     ok = worst < 4.0
     report(9, "online second-moment estimator unbiased at every step", ok,
            f"worst |z| = {worst:.2f} over 1e5 seeds")

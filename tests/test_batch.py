@@ -185,13 +185,14 @@ class TestGradientKernels:
                 n_z = params.cut_size(cut)
                 schedule = schedule_for(mode, 6, rng,
                                         general_q0(rng, n_z) if use_q0 else None)
-                noises = [episode_noise(7, j, 6, n_z) for j in range(3)]
+                noises = episode_noises(7, range(3), 6, n_z)
                 tape = run_episode(params, inputs, targets, head)
                 report = run_uoro(tape, cut, noises, schedule)
                 alpha = alpha_of(report)
                 for b, single in enumerate(singles(params, inputs, targets, head)):
                     ref = run_uoro(single, cut, noises[b], schedule).estimate
-                    one = run_uoro(tape.episode(b), cut, [noises[b]], schedule).estimate
+                    one = run_uoro(tape.episode(b), cut, noises[b:b + 1],
+                                   schedule).estimate
                     offline = offline_total_estimate(
                         episode_tensors(single, cut), noises[b].u, alpha[:, b],
                         schedule.Q0)
@@ -205,13 +206,13 @@ class TestGradientKernels:
         rng = np.random.default_rng(126)
         for cell, cut in CONFIGS:
             params, inputs, targets, head = softmax_batch(rng, cell=cell)
-            noises = [episode_noise(8, j, 6, params.cut_size(cut)) for j in range(3)]
+            noises = episode_noises(8, range(3), 6, params.cut_size(cut))
             tape = run_episode(params, inputs, targets, head)
             schedule = ScalingSchedule(GIR)
             batched = run_uoro(tape, cut, noises, schedule, contribution).estimate
             for b, single in enumerate(singles(params, inputs, targets, head)):
                 ref = run_uoro(single, cut, noises[b], schedule, contribution).estimate
-                one = run_uoro(tape.episode(b), cut, [noises[b]], schedule,
+                one = run_uoro(tape.episode(b), cut, noises[b:b + 1], schedule,
                                contribution).estimate
                 assert rel(batched[b], ref) <= RTOL
                 assert rel(batched[b], one[0]) <= RTOL
@@ -221,15 +222,14 @@ class TestGradientKernels:
         rng = np.random.default_rng(127)
         for cell in (rnn.VANILLA_TANH, rnn.LSTM):
             params, inputs, targets, head = softmax_batch(rng, cell=cell)
-            noises = [episode_noise(9, j, 6, params.preactivation_size)
-                      for j in range(3)]
+            noises = episode_noises(9, range(3), 6, params.preactivation_size)
             schedule = schedule_for(mode, 6, rng)
             tape = run_episode(params, inputs, targets, head)
             report = run_preuoro(tape, noises, schedule)
             alpha = alpha_of(report)
             for b, single in enumerate(singles(params, inputs, targets, head)):
                 ref = run_preuoro(single, noises[b], schedule).estimate
-                one = run_preuoro(tape.episode(b), [noises[b]], schedule).estimate
+                one = run_preuoro(tape.episode(b), noises[b:b + 1], schedule).estimate
                 offline = preuoro_offline(
                     episode_tensors(single, CutVertex.PREACTIVATION),
                     noises[b].tau, alpha[:, b])
@@ -251,7 +251,7 @@ class TestPerRowAlpha:
                 base = ScalingSchedule(GIR, Q0=general_q0(rng, n_z) if use_q0 else None)
                 alpha = rng.uniform(0.5, 2.0, (6, 3))
                 schedule = base.with_alpha(alpha)
-                noises = [episode_noise(10, j, 6, n_z) for j in range(3)]
+                noises = episode_noises(10, range(3), 6, n_z)
                 report = run_uoro(run_episode(params, inputs, targets, head), cut,
                                   noises, schedule)
                 for b, single in enumerate(singles(params, inputs, targets, head)):
@@ -270,7 +270,7 @@ class TestPerRowAlpha:
         rng = np.random.default_rng(131)
         params, inputs, targets, head = softmax_batch(rng, cell=rnn.LSTM)
         alpha = rng.uniform(0.5, 2.0, (6, 3))
-        noises = [episode_noise(11, j, 6, params.preactivation_size) for j in range(3)]
+        noises = episode_noises(11, range(3), 6, params.preactivation_size)
         report = run_preuoro(run_episode(params, inputs, targets, head), noises,
                              ScalingSchedule(GIR).with_alpha(alpha))
         for b, single in enumerate(singles(params, inputs, targets, head)):
@@ -282,7 +282,7 @@ class TestPerRowAlpha:
         rng = np.random.default_rng(132)
         params, inputs, targets, head = softmax_batch(rng)
         tape = run_episode(params, inputs, targets, head)
-        noises = [episode_noise(12, j, 6, 4) for j in range(3)]
+        noises = episode_noises(12, range(3), 6, 4)
         schedule = ScalingSchedule(GIR).with_alpha(np.ones((6, 2)))
         with pytest.raises(ShapeError, match=r"\(6, 2\).*\(3,\)"):
             run_uoro(tape, CutVertex.PREACTIVATION, noises, schedule)
@@ -299,7 +299,7 @@ class TestSeedsOnOneTape:
         params, inputs, targets, head = make_instance(rng, hidden=3, length=5)
         tape = run_episode(params, inputs, targets, head)
         tensors = episode_tensors(tape, CutVertex.PREACTIVATION)
-        noises = [episode_noise(31, i, 5, 3) for i in range(6)]
+        noises = episode_noises(31, range(6), 5, 3)
         for q0 in (None, general_q0(rng, 3)):
             schedule = schedule_for(mode, 5, rng, q0)
             report = run_uoro(tape, CutVertex.PREACTIVATION, noises, schedule)
@@ -337,11 +337,12 @@ class TestSeedsOnOneTape:
 
 
 class TestNoiseBlocks:
-    """A NoiseBlock drives the batched estimators exactly as the list of its
-    episodes' EpisodeNoise does: same draws, so the same bits out."""
+    """A sub-block of a larger block, and the EpisodeNoise view of one of its
+    columns, drive the estimators exactly as a fresh block or episode_noise
+    of the same indices do: same draws, so the same bits out."""
 
     @pytest.mark.parametrize("cell", [rnn.VANILLA_TANH, rnn.LSTM])
-    def test_block_equals_list_of_episode_noises(self, cell):
+    def test_sub_blocks_and_views_equal_fresh_noise(self, cell):
         rng = np.random.default_rng(130)
         params, inputs, targets, head = make_instance(rng, cell_kind=cell, hidden=3,
                                                       length=5)
@@ -355,13 +356,15 @@ class TestNoiseBlocks:
              params.hidden_size),
         ]
         for run, dim in runs:
-            block = episode_noises(61, range(2, 9), 5, dim, "gaussian")
-            listed = [episode_noise(61, i, 5, dim, "gaussian") for i in range(2, 9)]
-            a, b = run(block), run(listed)
-            assert np.array_equal(a.estimate, b.estimate)
-            assert (a.base_seed, a.episode_index) == (b.base_seed, b.episode_index)
-            if a.realized_gamma is not None:
-                assert np.array_equal(a.realized_gamma, b.realized_gamma)
+            root = episode_noises(61, range(12), 5, dim, "gaussian")
+            pairs = [(root[2:9], episode_noises(61, range(2, 9), 5, dim, "gaussian")),
+                     (root[2:9][3], episode_noise(61, 5, 5, dim, "gaussian"))]
+            for noise, fresh in pairs:
+                a, b = run(noise), run(fresh)
+                assert np.array_equal(a.estimate, b.estimate)
+                assert (a.base_seed, a.episode_index) == (b.base_seed, b.episode_index)
+                if a.realized_gamma is not None:
+                    assert np.array_equal(a.realized_gamma, b.realized_gamma)
 
 
 SIGMA = 1e-3
@@ -415,7 +418,7 @@ class TestReinforceBatch:
         rng = np.random.default_rng(150)
         params, inputs, targets, head = make_instance(rng, cell_kind=cell, hidden=4,
                                                       length=6)
-        noises = [episode_noise(151, i, 6, 4) for i in range(5)]
+        noises = episode_noises(151, range(5), 6, 4)
         batched_baseline, row_baseline, oracle_baseline = reinforce_baselines(
             baseline, rng, 6, 5)
         for q0 in (None, np.eye(4), spd_q0(rng, 4)):
@@ -429,7 +432,7 @@ class TestReinforceBatch:
                     "per-seed": reinforce_episode(params, inputs, targets, head, SIGMA,
                                                   noise, Q0=q0, baseline=b).estimate,
                     "batch of one": reinforce_episode(
-                        params, inputs, targets, head, SIGMA, [noise], Q0=q0,
+                        params, inputs, targets, head, SIGMA, noises[i:i + 1], Q0=q0,
                         baseline=b if isinstance(b, str) else one_row(b)).estimate[0],
                     "definition": reinforce_by_definition(
                         params, inputs, targets, head, SIGMA, noise.u, q0,
@@ -447,7 +450,7 @@ class TestReinforceBatch:
             params, inputs, targets, head = softmax_batch(rng, cell=cell)
         batch, length = inputs.shape[:2]
         h = params.hidden_size
-        noises = [episode_noise(153, j, length, h) for j in range(batch)]
+        noises = episode_noises(153, range(batch), length, h)
         batched_baseline, row_baseline, oracle_baseline = reinforce_baselines(
             baseline, rng, length, batch)
         for q0 in (None, spd_q0(rng, h)):
@@ -466,7 +469,7 @@ class TestReinforceBatch:
                         baseline=b).estimate,
                     "batch of one": reinforce_episode(
                         params, inputs[j:j + 1], targets[j:j + 1], head, SIGMA,
-                        [noise], Q0=q0,
+                        noises[j:j + 1], Q0=q0,
                         baseline=b if isinstance(b, str) else one_row(b)).estimate[0],
                     "definition": reinforce_by_definition(
                         params, inputs[j], targets[j], head, SIGMA, noise.u, q0,
@@ -476,7 +479,7 @@ class TestReinforceBatch:
     def test_custom_head_with_a_scalar_loss(self):
         rng = np.random.default_rng(154)
         params, inputs, targets, _ = make_instance(rng, hidden=3, length=4)
-        noises = [episode_noise(155, i, 4, 3) for i in range(4)]
+        noises = episode_noises(155, range(4), 4, 3)
         head = ConstantHead()
         clean = reinforce_episode(params, inputs, targets, head, 0.5, noises)
         np.testing.assert_array_equal(clean.estimate, 0.0)
@@ -506,14 +509,14 @@ class TestReinforceBatch:
     def test_rejects_bad_inputs_before_a_step(self, monkeypatch, case, error, match):
         rng = np.random.default_rng(156)
         params, inputs, targets, head = softmax_batch(rng)
-        noises = [episode_noise(157, j, 6, 4) for j in range(3)]
+        noises = episode_noises(157, range(3), 6, 4)
         kwargs = {"sigma": SIGMA, "noise": noises}
         if case == "sigma":
             kwargs["sigma"] = 0.0
-        elif case == "noise dim":  # only the last noise is wrong
-            kwargs["noise"] = noises[:2] + [episode_noise(157, 2, 6, 5)]
+        elif case == "noise dim":
+            kwargs["noise"] = episode_noises(157, range(3), 6, 5)
         elif case == "noise length":
-            kwargs["noise"] = noises[:2] + [episode_noise(157, 2, 5, 4)]
+            kwargs["noise"] = episode_noises(157, range(3), 5, 4)
         elif case == "Q0 size":
             kwargs["Q0"] = np.eye(3)
         elif case == "Q0 singular":
@@ -544,7 +547,7 @@ def criterion_11_minibatch():
     episodes = [task.episode(cfg.data_seed, j) for j in range(cfg.minibatch)]
     tape = run_episode(params, np.stack([e[0] for e in episodes]),
                        [e[1] for e in episodes], head)
-    noises = [episode_noise(cfg.base_seed, j, 24, 50) for j in range(cfg.minibatch)]
+    noises = episode_noises(cfg.base_seed, range(cfg.minibatch), 24, 50)
     return tape, noises
 
 
@@ -571,7 +574,7 @@ class TestCriterion11Minibatch:
             else:
                 offline = preuoro_offline(tensors, noise.tau, alpha[:, b])
             for name, ref in (("per-episode", run(single, noise).estimate),
-                              ("batch of one", run(single, [noise]).estimate[0]),
+                              ("batch of one", run(single, noises[b:b + 1]).estimate[0]),
                               ("offline", offline)):
                 worst[name] = max(worst[name], rel(report.estimate[b], ref))
         assert max(worst.values()) <= RTOL, worst

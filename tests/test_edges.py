@@ -15,7 +15,7 @@ from uorolab.estimators import (
     run_uoro,
     uoro_step,
 )
-from uorolab.noise import episode_noise
+from uorolab.noise import episode_noise, episode_noises
 from uorolab.rnn import CutVertex, run_episode
 
 from helpers import forbid_steps, make_instance
@@ -71,7 +71,7 @@ class TestQ0SizeChecked:
         rng = np.random.default_rng(140)
         params, inputs, targets, head = make_instance(rng, hidden=4, length=3)
         tape = run_episode(params, inputs, targets, head)
-        noises = [episode_noise(141, j, 3, 4) for j in range(2)]
+        noises = episode_noises(141, range(2), 3, 4)
         schedule = ScalingSchedule(FIXED_ALPHA, Q0=np.eye(4), alpha=np.ones(3))
         forbid_steps(monkeypatch)
         with pytest.raises(ValueError, match="Q0"):

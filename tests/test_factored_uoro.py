@@ -15,15 +15,17 @@ from uorolab.estimators import (
     FIXED_ALPHA,
     GIR,
     ScalingSchedule,
+    run_preuoro,
+    run_spatial,
     run_uoro,
 )
 from uorolab.exact import episode_tensors
-from uorolab.noise import episode_noise
+from uorolab.noise import NoiseBlock, episode_noise, episode_noises
 from uorolab.rnn import CutVertex, RnnParams, SoftmaxHead, run_episode
 from uorolab.training import realized_alpha
-from uorolab.variance import offline_total_estimate
+from uorolab.variance import estimate_B_online, offline_total_estimate
 
-from helpers import make_instance, row_rel, uoro_replay
+from helpers import forbid_steps, make_instance, row_rel, uoro_replay
 
 RTOL = 1e-12
 
@@ -66,10 +68,10 @@ def layouts(rng, params, length, n_z, head):
     single = batched.episode(0)
     return [
         ("one episode", single, episode_noise(61, 0, length, n_z), [single]),
-        ("batched tape", batched, [episode_noise(61, j, length, n_z) for j in range(3)],
+        ("batched tape", batched, episode_noises(61, range(3), length, n_z),
          [batched.episode(j) for j in range(3)]),
         ("seeds on one tape", single,
-         [episode_noise(62, j, length, n_z) for j in range(4)], [single] * 4),
+         episode_noises(62, range(4), length, n_z), [single] * 4),
     ]
 
 
@@ -89,7 +91,7 @@ class TestFactoredMatchesDenseReplay:
                                                contribution, where)
                 if contribution != CONTRIBUTION_CURRENT:
                     continue
-                noises = [noise] if not isinstance(noise, list) else noise
+                noises = noise if isinstance(noise, NoiseBlock) else [noise]
                 alpha = realized_alpha(report).reshape(6, -1)
                 estimate = report.estimate.reshape(len(noises), -1)
                 for j, (episode, n) in enumerate(zip(episodes, noises)):
@@ -117,7 +119,7 @@ class TestFactoredMatchesDenseReplay:
         schedule = schedule_for(mode, length, rng,
                                 general_q0(rng, n_z) if use_q0 else None)
         tape = run_episode(params, inputs, targets, head)
-        noises = [episode_noise(seed % 1000, j, length, n_z) for j in range(3)]
+        noises = episode_noises(seed % 1000, range(3), length, n_z)
         assert_matches_replay(tape, cut, noises, schedule, contribution)
 
     def test_no_parameter_length_products(self, monkeypatch):
@@ -126,7 +128,7 @@ class TestFactoredMatchesDenseReplay:
         rng = np.random.default_rng(63)
         params, inputs, targets, head = make_instance(rng, hidden=3, length=4)
         tape = run_episode(params, inputs, targets, head)
-        noises = [episode_noise(64, j, 4, 3) for j in range(2)]
+        noises = episode_noises(64, range(2), 4, 3)
 
         def fail(*args, **kwargs):
             raise AssertionError("a P-long product ran")
@@ -157,6 +159,16 @@ def cancelling_episode(seed):
     return tape, noise
 
 
+def with_first_column(noise, seed):
+    """A block of episodes 0 and 1 of seed whose column 0 has the u stream
+    of the one-episode noise, set by hand."""
+    block = episode_noises(seed, range(2), noise.length, noise.dim)
+    u = block.u.copy()
+    u[:, 0] = noise.u
+    vars(block)["u"] = u
+    return block
+
+
 class TestGramCancellation:
     def test_exact_cancellation_falls_back_like_the_dense_rule(self):
         """The Gram of the terms gives ||w~_1||^2 only to about eps times the
@@ -171,8 +183,8 @@ class TestGramCancellation:
         report = assert_matches_replay(tape, CutVertex.PREACTIVATION, noise,
                                        schedule, CONTRIBUTION_CURRENT)
         assert report.realized_gamma[2] == 1.0
-        batched = run_uoro(tape, CutVertex.PREACTIVATION,
-                           [noise, episode_noise(8, 0, 4, 2)], schedule)
+        batched = run_uoro(tape, CutVertex.PREACTIVATION, with_first_column(noise, 7),
+                           schedule)
         assert batched.realized_gamma[2, 0] == 1.0
         assert row_rel(batched.estimate[0], estimate) <= RTOL
 
@@ -225,8 +237,8 @@ class TestOverflowAndLength:
         with pytest.raises(NumericOverflowError, match="step 0"):
             run_uoro(tape, CutVertex.PREACTIVATION, noise, schedule)
         with pytest.raises(NumericOverflowError, match="step 0"):
-            run_uoro(tape, CutVertex.PREACTIVATION,
-                     [noise, episode_noise(71, 0, 3, n_z)], schedule)
+            run_uoro(tape, CutVertex.PREACTIVATION, episode_noises(70, range(2), 3, n_z),
+                     schedule)
 
     def test_alpha_shorter_than_tape_rejected(self):
         rng = np.random.default_rng(67)
@@ -236,3 +248,45 @@ class TestOverflowAndLength:
         with pytest.raises(ShapeError, match="alpha"):
             run_uoro(tape, CutVertex.PREACTIVATION, episode_noise(68, 0, 4, 3),
                      schedule)
+
+    @pytest.mark.parametrize("estimator", ["uoro", "preuoro", "spatial", "online B"])
+    def test_noise_shorter_than_tape_rejected_before_a_step(self, monkeypatch,
+                                                            estimator):
+        rng = np.random.default_rng(72)
+        params, inputs, targets, head = make_instance(rng, hidden=3, length=4)
+        tape = run_episode(params, inputs, targets, head)
+        schedule = ScalingSchedule(FIXED_ALPHA, alpha=np.ones(4))
+        run = {
+            "uoro": lambda n: run_uoro(tape, CutVertex.PREACTIVATION, n, schedule),
+            "preuoro": lambda n: run_preuoro(tape, n, schedule),
+            "spatial": lambda n: run_spatial(tape, CutVertex.PREACTIVATION, n),
+            "online B": lambda n: estimate_B_online(tape, n, schedule),
+        }[estimator]
+        noises = [episode_noise(73, 0, 3, 3)]
+        if estimator != "spatial":  # the spatial estimator runs one episode
+            noises.append(episode_noises(73, range(2), 3, 3))
+        forbid_steps(monkeypatch)
+        for noise in noises:
+            with pytest.raises(ShapeError, match="noise of 3 steps for an episode of 4"):
+                run(noise)
+
+    def test_longer_noise_drives_its_first_steps(self):
+        """A noise longer than the tape gives the bits of one of the tape's
+        length, whose streams are its first steps."""
+        rng = np.random.default_rng(74)
+        params, inputs, targets, head = make_instance(rng, hidden=3, length=4)
+        tape = run_episode(params, inputs, targets, head)
+        fixed = ScalingSchedule(FIXED_ALPHA, alpha=np.ones(4))
+        cut = CutVertex.PREACTIVATION
+        runs = [
+            lambda n: run_uoro(tape, cut, n, ScalingSchedule(GIR)).estimate,
+            lambda n: run_uoro(tape, cut, n, fixed).estimate,
+            lambda n: run_preuoro(tape, n, ScalingSchedule(GIR)).estimate,
+            lambda n: estimate_B_online(tape, n, fixed),
+        ]
+        for run in runs:
+            for longer, shorter in ((episode_noise(75, 0, 7, 3),
+                                     episode_noise(75, 0, 4, 3)),
+                                    (episode_noises(75, range(3), 5, 3),
+                                     episode_noises(75, range(3), 4, 3))):
+                assert np.array_equal(run(longer), run(shorter))

@@ -77,12 +77,18 @@ def reference_streams(base_seed, index, length, dim, tau_kind=SIGN):
 
 
 def assert_block_matches(block, tau_kind=SIGN):
+    """Every column of the block, and the EpisodeNoise view block[j] of each,
+    draws numpy's streams."""
     for j, index in enumerate(block.indices):
         expected = reference_streams(block.base_seed, index, block.length,
                                      block.dim, tau_kind)
+        view = block[j]
+        assert view.episode_index == index
         for stream in STREAMS:
             assert np.array_equal(getattr(block, stream)[:, j], expected[stream]), \
                 (block.base_seed, index, stream)
+            assert np.array_equal(getattr(view, stream), expected[stream]), \
+                (block.base_seed, index, stream, "view")
 
 
 class TestBitIdentity:
@@ -94,6 +100,9 @@ class TestBitIdentity:
             expected = reference_streams(base_seed, index, 6, 3, tau_kind)
             for stream in STREAMS:
                 assert np.array_equal(getattr(single, stream), expected[stream])
+                assert getattr(single.block, stream).shape[1] == 1
+            assert_block_matches(episode_noises(base_seed, [index], 6, 3, tau_kind),
+                                 tau_kind)
 
     @pytest.mark.parametrize("tau_kind", [SIGN, GAUSSIAN])
     def test_every_block_row(self, tau_kind):
@@ -125,11 +134,14 @@ class TestBitIdentity:
         block = episode_noises(9, [4, 0, 2**32 - 1], 3, 2)
         for j, index in enumerate(block.indices):
             single = block[j]
-            assert single == episode_noise(9, index, 3, 2)
+            assert ((single.base_seed, single.episode_index, single.length,
+                     single.dim, single.tau_kind) == (9, index, 3, 2, SIGN))
+            assert single.block._root is block  # drawn from the root's states
             for stream in STREAMS:
                 assert np.array_equal(getattr(single, stream),
                                       getattr(episode_noise(9, index, 3, 2), stream))
         assert [n.episode_index for n in block] == [4, 0, 2**32 - 1]
+        assert block[-1].episode_index == 2**32 - 1
 
     @settings(max_examples=40, deadline=None)
     @given(base_seed=st.one_of(st.sampled_from(EDGE_INTS), st.integers(0, 2**140)),
@@ -139,6 +151,8 @@ class TestBitIdentity:
            tau_kind=st.sampled_from([SIGN, GAUSSIAN]))
     def test_property_matches_numpy_seeding(self, base_seed, indices, tau_kind):
         assert_block_matches(episode_noises(base_seed, indices, 3, 2, tau_kind),
+                             tau_kind)
+        assert_block_matches(episode_noises(base_seed, indices[-1:], 3, 2, tau_kind),
                              tau_kind)
         single = episode_noise(base_seed, indices[0], 3, 2, tau_kind)
         expected = reference_streams(base_seed, indices[0], 3, 2, tau_kind)
@@ -150,6 +164,14 @@ class TestBitIdentity:
         (pool, _), = block._index_pools  # one group of (B,) uint64 arrays
         assert all(isinstance(w, np.ndarray) and w.dtype == np.uint64 for w in pool)
         assert_block_matches(block)
+
+    @pytest.mark.parametrize("index", [0, 5, 2**32 - 1, 2**32 + 1])
+    def test_one_index_takes_the_per_index_route(self, index):
+        for block in (episode_noises(13, [index], 4, 2),
+                      episode_noise(13, index, 4, 2).block):
+            (pool, _), = block._index_pools  # one group of Python ints
+            assert all(isinstance(w, int) for w in pool)
+            assert_block_matches(block)
 
     @pytest.mark.parametrize("indices", [[3, 2**32, 2**64 + 3, 2**100],
                                          [2**32, 2**32 + 5, 2**33]])
@@ -202,15 +224,17 @@ class TestBitIdentity:
         a = episode_noise(31, 0, 5, 3)
         b = episode_noise(31, 1, 5, 3)
         block = episode_noises(31, [1, 0], 5, 3)
-        order = [(a, "tau"), (b, "nu"), (block, "tau"), (a, "nu"), (b, "tau"),
-                 (block, "mu"), (a, "sigma"), (b, "mu"), (a, "mu"), (b, "sigma"),
-                 (block, "nu"), (block, "sigma")]
+        view = episode_noises(31, [2, 0, 1], 5, 3)[2]
+        order = [(a, "tau"), (b, "nu"), (block, "tau"), (view, "u"), (a, "nu"),
+                 (b, "tau"), (block, "mu"), (a, "sigma"), (view, "mu"), (b, "mu"),
+                 (a, "mu"), (b, "sigma"), (block, "nu"), (block, "sigma")]
         for source, stream in order:
             getattr(source, stream)
         ref = {i: reference_streams(31, i, 5, 3) for i in (0, 1)}
         for stream in STREAMS:
             assert np.array_equal(getattr(a, stream), ref[0][stream])
             assert np.array_equal(getattr(b, stream), ref[1][stream])
+            assert np.array_equal(getattr(view, stream), ref[1][stream])
         assert_block_matches(block)
 
     def test_threads_draw_the_same_streams(self):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from uorolab import estimators, rnn
 from uorolab.errors import NumericOverflowError
 from uorolab.estimators import FIXED_ALPHA, GIR, ScalingSchedule, run_preuoro
-from uorolab.noise import episode_noise
+from uorolab.noise import episode_noise, episode_noises
 from uorolab.rnn import CutVertex, RnnParams, SoftmaxHead, run_episode
 
 from helpers import make_instance, preuoro_replay, row_rel
@@ -48,9 +48,9 @@ def layouts(rng, params, length, head):
     h = params.hidden_size
     return [
         ("one episode", single, episode_noise(71, 0, length, h)),
-        ("batched tape", batched, [episode_noise(71, j, length, h) for j in range(3)]),
+        ("batched tape", batched, episode_noises(71, range(3), length, h)),
         ("seeds on one tape", single,
-         [episode_noise(72, j, length, h, tau_kind="gaussian") for j in range(4)]),
+         episode_noises(72, range(4), length, h, tau_kind="gaussian")),
     ]
 
 
@@ -78,7 +78,7 @@ class TestStructuredMatchesDenseReplay:
                                                       hidden=hidden, length=length)
         schedule = schedule_for(mode, length, rng)
         tape = run_episode(params, inputs, targets, head)
-        noises = [episode_noise(seed % 1000, j, length, hidden) for j in range(3)]
+        noises = episode_noises(seed % 1000, range(3), length, hidden)
         assert_matches_replay(tape, noises, schedule)
 
     def test_no_identity_pushed_through_jvp_cut(self, monkeypatch):
@@ -93,7 +93,7 @@ class TestStructuredMatchesDenseReplay:
             params, inputs, targets, head = make_instance(rng, cell_kind=cell,
                                                           hidden=3, length=4)
             tape = run_episode(params, inputs, targets, head)
-            noises = [episode_noise(74, j, 4, 3) for j in range(2)]
+            noises = episode_noises(74, range(2), 4, 3)
             with monkeypatch.context() as patched:
                 patched.setattr(rnn, "jvp_cut", fail)
                 patched.setattr(rnn, "basis_rows", fail)
@@ -217,5 +217,5 @@ class TestOverflow:
         with pytest.raises(NumericOverflowError, match="step 0"):
             run_preuoro(tape, noise, schedule)
         with pytest.raises(NumericOverflowError, match="step 0"):
-            run_preuoro(tape, [noise, episode_noise(82, 0, 3, params.preactivation_size)],
+            run_preuoro(tape, episode_noises(81, range(2), 3, params.preactivation_size),
                         schedule)

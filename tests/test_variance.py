@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from uorolab.errors import SingularMatrixError, UnsupportedCutError
-from uorolab.estimators import FIXED_ALPHA, ScalingSchedule, run_preuoro, run_uoro
+from uorolab.errors import ShapeError, SingularMatrixError, UnsupportedCutError
+from uorolab.estimators import FIXED_ALPHA, GIR, ScalingSchedule, run_preuoro, run_uoro
 from uorolab.exact import EpisodeTensors, bptt_gradient, episode_tensors
 from uorolab.linalg import psd_frac_power, trace
-from uorolab.noise import episode_noise
-from uorolab.rnn import LSTM, CutVertex, run_episode
+from uorolab.noise import episode_noise, episode_noises
+from uorolab.rnn import LSTM, VANILLA_TANH, CutVertex, run_episode
+from uorolab.training import SEED_BLOCK
 from uorolab.variance import (
     alpha_closed_form_rank1,
     alpha_to_beta_gamma,
@@ -28,7 +29,13 @@ from uorolab.variance import (
     trace_product_c,
 )
 
-from helpers import balanced_alpha, greedy_coefficients, make_instance
+from helpers import (
+    balanced_alpha,
+    greedy_coefficients,
+    make_instance,
+    online_B_replay,
+    row_rel,
+)
 
 
 def draw_u(rng, n, dim, kappa):
@@ -510,6 +517,10 @@ class TestAlphaToBetaGamma:
         np.testing.assert_array_equal(beta, [3.0])
 
 
+def fixed_alpha(alpha):
+    return ScalingSchedule(FIXED_ALPHA, alpha=alpha)
+
+
 class TestOnlineB:
     def test_zero_losses_give_zero(self):
         rng = np.random.default_rng(101)
@@ -517,22 +528,71 @@ class TestOnlineB:
         tape = run_episode(params, inputs, targets, head)
         tape.loss_grads[:] = 0.0
         noise = episode_noise(102, 0, 3, 2)
-        estimates, state = estimate_B_online(tape, noise, np.ones(3), np.ones(3))
-        for est in estimates:
-            np.testing.assert_array_equal(est, np.zeros((2, 2)))
-        np.testing.assert_array_equal(state.m_tilde, np.zeros(2))
+        estimates = estimate_B_online(tape, noise, fixed_alpha(np.ones(3)))
+        np.testing.assert_array_equal(estimates, np.zeros((3, 2, 2)))
 
     def test_unit_coefficients_accumulate_a_norms(self):
+        """The step-by-step oracle's a~ is sum_t sigma_t ||a_t|| under unit
+        coefficients, and the estimator's every step equals the oracle's."""
         rng = np.random.default_rng(103)
         params, inputs, targets, head = make_instance(rng, hidden=2, length=4)
         tape = run_episode(params, inputs, targets, head)
         noise = episode_noise(104, 0, 4, 2)
-        _, state = estimate_B_online(tape, noise, np.ones(4), np.ones(4))
-        expected = float(np.sum(noise.sigma * tape.inputs.shape[0] * 0 +
-                                noise.sigma * np.array([np.linalg.norm(c.a) for c in tape.caches])))
-        assert state.a_tilde == pytest.approx(expected, rel=1e-12)
+        schedule = fixed_alpha(np.ones(4))
+        replayed, a_tilde = online_B_replay(tape, noise, schedule)
+        expected = float(np.sum(noise.sigma * [np.linalg.norm(c.a) for c in tape.caches]))
+        assert a_tilde == pytest.approx(expected, rel=1e-12)
+        estimates = estimate_B_online(tape, noise, schedule)
+        assert row_rel(estimates.reshape(4, -1), replayed.reshape(4, -1)) <= 1e-12
 
-    def test_mc_mean_matches_exact_partial_B(self):
+    @pytest.mark.parametrize("eta_zeta", ["ones", "gir"])
+    @pytest.mark.parametrize("cell", [VANILLA_TANH, LSTM])
+    def test_rows_match_views_and_replay(self, cell, eta_zeta):
+        """Each row of a batched call, B episodes of a batched tape under a
+        (T, B) alpha or B seeds on one tape, equals the call on that row's
+        EpisodeNoise view and the step-by-step oracle, to 1e-12."""
+        rng = np.random.default_rng(110)
+        params, _, _, head = make_instance(rng, cell_kind=cell, hidden=3, length=5)
+        n_z = params.preactivation_size
+        inputs = rng.standard_normal((3, 5, params.input_size))
+        targets = [[int(rng.integers(3)) for _ in range(5)] for _ in range(3)]
+        batched = run_episode(params, inputs, targets, head)
+        alpha = rng.uniform(0.5, 2.0, (5, 3))
+        layouts = [
+            (batched, episode_noises(111, range(3), 5, n_z),
+             ScalingSchedule(GIR).with_alpha(alpha), batched.episode,
+             lambda j: fixed_alpha(alpha[:, j])),
+            (batched.episode(0), episode_noises(112, range(4), 5, n_z, "gaussian"),
+             fixed_alpha(alpha[:, 0]), lambda j: batched.episode(0),
+             lambda j: fixed_alpha(alpha[:, 0])),
+        ]
+        for tape, block, schedule, episode, row_schedule in layouts:
+            estimates = estimate_B_online(tape, block, schedule, eta_zeta)
+            assert estimates.shape == (5, len(block), n_z, n_z)
+            for j, view in enumerate(block):
+                rows = estimates[:, j].reshape(5, -1)
+                one = estimate_B_online(episode(j), view, row_schedule(j), eta_zeta)
+                replayed, _ = online_B_replay(episode(j), view, row_schedule(j),
+                                              eta_zeta)
+                assert row_rel(rows, one.reshape(5, -1)) <= 1e-12, (j, "view")
+                assert row_rel(rows, replayed.reshape(5, -1)) <= 1e-12, (j, "replay")
+
+    def test_rejects_bad_schedules_and_modes(self):
+        rng = np.random.default_rng(113)
+        params, inputs, targets, head = make_instance(rng, hidden=2, length=3)
+        tape = run_episode(params, inputs, targets, head)
+        noise = episode_noise(114, 0, 3, 2)
+        for schedule in (ScalingSchedule(GIR),
+                         ScalingSchedule(FIXED_ALPHA, Q0=np.eye(2), alpha=np.ones(3))):
+            with pytest.raises(ValueError, match="fixed-alpha"):
+                estimate_B_online(tape, noise, schedule)
+        with pytest.raises(ValueError, match="eta/zeta"):
+            estimate_B_online(tape, noise, fixed_alpha(np.ones(3)), "greedy")
+        with pytest.raises(ShapeError, match="alpha"):
+            estimate_B_online(tape, noise, fixed_alpha(np.ones(2)))
+
+    @pytest.mark.parametrize("eta_zeta", ["ones", "gir"])
+    def test_mc_mean_matches_exact_partial_B(self, eta_zeta):
         rng = np.random.default_rng(105)
         params, inputs, targets, head = make_instance(
             rng, hidden=1, inputs_dim=1, length=2, n_classes=2
@@ -540,21 +600,20 @@ class TestOnlineB:
         tape = run_episode(params, inputs, targets, head)
         tensors = episode_tensors(tape, CutVertex.PREACTIVATION)
         alpha = np.ones(2)
-        exact = [compute_B_partial(tensors, alpha, k) for k in (1, 2)]
+        exact = np.array([compute_B_partial(tensors, alpha, k) for k in (1, 2)])
         n = 20000
-        sums = [np.zeros((1, 1)) for _ in range(2)]
-        sums_sq = [np.zeros((1, 1)) for _ in range(2)]
-        for i in range(n):
-            noise = episode_noise(106, i, 2, 1)
-            estimates, _ = estimate_B_online(tape, noise, np.ones(2), np.ones(2))
-            for k in range(2):
-                sums[k] += estimates[k]
-                sums_sq[k] += estimates[k] ** 2
+        sums = np.zeros((2, 1, 1))
+        sums_sq = np.zeros((2, 1, 1))
+        for start in range(0, n, SEED_BLOCK):
+            noises = episode_noises(106, range(start, min(start + SEED_BLOCK, n)), 2, 1)
+            estimates = estimate_B_online(tape, noises, fixed_alpha(alpha), eta_zeta)
+            sums += estimates.sum(axis=1)
+            sums_sq += (estimates ** 2).sum(axis=1)
+        mean = sums / n
+        se = np.sqrt(np.maximum(sums_sq / n - mean**2, 0) / n)
+        z = np.abs(mean - exact) / np.maximum(se, 1e-12)
         for k in range(2):
-            mean = sums[k] / n
-            se = np.sqrt(np.maximum(sums_sq[k] / n - mean**2, 0) / n)
-            z = np.abs(mean - exact[k]) / np.maximum(se, 1e-12)
-            assert z.max() < 4.0, f"step {k + 1}"
+            assert z[k].max() < 4.0, f"step {k + 1}"
 
 
 class TestEmpiricalVariance:
