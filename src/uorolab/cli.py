@@ -86,8 +86,7 @@ def cmd_moment_check(args) -> int:
 
 def cmd_alpha_solve(args) -> int:
     cfg = _load_config(args)
-    params, head, inputs, targets, tape, tensors = \
-        training.build_report_instance(cfg)
+    params, tape, tensors = training.build_report_instance(cfg)
     solution = solve_alpha_newton(compute_C(tensors, None))
     rows = [(s, cfg.base_seed, "alpha", float(a))
             for s, a in enumerate(solution.alpha)]

@@ -1,6 +1,7 @@
 """Experiment configuration: a flat key-value text format that round-trips
 losslessly, plus the published hyperparameter tables."""
 
+import math
 from dataclasses import asdict, dataclass, fields
 
 _ALIASES = {
@@ -26,7 +27,10 @@ CHOICES = {
 }
 
 # Keys whose values must be positive.
-POSITIVE = ("hidden", "minibatch", "updates", "num_seeds", "sigma", "learning_rate")
+POSITIVE = ("hidden", "minibatch", "updates", "num_seeds", "sigma", "learning_rate",
+            "delay", "digits_limit", "gir_scale")
+# Adam's decay rates, which must lie in [0, 1).
+DECAYS = ("momentum", "beta2")
 # Seeds, which numpy's SeedSequence (and so every stream) takes nonnegative.
 SEEDS = ("base_seed", "data_seed")
 
@@ -84,6 +88,11 @@ class ExperimentConfig:
         for key in POSITIVE:
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key} = {getattr(self, key)!r} must be positive")
+        if not math.isfinite(self.gir_scale):
+            raise ValueError(f"gir_scale = {self.gir_scale!r} must be finite")
+        for key in DECAYS:
+            if not 0 <= getattr(self, key) < 1:
+                raise ValueError(f"{key} = {getattr(self, key)!r} must be in [0, 1)")
         for key in SEEDS:
             if not getattr(self, key) >= 0:
                 raise ValueError(f"{key} = {getattr(self, key)!r} must be nonnegative")

@@ -6,7 +6,8 @@ or a NoiseBlock of B episodes of one base seed, and its first T steps drive a
 tape of T steps; a shorter noise raises ShapeError before any step.  The
 rank-one sketches and REINFORCE are batch-first: given a NoiseBlock they
 advance B episodes of a batched tape, or B seeds on one tape, in one pass,
-with one estimate row per episode or seed.  The rank-one sketch
+with one estimate row per episode or seed; the spatial ablation takes a
+block too and runs its rows one at a time.  The rank-one sketch
 (h_tilde, w_tilde) of the state-to-parameter influence matrix is maintained
 by the pair of recursions
 
@@ -137,8 +138,6 @@ class ScalingSchedule:
         alpha = np.asarray(alpha, dtype=np.float64)
         if np.any(alpha <= 0):
             raise ValueError("alpha entries must be positive")
-        from .variance import alpha_to_beta_gamma
-
         self.alpha = alpha
         self._beta, self._gamma = alpha_to_beta_gamma(alpha)
         # row t: the coefficients of w~_t over the terms of steps r <= t
@@ -175,6 +174,30 @@ class ScalingSchedule:
     def unshape_spatial(self, v: np.ndarray) -> np.ndarray:
         """Q0^{-T} v for each row, so that (unshape(u))^T J = u^T Q0^{-1} J."""
         return v if self.Q0_inv is None else v @ self.Q0_inv
+
+
+def alpha_to_beta_gamma(alpha: np.ndarray):
+    """Realize a per-step alpha schedule as recursion coefficients.
+
+    gamma is constant at the geometric average ratio of consecutive alphas,
+    (alpha_T / alpha_1)^{1/(T-1)}, and beta solves
+    alpha_s = beta_s gamma_{s+1} ... gamma_T exactly (in log space).
+    alpha (T, [B]) holds one schedule per column.  Returns (beta (T, [B]),
+    gamma (T-1, [B])).
+    """
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if np.any(alpha <= 0):
+        raise ValueError("alpha entries must be positive")
+    t_len = alpha.shape[0]
+    if t_len == 1:
+        return alpha.copy(), np.zeros((0, *alpha.shape[1:]))
+    log_alpha = np.log(alpha)
+    log_gamma = (log_alpha[-1] - log_alpha[0]) / (t_len - 1)
+    # the (T-s) factors
+    steps = np.arange(t_len - 1, -1, -1).reshape(-1, *(1,) * log_gamma.ndim)
+    trailing = log_gamma * steps
+    beta = np.exp(log_alpha - trailing)
+    return beta, np.full((t_len - 1, *alpha.shape[1:]), np.exp(log_gamma))
 
 
 def _checked_q0(Q0: np.ndarray):
@@ -591,28 +614,43 @@ def run_preuoro(tape: EpisodeTape, noise, schedule: ScalingSchedule,
                    gammas, betas)
 
 
-def run_spatial(tape: EpisodeTape, cut, noise: EpisodeNoise,
+def run_spatial(tape: EpisodeTape, cut, noise,
                 estimator_name: str = "spatial") -> GradientReport:
     """Forward accumulation with the immediate influence replaced by its
     rank-one spatial projection (J_cut nu)(nu^T J_theta); no temporal noise.
-    It runs one episode: its dense S x P influence matrix per row would make
-    a batch cost B times that memory.
+
+    noise is one EpisodeNoise, or a NoiseBlock of B as for run_uoro: B seeds
+    on one tape, which share each step's dense J_state, or one per episode of
+    a batched tape, row j running episode j.  The rows run one at a time,
+    since a dense S x P influence matrix per row would make a batch cost B
+    times that memory.
     """
     params = tape.params
     cut = CutVertex(cut)
     if params.num_params * params.state_size > rnn.DENSE_GUARD:
         raise ShapeError("influence matrix too large for the spatial estimator")
     _check_length(noise, tape.length)
-    influence = np.zeros((params.state_size, params.num_params))
-    estimate = np.zeros(params.num_params)
-    for t, cache in enumerate(tape.caches):
-        nu = noise.nu[t]
-        j_state = rnn.dense_state_jacobian(cache)
-        influence = j_state @ influence + np.outer(
-            rnn.jvp_cut(cache, cut, nu), rnn.vjp_cut(cache, cut, nu)
-        )
-        estimate += tape.loss_grad_full(t) @ influence
-    return _report(estimator_name, noise, estimate)
+    single = isinstance(noise, EpisodeNoise)
+    try:
+        batch = np.broadcast_shapes(tape.batch_shape, () if single else (len(noise),))
+    except ValueError:
+        raise ShapeError(f"{tape.batch_shape[0]} episodes for {len(noise)} "
+                         f"noises") from None
+    nu = (noise.block if single else noise).nu  # (T, 1 or B, N_z)
+    shared = None if tape.batch_shape else [
+        rnn.dense_state_jacobian(cache) for cache in tape.caches]
+    estimate = np.zeros((*(batch or (1,)), params.num_params))
+    for j, row in enumerate(estimate):
+        episode = tape.episode(j) if tape.batch_shape else tape
+        influence = np.zeros((params.state_size, params.num_params))
+        for t, cache in enumerate(episode.caches):
+            j_state = rnn.dense_state_jacobian(cache) if shared is None else shared[t]
+            step_nu = nu[t, j % nu.shape[1]]
+            influence = j_state @ influence + np.outer(
+                rnn.jvp_cut(cache, cut, step_nu), rnn.vjp_cut(cache, cut, step_nu)
+            )
+            row += episode.loss_grad_full(t) @ influence
+    return _report(estimator_name, noise, estimate.reshape(*batch, -1))
 
 
 BASELINE_NONE = "none"

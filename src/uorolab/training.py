@@ -117,57 +117,59 @@ def realized_alpha(report) -> np.ndarray:
     return report.realized_beta * suffix
 
 
-def _q0_schedule(gir_scale, alpha_mode, q0):
-    """The GIR schedule that holds q0, checked and inverted once for all the
-    episodes that share it; gir_scale is read only by the greedy policy."""
-    return ScalingSchedule(GIR, Q0=q0,
-                           gir_scale=gir_scale if alpha_mode == "gir" else 1.0)
-
-
 def _estimate_batch(config, params, head, tape, noises):
     """Gradient estimates (B, P) of the exact and the other non-sketch
     engines (bptt, rtrl, spatial, reinforce) for the B episodes of a batched
-    tape, whose noise is the NoiseBlock noises.  reinforce runs the block in
-    one call, with the tape's losses as its noise-free baseline; rtrl and
-    spatial read slices of the tape."""
+    tape, whose noise is the NoiseBlock noises.  reinforce and spatial run
+    the block in one call, reinforce with the tape's losses as its
+    noise-free baseline; rtrl reads slices of the tape."""
     estimator = canonical_estimator(config.estimator)
-    cut = CutVertex(config.cut)
-    episodes = range(tape.batch_shape[0])
     if estimator in EXACT_ESTIMATORS:
         if config.exact_method == "rtrl":
-            return np.stack([rtrl_jacobians(tape.episode(j))[1].g for j in episodes])
+            return np.stack([rtrl_jacobians(tape.episode(j))[1].g
+                             for j in range(tape.batch_shape[0])])
         return bptt_gradient(tape).g
     if estimator == "reinforce":
         baseline = tape.losses if config.baseline == "noise-free" else config.baseline
         return reinforce_episode(params, tape.inputs, tape.targets, head,
                                  config.sigma, noises, baseline=baseline).estimate
-    return np.stack([run_spatial(tape.episode(j), cut, noises[j]).estimate
-                     for j in episodes])
+    return run_spatial(tape, CutVertex(config.cut), noises).estimate
 
 
 def _rank_one_batch(config, tape, noises, schedule, b_sum, audits):
     """uoro or preuoro on the B episodes of a batched tape, whose noise is
-    the NoiseBlock noises, in one call.
+    the NoiseBlock noises, in one call, and the exact protocol around it.
 
     schedule is the GIR ScalingSchedule shared by the episodes of an update:
     it holds the spatial Q0 (none for preuoro), checked and inverted once.
-    Under alpha "ours" the exact pass solves each episode's alpha before the
-    run, which takes them as one (T, B) schedule; otherwise the alphas come
-    from the run and the exact pass follows it.  Only "current" uoro runs
-    are audited, since offline_total_estimate is the estimate of that
-    contribution mode; their errors are appended to audits.  Returns the
-    estimates (B, P) and b_sum plus the batch's exact B if Q0 is "ours".
+    Under alpha "ours" one reverse sweep (suffix_rows) gives the causal
+    suffix rows of every episode, hence its C, its solved alpha and, for Q0
+    "ours", its B; the rows are freed before the sketch runs, which takes
+    the alphas as one (T, B) schedule.  Otherwise the sketch runs first and,
+    for Q0 "ours", the sweep follows it with the alphas the run realized.
+    Last, each audited episode builds its adjoint tensors (episode_tensors)
+    for its offline estimate.  Only "current" uoro runs are audited, since
+    offline_total_estimate is the estimate of that contribution mode; their
+    errors are appended to audits.  Returns the estimates (B, P) and b_sum
+    plus the batch's exact B if Q0 is "ours".
     """
     estimator = canonical_estimator(config.estimator)
     cut = CutVertex(config.cut)
     audited = [j for j, index in enumerate(noises.indices)
                if estimator == "uoro" and config.contribution == "current"
                and config.audit_every and index % config.audit_every == 0]
-    solve = config.alpha_mode == "ours"
+    q0_ours = config.q0_mode == "ours"
+    alphas = None
     run_schedule = schedule
-    if solve:
-        alphas, offline, b_sum = _exact_pass(config, tape, cut, schedule, noises,
-                                             audited, None, b_sum)
+    if config.alpha_mode == "ours":
+        rows = suffix_rows(tape, cut)
+        alphas = np.stack([
+            solve_alpha_newton(compute_C(rows.episode(j), schedule.Q0,
+                                         schedule.Q0_inv)).alpha
+            for j in range(tape.batch_shape[0])], axis=1)
+        if q0_ours:
+            b_sum = _add_B(b_sum, rows, alphas)
+        del rows
         run_schedule = schedule.with_alpha(alphas)
     elif config.alpha_mode == "ones":
         run_schedule = schedule.with_alpha(np.ones(tape.length))
@@ -176,64 +178,33 @@ def _rank_one_batch(config, tape, noises, schedule, b_sum, audits):
                           contribution=config.contribution)
     else:
         report = run_preuoro(tape, noises, run_schedule)
-    if not solve:
+    if alphas is None:
         alphas = (realized_alpha(report) if config.alpha_mode == "gir"
                   else np.ones(report.realized_beta.shape))
-        _, offline, b_sum = _exact_pass(config, tape, cut, schedule, noises,
-                                        audited, alphas, b_sum)
-    for j, estimate in offline.items():
-        scale = max(np.linalg.norm(estimate), 1e-300)
-        audits.append(float(np.linalg.norm(report.estimate[j] - estimate) / scale))
+        if q0_ours:
+            b_sum = _add_B(b_sum, suffix_rows(tape, cut), alphas)
+    for j in audited:
+        offline = offline_total_estimate(episode_tensors(tape.episode(j), cut),
+                                         noises.u[:, j], alphas[:, j], schedule.Q0,
+                                         schedule.Q0_inv)
+        scale = max(np.linalg.norm(offline), 1e-300)
+        audits.append(float(np.linalg.norm(report.estimate[j] - offline) / scale))
     return report.estimate, b_sum
 
 
-def _exact_pass(config, tape, cut, schedule, noises, audited, alphas, b_sum):
-    """The exact protocol on the episodes of a batched tape: solve their
-    alphas (when alphas is None) and add their exact B to the running sum
-    b_sum (Q0 "ours"), from one sweep over the tape (_suffix_row_pass), and
-    take the offline estimate of each audited episode from its own adjoint
-    tensors (episode_tensors), built after the block's rows are freed.
-    Returns the alphas (T, B), the offline estimates by episode and b_sum."""
-    if alphas is None or config.q0_mode == "ours":
-        alphas, b_sum = _suffix_row_pass(config, tape, cut, schedule, alphas,
-                                         b_sum)
-    offline = {
-        j: offline_total_estimate(episode_tensors(tape.episode(j), cut),
-                                  noises.u[:, j], alphas[:, j], schedule.Q0,
-                                  schedule.Q0_inv)
-        for j in audited}
-    return alphas, offline, b_sum
-
-
-def _suffix_row_pass(config, tape, cut, schedule, alphas, b_sum):
-    """One reverse sweep gives the causal suffix rows of every episode of the
-    tape (suffix_rows); each episode's alpha is solved from its own C (when
-    alphas is None), and each episode's exact B is added to b_sum (Q0
-    "ours").  Returns the alphas (T, B) and b_sum."""
-    rows = suffix_rows(tape, cut)
-    episodes = range(tape.batch_shape[0])
-    if alphas is None:
-        alphas = np.stack([
-            solve_alpha_newton(compute_C(rows.episode(j), schedule.Q0,
-                                         schedule.Q0_inv)).alpha
-            for j in episodes], axis=1)
-    if config.q0_mode == "ours":
-        for j in episodes:
-            b_episode = compute_B(rows.episode(j), alphas[:, j])
-            b_sum = b_episode if b_sum is None else b_sum + b_episode
-    return alphas, b_sum
-
-
-def _needs_exact_pass(config) -> bool:
-    """Whether the update runs the blocked exact protocol (_exact_pass: one
-    suffix-row sweep per block of TENSOR_BLOCK episodes): exact alpha or Q0
-    "ours", which the config allows for the rank-one sketches only."""
-    return config.alpha_mode == "ours" or config.q0_mode == "ours"
+def _add_B(b_sum, rows, alphas):
+    """b_sum plus the exact B of each episode of a block's SuffixRows, under
+    its column of the alphas (T, B)."""
+    for j in range(alphas.shape[1]):
+        b_episode = compute_B(rows.episode(j), alphas[:, j])
+        b_sum = b_episode if b_sum is None else b_sum + b_episode
+    return b_sum
 
 
 def run_training(config: ExperimentConfig, out_dir=None) -> dict:
     """Train per the config; returns the summary dict and, if out_dir is
-    given, writes metrics.csv and summary.json there."""
+    given, writes metrics.csv and summary.json (without the wall clock)
+    there."""
     started = time.monotonic()
     task = build_task(config)
     rng = np.random.default_rng(config.base_seed)
@@ -241,47 +212,47 @@ def run_training(config: ExperimentConfig, out_dir=None) -> dict:
     head = task.make_head(rng)
     w_state = AdamState.zeros_like(params.theta())
     head_state = AdamState.zeros_like(head.weights)
-    b_bar = None
-    q0 = None  # identity until a Bbar exists
-    rows = []
-    losses_per_update = []
-
     if config.streaming:
-        return _run_streaming(config, task, params, head, w_state, head_state,
-                              out_dir, started)
-
-    for update in range(config.updates):
-        episodes = [
-            task.episode(config.data_seed, update * config.minibatch + j)
-            for j in range(config.minibatch)
-        ]
-        grad, head_grad, mean_loss, b_bar, q0, audit = _update(
-            config, params, head, episodes, update, b_bar, q0
-        )
-        if audit is not None:
-            rows.append((update, config.base_seed, "audit_offline_rel_err", audit))
-        params = params.with_theta(
-            adam_update(params.theta(), grad, w_state, config.learning_rate,
-                        config.momentum, config.beta2, config.eps)
-        )
-        head.weights = adam_update(head.weights, head_grad, head_state,
-                                   config.learning_rate, config.momentum,
-                                   config.beta2, config.eps)
-        losses_per_update.append(mean_loss)
-        rows.append((update, config.base_seed, "loss", mean_loss))
-        rows.append((update, config.base_seed, "grad_norm", float(np.linalg.norm(grad))))
+        rows, losses = _run_streaming(config, task, params, head, w_state,
+                                      head_state)
+    else:
+        rows, losses = [], []
+        b_bar = None
+        q0 = None  # identity until a Bbar exists
+        for update in range(config.updates):
+            episodes = [
+                task.episode(config.data_seed, update * config.minibatch + j)
+                for j in range(config.minibatch)
+            ]
+            grad, head_grad, mean_loss, b_bar, q0, audit = _update(
+                config, params, head, episodes, update, b_bar, q0
+            )
+            if audit is not None:
+                rows.append((update, config.base_seed, "audit_offline_rel_err", audit))
+            params = params.with_theta(
+                adam_update(params.theta(), grad, w_state, config.learning_rate,
+                            config.momentum, config.beta2, config.eps)
+            )
+            head.weights = adam_update(head.weights, head_grad, head_state,
+                                       config.learning_rate, config.momentum,
+                                       config.beta2, config.eps)
+            losses.append(mean_loss)
+            rows.append((update, config.base_seed, "loss", mean_loss))
+            rows.append((update, config.base_seed, "grad_norm",
+                         float(np.linalg.norm(grad))))
 
     summary = {
         "config": as_dict(config),
-        "final_loss": losses_per_update[-1] if losses_per_update else None,
-        "min_loss": min(losses_per_update) if losses_per_update else None,
+        "final_loss": losses[-1] if losses else None,
+        "min_loss": min(losses) if losses else None,
         "updates": config.updates,
-        "wall_clock_s": round(time.monotonic() - started, 3),
     }
+    if config.streaming:
+        summary["mode"] = "streaming"
     if out_dir is not None:
         write_metrics_csv(f"{out_dir}/metrics.csv", rows)
-        summary_no_clock = {k: v for k, v in summary.items() if k != "wall_clock_s"}
-        write_json_summary(f"{out_dir}/summary.json", summary_no_clock)
+        write_json_summary(f"{out_dir}/summary.json", summary)
+    summary["wall_clock_s"] = round(time.monotonic() - started, 3)
     return summary
 
 
@@ -292,7 +263,7 @@ def _update(config, params, head, episodes, update, b_bar, q0):
     The minibatch runs as one batch, or in blocks of TENSOR_BLOCK episodes
     when the config needs each episode's exact C or B (alpha or Q0 "ours"
     with a rank-one sketch): each block is one forward, one suffix-row
-    sweep and one estimator call (_exact_pass), so one block's rows are
+    sweep and one estimator call (_rank_one_batch), so one block's rows are
     alive at a time.
     Returns the mean gradient, head gradient and loss per supervised step,
     the updated Bbar and Q0, and the largest online/offline audit error
@@ -305,8 +276,9 @@ def _update(config, params, head, episodes, update, b_bar, q0):
     # config allows Q0 "ours" with uoro only)
     schedule = None
     if estimator in ("uoro", "preuoro"):
-        schedule = _q0_schedule(config.gir_scale, config.alpha_mode, q0)
-    size = TENSOR_BLOCK if _needs_exact_pass(config) else len(episodes)
+        schedule = ScalingSchedule(GIR, Q0=q0, gir_scale=config.gir_scale)
+    exact = config.alpha_mode == "ours" or config.q0_mode == "ours"
+    size = TENSOR_BLOCK if exact else len(episodes)
     # the states of the minibatch's streams are derived once; each block
     # draws its own columns
     first = update * config.minibatch
@@ -355,13 +327,14 @@ def _block_sums(config, params, head, batch, noises, schedule, b_sum, audits):
             float(np.sum(tape.total_loss() / counts)), b_sum)
 
 
-def _run_streaming(config, task, params, head, w_state, head_state, out_dir,
-                   started):
+def _run_streaming(config, task, params, head, w_state, head_state):
     """Queue streaming mode: the parameters update at every step, so the
     sketch carries stale influence (accepted and documented; the estimate is
     only unbiased for slowly moving parameters).  It runs GIR without Q0,
-    the only alpha_mode and q0_mode the config admits with streaming."""
+    the only alpha_mode and q0_mode the config admits with streaming.
+    Returns the metric rows and the mean loss of each episode."""
     estimator = canonical_estimator(config.estimator)
+    schedule = ScalingSchedule(GIR, gir_scale=config.gir_scale)
     rows = []
     losses = []
     for episode_index in range(config.updates):
@@ -371,7 +344,6 @@ def _run_streaming(config, task, params, head, w_state, head_state, out_dir,
         noise = episode_noise(config.base_seed, episode_index, t_len,
                               params.cut_size(CutVertex.PREACTIVATION),
                               config.tau_kind)
-        schedule = ScalingSchedule(GIR, gir_scale=config.gir_scale)
         state_vec = np.zeros(params.state_size)
         if estimator == "uoro":
             sketch = RankOneState(np.zeros(params.state_size),
@@ -408,17 +380,7 @@ def _run_streaming(config, task, params, head, w_state, head_state, out_dir,
         mean_loss = episode_loss / max(float(targets.mask.sum()), 1.0)
         losses.append(mean_loss)
         rows.append((episode_index, config.base_seed, "loss", mean_loss))
-    summary = {
-        "config": as_dict(config),
-        "final_loss": losses[-1] if losses else None,
-        "min_loss": min(losses) if losses else None,
-        "updates": config.updates,
-        "mode": "streaming",
-    }
-    if out_dir is not None:
-        write_metrics_csv(f"{out_dir}/metrics.csv", rows)
-        write_json_summary(f"{out_dir}/summary.json", summary)
-    return summary
+    return rows, losses
 
 
 # ---------------------------------------------------------------------------
@@ -426,17 +388,16 @@ def _run_streaming(config, task, params, head, w_state, head_state, out_dir,
 # ---------------------------------------------------------------------------
 
 def build_report_instance(config: ExperimentConfig):
-    """A fixed desk-scale instance: one episode tape plus its adjoint
-    tensors, on which estimator variance can be measured against exact
-    predictions."""
+    """A fixed desk-scale instance, (params, tape, tensors): one episode tape
+    plus its adjoint tensors, on which estimator variance can be measured
+    against exact predictions."""
     task = build_task(config)
     rng = np.random.default_rng(config.base_seed)
     params = init_params(config.cell, config.hidden, task.input_size, rng)
     head = task.make_head(rng)
     inputs, targets = task.episode(config.data_seed, 0)
     tape = run_episode(params, inputs, targets, head)
-    tensors = episode_tensors(tape, CutVertex(config.cut))
-    return params, head, inputs, targets, tape, tensors
+    return params, tape, episode_tensors(tape, CutVertex(config.cut))
 
 
 # Seeds per batched call of the rank-one estimators on a fixed tape: a block
@@ -456,10 +417,11 @@ def _seed_blocks(config, length, dim, n_seeds, seed_offset=0):
 
 def measure_estimator(config, params, tape, tensors, estimator, schedule,
                       n_seeds, seed_offset=0):
-    """Collect n_seeds estimates of one estimator on a fixed tape."""
+    """Collect n_seeds estimates of uoro, preuoro or spatial on a fixed tape,
+    one call per NoiseBlock of SEED_BLOCK seeds."""
     estimator = canonical_estimator(estimator)
     cut = CutVertex(config.cut)
-    if estimator not in ("uoro", "preuoro", "spatial", *EXACT_ESTIMATORS):
+    if estimator not in ("uoro", "preuoro", "spatial"):
         raise ValueError(f"estimator {estimator!r} not measurable here")
     estimates = np.empty((n_seeds, params.num_params))
     for start, noises in _seed_blocks(config, tape.length, params.cut_size(cut),
@@ -470,10 +432,8 @@ def measure_estimator(config, params, tape, tensors, estimator, schedule,
                                         contribution=config.contribution).estimate
         elif estimator == "preuoro":
             estimates[block] = run_preuoro(tape, noises, schedule).estimate
-        elif estimator == "spatial":
-            estimates[block] = [run_spatial(tape, cut, n).estimate for n in noises]
         else:
-            estimates[block] = bptt_gradient(tape).g
+            estimates[block] = run_spatial(tape, cut, noises).estimate
     return estimates
 
 
@@ -490,7 +450,7 @@ def _grid_cell(config, params, tape, tensors, q0_mode, alpha_mode, n_seeds,
         q0 = optimal_Q0(compute_B(tensors, probe_alpha), damping=config.damping)
     else:
         q0 = None
-    schedule = _q0_schedule(config.gir_scale, alpha_mode, q0)
+    schedule = ScalingSchedule(GIR, Q0=q0, gir_scale=config.gir_scale)
     if alpha_mode == "ours":
         alpha = solve_alpha_newton(
             compute_C(tensors, schedule.Q0, schedule.Q0_inv)).alpha
@@ -524,41 +484,43 @@ def _grid_cell(config, params, tape, tensors, q0_mode, alpha_mode, n_seeds,
     }
 
 
-def run_variance_report(config: ExperimentConfig, out_dir=None) -> dict:
-    """The four-cell {Q0} x {alpha} grid plus the estimator-ablation grid
-    {neither, spatial, temporal, both}, on one fixed instance."""
-    params, head, inputs, targets, tape, tensors = build_report_instance(config)
-    exact = bptt_gradient(tape)
-    n_seeds = config.num_seeds
-    cells = []
-    for q0_mode in ("identity", "ours"):
-        for alpha_mode in ("gir", "ours"):
-            cells.append(
-                _grid_cell(config, params, tape, tensors, q0_mode, alpha_mode,
-                           n_seeds, exact.g)
-            )
-    ablation = []
+def _ablation(config, params, tape, tensors, exact):
+    """Measured variance and mean-estimate error of each ablation arm
+    {neither, spatial, temporal, both} on the report instance, whose exact
+    gradient is exact; the exact arm neither takes no seeds."""
+    rows = []
     for name in ("neither", "spatial", "temporal", "both"):
         estimator = canonical_estimator(name)
         if estimator in EXACT_ESTIMATORS:
-            ablation.append({"estimator": name, "measured_vq": 0.0,
-                             "measured_actual": 0.0,
-                             "intrinsic": float(exact.g @ exact.g),
-                             "mean_error": 0.0, "seeds": 1})
+            rows.append({"estimator": name, "measured_vq": 0.0,
+                         "measured_actual": 0.0,
+                         "intrinsic": float(exact.g @ exact.g),
+                         "mean_error": 0.0, "seeds": 1})
             continue
         schedule = ScalingSchedule(GIR, gir_scale=config.gir_scale)
         estimates = measure_estimator(config, params, tape, tensors, estimator,
-                                      schedule, n_seeds)
+                                      schedule, config.num_seeds)
         measured = empirical_variance(estimates, exact)
-        mean_err = float(np.linalg.norm(estimates.mean(axis=0) - exact.g))
-        ablation.append({
+        rows.append({
             "estimator": name,
             "measured_vq": measured.vq,
             "measured_actual": measured.actual,
             "intrinsic": measured.intrinsic,
-            "mean_error": mean_err,
-            "seeds": n_seeds,
+            "mean_error": float(np.linalg.norm(estimates.mean(axis=0) - exact.g)),
+            "seeds": config.num_seeds,
         })
+    return rows
+
+
+def run_variance_report(config: ExperimentConfig, out_dir=None) -> dict:
+    """The four-cell {Q0} x {alpha} grid plus the estimator-ablation grid
+    {neither, spatial, temporal, both}, on one fixed instance."""
+    params, tape, tensors = build_report_instance(config)
+    exact = bptt_gradient(tape)
+    cells = [_grid_cell(config, params, tape, tensors, q0_mode, alpha_mode,
+                        config.num_seeds, exact.g)
+             for q0_mode in ("identity", "ours") for alpha_mode in ("gir", "ours")]
+    ablation = _ablation(config, params, tape, tensors, exact)
     summary = {"config": as_dict(config), "grid": cells, "ablation": ablation}
     if out_dir is not None:
         rows = []
@@ -577,26 +539,13 @@ def run_variance_report(config: ExperimentConfig, out_dir=None) -> dict:
 
 
 def estimator_compare(config: ExperimentConfig, out_dir=None) -> dict:
-    """Mean-estimate error and measured variance for each ablation arm."""
-    params, head, inputs, targets, tape, tensors = build_report_instance(config)
-    exact = bptt_gradient(tape)
-    results = []
-    for name in ("neither", "spatial", "temporal", "both"):
-        estimator = canonical_estimator(name)
-        if estimator in EXACT_ESTIMATORS:
-            results.append({"estimator": name, "mean_error": 0.0,
-                            "measured_actual": 0.0, "seeds": 1})
-            continue
-        schedule = ScalingSchedule(GIR, gir_scale=config.gir_scale)
-        estimates = measure_estimator(config, params, tape, tensors, estimator,
-                                      schedule, config.num_seeds)
-        measured = empirical_variance(estimates, exact)
-        results.append({
-            "estimator": name,
-            "mean_error": float(np.linalg.norm(estimates.mean(axis=0) - exact.g)),
-            "measured_actual": measured.actual,
-            "seeds": config.num_seeds,
-        })
+    """Mean-estimate error and measured variance for each ablation arm: the
+    projection of the variance report's ablation rows."""
+    params, tape, tensors = build_report_instance(config)
+    results = [{key: row[key] for key in ("estimator", "mean_error",
+                                          "measured_actual", "seeds")}
+               for row in _ablation(config, params, tape, tensors,
+                                    bptt_gradient(tape))]
     summary = {"config": as_dict(config), "estimators": results}
     if out_dir is not None:
         rows = []

@@ -21,13 +21,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rnn
-from .errors import ShapeError, SingularMatrixError, UnsupportedCutError
+from .errors import ShapeError, UnsupportedCutError
 from .exact import EpisodeTensors, GradientVector, SuffixRows
 from .estimators import (
     FIXED_ALPHA,
     ScalingSchedule,
     _check_alpha,
     _check_length,
+    _checked_q0,
     _col,
     _gir_coefficients,
     _norms,
@@ -186,22 +187,6 @@ def _theta_weights(tensors: EpisodeTensors | SuffixRows,
     return np.array([float(np.sum(j**2)) for j in jacobians])
 
 
-def _q0_pair(Q0: np.ndarray | None, Q0_inv: np.ndarray | None = None):
-    """(Q0, Q0^{-1}); a Q0_inv the caller already computed is taken as is."""
-    if Q0 is None:
-        return None, None
-    Q0 = np.asarray(Q0, dtype=np.float64)
-    if Q0_inv is not None:
-        return Q0, Q0_inv
-    try:
-        Q0_inv = np.linalg.inv(Q0)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("Q0 is singular") from exc
-    if not np.all(np.isfinite(Q0_inv)):
-        raise SingularMatrixError("Q0 is numerically singular")
-    return Q0, Q0_inv
-
-
 def compute_C(tensors: EpisodeTensors | SuffixRows, Q0: np.ndarray | None = None,
               Q0_inv: np.ndarray | None = None) -> np.ndarray:
     """The T x T nonnegative matrix defining the alpha objective
@@ -213,9 +198,11 @@ def compute_C(tensors: EpisodeTensors | SuffixRows, Q0: np.ndarray | None = None
     Q0 acts on the T(T+1)/2 distinct suffix rows only, and C[q, r] for
     q < r reads the diagonal row (r, r).  The rows of one episode's
     SuffixRows are taken as they are.  Q0_inv, if given, must be the inverse
-    of Q0 (as ScalingSchedule holds it); otherwise it is computed here.
+    of Q0 as ScalingSchedule holds it, checked and inverted already;
+    otherwise Q0 is checked and inverted here (estimators._checked_q0).
     """
-    Q0, Q0_inv = _q0_pair(Q0, Q0_inv)
+    if Q0 is not None and Q0_inv is None:
+        Q0, Q0_inv = _checked_q0(Q0)
     rows, q, r = _rows_of(tensors)
     if Q0 is None:
         squares = np.square(rows)
@@ -330,30 +317,6 @@ def alpha_closed_form_rank1(m: np.ndarray, n: np.ndarray) -> np.ndarray:
     return (n / m) ** 0.25
 
 
-def alpha_to_beta_gamma(alpha: np.ndarray):
-    """Realize a per-step alpha schedule as recursion coefficients.
-
-    gamma is constant at the geometric average ratio of consecutive alphas,
-    (alpha_T / alpha_1)^{1/(T-1)}, and beta solves
-    alpha_s = beta_s gamma_{s+1} ... gamma_T exactly (in log space).
-    alpha (T, [B]) holds one schedule per column.  Returns (beta (T, [B]),
-    gamma (T-1, [B])).
-    """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if np.any(alpha <= 0):
-        raise ValueError("alpha entries must be positive")
-    t_len = alpha.shape[0]
-    if t_len == 1:
-        return alpha.copy(), np.zeros((0, *alpha.shape[1:]))
-    log_alpha = np.log(alpha)
-    log_gamma = (log_alpha[-1] - log_alpha[0]) / (t_len - 1)
-    # the (T-s) factors
-    steps = np.arange(t_len - 1, -1, -1).reshape(-1, *(1,) * log_gamma.ndim)
-    trailing = log_gamma * steps
-    beta = np.exp(log_alpha - trailing)
-    return beta, np.full((t_len - 1, *alpha.shape[1:]), np.exp(log_gamma))
-
-
 # ---------------------------------------------------------------------------
 # The B matrix, optimal Q0, and predicted variance
 # ---------------------------------------------------------------------------
@@ -453,9 +416,11 @@ def predicted_VQ(tensors: EpisodeTensors, alpha: np.ndarray,
     "general" evaluates the double time sum of trace products directly (any
     cut); "structured" uses tr(B Q0 Q0^T) tr((Q0 Q0^T)^{-1}) (preactivation
     cut, to which it is algebraically equal); "preuoro" is the projection-free
-    variant, which equals tr(B) and takes no Q0.
+    variant, which equals tr(B) and takes no Q0.  A Q0 is checked as
+    ScalingSchedule checks it (estimators._checked_q0).
     """
     alpha = np.asarray(alpha, dtype=np.float64)
+    Q0, Q0_inv = (None, None) if Q0 is None else _checked_q0(Q0)
     if flavor == FLAVOR_STRUCTURED:
         _require_preactivation(tensors, "structured flavor")
         b_mat = compute_B(tensors, alpha)
@@ -470,7 +435,6 @@ def predicted_VQ(tensors: EpisodeTensors, alpha: np.ndarray,
         return trace(compute_B(tensors, alpha))
     if flavor != FLAVOR_GENERAL:
         raise ValueError(f"unknown flavor {flavor!r}")
-    Q0, Q0_inv = _q0_pair(Q0)
     shaped = tensors.b if Q0 is None else tensors.b @ Q0
     left = np.einsum("r,tri,sri->st", alpha**2, shaped, shaped)
     weights = _theta_weights(tensors, Q0_inv)
@@ -551,9 +515,10 @@ def offline_total_estimate(tensors: EpisodeTensors, u: np.ndarray,
 
     This is the audit oracle for the online recursions: with matching alpha
     and noise it reproduces their accumulated estimate to roundoff.  Q0_inv,
-    if given, must be the inverse of Q0.
+    if given, must be the checked inverse of Q0, as for compute_C.
     """
-    Q0, Q0_inv = _q0_pair(Q0, Q0_inv)
+    if Q0 is not None and Q0_inv is None:
+        Q0, Q0_inv = _checked_q0(Q0)
     alpha = np.asarray(alpha, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     t_len = tensors.length

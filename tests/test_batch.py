@@ -17,6 +17,7 @@ from uorolab.estimators import (
     ScalingSchedule,
     reinforce_episode,
     run_preuoro,
+    run_spatial,
     run_uoro,
 )
 from uorolab.exact import bptt_gradient, episode_tensors
@@ -334,6 +335,74 @@ class TestSeedsOnOneTape:
             for i in (0, training.SEED_BLOCK - 1, n_seeds - 1):
                 ref = run(episode_noise(41, 3 + i, 4, 3)).estimate
                 assert rel(rows[i], ref) <= RTOL, f"{estimator} seed {i}"
+
+
+class TestSpatialBlocks:
+    """run_spatial takes a NoiseBlock: B seeds on one tape share each step's
+    dense J_state, and on a batched tape row j runs episode j.  Its rows run
+    one at a time, so each equals the call on its view bit for bit."""
+
+    @pytest.mark.parametrize("cell,cut", [
+        (rnn.VANILLA_TANH, CutVertex.PREACTIVATION),
+        (rnn.VANILLA_TANH, CutVertex.STATE),
+        (rnn.LSTM, CutVertex.PREACTIVATION)])
+    def test_seeds_on_one_tape_equal_views(self, monkeypatch, cell, cut):
+        rng = np.random.default_rng(141)
+        params, inputs, targets, head = make_instance(rng, cell_kind=cell,
+                                                      hidden=3, length=4)
+        tape = run_episode(params, inputs, targets, head)
+        noises = episode_noises(142, range(5, 9), 4, params.cut_size(cut))
+        views = [run_spatial(tape, cut, noise).estimate for noise in noises]
+        builds = []
+        dense = rnn.dense_state_jacobian
+        monkeypatch.setattr(rnn, "dense_state_jacobian",
+                            lambda cache: builds.append(1) or dense(cache))
+        report = run_spatial(tape, cut, noises)
+        assert len(builds) == tape.length  # one J_state per step, shared
+        assert report.estimate.shape == (4, params.num_params)
+        assert report.episode_index == noises.indices
+        for j, view in enumerate(views):
+            np.testing.assert_array_equal(report.estimate[j], view)
+
+    @pytest.mark.parametrize("cell", [rnn.VANILLA_TANH, rnn.LSTM])
+    def test_batched_tape_rows_equal_episode_views(self, cell):
+        rng = np.random.default_rng(143)
+        params, inputs, targets, head = softmax_batch(rng, cell=cell, batch=3,
+                                                      length=5, hidden=3)
+        tape = run_episode(params, inputs, targets, head)
+        cut = CutVertex.PREACTIVATION
+        noises = episode_noises(144, range(3), 5, params.cut_size(cut))
+        report = run_spatial(tape, cut, noises)
+        for j in range(3):
+            np.testing.assert_array_equal(
+                report.estimate[j],
+                run_spatial(tape.episode(j), cut, noises[j]).estimate)
+
+    def test_count_mismatch_raises_shape_error(self):
+        rng = np.random.default_rng(145)
+        params, inputs, targets, head = softmax_batch(rng, batch=3, length=4,
+                                                      hidden=3)
+        tape = run_episode(params, inputs, targets, head)
+        noises = episode_noises(146, range(2), 4, 3)
+        with pytest.raises(ShapeError, match="3 episodes for 2 noises"):
+            run_spatial(tape, CutVertex.PREACTIVATION, noises)
+
+    def test_training_and_measure_make_one_call_per_block(self, monkeypatch):
+        """A spatial minibatch and measure_estimator's spatial arm call
+        run_spatial once per batch or per NoiseBlock of SEED_BLOCK seeds."""
+        calls = []
+        monkeypatch.setattr(training, "run_spatial",
+                            lambda *args: calls.append(args) or run_spatial(*args))
+        config = ExperimentConfig(task="queue", hidden=3, delay=2, stream_length=5,
+                                  estimator="spatial", minibatch=4, updates=2,
+                                  num_seeds=training.SEED_BLOCK + 3)
+        training.run_training(config)
+        assert [len(args[2]) for args in calls] == [4, 4]
+        calls.clear()
+        params, tape, _ = training.build_report_instance(config)
+        training.measure_estimator(config, params, tape, None, "spatial",
+                                   ScalingSchedule(GIR), config.num_seeds)
+        assert [len(args[2]) for args in calls] == [training.SEED_BLOCK, 3]
 
 
 class TestNoiseBlocks:

@@ -96,6 +96,16 @@ class TestConfig:
         ("learning_rate", {"learning_rate": -0.001}),
         ("learning_rate", {"learning_rate": float("nan")}),
         ("damping", {"damping": -1e-3}),
+        ("gir_scale", {"gir_scale": 0.0}),
+        ("gir_scale", {"gir_scale": float("nan")}),
+        ("gir_scale", {"gir_scale": float("inf")}),
+        ("gir_scale", {"estimator": "bptt", "gir_scale": -1.0}),
+        ("momentum", {"momentum": 1.0}),
+        ("momentum", {"momentum": -0.1}),
+        ("beta2", {"beta2": 1.0}),
+        ("beta2", {"beta2": float("nan")}),
+        ("delay", {"delay": 0}),
+        ("digits_limit", {"task": "rowwise-digits", "digits_limit": 0}),
         ("base_seed", {"base_seed": -1}),
         ("data_seed", {"data_seed": -7}),
         ("base_seed", {"base_seed": -2**32, "data_seed": 3}),
@@ -127,6 +137,9 @@ class TestConfig:
 
     def test_range_edges_accepted(self):
         ExperimentConfig(task="queue", delay=7, stream_length=8, damping=0.0)
+        ExperimentConfig(delay=1, digits_limit=1, momentum=0.0, beta2=0.0,
+                         gir_scale=1e-300)
+        ExperimentConfig(momentum=0.999, beta2=1.0 - 1e-12, gir_scale=1e300)
         ExperimentConfig(base_seed=0, data_seed=0)
         ExperimentConfig(base_seed=2**64 + 3, data_seed=2**32)
         ExperimentConfig(task="rowwise-digits", delay=20, stream_length=8)

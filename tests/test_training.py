@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -340,19 +342,42 @@ class TestRunTraining:
 
     @pytest.mark.parametrize("estimator,alpha_mode", [
         ("bptt", "gir"), ("spatial", "gir"), ("uoro", "ones"),
-        ("preuoro", "ones"),
+        ("preuoro", "ones"), ("uoro", "gir"),
     ])
-    def test_gir_scale_read_only_by_greedy_policy(self, estimator, alpha_mode):
-        cfg = ExperimentConfig(
-            task="rowwise-digits", cell="lstm", hidden=3, estimator=estimator,
-            alpha_mode=alpha_mode, minibatch=1, updates=1, digits_limit=4,
-            gir_scale=0.0, base_seed=3, data_seed=4,
-        )
-        assert np.isfinite(training.run_training(cfg)["final_loss"])
-        greedy = ExperimentConfig(**{**as_dict(cfg), "estimator": "uoro",
-                                     "alpha_mode": "gir"})
-        with pytest.raises(ValueError, match="gir_scale"):
-            training.run_training(greedy)
+    def test_bad_gir_scale_refused_at_load_for_every_estimator(self, estimator,
+                                                             alpha_mode):
+        """The report commands read gir_scale whatever the estimator (the
+        ablation's GIR schedules), so a config refuses a bad one when it is
+        built, before any work."""
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="gir_scale"):
+                ExperimentConfig(
+                    task="rowwise-digits", cell="lstm", hidden=3,
+                    estimator=estimator, alpha_mode=alpha_mode, minibatch=1,
+                    updates=1, digits_limit=4, gir_scale=bad)
+
+    def test_suffix_rows_freed_before_the_sketch_runs(self, monkeypatch):
+        """Under alpha "ours" the block's SuffixRows, from which each
+        episode's C, alpha and B come, is freed before run_uoro runs, so one
+        block holds its rows or its sketch, not both (TENSOR_BLOCK's sizing)."""
+        sweeps, alive = [], []
+
+        def sweep(*args):
+            rows = suffix_rows(*args)
+            sweeps.append(weakref.ref(rows))
+            return rows
+
+        def run(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in sweeps))
+            return run_uoro(*args, **kwargs)
+
+        suffix_rows, run_uoro = training.suffix_rows, training.run_uoro
+        monkeypatch.setattr(training, "suffix_rows", sweep)
+        monkeypatch.setattr(training, "run_uoro", run)
+        monkeypatch.setattr(training, "TENSOR_BLOCK", 2)
+        training.run_training(tiny_digits_config("ours", "ours", minibatch=5,
+                                                 updates=2, audit_every=2))
+        assert len(sweeps) == 6 and alive == [0] * 6
 
     def test_audit_metric_value(self, tmp_path):
         cfg = tiny_queue_config(estimator="uoro", alpha_mode="ours",
@@ -441,3 +466,11 @@ class TestEstimatorCompare:
         assert [r["estimator"] for r in summary["estimators"]] == \
             ["neither", "spatial", "temporal", "both"]
         assert (tmp_path / "estimator_compare.csv").exists()
+
+    def test_rows_are_the_projection_of_the_report_ablation(self):
+        cfg = ExperimentConfig(task="queue", hidden=3, delay=2, stream_length=5,
+                               num_seeds=70, base_seed=33, data_seed=34)
+        ablation = training.run_variance_report(cfg)["ablation"]
+        keys = ("estimator", "mean_error", "measured_actual", "seeds")
+        assert training.estimator_compare(cfg)["estimators"] == [
+            {key: row[key] for key in keys} for row in ablation]

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from uorolab.errors import ShapeError, SingularMatrixError, UnsupportedCutError
-from uorolab.estimators import FIXED_ALPHA, GIR, ScalingSchedule, run_preuoro, run_uoro
+from uorolab.estimators import (
+    FIXED_ALPHA,
+    GIR,
+    ScalingSchedule,
+    alpha_to_beta_gamma,
+    run_preuoro,
+    run_uoro,
+)
 from uorolab.exact import EpisodeTensors, bptt_gradient, episode_tensors
 from uorolab.linalg import psd_frac_power, trace
 from uorolab.noise import episode_noise, episode_noises
@@ -10,7 +17,6 @@ from uorolab.rnn import LSTM, VANILLA_TANH, CutVertex, run_episode
 from uorolab.training import SEED_BLOCK
 from uorolab.variance import (
     alpha_closed_form_rank1,
-    alpha_to_beta_gamma,
     check_minimizer,
     compute_B,
     compute_B_partial,
@@ -172,6 +178,26 @@ class TestComputeC:
         _, tensors = make_tensors(76)
         with pytest.raises(SingularMatrixError):
             compute_C(tensors, np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("name", ["compute_C", "offline_total_estimate",
+                                      "general", "structured"])
+    def test_ill_conditioned_q0_rejected_like_schedule(self, name):
+        """A Q0 beyond estimators.MAX_Q0_CONDITION, which ScalingSchedule and
+        reinforce_episode refuse, is refused by the variance functions too,
+        not inverted into entries near 1e18."""
+        _, tensors = make_tensors(76)
+        q0 = np.diag([1.0, 1e-9, 1.0])
+        with pytest.raises(SingularMatrixError, match="condition"):
+            ScalingSchedule(GIR, Q0=q0)
+        calls = {
+            "compute_C": lambda: compute_C(tensors, q0),
+            "offline_total_estimate": lambda: offline_total_estimate(
+                tensors, np.ones((4, 3)), np.ones(4), q0),
+            "general": lambda: predicted_VQ(tensors, np.ones(4), q0, flavor="general"),
+            "structured": lambda: predicted_VQ(tensors, np.ones(4), q0),
+        }
+        with pytest.raises(SingularMatrixError, match="condition"):
+            calls[name]()
 
 
 class TestAlphaNewton:
