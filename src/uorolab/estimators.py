@@ -373,12 +373,11 @@ def run_uoro(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
     if schedule.Q0 is not None and schedule.Q0.shape[0] != n_z:
         raise ShapeError(f"Q0 shape {schedule.Q0.shape} != cut dim ({n_z}, {n_z})")
     batch = np.broadcast_shapes(tape.batch_shape, u.shape[1:-1])
-    caches = tape.caches
     u = _steps_first(u, len(batch))
-    a = _steps_first(np.stack([cache.a for cache in caches]), len(batch))
+    a = _steps_first(tape.steps.a, len(batch))
     left = np.broadcast_to(schedule.unshape_spatial(u), (t_len, *batch, n_z))
     if cut == CutVertex.STATE:
-        left = left * _steps_first(np.stack([cache.d for cache in caches]), len(batch))
+        left = left * _steps_first(tape.steps.d, len(batch))
     shaped = schedule.shape_spatial(u)
     greedy = schedule.mode == GIR
     if greedy:
@@ -393,10 +392,10 @@ def run_uoro(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
     h_tilde = np.zeros((*batch, params.state_size))
     # the sketch each step's score reads: h~_t, or J_state h~_{t-1} for split
     scored = np.empty((t_len, *batch, params.state_size))
-    immediate = np.zeros((t_len, *batch, params.preactivation_size)) if split else None
     gammas = np.zeros((t_len, *batch))
     betas = np.zeros((t_len, *batch))
-    for t, cache in enumerate(caches):
+    for t in range(t_len):
+        cache = tape.steps[t]
         forwarded = rnn.jvp_state(cache, h_tilde)
         spatial_in = rnn.jvp_cut(cache, cut, shaped[t])
         if greedy:
@@ -420,18 +419,16 @@ def run_uoro(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
             raise NumericOverflowError(f"rank-one sketch overflowed at step {t}")
         gammas[t], betas[t] = gamma, beta
         scored[t] = forwarded if split else h_tilde
-        if split:
-            immediate[t] = rnn.vjp_to_cut(cache, CutVertex.PREACTIVATION,
-                                          tape.loss_grad_full(t))
-    loss_grads = _steps_first(rnn.embed_state_grad(params, tape.loss_grads), len(batch))
-    scores = np.sum(loss_grads * scored, axis=-1)
+    loss_grads = rnn.embed_state_grad(params, tape.loss_grads)
+    scores = np.sum(_steps_first(loss_grads, len(batch)) * scored, axis=-1)
     if contribution != CONTRIBUTION_CURRENT:  # both weight w~_{t-1}
         coefficients = np.concatenate([np.zeros_like(coefficients[:1]),
                                        coefficients[:-1]])
     weights = np.einsum("t...,t...r->r...", scores, coefficients)
     rows = weights[..., None] * left
     if split:  # plus the exact immediate term, vec(g_z,t a_t^T)
-        rows += immediate
+        rows += _steps_first(rnn.vjp_to_cut(tape.steps, CutVertex.PREACTIVATION,
+                                            loss_grads), len(batch))
     estimate = _rows_as_columns(rows) @ np.swapaxes(a, 0, -2)
     return _report(estimator_name, noise, estimate.reshape(*batch, -1), gammas, betas)
 
@@ -604,9 +601,9 @@ def run_preuoro(tape: EpisodeTape, noise, schedule: ScalingSchedule,
     w_rows = np.empty((tape.length, *batch, params.augmented_size))
     gammas = np.zeros((tape.length, *batch))
     betas = np.zeros((tape.length, *batch))
-    for t, cache in enumerate(tape.caches):
-        state, gammas[t], betas[t] = preuoro_step(state, cache, tau[t], schedule, t,
-                                                  out=buffers[(t + 1) % 2])
+    for t in range(tape.length):
+        state, gammas[t], betas[t] = preuoro_step(state, tape.steps[t], tau[t],
+                                                  schedule, t, out=buffers[(t + 1) % 2])
         carried[t] = _carried(state, tape.loss_grad_full(t))
         w_rows[t] = state.w_tilde
     estimate = np.moveaxis(carried, 0, -1) @ np.moveaxis(w_rows, 0, -2)
@@ -636,19 +633,18 @@ def run_spatial(tape: EpisodeTape, cut, noise,
     except ValueError:
         raise ShapeError(f"{tape.batch_shape[0]} episodes for {len(noise)} "
                          f"noises") from None
-    nu = (noise.block if single else noise).nu  # (T, 1 or B, N_z)
-    shared = None if tape.batch_shape else [
-        rnn.dense_state_jacobian(cache) for cache in tape.caches]
+    nu = (noise.block if single else noise).nu[: tape.length]  # (T, 1 or B, N_z)
     estimate = np.zeros((*(batch or (1,)), params.num_params))
     for j, row in enumerate(estimate):
-        episode = tape.episode(j) if tape.batch_shape else tape
+        if j == 0 or tape.batch_shape:  # one dense J_state per episode
+            episode = tape.episode(j) if tape.batch_shape else tape
+            j_state = rnn.dense_state_jacobian(episode.steps)
+        row_nu = nu[:, j % nu.shape[1]]
+        spatial_in = rnn.jvp_cut(episode.steps, cut, row_nu)
+        spatial_out = rnn.vjp_cut(episode.steps, cut, row_nu)
         influence = np.zeros((params.state_size, params.num_params))
-        for t, cache in enumerate(episode.caches):
-            j_state = rnn.dense_state_jacobian(cache) if shared is None else shared[t]
-            step_nu = nu[t, j % nu.shape[1]]
-            influence = j_state @ influence + np.outer(
-                rnn.jvp_cut(cache, cut, step_nu), rnn.vjp_cut(cache, cut, step_nu)
-            )
+        for t in range(tape.length):
+            influence = j_state[t] @ influence + np.outer(spatial_in[t], spatial_out[t])
             row += episode.loss_grad_full(t) @ influence
     return _report(estimator_name, noise, estimate.reshape(*batch, -1))
 
@@ -725,11 +721,10 @@ def reinforce_episode(params: rnn.RnnParams, inputs, targets, head,
     # the perturbed states h_bar; unperturbed rows and the LSTM cell add 0
     states = np.zeros((t_len, x.shape[1], params.state_size))
     states[:, :n, :h_size] = sigma * (u if q0 is None else u @ q0.T)
-    caches = []
+    sweep = rnn.empty_steps(params, x.shape[:2])
     state = np.zeros((x.shape[1], params.state_size))
     for t in range(t_len):
-        state, cache = rnn.step(params, state, x[t])
-        caches.append(cache)
+        state, _ = rnn.step(params, state, x[t], out=sweep[t])
         state = np.add(state, states[t], out=states[t])
 
     hidden = states[..., :h_size]
@@ -740,12 +735,11 @@ def reinforce_episode(params: rnn.RnnParams, inputs, targets, head,
     losses = np.zeros(hidden.shape[:2]) + losses  # a head may return one scalar
     advantage = losses[:, :n] - (losses[:, n:] if clean else baseline_values)
     suffix = np.cumsum(advantage[::-1], axis=0)[::-1]
-    directions = np.zeros((t_len, x.shape[1], params.state_size))
-    directions[:, :n, :h_size] = suffix[..., None] * (u if q0_inv is None else u @ q0_inv)
-    g_z = np.stack([rnn.vjp_to_cut(cache, CutVertex.PREACTIVATION, v)[:n]
-                    for cache, v in zip(caches, directions)])
-    a = np.stack([cache.a[:n] for cache in caches])
-    estimate = (g_z.transpose(1, 2, 0) @ a.transpose(1, 0, 2)) / sigma
+    directions = np.zeros((t_len, n, params.state_size))
+    directions[..., :h_size] = suffix[..., None] * (u if q0_inv is None else u @ q0_inv)
+    perturbed = sweep[:, :n]
+    g_z = rnn.vjp_to_cut(perturbed, CutVertex.PREACTIVATION, directions)
+    estimate = (g_z.transpose(1, 2, 0) @ perturbed.a.transpose(1, 0, 2)) / sigma
     return _report("reinforce", noise, estimate.reshape(*batch, -1))
 
 

@@ -60,10 +60,9 @@ def bptt_gradient(tape: EpisodeTape) -> GradientVector:
     delta = np.zeros((*batch, params.state_size))
     for t in range(tape.length - 1, -1, -1):
         delta = delta + tape.loss_grad_full(t)
-        g_z[t], delta = rnn.vjp_to_cut_and_state(tape.caches[t],
+        g_z[t], delta = rnn.vjp_to_cut_and_state(tape.steps[t],
                                                  CutVertex.PREACTIVATION, delta)
-    a = np.stack([c.a for c in tape.caches])
-    grad = np.moveaxis(g_z, 0, -1) @ np.moveaxis(a, 0, -2)
+    grad = np.moveaxis(g_z, 0, -1) @ np.moveaxis(tape.steps.a, 0, -2)
     return GradientVector(g=grad.reshape(*batch, -1), total_loss=tape.total_loss())
 
 
@@ -85,10 +84,9 @@ def rtrl_jacobians(tape: EpisodeTape):
     jacobians = []
     grad = np.zeros(params.num_params)
     eye = np.eye(params.state_size)
+    j_state = rnn.dense_state_jacobian(tape.steps)
     for t in range(tape.length):
-        cache = tape.caches[t]
-        j_state = rnn.dense_state_jacobian(cache)
-        influence = j_state @ influence + rnn.vjp_params(cache, eye)
+        influence = j_state[t] @ influence + rnn.vjp_params(tape.steps[t], eye)
         jacobians.append(influence.copy())
         grad += tape.loss_grad_full(t) @ influence
     return jacobians, GradientVector(g=grad, total_loss=tape.total_loss())
@@ -153,7 +151,7 @@ def _adjoint_sweep(tape: EpisodeTape, cut: CutVertex, suffix: bool):
         if suffix and s + 1 < t_len:
             deltas[s] += deltas[s + 1]
         # causality: losses before s have no adjoint here
-        g, deltas[s:] = rnn.vjp_to_cut_and_state(tape.caches[s], cut, deltas[s:])
+        g, deltas[s:] = rnn.vjp_to_cut_and_state(tape.steps[s], cut, deltas[s:])
         yield s, g
 
 
@@ -161,10 +159,10 @@ def _step_terms(tape: EpisodeTape, cut: CutVertex):
     """(a, a_norms, j_dense) of the tape's steps: the augmented inputs
     (T, [B,] A), their norms and, for cuts other than the preactivation, the
     dense d(z_s)/d(theta) per step ([B,] N_z, P)."""
-    a = np.stack([c.a for c in tape.caches])
+    a = tape.steps.a
     j_dense = None
     if cut != CutVertex.PREACTIVATION:
-        j_dense = [rnn.dense_theta_jacobian(c, cut) for c in tape.caches]
+        j_dense = [rnn.dense_theta_jacobian(tape.steps[t], cut) for t in range(len(a))]
     return a, np.linalg.norm(a, axis=-1), j_dense
 
 

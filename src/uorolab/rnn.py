@@ -25,9 +25,15 @@ then take vectors (..., B, S), so B episodes advance in one call.  Without a
 batch axis the same functions run one episode.  Either way a vector may stack
 further rows in front: B noise seeds on one episode are rows (B, S) against an
 unbatched cache.
+
+An episode's tape holds its steps as one StepCache whose arrays have the step
+axis first, (T, [B,] .), filled in place by step(..., out=steps[t]).  Indexing
+a cache indexes every array, as Targets does: steps[t] is step t and
+steps[:, i] episode i, both views.  A product that needs no recursion over
+the steps is taken over the whole tape in one call, with vectors (T, [B,] S).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -42,6 +48,7 @@ from .errors import (
 VANILLA_TANH = "vanilla-tanh"
 VANILLA_LINEAR = "vanilla-linear"  # identity activation, for analytic tests
 LSTM = "lstm"
+CELL_KINDS = (VANILLA_TANH, VANILLA_LINEAR, LSTM)
 
 DENSE_GUARD = 10**7  # refuse to materialize J^{state}_{theta} beyond this
 
@@ -72,6 +79,9 @@ class RnnParams:
     input_size: int
 
     def __post_init__(self):
+        if self.cell_kind not in CELL_KINDS:
+            raise ValueError(f"unknown cell kind {self.cell_kind!r}: expected one "
+                             f"of {', '.join(CELL_KINDS)}")
         h, x = self.hidden_size, self.input_size
         rows = 4 * h if self.cell_kind == LSTM else h
         w = np.asarray(self.weights, dtype=np.float64)
@@ -150,37 +160,39 @@ def init_params(
 
 @dataclass
 class StepCache:
-    """Everything needed to contract the step's local Jacobians.  Arrays
-    carry the step's batch shape, () or (B,), in front."""
+    """Everything needed to contract a step's local Jacobians.  Every array
+    carries the same leading shape: (), or (B,) for a step of B episodes, or
+    (T, [B]) for the steps of a tape.  Indexing indexes every array: of a
+    tape's steps, steps[t] is step t and steps[:, i] episode i, as views."""
 
     params: RnnParams
-    a: np.ndarray  # ([B,] A) augmented input (h_prev, x, 1)
-    z: np.ndarray  # ([B,] N_z) preactivations W a
-    h: np.ndarray  # ([B,] H) new hidden output
+    a: np.ndarray  # (..., A) augmented input (h_prev, x, 1)
+    h: np.ndarray  # (..., H) new hidden output
     d: np.ndarray | None = None  # vanilla: activation derivative f'(z)
     # LSTM: forget gate f, cell c, and the step's gate derivatives, computed
     # once: dz = (dc/dz_i, dc/dz_f, dc/dz_g, direct dh/dz_o) per unit, stacked
-    # like z, and dh_dc = o (1 - tanh(c)^2)
-    gates: dict | None = None
+    # like the preactivations, and dh_dc = o (1 - tanh(c)^2)
+    f: np.ndarray | None = None
+    c: np.ndarray | None = None
+    dz: np.ndarray | None = None
+    dh_dc: np.ndarray | None = None
 
     @property
     def batch_shape(self) -> tuple:
         return self.a.shape[:-1]
 
-    def state(self) -> np.ndarray:
-        if self.params.cell_kind == LSTM:
-            return np.concatenate([self.h, self.gates["c"]], axis=-1)
-        return self.h
+    def __getitem__(self, index) -> "StepCache":
+        return StepCache(self.params, **{name: x[index] for name, x in vars(self).items()
+                                         if x is not None and name != "params"})
 
-    def episode(self, i: int) -> "StepCache":
-        """The cache of episode i of a batched step."""
-        def row(x):
-            return None if x is None else x[i]
 
-        return StepCache(
-            self.params, self.a[i], self.z[i], self.h[i], d=row(self.d),
-            gates=None if self.gates is None else {k: v[i] for k, v in self.gates.items()},
-        )
+def empty_steps(params: RnnParams, shape: tuple) -> StepCache:
+    """An unfilled StepCache whose arrays have the leading shape given, such
+    as a tape's (T, [B]), for step(..., out=) to fill."""
+    h = params.hidden_size
+    sizes = dict(f=h, c=h, dz=4 * h, dh_dc=h) if params.cell_kind == LSTM else dict(d=h)
+    return StepCache(params, **{name: np.empty((*shape, size)) for name, size
+                                in dict(a=params.augmented_size, h=h, **sizes).items()})
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -191,11 +203,14 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / denominator, ex / denominator)
 
 
-def step(params: RnnParams, state_prev: np.ndarray, x: np.ndarray):
+def step(params: RnnParams, state_prev: np.ndarray, x: np.ndarray,
+         out: StepCache | None = None):
     """Run one transition; returns (new full state, cache).
 
     state_prev is the full recurrent state: (H,) for vanilla cells,
     (2H,) = (h, c) for the LSTM, or (B, S) for B episodes with inputs (B, X).
+    out, if given, is the cache the step fills, such as step t of a tape,
+    tape.steps[t]; otherwise the step allocates its own.
     """
     h_size = params.hidden_size
     state_prev = np.asarray(state_prev, dtype=np.float64)
@@ -207,35 +222,33 @@ def step(params: RnnParams, state_prev: np.ndarray, x: np.ndarray):
     batch = state_prev.shape[:-1]
     if x.shape != (*batch, params.input_size):
         raise ShapeError(f"input shape {x.shape} != {(*batch, params.input_size)}")
+    cache = empty_steps(params, batch) if out is None else out
 
     h_prev = state_prev[..., :h_size]
-    a = np.concatenate([h_prev, x, np.ones((*batch, 1))], axis=-1)
+    a = np.concatenate([h_prev, x, np.ones((*batch, 1))], axis=-1, out=cache.a)
     z = a @ params.weights.T
 
-    if params.cell_kind == VANILLA_TANH:
-        h = np.tanh(z)
-        cache = StepCache(params, a, z, h, d=1.0 - h * h)
-        new_state = h
-    elif params.cell_kind == VANILLA_LINEAR:
-        h = z.copy()
-        cache = StepCache(params, a, z, h, d=np.ones_like(z))
-        new_state = h
-    elif params.cell_kind == LSTM:
+    if params.cell_kind == LSTM:
         c_prev = state_prev[..., h_size:]
         i = _sigmoid(z[..., :h_size])
         f = _sigmoid(z[..., h_size : 2 * h_size])
         g = np.tanh(z[..., 2 * h_size : 3 * h_size])
         o = _sigmoid(z[..., 3 * h_size :])
-        c = f * c_prev + i * g
+        cache.f[...] = f
+        c = np.add(f * c_prev, i * g, out=cache.c)
         tanh_c = np.tanh(c)
-        h = o * tanh_c
-        dz = np.concatenate([g * (i * (1 - i)), c_prev * (f * (1 - f)),
-                             i * (1 - g * g), tanh_c * (o * (1 - o))], axis=-1)
-        cache = StepCache(params, a, z, h, gates={
-            "f": f, "c": c, "dz": dz, "dh_dc": o * (1 - tanh_c * tanh_c)})
+        h = np.multiply(o, tanh_c, out=cache.h)
+        np.concatenate([g * (i * (1 - i)), c_prev * (f * (1 - f)),
+                        i * (1 - g * g), tanh_c * (o * (1 - o))], axis=-1, out=cache.dz)
+        np.multiply(o, 1 - tanh_c * tanh_c, out=cache.dh_dc)
         new_state = np.concatenate([h, c], axis=-1)
-    else:
-        raise ValueError(f"unknown cell kind {params.cell_kind!r}")
+    elif params.cell_kind == VANILLA_TANH:
+        new_state = np.tanh(z, out=cache.h)
+        np.subtract(1.0, new_state * new_state, out=cache.d)
+    else:  # VANILLA_LINEAR
+        new_state = cache.h
+        new_state[...] = z
+        cache.d.fill(1.0)
 
     if not np.isfinite(new_state).all():
         raise NumericOverflowError("step produced non-finite state")
@@ -281,14 +294,13 @@ def _lstm_zc_jvp(cache: StepCache, scaled: np.ndarray, dc_prev, out=None):
     gates, written into out if given; scaled is dz times the cache's gate
     derivatives."""
     h = cache.params.hidden_size
-    gt = cache.gates
     if out is None:
         out = np.empty((*scaled.shape[:-1], 2 * h))
     dh, dc = out[..., :h], out[..., h:]
     np.add(scaled[..., :h], scaled[..., h : 2 * h], out=dc)
     dc += scaled[..., 2 * h : 3 * h]
-    dc += gt["f"] * dc_prev
-    np.multiply(gt["dh_dc"], dc, out=dh)
+    dc += cache.f * dc_prev
+    np.multiply(cache.dh_dc, dc, out=dh)
     dh += scaled[..., 3 * h :]
     return out
 
@@ -297,11 +309,10 @@ def _lstm_adjoint(cache: StepCache, v: np.ndarray):
     """Adjoint rows (g_h, g_c) -> (g_zbar, g_c_prev).  g_h_prev is
     g_zbar W_h, left to the caller that needs it."""
     h = cache.params.hidden_size
-    gt = cache.gates
     g_h, g_c = v[..., :h], v[..., h:]
-    gc_total = g_c + g_h * gt["dh_dc"]
-    g_z = np.concatenate([gc_total, gc_total, gc_total, g_h], axis=-1) * gt["dz"]
-    return g_z, gc_total * gt["f"]
+    gc_total = g_c + g_h * cache.dh_dc
+    g_z = np.concatenate([gc_total, gc_total, gc_total, g_h], axis=-1) * cache.dz
+    return g_z, gc_total * cache.f
 
 
 def jvp_state(cache: StepCache, v: np.ndarray,
@@ -315,7 +326,7 @@ def jvp_state(cache: StepCache, v: np.ndarray,
     h = p.hidden_size
     if p.cell_kind == LSTM:
         dz = v[..., :h] @ p.weights[:, :h].T
-        return _lstm_zc_jvp(cache, _scaled(cache.gates["dz"], dz), v[..., h:], out)
+        return _lstm_zc_jvp(cache, _scaled(cache.dz, dz), v[..., h:], out)
     return _scaled(cache.d, np.matmul(v, p.weights[:, :h].T, out=out))
 
 
@@ -337,7 +348,7 @@ def jvp_cut(cache: StepCache, cut, v: np.ndarray) -> np.ndarray:
     if cut == CutVertex.STATE:
         return v.copy()
     if p.cell_kind == LSTM:
-        return _lstm_zc_jvp(cache, cache.gates["dz"] * v, 0.0)
+        return _lstm_zc_jvp(cache, cache.dz * v, 0.0)
     return cache.d * v
 
 
@@ -419,11 +430,10 @@ def preactivation_cut_nonzeros(cache: StepCache):
     units = np.arange(h)
     if cache.params.cell_kind != LSTM:
         return units, units, cache.d
-    gt = cache.gates
-    dz = gt["dz"]
+    dz = cache.dz
     cell_gates = dz[..., : 3 * h]
     through_c = (cell_gates.reshape(*dz.shape[:-1], 3, h)
-                 * gt["dh_dc"][..., None, :]).reshape(cell_gates.shape)
+                 * cache.dh_dc[..., None, :]).reshape(cell_gates.shape)
     gate_columns = np.arange(3 * h)
     return (np.concatenate([np.tile(units, 3), np.tile(units + h, 3), units]),
             np.concatenate([gate_columns, gate_columns, units + 3 * h]),
@@ -461,15 +471,6 @@ def dense_theta_jacobian(cache: StepCache, cut) -> np.ndarray:
         )
     n_z = p.cut_size(cut)
     return np.moveaxis(vjp_cut(cache, cut, basis_rows(n_z, len(cache.batch_shape))), 0, -2)
-
-
-def dense_jacobians(cache: StepCache, cut):
-    """(J_state, J_cut, J_theta) as dense matrices, for oracle checks."""
-    return (
-        dense_state_jacobian(cache),
-        dense_cut_jacobian(cache, cut),
-        dense_theta_jacobian(cache, cut),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -622,8 +623,10 @@ def loss_grad(h: np.ndarray, target, head):
 
 @dataclass
 class EpisodeTape:
-    """Per-step record of one episode, or of B episodes run together:
-    caches, targets, losses and loss gradients.
+    """Record of one episode, or of B episodes run together: the steps'
+    caches, targets, losses and loss gradients, each with the step axis
+    first.  steps is one StepCache of (T, [B,] .) arrays: tape.steps[t] is
+    step t's cache and tape.steps[:, i] episode i's, both views.
 
     loss_grads rows are dL_t/dh_t (dimension H); embed_state_grad lifts them
     into the full state space where needed.
@@ -632,14 +635,14 @@ class EpisodeTape:
     params: RnnParams
     initial_state: np.ndarray  # ([B,] S)
     inputs: np.ndarray  # ([B,] T, X)
-    caches: list = field(default_factory=list)
+    steps: StepCache  # (T, [B,] .) arrays
     losses: np.ndarray | None = None  # (T, [B])
     loss_grads: np.ndarray | None = None  # (T, [B,] H)
     targets: Targets | None = None  # (T, [B]) rows
 
     @property
     def length(self) -> int:
-        return len(self.caches)
+        return self.steps.a.shape[0]
 
     @property
     def batch_shape(self) -> tuple:
@@ -658,7 +661,7 @@ class EpisodeTape:
             params=self.params,
             initial_state=self.initial_state[i],
             inputs=self.inputs[i],
-            caches=[c.episode(i) for c in self.caches],
+            steps=self.steps[:, i],
             losses=self.losses[:, i],
             loss_grads=self.loss_grads[:, i],
             targets=self.targets[:, i],
@@ -672,13 +675,14 @@ def run_episode(
     head,
     initial_state: np.ndarray | None = None,
 ) -> EpisodeTape:
-    """Forward pass over one episode, recording caches and per-step losses.
+    """Forward pass over one episode, recording its steps and losses.
 
     inputs (B, T, X) with one target list per episode run B episodes as one
-    batch.  The targets become the tape's (T, [B]) Targets once
-    (episode_targets), and one head call after the sweep takes every step:
-    the hidden states as (T, B, H), or (T, 1, H) for one episode, so that
-    each step's matrix products have the shapes, and round as, a call per step.
+    batch.  Each step fills step t of the tape's (T, [B,] .) arrays in place.
+    The targets become the tape's (T, [B]) Targets once (episode_targets),
+    and one head call after the sweep takes every step: the hidden states as
+    (T, B, H), or (T, 1, H) for one episode, so that each step's matrix
+    products have the shapes, and round as, a call per step.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim < 3:
@@ -697,17 +701,15 @@ def run_episode(
         params=params,
         initial_state=state.copy(),
         inputs=inputs,
+        steps=empty_steps(params, (total, *batch)),
         targets=targets,
     )
-    rows = batch or (1,)
-    hidden = np.empty((total, *rows, params.hidden_size))
     for t in range(total):
-        state, cache = step(params, state, inputs[..., t, :])
-        tape.caches.append(cache)
-        hidden[t] = state[..., : params.hidden_size]
+        state, _ = step(params, state, inputs[..., t, :], out=tape.steps[t])
+    rows = batch or (1,)
     losses = np.empty((total, *rows))  # filled as well from one scalar loss
-    losses[...], grads = loss_grad(hidden, targets if batch else targets[:, None],
-                                   head)
+    losses[...], grads = loss_grad(tape.steps.h.reshape(total, *rows, -1),
+                                   targets if batch else targets[:, None], head)
     tape.losses = losses.reshape(total, *batch)
     tape.loss_grads = grads.reshape(total, *batch, params.hidden_size)
     return tape

@@ -321,7 +321,7 @@ def _block_sums(config, params, head, batch, noises, schedule, b_sum, audits):
     else:
         estimates = _estimate_batch(config, params, head, tape, noises)
     counts = np.maximum(tape.targets.mask.sum(axis=0), 1.0)
-    head_grads = head.param_grad(np.stack([c.h for c in tape.caches]), tape.targets)
+    head_grads = head.param_grad(tape.steps.h, tape.targets)
     return (np.sum(estimates / counts[:, None], axis=0),
             np.sum(head_grads.sum(axis=0) / counts[:, None, None], axis=0),
             float(np.sum(tape.total_loss() / counts)), b_sum)

@@ -583,7 +583,8 @@ def estimate_B_online(tape: EpisodeTape, noise: EpisodeNoise | NoiseBlock,
     nu_tilde = np.zeros((2, *batch, n_z))
     m_tilde = np.zeros((2, *batch, n_z))  # m~ and n~
     estimates = np.empty((t_len, *batch, n_z, n_z))
-    for t, cache in enumerate(tape.caches):
+    for t in range(t_len):
+        cache = tape.steps[t]
         gamma, beta = schedule.fixed_coefficients(t)
         a_tilde = a_tilde / gamma + noise.sigma[t] * _norms(cache.a) / beta
         forwarded = _col(gamma) * rnn.jvp_state(cache, h_tilde)

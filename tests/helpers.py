@@ -137,7 +137,7 @@ def episode_tensors_per_loss(tape, cut):
     for t in range(t_len):
         delta = tape.loss_grad_full(t)
         for s in range(t, -1, -1):
-            cache = tape.caches[s]
+            cache = tape.steps[s]
             b[t, s] = rnn.vjp_to_cut(cache, cut, delta)
             delta = rnn.vjp_state(cache, delta)
     return b
@@ -203,7 +203,8 @@ def uoro_replay(tape, cut, noise, schedule, contribution=estimators.CONTRIBUTION
     estimate = np.zeros((*batch, params.num_params))
     gammas = np.zeros((tape.length, *batch))
     betas = np.zeros((tape.length, *batch))
-    for t, cache in enumerate(tape.caches):
+    for t in range(tape.length):
+        cache = tape.steps[t]
         prev = state
         state, gammas[t], betas[t] = estimators.uoro_step(state, cache, cut, u[t],
                                                           schedule, t)
@@ -246,7 +247,8 @@ def preuoro_replay(tape, noise, schedule):
         cancelled = (norm <= cancel_rtol * scale) & np.isfinite(scale)
         return np.where(np.asarray(cancelled)[..., None], 0.0, x)
 
-    for t, cache in enumerate(tape.caches):
+    for t in range(tape.length):
+        cache = tape.steps[t]
         forwarded = rnn.jvp_state(cache, rows)
         immediate = rnn.jvp_cut(cache, rnn.CutVertex.PREACTIVATION,
                                 rnn.basis_rows(n_z, len(batch)))
@@ -292,7 +294,8 @@ def online_B_replay(tape, noise, schedule, eta_zeta="ones"):
                 for stream in ("nu", "mu")}
     sums = {stream: np.zeros(noise.dim) for stream in sketches}
     estimates = []
-    for t, cache in enumerate(tape.caches):
+    for t in range(tape.length):
+        cache = tape.steps[t]
         gamma, beta = schedule.fixed_coefficients(t)
         a_tilde = a_tilde / gamma + noise.sigma[t] * np.linalg.norm(cache.a) / beta
         for stream, (h_tilde, v_tilde) in sketches.items():

@@ -65,8 +65,8 @@ def singles(params, inputs, targets, head):
 
 def head_grads(tape, head):
     """Summed head gradient of each episode, from per-step param_grad."""
-    return sum(head.param_grad(c.h, tape.targets[t])
-               for t, c in enumerate(tape.caches))
+    return sum(head.param_grad(tape.steps.h[t], tape.targets[t])
+               for t in range(tape.length))
 
 
 def alpha_of(report):
@@ -90,11 +90,14 @@ def assert_forward_matches(params, inputs, targets, head):
     for b, single in enumerate(singles(params, inputs, targets, head)):
         sliced = tape.episode(b)
         for t in range(tape.length):
-            mine, ref = sliced.caches[t], single.caches[t]
-            for name in ("a", "z", "h"):
+            mine, ref = sliced.steps[t], single.steps[t]
+            arrays = {name for name, x in vars(ref).items()
+                      if isinstance(x, np.ndarray)}
+            assert arrays == {name for name, x in vars(mine).items()
+                              if isinstance(x, np.ndarray)}
+            for name in arrays:  # the LSTM's cell c and gate arrays included
                 np.testing.assert_allclose(getattr(mine, name), getattr(ref, name),
                                            rtol=RTOL, atol=1e-15)
-            np.testing.assert_allclose(mine.state(), ref.state(), rtol=RTOL, atol=1e-15)
         np.testing.assert_allclose(tape.losses[:, b], single.losses, rtol=RTOL, atol=1e-15)
         np.testing.assert_allclose(tape.loss_grads[:, b], single.loss_grads,
                                    rtol=RTOL, atol=1e-15)
@@ -358,7 +361,7 @@ class TestSpatialBlocks:
         monkeypatch.setattr(rnn, "dense_state_jacobian",
                             lambda cache: builds.append(1) or dense(cache))
         report = run_spatial(tape, cut, noises)
-        assert len(builds) == tape.length  # one J_state per step, shared
+        assert len(builds) == 1  # one whole-tape J_state, shared by the seeds
         assert report.estimate.shape == (4, params.num_params)
         assert report.episode_index == noises.indices
         for j, view in enumerate(views):

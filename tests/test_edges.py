@@ -117,5 +117,5 @@ class TestOverflowReporting:
         state = RankOneState(np.zeros(3), np.full(params.num_params, 1e308))
         schedule = ScalingSchedule(FIXED_ALPHA, alpha=np.array([4.0, 1.0]))
         with pytest.raises(NumericOverflowError, match="step 1"):
-            uoro_step(state, tape.caches[1], CutVertex.PREACTIVATION,
+            uoro_step(state, tape.steps[1], CutVertex.PREACTIVATION,
                       np.ones(3), schedule, 1)

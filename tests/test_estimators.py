@@ -112,7 +112,7 @@ class TestUoroUnbiasedness:
         def sample(i):
             noise = episode_noise(777, i, 1, 3)
             state = RankOneState(np.zeros(3), np.zeros(params.num_params))
-            state, _, _ = uoro_step(state, tape.caches[0], CutVertex.PREACTIVATION,
+            state, _, _ = uoro_step(state, tape.steps[0], CutVertex.PREACTIVATION,
                                     noise.u[0], schedule, 0)
             return np.outer(state.h_tilde, state.w_tilde)
 
@@ -131,7 +131,7 @@ class TestUoroUnbiasedness:
             noise = episode_noise(778, i, 3, 4)
             state = RankOneState(np.zeros(4), np.zeros(params.num_params))
             for t in range(3):
-                state, _, _ = uoro_step(state, tape.caches[t],
+                state, _, _ = uoro_step(state, tape.steps[t],
                                         CutVertex.PREACTIVATION,
                                         noise.u[t], schedule, t)
             return np.outer(state.h_tilde, state.w_tilde)
@@ -156,7 +156,7 @@ class TestUoroUnbiasedness:
             noise = episode_noise(779, i, 5, 4)
             state = RankOneState(np.zeros(4), np.zeros(params.num_params))
             for t in range(5):
-                state, _, _ = uoro_step(state, tape.caches[t],
+                state, _, _ = uoro_step(state, tape.steps[t],
                                         CutVertex.PREACTIVATION,
                                         noise.u[t], schedule, t)
             return uoro_contribution(state, tape.loss_grad_full(t_last))[None, :]
@@ -175,10 +175,10 @@ class TestUoroUnbiasedness:
         tape = run_episode(params, inputs, targets, head)
         state = RankOneState(rng.standard_normal(3), rng.standard_normal(params.num_params))
         schedule = fixed_schedule(1, alpha=np.array([2.0]))
-        new, gamma, _ = uoro_step(state, tape.caches[0], CutVertex.PREACTIVATION,
+        new, gamma, _ = uoro_step(state, tape.steps[0], CutVertex.PREACTIVATION,
                                   np.zeros(3), schedule, 0)
         np.testing.assert_allclose(
-            new.h_tilde, gamma * rnn.jvp_state(tape.caches[0], state.h_tilde),
+            new.h_tilde, gamma * rnn.jvp_state(tape.steps[0], state.h_tilde),
             atol=1e-14,
         )
 
@@ -269,14 +269,14 @@ class TestPreUoro:
         tape = run_episode(params, inputs, targets, head)
         state = PreUoroState(rng.standard_normal((3, 3)), rng.standard_normal(6))
         schedule = ScalingSchedule(GIR)
-        new, gamma, beta = preuoro_step(state, tape.caches[1], 1.0, schedule, 1)
-        fwd = rnn.dense_state_jacobian(tape.caches[1]) @ state.H_tilde
-        jzt = rnn.dense_cut_jacobian(tape.caches[1], CutVertex.PREACTIVATION)
+        new, gamma, beta = preuoro_step(state, tape.steps[1], 1.0, schedule, 1)
+        fwd = rnn.dense_state_jacobian(tape.steps[1]) @ state.H_tilde
+        jzt = rnn.dense_cut_jacobian(tape.steps[1], CutVertex.PREACTIVATION)
         assert gamma**2 == pytest.approx(
             np.linalg.norm(state.w_tilde) / np.linalg.norm(fwd), rel=1e-10
         )
         assert beta**2 == pytest.approx(
-            np.linalg.norm(tape.caches[1].a) / np.linalg.norm(jzt), rel=1e-10
+            np.linalg.norm(tape.steps[1].a) / np.linalg.norm(jzt), rel=1e-10
         )
 
     def test_single_step_sign_noise_is_exact(self):
@@ -316,7 +316,7 @@ class TestPreUoro:
         state = PreUoroState(np.zeros((3, 3)), np.zeros(6))
         schedule = ScalingSchedule(FIXED_ALPHA, Q0=np.eye(3), alpha=np.ones(1))
         with pytest.raises(ValueError):
-            preuoro_step(state, tape.caches[0], 1.0, schedule, 0)
+            preuoro_step(state, tape.steps[0], 1.0, schedule, 0)
 
 
 class TestSpatial:

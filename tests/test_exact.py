@@ -30,7 +30,7 @@ class TestBptt:
         params, inputs, targets, head = make_instance(rng, length=1)
         tape = run_episode(params, inputs, targets, head)
         grad = bptt_gradient(tape).g
-        direct = vjp_params(tape.caches[0], tape.loss_grad_full(0))
+        direct = vjp_params(tape.steps[0], tape.loss_grad_full(0))
         np.testing.assert_allclose(grad, direct, atol=1e-14)
 
     def test_scalar_linear_cell_analytic_value(self):
@@ -60,7 +60,7 @@ class TestBptt:
         rng = np.random.default_rng(23)
         params, inputs, targets, head = make_instance(rng, length=1)
         tape = run_episode(params, inputs, targets, head)
-        tape.caches = []
+        tape.steps = tape.steps[:0]
         with pytest.raises(ShapeError):
             bptt_gradient(tape)
 
@@ -71,7 +71,7 @@ class TestRtrl:
         params, inputs, targets, head = make_instance(rng, length=1)
         tape = run_episode(params, inputs, targets, head)
         jacobians, _ = rtrl_jacobians(tape)
-        cache = tape.caches[0]
+        cache = tape.steps[0]
         expected = rnn.dense_cut_jacobian(cache, CutVertex.PREACTIVATION) @ \
             rnn.dense_theta_jacobian(cache, CutVertex.PREACTIVATION)
         np.testing.assert_allclose(jacobians[0], expected, atol=1e-12)
@@ -95,7 +95,7 @@ class TestRtrl:
         jacobians, _ = rtrl_jacobians(tape)
         for t, jac in enumerate(jacobians):
             # tanh'(0) = 1, so the influence is exactly the Kronecker block
-            expected = np.kron(np.eye(3), tape.caches[t].a[None, :])
+            expected = np.kron(np.eye(3), tape.steps[t].a[None, :])
             np.testing.assert_allclose(jac, expected, atol=1e-12)
 
 
@@ -116,7 +116,7 @@ class TestEpisodeTensors:
         tensors = episode_tensors(tape, CutVertex.PREACTIVATION)
         for t in range(4):
             expected = rnn.vjp_to_cut(
-                tape.caches[t], CutVertex.PREACTIVATION, tape.loss_grad_full(t)
+                tape.steps[t], CutVertex.PREACTIVATION, tape.loss_grad_full(t)
             )
             np.testing.assert_allclose(tensors.b[t, t], expected, atol=1e-14)
 
@@ -157,7 +157,7 @@ class TestEpisodeTensors:
         rng = np.random.default_rng(32)
         params, inputs, targets, head = make_instance(rng, hidden=3, length=4)
         tape = run_episode(params, inputs, targets, head)
-        tape.caches = tape.caches * 40000  # absurd tape length
+        tape.steps = tape.steps[np.arange(160000) % 4]  # absurd tape length
         with pytest.raises(SizeGuardError):
             episode_tensors(tape, CutVertex.PREACTIVATION)
 
@@ -216,7 +216,7 @@ class TestOneSweepTensors:
         rng = np.random.default_rng(36)
         for cell, cut in CELL_CUTS:
             params, inputs, targets, head = make_instance(rng, cell_kind=cell, length=2)
-            cache = run_episode(params, inputs, targets, head).caches[1]
+            cache = run_episode(params, inputs, targets, head).steps[1]
             rows = rng.standard_normal((2, 3, params.state_size))
             stacked_state = rnn.vjp_state(cache, rows)
             stacked_cut = rnn.vjp_to_cut(cache, cut, rows)

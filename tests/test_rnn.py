@@ -8,7 +8,6 @@ from uorolab.rnn import (
     CutVertex,
     RnnParams,
     SoftmaxHead,
-    dense_jacobians,
     init_params,
     jvp_cut,
     jvp_state,
@@ -54,6 +53,32 @@ class TestStep:
         state, cache = step(params, np.zeros(100), rng.standard_normal(28))
         assert cache.h.shape == (50,)
         assert state.shape == (100,)
+
+    def test_unknown_cell_kind_refused_when_params_are_built(self):
+        rng = np.random.default_rng(18)
+        with pytest.raises(ValueError, match="'vanilla'.*vanilla-tanh, "
+                                             "vanilla-linear, lstm"):
+            init_params("vanilla", 3, 2, rng)
+        with pytest.raises(ValueError, match="unknown cell kind 'gru'"):
+            RnnParams(np.zeros((3, 6)), "gru", 3, 2)
+
+    @pytest.mark.parametrize("cell", [rnn.VANILLA_TANH, rnn.VANILLA_LINEAR, rnn.LSTM])
+    def test_out_writes_the_bits_of_a_fresh_step(self, cell):
+        rng = np.random.default_rng(19)
+        params, _, _, head = make_instance(rng, cell_kind=cell, hidden=3)
+        inputs = rng.standard_normal((2, 5, 2))
+        targets = [[int(rng.integers(3)) for _ in range(5)] for _ in range(2)]
+        tape = run_episode(params, inputs, targets, head)
+        state = 0.5 * rng.standard_normal((2, params.state_size))
+        fresh_state, fresh = step(params, state, inputs[:, 3])
+        out_state, out = step(params, state, inputs[:, 3], out=tape.steps[3])
+        np.testing.assert_array_equal(out_state, fresh_state)
+        assert np.shares_memory(out.a, tape.steps.a)
+        for name, x in vars(fresh).items():
+            if isinstance(x, np.ndarray):
+                np.testing.assert_array_equal(getattr(tape.steps, name)[3], x)
+            else:
+                assert getattr(out, name) is x
 
     def test_dimension_mismatch(self):
         params = scalar_params()
@@ -204,7 +229,9 @@ class TestJacobianProducts:
             pytest.skip("state cut is vanilla-only")
         rng = np.random.default_rng(8)
         params, cache = random_cache(rng, cell_kind=cell)
-        j_state, j_cut, j_theta = dense_jacobians(cache, cut)
+        j_state = rnn.dense_state_jacobian(cache)
+        j_cut = rnn.dense_cut_jacobian(cache, cut)
+        j_theta = rnn.dense_theta_jacobian(cache, cut)
         s, n_z = params.state_size, params.cut_size(cut)
         for _ in range(3):
             v = rng.standard_normal(s)
@@ -295,7 +322,34 @@ class TestEpisode:
         assert tape.length == 5
         assert tape.losses.shape == (5,)
         assert tape.loss_grads.shape == (5, 4)
-        assert all(c.a.shape == (7,) for c in tape.caches)
+        assert tape.steps.a.shape == (5, 7)
+
+    @pytest.mark.parametrize("cell", [rnn.VANILLA_TANH, rnn.LSTM])
+    def test_batched_steps_are_one_array_per_field(self, cell):
+        rng = np.random.default_rng(20)
+        params, _, _, head = make_instance(rng, cell_kind=cell, hidden=3)
+        inputs = rng.standard_normal((4, 5, 2))
+        targets = [[int(rng.integers(3)) for _ in range(5)] for _ in range(4)]
+        tape = run_episode(params, inputs, targets, head)
+        steps = tape.steps
+        assert steps.batch_shape == (5, 4)
+        assert steps.a.shape == (5, 4, params.augmented_size)
+        assert steps.h.shape == (5, 4, 3)
+        if cell == rnn.LSTM:
+            assert steps.d is None
+            assert steps.dz.shape == (5, 4, 12)
+            assert steps.c.shape == steps.f.shape == steps.dh_dc.shape == (5, 4, 3)
+        else:
+            assert steps.d.shape == (5, 4, 3)
+        for name, x in vars(steps).items():
+            if not isinstance(x, np.ndarray):
+                continue
+            step_view = getattr(steps[2], name)
+            episode_view = getattr(tape.episode(1).steps, name)
+            assert step_view.shape == x.shape[1:] and episode_view.shape == (5, x.shape[-1])
+            assert np.shares_memory(step_view, x) and np.shares_memory(episode_view, x)
+            np.testing.assert_array_equal(step_view, x[2])
+            np.testing.assert_array_equal(episode_view, x[:, 1])
 
     def test_empty_episode_rejected(self):
         rng = np.random.default_rng(17)

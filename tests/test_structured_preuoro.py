@@ -185,7 +185,7 @@ class TestOverflow:
         tape = run_episode(params, inputs, targets, head)
         state = estimators.PreUoroState(np.full((3, 3), np.nan), np.ones(6))
         with pytest.raises(NumericOverflowError, match="step 2"):
-            estimators.preuoro_step(state, tape.caches[2], 1.0, ScalingSchedule(GIR), 2)
+            estimators.preuoro_step(state, tape.steps[2], 1.0, ScalingSchedule(GIR), 2)
 
     def test_overflowed_sketch_is_not_taken_for_cancellation(self):
         """An H~ of 1e300 entries forwards to finite entries whose squared
@@ -197,7 +197,7 @@ class TestOverflow:
         tape = run_episode(params, inputs, targets, head)
         state = estimators.PreUoroState(np.full((3, 3), 1e300), np.ones(6))
         with pytest.raises(NumericOverflowError, match="step 1"):
-            estimators.preuoro_step(state, tape.caches[1], 1.0, ScalingSchedule(GIR), 1)
+            estimators.preuoro_step(state, tape.steps[1], 1.0, ScalingSchedule(GIR), 1)
         sketch = np.full((2, 3), 1e300)
         estimators._zero_cancelled(sketch, np.full(2, np.inf), np.full(2, np.inf))
         np.testing.assert_array_equal(sketch, 1e300)

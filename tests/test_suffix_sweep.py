@@ -138,7 +138,7 @@ class TestFusedPullback:
                                                          rows_shape):
         tape = batched_tape(207, cell)
         rng = np.random.default_rng(208)
-        cache = tape.caches[2]
+        cache = tape.steps[2]
         v = rng.standard_normal((*rows_shape, *cache.batch_shape,
                                  tape.params.state_size))
         to_cut, to_state = rnn.vjp_to_cut_and_state(cache, cut, v)
@@ -148,5 +148,5 @@ class TestFusedPullback:
     def test_checks_the_rows(self):
         tape = batched_tape(209, rnn.LSTM)
         with pytest.raises(ShapeError):
-            rnn.vjp_to_cut_and_state(tape.caches[0], CutVertex.PREACTIVATION,
+            rnn.vjp_to_cut_and_state(tape.steps[0], CutVertex.PREACTIVATION,
                                      np.ones((3, 5)))

@@ -83,7 +83,7 @@ class TestRunTraining:
                 n_sup = sum(1 for t in targets if t is not None)
                 grads.append(bptt_gradient(tape).g / n_sup)
                 head_grads.append(sum(
-                    head.param_grad(tape.caches[t].h, targets[t])
+                    head.param_grad(tape.steps[t].h, targets[t])
                     for t in range(tape.length)
                 ) / n_sup)
                 batch_losses.append(tape.total_loss() / n_sup)
@@ -154,7 +154,7 @@ class TestRunTraining:
                 n_sup = sum(1 for t in targets if t is not None)
                 grads.append(report.estimate / n_sup)
                 head_grads.append(sum(
-                    head.param_grad(tape.caches[t].h, targets[t])
+                    head.param_grad(tape.steps[t].h, targets[t])
                     for t in range(tape.length)
                 ) / n_sup)
                 batch_losses.append(tape.total_loss() / n_sup)
@@ -241,7 +241,7 @@ class TestRunTraining:
                 n_sup = sum(1 for t in targets if t is not None)
                 grads.append(report.estimate / n_sup)
                 head_grads.append(sum(
-                    head.param_grad(tape.caches[t].h, targets[t])
+                    head.param_grad(tape.steps[t].h, targets[t])
                     for t in range(tape.length)
                 ) / n_sup)
                 batch_losses.append(tape.total_loss() / n_sup)

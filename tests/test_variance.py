@@ -566,7 +566,7 @@ class TestOnlineB:
         noise = episode_noise(104, 0, 4, 2)
         schedule = fixed_alpha(np.ones(4))
         replayed, a_tilde = online_B_replay(tape, noise, schedule)
-        expected = float(np.sum(noise.sigma * [np.linalg.norm(c.a) for c in tape.caches]))
+        expected = float(np.sum(noise.sigma * np.linalg.norm(tape.steps.a, axis=-1)))
         assert a_tilde == pytest.approx(expected, rel=1e-12)
         estimates = estimate_B_online(tape, noise, schedule)
         assert row_rel(estimates.reshape(4, -1), replayed.reshape(4, -1)) <= 1e-12

@@ -1,0 +1,91 @@
+"""Write a fixed set of small run files and print one SHA-256 per file.
+
+Run it in two checkouts and compare the outputs with diff: a change that
+keeps every number the same leaves every digest the same.
+
+    python tools/run_digests.py > digests.txt
+    python tools/run_digests.py --out runs/digests   # keep the files
+
+The package is imported from the src/ directory next to this script.  The
+runs are 16 training configurations (queue H=6, T=10, minibatch 10, 3
+updates, audit every 3; digits LSTM H=5, minibatch 10, 3 updates; two
+streaming runs), each writing metrics.csv and summary.json, and the
+variance-report, estimator-compare and alpha-solve commands at H=4, T=6 and
+150 seeds, each writing a CSV and a JSON file: 38 files.
+"""
+
+import argparse
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from uorolab import cli, config, training  # noqa: E402
+
+QUEUE = dict(hidden=6, stream_length=10, minibatch=10, updates=3, audit_every=3)
+DIGITS = dict(hidden=5, minibatch=10, updates=3, audit_every=3)
+STREAMING = dict(task="queue", hidden=6, stream_length=10, updates=3,
+                 streaming=True)
+REPORT = dict(task="queue", hidden=4, stream_length=6, num_seeds=150)
+
+TRAINING = {
+    "queue-uoro-current": config.queue_config("uoro", **QUEUE),
+    "queue-uoro-split": config.queue_config("uoro", contribution="split", **QUEUE),
+    "queue-uoro-alpha-ours": config.queue_config("uoro", alpha_mode="ours", **QUEUE),
+    "queue-uoro-alpha-ones": config.queue_config("uoro", alpha_mode="ones", **QUEUE),
+    "queue-uoro-q0-ours": config.queue_config("uoro", q0_mode="ours", **QUEUE),
+    "queue-uoro-state-cut": config.queue_config("uoro", cut="state", **QUEUE),
+    "queue-preuoro-gir": config.queue_config("preuoro", **QUEUE),
+    "queue-preuoro-alpha-ours": config.queue_config("preuoro", alpha_mode="ours",
+                                                    **QUEUE),
+    "queue-neither": config.queue_config("neither", **QUEUE),
+    "queue-spatial": config.queue_config("spatial", **QUEUE),
+    "queue-reinforce": config.ExperimentConfig(task="queue", estimator="reinforce",
+                                               **QUEUE),
+    "digits-ours-ours": config.digits_config("ours", "ours", **DIGITS),
+    "digits-ours-gir": config.digits_config("ours", "gir", **DIGITS),
+    "digits-identity-ours": config.digits_config("identity", "ours", **DIGITS),
+    "streaming-uoro-vanilla": config.ExperimentConfig(estimator="uoro", **STREAMING),
+    "streaming-preuoro-lstm": config.ExperimentConfig(estimator="preuoro",
+                                                      cell="lstm", **STREAMING),
+}
+COMMANDS = ("variance-report", "estimator-compare", "alpha-solve")
+
+
+def write_runs(out: Path) -> None:
+    for name, cfg in TRAINING.items():
+        (out / name).mkdir(parents=True, exist_ok=True)
+        training.run_training(cfg, out_dir=out / name)
+    report = out / "report.cfg"
+    config.save(config.ExperimentConfig(**REPORT), report)
+    for command in COMMANDS:
+        cli.main([command, "--config", str(report), "--out", str(out / command)])
+    report.unlink()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", default=None,
+                        help="keep the run files here (default: a temporary "
+                             "directory, removed on exit)")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as scratch:
+        out = Path(args.out or scratch)
+        out.mkdir(parents=True, exist_ok=True)
+        # the commands print their one-line summaries; digests go to stdout alone
+        stdout, sys.stdout = sys.stdout, sys.stderr
+        try:
+            write_runs(out)
+        finally:
+            sys.stdout = stdout
+        files = sorted(p for p in out.rglob("*") if p.is_file())
+        for path in files:
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.relative_to(out).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
