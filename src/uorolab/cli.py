@@ -15,8 +15,9 @@ import numpy as np
 
 from . import config as config_mod
 from . import training
-from .exact import bptt_gradient
+from .exact import bptt_gradient, episode_tensors
 from .reports import write_json_summary, write_metrics_csv
+from .rnn import CutVertex
 from .variance import compute_C, moment_lemma_zscores, solve_alpha_newton
 
 
@@ -86,7 +87,8 @@ def cmd_moment_check(args) -> int:
 
 def cmd_alpha_solve(args) -> int:
     cfg = _load_config(args)
-    params, tape, tensors = training.build_report_instance(cfg)
+    _, tape = training.build_report_instance(cfg)
+    tensors = episode_tensors(tape, CutVertex(cfg.cut))
     solution = solve_alpha_newton(compute_C(tensors, None))
     rows = [(s, cfg.base_seed, "alpha", float(a))
             for s, a in enumerate(solution.alpha)]

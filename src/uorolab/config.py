@@ -23,12 +23,11 @@ CHOICES = {
     "contribution": ("current", "stale-w", "split"),
     "tau_kind": ("sign", "gaussian"),
     "baseline": ("none", "noise-free"),
-    "exact_method": ("bptt", "rtrl"),
 }
 
 # Keys whose values must be positive.
 POSITIVE = ("hidden", "minibatch", "updates", "num_seeds", "sigma", "learning_rate",
-            "delay", "digits_limit", "gir_scale")
+            "delay", "digits_limit")
 # Adam's decay rates, which must lie in [0, 1).
 DECAYS = ("momentum", "beta2")
 # Seeds, which numpy's SeedSequence (and so every stream) takes nonnegative.
@@ -59,10 +58,8 @@ class ExperimentConfig:
     q0_mode: str = "identity"
     contribution: str = "current"
     tau_kind: str = "sign"
-    gir_scale: float = 1.0
     sigma: float = 0.001  # reinforce state-noise scale
     baseline: str = "noise-free"
-    exact_method: str = "bptt"  # how the exact arms compute the gradient
     streaming: bool = False
     # optimization
     learning_rate: float = 0.002
@@ -88,16 +85,19 @@ class ExperimentConfig:
         for key in POSITIVE:
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key} = {getattr(self, key)!r} must be positive")
-        if not math.isfinite(self.gir_scale):
-            raise ValueError(f"gir_scale = {self.gir_scale!r} must be finite")
         for key in DECAYS:
             if not 0 <= getattr(self, key) < 1:
                 raise ValueError(f"{key} = {getattr(self, key)!r} must be in [0, 1)")
         for key in SEEDS:
             if not getattr(self, key) >= 0:
                 raise ValueError(f"{key} = {getattr(self, key)!r} must be nonnegative")
-        if not self.damping >= 0:
-            raise ValueError(f"damping = {self.damping!r} must be nonnegative")
+        if not 0 <= self.bbar_decay <= 1:
+            raise ValueError(f"bbar_decay = {self.bbar_decay!r} must be in [0, 1]")
+        if not 0 <= self.damping < math.inf:
+            raise ValueError(f"damping = {self.damping!r} must be finite and "
+                             "nonnegative")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps = {self.eps!r} must be finite and positive")
         if self.task == "queue" and self.delay >= self.stream_length:
             raise ValueError(f"delay = {self.delay} must be below stream_length = "
                              f"{self.stream_length} on the queue task")

@@ -337,8 +337,7 @@ CONTRIBUTIONS = (CONTRIBUTION_CURRENT, CONTRIBUTION_STALE_W, CONTRIBUTION_SPLIT)
 
 
 def run_uoro(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
-             contribution: str = CONTRIBUTION_CURRENT,
-             estimator_name: str = "uoro") -> GradientReport:
+             contribution: str = CONTRIBUTION_CURRENT) -> GradientReport:
     """Run the rank-one estimator over a full episode tape.
 
     noise is one EpisodeNoise, or a NoiseBlock of B: one per episode of a
@@ -430,7 +429,7 @@ def run_uoro(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
         rows += _steps_first(rnn.vjp_to_cut(tape.steps, CutVertex.PREACTIVATION,
                                             loss_grads), len(batch))
     estimate = _rows_as_columns(rows) @ np.swapaxes(a, 0, -2)
-    return _report(estimator_name, noise, estimate.reshape(*batch, -1), gammas, betas)
+    return _report("uoro", noise, estimate.reshape(*batch, -1), gammas, betas)
 
 
 def _check_alpha(schedule: ScalingSchedule, t_len: int, batch: tuple):
@@ -579,8 +578,7 @@ def preuoro_contribution(state: PreUoroState, loss_grad_full: np.ndarray) -> np.
     return outer_rows(_carried(state, loss_grad_full), state.w_tilde)
 
 
-def run_preuoro(tape: EpisodeTape, noise, schedule: ScalingSchedule,
-                estimator_name: str = "preuoro") -> GradientReport:
+def run_preuoro(tape: EpisodeTape, noise, schedule: ScalingSchedule) -> GradientReport:
     """Run the projection-free estimator; noise is one EpisodeNoise or a
     NoiseBlock as for run_uoro, of which only tau is read.  The contributions
     sum_t vec(r_t w~_t^T) are one matrix product over the steps at the end."""
@@ -607,12 +605,10 @@ def run_preuoro(tape: EpisodeTape, noise, schedule: ScalingSchedule,
         carried[t] = _carried(state, tape.loss_grad_full(t))
         w_rows[t] = state.w_tilde
     estimate = np.moveaxis(carried, 0, -1) @ np.moveaxis(w_rows, 0, -2)
-    return _report(estimator_name, noise, estimate.reshape(*batch, -1),
-                   gammas, betas)
+    return _report("preuoro", noise, estimate.reshape(*batch, -1), gammas, betas)
 
 
-def run_spatial(tape: EpisodeTape, cut, noise,
-                estimator_name: str = "spatial") -> GradientReport:
+def run_spatial(tape: EpisodeTape, cut, noise) -> GradientReport:
     """Forward accumulation with the immediate influence replaced by its
     rank-one spatial projection (J_cut nu)(nu^T J_theta); no temporal noise.
 
@@ -646,7 +642,7 @@ def run_spatial(tape: EpisodeTape, cut, noise,
         for t in range(tape.length):
             influence = j_state[t] @ influence + np.outer(spatial_in[t], spatial_out[t])
             row += episode.loss_grad_full(t) @ influence
-    return _report(estimator_name, noise, estimate.reshape(*batch, -1))
+    return _report("spatial", noise, estimate.reshape(*batch, -1))
 
 
 BASELINE_NONE = "none"

@@ -139,7 +139,6 @@ def init_params(
     hidden_size: int,
     input_size: int,
     rng: np.random.Generator,
-    recurrent_gain: float = 1.0,
 ) -> RnnParams:
     """Orthogonal recurrent blocks, scaled-uniform input block, zero biases
     (forget-gate bias +1 for the LSTM)."""
@@ -148,7 +147,7 @@ def init_params(
     blocks = []
     for _ in range(n_blocks):
         q, _ = np.linalg.qr(rng.standard_normal((h, h)))
-        blocks.append(recurrent_gain * q)
+        blocks.append(q)
     w = np.zeros((n_blocks * h, h + x + 1))
     w[:, :h] = np.vstack(blocks)
     bound = 1.0 / np.sqrt(h + x)

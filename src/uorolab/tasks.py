@@ -94,12 +94,13 @@ def load_idx_labels(path) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
 
 
-def synthetic_stripes(n: int, seed: int = 0, size: int = 28) -> DigitDataset:
+def synthetic_stripes(n: int, seed: int = 0) -> DigitDataset:
     """Class-dependent oriented gratings: class k is a sinusoidal stripe
     pattern at angle pi*k/10 with a fixed per-class phase, plus a small
     per-sample phase jitter and pixel noise.  The fixed templates keep the
     ten classes linearly separable."""
     gen = np.random.default_rng(seed)
+    size = 28
     yy, xx = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
     labels = gen.integers(0, 10, size=n)
     class_phase = np.linspace(0.0, np.pi / 2, 10)
@@ -120,10 +121,9 @@ def load_rowwise_digits(
     labels_path=None,
     limit: int | None = None,
     seed: int = 0,
-    synthetic_count: int = 2000,
 ) -> DigitDataset:
     if source == SOURCE_SYNTHETIC:
-        count = synthetic_count if limit is None else limit
+        count = 2000 if limit is None else limit
         return synthetic_stripes(count, seed=seed)
     if source != SOURCE_IDX:
         raise ValueError(f"unknown digits source {source!r}")

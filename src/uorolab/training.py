@@ -34,7 +34,7 @@ from .estimators import (
     uoro_contribution,
     uoro_step,
 )
-from .exact import bptt_gradient, episode_tensors, rtrl_jacobians, suffix_rows
+from .exact import bptt_gradient, episode_tensors, suffix_rows
 from .noise import episode_noise, episode_noises
 from .optim import AdamState, adam_update
 from .reports import write_json_summary, write_metrics_csv
@@ -120,14 +120,12 @@ def realized_alpha(report) -> np.ndarray:
 def _estimate_batch(config, params, head, tape, noises):
     """Gradient estimates (B, P) of the exact and the other non-sketch
     engines (bptt, rtrl, spatial, reinforce) for the B episodes of a batched
-    tape, whose noise is the NoiseBlock noises.  reinforce and spatial run
-    the block in one call, reinforce with the tape's losses as its
-    noise-free baseline; rtrl reads slices of the tape."""
+    tape, whose noise is the NoiseBlock noises, each in one call.  The exact
+    arms are one batched BPTT sweep (RTRL gives the same gradient; the tests
+    check it against exact.rtrl_jacobians); reinforce takes the tape's losses
+    as its noise-free baseline."""
     estimator = canonical_estimator(config.estimator)
     if estimator in EXACT_ESTIMATORS:
-        if config.exact_method == "rtrl":
-            return np.stack([rtrl_jacobians(tape.episode(j))[1].g
-                             for j in range(tape.batch_shape[0])])
         return bptt_gradient(tape).g
     if estimator == "reinforce":
         baseline = tape.losses if config.baseline == "noise-free" else config.baseline
@@ -276,7 +274,7 @@ def _update(config, params, head, episodes, update, b_bar, q0):
     # config allows Q0 "ours" with uoro only)
     schedule = None
     if estimator in ("uoro", "preuoro"):
-        schedule = ScalingSchedule(GIR, Q0=q0, gir_scale=config.gir_scale)
+        schedule = ScalingSchedule(GIR, Q0=q0)
     exact = config.alpha_mode == "ours" or config.q0_mode == "ours"
     size = TENSOR_BLOCK if exact else len(episodes)
     # the states of the minibatch's streams are derived once; each block
@@ -334,7 +332,7 @@ def _run_streaming(config, task, params, head, w_state, head_state):
     the only alpha_mode and q0_mode the config admits with streaming.
     Returns the metric rows and the mean loss of each episode."""
     estimator = canonical_estimator(config.estimator)
-    schedule = ScalingSchedule(GIR, gir_scale=config.gir_scale)
+    schedule = ScalingSchedule(GIR)
     rows = []
     losses = []
     for episode_index in range(config.updates):
@@ -388,16 +386,14 @@ def _run_streaming(config, task, params, head, w_state, head_state):
 # ---------------------------------------------------------------------------
 
 def build_report_instance(config: ExperimentConfig):
-    """A fixed desk-scale instance, (params, tape, tensors): one episode tape
-    plus its adjoint tensors, on which estimator variance can be measured
-    against exact predictions."""
+    """A fixed desk-scale instance, (params, tape): one episode tape on which
+    estimator variance can be measured against exact predictions."""
     task = build_task(config)
     rng = np.random.default_rng(config.base_seed)
     params = init_params(config.cell, config.hidden, task.input_size, rng)
     head = task.make_head(rng)
     inputs, targets = task.episode(config.data_seed, 0)
-    tape = run_episode(params, inputs, targets, head)
-    return params, tape, episode_tensors(tape, CutVertex(config.cut))
+    return params, run_episode(params, inputs, targets, head)
 
 
 # Seeds per batched call of the rank-one estimators on a fixed tape: a block
@@ -405,35 +401,36 @@ def build_report_instance(config: ExperimentConfig):
 SEED_BLOCK = 64
 
 
-def _seed_blocks(config, length, dim, n_seeds, seed_offset=0):
-    """(start, noises) for the seeds seed_offset + i, i < n_seeds, in
-    NoiseBlocks of SEED_BLOCK."""
+def _block_reports(config, tape, estimator, schedule, n_seeds, seed_offset=0):
+    """(rows, report) per NoiseBlock of SEED_BLOCK seeds, seed_offset + i for
+    i < n_seeds: the GradientReport of uoro, preuoro or spatial on a fixed
+    tape, and the slice of the n_seeds estimates it holds."""
+    estimator = canonical_estimator(estimator)
+    cut = CutVertex(config.cut)
+    if estimator not in ("uoro", "preuoro", "spatial"):
+        raise ValueError(f"estimator {estimator!r} not measurable here")
     for start in range(0, n_seeds, SEED_BLOCK):
-        stop = min(start + SEED_BLOCK, n_seeds)
-        yield start, episode_noises(config.base_seed,
-                                    range(seed_offset + start, seed_offset + stop),
-                                    length, dim, config.tau_kind)
+        rows = slice(start, min(start + SEED_BLOCK, n_seeds))
+        seeds = range(seed_offset + rows.start, seed_offset + rows.stop)
+        noises = episode_noises(config.base_seed, seeds, tape.length,
+                                tape.params.cut_size(cut), config.tau_kind)
+        if estimator == "uoro":
+            yield rows, run_uoro(tape, cut, noises, schedule,
+                                 contribution=config.contribution)
+        elif estimator == "preuoro":
+            yield rows, run_preuoro(tape, noises, schedule)
+        else:
+            yield rows, run_spatial(tape, cut, noises)
 
 
 def measure_estimator(config, params, tape, tensors, estimator, schedule,
                       n_seeds, seed_offset=0):
     """Collect n_seeds estimates of uoro, preuoro or spatial on a fixed tape,
-    one call per NoiseBlock of SEED_BLOCK seeds."""
-    estimator = canonical_estimator(estimator)
-    cut = CutVertex(config.cut)
-    if estimator not in ("uoro", "preuoro", "spatial"):
-        raise ValueError(f"estimator {estimator!r} not measurable here")
+    one call per NoiseBlock of SEED_BLOCK seeds (tensors is not read)."""
     estimates = np.empty((n_seeds, params.num_params))
-    for start, noises in _seed_blocks(config, tape.length, params.cut_size(cut),
-                                      n_seeds, seed_offset):
-        block = slice(start, start + len(noises))
-        if estimator == "uoro":
-            estimates[block] = run_uoro(tape, cut, noises, schedule,
-                                        contribution=config.contribution).estimate
-        elif estimator == "preuoro":
-            estimates[block] = run_preuoro(tape, noises, schedule).estimate
-        else:
-            estimates[block] = run_spatial(tape, cut, noises).estimate
+    for rows, report in _block_reports(config, tape, estimator, schedule,
+                                       n_seeds, seed_offset):
+        estimates[rows] = report.estimate
     return estimates
 
 
@@ -450,7 +447,7 @@ def _grid_cell(config, params, tape, tensors, q0_mode, alpha_mode, n_seeds,
         q0 = optimal_Q0(compute_B(tensors, probe_alpha), damping=config.damping)
     else:
         q0 = None
-    schedule = ScalingSchedule(GIR, Q0=q0, gir_scale=config.gir_scale)
+    schedule = ScalingSchedule(GIR, Q0=q0)
     if alpha_mode == "ours":
         alpha = solve_alpha_newton(
             compute_C(tensors, schedule.Q0, schedule.Q0_inv)).alpha
@@ -458,17 +455,14 @@ def _grid_cell(config, params, tape, tensors, q0_mode, alpha_mode, n_seeds,
         predicted = predicted_VQ(tensors, alpha, q0)
     else:
         predicted = None  # resolved below from realized alphas (upper estimate)
-    estimates = measure_estimator(config, params, tape, tensors, "uoro",
-                                  schedule, n_seeds)
-    if predicted is None:
-        # noise-dependent coefficients: average the per-seed predictions
-        cut = CutVertex(config.cut)
-        sample = []
-        for _, noises in _seed_blocks(config, tape.length, params.cut_size(cut),
-                                      min(n_seeds, 64)):
-            alphas = realized_alpha(run_uoro(tape, cut, noises, schedule))
-            sample.extend(predicted_VQ(tensors, a, q0) for a in alphas.T)
-        predicted = float(np.mean(sample))
+    estimates = np.empty((n_seeds, params.num_params))
+    for rows, report in _block_reports(config, tape, "uoro", schedule, n_seeds):
+        estimates[rows] = report.estimate
+        if predicted is None:
+            # noise-dependent coefficients: average the per-seed predictions
+            # over the first block's realized alphas
+            predicted = float(np.mean([predicted_VQ(tensors, a, q0)
+                                       for a in realized_alpha(report).T]))
     measured = empirical_variance(estimates, exact_g)
     se = float(np.std(np.sum((estimates - exact_g) ** 2, axis=1), ddof=1)
                / np.sqrt(n_seeds))
@@ -484,7 +478,7 @@ def _grid_cell(config, params, tape, tensors, q0_mode, alpha_mode, n_seeds,
     }
 
 
-def _ablation(config, params, tape, tensors, exact):
+def _ablation(config, params, tape, exact):
     """Measured variance and mean-estimate error of each ablation arm
     {neither, spatial, temporal, both} on the report instance, whose exact
     gradient is exact; the exact arm neither takes no seeds."""
@@ -497,9 +491,8 @@ def _ablation(config, params, tape, tensors, exact):
                          "intrinsic": float(exact.g @ exact.g),
                          "mean_error": 0.0, "seeds": 1})
             continue
-        schedule = ScalingSchedule(GIR, gir_scale=config.gir_scale)
-        estimates = measure_estimator(config, params, tape, tensors, estimator,
-                                      schedule, config.num_seeds)
+        estimates = measure_estimator(config, params, tape, None, estimator,
+                                      ScalingSchedule(GIR), config.num_seeds)
         measured = empirical_variance(estimates, exact)
         rows.append({
             "estimator": name,
@@ -515,12 +508,13 @@ def _ablation(config, params, tape, tensors, exact):
 def run_variance_report(config: ExperimentConfig, out_dir=None) -> dict:
     """The four-cell {Q0} x {alpha} grid plus the estimator-ablation grid
     {neither, spatial, temporal, both}, on one fixed instance."""
-    params, tape, tensors = build_report_instance(config)
+    params, tape = build_report_instance(config)
+    tensors = episode_tensors(tape, CutVertex(config.cut))
     exact = bptt_gradient(tape)
     cells = [_grid_cell(config, params, tape, tensors, q0_mode, alpha_mode,
                         config.num_seeds, exact.g)
              for q0_mode in ("identity", "ours") for alpha_mode in ("gir", "ours")]
-    ablation = _ablation(config, params, tape, tensors, exact)
+    ablation = _ablation(config, params, tape, exact)
     summary = {"config": as_dict(config), "grid": cells, "ablation": ablation}
     if out_dir is not None:
         rows = []
@@ -541,11 +535,10 @@ def run_variance_report(config: ExperimentConfig, out_dir=None) -> dict:
 def estimator_compare(config: ExperimentConfig, out_dir=None) -> dict:
     """Mean-estimate error and measured variance for each ablation arm: the
     projection of the variance report's ablation rows."""
-    params, tape, tensors = build_report_instance(config)
+    params, tape = build_report_instance(config)
     results = [{key: row[key] for key in ("estimator", "mean_error",
                                           "measured_actual", "seeds")}
-               for row in _ablation(config, params, tape, tensors,
-                                    bptt_gradient(tape))]
+               for row in _ablation(config, params, tape, bptt_gradient(tape))]
     summary = {"config": as_dict(config), "estimators": results}
     if out_dir is not None:
         rows = []

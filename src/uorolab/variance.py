@@ -230,6 +230,7 @@ class AlphaSolution:
 
 
 EPS = np.finfo(np.float64).eps
+NEWTON_TOL = 1e-8  # on the relative stationarity residual of solve_alpha_newton
 
 
 def _alpha_objective(c_scaled: np.ndarray) -> float:
@@ -241,15 +242,14 @@ def _rescaled(c: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     return c * np.exp(zeta[None, :] - zeta[:, None])
 
 
-def solve_alpha_newton(C: np.ndarray, eta: float = 1.0, damping: float = 1e-8,
-                       tol: float = 1e-8, max_iter: int = 200) -> AlphaSolution:
+def solve_alpha_newton(C: np.ndarray) -> AlphaSolution:
     """Equilibrate C by a damped Newton method in log scale.
 
     The objective sum_{q,r} exp(zeta_r - zeta_q) C[q,r] is smooth and convex;
     its gradient is (Cbar^T - Cbar) 1 and its Hessian the graph Laplacian of
-    Cbar + Cbar^T, damped because the all-ones shift is a null direction.
-    Stationarity is equal row and column sums of Cbar.  The step is halved on
-    stall.  C is normalized by its largest entry first (the minimizer is
+    Cbar + Cbar^T, damped by 1e-8 because the all-ones shift is a null
+    direction.  Stationarity is equal row and column sums of Cbar, to
+    NEWTON_TOL, within 200 steps; a step is halved on stall.  C is normalized by its largest entry first (the minimizer is
     scale-invariant), so tolerances are relative.  A solve also counts as
     converged when the objective can no longer resolve the Newton step;
     residual still reports the gradient actually reached.
@@ -267,23 +267,23 @@ def solve_alpha_newton(C: np.ndarray, eta: float = 1.0, damping: float = 1e-8,
     zeta = np.zeros(t_len)
     iterations = 0
     resolved = False
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, 201):
         cbar = _rescaled(c, zeta)
         grad = cbar.sum(axis=0) - cbar.sum(axis=1)
-        if float(np.max(np.abs(grad))) <= tol:
+        if float(np.max(np.abs(grad))) <= NEWTON_TOL:
             break
         s = cbar + cbar.T
         hess = np.diag(s.sum(axis=1)) - s
-        direction = np.linalg.solve(hess + damping * np.eye(t_len), grad)
+        direction = np.linalg.solve(hess + 1e-8 * np.eye(t_len), grad)
         obj = _alpha_objective(cbar)
         if float(grad @ direction) <= t_len * EPS * obj:
             # The Newton decrement is below the rounding error of the
             # objective sum, so a line search could not tell descent from
             # noise: take the full step and stop.
-            zeta = zeta - eta * direction
+            zeta = zeta - direction
             resolved = True
             break
-        step = eta
+        step = 1.0
         for _ in range(50):
             candidate = zeta - step * direction
             candidate -= candidate.min()
@@ -302,7 +302,7 @@ def solve_alpha_newton(C: np.ndarray, eta: float = 1.0, damping: float = 1e-8,
         residual=residual,
         objective=_alpha_objective(cbar) * scale,
         iterations=iterations,
-        converged=residual <= tol or resolved,
+        converged=residual <= NEWTON_TOL or resolved,
     )
 
 
@@ -488,15 +488,14 @@ def minimal_trace_product(X: np.ndarray, Y: np.ndarray) -> float:
     return trace(psd_frac_power(x_half @ Y @ x_half, 0.5)) ** 2
 
 
-def check_minimizer(A: np.ndarray, X: np.ndarray, Y: np.ndarray,
-                    rtol: float = 1e-8) -> bool:
-    """True iff X A = gamma A^{-1} Y for some gamma > 0 within rtol."""
+def check_minimizer(A: np.ndarray, X: np.ndarray, Y: np.ndarray) -> bool:
+    """True iff X A = gamma A^{-1} Y for some gamma > 0, to a relative 1e-8."""
     m1 = X @ A
     m2 = np.linalg.inv(A) @ Y
     gamma = trace(m1) / trace(m2)
     if gamma <= 0:
         return False
-    return frob_norm(m1 - gamma * m2) <= rtol * max(frob_norm(m1), 1e-300)
+    return frob_norm(m1 - gamma * m2) <= 1e-8 * max(frob_norm(m1), 1e-300)
 
 
 # ---------------------------------------------------------------------------

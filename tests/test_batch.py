@@ -402,7 +402,7 @@ class TestSpatialBlocks:
         training.run_training(config)
         assert [len(args[2]) for args in calls] == [4, 4]
         calls.clear()
-        params, tape, _ = training.build_report_instance(config)
+        params, tape = training.build_report_instance(config)
         training.measure_estimator(config, params, tape, None, "spatial",
                                    ScalingSchedule(GIR), config.num_seeds)
         assert [len(args[2]) for args in calls] == [training.SEED_BLOCK, 3]

@@ -1,3 +1,8 @@
+import dataclasses
+import itertools
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -71,14 +76,15 @@ class TestConfig:
         assert cfg.task == "queue"
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError):
-            from_text("not_a_key = 3\n")
+        for line in ("not_a_key = 3", "exact_method = 'rtrl'", "gir_scale = 1.0"):
+            with pytest.raises(ValueError, match="unknown key"):
+                from_text(line + "\n")
 
     @pytest.mark.parametrize("key,bad", [
         ("task", "queues"), ("digits_source", "mnist"), ("cell", "gru"),
         ("estimator", "uroro"), ("cut", "parameter"), ("alpha_mode", "greedy"),
         ("q0_mode", "our"), ("contribution", "stale"), ("tau_kind", "uniform"),
-        ("baseline", "noisefree"), ("exact_method", "rtlr"),
+        ("baseline", "noisefree"),
     ])
     def test_enum_values_checked_at_construction_and_load(self, key, bad):
         with pytest.raises(ValueError, match=key):
@@ -96,10 +102,10 @@ class TestConfig:
         ("learning_rate", {"learning_rate": -0.001}),
         ("learning_rate", {"learning_rate": float("nan")}),
         ("damping", {"damping": -1e-3}),
-        ("gir_scale", {"gir_scale": 0.0}),
-        ("gir_scale", {"gir_scale": float("nan")}),
-        ("gir_scale", {"gir_scale": float("inf")}),
-        ("gir_scale", {"estimator": "bptt", "gir_scale": -1.0}),
+        ("damping", {"damping": float("inf")}),
+        ("damping", {"damping": float("nan")}),
+        ("bbar_decay", {"bbar_decay": float("nan")}),
+        ("bbar_decay", {"bbar_decay": 3.0}),
         ("momentum", {"momentum": 1.0}),
         ("momentum", {"momentum": -0.1}),
         ("beta2", {"beta2": 1.0}),
@@ -127,6 +133,11 @@ class TestConfig:
         ("alpha_mode", {"streaming": True, "estimator": "temporal", "alpha_mode": "ours"}),
         ("q0_mode", {"streaming": True, "q0_mode": "ours"}),
         ("alpha_mode", {"streaming": True, "alpha_mode": "ours", "q0_mode": "ours"}),
+        ("bbar_decay", {"bbar_decay": -0.1}),
+        ("eps", {"eps": 0.0}),
+        ("eps", {"eps": -1e-8}),
+        ("eps", {"eps": float("inf")}),
+        ("eps", {"eps": float("nan")}),
     ])
     def test_bad_ranges_refused_at_construction_and_load(self, key, values):
         with pytest.raises(ValueError, match=key):
@@ -138,8 +149,9 @@ class TestConfig:
     def test_range_edges_accepted(self):
         ExperimentConfig(task="queue", delay=7, stream_length=8, damping=0.0)
         ExperimentConfig(delay=1, digits_limit=1, momentum=0.0, beta2=0.0,
-                         gir_scale=1e-300)
-        ExperimentConfig(momentum=0.999, beta2=1.0 - 1e-12, gir_scale=1e300)
+                         bbar_decay=0.0, eps=1e-300)
+        ExperimentConfig(momentum=0.999, beta2=1.0 - 1e-12, bbar_decay=1.0,
+                         damping=1e300)
         ExperimentConfig(base_seed=0, data_seed=0)
         ExperimentConfig(base_seed=2**64 + 3, data_seed=2**32)
         ExperimentConfig(task="rowwise-digits", delay=20, stream_length=8)
@@ -147,6 +159,21 @@ class TestConfig:
         ExperimentConfig(streaming=True, estimator="temporal")
         ExperimentConfig(estimator="both", q0_mode="ours", alpha_mode="ours")
         ExperimentConfig(estimator="temporal", alpha_mode="ours")
+
+    def test_readme_config_table_names_every_field(self):
+        """README's key table names every ExperimentConfig field, and every
+        key in its first column is a field."""
+        lines = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+            encoding="utf-8").splitlines()
+        start = lines.index("| key | default | meaning |")
+        rows = list(itertools.takewhile(lambda line: line.startswith("|"),
+                                        lines[start + 2:]))
+        named = set(re.findall(r"`(\w+)`", "\n".join(rows)))
+        keys = {key for row in rows for key in re.findall(r"`(\w+)`",
+                                                          row.split("|")[1])}
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert fields <= named, sorted(fields - named)
+        assert keys <= fields, sorted(keys - fields)
 
     def test_every_estimator_alias_accepted(self):
         for name in ("bptt", "rtrl", "neither", "spatial", "temporal", "preuoro",

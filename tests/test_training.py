@@ -266,15 +266,6 @@ class TestRunTraining:
         summary = training.run_training(cfg)
         assert np.isfinite(summary["final_loss"])
 
-    def test_rtrl_forward_method_matches_bptt_method(self):
-        a = training.run_training(
-            tiny_queue_config(estimator="neither", exact_method="bptt",
-                              updates=2, minibatch=2))
-        b = training.run_training(
-            tiny_queue_config(estimator="neither", exact_method="rtrl",
-                              updates=2, minibatch=2))
-        assert a["final_loss"] == pytest.approx(b["final_loss"], rel=1e-8)
-
     def test_streaming_mode_smoke(self):
         cfg = tiny_queue_config(streaming=True, estimator="uoro", updates=3,
                                 learning_rate=0.002)
@@ -339,22 +330,6 @@ class TestRunTraining:
             {"checked_q0": 0, "cond": 0, "inv": 0},
             {"checked_q0": 1, "cond": 1, "inv": 1},
         ]
-
-    @pytest.mark.parametrize("estimator,alpha_mode", [
-        ("bptt", "gir"), ("spatial", "gir"), ("uoro", "ones"),
-        ("preuoro", "ones"), ("uoro", "gir"),
-    ])
-    def test_bad_gir_scale_refused_at_load_for_every_estimator(self, estimator,
-                                                             alpha_mode):
-        """The report commands read gir_scale whatever the estimator (the
-        ablation's GIR schedules), so a config refuses a bad one when it is
-        built, before any work."""
-        for bad in (0.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="gir_scale"):
-                ExperimentConfig(
-                    task="rowwise-digits", cell="lstm", hidden=3,
-                    estimator=estimator, alpha_mode=alpha_mode, minibatch=1,
-                    updates=1, digits_limit=4, gir_scale=bad)
 
     def test_suffix_rows_freed_before_the_sketch_runs(self, monkeypatch):
         """Under alpha "ours" the block's SuffixRows, from which each
@@ -474,3 +449,27 @@ class TestEstimatorCompare:
         keys = ("estimator", "mean_error", "measured_actual", "seeds")
         assert training.estimator_compare(cfg)["estimators"] == [
             {key: row[key] for key in keys} for row in ablation]
+
+    def test_each_report_runs_its_work_once(self, monkeypatch):
+        """A variance report runs uoro once per NoiseBlock of each grid cell
+        and of the "both" arm (the alpha-gir cells read their realized alphas
+        from their own first block) and builds the instance's adjoint tensors
+        once; the estimator comparison builds none."""
+        calls = {"run_uoro": 0, "episode_tensors": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(training, name, counted(name, getattr(training, name)))
+        cfg = ExperimentConfig(task="queue", hidden=3, delay=2, stream_length=5,
+                               num_seeds=training.SEED_BLOCK + 6, base_seed=35,
+                               data_seed=36)
+        training.run_variance_report(cfg)
+        assert calls == {"run_uoro": 5 * 2, "episode_tensors": 1}
+        calls.update(run_uoro=0, episode_tensors=0)
+        training.estimator_compare(cfg)
+        assert calls == {"run_uoro": 2, "episode_tensors": 0}

@@ -1,7 +1,11 @@
 """Write a fixed set of small run files and print one SHA-256 per file.
 
 Run it in two checkouts and compare the outputs with diff: a change that
-keeps every number the same leaves every digest the same.
+keeps every number the same leaves every digest the same.  Each JSON file
+with a top-level "config" block gets a second line, "<sha>  <path>#without-config":
+the digest of that JSON with the block removed, serialized as
+reports.write_json_summary does, so a change that adds or drops a config key
+can still show that every result stayed the same.
 
     python tools/run_digests.py > digests.txt
     python tools/run_digests.py --out runs/digests   # keep the files
@@ -11,11 +15,13 @@ runs are 16 training configurations (queue H=6, T=10, minibatch 10, 3
 updates, audit every 3; digits LSTM H=5, minibatch 10, 3 updates; two
 streaming runs), each writing metrics.csv and summary.json, and the
 variance-report, estimator-compare and alpha-solve commands at H=4, T=6 and
-150 seeds, each writing a CSV and a JSON file: 38 files.
+150 seeds, each writing a CSV and a JSON file: 38 files, 18 of them JSON
+with a config block, so 56 lines.
 """
 
 import argparse
 import hashlib
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -82,9 +88,20 @@ def main(argv=None) -> int:
             sys.stdout = stdout
         files = sorted(p for p in out.rglob("*") if p.is_file())
         for path in files:
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            print(f"{digest}  {path.relative_to(out).as_posix()}")
+            name = path.relative_to(out).as_posix()
+            text = path.read_bytes()
+            print(f"{hashlib.sha256(text).hexdigest()}  {name}")
+            summary = json.loads(text) if path.suffix == ".json" else None
+            if isinstance(summary, dict) and "config" in summary:
+                del summary["config"]
+                digest = hashlib.sha256(_summary_bytes(summary)).hexdigest()
+                print(f"{digest}  {name}#without-config")
     return 0
+
+
+def _summary_bytes(summary: dict) -> bytes:
+    """The bytes reports.write_json_summary writes for summary."""
+    return (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 if __name__ == "__main__":
