@@ -25,7 +25,7 @@ CHOICES = {
     "baseline": ("none", "noise-free"),
 }
 
-# Keys whose values must be positive.
+# Keys whose values must be finite and positive.
 POSITIVE = ("hidden", "minibatch", "updates", "num_seeds", "sigma", "learning_rate",
             "delay", "digits_limit")
 # Adam's decay rates, which must lie in [0, 1).
@@ -83,8 +83,9 @@ class ExperimentConfig:
                 raise ValueError(f"{key} = {value!r} is not one of "
                                  f"{', '.join(allowed)}")
         for key in POSITIVE:
-            if not getattr(self, key) > 0:
-                raise ValueError(f"{key} = {getattr(self, key)!r} must be positive")
+            if not 0 < getattr(self, key) < math.inf:
+                raise ValueError(f"{key} = {getattr(self, key)!r} must be finite and "
+                                 "positive")
         for key in DECAYS:
             if not 0 <= getattr(self, key) < 1:
                 raise ValueError(f"{key} = {getattr(self, key)!r} must be in [0, 1)")

@@ -672,10 +672,11 @@ def reinforce_episode(params: rnn.RnnParams, inputs, targets, head,
     the same inputs), or an explicit per-step array: (T,) for every row, or
     (T, B) with column j for row j.
 
-    The call is one batched rnn.step sweep.  Under "noise-free" the
-    unperturbed network runs as extra rows of the same sweep, one per
-    distinct episode.  The perturbed states of every step are kept and all
-    losses come from one head call after the sweep.  The score is not
+    The call is one batched rnn.sweep whose offsets are the perturbations
+    sigma Q0 u_t, so the sweep leaves the perturbed states in them.  Under
+    "noise-free" the unperturbed network runs as extra rows of the same
+    sweep, one per distinct episode, with zero offsets.  All losses come from
+    one head call after the sweep, which forms no dL/dh.  The score is not
     accumulated: with the suffix sums R_s = sum_{t>=s} (L_t - baseline_t)
     the estimate is (1/sigma) sum_s vjp_params(cache_s, R_s Q0^{-T} u_s),
     since vjp_params is linear in its rows, and its vec(g_z a^T) terms are
@@ -699,41 +700,34 @@ def reinforce_episode(params: rnn.RnnParams, inputs, targets, head,
     if q0 is not None and q0.shape[0] != h_size:
         raise ShapeError(f"Q0 shape {q0.shape} != hidden size ({h_size}, {h_size})")
     try:
-        batch = np.broadcast_shapes(episodes, () if single else (len(noise),))
+        batch = episodes if single else np.broadcast_shapes(episodes, (len(noise),))
     except ValueError:
         raise ShapeError(f"{episodes[0]} episodes for {len(noise)} noises") from None
     baseline_values = _baseline_rows(baseline, t_len, batch)
     clean = baseline_values is None
 
-    # rows 0..n-1 are perturbed, then under "noise-free" one unperturbed row
-    # per episode
+    # sweep rows 0..n-1 are perturbed, then under "noise-free" one
+    # unperturbed row per episode; row j runs episode j mod E of the E
+    # episodes, the perturbed rows and then the unperturbed ones alike
     n = batch[0] if batch else 1
-    steps = np.swapaxes(inputs, 0, -2).reshape(t_len, -1, inputs.shape[-1])
-    x = np.empty((t_len, (n + steps.shape[1]) if clean else n, steps.shape[-1]))
-    x[:, :n] = steps
-    if clean:
-        x[:, n:] = steps
+    episode_count = targets.mask.shape[1]
+    rows = np.arange(n + episode_count if clean else n) % episode_count
+    x = np.swapaxes(inputs, 0, -2).reshape(t_len, episode_count, -1)[:, rows]
     u = (noise.block if single else noise).u[:t_len]  # (T, 1 or n, H)
-    # the perturbed states h_bar; unperturbed rows and the LSTM cell add 0
-    states = np.zeros((t_len, x.shape[1], params.state_size))
-    states[:, :n, :h_size] = sigma * (u if q0 is None else u @ q0.T)
-    sweep = rnn.empty_steps(params, x.shape[:2])
-    state = np.zeros((x.shape[1], params.state_size))
-    for t in range(t_len):
-        state, _ = rnn.step(params, state, x[t], out=sweep[t])
-        state = np.add(state, states[t], out=states[t])
+    # the perturbation offsets, which the sweep turns into the perturbed
+    # states h_bar; unperturbed rows and the LSTM cell add 0
+    states = np.zeros((t_len, rows.size, params.state_size))
+    np.multiply(sigma, u if q0 is None else u @ q0.T, out=states[:, :n, :h_size])
+    steps = rnn.empty_steps(params, states.shape[:2])
+    rnn.sweep(params, np.zeros(states.shape[1:]), x, steps, offsets=states)
 
-    hidden = states[..., :h_size]
-    # sweep row j runs episode j mod E of the E episodes, the perturbed rows
-    # and then the unperturbed ones alike
-    rows = np.arange(x.shape[1]) % targets.mask.shape[1]
-    losses, _ = rnn.loss_grad(hidden, targets[:, rows], head)
-    losses = np.zeros(hidden.shape[:2]) + losses  # a head may return one scalar
+    losses = rnn.row_losses(states[..., :h_size], targets[:, rows], head)
+    losses = np.zeros((t_len, rows.size)) + losses  # a head may return one scalar
     advantage = losses[:, :n] - (losses[:, n:] if clean else baseline_values)
     suffix = np.cumsum(advantage[::-1], axis=0)[::-1]
-    directions = np.zeros((t_len, n, params.state_size))
-    directions[..., :h_size] = suffix[..., None] * (u if q0_inv is None else u @ q0_inv)
-    perturbed = sweep[:, :n]
+    directions = rnn.embed_state_grad(
+        params, suffix[..., None] * (u if q0_inv is None else u @ q0_inv))
+    perturbed = steps[:, :n]
     g_z = rnn.vjp_to_cut(perturbed, CutVertex.PREACTIVATION, directions)
     estimate = (g_z.transpose(1, 2, 0) @ perturbed.a.transpose(1, 0, 2)) / sigma
     return _report("reinforce", noise, estimate.reshape(*batch, -1))

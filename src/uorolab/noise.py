@@ -183,9 +183,25 @@ def seeded_generator(entropy: int, spawn_key) -> np.random.Generator:
     return _generator(_pcg64_states(pool)[0])
 
 
+def coin_bits(gen: np.random.Generator, length: int) -> np.ndarray:
+    """length fair coin bits, 0 or 1: bit for bit gen.integers(0, 2,
+    size=length) of a generator with no 32-bit half buffered, as right after
+    _generator sets its state.
+
+    integers draws each value from the next 32-bit half of the successive
+    64-bit outputs, low half first, by Lemire's method, which for the range 2
+    never rejects and returns bit 31 of the half.  The outputs are laid out
+    little-endian before they are read as halves, on any host."""
+    raw = gen.bit_generator.random_raw((length + 1) // 2)
+    return raw.astype("<u8", copy=False).view("<u4")[:length] >> 31
+
+
+_SIGNS = np.array([-1.0, 1.0])  # the sign of each coin bit
+
+
 def _scalars(gen: np.random.Generator, length: int, kind: str) -> np.ndarray:
     if kind == SIGN:
-        return gen.integers(0, 2, size=length) * 2.0 - 1.0
+        return _SIGNS.take(coin_bits(gen, length))
     return gen.standard_normal(length)
 
 

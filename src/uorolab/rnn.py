@@ -27,10 +27,12 @@ further rows in front: B noise seeds on one episode are rows (B, S) against an
 unbatched cache.
 
 An episode's tape holds its steps as one StepCache whose arrays have the step
-axis first, (T, [B,] .), filled in place by step(..., out=steps[t]).  Indexing
-a cache indexes every array, as Targets does: steps[t] is step t and
-steps[:, i] episode i, both views.  A product that needs no recursion over
-the steps is taken over the whole tape in one call, with vectors (T, [B,] S).
+axis first, (T, [B,] .), filled in place by sweep, which checks the shapes,
+writes the inputs and takes the vanilla f'(z) once per tape; step is a sweep
+of one step.  Indexing a cache indexes every array, as Targets does: steps[t]
+is step t and steps[:, i] episode i, both views.  A product that needs no
+recursion over the steps is taken over the whole tape in one call, with
+vectors (T, [B,] S).
 """
 
 from dataclasses import dataclass
@@ -187,7 +189,7 @@ class StepCache:
 
 def empty_steps(params: RnnParams, shape: tuple) -> StepCache:
     """An unfilled StepCache whose arrays have the leading shape given, such
-    as a tape's (T, [B]), for step(..., out=) to fill."""
+    as a tape's (T, [B]), for sweep or step(..., out=) to fill."""
     h = params.hidden_size
     sizes = dict(f=h, c=h, dz=4 * h, dh_dc=h) if params.cell_kind == LSTM else dict(d=h)
     return StepCache(params, **{name: np.empty((*shape, size)) for name, size
@@ -202,55 +204,118 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / denominator, ex / denominator)
 
 
+def sweep(params: RnnParams, state: np.ndarray, inputs: np.ndarray,
+          steps: StepCache, offsets: np.ndarray | None = None) -> np.ndarray:
+    """Run the transitions of a tape from state, filling its steps in place;
+    returns the final state.
+
+    state is the full recurrent state ([B,] S), inputs are (T, [B,] X), one
+    row per step, and steps is a StepCache of leading shape (T, [B]), such as
+    empty_steps(params, (T, [B])).  offsets, if given, are (T, [B,] S):
+    step t adds its new state into offsets[t], in place, and the next step
+    starts from that sum, so the sweep leaves the offset states there.
+
+    The shapes are checked, the inputs and the bias column written into
+    steps.a, the vanilla f'(z) taken over the whole tape and the states
+    checked finite once per sweep; the first step whose new state (before
+    its offset) is not finite raises NumericOverflowError naming it.
+    """
+    h_size = params.hidden_size
+    state = np.asarray(state, dtype=np.float64)
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if state.ndim > 2 or state.shape[-1:] != (params.state_size,):
+        raise ShapeError(
+            f"state shape {state.shape} != ([B,] {params.state_size})"
+        )
+    batch = state.shape[:-1]
+    total = len(inputs) if inputs.ndim else 0
+    if total < 1:
+        raise ShapeError("a sweep needs at least one step")
+    if inputs.shape != (total, *batch, params.input_size):
+        raise ShapeError(f"input shape {inputs.shape[1:]} != "
+                         f"{(*batch, params.input_size)}")
+    if steps.a.shape != (total, *batch, params.augmented_size):
+        raise ShapeError(f"steps of shape {steps.batch_shape} for inputs of "
+                         f"shape {inputs.shape[:-1]}")
+    if offsets is not None and offsets.shape != (total, *batch, params.state_size):
+        raise ShapeError(f"offsets shape {offsets.shape} != "
+                         f"{(total, *batch, params.state_size)}")
+
+    a = steps.a
+    a_h = a[..., :h_size]  # each step's h_prev
+    a_h[0] = state[..., :h_size]
+    a[..., h_size:-1] = inputs
+    a[..., -1] = 1.0
+    lstm = params.cell_kind == LSTM
+    tanh = params.cell_kind == VANILLA_TANH
+    w_t = params.weights.T
+    offset_h = None if offsets is None else offsets[..., :h_size]
+    offset_c = None if offsets is None else offsets[..., h_size:]
+    c = state[..., h_size:]  # the LSTM cell state
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(total):
+            if lstm:
+                h, c = _lstm_cell(steps, t, a[t] @ w_t, c)
+            else:
+                h = np.matmul(a[t], w_t, out=steps.h[t])
+                if tanh:
+                    np.tanh(h, out=h)
+            if offsets is not None:
+                h = np.add(h, offset_h[t], out=offset_h[t])
+                if lstm:
+                    c = np.add(c, offset_c[t], out=offset_c[t])
+            if t + 1 < total:
+                a_h[t + 1] = h
+
+    if tanh:
+        np.subtract(1.0, np.multiply(steps.h, steps.h, out=steps.d), out=steps.d)
+    elif not lstm:  # VANILLA_LINEAR
+        steps.d.fill(1.0)
+    finite = np.isfinite(steps.h)
+    if lstm:
+        finite &= np.isfinite(steps.c)
+    if not finite.all():
+        first = np.argmin(finite.reshape(total, -1).all(axis=1))
+        raise NumericOverflowError(f"step {first} produced non-finite state")
+    return np.concatenate([h, c], axis=-1) if lstm else h
+
+
+def _lstm_cell(steps: StepCache, t: int, z: np.ndarray, c_prev: np.ndarray):
+    """The LSTM transition of step t from its preactivations z and the
+    previous cell state: fills the step's f, c, h, dz and dh_dc and returns
+    its (h, c)."""
+    h_size = steps.params.hidden_size
+    i = _sigmoid(z[..., :h_size])
+    f = _sigmoid(z[..., h_size : 2 * h_size])
+    g = np.tanh(z[..., 2 * h_size : 3 * h_size])
+    o = _sigmoid(z[..., 3 * h_size :])
+    steps.f[t] = f
+    c = np.add(f * c_prev, i * g, out=steps.c[t])
+    tanh_c = np.tanh(c)
+    h = np.multiply(o, tanh_c, out=steps.h[t])
+    np.concatenate([g * (i * (1 - i)), c_prev * (f * (1 - f)),
+                    i * (1 - g * g), tanh_c * (o * (1 - o))], axis=-1, out=steps.dz[t])
+    np.multiply(o, 1 - tanh_c * tanh_c, out=steps.dh_dc[t])
+    return h, c
+
+
 def step(params: RnnParams, state_prev: np.ndarray, x: np.ndarray,
          out: StepCache | None = None):
-    """Run one transition; returns (new full state, cache).
+    """Run one transition, a sweep of one step; returns (new full state,
+    cache).
 
     state_prev is the full recurrent state: (H,) for vanilla cells,
     (2H,) = (h, c) for the LSTM, or (B, S) for B episodes with inputs (B, X).
     out, if given, is the cache the step fills, such as step t of a tape,
     tape.steps[t]; otherwise the step allocates its own.
     """
-    h_size = params.hidden_size
     state_prev = np.asarray(state_prev, dtype=np.float64)
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if state_prev.ndim > 2 or state_prev.shape[-1:] != (params.state_size,):
-        raise ShapeError(
-            f"state shape {state_prev.shape} != ([B,] {params.state_size})"
-        )
-    batch = state_prev.shape[:-1]
-    if x.shape != (*batch, params.input_size):
-        raise ShapeError(f"input shape {x.shape} != {(*batch, params.input_size)}")
-    cache = empty_steps(params, batch) if out is None else out
-
-    h_prev = state_prev[..., :h_size]
-    a = np.concatenate([h_prev, x, np.ones((*batch, 1))], axis=-1, out=cache.a)
-    z = a @ params.weights.T
-
-    if params.cell_kind == LSTM:
-        c_prev = state_prev[..., h_size:]
-        i = _sigmoid(z[..., :h_size])
-        f = _sigmoid(z[..., h_size : 2 * h_size])
-        g = np.tanh(z[..., 2 * h_size : 3 * h_size])
-        o = _sigmoid(z[..., 3 * h_size :])
-        cache.f[...] = f
-        c = np.add(f * c_prev, i * g, out=cache.c)
-        tanh_c = np.tanh(c)
-        h = np.multiply(o, tanh_c, out=cache.h)
-        np.concatenate([g * (i * (1 - i)), c_prev * (f * (1 - f)),
-                        i * (1 - g * g), tanh_c * (o * (1 - o))], axis=-1, out=cache.dz)
-        np.multiply(o, 1 - tanh_c * tanh_c, out=cache.dh_dc)
-        new_state = np.concatenate([h, c], axis=-1)
-    elif params.cell_kind == VANILLA_TANH:
-        new_state = np.tanh(z, out=cache.h)
-        np.subtract(1.0, new_state * new_state, out=cache.d)
-    else:  # VANILLA_LINEAR
-        new_state = cache.h
-        new_state[...] = z
-        cache.d.fill(1.0)
-
-    if not np.isfinite(new_state).all():
-        raise NumericOverflowError("step produced non-finite state")
+    cache = empty_steps(params, state_prev.shape[:-1]) if out is None else out
+    try:
+        new_state = sweep(params, state_prev, x[None], cache[None])
+    except NumericOverflowError:  # a step alone does not know its index
+        raise NumericOverflowError("step produced non-finite state") from None
     return new_state, cache
 
 
@@ -558,6 +623,10 @@ class _LinearHead:
         loss, err = self._rows_error(h, target)
         return _scalar_or_rows(loss), err @ self.weights[:, :-1]
 
+    def losses(self, h: np.ndarray, target):
+        """The loss per row alone, as loss_and_grad gives it."""
+        return _scalar_or_rows(self._rows_error(h, target)[0])
+
     def param_grad(self, h: np.ndarray, target) -> np.ndarray:
         """Exact dL/d(head weights) per row; the head never feeds back into h."""
         _, err = self._rows_error(h, target)
@@ -614,6 +683,15 @@ class BernoulliHead(_LinearHead):
 def loss_grad(h: np.ndarray, target, head):
     """Loss and dL/dh for one step under the given readout head."""
     return head.loss_and_grad(np.asarray(h, dtype=np.float64), target)
+
+
+def row_losses(h: np.ndarray, target, head):
+    """The loss of loss_grad alone: from the head's losses where it has
+    them, so dL/dh is never formed, else from a custom head's
+    loss_and_grad."""
+    h = np.asarray(h, dtype=np.float64)
+    alone = getattr(head, "losses", None)
+    return head.loss_and_grad(h, target)[0] if alone is None else alone(h, target)
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +755,7 @@ def run_episode(
     """Forward pass over one episode, recording its steps and losses.
 
     inputs (B, T, X) with one target list per episode run B episodes as one
-    batch.  Each step fills step t of the tape's (T, [B,] .) arrays in place.
+    batch.  One sweep fills the tape's (T, [B,] .) step arrays in place.
     The targets become the tape's (T, [B]) Targets once (episode_targets),
     and one head call after the sweep takes every step: the hidden states as
     (T, B, H), or (T, 1, H) for one episode, so that each step's matrix
@@ -694,17 +772,16 @@ def run_episode(
     state = (
         np.zeros((*batch, params.state_size))
         if initial_state is None
-        else np.asarray(initial_state, dtype=np.float64)
+        else np.array(initial_state, dtype=np.float64)
     )
     tape = EpisodeTape(
         params=params,
-        initial_state=state.copy(),
+        initial_state=state,
         inputs=inputs,
         steps=empty_steps(params, (total, *batch)),
         targets=targets,
     )
-    for t in range(total):
-        state, _ = step(params, state, inputs[..., t, :], out=tape.steps[t])
+    sweep(params, state, np.swapaxes(inputs, 0, -2), tape.steps)
     rows = batch or (1,)
     losses = np.empty((total, *rows))  # filled as well from one scalar loss
     losses[...], grads = loss_grad(tape.steps.h.reshape(total, *rows, -1),

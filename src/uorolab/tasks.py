@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IdxFormatError
-from .noise import seeded_generator
+from .noise import coin_bits, seeded_generator
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -41,7 +41,7 @@ def make_queue_episode(spec: QueueSpec, seed: int, episode_index: int):
     target at step t is the input from delay steps earlier (a one-bit view of
     the inputs), None (masked) while undefined."""
     gen = seeded_generator(seed, (episode_index,))
-    bits = gen.integers(0, 2, size=spec.length).astype(np.float64)
+    bits = coin_bits(gen, spec.length).astype(np.float64)
     inputs = bits[:, None]
     return inputs, [None] * spec.delay + list(inputs[: spec.length - spec.delay])
 

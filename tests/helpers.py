@@ -47,6 +47,7 @@ def forbid_steps(monkeypatch):
         raise AssertionError("a step ran before the inputs were checked")
 
     monkeypatch.setattr(rnn, "step", fail)
+    monkeypatch.setattr(rnn, "sweep", fail)
     monkeypatch.setattr(estimators, "uoro_step", fail)
     monkeypatch.setattr(estimators, "preuoro_step", fail)
     # run_uoro advances h~ itself through these products

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uorolab.noise import GAUSSIAN, SIGN, episode_noise, episode_noises, seeded_generator
+from uorolab.noise import (GAUSSIAN, SIGN, coin_bits, episode_noise, episode_noises,
+                           seeded_generator)
 from uorolab.tasks import QueueSpec, make_queue_episode
 
 
@@ -213,6 +214,13 @@ class TestBitIdentity:
             assert targets[:2] == [None, None]
             assert all(np.array_equal(targets[t], bits[t - 2:t - 1])
                        for t in range(2, 24))
+
+    def test_coin_bits_are_the_integers_draw(self):
+        for seed in range(200):
+            for length in (1, 2, 5, 6, 24, 28, 101):
+                assert np.array_equal(
+                    coin_bits(fresh(seed, (length,)), length),
+                    fresh(seed, (length,)).integers(0, 2, size=length)), (seed, length)
 
     def test_seeded_generator_matches_multi_word_keys(self):
         for key in ((5,), (2**32, 1), (7, 2**64 + 3, 0)):

@@ -138,6 +138,9 @@ class TestConfig:
         ("eps", {"eps": -1e-8}),
         ("eps", {"eps": float("inf")}),
         ("eps", {"eps": float("nan")}),
+        ("sigma", {"sigma": float("inf")}),
+        ("sigma", {"sigma": float("nan")}),
+        ("learning_rate", {"learning_rate": float("inf")}),
     ])
     def test_bad_ranges_refused_at_construction_and_load(self, key, values):
         with pytest.raises(ValueError, match=key):

@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from uorolab import rnn
-from uorolab.errors import ShapeError, UnsupportedCutError
+from uorolab.errors import NumericOverflowError, ShapeError, UnsupportedCutError
+from uorolab.estimators import reinforce_episode
+from uorolab.noise import episode_noise, episode_noises
 from uorolab.rnn import (
     BernoulliHead,
     CutVertex,
@@ -356,3 +360,78 @@ class TestEpisode:
         params, _, _, head = make_instance(rng)
         with pytest.raises(ShapeError):
             run_episode(params, np.zeros((0, 2)), [], head)
+
+
+class TestSweep:
+    @pytest.mark.parametrize("cell", rnn.CELL_KINDS)
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    @pytest.mark.parametrize("with_offsets", [False, True])
+    def test_equals_a_loop_of_steps(self, cell, batch, with_offsets):
+        """One sweep fills the same steps, offset states and final state as
+        a loop of rnn.step that adds each step's offset to its new state."""
+        rng = np.random.default_rng(37)
+        params, _, _, _ = make_instance(rng, cell_kind=cell, hidden=3)
+        inputs = rng.standard_normal((6, *batch, 2))
+        state = 0.5 * rng.standard_normal((*batch, params.state_size))
+        offsets = 0.1 * rng.standard_normal((6, *batch, params.state_size))
+        swept_offsets = offsets.copy() if with_offsets else None
+        steps = rnn.empty_steps(params, (6, *batch))
+        final = rnn.sweep(params, state, inputs, steps, swept_offsets)
+        looped = rnn.empty_steps(params, (6, *batch))
+        for t in range(6):
+            state, _ = step(params, state, inputs[t], out=looped[t])
+            if with_offsets:
+                state = state + offsets[t]
+                assert np.array_equal(swept_offsets[t], state)
+        assert np.array_equal(final, state)
+        for name, x in vars(looped).items():
+            if isinstance(x, np.ndarray):
+                assert np.array_equal(getattr(steps, name), x), name
+
+    def test_checks_shapes_before_a_step(self):
+        rng = np.random.default_rng(38)
+        params, _, _, _ = make_instance(rng, hidden=3)
+        inputs = rng.standard_normal((6, 2, 2))
+        state = np.zeros((2, 3))
+        with pytest.raises(ShapeError, match="steps of shape"):
+            rnn.sweep(params, state, inputs, rnn.empty_steps(params, (5, 2)))
+        with pytest.raises(ShapeError, match="offsets shape"):
+            rnn.sweep(params, state, inputs, rnn.empty_steps(params, (6, 2)),
+                      np.zeros((6, 3, 3)))
+        with pytest.raises(ShapeError, match="at least one step"):
+            rnn.sweep(params, state, inputs[:0], rnn.empty_steps(params, (0, 2)))
+
+    @staticmethod
+    def blowup():
+        """A vanilla-linear cell that scales its state 1e100-fold a step and
+        adds the input: from inputs of 1 the state first overflows at step
+        4 (1e400), from inputs of 1e100 at step 3."""
+        w = np.array([[1e100, 0.0, 1.0, 0.0], [0.0, 1e100, 1.0, 0.0]])
+        params = RnnParams(w, rnn.VANILLA_LINEAR, 2, 1)
+        inputs = np.ones((2, 6, 1))
+        inputs[1] = 1e100
+        return params, inputs, [[0] * 6] * 2, SoftmaxHead(np.zeros((2, 3)))
+
+    def test_run_episode_names_the_first_non_finite_step(self):
+        params, inputs, targets, head = self.blowup()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no RuntimeWarning on the way
+            with pytest.raises(NumericOverflowError,
+                               match="step 4 produced non-finite state"):
+                run_episode(params, inputs[0], targets[0], head)
+            with pytest.raises(NumericOverflowError,
+                               match="step 3 produced non-finite state"):
+                run_episode(params, inputs, targets, head)
+
+    def test_reinforce_names_the_first_non_finite_step(self):
+        params, inputs, targets, head = self.blowup()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflowError,
+                               match="step 4 produced non-finite state"):
+                reinforce_episode(params, inputs[0], targets[0], head, 1e-3,
+                                  episode_noise(39, 0, 6, 2))
+            with pytest.raises(NumericOverflowError,
+                               match="step 3 produced non-finite state"):
+                reinforce_episode(params, inputs, targets, head, 1e-3,
+                                  episode_noises(39, range(2), 6, 2))

@@ -15,8 +15,10 @@ runs are 16 training configurations (queue H=6, T=10, minibatch 10, 3
 updates, audit every 3; digits LSTM H=5, minibatch 10, 3 updates; two
 streaming runs), each writing metrics.csv and summary.json, and the
 variance-report, estimator-compare and alpha-solve commands at H=4, T=6 and
-150 seeds, each writing a CSV and a JSON file: 38 files, 18 of them JSON
-with a config block, so 56 lines.
+150 seeds, each writing a CSV and a JSON file.  On the same H=4, T=6 queue
+instance, reinforce-per-seed.csv holds the REINFORCE estimates of 64 seeds
+with the noise-free baseline, one reinforce_episode call per seed.  That makes
+39 files, 18 of them JSON with a config block, so 57 lines.
 """
 
 import argparse
@@ -26,9 +28,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from uorolab import cli, config, training  # noqa: E402
+from uorolab import cli, config, estimators, noise, rnn, training  # noqa: E402
 
 QUEUE = dict(hidden=6, stream_length=10, minibatch=10, updates=3, audit_every=3)
 DIGITS = dict(hidden=5, minibatch=10, updates=3, audit_every=3)
@@ -58,6 +62,7 @@ TRAINING = {
                                                       cell="lstm", **STREAMING),
 }
 COMMANDS = ("variance-report", "estimator-compare", "alpha-solve")
+REINFORCE_SEEDS = 64
 
 
 def write_runs(out: Path) -> None:
@@ -69,6 +74,27 @@ def write_runs(out: Path) -> None:
     for command in COMMANDS:
         cli.main([command, "--config", str(report), "--out", str(out / command)])
     report.unlink()
+    write_reinforce_per_seed(out / "reinforce-per-seed.csv")
+
+
+def write_reinforce_per_seed(path: Path) -> None:
+    """One CSV row per seed, the seed and the repr of each entry of its
+    REINFORCE estimate, from one reinforce_episode call per seed on the
+    report instance (its parameters, head and episode 0)."""
+    cfg = config.ExperimentConfig(**REPORT)
+    task = training.build_task(cfg)
+    rng = np.random.default_rng(cfg.base_seed)
+    params = rnn.init_params(cfg.cell, cfg.hidden, task.input_size, rng)
+    head = task.make_head(rng)
+    inputs, targets = task.episode(cfg.data_seed, 0)
+    rows = []
+    for seed in range(REINFORCE_SEEDS):
+        draws = noise.episode_noise(cfg.base_seed, seed, len(inputs), cfg.hidden)
+        estimate = estimators.reinforce_episode(
+            params, inputs, targets, head, cfg.sigma, draws,
+            baseline=estimators.BASELINE_NOISE_FREE).estimate
+        rows.append(",".join([str(seed), *map(repr, estimate.tolist())]))
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
 def main(argv=None) -> int:
