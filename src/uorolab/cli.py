@@ -85,6 +85,15 @@ def cmd_moment_check(args) -> int:
     return 0 if worst < 4.0 else 1
 
 
+def _sample_count(text: str) -> int:
+    """--samples: an integer of at least 2, which the standard errors need."""
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"{n} is below 2: the z-scores take "
+                                         "standard errors from two samples or more")
+    return n
+
+
 def cmd_alpha_solve(args) -> int:
     cfg = _load_config(args)
     _, tape = training.build_report_instance(cfg)
@@ -128,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
     p = sub.add_parser("moment-check")
     _add_common(p)
-    p.add_argument("--samples", type=int, default=1_000_000)
+    p.add_argument("--samples", type=_sample_count, default=1_000_000)
     p.set_defaults(handler=cmd_moment_check)
     return parser
 

@@ -86,6 +86,14 @@ class ExperimentConfig:
             if not 0 < getattr(self, key) < math.inf:
                 raise ValueError(f"{key} = {getattr(self, key)!r} must be finite and "
                                  "positive")
+        if self.num_seeds < 2:
+            raise ValueError(f"num_seeds = {self.num_seeds!r} must be at least 2: "
+                             "an empirical variance needs two runs")
+        if self.digits_source == "idx-files":
+            for key in ("idx_images", "idx_labels"):
+                if not getattr(self, key):
+                    raise ValueError(f"digits_source = 'idx-files' needs {key}, "
+                                     "the path of its IDX file")
         for key in DECAYS:
             if not 0 <= getattr(self, key) < 1:
                 raise ValueError(f"{key} = {getattr(self, key)!r} must be in [0, 1)")

@@ -23,10 +23,10 @@ roundoff of its two terms is set exactly to zero, so that its last bits
 cannot pick the next coefficient.
 
 Over a whole tape w~ is never formed: every term u_r^T Q0^{-1} J_theta,r is
-the rank-one vec(L_r a_r^T) at the preactivation and state cuts, so run_uoro
-carries w~_t as its coefficients over those terms and contracts the estimate
-once at the end.  uoro_step is the same recursion with a dense w~, for
-streaming updates and as the test oracle.
+the rank-one vec(L_r a_r^T) at either cut, so run_uoro carries w~_t as its
+coefficients over those terms and contracts the estimate once at the end.
+uoro_step is the same recursion with a dense w~, for streaming updates and
+as the test oracle.
 
 preUORO exploits the rank-one structure of the preactivation-to-parameter
 Jacobian to skip the spatial projection: the sketch carries a full S x N_z
@@ -54,7 +54,6 @@ from .errors import (
     NumericOverflowError,
     ShapeError,
     SingularMatrixError,
-    UnsupportedCutError,
 )
 from .linalg import sqrt_ratio_or_one
 from .noise import EpisodeNoise, NoiseBlock
@@ -109,18 +108,13 @@ class ScalingSchedule:
     as beta_s = alpha_s / g^(T-s), gamma = g constant (the geometric average
     ratio of consecutive alphas), which reproduces exactly the same estimate.
     A (T, B) alpha holds one such schedule per row of a batched run.
-    gir_scale multiplies both greedy coefficients, exposing the free overall
-    scale of the greedy solution (their ratio is what the rescaling pins).
     """
 
     def __init__(self, mode: str = GIR, Q0: np.ndarray | None = None,
-                 alpha: np.ndarray | None = None, gir_scale: float = 1.0):
+                 alpha: np.ndarray | None = None):
         if mode not in (GIR, FIXED_ALPHA):
             raise ValueError(f"unknown schedule mode {mode!r}")
         self.mode = mode
-        self.gir_scale = float(gir_scale)
-        if self.gir_scale <= 0:
-            raise ValueError("gir_scale must be positive")
         self.Q0 = None
         self.Q0_inv = None
         if Q0 is not None:
@@ -128,7 +122,6 @@ class ScalingSchedule:
         self.alpha = None
         self._beta = None
         self._gamma = None
-        self.sketch_coefficients = None
         if mode == FIXED_ALPHA:
             if alpha is None:
                 raise ValueError("fixed-alpha mode needs an alpha vector")
@@ -140,15 +133,6 @@ class ScalingSchedule:
             raise ValueError("alpha entries must be positive")
         self.alpha = alpha
         self._beta, self._gamma = alpha_to_beta_gamma(alpha)
-        # row t: the coefficients of w~_t over the terms of steps r <= t
-        t_len = alpha.shape[0]
-        coefficients = np.zeros((t_len, *alpha.shape[1:], t_len))
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for t in range(t_len):
-                gamma, beta = self.fixed_coefficients(t)
-                coefficients[t, ..., :t] = coefficients[t - 1, ..., :t] / _col(gamma)
-                coefficients[t, ..., t] = 1.0 / beta
-        self.sketch_coefficients = coefficients
 
     def with_alpha(self, alpha: np.ndarray) -> "ScalingSchedule":
         """A fixed-alpha copy that shares this schedule's already checked
@@ -255,7 +239,7 @@ def _zero_cancelled(x: np.ndarray, norm, scale) -> np.ndarray:
     return x
 
 
-def _gir_coefficients(w_norm, fwd_norm, out_norm, in_norm, gir_scale):
+def _gir_coefficients(w_norm, fwd_norm, out_norm, in_norm):
     """The greedy (gamma_t, beta_t) that equalize the cross-term norms,
 
         gamma_t^2 = ||w~_{t-1}|| / ||forwarded sketch||
@@ -263,8 +247,7 @@ def _gir_coefficients(w_norm, fwd_norm, out_norm, in_norm, gir_scale):
 
     each falling back to 1 where its ratio is degenerate (zero norms, first
     step), which leaves the rank-one expansion intact."""
-    return (sqrt_ratio_or_one(w_norm, fwd_norm) * gir_scale,
-            sqrt_ratio_or_one(out_norm, in_norm) * gir_scale)
+    return sqrt_ratio_or_one(w_norm, fwd_norm), sqrt_ratio_or_one(out_norm, in_norm)
 
 
 def _check_length(noise: EpisodeNoise | NoiseBlock, t_len: int):
@@ -306,8 +289,7 @@ def uoro_step(state: RankOneState, cache, cut, u: np.ndarray,
     if greedy:
         w_norm, fwd_norm = _norms(state.w_tilde), _norms(forwarded)
         out_norm, in_norm = _norms(spatial_out), _norms(spatial_in)
-        gamma, beta = _gir_coefficients(w_norm, fwd_norm, out_norm, in_norm,
-                                        schedule.gir_scale)
+        gamma, beta = _gir_coefficients(w_norm, fwd_norm, out_norm, in_norm)
     else:
         gamma, beta = schedule.fixed_coefficients(t)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -343,12 +325,12 @@ def run_uoro(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
     noise is one EpisodeNoise, or a NoiseBlock of B: one per episode of a
     batched tape, or B seeds on one episode.  Its first T steps are used.
 
-    The recursion is uoro_step's, with w~ factored: at the preactivation and
-    state cuts the term of step r is vec(L_r a_r^T), with the left factor
-    L_r = Q0^{-T} u_r (times f'(z_r) at the state cut), so w~_t is carried
-    as its coefficients c_t[r] over those terms, row t of a (T, [B,] T)
-    array: c_t[:t] = c_{t-1}[:t] / gamma_t and c_t[t] = 1 / beta_t, taken
-    whole from the schedule under fixed alpha.  Under GIR ||w~_t||^2 is
+    The recursion is uoro_step's, with w~ factored: at either cut the term
+    of step r is vec(L_r a_r^T), with the left factor L_r = Q0^{-T} u_r
+    (times f'(z_r) at the state cut), so w~_t is carried as its coefficients
+    c_t[r] over those terms, row t of a (T, [B,] T) array:
+    c_t[:t] = c_{t-1}[:t] / gamma_t and c_t[t] = 1 / beta_t, written by the
+    step loop under either schedule mode.  Under GIR ||w~_t||^2 is
     tracked from the Gram of the terms, (L L^T) * (A A^T); a row whose norm
     is too small for the Gram to decide the cancellation rule
     (GRAM_NORM_RTOL) is formed densely, and its coefficients are zeroed when
@@ -359,9 +341,6 @@ def run_uoro(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
     params = tape.params
     cut = CutVertex(cut)
     n_z = params.cut_size(cut)
-    if cut == CutVertex.PARAMETER:
-        raise UnsupportedCutError("the rank-one sketch runs at the preactivation "
-                                  "or the state cut")
     if contribution not in CONTRIBUTIONS:
         raise ValueError(f"unknown contribution mode {contribution!r}")
     if noise.dim != n_z:
@@ -380,13 +359,15 @@ def run_uoro(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
     shaped = schedule.shape_spatial(u)
     greedy = schedule.mode == GIR
     if greedy:
-        coefficients = np.zeros((t_len, *batch, t_len))
         gram = _gram(left) * _gram(a)
         out_norms = _norms(left) * _norms(a)
         w_sq = np.zeros(batch)
     else:
         _check_alpha(schedule, t_len, batch)
-        coefficients = schedule.sketch_coefficients[:t_len, ..., :t_len]
+    # row t: the coefficients of w~_t over the terms of steps r <= t, one row
+    # per row of the batch, or per column of a fixed alpha
+    coefficients = np.zeros((t_len, *(batch if greedy else schedule.alpha.shape[1:]),
+                             t_len))
     split = contribution == CONTRIBUTION_SPLIT
     h_tilde = np.zeros((*batch, params.state_size))
     # the sketch each step's score reads: h~_t, or J_state h~_{t-1} for split
@@ -400,19 +381,21 @@ def run_uoro(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
         if greedy:
             w_norm = np.sqrt(w_sq)
             fwd_norm, in_norm = _norms(forwarded), _norms(spatial_in)
-            gamma, beta = _gir_coefficients(w_norm, fwd_norm, out_norms[t], in_norm,
-                                            schedule.gir_scale)
+            gamma, beta = _gir_coefficients(w_norm, fwd_norm, out_norms[t], in_norm)
         else:
             gamma, beta = schedule.fixed_coefficients(t)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             h_tilde = _col(gamma) * forwarded + _col(beta) * spatial_in
+            row = coefficients[t]
+            if t:
+                np.divide(coefficients[t - 1], _col(gamma), out=row)
+            row[..., t] = 1.0 / beta
             if greedy:
                 h_norm = _norms(h_tilde)
                 h_tilde = _zero_cancelled(h_tilde, h_norm,
                                           gamma * fwd_norm + beta * in_norm)
-                w_sq = _advance_coefficients(coefficients, t, gamma, beta, w_sq,
-                                             gram, w_norm / gamma + out_norms[t] / beta,
-                                             left, a)
+                w_sq = _w_norm_sq(coefficients, t, gamma, beta, w_sq, gram,
+                                  w_norm / gamma + out_norms[t] / beta, left, a)
         checked = (h_norm, w_sq) if greedy else (h_tilde, coefficients[t])
         if not all(np.isfinite(x).all() for x in checked):
             raise NumericOverflowError(f"rank-one sketch overflowed at step {t}")
@@ -458,17 +441,14 @@ def _gram(rows: np.ndarray) -> np.ndarray:
     return stacked @ np.swapaxes(stacked, -1, -2)
 
 
-def _advance_coefficients(coefficients, t, gamma, beta, w_sq, gram, scale, left, a):
-    """Write c_t = (c_{t-1} / gamma, 1 / beta) into row t of the (T, [B,] T)
-    GIR coefficients and return ||w~_t||^2 per row, from the Gram of the
-    terms.  Rows whose Gram norm is below GRAM_NORM_RTOL of scale, the summed
-    norms of w~_t's two terms, or not finite are formed densely: the
-    cancellation rule zeroes their coefficients or their exact norm is
-    kept."""
+def _w_norm_sq(coefficients, t, gamma, beta, w_sq, gram, scale, left, a):
+    """||w~_t||^2 per row from ||w~_{t-1}||^2 and the Gram of the terms, where
+    row t of the (T, [B,] T) GIR coefficients already holds
+    c_t = (c_{t-1} / gamma, 1 / beta).  Rows whose Gram norm is below
+    GRAM_NORM_RTOL of scale, the summed norms of w~_t's two terms, or not
+    finite are formed densely: the cancellation rule zeroes their
+    coefficients or their exact norm is kept."""
     row = coefficients[t]
-    if t:
-        np.divide(coefficients[t - 1], _col(gamma), out=row)
-    row[..., t] = 1.0 / beta
     cross = np.einsum("...r,...r->...", row[..., :t], gram[..., :t, t])
     # products, not powers: a float's ** raises where its product overflows
     w_sq = w_sq / (gamma * gamma) + 2.0 * cross / beta + gram[..., t, t] / (beta * beta)
@@ -525,8 +505,7 @@ def preuoro_step(state: PreUoroState, cache, tau_t, schedule: ScalingSchedule,
         imm_sq = np.einsum("k...,k...->...", values, values)
         cross = np.einsum("k...,k...->...", rows[at], values)
         fwd_norm, imm_norm = np.sqrt(fwd_sq), np.sqrt(imm_sq)
-        gamma, beta = _gir_coefficients(w_norm, fwd_norm, a_norm, imm_norm,
-                                        schedule.gir_scale)
+        gamma, beta = _gir_coefficients(w_norm, fwd_norm, a_norm, imm_norm)
     else:
         gamma, beta = schedule.fixed_coefficients(t)
     beta_tau = beta * tau_t

@@ -97,15 +97,17 @@ class EpisodeTensors:
     """Exact per-episode adjoints at a fixed cut vertex.
 
     b[t, s] = dL_{t+1}/dz_{s+1} (0-indexed; zero for s > t by causality),
-    a[s] the augmented inputs, a_norms their Euclidean norms.  For cuts other
-    than the preactivation, j_dense[s] holds d(z_s)/d(theta) densely.
+    a[s] the augmented inputs, a_norms their Euclidean norms.  The parameter
+    Jacobian of step s is d(z_s)/d(theta) = diag(f_s) (I (x) a_s^T), with
+    f_s = d[s], the tape's f'(z_s), at the state cut and 1 at the
+    preactivation cut, where d is None.
     """
 
     cut: CutVertex
     b: np.ndarray  # (T, T, N_z)
     a: np.ndarray  # (T, A)
     a_norms: np.ndarray  # (T,)
-    j_dense: list | None = None
+    d: np.ndarray | None = None  # (T, N_z) at the state cut
 
     @property
     def length(self) -> int:
@@ -116,21 +118,19 @@ class EpisodeTensors:
         return self.b.shape[2]
 
     def theta_frob_sq(self, s: int) -> float:
-        """||d(z_s)/d(theta)||_F^2 (= N_z ||a_s||^2 at the preactivation cut)."""
-        if self.cut == CutVertex.PREACTIVATION:
-            return self.cut_dim * float(self.a_norms[s] ** 2)
-        return float(np.sum(self.j_dense[s] ** 2))
+        """||d(z_s)/d(theta)||_F^2 = ||f_s||^2 ||a_s||^2."""
+        f_sq = self.cut_dim if self.d is None else float(self.d[s] @ self.d[s])
+        return f_sq * float(self.a_norms[s] ** 2)
 
     def total_gradient(self) -> np.ndarray:
-        """sum_t sum_{s<=t} b[t,s]^T d(z_s)/d(theta); equals the BPTT gradient."""
-        t_len = self.length
+        """sum_t sum_{s<=t} b[t,s]^T d(z_s)/d(theta), the sum over s of
+        vec((f_s sum_{t>=s} b[t,s]) a_s^T); equals the BPTT gradient."""
         grad = None
-        for s in range(t_len):
+        for s in range(self.length):
             coeff = self.b[s:, s].sum(axis=0)
-            if self.cut == CutVertex.PREACTIVATION:
-                term = np.outer(coeff, self.a[s]).reshape(-1)
-            else:
-                term = coeff @ self.j_dense[s]
+            if self.d is not None:
+                coeff = coeff * self.d[s]
+            term = np.outer(coeff, self.a[s]).reshape(-1)
             grad = term if grad is None else grad + term
         return grad
 
@@ -156,14 +156,12 @@ def _adjoint_sweep(tape: EpisodeTape, cut: CutVertex, suffix: bool):
 
 
 def _step_terms(tape: EpisodeTape, cut: CutVertex):
-    """(a, a_norms, j_dense) of the tape's steps: the augmented inputs
-    (T, [B,] A), their norms and, for cuts other than the preactivation, the
-    dense d(z_s)/d(theta) per step ([B,] N_z, P)."""
+    """(a, a_norms, d) of the tape's steps: the augmented inputs (T, [B,] A),
+    their norms and, at the state cut, the steps' f'(z) (T, [B,] N_z), the
+    row scaling of its parameter Jacobian (None at the preactivation cut)."""
     a = tape.steps.a
-    j_dense = None
-    if cut != CutVertex.PREACTIVATION:
-        j_dense = [rnn.dense_theta_jacobian(tape.steps[t], cut) for t in range(len(a))]
-    return a, np.linalg.norm(a, axis=-1), j_dense
+    d = tape.steps.d if cut == CutVertex.STATE else None
+    return a, np.linalg.norm(a, axis=-1), d
 
 
 def episode_tensors(tape: EpisodeTape, cut) -> EpisodeTensors:
@@ -178,8 +176,8 @@ def episode_tensors(tape: EpisodeTape, cut) -> EpisodeTensors:
     b = np.zeros((t_len, t_len, tape.params.cut_size(cut)))
     for s, g in _adjoint_sweep(tape, cut, suffix=False):
         b[s:, s] = g
-    a, a_norms, j_dense = _step_terms(tape, cut)
-    return EpisodeTensors(cut=cut, b=b, a=a, a_norms=a_norms, j_dense=j_dense)
+    a, a_norms, d = _step_terms(tape, cut)
+    return EpisodeTensors(cut=cut, b=b, a=a, a_norms=a_norms, d=d)
 
 
 @dataclass
@@ -189,14 +187,16 @@ class SuffixRows:
     v_qr = sum_{t>=q} b[t, r] at a fixed cut vertex; v_qr = v_rr for q <= r
     by causality, so only the T(T+1)/2 rows with q >= r are kept, in
     np.tril_indices(T) order: row q(q+1)/2 + r holds v_qr ([B,] N_z).
-    a_norms and j_dense are those of EpisodeTensors, with the block's batch
-    axis after the step axis.
+    a_norms and d are those of EpisodeTensors, with the block's batch axis
+    after the step axis: the parameter Jacobian of step s is
+    diag(f_s) (I (x) a_s^T), f_s = d[s] at the state cut and 1 at the
+    preactivation cut, where d is None.
     """
 
     cut: CutVertex
     rows: np.ndarray  # (T(T+1)/2, [B,] N_z)
     a_norms: np.ndarray  # (T, [B])
-    j_dense: list | None = None  # per step ([B,] N_z, P)
+    d: np.ndarray | None = None  # (T, [B,] N_z) at the state cut
 
     @property
     def length(self) -> int:
@@ -212,7 +212,7 @@ class SuffixRows:
             raise ShapeError("these are the rows of one episode, not a block")
         return SuffixRows(
             self.cut, self.rows[:, j], self.a_norms[:, j],
-            None if self.j_dense is None else [x[j] for x in self.j_dense])
+            None if self.d is None else self.d[:, j])
 
 
 def suffix_rows(tape: EpisodeTape, cut) -> SuffixRows:
@@ -230,5 +230,5 @@ def suffix_rows(tape: EpisodeTape, cut) -> SuffixRows:
     for s, g in _adjoint_sweep(tape, cut, suffix=True):
         q = np.arange(s, t_len)
         rows[q * (q + 1) // 2 + s] = g
-    _, a_norms, j_dense = _step_terms(tape, cut)
-    return SuffixRows(cut=cut, rows=rows, a_norms=a_norms, j_dense=j_dense)
+    _, a_norms, d = _step_terms(tape, cut)
+    return SuffixRows(cut=cut, rows=rows, a_norms=a_norms, d=d)

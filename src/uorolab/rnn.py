@@ -15,9 +15,11 @@ without re-running the step:
     J_theta = d(cut value z)/d(parameters)            (N_z x P)
 
 where the cut vertex z is either the new hidden output itself ("state",
-vanilla only), the stacked preactivations W a_t ("preactivation"), or the
-parameter vector ("parameter").  For the preactivation cut J_theta is exactly
-the Kronecker structure I (x) a_t^T, which the estimators exploit.
+vanilla only) or the stacked preactivations W a_t ("preactivation").  At
+both, J_theta has the one form diag(f_t) (I (x) a_t^T): f_t is 1 at the
+preactivation cut, which leaves the Kronecker structure itself, and the
+step's f'(z_t), the cache's d, at the state cut.  The estimators and the
+variance toolkit use that form and never materialize J_theta.
 
 Everything is batch-first: a step taken from states (B, S) and inputs (B, X)
 records a cache whose arrays carry that leading batch axis, and the products
@@ -58,7 +60,6 @@ DENSE_GUARD = 10**7  # refuse to materialize J^{state}_{theta} beyond this
 class CutVertex(str, Enum):
     STATE = "state"
     PREACTIVATION = "preactivation"
-    PARAMETER = "parameter"
 
 
 def _as_cut(cut) -> CutVertex:
@@ -131,9 +132,7 @@ class RnnParams:
                     "state cut is only a valid cut vertex for the vanilla cell"
                 )
             return self.hidden_size
-        if cut == CutVertex.PREACTIVATION:
-            return self.preactivation_size
-        return self.num_params
+        return self.preactivation_size
 
 
 def init_params(
@@ -404,10 +403,6 @@ def jvp_cut(cache: StepCache, cut, v: np.ndarray) -> np.ndarray:
     """J_cut v: propagate perturbations of the cut value to the new state."""
     p = cache.params
     cut = _as_cut(cut)
-    if cut == CutVertex.PARAMETER:
-        raise UnsupportedCutError(
-            "parameter-cut jvp is handled by composition, not directly"
-        )
     v = _rows(v, p.cut_size(cut), "cut")
     if cut == CutVertex.STATE:
         return v.copy()
@@ -424,8 +419,6 @@ def vjp_to_cut(cache: StepCache, cut, v: np.ndarray) -> np.ndarray:
     v = _rows(v, p.state_size, "state")
     if cut == CutVertex.STATE:
         return v.copy()
-    if cut == CutVertex.PARAMETER:
-        return vjp_params(cache, v)
     if p.cell_kind == LSTM:
         g_z, _ = _lstm_adjoint(cache, v)
         return g_z
@@ -452,20 +445,15 @@ def vjp_to_cut_and_state(cache: StepCache, cut, v: np.ndarray):
 
 
 def vjp_cut(cache: StepCache, cut, v: np.ndarray) -> np.ndarray:
-    """v^T J_theta: contract cut-space adjoints against d(cut)/d(theta).
-
-    For the preactivation cut this is exactly vec(v a^T) by the Kronecker
-    structure; for the state cut it composes through the preactivation; for
-    the parameter cut J_theta is the identity.
+    """v^T J_theta: contract cut-space adjoints against d(cut)/d(theta),
+    diag(f) (I (x) a^T): vec(v a^T) at the preactivation cut, vec((v d) a^T)
+    at the state cut.
     """
     p = cache.params
     cut = _as_cut(cut)
     v = _rows(v, p.cut_size(cut), "cut")
     if cut == CutVertex.PREACTIVATION:
         return outer_rows(v, cache.a)
-    if cut == CutVertex.PARAMETER:
-        return v.copy()
-    # state cut, vanilla: d(h)/d(theta) = diag(d) (I (x) a^T)
     return outer_rows(v * cache.d, cache.a)
 
 
@@ -526,7 +514,8 @@ def dense_cut_jacobian(cache: StepCache, cut) -> np.ndarray:
 
 
 def dense_theta_jacobian(cache: StepCache, cut) -> np.ndarray:
-    """Materialize J_theta ([B,] N_z x P), guarded against absurd sizes."""
+    """Materialize J_theta ([B,] N_z x P), guarded against absurd sizes: the
+    dense oracle of vjp_cut, which no engine forms."""
     p = cache.params
     cut = _as_cut(cut)
     if p.num_params * p.state_size > DENSE_GUARD:

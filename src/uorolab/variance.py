@@ -178,13 +178,17 @@ def _rows_of(tensors: EpisodeTensors | SuffixRows):
 
 def _theta_weights(tensors: EpisodeTensors | SuffixRows,
                    Q0_inv: np.ndarray | None) -> np.ndarray:
-    """w_q = ||Q0^{-1} J_q||_F^2 per step."""
-    if tensors.cut == CutVertex.PREACTIVATION:
+    """w_q = ||Q0^{-1} J_q||_F^2 per step.  With J_q = diag(f_q) (I (x) a_q^T)
+    it is ||Q0^{-1} diag(f_q)||_F^2 ||a_q||^2, where the first factor is
+    sum_j f_qj^2 ||column j of Q0^{-1}||^2 (N_z or ||Q0^{-1}||_F^2 for
+    f_q = 1)."""
+    if tensors.d is None:
         scale = tensors.cut_dim if Q0_inv is None else float(np.sum(Q0_inv**2))
-        return scale * tensors.a_norms**2
-    jacobians = tensors.j_dense if Q0_inv is None else [
-        Q0_inv @ j for j in tensors.j_dense]
-    return np.array([float(np.sum(j**2)) for j in jacobians])
+    else:
+        f_sq = np.square(tensors.d)
+        scale = (np.sum(f_sq, axis=-1) if Q0_inv is None
+                 else f_sq @ np.sum(Q0_inv**2, axis=0))
+    return scale * tensors.a_norms**2
 
 
 def compute_C(tensors: EpisodeTensors | SuffixRows, Q0: np.ndarray | None = None,
@@ -524,13 +528,9 @@ def offline_total_estimate(tensors: EpisodeTensors, u: np.ndarray,
     shaped_u = u if Q0 is None else u @ Q0.T  # row s = Q0 u_s
     left = np.einsum("tsi,s,si->t", tensors.b, alpha, shaped_u)
     unshaped = u if Q0_inv is None else u @ Q0_inv  # row s = u_s^T Q0^{-1}
-    if tensors.cut == CutVertex.PREACTIVATION:
-        rows = np.einsum("s,si,sj->sij", 1.0 / alpha, unshaped, tensors.a)
-        rows = rows.reshape(t_len, -1)
-    else:
-        rows = np.stack(
-            [unshaped[s] @ tensors.j_dense[s] / alpha[s] for s in range(t_len)]
-        )
+    if tensors.d is not None:  # u_s^T Q0^{-1} diag(f_s)
+        unshaped = unshaped * tensors.d
+    rows = np.einsum("s,si,sj->sij", 1.0 / alpha, unshaped, tensors.a).reshape(t_len, -1)
     # summed in place: one (T, P) array fewer alive
     return left @ np.cumsum(rows, axis=0, out=rows)
 
@@ -591,7 +591,7 @@ def estimate_B_online(tape: EpisodeTape, noise: EpisodeNoise | NoiseBlock,
             cache, CutVertex.PREACTIVATION, spatial[t])
         if eta_zeta == ETA_ZETA_GIR:
             eta, zeta = _gir_coefficients(_norms(nu_tilde), _norms(forwarded),
-                                          _norms(spatial[t]), _norms(immediate), 1.0)
+                                          _norms(spatial[t]), _norms(immediate))
         else:
             eta = zeta = 1.0
         h_tilde = _col(eta) * forwarded + _col(zeta) * immediate

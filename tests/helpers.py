@@ -259,7 +259,7 @@ def preuoro_replay(tape, noise, schedule):
             a_norm = np.linalg.norm(cache.a, axis=-1)
             fwd_norm, imm_norm = frobenius(forwarded), frobenius(immediate)
             gamma, beta = estimators._gir_coefficients(w_norm, fwd_norm, a_norm,
-                                                       imm_norm, schedule.gir_scale)
+                                                       imm_norm)
         else:
             gamma, beta = schedule.fixed_coefficients(t)
         gamma_col = np.asarray(gamma)[..., None]
@@ -325,25 +325,30 @@ def suffix_sums(b):
     return np.flip(np.cumsum(np.flip(b, axis=0), axis=0), axis=0)
 
 
-def theta_weights_oracle(tensors, Q0=None):
-    """w_q = ||Q0^{-1} J_q||_F^2 with J_q formed densely at every cut."""
-    t_len = tensors.length
-    if tensors.cut == rnn.CutVertex.PREACTIVATION:
-        j_dense = [np.kron(np.eye(tensors.cut_dim), tensors.a[q][None, :])
-                   for q in range(t_len)]
-    else:
-        j_dense = tensors.j_dense
+def dense_theta_jacobians(steps, cut):
+    """J_q = d(z_q)/d(theta) of each of a tape's steps (T, N_z, P), formed
+    densely by rnn.dense_theta_jacobian from the steps, not from any tensors
+    built over them."""
+    return np.array([rnn.dense_theta_jacobian(steps[q], cut)
+                     for q in range(len(steps.a))])
+
+
+def theta_weights_oracle(tensors, steps, Q0=None):
+    """w_q = ||Q0^{-1} J_q||_F^2 with J_q formed densely from the tape's steps
+    at the tensors' cut."""
     q0_inv = np.eye(tensors.cut_dim) if Q0 is None else np.linalg.inv(Q0)
-    return np.array([np.sum((q0_inv @ j_dense[q]) ** 2) for q in range(t_len)])
+    return np.array([np.sum((q0_inv @ j) ** 2)
+                     for j in dense_theta_jacobians(steps, tensors.cut)])
 
 
-def compute_C_oracle(tensors, Q0=None):
+def compute_C_oracle(tensors, steps, Q0=None):
     """variance.compute_C over all T^2 suffix rows:
-    C[q, r] = ||v_qr^T Q0||^2 ||Q0^{-1} J_q||_F^2, v_qr = sum_{t>=q} b[t, r]."""
+    C[q, r] = ||v_qr^T Q0||^2 ||Q0^{-1} J_q||_F^2, v_qr = sum_{t>=q} b[t, r],
+    with J_q formed densely from the tape's steps."""
     shaped = suffix_sums(tensors.b)
     if Q0 is not None:
         shaped = shaped @ Q0
-    return np.sum(shaped**2, axis=2) * theta_weights_oracle(tensors, Q0)[:, None]
+    return np.sum(shaped**2, axis=2) * theta_weights_oracle(tensors, steps, Q0)[:, None]
 
 
 def qr_B_oracle(tensors, alpha, k=None):
@@ -360,7 +365,7 @@ def qr_B_oracle(tensors, alpha, k=None):
     return 0.5 * (out + out.T)
 
 
-def greedy_coefficients(tensors, Q0=None):
+def greedy_coefficients(tensors, steps, Q0=None):
     """Per-step (beta_s, gamma_s) from the incremental equilibration problem
     that treats future adjoints as zero:
 
@@ -372,7 +377,7 @@ def greedy_coefficients(tensors, Q0=None):
     Degenerate sums fall back to 1 (in particular gamma_1).
     """
     t_len = tensors.length
-    weights = theta_weights_oracle(tensors, Q0)
+    weights = theta_weights_oracle(tensors, steps, Q0)
     beta = np.ones(t_len)
     gamma = np.ones(t_len)
     overall = np.ones(t_len)  # running beta_q gamma_{q+1}..gamma_{s-1}

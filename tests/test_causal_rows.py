@@ -25,10 +25,13 @@ CELLS = [rnn.VANILLA_TANH, rnn.VANILLA_LINEAR, rnn.LSTM]
 
 
 def tensors_for(seed, cell, hidden=3, length=5, cut=CutVertex.PREACTIVATION):
+    """(steps, tensors): the tape's steps, from which the oracles form J_theta
+    densely, and the episode's tensors."""
     rng = np.random.default_rng(seed)
     params, inputs, targets, head = make_instance(rng, cell_kind=cell, hidden=hidden,
                                                   length=length)
-    return episode_tensors(run_episode(params, inputs, targets, head), cut)
+    tape = run_episode(params, inputs, targets, head)
+    return tape.steps, episode_tensors(tape, cut)
 
 
 def dense_q0(rng, n):
@@ -45,7 +48,7 @@ class TestRows:
     @pytest.mark.parametrize("cell", CELLS)
     @pytest.mark.parametrize("length", [1, 2, 6])
     def test_rows_equal_the_flipped_cumsum_bit_for_bit(self, cell, length):
-        tensors = tensors_for(100 + length, cell, length=length)
+        _, tensors = tensors_for(100 + length, cell, length=length)
         rows, q, r = _causal_suffix_rows(tensors.b)
         expected_q, expected_r = np.tril_indices(length)
         np.testing.assert_array_equal(q, expected_q)
@@ -53,7 +56,7 @@ class TestRows:
         np.testing.assert_array_equal(rows, suffix_sums(tensors.b)[q, r])
 
     def test_input_is_left_unchanged(self):
-        tensors = tensors_for(107, rnn.LSTM)
+        _, tensors = tensors_for(107, rnn.LSTM)
         before = tensors.b.copy()
         _causal_suffix_rows(tensors.b)
         np.testing.assert_array_equal(tensors.b, before)
@@ -63,20 +66,20 @@ class TestAgainstAllRows:
     @pytest.mark.parametrize("cell", CELLS)
     @pytest.mark.parametrize("with_q0", [False, True])
     def test_C(self, cell, with_q0):
-        tensors = tensors_for(110, cell)
+        steps, tensors = tensors_for(110, cell)
         q0 = dense_q0(np.random.default_rng(111), tensors.cut_dim) if with_q0 else None
-        assert_close(compute_C(tensors, q0), compute_C_oracle(tensors, q0))
+        assert_close(compute_C(tensors, q0), compute_C_oracle(tensors, steps, q0))
 
     @pytest.mark.parametrize("with_q0", [False, True])
     def test_C_at_the_state_cut(self, with_q0):
-        tensors = tensors_for(112, rnn.VANILLA_TANH, cut=CutVertex.STATE)
+        steps, tensors = tensors_for(112, rnn.VANILLA_TANH, cut=CutVertex.STATE)
         q0 = dense_q0(np.random.default_rng(113), tensors.cut_dim) if with_q0 else None
-        assert_close(compute_C(tensors, q0), compute_C_oracle(tensors, q0))
+        assert_close(compute_C(tensors, q0), compute_C_oracle(tensors, steps, q0))
 
     @pytest.mark.parametrize("cell", CELLS)
     @pytest.mark.parametrize("alpha_kind", ["ones", "random"])
     def test_B(self, cell, alpha_kind):
-        tensors = tensors_for(114, cell, length=6)
+        _, tensors = tensors_for(114, cell, length=6)
         rng = np.random.default_rng(115)
         alpha = np.ones(6) if alpha_kind == "ones" else rng.uniform(0.3, 3.0, 6)
         assert_close(compute_B(tensors, alpha), qr_B_oracle(tensors, alpha))
@@ -84,7 +87,7 @@ class TestAgainstAllRows:
     @pytest.mark.parametrize("cell", CELLS)
     @pytest.mark.parametrize("alpha_kind", ["ones", "random"])
     def test_B_partial_at_every_k(self, cell, alpha_kind):
-        tensors = tensors_for(116, cell, length=6)
+        _, tensors = tensors_for(116, cell, length=6)
         rng = np.random.default_rng(117)
         alpha = np.ones(6) if alpha_kind == "ones" else rng.uniform(0.3, 3.0, 6)
         for k in range(1, 7):
@@ -95,7 +98,7 @@ class TestAgainstAllRows:
     def test_B_partial_refuses_k_outside_the_episode(self, k):
         """A slice would take these quietly: k = -1 as the first 5 steps,
         k = 7 as all 6."""
-        tensors = tensors_for(118, rnn.VANILLA_TANH, length=6)
+        _, tensors = tensors_for(118, rnn.VANILLA_TANH, length=6)
         with pytest.raises(ValueError, match="k = "):
             compute_B_partial(tensors, np.ones(6), k)
 
@@ -108,13 +111,13 @@ class TestAgainstAllRows:
     seed=st.integers(0, 2**31 - 1),
 )
 def test_distinct_rows_match_all_rows(cell, hidden, length, seed):
-    tensors = tensors_for(seed, cell, hidden=hidden, length=length)
+    steps, tensors = tensors_for(seed, cell, hidden=hidden, length=length)
     rng = np.random.default_rng(seed)
     rows, q, r = _causal_suffix_rows(tensors.b)
     np.testing.assert_array_equal(rows, suffix_sums(tensors.b)[q, r])
     q0 = dense_q0(rng, tensors.cut_dim)
     for shape in (None, q0):
-        assert_close(compute_C(tensors, shape), compute_C_oracle(tensors, shape))
+        assert_close(compute_C(tensors, shape), compute_C_oracle(tensors, steps, shape))
     alpha = rng.uniform(0.3, 3.0, length)
     assert_close(compute_B(tensors, alpha), qr_B_oracle(tensors, alpha))
     for k in range(1, length + 1):

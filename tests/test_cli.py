@@ -60,6 +60,16 @@ class TestCli:
         assert summary["pass"] is True
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("samples", ["0", "1", "-3"])
+    def test_moment_check_refuses_fewer_than_two_samples(self, samples, tmp_path,
+                                                         capsys):
+        out = tmp_path / "mc"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["moment-check", "--samples", samples, "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert "--samples" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_alpha_solve(self, queue_config_file, tmp_path):
         out = tmp_path / "as"
         rc = main(["alpha-solve", "--config", str(queue_config_file),

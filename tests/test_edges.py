@@ -31,10 +31,6 @@ class TestScheduleValidation:
         with pytest.raises(ValueError):
             ScalingSchedule(FIXED_ALPHA, alpha=np.array([1.0, 0.0]))
 
-    def test_nonpositive_gir_scale_rejected(self):
-        with pytest.raises(ValueError):
-            ScalingSchedule(GIR, gir_scale=0.0)
-
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             ScalingSchedule("adaptive")

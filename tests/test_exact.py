@@ -9,6 +9,7 @@ from uorolab.exact import bptt_gradient, episode_tensors, rtrl_jacobians
 from uorolab.rnn import CutVertex, RnnParams, SoftmaxHead, run_episode, vjp_params
 
 from helpers import (
+    dense_theta_jacobians,
     episode_tensors_per_loss,
     finite_difference_gradient,
     finite_difference_loss_at_cut,
@@ -142,16 +143,25 @@ class TestEpisodeTensors:
         scale = max(np.linalg.norm(exact), 1e-12)
         assert np.linalg.norm(total - exact) / scale < 1e-8
 
-    def test_state_cut_dense_jacobians_stored(self):
+    def test_state_cut_total_gradient_against_dense_jacobians(self):
+        """At the state cut J_theta is diag(f'(z_s)) (I (x) a_s^T), carried as
+        the tape's d: the total gradient equals sum_s (sum_t b[t,s]) J_s with
+        J_s formed densely from the tape's steps, and the BPTT gradient."""
         rng = np.random.default_rng(31)
         params, inputs, targets, head = make_instance(rng, hidden=3, length=3)
         tape = run_episode(params, inputs, targets, head)
         tensors = episode_tensors(tape, CutVertex.STATE)
-        assert tensors.j_dense is not None
+        np.testing.assert_array_equal(tensors.d, tape.steps.d)
+        jacobians = dense_theta_jacobians(tape.steps, CutVertex.STATE)
+        dense = sum(tensors.b[s:, s].sum(axis=0) @ j for s, j in enumerate(jacobians))
         exact = bptt_gradient(tape).g
+        total = tensors.total_gradient()
+        np.testing.assert_allclose(total, dense, rtol=0, atol=1e-14 * np.abs(dense).max())
         np.testing.assert_allclose(
-            tensors.total_gradient(), exact, atol=1e-10 * max(np.linalg.norm(exact), 1)
+            total, exact, atol=1e-10 * max(np.linalg.norm(exact), 1)
         )
+        for s, j in enumerate(jacobians):
+            assert tensors.theta_frob_sq(s) == pytest.approx(np.sum(j**2), rel=1e-14)
 
     def test_size_guard(self):
         rng = np.random.default_rng(32)
@@ -166,12 +176,9 @@ class TestEpisodeTensors:
 CELL_CUTS = [
     (rnn.VANILLA_TANH, CutVertex.STATE),
     (rnn.VANILLA_TANH, CutVertex.PREACTIVATION),
-    (rnn.VANILLA_TANH, CutVertex.PARAMETER),
     (rnn.VANILLA_LINEAR, CutVertex.STATE),
     (rnn.VANILLA_LINEAR, CutVertex.PREACTIVATION),
-    (rnn.VANILLA_LINEAR, CutVertex.PARAMETER),
     (rnn.LSTM, CutVertex.PREACTIVATION),
-    (rnn.LSTM, CutVertex.PARAMETER),
 ]
 
 

@@ -196,12 +196,14 @@ class TestGramCancellation:
         a = np.array([[0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
         gram = estimators._gram(left) * estimators._gram(a)
         out_norm = np.linalg.norm(left[0]) * np.linalg.norm(a[0])
-        coefficients = np.zeros((2, 2))
-        w_sq = estimators._advance_coefficients(coefficients, 0, 1.0, 0.7, 0.0, gram,
-                                                out_norm / 0.7, left, a)
+        # rows c_0 = (1 / beta) and c_1 = (c_0 / gamma, 1 / beta), as
+        # run_uoro's step loop writes them
+        coefficients = np.array([[1.0 / 0.7, 0.0], [1.0 / 0.7, 1.0 / 0.7]])
+        w_sq = estimators._w_norm_sq(coefficients, 0, 1.0, 0.7, 0.0, gram,
+                                     out_norm / 0.7, left, a)
         assert coefficients[0, 0] == 1.0 / 0.7
-        w_sq = estimators._advance_coefficients(coefficients, 1, 1.0, 0.7, w_sq, gram,
-                                                np.sqrt(w_sq) + out_norm / 0.7, left, a)
+        w_sq = estimators._w_norm_sq(coefficients, 1, 1.0, 0.7, w_sq, gram,
+                                     np.sqrt(w_sq) + out_norm / 0.7, left, a)
         assert w_sq == 0.0
         np.testing.assert_array_equal(coefficients[1], 0.0)
 
@@ -214,7 +216,8 @@ class TestOverflowAndLength:
         noise = episode_noise(66, 0, 3, 3)
         # 1 / beta_1 = 1 / 1e-310 leaves the float range at step 1
         schedule = ScalingSchedule(FIXED_ALPHA, alpha=np.array([1.0, 1e-310, 1.0]))
-        assert not np.isfinite(schedule.sketch_coefficients[1]).all()
+        with np.errstate(divide="ignore", over="ignore"):
+            assert not np.isfinite(1.0 / schedule.fixed_coefficients(1)[1])
         with pytest.raises(NumericOverflowError, match="step 1"):
             uoro_replay(tape, CutVertex.PREACTIVATION, noise, schedule)
         with pytest.raises(NumericOverflowError, match="step 1"):
@@ -222,8 +225,8 @@ class TestOverflowAndLength:
 
     @pytest.mark.parametrize("cell", [rnn.VANILLA_TANH, rnn.LSTM])
     def test_greedy_norm_overflow_names_the_step(self, cell):
-        """gir_scale = 1e300 puts entries of about 1e300 into h~ at step 0:
-        finite, but with an infinite norm, which is overflow and not the
+        """Noise scaled by 1e300 puts entries of about 1e300 into h~ at step
+        0: finite, but with an infinite norm, which is overflow and not the
         cancellation that an infinite scale would otherwise pass for."""
         rng = np.random.default_rng(69)
         params, inputs, targets, head = make_instance(rng, cell_kind=cell, hidden=3,
@@ -231,14 +234,16 @@ class TestOverflowAndLength:
         tape = run_episode(params, inputs, targets, head)
         n_z = params.preactivation_size
         noise = episode_noise(70, 0, 3, n_z)
-        schedule = ScalingSchedule(GIR, gir_scale=1e300)
+        noise.block.u *= 1e300
+        block = episode_noises(70, range(2), 3, n_z)
+        block.u *= 1e300
+        schedule = ScalingSchedule(GIR)
         with pytest.raises(NumericOverflowError, match="step 0"):
             uoro_replay(tape, CutVertex.PREACTIVATION, noise, schedule)
         with pytest.raises(NumericOverflowError, match="step 0"):
             run_uoro(tape, CutVertex.PREACTIVATION, noise, schedule)
         with pytest.raises(NumericOverflowError, match="step 0"):
-            run_uoro(tape, CutVertex.PREACTIVATION, episode_noises(70, range(2), 3, n_z),
-                     schedule)
+            run_uoro(tape, CutVertex.PREACTIVATION, block, schedule)
 
     def test_alpha_shorter_than_tape_rejected(self):
         rng = np.random.default_rng(67)

@@ -141,6 +141,10 @@ class TestConfig:
         ("sigma", {"sigma": float("inf")}),
         ("sigma", {"sigma": float("nan")}),
         ("learning_rate", {"learning_rate": float("inf")}),
+        ("num_seeds", {"num_seeds": 1}),
+        ("idx_images", {"digits_source": "idx-files"}),
+        ("idx_images", {"digits_source": "idx-files", "idx_labels": "labels.idx"}),
+        ("idx_labels", {"digits_source": "idx-files", "idx_images": "images.idx"}),
     ])
     def test_bad_ranges_refused_at_construction_and_load(self, key, values):
         with pytest.raises(ValueError, match=key):
@@ -162,6 +166,9 @@ class TestConfig:
         ExperimentConfig(streaming=True, estimator="temporal")
         ExperimentConfig(estimator="both", q0_mode="ours", alpha_mode="ours")
         ExperimentConfig(estimator="temporal", alpha_mode="ours")
+        ExperimentConfig(num_seeds=2)
+        ExperimentConfig(digits_source="idx-files", idx_images="images.idx",
+                         idx_labels="labels.idx")
 
     def test_readme_config_table_names_every_field(self):
         """README's key table names every ExperimentConfig field, and every

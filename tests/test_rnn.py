@@ -294,11 +294,21 @@ class TestJacobianProducts:
             rhs = vjp_to_cut(cache, CutVertex.PREACTIVATION, u) @ w
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
-    def test_parameter_cut_jvp_unsupported(self):
+    def test_parameter_cut_refused(self):
+        """The cut vertices are the state and the preactivations; the
+        parameter vector is none, by name or in any product."""
+        assert [cut.value for cut in CutVertex] == ["state", "preactivation"]
+        with pytest.raises(ValueError):
+            CutVertex("parameter")
         rng = np.random.default_rng(12)
         params, cache = random_cache(rng)
-        with pytest.raises(UnsupportedCutError):
-            jvp_cut(cache, CutVertex.PARAMETER, np.zeros(params.num_params))
+        for product, size in ((jvp_cut, params.num_params),
+                              (vjp_to_cut, params.state_size),
+                              (vjp_cut, params.num_params)):
+            with pytest.raises(ValueError):
+                product(cache, "parameter", np.zeros(size))
+        with pytest.raises(ValueError):
+            params.cut_size("parameter")
 
     def test_state_cut_rejected_for_lstm(self):
         rng = np.random.default_rng(14)

@@ -204,18 +204,20 @@ class TestOverflow:
 
     @pytest.mark.parametrize("cell", [rnn.VANILLA_TANH, rnn.LSTM])
     def test_greedy_run_with_overflowing_norms_names_the_step(self, cell):
-        """gir_scale = 1e300 puts entries of about 1e300 into H~ at step 0:
+        """tau scaled by 1e300 puts entries of about 1e300 into H~ at step 0:
         finite, but with an infinite norm for the next coefficients."""
         rng = np.random.default_rng(80)
         params, inputs, targets, head = make_instance(rng, cell_kind=cell, hidden=3,
                                                       length=3)
         tape = run_episode(params, inputs, targets, head)
         noise = episode_noise(81, 0, 3, params.preactivation_size)
-        schedule = ScalingSchedule(GIR, gir_scale=1e300)
+        noise.block.tau *= 1e300
+        block = episode_noises(81, range(2), 3, params.preactivation_size)
+        block.tau *= 1e300
+        schedule = ScalingSchedule(GIR)
         with pytest.raises(NumericOverflowError, match="step 0"):
             preuoro_replay(tape, noise, schedule)
         with pytest.raises(NumericOverflowError, match="step 0"):
             run_preuoro(tape, noise, schedule)
         with pytest.raises(NumericOverflowError, match="step 0"):
-            run_preuoro(tape, episode_noises(81, range(2), 3, params.preactivation_size),
-                        schedule)
+            run_preuoro(tape, block, schedule)

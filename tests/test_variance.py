@@ -37,6 +37,7 @@ from uorolab.variance import (
 
 from helpers import (
     balanced_alpha,
+    dense_theta_jacobians,
     greedy_coefficients,
     make_instance,
     online_B_replay,
@@ -305,21 +306,21 @@ class TestAlphaClosedForm:
 
 class TestGreedyCoefficients:
     def test_beta_identity_for_identity_q0(self):
-        _, tensors = make_tensors(83, hidden=3, length=4)
-        beta, _ = greedy_coefficients(tensors)
+        tape, tensors = make_tensors(83, hidden=3, length=4)
+        beta, _ = greedy_coefficients(tensors, tape.steps)
         for s in range(4):
             own = tensors.b[s, s]
             expected = (3 * tensors.a_norms[s] ** 2 / (own @ own)) ** 0.25
             assert beta[s] == pytest.approx(expected, rel=1e-10)
 
     def test_first_gamma_falls_back_to_one(self):
-        _, tensors = make_tensors(84)
-        _, gamma = greedy_coefficients(tensors)
+        tape, tensors = make_tensors(84)
+        _, gamma = greedy_coefficients(tensors, tape.steps)
         assert gamma[0] == 1.0
 
     def test_direct_sum_oracle_at_t3(self):
-        _, tensors = make_tensors(85, hidden=3, length=3)
-        beta, gamma = greedy_coefficients(tensors)
+        tape, tensors = make_tensors(85, hidden=3, length=3)
+        beta, gamma = greedy_coefficients(tensors, tape.steps)
         w = np.array([tensors.theta_frob_sq(q) for q in range(3)])
         # step 3 (index 2): overall_q = beta_q * gamma_{q+1..2}
         overall = np.array([beta[0] * gamma[1], beta[1], 0.0])
@@ -473,6 +474,25 @@ class TestPredictedVQ:
         _, tensors = make_tensors(97, cut=CutVertex.STATE)
         v = predicted_VQ(tensors, np.ones(4), flavor="general")
         assert v > 0
+
+    @pytest.mark.parametrize("use_q0", [False, True])
+    def test_general_flavor_at_state_cut_against_dense_jacobians(self, use_q0):
+        """The double time sum with its weights ||Q0^{-1} J_q||_F^2 taken
+        from J_q formed densely from the tape's steps."""
+        rng = np.random.default_rng(98)
+        tape, tensors = make_tensors(98, cut=CutVertex.STATE)
+        alpha = rng.uniform(0.5, 2.0, size=4)
+        q0 = random_pd(rng, 3, floor=1.0) if use_q0 else np.eye(3)
+        q0_inv = np.linalg.inv(q0)
+        weights = [np.sum((q0_inv @ j) ** 2)
+                   for j in dense_theta_jacobians(tape.steps, CutVertex.STATE)]
+        shaped = tensors.b @ q0
+        expected = sum(
+            alpha[r] ** 2 * (shaped[t, r] @ shaped[s, r])
+            * sum(weights[q] / alpha[q] ** 2 for q in range(min(s, t) + 1))
+            for s in range(4) for t in range(4) for r in range(4))
+        value = predicted_VQ(tensors, alpha, q0 if use_q0 else None, flavor="general")
+        assert value == pytest.approx(expected, rel=1e-12)
 
 
 class TestTraceProduct:
@@ -728,3 +748,23 @@ class TestOfflineEstimate:
         _, tensors = make_tensors(112)
         out = offline_total_estimate(tensors, np.zeros((4, 3)), np.ones(4))
         np.testing.assert_array_equal(out, np.zeros(tensors.cut_dim * tensors.a.shape[1]))
+
+    @pytest.mark.parametrize("cut", [CutVertex.PREACTIVATION, CutVertex.STATE])
+    @pytest.mark.parametrize("use_q0", [False, True])
+    def test_matches_dense_jacobians(self, cut, use_q0):
+        """sum_t (sum_s alpha_s b[t,s]^T Q0 u_s)
+        (sum_{r<=t} alpha_r^{-1} u_r^T Q0^{-1} J_r), with each J_r formed
+        densely from the tape's steps."""
+        rng = np.random.default_rng(115)
+        tape, tensors = make_tensors(115, cut=cut)
+        u = rng.standard_normal((4, 3))
+        alpha = rng.uniform(0.5, 2.0, size=4)
+        q0 = random_pd(rng, 3, floor=1.0) if use_q0 else np.eye(3)
+        terms = np.array([u[r] @ np.linalg.inv(q0) @ j / alpha[r] for r, j in
+                          enumerate(dense_theta_jacobians(tape.steps, cut))])
+        expected = sum(
+            sum(alpha[s] * (tensors.b[t, s] @ q0 @ u[s]) for s in range(4))
+            * terms[:t + 1].sum(axis=0) for t in range(4))
+        out = offline_total_estimate(tensors, u, alpha, q0 if use_q0 else None)
+        np.testing.assert_allclose(out, expected, rtol=0,
+                                   atol=1e-12 * np.abs(expected).max())

@@ -11,14 +11,14 @@ can still show that every result stayed the same.
     python tools/run_digests.py --out runs/digests   # keep the files
 
 The package is imported from the src/ directory next to this script.  The
-runs are 16 training configurations (queue H=6, T=10, minibatch 10, 3
+runs are 17 training configurations (queue H=6, T=10, minibatch 10, 3
 updates, audit every 3; digits LSTM H=5, minibatch 10, 3 updates; two
 streaming runs), each writing metrics.csv and summary.json, and the
 variance-report, estimator-compare and alpha-solve commands at H=4, T=6 and
 150 seeds, each writing a CSV and a JSON file.  On the same H=4, T=6 queue
 instance, reinforce-per-seed.csv holds the REINFORCE estimates of 64 seeds
 with the noise-free baseline, one reinforce_episode call per seed.  That makes
-39 files, 18 of them JSON with a config block, so 57 lines.
+41 files, 19 of them JSON with a config block, so 60 lines.
 """
 
 import argparse
@@ -47,6 +47,8 @@ TRAINING = {
     "queue-uoro-alpha-ones": config.queue_config("uoro", alpha_mode="ones", **QUEUE),
     "queue-uoro-q0-ours": config.queue_config("uoro", q0_mode="ours", **QUEUE),
     "queue-uoro-state-cut": config.queue_config("uoro", cut="state", **QUEUE),
+    "queue-uoro-state-cut-alpha-ours": config.queue_config(
+        "uoro", cut="state", alpha_mode="ours", **QUEUE),
     "queue-preuoro-gir": config.queue_config("preuoro", **QUEUE),
     "queue-preuoro-alpha-ours": config.queue_config("preuoro", alpha_mode="ours",
                                                     **QUEUE),
