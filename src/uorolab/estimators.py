@@ -35,7 +35,9 @@ beta_t tau_t J_cut is sparse (the diagonal f'(z) of the vanilla cell, 7H
 gate entries of the LSTM), so each step adds it at the nonzeros of J_cut
 into the forwarded sketch, which run_preuoro writes into one of two reused
 buffers, and under GIR takes the new sketch's norm from scalars: one
-Frobenius pass over the forwarded sketch and sums over the nonzeros.
+Frobenius pass over the forwarded sketch and sums over the nonzeros.  The
+sketch is held as gamma_t times its rows, and the next step folds that
+scalar into J_state's per-row factors, so no step rescales the rows.
 
 The perturbed-state score-function estimator (REINFORCE) runs the network
 with Gaussian state noise sigma Q u_t and weights the trajectory score by
@@ -82,8 +84,12 @@ class RankOneState:
 
 @dataclass
 class PreUoroState:
+    """The projection-free sketch: H~ = scale * H_tilde, with a scalar or
+    per-row scale, and w~."""
+
     H_tilde: np.ndarray  # ([B,] S, N_z)
     w_tilde: np.ndarray  # ([B,] A)
+    scale: float | np.ndarray = 1.0  # () or ([B])
 
 
 @dataclass
@@ -359,8 +365,10 @@ def run_uoro(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
     shaped = schedule.shape_spatial(u)
     greedy = schedule.mode == GIR
     if greedy:
-        gram = _gram(left) * _gram(a)
-        out_norms = _norms(left) * _norms(a)
+        # terms of about 1e300 overflow here; the loop names the step
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = _gram(left) * _gram(a)
+            out_norms = _norms(left) * _norms(a)
         w_sq = np.zeros(batch)
     else:
         _check_alpha(schedule, t_len, batch)
@@ -478,22 +486,26 @@ def preuoro_step(state: PreUoroState, cache, tau_t, schedule: ScalingSchedule,
     H~_t = gamma_t J_state H~_{t-1} + beta_t tau_t J_cut
     w~_t = (1/gamma_t) w~_{t-1} + (tau_t/beta_t) a_t
 
-    The columns of H~ are stacked as rows (N_z, [B,] S): J_state acts on them
-    in one matrix product, written into out if given (a rows array that
-    shares no memory with state.H_tilde), and is scaled by gamma in place.
-    The immediate term is added at the nonzeros of J_cut alone
-    (rnn.preactivation_cut_nonzeros).  Under GIR the norms come from those
-    nonzeros and one Frobenius pass over the forwarded rows F, with
-    ||H~_t||^2 = gamma^2 ||F||^2 + 2 gamma beta tau <F, J_cut>
-    + beta^2 tau^2 ||J_cut||^2; a row below GRAM_NORM_RTOL of its terms'
-    summed norms takes its norm densely for the cancellation rule, and a
-    non-finite norm is confirmed densely before it raises.  The new H~ is a
-    view of the rows.
+    H~ is held as scale * H_tilde, its columns stacked as rows (N_z, [B,] S).
+    J_state acts on the rows in one matrix product with the state's scale
+    folded into its per-row factors (rnn.jvp_state), written into out if
+    given (a rows array that shares no memory with state.H_tilde): that is
+    the forwarded sketch F = J_state H~_{t-1}.  The new sketch is gamma_t R_t
+    with R_t = F + (beta_t tau_t / gamma_t) J_cut, the immediate term added
+    at the nonzeros of J_cut alone (rnn.preactivation_cut_nonzeros), so the
+    rows are never rescaled.  Under GIR the norms come from those nonzeros
+    and one Frobenius pass over F, with ||H~_t||^2 = gamma^2 ||F||^2
+    + 2 gamma beta tau <F, J_cut> + beta^2 tau^2 ||J_cut||^2; a row below
+    GRAM_NORM_RTOL of its terms' summed norms takes its norm densely,
+    gamma ||R||, for the cancellation rule, and a non-finite norm is
+    confirmed densely before it raises.  The new H_tilde is a view of the
+    rows and its scale is gamma_t.
     """
     if schedule.Q0 is not None:
         raise ValueError("the projection-free sketch takes no spatial Q0")
     state_index, cut_index, values = rnn.preactivation_cut_nonzeros(cache)
-    rows = rnn.jvp_state(cache, _columns_as_rows(state.H_tilde), out=out)
+    rows = rnn.jvp_state(cache, _columns_as_rows(state.H_tilde), out=out,
+                         scale=state.scale)
     at = (cut_index, Ellipsis, state_index)  # rows[at] is (nnz, [B])
     values = values.T  # (nnz, [B]): a cache carries at most one batch axis
     if values.ndim < rows.ndim - 1:  # B seeds on one tape
@@ -509,52 +521,58 @@ def preuoro_step(state: PreUoroState, cache, tau_t, schedule: ScalingSchedule,
     else:
         gamma, beta = schedule.fixed_coefficients(t)
     beta_tau = beta * tau_t
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(rows, _col(gamma), out=rows)
-        rows[at] += values * beta_tau
-        w_tilde = state.w_tilde / _col(gamma) + _col(tau_t / beta) * cache.a
+    gamma_col = _col(gamma)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rows[at] += values * (beta_tau / gamma)
+        w_tilde = state.w_tilde / gamma_col + _col(tau_t / beta) * cache.a
         if greedy:
             rows_sq = (gamma * gamma * fwd_sq + 2.0 * gamma * beta_tau * cross
                        + beta_tau * beta_tau * imm_sq)
             size = np.abs(tau_t)
             _zero_cancelled_rows(rows, rows_sq,
-                                 gamma * fwd_norm + beta * size * imm_norm)
+                                 gamma * fwd_norm + beta * size * imm_norm, gamma)
             w_new_norm = _norms(w_tilde)
             _zero_cancelled(w_tilde, w_new_norm, w_norm / gamma + size / beta * a_norm)
-    if greedy:  # a non-finite formula norm is confirmed densely
-        finite = ((np.isfinite(rows_sq).all() or np.isfinite(_frobenius_sq(rows)).all())
-                  and np.isfinite(w_new_norm).all())
-    else:
-        finite = np.isfinite(rows).all() and np.isfinite(w_tilde).all()
+        # the new H~ is gamma * rows; a non-finite formula norm is confirmed
+        # densely
+        if greedy:
+            finite = ((np.isfinite(rows_sq).all()
+                       or np.isfinite(_frobenius_sq(rows * gamma_col)).all())
+                      and np.isfinite(w_new_norm).all())
+        else:
+            finite = np.isfinite(rows * gamma_col).all() and np.isfinite(w_tilde).all()
     if not finite:
         raise NumericOverflowError(f"projection-free sketch overflowed at step {t}")
-    return PreUoroState(_rows_as_columns(rows), w_tilde), gamma, beta
+    return PreUoroState(_rows_as_columns(rows), w_tilde, gamma), gamma, beta
 
 
-def _zero_cancelled_rows(rows, rows_sq, scale):
-    """Set exactly to 0 each H~ (stacked rows (N_z, [B,] S)) that cancels to
-    roundoff of scale, the summed norms of its two terms.  rows_sq holds the
-    squared norms from the step's formula; a row whose formula norm is below
+def _zero_cancelled_rows(rows, rows_sq, scale, factor):
+    """Set exactly to 0 each H~ = factor * rows (stacked rows (N_z, [B,] S),
+    a scalar or per-row factor) that cancels to roundoff of scale, the
+    summed norms of its two terms.  rows_sq holds the squared norms of H~
+    from the step's formula; a row whose formula norm is below
     GRAM_NORM_RTOL of scale is too close to cancellation for it, and its
-    norm is taken densely."""
+    norm is taken densely, factor ||rows||."""
     near = rows_sq <= (GRAM_NORM_RTOL * scale) ** 2
     if not near.any():
         return
     scale = np.broadcast_to(scale, near.shape)
+    factor = np.broadcast_to(np.abs(factor), near.shape)
     for i in map(tuple, np.argwhere(near)):
         row = rows[(slice(None), *i)]
-        if _cancels(np.sqrt(_frobenius_sq(row)), scale[i]):
+        if _cancels(factor[i] * np.sqrt(_frobenius_sq(row)), scale[i]):
             row[...] = 0.0
 
 
-def _carried(state: PreUoroState, loss_grad_full: np.ndarray) -> np.ndarray:
-    """H~_t^T dL/dstate for each row."""
-    return np.einsum("...sk,...s->...k", state.H_tilde, loss_grad_full)
+def _carried(H_tilde: np.ndarray, loss_grad_full: np.ndarray) -> np.ndarray:
+    """H_tilde^T dL/dstate for each row, which the state's scale multiplies."""
+    return np.einsum("...sk,...s->...k", H_tilde, loss_grad_full)
 
 
 def preuoro_contribution(state: PreUoroState, loss_grad_full: np.ndarray) -> np.ndarray:
     """vec of the outer product (H~_t^T dL/dstate) w~_t^T, row-major."""
-    return outer_rows(_carried(state, loss_grad_full), state.w_tilde)
+    return outer_rows(_col(state.scale) * _carried(state.H_tilde, loss_grad_full),
+                      state.w_tilde)
 
 
 def run_preuoro(tape: EpisodeTape, noise, schedule: ScalingSchedule) -> GradientReport:
@@ -578,11 +596,13 @@ def run_preuoro(tape: EpisodeTape, noise, schedule: ScalingSchedule) -> Gradient
     w_rows = np.empty((tape.length, *batch, params.augmented_size))
     gammas = np.zeros((tape.length, *batch))
     betas = np.zeros((tape.length, *batch))
+    loss_grads = rnn.embed_state_grad(params, tape.loss_grads)
     for t in range(tape.length):
         state, gammas[t], betas[t] = preuoro_step(state, tape.steps[t], tau[t],
                                                   schedule, t, out=buffers[(t + 1) % 2])
-        carried[t] = _carried(state, tape.loss_grad_full(t))
+        carried[t] = _carried(state.H_tilde, loss_grads[t])
         w_rows[t] = state.w_tilde
+    carried *= gammas[..., None]  # H~_t = gamma_t H_tilde: every step's scale at once
     estimate = np.moveaxis(carried, 0, -1) @ np.moveaxis(w_rows, 0, -2)
     return _report("preuoro", noise, estimate.reshape(*batch, -1), gammas, betas)
 

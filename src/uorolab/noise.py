@@ -34,7 +34,9 @@ indices[j], drawn on first access in that layout.  The block derives each
 stream's states once; a slice is a sub-block that shares that derivation
 and draws its own columns.  EpisodeNoise (episode_noise, or an integer
 index of a block) is one episode: the one-column view of a block of that
-one index, whose streams (T, ...) are column 0 of the block's.
+one index, whose streams (T, ...) are column 0 of the block's.  coin_block
+draws fair coin bits, such as the queue task's inputs, for a block of
+one-element spawn keys (i,) from the same derivation.
 """
 
 import threading
@@ -174,15 +176,6 @@ def _generator(state) -> np.random.Generator:
     return gen
 
 
-def seeded_generator(entropy: int, spawn_key) -> np.random.Generator:
-    """A generator in the state of Generator(PCG64(SeedSequence(entropy,
-    spawn_key=spawn_key))) for a non-empty spawn_key.  It is this thread's
-    shared generator: draw from it before the next call in the thread."""
-    pool, _ = _absorb(*_seed_pool(int(entropy)),
-                      [w for k in spawn_key for w in _words(k)])
-    return _generator(_pcg64_states(pool)[0])
-
-
 def coin_bits(gen: np.random.Generator, length: int) -> np.ndarray:
     """length fair coin bits, 0 or 1: bit for bit gen.integers(0, 2,
     size=length) of a generator with no 32-bit half buffered, as right after
@@ -194,6 +187,30 @@ def coin_bits(gen: np.random.Generator, length: int) -> np.ndarray:
     little-endian before they are read as halves, on any host."""
     raw = gen.bit_generator.random_raw((length + 1) // 2)
     return raw.astype("<u8", copy=False).view("<u4")[:length] >> 31
+
+
+def _index_pools(base_seed: int, indices: tuple) -> list:
+    """(pool, const) after base_seed and each one-element spawn key (i,), in
+    groups: one group of (B,) uint64 arrays when there are several indices
+    and each is one 32-bit word, else one group of Python ints per index, of
+    any number of words (a negative index raises as in SeedSequence)."""
+    base = _seed_pool(int(base_seed))
+    if len(indices) > 1 and all(0 <= i <= _MASK32 for i in indices):
+        return [_absorb(*base, [np.array(indices, dtype=np.uint64)])]
+    return [_absorb(*base, _words(i)) for i in indices]
+
+
+def coin_block(base_seed: int, indices, length: int) -> np.ndarray:
+    """(B, length) fair coin bits, 0 or 1: row j bit for bit
+    Generator(PCG64(SeedSequence(base_seed, spawn_key=(indices[j],))))
+    .integers(0, 2, size=length).  The rows' PCG64 states are derived
+    together, as a NoiseBlock derives a stream's."""
+    pools = _index_pools(base_seed, tuple(map(int, indices)))
+    states = [state for pool, _ in pools for state in _pcg64_states(pool)]
+    bits = np.empty((len(states), length), dtype=np.uint32)
+    for row, state in zip(bits, states):
+        row[:] = coin_bits(_generator(state), length)
+    return bits
 
 
 _SIGNS = np.array([-1.0, 1.0])  # the sign of each coin bit
@@ -284,14 +301,8 @@ class NoiseBlock:
 
     @cached_property
     def _index_pools(self) -> list:
-        """(pool, const) after the episode indices, in groups: one group of
-        (B,) uint64 arrays when there are several indices and each is one
-        32-bit word, else one group of Python ints per index, of any number
-        of words (a negative index raises as in SeedSequence)."""
-        base = _seed_pool(int(self.base_seed))
-        if len(self) > 1 and all(0 <= i <= _MASK32 for i in self.indices):
-            return [_absorb(*base, [np.array(self.indices, dtype=np.uint64)])]
-        return [_absorb(*base, _words(i)) for i in self.indices]
+        """(pool, const) after the episode indices (_index_pools)."""
+        return _index_pools(self.base_seed, self.indices)
 
     def _states(self, stream: str) -> list:
         """PCG64 (state, inc) of one stream for each episode of the block,

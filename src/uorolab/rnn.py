@@ -352,17 +352,18 @@ def _scaled(factors: np.ndarray, product: np.ndarray) -> np.ndarray:
     return np.multiply(factors, product, out=product if fits else None)
 
 
-def _lstm_zc_jvp(cache: StepCache, scaled: np.ndarray, dc_prev, out=None):
+def _lstm_zc_jvp(cache: StepCache, scaled: np.ndarray, dc_prev, forget, out=None):
     """Perturbation (dz, dc_prev) -> state rows (dh, dc) through the LSTM
     gates, written into out if given; scaled is dz times the cache's gate
-    derivatives."""
+    derivatives, and forget the factor of dc_prev (the cache's f, or f
+    times a scale)."""
     h = cache.params.hidden_size
     if out is None:
         out = np.empty((*scaled.shape[:-1], 2 * h))
     dh, dc = out[..., :h], out[..., h:]
     np.add(scaled[..., :h], scaled[..., h : 2 * h], out=dc)
     dc += scaled[..., 2 * h : 3 * h]
-    dc += cache.f * dc_prev
+    dc += forget * dc_prev
     np.multiply(cache.dh_dc, dc, out=dh)
     dh += scaled[..., 3 * h :]
     return out
@@ -378,19 +379,26 @@ def _lstm_adjoint(cache: StepCache, v: np.ndarray):
     return g_z, gc_total * cache.f
 
 
-def jvp_state(cache: StepCache, v: np.ndarray,
-              out: np.ndarray | None = None) -> np.ndarray:
+def jvp_state(cache: StepCache, v: np.ndarray, out: np.ndarray | None = None,
+              scale=None) -> np.ndarray:
     """J_state v: forward-propagate state perturbations through the step.
 
     out, if given, receives the result: an array of the result's shape that
-    shares no memory with v."""
+    shares no memory with v.  scale, if given, is a scalar or per-row
+    scalars (..., as the rows' batch axes) that multiply the result, s J_state
+    v.  It is folded into the step's derivative factors, the vanilla f'(z)
+    or the LSTM's gate derivatives and forget gate, which have one row per
+    batch row, so no pass over the rows is added."""
     p = cache.params
     v = _rows(v, p.state_size, "state")
     h = p.hidden_size
+    s = None if scale is None else np.asarray(scale)[..., None]
     if p.cell_kind == LSTM:
         dz = v[..., :h] @ p.weights[:, :h].T
-        return _lstm_zc_jvp(cache, _scaled(cache.dz, dz), v[..., h:], out)
-    return _scaled(cache.d, np.matmul(v, p.weights[:, :h].T, out=out))
+        gates, forget = (cache.dz, cache.f) if s is None else (s * cache.dz, s * cache.f)
+        return _lstm_zc_jvp(cache, _scaled(gates, dz), v[..., h:], forget, out)
+    d = cache.d if s is None else s * cache.d
+    return _scaled(d, np.matmul(v, p.weights[:, :h].T, out=out))
 
 
 def vjp_state(cache: StepCache, v: np.ndarray) -> np.ndarray:
@@ -407,7 +415,7 @@ def jvp_cut(cache: StepCache, cut, v: np.ndarray) -> np.ndarray:
     if cut == CutVertex.STATE:
         return v.copy()
     if p.cell_kind == LSTM:
-        return _lstm_zc_jvp(cache, cache.dz * v, 0.0)
+        return _lstm_zc_jvp(cache, cache.dz * v, 0.0, cache.f)
     return cache.d * v
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IdxFormatError
-from .noise import coin_bits, seeded_generator
+from .noise import coin_block
+from .rnn import Targets
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -35,14 +36,27 @@ class QueueSpec:
             raise ValueError("stream length must exceed the delay")
 
 
+def queue_block(spec: QueueSpec, seed: int, indices):
+    """The episodes indices of a seed as one block: (inputs (B, T, 1),
+    Targets (T, B)).  Episode i's inputs are iid fair-coin bits, drawn as from
+    PCG64(SeedSequence(seed, spawn_key=(i,))) (noise.coin_block); its target
+    at step t is the input from delay steps earlier, masked with a zero fill
+    while undefined."""
+    bits = coin_block(seed, indices, spec.length).astype(np.float64)
+    values = np.zeros_like(bits)
+    values[:, spec.delay:] = bits[:, : spec.length - spec.delay]
+    mask = np.zeros_like(bits)
+    mask[:, spec.delay:] = 1.0
+    # episode rows first, then steps first, as rnn.episode_targets lays out
+    # the list form
+    return bits[..., None], Targets(np.swapaxes(values[..., None], 0, 1), mask.T)
+
+
 def make_queue_episode(spec: QueueSpec, seed: int, episode_index: int):
-    """One episode: (inputs (T, 1), targets list).  Inputs are iid fair-coin
-    bits, drawn as from PCG64(SeedSequence(seed, spawn_key=(episode_index,)));
-    target at step t is the input from delay steps earlier (a one-bit view of
-    the inputs), None (masked) while undefined."""
-    gen = seeded_generator(seed, (episode_index,))
-    bits = coin_bits(gen, spec.length).astype(np.float64)
-    inputs = bits[:, None]
+    """One episode as (inputs (T, 1), targets list): the one-row view of
+    queue_block, with each target a one-bit view of the inputs and None
+    (masked) while undefined."""
+    inputs = queue_block(spec, seed, (episode_index,))[0][0]
     return inputs, [None] * spec.delay + list(inputs[: spec.length - spec.delay])
 
 
@@ -58,6 +72,16 @@ class DigitDataset:
         """Row-wise episode: inputs (28, 28), the same class label every step."""
         label = int(self.labels[index])
         return self.images[index], [label] * self.images.shape[1]
+
+    def block(self, indices):
+        """The episodes indices as one block: (inputs (B, 28, 28), Targets
+        (T, B) of integer labels, every step supervised)."""
+        indices = np.asarray(indices, dtype=np.intp)
+        steps = self.images.shape[1]
+        labels = np.repeat(self.labels[indices, None], steps, axis=1)
+        # episode rows first, then steps first, as rnn.episode_targets lays
+        # out the list form
+        return self.images[indices], Targets(labels.T, np.ones(labels.shape).T)
 
 
 def _read_exact(f, count: int, offset: int, what: str) -> bytes:

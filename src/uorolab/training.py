@@ -39,7 +39,7 @@ from .noise import episode_noise, episode_noises
 from .optim import AdamState, adam_update
 from .reports import write_json_summary, write_metrics_csv
 from .rnn import BernoulliHead, CutVertex, SoftmaxHead, init_params, run_episode
-from .tasks import QueueSpec, load_rowwise_digits, make_queue_episode
+from .tasks import QueueSpec, load_rowwise_digits, make_queue_episode, queue_block
 from .variance import (
     compute_B,
     compute_C,
@@ -68,6 +68,7 @@ class TaskBundle:
     input_size: int
     make_head: callable
     episode: callable  # (data_seed, index) -> (inputs, targets list)
+    block: callable  # (data_seed, indices) -> (inputs (B, T, X), Targets (T, B))
 
 
 def build_task(config: ExperimentConfig) -> TaskBundle:
@@ -77,6 +78,9 @@ def build_task(config: ExperimentConfig) -> TaskBundle:
         def episode(seed, index):
             return make_queue_episode(spec, seed, index)
 
+        def block(seed, indices):
+            return queue_block(spec, seed, indices)
+
         def make_head(rng):
             return BernoulliHead(0.1 * rng.standard_normal((1, config.hidden + 1)))
 
@@ -84,6 +88,7 @@ def build_task(config: ExperimentConfig) -> TaskBundle:
             input_size=1,
             make_head=make_head,
             episode=episode,
+            block=block,
         )
     if config.task == "rowwise-digits":
         data = load_rowwise_digits(
@@ -97,6 +102,9 @@ def build_task(config: ExperimentConfig) -> TaskBundle:
         def episode(seed, index):
             return data.episode((seed + index) % len(data))
 
+        def block(seed, indices):
+            return data.block((seed + np.asarray(indices)) % len(data))
+
         def make_head(rng):
             return SoftmaxHead(0.1 * rng.standard_normal((10, config.hidden + 1)))
 
@@ -104,6 +112,7 @@ def build_task(config: ExperimentConfig) -> TaskBundle:
             input_size=data.images.shape[2],
             make_head=make_head,
             episode=episode,
+            block=block,
         )
     raise ValueError(f"unknown task {config.task!r}")
 
@@ -218,12 +227,11 @@ def run_training(config: ExperimentConfig, out_dir=None) -> dict:
         b_bar = None
         q0 = None  # identity until a Bbar exists
         for update in range(config.updates):
-            episodes = [
-                task.episode(config.data_seed, update * config.minibatch + j)
-                for j in range(config.minibatch)
-            ]
+            first = update * config.minibatch
+            inputs, targets = task.block(config.data_seed,
+                                         range(first, first + config.minibatch))
             grad, head_grad, mean_loss, b_bar, q0, audit = _update(
-                config, params, head, episodes, update, b_bar, q0
+                config, params, head, inputs, targets, update, b_bar, q0
             )
             if audit is not None:
                 rows.append((update, config.base_seed, "audit_offline_rel_err", audit))
@@ -254,9 +262,10 @@ def run_training(config: ExperimentConfig, out_dir=None) -> dict:
     return summary
 
 
-def _update(config, params, head, episodes, update, b_bar, q0):
+def _update(config, params, head, inputs, targets, update, b_bar, q0):
     """One minibatch update, for every estimator and for the optimal-Q0 /
-    exact-alpha protocol.
+    exact-alpha protocol, on the minibatch's inputs (B, T, X) and Targets
+    (T, B).
 
     The minibatch runs as one batch, or in blocks of TENSOR_BLOCK episodes
     when the config needs each episode's exact C or B (alpha or Q0 "ours"
@@ -275,27 +284,28 @@ def _update(config, params, head, episodes, update, b_bar, q0):
     schedule = None
     if estimator in ("uoro", "preuoro"):
         schedule = ScalingSchedule(GIR, Q0=q0)
+    n = inputs.shape[0]
     exact = config.alpha_mode == "ours" or config.q0_mode == "ours"
-    size = TENSOR_BLOCK if exact else len(episodes)
+    size = TENSOR_BLOCK if exact else n
     # the states of the minibatch's streams are derived once; each block
     # draws its own columns
     first = update * config.minibatch
     dim = (params.hidden_size if estimator == "reinforce"
            else params.cut_size(CutVertex(config.cut)))
-    noises = episode_noises(config.base_seed, range(first, first + len(episodes)),
-                            episodes[0][0].shape[0], dim, config.tau_kind)
+    noises = episode_noises(config.base_seed, range(first, first + n),
+                            inputs.shape[1], dim, config.tau_kind)
     grad_sum = head_grad_sum = loss_sum = 0.0
     # a running sum keeps one N_z x N_z matrix alive instead of one per episode
     b_sum = None
     audits = []
-    for start in range(0, len(episodes), size):
+    for start in range(0, n, size):
+        rows = slice(start, start + size)
         grad, head_grad, loss, b_sum = _block_sums(
-            config, params, head, episodes[start:start + size],
-            noises[start:start + size], schedule, b_sum, audits)
+            config, params, head, inputs[rows], targets[:, rows], noises[rows],
+            schedule, b_sum, audits)
         grad_sum = grad_sum + grad
         head_grad_sum = head_grad_sum + head_grad
         loss_sum += loss
-    n = len(episodes)
     if b_sum is not None:
         b_mean = b_sum / n
         b_bar = b_mean if b_bar is None else (
@@ -305,14 +315,15 @@ def _update(config, params, head, episodes, update, b_bar, q0):
     return grad_sum / n, head_grad_sum / n, loss_sum / n, b_bar, q0, audit
 
 
-def _block_sums(config, params, head, batch, noises, schedule, b_sum, audits):
-    """Run the episodes of one block of a minibatch, whose noise is the
-    NoiseBlock noises, as one batch.  Returns the block's summed gradient, head
-    gradient and loss, each per supervised step, and b_sum plus the block's
-    exact B; appends the block's audit errors to audits.  The block's tape
-    and per-episode arrays are freed on return, before the next block runs."""
-    tape = run_episode(params, np.stack([ep[0] for ep in batch]),
-                       [ep[1] for ep in batch], head)
+def _block_sums(config, params, head, inputs, targets, noises, schedule, b_sum,
+                audits):
+    """Run the episodes of one block of a minibatch, its inputs (B, T, X) and
+    Targets (T, B), whose noise is the NoiseBlock noises, as one batch.
+    Returns the block's summed gradient, head gradient and loss, each per
+    supervised step, and b_sum plus the block's exact B; appends the block's
+    audit errors to audits.  The block's tape is freed on return, before the
+    next block runs."""
+    tape = run_episode(params, inputs, targets, head)
     if schedule is not None:
         estimates, b_sum = _rank_one_batch(config, tape, noises, schedule,
                                            b_sum, audits)

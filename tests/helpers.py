@@ -223,19 +223,23 @@ def uoro_replay(tape, cut, noise, schedule, contribution=estimators.CONTRIBUTION
     return estimate, gammas, betas
 
 
-def preuoro_replay(tape, noise, schedule):
+def preuoro_replay(tape, noise, schedule, initial=None):
     """run_preuoro's estimate and realized (gamma, beta) replayed step by step
     with the dense one-step form: the immediate term is J_cut applied to the
     identity basis, every norm is taken over the whole (N_z, [B,] S) rows,
     the cancellation rule zeroes a sketch by its dense norm (never where the
     terms' norms overflowed), a non-finite sketch norm under GIR raises, and
-    preuoro_contribution adds each step's contribution."""
+    preuoro_contribution adds each step's contribution.  The sketch starts
+    from zero, or from the (H~, w~) pair initial."""
     params = tape.params
     n_z = params.preactivation_size
     tau = noise.tau
     batch = np.broadcast_shapes(tape.batch_shape, tau.shape[1:])
     rows = np.zeros((n_z, *batch, params.state_size))
     w_tilde = np.zeros((*batch, params.augmented_size))
+    if initial is not None:
+        rows = rows + np.moveaxis(initial[0], -1, 0)
+        w_tilde = w_tilde + initial[1]
     estimate = np.zeros((*batch, params.num_params))
     gammas = np.zeros((tape.length, *batch))
     betas = np.zeros((tape.length, *batch))

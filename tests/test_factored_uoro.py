@@ -223,6 +223,7 @@ class TestOverflowAndLength:
         with pytest.raises(NumericOverflowError, match="step 1"):
             run_uoro(tape, CutVertex.PREACTIVATION, noise, schedule)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("cell", [rnn.VANILLA_TANH, rnn.LSTM])
     def test_greedy_norm_overflow_names_the_step(self, cell):
         """Noise scaled by 1e300 puts entries of about 1e300 into h~ at step

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uorolab.noise import (GAUSSIAN, SIGN, coin_bits, episode_noise, episode_noises,
-                           seeded_generator)
-from uorolab.tasks import QueueSpec, make_queue_episode
+from uorolab.noise import GAUSSIAN, SIGN, coin_bits, episode_noise, episode_noises
+from uorolab.tasks import QueueSpec, make_queue_episode, queue_block
 
 
 class TestEpisodeNoise:
@@ -202,7 +201,9 @@ class TestBitIdentity:
         with pytest.raises(ValueError):
             episode_noises(base_seed, [1, index, 2], 3, 2).u
         with pytest.raises(ValueError):
-            seeded_generator(base_seed, (index,))
+            queue_block(QueueSpec(), base_seed, (index,))
+        with pytest.raises(ValueError):
+            queue_block(QueueSpec(), base_seed, [1, index, 2])
 
     @pytest.mark.parametrize("seed", [0, 1000, 2**32 - 1, 2**32, 2**64 + 3])
     def test_queue_bits(self, seed):
@@ -215,17 +216,30 @@ class TestBitIdentity:
             assert all(np.array_equal(targets[t], bits[t - 2:t - 1])
                        for t in range(2, 24))
 
+    @pytest.mark.parametrize("seed", [0, 1000, 2**32 - 1, 2**32, 2**64 + 3])
+    def test_queue_block_rows(self, seed):
+        """Row j of a block is episode indices[j]'s fresh draw and the inputs
+        of its list view: on the vectorized derivation (several one-word
+        indices), the per-index one (an index of two words) and a block of
+        one."""
+        spec = QueueSpec(delay=2, length=24)
+        indices = (0, 1, 99, 2**32 - 1, 2**32 + 1)
+        for block in (indices, indices[:4], (99,), (2**32 + 1,)):
+            inputs, targets = queue_block(spec, seed, block)
+            assert inputs.shape == (len(block), 24, 1)
+            assert targets.mask.shape == (24, len(block))
+            for j, index in enumerate(block):
+                bits = fresh(seed, (index,)).integers(0, 2, size=24).astype(np.float64)
+                assert np.array_equal(inputs[j, :, 0], bits)
+                assert np.array_equal(make_queue_episode(spec, seed, index)[0],
+                                      inputs[j])
+
     def test_coin_bits_are_the_integers_draw(self):
         for seed in range(200):
             for length in (1, 2, 5, 6, 24, 28, 101):
                 assert np.array_equal(
                     coin_bits(fresh(seed, (length,)), length),
                     fresh(seed, (length,)).integers(0, 2, size=length)), (seed, length)
-
-    def test_seeded_generator_matches_multi_word_keys(self):
-        for key in ((5,), (2**32, 1), (7, 2**64 + 3, 0)):
-            assert np.array_equal(seeded_generator(11, key).standard_normal(5),
-                                  fresh(11, key).standard_normal(5))
 
     def test_interleaved_draws_on_the_shared_generator(self):
         # an odd length leaves half of a 64-bit draw buffered after the signs

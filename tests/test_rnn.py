@@ -24,7 +24,7 @@ from uorolab.rnn import (
     vjp_to_cut,
 )
 
-from helpers import make_instance
+from helpers import make_instance, row_rel
 
 
 def scalar_params(w=0.5, wx=0.0, b=0.0, kind=rnn.VANILLA_TANH):
@@ -326,6 +326,58 @@ class TestJacobianProducts:
             v = rng.standard_normal(4)
             assert np.all(np.isfinite(jvp_state(cache, v)))
             assert np.all(np.isfinite(vjp_params(cache, v)))
+
+
+
+class TestScaledJvpState:
+    """jvp_state(cache, v, scale=s) folds s into the step's per-row factors;
+    it equals s times the product, to roundoff: 1e-15 of each row's norm
+    (an LSTM entry that sums gate terms to near 0 moves further relative
+    to itself)."""
+
+    @staticmethod
+    def layouts(rng, params):
+        """(name, cache, stacked rows v, per-row scales) for one episode, a
+        batch of 3 episodes and 4 seeds on one tape."""
+        length, k, s = 3, 5, params.state_size
+        inputs = rng.standard_normal((3, length, params.input_size))
+        targets = [[int(rng.integers(3)) for _ in range(length)] for _ in range(3)]
+        head = SoftmaxHead(rng.standard_normal((3, params.hidden_size + 1)))
+        tape = run_episode(params, inputs, targets, head)
+        one = tape.episode(0).steps[1]
+        return [
+            ("one episode", one, rng.standard_normal((k, s)), rng.uniform(0.1, 3.0)),
+            ("batch", tape.steps[1], rng.standard_normal((k, 3, s)),
+             rng.uniform(0.1, 3.0, 3)),
+            ("seeds on one tape", one, rng.standard_normal((k, 4, s)),
+             rng.uniform(0.1, 3.0, 4)),
+        ]
+
+    @pytest.mark.parametrize("cell", [rnn.VANILLA_TANH, rnn.VANILLA_LINEAR, rnn.LSTM])
+    def test_equals_scaled_product(self, cell):
+        rng = np.random.default_rng(81)
+        params, _, _, _ = make_instance(rng, cell_kind=cell, hidden=4)
+        for name, cache, v, per_row in self.layouts(rng, params):
+            plain = jvp_state(cache, v)
+            for scale in (1.7, per_row):
+                expected = np.asarray(scale)[..., None] * plain
+                out = np.empty_like(plain)
+                for got in (jvp_state(cache, v, scale=scale),
+                            jvp_state(cache, v, out=out, scale=scale)):
+                    assert got.shape == expected.shape, name
+                    assert row_rel(got, expected) <= 1e-15, name
+                assert np.shares_memory(jvp_state(cache, v, out=out, scale=scale), out)
+            np.testing.assert_array_equal(jvp_state(cache, v, scale=1.0), plain)
+
+    def test_scale_leaves_the_cache_alone(self):
+        rng = np.random.default_rng(82)
+        params, _, _, _ = make_instance(rng, cell_kind=rnn.LSTM, hidden=3)
+        _, cache, v, per_row = self.layouts(rng, params)[1]
+        before = {name: x.copy() for name, x in vars(cache).items()
+                  if isinstance(x, np.ndarray)}
+        jvp_state(cache, v, scale=per_row)
+        for name, x in before.items():
+            np.testing.assert_array_equal(getattr(cache, name), x, err_msg=name)
 
 
 class TestEpisode:

@@ -153,13 +153,18 @@ class TestCancellation:
         rows[:, 1] = 1e-9  # small, but not roundoff: dense norm 4e-9
         scale = np.ones(3)
         formula = np.array([1e-14, 1e-14, 1e-14])**2
-        estimators._zero_cancelled_rows(rows, formula, scale)
+        estimators._zero_cancelled_rows(rows, formula, scale, 1.0)
         np.testing.assert_array_equal(rows[:, 0], 0.0)
         np.testing.assert_array_equal(rows[:, 1], 1e-9)
         np.testing.assert_array_equal(rows[:, 2], 1.0)
         far = np.full((2, 3, 4), 1e-20)
-        estimators._zero_cancelled_rows(far, np.ones(3), scale)
+        estimators._zero_cancelled_rows(far, np.ones(3), scale, 1.0)
         np.testing.assert_array_equal(far, 1e-20)
+        # the dense norm is of H~ = factor * rows: 1e-12 * 4e-9 is roundoff
+        held = np.full((2, 3, 4), 1e-9)
+        estimators._zero_cancelled_rows(held, formula, scale, np.array([1.0, 1e-12, 1.0]))
+        np.testing.assert_array_equal(held[:, 1], 0.0)
+        np.testing.assert_array_equal(held[:, [0, 2]], 1e-9)
 
 
 class TestOverflow:
@@ -221,3 +226,75 @@ class TestOverflow:
             run_preuoro(tape, noise, schedule)
         with pytest.raises(NumericOverflowError, match="step 0"):
             run_preuoro(tape, block, schedule)
+
+
+def chained_steps(tape, noise, schedule, state):
+    """The estimate and realized (gamma, beta) of preuoro_step chained over
+    the tape from state, adding preuoro_contribution at each step; the
+    coefficients (T, [B]) hold one value per row, where a step may give one
+    for all rows."""
+    estimate = 0.0
+    gammas, betas = [], []
+    for t in range(tape.length):
+        state, gamma, beta = estimators.preuoro_step(state, tape.steps[t],
+                                                     noise.tau[t], schedule, t)
+        estimate = estimate + estimators.preuoro_contribution(
+            state, tape.loss_grad_full(t))
+        rows = state.w_tilde.shape[:-1]
+        gammas.append(np.broadcast_to(gamma, rows))
+        betas.append(np.broadcast_to(beta, rows))
+    return estimate, np.array(gammas), np.array(betas)
+
+
+class TestDeferredScale:
+    """preuoro_step holds H~ as gamma_t times its rows and folds that scale
+    into the next J_state product.  Chained from a user PreUoroState (scale
+    1), it still follows the dense replay from the same state."""
+
+    @pytest.mark.parametrize("cell", CELLS)
+    @pytest.mark.parametrize("mode", ["gir", "fixed"])
+    def test_chained_from_a_user_state_matches_replay(self, cell, mode):
+        rng = np.random.default_rng(83)
+        params, _, _, head = make_instance(rng, cell_kind=cell, hidden=4, length=6)
+        schedule = schedule_for(mode, 6, rng)
+        for name, tape, noise in layouts(rng, params, 6, head):
+            batch = np.broadcast_shapes(tape.batch_shape, noise.tau.shape[1:])
+            h0 = rng.standard_normal((*batch, params.state_size,
+                                      params.preactivation_size))
+            w0 = rng.standard_normal((*batch, params.augmented_size))
+            state = estimators.PreUoroState(h0, w0)
+            assert state.scale == 1.0
+            estimate, gammas, betas = chained_steps(tape, noise, schedule, state)
+            replayed, replay_gammas, replay_betas = preuoro_replay(
+                tape, noise, schedule, initial=(h0, w0))
+            assert row_rel(estimate, replayed) <= RTOL, name
+            np.testing.assert_allclose(gammas, replay_gammas, rtol=RTOL, err_msg=name)
+            np.testing.assert_allclose(betas, replay_betas, rtol=RTOL, err_msg=name)
+
+    def test_cancelled_row_from_a_user_state(self):
+        tape, noise = identity_episode()
+        state = estimators.PreUoroState(np.zeros((2, 2)), np.zeros(4))
+        schedule = ScalingSchedule(GIR)
+        estimate, gammas, betas = chained_steps(tape, noise, schedule, state)
+        replayed, replay_gammas, replay_betas = preuoro_replay(
+            tape, noise, schedule, initial=(state.H_tilde, state.w_tilde))
+        assert row_rel(estimate, replayed) <= RTOL
+        np.testing.assert_array_equal(gammas, replay_gammas)
+        np.testing.assert_array_equal(betas, replay_betas)
+        for t in range(2):
+            state, _, _ = estimators.preuoro_step(state, tape.steps[t], noise.tau[t],
+                                                  schedule, t)
+        np.testing.assert_array_equal(state.scale * state.H_tilde, 0.0)
+
+    @pytest.mark.parametrize("fill", [np.nan, 1e300], ids=["nan", "1e300"])
+    def test_overflow_from_a_user_state_names_the_step(self, fill):
+        rng = np.random.default_rng(79)
+        params, inputs, targets, head = make_instance(rng, hidden=3, length=3)
+        tape = run_episode(params, inputs, targets, head)
+        noise = episode_noise(84, 0, 3, 3)
+        h0, w0 = np.full((3, 3), fill), np.ones(6)
+        schedule = ScalingSchedule(GIR)
+        with pytest.raises(NumericOverflowError, match="step 0"):
+            preuoro_replay(tape, noise, schedule, initial=(h0, w0))
+        with pytest.raises(NumericOverflowError, match="step 0"):
+            chained_steps(tape, noise, schedule, estimators.PreUoroState(h0, w0))

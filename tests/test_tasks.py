@@ -3,6 +3,8 @@ import struct
 import numpy as np
 import pytest
 
+from uorolab import rnn, training
+from uorolab.config import ExperimentConfig
 from uorolab.errors import IdxFormatError
 from uorolab.tasks import (
     QueueSpec,
@@ -10,10 +12,17 @@ from uorolab.tasks import (
     load_idx_labels,
     load_rowwise_digits,
     make_queue_episode,
+    queue_block,
     synthetic_stripes,
 )
 
 from helpers import make_queue_batch
+
+
+def layout(x):
+    """The strides of an array's axes of more than one entry: arrays of one
+    shape and layout give the same results in the same bits downstream."""
+    return [stride for stride, size in zip(x.strides, x.shape) if size > 1]
 
 
 class TestQueue:
@@ -45,6 +54,31 @@ class TestQueue:
         a, _ = make_queue_episode(spec, 9, 4)
         b, _ = make_queue_episode(spec, 9, 4)
         np.testing.assert_array_equal(a, b)
+
+    def test_block_targets_are_the_list_form(self):
+        """The block's mask and zero fill are episode_targets of the list
+        views, in the same layout."""
+        spec = QueueSpec(delay=3, length=9)
+        indices = [4, 0, 7, 2**32 + 1]
+        for block in (indices, indices[:3], indices[:1]):
+            inputs, targets = queue_block(spec, 5, block)
+            episodes = [make_queue_episode(spec, 5, i) for i in block]
+            expected = rnn.episode_targets([ep[1] for ep in episodes], (len(block),), 9)
+            np.testing.assert_array_equal(inputs, np.stack([ep[0] for ep in episodes]))
+            for got, want in ((targets.values, expected.values),
+                              (targets.mask, expected.mask)):
+                np.testing.assert_array_equal(got, want)
+                assert got.dtype == want.dtype and layout(got) == layout(want)
+            np.testing.assert_array_equal(targets.values[:3], 0.0)
+            np.testing.assert_array_equal(targets.mask[:3], 0.0)
+
+    def test_task_bundle_block_is_queue_block(self):
+        cfg = ExperimentConfig(task="queue", delay=2, stream_length=7)
+        inputs, targets = training.build_task(cfg).block(11, range(3, 6))
+        expected = queue_block(QueueSpec(delay=2, length=7), 11, [3, 4, 5])
+        np.testing.assert_array_equal(inputs, expected[0])
+        np.testing.assert_array_equal(targets.values, expected[1].values)
+        np.testing.assert_array_equal(targets.mask, expected[1].mask)
 
     def test_length_must_exceed_delay(self):
         with pytest.raises(ValueError):
@@ -119,6 +153,25 @@ class TestSyntheticStripes:
         assert inputs.shape == (28, 28)
         assert len(targets) == 28
         assert all(t == targets[0] for t in targets)
+
+    def test_task_block_is_the_stacked_episodes(self):
+        """TaskBundle.block stacks the episodes that TaskBundle.episode
+        gives, with their targets as episode_targets makes them: integer
+        labels, every step supervised, and indices wrapped at the dataset
+        size as (seed + index) % N."""
+        cfg = ExperimentConfig(task="rowwise-digits", cell="lstm", digits_limit=10)
+        task = training.build_task(cfg)
+        seed, indices = 7, range(0, 6)  # rows 7, 8, 9, 0, 1, 2
+        inputs, targets = task.block(seed, indices)
+        episodes = [task.episode(seed, i) for i in indices]
+        expected = rnn.episode_targets([ep[1] for ep in episodes], (6,), 28)
+        np.testing.assert_array_equal(inputs, np.stack([ep[0] for ep in episodes]))
+        np.testing.assert_array_equal(inputs[3], task.episode(seed, 3)[0])
+        for got, want in ((targets.values, expected.values),
+                          (targets.mask, expected.mask)):
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype and layout(got) == layout(want)
+        assert targets.values.dtype.kind == "i"
 
     def test_classes_linearly_separable(self):
         # multinomial logistic probe on flattened images must beat 60%

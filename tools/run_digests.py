@@ -9,6 +9,15 @@ can still show that every result stayed the same.
 
     python tools/run_digests.py > digests.txt
     python tools/run_digests.py --out runs/digests   # keep the files
+    python tools/run_digests.py --compare runs/before runs/after
+
+--compare takes two --out directories and, for each file whose bytes (and so
+whose digest) differ, prints how many numeric cells differ and the largest
+relative difference among them, |a - b| / max(|a|, |b|), plus the count of
+other cells that differ (text, or cells present in one file only).  The cells
+of a JSON file are its leaf values; those of any other file are its
+comma-separated fields.  A change that moves numbers by roundoff is then
+stated and bounded by one command.
 
 The package is imported from the src/ directory next to this script.  The
 runs are 17 training configurations (queue H=6, T=10, minibatch 10, 3
@@ -24,6 +33,7 @@ with the noise-free baseline, one reinforce_episode call per seed.  That makes
 import argparse
 import hashlib
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -104,7 +114,12 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None,
                         help="keep the run files here (default: a temporary "
                              "directory, removed on exit)")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("DIR_A", "DIR_B"),
+                        help="compare the run files of two --out directories "
+                             "instead of writing runs")
     args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
     with tempfile.TemporaryDirectory() as scratch:
         out = Path(args.out or scratch)
         out.mkdir(parents=True, exist_ok=True)
@@ -125,6 +140,83 @@ def main(argv=None) -> int:
                 digest = hashlib.sha256(_summary_bytes(summary)).hexdigest()
                 print(f"{digest}  {name}#without-config")
     return 0
+
+
+def compare(dir_a: Path, dir_b: Path) -> int:
+    """Print, for each run file whose bytes differ between two --out
+    directories, its count of differing numeric cells, their largest
+    relative difference and its count of other differing cells; then how
+    many files are identical."""
+    names = sorted({p.relative_to(d).as_posix() for d in (dir_a, dir_b)
+                    for p in d.rglob("*") if p.is_file()})
+    same = 0
+    for name in names:
+        a, b = dir_a / name, dir_b / name
+        if not (a.is_file() and b.is_file()):
+            print(f"{name}: only in {dir_a if a.is_file() else dir_b}")
+            continue
+        if a.read_bytes() == b.read_bytes():
+            same += 1
+            continue
+        cells_a, cells_b = _cells(a), _cells(b)
+        numeric, largest, other = 0, 0.0, 0
+        for key in cells_a.keys() | cells_b.keys():
+            cell_a, cell_b = cells_a.get(key, _MISSING), cells_b.get(key, _MISSING)
+            x, y = _number(cell_a), _number(cell_b)
+            if x is None or y is None:
+                other += cell_a != cell_b
+            elif _rel_diff(x, y):
+                numeric += 1
+                largest = max(largest, _rel_diff(x, y))
+        print(f"{name}: {numeric} numeric cells differ, largest relative "
+              f"difference {largest:.3g}; {other} other cells differ")
+    print(f"{same} of {len(names)} files identical")
+    return 0
+
+
+def _cells(path: Path) -> dict:
+    """The cells of a run file by position: the leaf values of a JSON file
+    by their key path, the comma-separated fields of any other file by
+    (line, column)."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix != ".json":
+        return {(i, j): cell for i, line in enumerate(text.splitlines())
+                for j, cell in enumerate(line.split(","))}
+    cells = {}
+    pending = [((), json.loads(text))]
+    while pending:
+        key, value = pending.pop()
+        if isinstance(value, dict):
+            pending.extend((key + (k,), v) for k, v in value.items())
+        elif isinstance(value, list):
+            pending.extend((key + (i,), v) for i, v in enumerate(value))
+        else:
+            cells[key] = value
+    return cells
+
+
+_MISSING = object()  # the cell of a position that a file does not have
+
+
+def _number(cell):
+    """A cell's value as a float, or None for a text, boolean, null or
+    missing cell."""
+    if isinstance(cell, bool) or cell is None or cell is _MISSING:
+        return None
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _rel_diff(x: float, y: float) -> float:
+    """|x - y| / max(|x|, |y|): 0 for equal values (nan equals nan), inf where
+    only one is finite or two infinities differ."""
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
 
 
 def _summary_bytes(summary: dict) -> bytes:
