@@ -20,13 +20,22 @@ SeedSequence.
 
 Derivation.  No SeedSequence or PCG64 is built per stream.  The part of
 SeedSequence's pool hash that depends only on the base seed (its entropy
-words and the pool mixes) is computed once per seed and cached.  The spawn
-words (index, stream) are mixed in and the output words formed by the same
-32-bit arithmetic, on Python ints for one episode or on uint64 arrays for
-several indices that are each one 32-bit word.  PCG64's two seeding steps
-run on 128-bit Python ints.  Each stream is then drawn by the same Generator
-calls as with a fresh generator, on one generator per thread whose PCG64
-state is set just before the stream is drawn.
+words and the pool mixes) is computed once per seed and cached, and so is
+the hash of each stream word at each pool position, so a stream's pool is
+its episode's pool with four words mixed in.  The output words and PCG64's
+seeding follow by the same arithmetic, on two routes.  For one episode, or
+indices of more than one 32-bit word, they run on Python ints per index
+and stream, and every stream is drawn by the same Generator calls as with a
+fresh generator, on one generator per thread whose PCG64 state is set just
+before the stream is drawn.  For several indices that are each one 32-bit
+word, a block derives the states of all four streams together on uint64
+arrays and keeps them as 64-bit limbs (state_hi, state_lo, inc_hi, inc_lo).
+Its sign streams, and coin_block's bits, are stepped together as limbs by
+PCG64's 128-bit LCG and XSL-RR output (O'Neill 2014, "PCG: A Family of
+Simple Fast Space-Efficient Statistically Good Algorithms for Random Number
+Generation"), with no generator; its normals still come from numpy's
+ziggurat, on the thread's generator seated per column at the state its
+limbs hold.
 
 Forms.  NoiseBlock (episode_noises) is a block of episode indices of one
 base seed: each stream is (T, B, ...), column j the stream of episode
@@ -41,6 +50,7 @@ one-element spawn keys (i,) from the same derivation.
 
 import threading
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,31 +142,123 @@ def _seed_pool(base_seed: int):
     return tuple(pool), const
 
 
+@lru_cache(maxsize=256)
+def _stream_hashes(const: int) -> tuple:
+    """The stream words folded: row k holds the hash of stream word k at
+    each pool position, absorbed after the hash const, so that stream k's
+    pool is _mix(pool[i], row[i]) at each position i."""
+    pairs = _hash_consts(const, _MULT_A, _POOL_SIZE)[0]
+    return tuple(tuple(_hash(k, xor, mult) for xor, mult in pairs)
+                 for k in range(len(_STREAMS)))
+
+
 _OUTPUT_CONSTS = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)[0]
 
 
-def _pcg64_states(pool) -> list:
-    """PCG64's (state, inc) seeded from each final pool, as a list: one
-    entry for a pool of ints, B for a pool of (B,) arrays.
+def _pcg64_state(pool) -> tuple:
+    """PCG64's (state, inc) seeded from a final pool of Python ints.
 
-    SeedSequence.generate_state(4, uint64) gives the 128-bit seed and
+    SeedSequence.generate_state(4, uint64) hashes the pool into eight
+    32-bit words, which little-endian pairs make the 128-bit seed and
     sequence words; PCG64 seeds with inc = 2 seq + 1 and
     state = (seed + inc) * MULT + inc."""
-    w = [_hash(pool[i % _POOL_SIZE], xor, mult)
-         for i, (xor, mult) in enumerate(_OUTPUT_CONSTS)]
-    # little-endian pairs of 32-bit words make the four uint64 words
-    quads = (w[0] | (w[1] << 32), w[2] | (w[3] << 32),
-             w[4] | (w[5] << 32), w[6] | (w[7] << 32))
-    if isinstance(quads[0], np.ndarray):
-        quads = zip(*(q.tolist() for q in quads))
-    else:
-        quads = (quads,)
-    states = []
-    for seed_hi, seed_lo, seq_hi, seq_lo in quads:
-        inc = ((seq_hi << 65) | (seq_lo << 1) | 1) & _MASK128
-        seed = (seed_hi << 64) | seed_lo
-        states.append((((seed + inc) * _PCG64_MULT + inc) & _MASK128, inc))
-    return states
+    w = []
+    for word, (xor, mult) in zip((*pool, *pool), _OUTPUT_CONSTS):
+        word = ((word ^ xor) * mult) & _MASK32
+        w.append(word ^ (word >> _XSHIFT))
+    seed = (w[1] << 96) | (w[0] << 64) | (w[3] << 32) | w[2]
+    inc = ((w[5] << 97) | (w[4] << 65) | (w[7] << 33) | (w[6] << 1) | 1) & _MASK128
+    return ((seed + inc) * _PCG64_MULT + inc) & _MASK128, inc
+
+
+# PCG64 on uint64 limbs: a 128-bit value is its high and low 64-bit words,
+# arrays of any shape, and numpy's uint64 arithmetic wraps modulo 2**64.
+
+class _Limbs(NamedTuple):
+    """PCG64 states and increments as uint64 arrays of one shape."""
+    state_hi: np.ndarray
+    state_lo: np.ndarray
+    inc_hi: np.ndarray
+    inc_lo: np.ndarray
+
+    def take(self, rows) -> "_Limbs":
+        """The limbs at rows of the leading axis."""
+        return _Limbs(*(limb[rows] for limb in self))
+
+    def states(self) -> list:
+        """The (state, inc) Python ints of each element, as a generator is
+        seated."""
+        hi, lo, inc_hi, inc_lo = (limb.tolist() for limb in self)
+        return [((s_hi << 64) | s_lo, (i_hi << 64) | i_lo)
+                for s_hi, s_lo, i_hi, i_lo in zip(hi, lo, inc_hi, inc_lo)]
+
+
+def _u64(value) -> np.ndarray:
+    """A 0-d uint64 array: as an operand of uint64 arrays it costs less per
+    ufunc call than a Python int or a numpy scalar."""
+    return np.array(value, dtype=np.uint64)
+
+
+_ONE, _U32, _U58, _U63, _LO32 = map(_u64, (1, 32, 58, 63, _MASK32))
+_MULT_HI, _MULT_LO = map(_u64, divmod(_PCG64_MULT, 1 << 64))
+_MULT_LO_LO, _MULT_LO_HI = map(_u64, (_PCG64_MULT & _MASK32,
+                                      (_PCG64_MULT >> 32) & _MASK32))
+_OUTPUT_XOR, _OUTPUT_MULT = np.array(_OUTPUT_CONSTS, dtype=np.uint64).T[..., None]
+
+
+def _lcg_step(hi, lo, inc_hi, inc_lo):
+    """(hi, lo) * MULT + (inc_hi, inc_lo) modulo 2**128.  The high word of
+    lo * MULT_LO comes from 32-bit halves (Hacker's Delight, mulhu), whose
+    products and partial sums each fit in 64 bits."""
+    lo_lo, lo_hi = lo & _LO32, lo >> _U32
+    mid = lo_hi * _MULT_LO_LO + ((lo_lo * _MULT_LO_LO) >> _U32)
+    cross = (mid & _LO32) + lo_lo * _MULT_LO_HI
+    lo_mult_hi = lo_hi * _MULT_LO_HI + (mid >> _U32) + (cross >> _U32)
+    hi = lo_mult_hi + lo * _MULT_HI + hi * _MULT_LO + inc_hi
+    lo = lo * _MULT_LO + inc_lo
+    return hi + (lo < inc_lo), lo
+
+
+def _limb_states(pool: np.ndarray) -> _Limbs:
+    """PCG64's states seeded from final pools (4, ...) of uint64 arrays, one
+    per trailing element: _pcg64_state on limbs."""
+    shape = pool.shape[1:]
+    pool = pool.reshape(_POOL_SIZE, -1)
+    w = _hash(np.concatenate([pool, pool]), _OUTPUT_XOR, _OUTPUT_MULT)
+    seed_hi, seed_lo, seq_hi, seq_lo = w[0::2] | (w[1::2] << _U32)
+    inc_hi = (seq_hi << _ONE) | (seq_lo >> _U63)
+    inc_lo = (seq_lo << _ONE) | _ONE
+    lo = seed_lo + inc_lo
+    hi = seed_hi + inc_hi + (lo < inc_lo)
+    hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+    return _Limbs(*(limb.reshape(shape) for limb in (hi, lo, inc_hi, inc_lo)))
+
+
+def _raw_bits(raw: np.ndarray, length: int) -> np.ndarray:
+    """length coin bits from 64-bit outputs (..., words): bit 31 of each
+    32-bit half, low half first, the halves laid out little-endian on any
+    host."""
+    return raw.astype("<u8", copy=False).view("<u4")[..., :length] >> 31
+
+
+def _limb_raw(limbs: _Limbs, words: int) -> np.ndarray:
+    """(B, words) 64-bit outputs, row j bit for bit random_raw(words) of a
+    generator seated at state j of (B,) limbs: the states stepped together,
+    each step s <- s * MULT + inc followed by the XSL-RR output
+    rotr64(hi ^ lo, hi >> 58)."""
+    hi, lo, inc_hi, inc_lo = limbs
+    raw = np.empty((len(hi), words), dtype=np.uint64)
+    for m in range(words):
+        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> _U58
+        np.bitwise_or(x >> rot, x << (np.negative(rot) & _U63), out=raw[:, m])
+    return raw
+
+
+def _limb_coin_bits(limbs: _Limbs, length: int) -> np.ndarray:
+    """(B, length) coin bits, row j bit for bit coin_bits of a generator
+    seated at state j of (B,) limbs."""
+    return _raw_bits(_limb_raw(limbs, (length + 1) // 2), length)
 
 
 _thread = threading.local()
@@ -183,33 +285,42 @@ def coin_bits(gen: np.random.Generator, length: int) -> np.ndarray:
 
     integers draws each value from the next 32-bit half of the successive
     64-bit outputs, low half first, by Lemire's method, which for the range 2
-    never rejects and returns bit 31 of the half.  The outputs are laid out
-    little-endian before they are read as halves, on any host."""
-    raw = gen.bit_generator.random_raw((length + 1) // 2)
-    return raw.astype("<u8", copy=False).view("<u4")[:length] >> 31
+    never rejects and returns bit 31 of the half (_raw_bits)."""
+    return _raw_bits(gen.bit_generator.random_raw((length + 1) // 2), length)
 
 
 def _index_pools(base_seed: int, indices: tuple) -> list:
     """(pool, const) after base_seed and each one-element spawn key (i,), in
-    groups: one group of (B,) uint64 arrays when there are several indices
-    and each is one 32-bit word, else one group of Python ints per index, of
-    any number of words (a negative index raises as in SeedSequence)."""
-    base = _seed_pool(int(base_seed))
-    if len(indices) > 1 and all(0 <= i <= _MASK32 for i in indices):
-        return [_absorb(*base, [np.array(indices, dtype=np.uint64)])]
-    return [_absorb(*base, _words(i)) for i in indices]
+    groups: on the array route, when there are several indices and each is
+    one 32-bit word, one group whose pool is a (4, B) uint64 array, row i
+    pool position i; else, on the per-index route, one group of Python ints
+    per index, of any number of words (a negative index raises as in
+    SeedSequence)."""
+    pool, const = _seed_pool(int(base_seed))
+    if len(indices) > 1 and 0 <= min(indices) and max(indices) <= _MASK32:
+        pairs, const = _hash_consts(const, _MULT_A, _POOL_SIZE)
+        xor, mult = np.array(pairs, dtype=np.uint64).T[..., None]
+        words = _hash(np.array(indices, dtype=np.uint64), xor, mult)
+        return [(_mix(np.array(pool, dtype=np.uint64)[:, None], words), const)]
+    return [_absorb(pool, const, _words(i)) for i in indices]
+
+
+def _on_array_route(groups: list) -> bool:
+    """Whether _index_pools took the array route."""
+    return len(groups) == 1 and isinstance(groups[0][0], np.ndarray)
 
 
 def coin_block(base_seed: int, indices, length: int) -> np.ndarray:
     """(B, length) fair coin bits, 0 or 1: row j bit for bit
     Generator(PCG64(SeedSequence(base_seed, spawn_key=(indices[j],))))
-    .integers(0, 2, size=length).  The rows' PCG64 states are derived
-    together, as a NoiseBlock derives a stream's."""
+    .integers(0, 2, size=length).  The rows' PCG64 states are derived and,
+    on the array route, stepped together, as a NoiseBlock's sign streams."""
     pools = _index_pools(base_seed, tuple(map(int, indices)))
-    states = [state for pool, _ in pools for state in _pcg64_states(pool)]
-    bits = np.empty((len(states), length), dtype=np.uint32)
-    for row, state in zip(bits, states):
-        row[:] = coin_bits(_generator(state), length)
+    if _on_array_route(pools):
+        return _limb_coin_bits(_limb_states(pools[0][0]), length)
+    bits = np.empty((len(pools), length), dtype=np.uint32)
+    for row, (pool, _) in zip(bits, pools):
+        row[:] = coin_bits(_generator(_pcg64_state(pool)), length)
     return bits
 
 
@@ -304,24 +415,40 @@ class NoiseBlock:
         """(pool, const) after the episode indices (_index_pools)."""
         return _index_pools(self.base_seed, self.indices)
 
-    def _states(self, stream: str) -> list:
-        """PCG64 (state, inc) of one stream for each episode of the block,
-        derived once per root block."""
+    @cached_property
+    def _limbs(self) -> _Limbs:
+        """On the array route, the PCG64 states of all four streams of every
+        episode, derived together: (4, B) limbs, row k stream k's."""
+        (pool, const), = self._index_pools
+        hashes = np.array(_stream_hashes(const), dtype=np.uint64)
+        return _limb_states(_mix(pool[:, None], hashes.T[..., None]))
+
+    def _states(self, stream: str):
+        """The PCG64 states of one stream, one per column, derived once per
+        root block: (B,) _Limbs on the array route, else a list of (state,
+        inc) Python ints."""
         if self._root is not None:
             states = self._root._states(stream)
+            if isinstance(states, _Limbs):
+                return states.take(np.asarray(self._rows))
             return [states[i] for i in self._rows]
+        groups = self._index_pools
+        if _on_array_route(groups):
+            return self._limbs.take(_STREAMS[stream])
         states = self._derived.get(stream)
         if states is None:
-            key = [_STREAMS[stream]]
-            states = [state for pool, const in self._index_pools
-                      for state in _pcg64_states(_absorb(pool, const, key)[0])]
-            self._derived[stream] = states
+            k = _STREAMS[stream]
+            states = self._derived[stream] = [
+                _pcg64_state([_mix(word, fold) for word, fold
+                              in zip(pool, _stream_hashes(const)[k])])
+                for pool, const in groups]
         return states
 
-    def _draw(self, stream: str, shape: tuple, draw) -> np.ndarray:
-        """A (T, B, *shape) array whose column j is draw(generator of
-        episode j's stream)."""
-        states = self._states(stream)
+    def _draw(self, states, shape: tuple, draw) -> np.ndarray:
+        """A (T, B, *shape) array whose column j is draw(the generator seated
+        at states[j])."""
+        if isinstance(states, _Limbs):
+            states = states.states()
         if len(states) == 1:  # the one draw, viewed as its only column
             return draw(_generator(states[0]))[:, None]
         out = np.empty((self.length, len(self), *shape))
@@ -330,11 +457,14 @@ class NoiseBlock:
         return out
 
     def _block_scalars(self, stream: str) -> np.ndarray:
-        return self._draw(stream, (),
+        states = self._states(stream)
+        if self.tau_kind == SIGN and isinstance(states, _Limbs):
+            return _SIGNS.take(_limb_coin_bits(states, self.length).T)
+        return self._draw(states, (),
                           lambda gen: _scalars(gen, self.length, self.tau_kind))
 
     def _block_normals(self, stream: str) -> np.ndarray:
-        return self._draw(stream, (self.dim,),
+        return self._draw(self._states(stream), (self.dim,),
                           lambda gen: gen.standard_normal((self.length, self.dim)))
 
     @cached_property

@@ -1,3 +1,4 @@
+import itertools
 import sys
 import threading
 
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uorolab.noise import GAUSSIAN, SIGN, coin_bits, episode_noise, episode_noises
+from uorolab import noise
+from uorolab.noise import (GAUSSIAN, SIGN, coin_bits, coin_block, episode_noise,
+                          episode_noises)
 from uorolab.tasks import QueueSpec, make_queue_episode, queue_block
 
 
@@ -292,3 +295,109 @@ class TestBitIdentity:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
+
+
+# The array route keeps PCG64 states as uint64 limbs and steps its sign
+# streams and coin bits together; each output word must be numpy's.
+
+LENGTHS = (1, 2, 5, 6, 24, 28, 101)
+
+
+def array_route_indices(size):
+    """size one-word indices, the largest one-word index among them."""
+    return list(range(size - 1)) + [2**32 - 1]
+
+
+class TestLimbPcg64:
+    def test_lcg_step_is_128_bit_arithmetic(self):
+        edges = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15)
+        quads = np.array(list(itertools.product(edges, repeat=4)), dtype=np.uint64)
+        hi, lo = noise._lcg_step(*quads.T)
+        mult = noise._PCG64_MULT
+        for (s_hi, s_lo, i_hi, i_lo), got_hi, got_lo in zip(quads.tolist(), hi.tolist(),
+                                                            lo.tolist()):
+            state = (((s_hi << 64 | s_lo) * mult + (i_hi << 64 | i_lo))
+                     & (2**128 - 1))
+            assert (got_hi, got_lo) == divmod(state, 2**64)
+
+    @pytest.mark.parametrize("base_seed", [0, 17, 2**32 - 1, 2**32, 2**64 + 3,
+                                           2**130 + 7])
+    @pytest.mark.parametrize("size", [2, 32, 100])
+    def test_raw_words_are_random_raw(self, base_seed, size):
+        block = episode_noises(base_seed, array_route_indices(size), 3, 2)
+        for stream, k in noise._STREAMS.items():
+            limbs = block._states(stream)
+            assert isinstance(limbs, noise._Limbs)
+            expected = np.array([fresh(base_seed, (i, k)).bit_generator.random_raw(
+                (max(LENGTHS) + 1) // 2) for i in block.indices])
+            for length in LENGTHS:
+                words = (length + 1) // 2
+                assert np.array_equal(noise._limb_raw(limbs, words),
+                                      expected[:, :words]), (stream, length)
+
+    @pytest.mark.parametrize("base_seed", [0, 2**32 - 1, 2**64 + 3, 2**130 + 7])
+    @pytest.mark.parametrize("size", [2, 32, 100])
+    def test_sign_streams_are_the_integers_draw(self, base_seed, size):
+        for length in LENGTHS:
+            block = episode_noises(base_seed, array_route_indices(size), length, 2)
+            for stream, k in (("tau", 0), ("sigma", 2)):
+                expected = np.array([fresh(base_seed, (i, k)).integers(0, 2, size=length)
+                                     for i in block.indices]).T * 2.0 - 1.0
+                drawn = getattr(block, stream)
+                assert drawn.flags.c_contiguous and drawn.shape == (length, size)
+                assert np.array_equal(drawn, expected), (stream, length)
+
+    @pytest.mark.parametrize("base_seed", [0, 1000, 2**32 - 1, 2**64 + 3, 2**130 + 7])
+    @pytest.mark.parametrize("size", [2, 32, 100])
+    def test_coin_block_rows_are_the_integers_draw(self, base_seed, size):
+        indices = array_route_indices(size)
+        for length in LENGTHS:
+            bits = coin_block(base_seed, indices, length)
+            assert bits.flags.c_contiguous and bits.shape == (size, length)
+            for row, index in zip(bits, indices):
+                assert np.array_equal(
+                    row, fresh(base_seed, (index,)).integers(0, 2, size=length)), \
+                    (index, length)
+
+    def test_empty_blocks_and_lengths(self):
+        assert coin_block(1, [], 5).shape == (0, 5)
+        assert coin_block(1, [1, 2], 0).shape == (2, 0)
+        for indices, length in (([], 4), ([1, 2], 0)):
+            block = episode_noises(1, indices, length, 2)
+            assert block.tau.shape == (length, len(indices))
+            assert block.u.shape == (length, len(indices), 2)
+
+    def test_sub_blocks_step_their_root_limbs(self):
+        block = episode_noises(11, array_route_indices(32), 7, 2)
+        for part in (block[3:9], block[30:1:-4], block[31:32]):
+            assert isinstance(part._states("tau"), noise._Limbs)
+            assert np.array_equal(part.tau, block.tau[:, part._rows])
+            assert np.array_equal(part.u, block.u[:, part._rows])
+
+    def test_generator_is_seated_only_for_per_column_draws(self, monkeypatch):
+        seated = []
+        seat = noise._generator
+        monkeypatch.setattr(noise, "_generator",
+                            lambda state: seated.append(state) or seat(state))
+
+        block = episode_noises(3, range(32), 6, 4)  # the array route
+        block.tau
+        block.sigma
+        coin_block(3, range(32), 24)
+        assert len(seated) == 0  # sign streams and coin bits are stepped as limbs
+        block.u
+        assert len(seated) == 32  # once per column, for nu
+        block.mu
+        assert len(seated) == 64
+
+        seated.clear()
+        episode_noises(3, range(32), 6, 4, GAUSSIAN).tau
+        assert len(seated) == 32
+
+        # the per-index route seats it for every stream of every index
+        seated.clear()
+        episode_noise(3, 5, 6, 4).u
+        assert len(seated) == 2
+        episode_noises(3, [1, 2**32, 7], 6, 4).tau
+        coin_block(3, [1, 2**32, 7], 24)
+        assert len(seated) == 8

@@ -15,7 +15,7 @@ TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 # uorolab.batch was deleted; the benchmark's rows for it stay stale until its
 # next change drops them.
-STALE = "ROADMAP item 6: perfbench still traces the deleted uorolab.batch"
+STALE = "ROADMAP item 4: perfbench still traces the deleted uorolab.batch"
 
 
 def _targets():
