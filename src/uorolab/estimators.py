@@ -628,7 +628,8 @@ def run_spatial(tape: EpisodeTape, cut, noise) -> GradientReport:
     except ValueError:
         raise ShapeError(f"{tape.batch_shape[0]} episodes for {len(noise)} "
                          f"noises") from None
-    nu = (noise.block if single else noise).nu[: tape.length]  # (T, 1 or B, N_z)
+    nu = noise.nu[: tape.length]
+    nu = nu[:, None] if single else nu  # (T, 1 or B, N_z)
     estimate = np.zeros((*(batch or (1,)), params.num_params))
     for j, row in enumerate(estimate):
         if j == 0 or tape.batch_shape:  # one dense J_state per episode
@@ -684,13 +685,14 @@ def reinforce_episode(params: rnn.RnnParams, inputs, targets, head,
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim < 3:
+    if inputs.ndim < 2:
         inputs = np.atleast_2d(inputs)
     episodes = inputs.shape[:-2]
     t_len, h_size = inputs.shape[-2], params.hidden_size
     targets = rnn.episode_targets(targets, episodes, t_len)
-    if not episodes:
-        targets = targets[:, None]
+    values, mask = targets.values, targets.mask
+    if not episodes:  # the episode as one column
+        values, mask = values[:, None], mask[:, None]
     single = isinstance(noise, EpisodeNoise)
     if noise.dim != h_size:
         raise ShapeError(f"noise dim {noise.dim} != hidden size {h_size}")
@@ -709,26 +711,32 @@ def reinforce_episode(params: rnn.RnnParams, inputs, targets, head,
     # unperturbed row per episode; row j runs episode j mod E of the E
     # episodes, the perturbed rows and then the unperturbed ones alike
     n = batch[0] if batch else 1
-    episode_count = targets.mask.shape[1]
-    rows = np.arange(n + episode_count if clean else n) % episode_count
-    x = np.swapaxes(inputs, 0, -2).reshape(t_len, episode_count, -1)[:, rows]
-    u = (noise.block if single else noise).u[:t_len]  # (T, 1 or n, H)
+    episode_count = mask.shape[1]
+    total = n + episode_count if clean else n
+    rows = np.arange(total) % episode_count
+    x = inputs.swapaxes(0, -2).reshape(t_len, episode_count, -1).take(rows, axis=1)
+    u = noise.u[:t_len, None] if single else noise.u[:t_len]  # (T, 1 or n, H)
     # the perturbation offsets, which the sweep turns into the perturbed
     # states h_bar; unperturbed rows and the LSTM cell add 0
-    states = np.zeros((t_len, rows.size, params.state_size))
+    states = np.zeros((t_len, total, params.state_size))
     np.multiply(sigma, u if q0 is None else u @ q0.T, out=states[:, :n, :h_size])
     steps = rnn.empty_steps(params, states.shape[:2])
     rnn.sweep(params, np.zeros(states.shape[1:]), x, steps, offsets=states)
 
-    losses = rnn.row_losses(states[..., :h_size], targets[:, rows], head)
-    losses = np.zeros((t_len, rows.size)) + losses  # a head may return one scalar
+    targets = rnn.Targets(values.take(rows, axis=1), mask.take(rows, axis=1))
+    losses = rnn.row_losses(states[..., :h_size], targets, head)
+    losses = np.zeros((t_len, total)) + losses  # a head may return one scalar
     advantage = losses[:, :n] - (losses[:, n:] if clean else baseline_values)
-    suffix = np.cumsum(advantage[::-1], axis=0)[::-1]
+    suffix = advantage[::-1].cumsum(axis=0)[::-1]
     directions = rnn.embed_state_grad(
         params, suffix[..., None] * (u if q0_inv is None else u @ q0_inv))
-    perturbed = steps[:, :n]
-    g_z = rnn.vjp_to_cut(perturbed, CutVertex.PREACTIVATION, directions)
-    estimate = (g_z.transpose(1, 2, 0) @ perturbed.a.transpose(1, 0, 2)) / sigma
+    # the pullback to the preactivations, vjp_to_cut's, on the perturbed
+    # rows of the tape's arrays
+    if params.cell_kind == rnn.LSTM:
+        g_z = rnn.vjp_to_cut(steps[:, :n], CutVertex.PREACTIVATION, directions)
+    else:
+        g_z = directions * steps.d[:, :n]
+    estimate = (g_z.transpose(1, 2, 0) @ steps.a[:, :n].transpose(1, 0, 2)) / sigma
     return _report("reinforce", noise, estimate.reshape(*batch, -1))
 
 

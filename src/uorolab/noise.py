@@ -25,31 +25,31 @@ the hash of each stream word at each pool position, so a stream's pool is
 its episode's pool with four words mixed in.  The output words and PCG64's
 seeding follow by the same arithmetic, on two routes.  For one episode, or
 indices of more than one 32-bit word, they run on Python ints per index
-and stream, and every stream is drawn by the same Generator calls as with a
-fresh generator, on one generator per thread whose PCG64 state is set just
-before the stream is drawn.  For several indices that are each one 32-bit
-word, a block derives the states of all four streams together on uint64
-arrays and keeps them as 64-bit limbs (state_hi, state_lo, inc_hi, inc_lo).
-Its sign streams, and coin_block's bits, are stepped together as limbs by
-PCG64's 128-bit LCG and XSL-RR output (O'Neill 2014, "PCG: A Family of
-Simple Fast Space-Efficient Statistically Good Algorithms for Random Number
-Generation"), with no generator; its normals still come from numpy's
-ziggurat, on the thread's generator seated per column at the state its
-limbs hold.
+and stream.  For several indices that are each one 32-bit word, a block
+derives the states of all four streams together on uint64 arrays and keeps
+them as 64-bit limbs (state_hi, state_lo, inc_hi, inc_lo).  On either route
+no generator draws a sign stream, or coin_block's bits: the states are
+stepped by PCG64's 128-bit LCG and XSL-RR output (O'Neill 2014, "PCG: A
+Family of Simple Fast Space-Efficient Statistically Good Algorithms for
+Random Number Generation"), on Python ints per state or together as limbs,
+and the bits read from the raw outputs.  Normals still come from numpy's
+ziggurat, on one generator per thread whose PCG64 state is set just before
+each stream, or each column of a block, is drawn: one seat per stream for
+one episode.
 
 Forms.  NoiseBlock (episode_noises) is a block of episode indices of one
 base seed: each stream is (T, B, ...), column j the stream of episode
 indices[j], drawn on first access in that layout.  The block derives each
 stream's states once; a slice is a sub-block that shares that derivation
 and draws its own columns.  EpisodeNoise (episode_noise, or an integer
-index of a block) is one episode: the one-column view of a block of that
-one index, whose streams (T, ...) are column 0 of the block's.  coin_block
-draws fair coin bits, such as the queue task's inputs, for a block of
-one-element spawn keys (i,) from the same derivation.
+index of a block) is one episode, whose streams (T, ...) it draws itself on
+first access from its own pool.  coin_block draws fair coin bits, such as
+the queue task's inputs, for a block of one-element spawn keys (i,) from
+the same derivation.
 """
 
 import threading
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -68,6 +68,7 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 # PCG64's 128-bit LCG multiplier.
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 
 
@@ -255,10 +256,40 @@ def _limb_raw(limbs: _Limbs, words: int) -> np.ndarray:
     return raw
 
 
-def _limb_coin_bits(limbs: _Limbs, length: int) -> np.ndarray:
-    """(B, length) coin bits, row j bit for bit coin_bits of a generator
-    seated at state j of (B,) limbs."""
-    return _raw_bits(_limb_raw(limbs, (length + 1) // 2), length)
+def _raw_words(state, words: int) -> list:
+    """random_raw(words) of a generator seated at state = (state, inc), on
+    Python ints: _limb_raw's step and output, each on one 128-bit int."""
+    s, inc = state
+    raw = []
+    for _ in range(words):
+        s = (s * _PCG64_MULT + inc) & _MASK128
+        x, rot = ((s >> 64) ^ s) & _MASK64, s >> 122
+        raw.append(((x >> rot) | (x << (64 - rot))) & _MASK64)
+    return raw
+
+
+def _state_bits(state, length: int) -> list:
+    """The length coin bits of a generator seated at state = (state, inc),
+    as _raw_bits reads them from _raw_words."""
+    bits = []
+    for x in _raw_words(state, (length + 1) // 2):
+        bits += (x >> 31) & 1, x >> 63
+    return bits[:length]
+
+
+def _coin_bits(states, length: int) -> np.ndarray:
+    """(B, length) fair coin bits, 0 or 1: row j bit for bit
+    Generator.integers(0, 2, size=length) of a generator seated at state j,
+    with no generator.  states are (B,) _Limbs, stepped together, or a list
+    of (state, inc) Python ints, each stepped on its own.
+
+    integers draws each value from the next 32-bit half of the successive
+    64-bit outputs, low half first, by Lemire's method, which for the range 2
+    never rejects and returns bit 31 of the half (_raw_bits)."""
+    if isinstance(states, _Limbs):
+        return _raw_bits(_limb_raw(states, (length + 1) // 2), length)
+    return np.array([_state_bits(state, length) for state in states],
+                    dtype=np.uint32).reshape(len(states), length)
 
 
 _thread = threading.local()
@@ -276,17 +307,6 @@ def _generator(state) -> np.random.Generator:
         "uinteger": 0,
     }
     return gen
-
-
-def coin_bits(gen: np.random.Generator, length: int) -> np.ndarray:
-    """length fair coin bits, 0 or 1: bit for bit gen.integers(0, 2,
-    size=length) of a generator with no 32-bit half buffered, as right after
-    _generator sets its state.
-
-    integers draws each value from the next 32-bit half of the successive
-    64-bit outputs, low half first, by Lemire's method, which for the range 2
-    never rejects and returns bit 31 of the half (_raw_bits)."""
-    return _raw_bits(gen.bit_generator.random_raw((length + 1) // 2), length)
 
 
 def _index_pools(base_seed: int, indices: tuple) -> list:
@@ -310,27 +330,25 @@ def _on_array_route(groups: list) -> bool:
     return len(groups) == 1 and isinstance(groups[0][0], np.ndarray)
 
 
+def _stream_state(pool, const, stream: str) -> tuple:
+    """The PCG64 (state, inc) of one stream of the episode whose pool and
+    hash const, Python ints, are given."""
+    folds = _stream_hashes(const)[_STREAMS[stream]]
+    return _pcg64_state([_mix(word, fold) for word, fold in zip(pool, folds)])
+
+
 def coin_block(base_seed: int, indices, length: int) -> np.ndarray:
     """(B, length) fair coin bits, 0 or 1: row j bit for bit
     Generator(PCG64(SeedSequence(base_seed, spawn_key=(indices[j],))))
-    .integers(0, 2, size=length).  The rows' PCG64 states are derived and,
-    on the array route, stepped together, as a NoiseBlock's sign streams."""
+    .integers(0, 2, size=length).  The rows' PCG64 states are derived and
+    stepped as a NoiseBlock's sign streams are."""
     pools = _index_pools(base_seed, tuple(map(int, indices)))
     if _on_array_route(pools):
-        return _limb_coin_bits(_limb_states(pools[0][0]), length)
-    bits = np.empty((len(pools), length), dtype=np.uint32)
-    for row, (pool, _) in zip(bits, pools):
-        row[:] = coin_bits(_generator(_pcg64_state(pool)), length)
-    return bits
+        return _coin_bits(_limb_states(pools[0][0]), length)
+    return _coin_bits([_pcg64_state(pool) for pool, _ in pools], length)
 
 
 _SIGNS = np.array([-1.0, 1.0])  # the sign of each coin bit
-
-
-def _scalars(gen: np.random.Generator, length: int, kind: str) -> np.ndarray:
-    if kind == SIGN:
-        return _SIGNS.take(coin_bits(gen, length))
-    return gen.standard_normal(length)
 
 
 def _check_kind(tau_kind: str):
@@ -338,29 +356,58 @@ def _check_kind(tau_kind: str):
         raise ValueError(f"unknown tau kind {tau_kind!r}")
 
 
-def _column(stream: str) -> cached_property:
-    """A stream of a one-column view: column 0 of its block's, read on first
-    access."""
-    return cached_property(lambda view: getattr(view.block, stream)[:, 0])
+class _lazy:
+    """A value computed on first access and kept in the instance's
+    __dict__, where it shadows this non-data descriptor: cached_property
+    without the lock it takes on every first access."""
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
 
 
 class EpisodeNoise:
-    """The noise of one episode: the one-column view of a NoiseBlock of that
-    one index, with the block's base_seed, length, dim and tau_kind, its
-    episode_index, and streams tau and sigma (T,) and nu, mu and u (T, dim),
-    column 0 of the block's."""
+    """The noise of one episode: its base_seed, episode_index, length, dim
+    and tau_kind, and streams tau and sigma (T,) and nu, mu and u (T, dim),
+    each drawn on first access.  Its pool is derived on Python ints when it
+    is made, and each stream's state from that pool."""
 
-    def __init__(self, block: "NoiseBlock"):
-        (self.episode_index,) = block.indices
-        self.base_seed, self.length = block.base_seed, block.length
-        self.dim, self.tau_kind = block.dim, block.tau_kind
-        self.block = block
+    def __init__(self, base_seed: int, episode_index: int, length: int, dim: int,
+                 tau_kind: str = SIGN):
+        _check_kind(tau_kind)
+        self.base_seed, self.episode_index = base_seed, episode_index
+        self.length, self.dim, self.tau_kind = length, dim, tau_kind
+        self._pool = _absorb(*_seed_pool(int(base_seed)), _words(episode_index))
 
-    tau = _column("tau")
-    nu = _column("nu")
-    sigma = _column("sigma")
-    mu = _column("mu")
-    u = _column("u")
+    def _state(self, stream: str) -> tuple:
+        return _stream_state(*self._pool, stream)
+
+    def _scalars(self, stream: str) -> np.ndarray:
+        if self.tau_kind == SIGN:
+            return _SIGNS.take(_state_bits(self._state(stream), self.length))
+        return _generator(self._state(stream)).standard_normal(self.length)
+
+    def _normals(self, stream: str) -> np.ndarray:
+        return _generator(self._state(stream)).standard_normal((self.length, self.dim))
+
+    tau = _lazy(lambda self: self._scalars("tau"))
+    nu = _lazy(lambda self: self._normals("nu"))
+    sigma = _lazy(lambda self: self._scalars("sigma"))
+    mu = _lazy(lambda self: self._normals("mu"))
+
+    @_lazy
+    def u(self) -> np.ndarray:
+        u = self._normals("nu")
+        u *= self.tau[:, None]
+        return u
 
 
 def episode_noise(
@@ -370,7 +417,7 @@ def episode_noise(
     dim: int,
     tau_kind: str = SIGN,
 ) -> EpisodeNoise:
-    return EpisodeNoise(NoiseBlock(base_seed, (episode_index,), length, dim, tau_kind))
+    return EpisodeNoise(base_seed, episode_index, length, dim, tau_kind)
 
 
 class NoiseBlock:
@@ -380,7 +427,7 @@ class NoiseBlock:
 
     block[a:b] is the sub-block of those columns, which draws from the
     states its root block derived, so the states are derived once per root;
-    block[j] is the EpisodeNoise view of the sub-block block[j:j+1]."""
+    block[j] is the EpisodeNoise of episode indices[j]."""
 
     def __init__(self, base_seed: int, indices, length: int, dim: int,
                  tau_kind: str = SIGN):
@@ -402,20 +449,20 @@ class NoiseBlock:
 
     def __getitem__(self, rows):
         if not isinstance(rows, slice):
-            j = range(len(self))[rows]
-            return EpisodeNoise(self[j:j + 1])
+            return EpisodeNoise(self.base_seed, self.indices[rows], self.length,
+                                self.dim, self.tau_kind)
         part = NoiseBlock(self.base_seed, self.indices[rows], self.length,
                           self.dim, self.tau_kind)
         part._root = self if self._root is None else self._root
         part._rows = self._rows[rows]
         return part
 
-    @cached_property
+    @_lazy
     def _index_pools(self) -> list:
         """(pool, const) after the episode indices (_index_pools)."""
         return _index_pools(self.base_seed, self.indices)
 
-    @cached_property
+    @_lazy
     def _limbs(self) -> _Limbs:
         """On the array route, the PCG64 states of all four streams of every
         episode, derived together: (4, B) limbs, row k stream k's."""
@@ -437,11 +484,8 @@ class NoiseBlock:
             return self._limbs.take(_STREAMS[stream])
         states = self._derived.get(stream)
         if states is None:
-            k = _STREAMS[stream]
-            states = self._derived[stream] = [
-                _pcg64_state([_mix(word, fold) for word, fold
-                              in zip(pool, _stream_hashes(const)[k])])
-                for pool, const in groups]
+            states = self._derived[stream] = [_stream_state(pool, const, stream)
+                                              for pool, const in groups]
         return states
 
     def _draw(self, states, shape: tuple, draw) -> np.ndarray:
@@ -458,32 +502,31 @@ class NoiseBlock:
 
     def _block_scalars(self, stream: str) -> np.ndarray:
         states = self._states(stream)
-        if self.tau_kind == SIGN and isinstance(states, _Limbs):
-            return _SIGNS.take(_limb_coin_bits(states, self.length).T)
-        return self._draw(states, (),
-                          lambda gen: _scalars(gen, self.length, self.tau_kind))
+        if self.tau_kind == SIGN:
+            return _SIGNS.take(_coin_bits(states, self.length).T)
+        return self._draw(states, (), lambda gen: gen.standard_normal(self.length))
 
     def _block_normals(self, stream: str) -> np.ndarray:
         return self._draw(self._states(stream), (self.dim,),
                           lambda gen: gen.standard_normal((self.length, self.dim)))
 
-    @cached_property
+    @_lazy
     def tau(self) -> np.ndarray:  # (T, B)
         return self._block_scalars("tau")
 
-    @cached_property
+    @_lazy
     def nu(self) -> np.ndarray:  # (T, B, dim)
         return self._block_normals("nu")
 
-    @cached_property
+    @_lazy
     def sigma(self) -> np.ndarray:  # (T, B)
         return self._block_scalars("sigma")
 
-    @cached_property
+    @_lazy
     def mu(self) -> np.ndarray:  # (T, B, dim)
         return self._block_normals("mu")
 
-    @cached_property
+    @_lazy
     def u(self) -> np.ndarray:  # (T, B, dim)
         # nu drawn again and scaled in place, so a block that reads u does
         # not also hold its nu

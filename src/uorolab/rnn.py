@@ -190,9 +190,14 @@ def empty_steps(params: RnnParams, shape: tuple) -> StepCache:
     """An unfilled StepCache whose arrays have the leading shape given, such
     as a tape's (T, [B]), for sweep or step(..., out=) to fill."""
     h = params.hidden_size
-    sizes = dict(f=h, c=h, dz=4 * h, dh_dc=h) if params.cell_kind == LSTM else dict(d=h)
-    return StepCache(params, **{name: np.empty((*shape, size)) for name, size
-                                in dict(a=params.augmented_size, h=h, **sizes).items()})
+
+    def empty(size):
+        return np.empty((*shape, size))
+
+    if params.cell_kind == LSTM:
+        return StepCache(params, empty(params.augmented_size), empty(h), f=empty(h),
+                         c=empty(h), dz=empty(4 * h), dh_dc=empty(h))
+    return StepCache(params, empty(params.augmented_size), empty(h), d=empty(h))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -553,17 +558,23 @@ class Targets:
         return Targets(self.values[index], self.mask[index])
 
 
+def _expected(shape: tuple, axes: str) -> str:
+    return f"{axes} = {shape}" if axes else f"{shape}"
+
+
 def _as_targets(targets, shape: tuple, axes: str = "") -> Targets:
     """targets as a Targets pair of rows of the given shape: a Targets of
     that shape as it is, or the list form, sequences nested to that shape
     (one target for shape ()) of targets, None at masked rows.  Any other
     shape raises ShapeError naming the expected one, its axes named axes."""
-    expected = f"{axes} = {shape}" if axes else f"{shape}"
     if isinstance(targets, Targets):
         if targets.mask.shape != shape:
             raise ShapeError(f"targets of shape {targets.mask.shape}, "
-                             f"expected {expected}")
+                             f"expected {_expected(shape, axes)}")
         return targets
+    if isinstance(targets, list) and len(shape) == 1 and len(targets) == shape[0]:
+        if all([t is not None for t in targets]):  # a flat list, every row supervised
+            return Targets(np.array(targets), np.ones(shape))
     rows = [targets]
     for size in shape:
         try:
@@ -571,7 +582,8 @@ def _as_targets(targets, shape: tuple, axes: str = "") -> Targets:
         except TypeError:  # a target or None where a sequence belongs
             fits = False
         if not fits:
-            raise ShapeError(f"targets do not have the expected shape {expected}")
+            raise ShapeError("targets do not have the expected shape "
+                             f"{_expected(shape, axes)}")
         rows = [t for r in rows for t in r]
     present = [t is not None for t in rows]
     if not all(present):  # masked rows hold a zero fill
@@ -601,8 +613,9 @@ class _LinearHead:
     """A linear readout, logits = weights @ (h, 1), with weights (K, H + 1).
     h may carry leading axes, such as B episodes (B, H), and target is a
     Targets pair of those axes or its list form (_as_targets); a masked row
-    has zero loss and zero gradient.  A subclass gives the loss and its logit
-    gradient per row in _error(h, values, mask)."""
+    has zero loss and zero gradient.  A subclass gives the loss per row, and
+    unless errors is false its logit gradient, the error rows, in
+    _error(h, values, mask, errors)."""
 
     def __init__(self, weights: np.ndarray):
         self.weights = np.asarray(weights, dtype=np.float64)
@@ -612,21 +625,31 @@ class _LinearHead:
     def logits(self, h: np.ndarray) -> np.ndarray:
         return h @ self.weights[:, :-1].T + self.weights[:, -1]
 
-    def _rows_error(self, h, target):
+    def _rows_error(self, h, target, errors=True):
         pair = _as_targets(target, h.shape[:-1])
-        return self._error(h, pair.values, pair.mask)
+        return self._error(h, pair.values, pair.mask, errors)
+
+    def loss_grad_errors(self, h: np.ndarray, target):
+        """loss_and_grad's loss and dL/dh, and the error rows they came from,
+        from which errors_param_grad gives param_grad's rows."""
+        loss, err = self._rows_error(h, target)
+        return _scalar_or_rows(loss), err @ self.weights[:, :-1], err
 
     def loss_and_grad(self, h: np.ndarray, target):
-        loss, err = self._rows_error(h, target)
-        return _scalar_or_rows(loss), err @ self.weights[:, :-1]
+        return self.loss_grad_errors(h, target)[:2]
 
     def losses(self, h: np.ndarray, target):
-        """The loss per row alone, as loss_and_grad gives it."""
-        return _scalar_or_rows(self._rows_error(h, target)[0])
+        """The loss per row alone, bit for bit as loss_and_grad gives it;
+        no error row is formed."""
+        return _scalar_or_rows(self._rows_error(h, target, errors=False)[0])
 
     def param_grad(self, h: np.ndarray, target) -> np.ndarray:
         """Exact dL/d(head weights) per row; the head never feeds back into h."""
-        _, err = self._rows_error(h, target)
+        return self.errors_param_grad(h, self._rows_error(h, target)[1])
+
+    @staticmethod
+    def errors_param_grad(h: np.ndarray, err: np.ndarray) -> np.ndarray:
+        """param_grad's rows from the error rows err at the states h."""
         with_bias = np.concatenate([h, np.ones((*h.shape[:-1], 1))], axis=-1)
         return err[..., :, None] * with_bias[..., None, :]
 
@@ -639,8 +662,9 @@ class SoftmaxHead(_LinearHead):
     def n_classes(self) -> int:
         return self.weights.shape[0]
 
-    def _error(self, h, labels, mask):
-        """Loss and probs - onehot(label) per row."""
+    def _error(self, h, labels, mask, errors=True):
+        """Loss and probs - onehot(label) per row.  Without the errors the
+        label's probability alone is normalized."""
         onehot = labels[..., None] == np.arange(self.n_classes)
         if np.count_nonzero(onehot) != labels.size:  # a label matches no class
             bad = labels[~onehot.any(axis=-1)].flat[0]
@@ -648,12 +672,19 @@ class SoftmaxHead(_LinearHead):
                 raise ValueError(f"label {bad} is not an integer")
             raise ValueError(f"label {bad} out of range [0, {self.n_classes})")
         probs = self.logits(h)
-        probs -= probs.max(axis=-1, keepdims=True)
+        probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
         np.exp(probs, out=probs)
-        probs /= probs.sum(axis=-1, keepdims=True)
-        loss = -np.log(np.maximum(probs[onehot], 1e-300)).reshape(labels.shape)
+        total = np.add.reduce(probs, axis=-1, keepdims=True)
+        if errors:
+            probs /= total
+            picked = probs[onehot]
+        else:  # the label's entry of probs / total alone
+            picked = probs[onehot] / total.reshape(-1)
+        loss = -np.log(np.maximum(picked, 1e-300)).reshape(labels.shape) * mask
+        if not errors:
+            return loss, None
         probs[onehot] -= 1.0
-        return loss * mask, probs * mask[..., None]
+        return loss, probs * mask[..., None]
 
 
 class BernoulliHead(_LinearHead):
@@ -664,7 +695,7 @@ class BernoulliHead(_LinearHead):
     def n_bits(self) -> int:
         return self.weights.shape[0]
 
-    def _error(self, h, values, mask):
+    def _error(self, h, values, mask, errors=True):
         """Loss and sigmoid(logits) - target per row."""
         t = np.asarray(values, dtype=np.float64).reshape(mask.shape + (-1,))
         # with no supervised row the fill is one zero per row; it broadcasts
@@ -674,7 +705,7 @@ class BernoulliHead(_LinearHead):
         # log(1 + exp(-|x|)) form keeps the loss finite for saturated logits
         loss = np.sum(np.maximum(lg, 0.0) - lg * t + np.log1p(np.exp(-np.abs(lg))),
                       axis=-1)
-        return loss * mask, (_sigmoid(lg) - t) * mask[..., None]
+        return loss * mask, (_sigmoid(lg) - t) * mask[..., None] if errors else None
 
 
 def loss_grad(h: np.ndarray, target, head):
@@ -703,7 +734,9 @@ class EpisodeTape:
     step t's cache and tape.steps[:, i] episode i's, both views.
 
     loss_grads rows are dL_t/dh_t (dimension H); embed_state_grad lifts them
-    into the full state space where needed.
+    into the full state space where needed.  Under a linear head run_episode
+    also keeps head_errors, the error rows those came from, from which the
+    head's errors_param_grad gives its param_grad rows.
     """
 
     params: RnnParams
@@ -713,6 +746,7 @@ class EpisodeTape:
     losses: np.ndarray | None = None  # (T, [B])
     loss_grads: np.ndarray | None = None  # (T, [B,] H)
     targets: Targets | None = None  # (T, [B]) rows
+    head_errors: np.ndarray | None = None  # (T, [B,] K)
 
     @property
     def length(self) -> int:
@@ -739,6 +773,7 @@ class EpisodeTape:
             losses=self.losses[:, i],
             loss_grads=self.loss_grads[:, i],
             targets=self.targets[:, i],
+            head_errors=None if self.head_errors is None else self.head_errors[:, i],
         )
 
 
@@ -781,8 +816,13 @@ def run_episode(
     sweep(params, state, np.swapaxes(inputs, 0, -2), tape.steps)
     rows = batch or (1,)
     losses = np.empty((total, *rows))  # filled as well from one scalar loss
-    losses[...], grads = loss_grad(tape.steps.h.reshape(total, *rows, -1),
-                                   targets if batch else targets[:, None], head)
+    h = tape.steps.h.reshape(total, *rows, -1)
+    targets = targets if batch else targets[:, None]
+    if isinstance(head, _LinearHead):
+        losses[...], grads, errors = head.loss_grad_errors(h, targets)
+        tape.head_errors = errors.reshape(total, *batch, -1)
+    else:
+        losses[...], grads = loss_grad(h, targets, head)
     tape.losses = losses.reshape(total, *batch)
     tape.loss_grads = grads.reshape(total, *batch, params.hidden_size)
     return tape

@@ -10,6 +10,7 @@ patterns with the same shape.
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -139,6 +140,15 @@ def synthetic_stripes(n: int, seed: int = 0) -> DigitDataset:
     return DigitDataset(images=images, labels=labels)
 
 
+@lru_cache(maxsize=4)
+def _synthetic_digits(count: int, seed: int) -> DigitDataset:
+    """synthetic_stripes(count, seed), made once per (count, seed) and
+    shared: its arrays are read-only, so a write to them raises."""
+    data = synthetic_stripes(count, seed=seed)
+    data.images.flags.writeable = data.labels.flags.writeable = False
+    return data
+
+
 def load_rowwise_digits(
     source: str = SOURCE_SYNTHETIC,
     images_path=None,
@@ -146,9 +156,10 @@ def load_rowwise_digits(
     limit: int | None = None,
     seed: int = 0,
 ) -> DigitDataset:
+    """The digits of a source.  The synthetic set is made once per (limit,
+    seed) and shared between calls, with read-only arrays."""
     if source == SOURCE_SYNTHETIC:
-        count = 2000 if limit is None else limit
-        return synthetic_stripes(count, seed=seed)
+        return _synthetic_digits(2000 if limit is None else limit, seed)
     if source != SOURCE_IDX:
         raise ValueError(f"unknown digits source {source!r}")
     images = load_idx_images(images_path)

@@ -16,6 +16,7 @@ variance measurement utilities close the loop.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -146,6 +147,14 @@ def moment_lemma_zscores(rng: np.random.Generator, n: int) -> list:
 # The C matrix and the alpha equilibration problem
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
+def _tril_indices(t_len: int):
+    """np.tril_indices(t_len), made once per length, as read-only arrays."""
+    q, r = np.tril_indices(t_len)
+    q.flags.writeable = r.flags.writeable = False
+    return q, r
+
+
 def _causal_suffix_rows(b: np.ndarray):
     """The distinct suffix rows v_qr = sum_{t>=q} b[t, r] of a causal b
     (T, T, N_z), with b[t, r] = 0 for r > t and hence v_qr = v_rr for
@@ -154,7 +163,7 @@ def _causal_suffix_rows(b: np.ndarray):
     (q, 0..q) gains the first q + 1 rows of block q + 1 in one in-place
     reverse pass, the same sums as a cumulative sum from the last step."""
     t_len = b.shape[0]
-    q, r = np.tril_indices(t_len)
+    q, r = _tril_indices(t_len)
     rows = b[q, r]
     for t in range(t_len - 2, -1, -1):
         start = t * (t + 1) // 2
@@ -172,8 +181,7 @@ def _rows_of(tensors: EpisodeTensors | SuffixRows):
     if tensors.rows.ndim != 2:
         raise ShapeError("this takes the rows of one episode: slice a block's "
                          "rows with rows.episode(j)")
-    q, r = np.tril_indices(tensors.length)
-    return tensors.rows, q, r
+    return (tensors.rows, *_tril_indices(tensors.length))
 
 
 def _theta_weights(tensors: EpisodeTensors | SuffixRows,

@@ -61,6 +61,15 @@ class TestRows:
         _causal_suffix_rows(tensors.b)
         np.testing.assert_array_equal(tensors.b, before)
 
+    def test_index_arrays_are_shared_and_read_only(self):
+        _, tensors = tensors_for(108, rnn.VANILLA_TANH, length=4)
+        _, q, r = _causal_suffix_rows(tensors.b)
+        _, q_again, r_again = _causal_suffix_rows(tensors.b)
+        assert q is q_again and r is r_again  # made once per length
+        for index in (q, r):
+            with pytest.raises(ValueError, match="read-only"):
+                index[0] = 1
+
 
 class TestAgainstAllRows:
     @pytest.mark.parametrize("cell", CELLS)

@@ -20,7 +20,7 @@ from uorolab.estimators import (
     uoro_step,
 )
 from uorolab.exact import bptt_gradient, episode_tensors, rtrl_jacobians
-from uorolab.noise import episode_noise
+from uorolab.noise import episode_noise, episode_noises
 from uorolab.rnn import CutVertex, run_episode
 from uorolab.variance import offline_total_estimate
 
@@ -386,3 +386,35 @@ class TestReproducibility:
         b = run_uoro(tape, CutVertex.PREACTIVATION,
                      episode_noise(70, 4, 5, 4), schedule)
         np.testing.assert_array_equal(a.estimate, b.estimate)
+
+
+class TestReinforceTargets:
+    """The list form of the targets and the Targets pair give one result."""
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["every-step", "masked"])
+    def test_list_and_targets_pair_agree(self, masked):
+        rng = np.random.default_rng(71)
+        params, inputs, targets, head = make_instance(rng, hidden=3, length=5)
+        if masked:
+            targets[1] = None
+        noise = episode_noise(72, 0, 5, 3)
+        pair = rnn.episode_targets(targets, (), 5)
+        assert pair.mask.sum() == (4 if masked else 5)
+        for baseline in ("noise-free", "none"):
+            from_list = reinforce_episode(params, inputs, targets, head, 0.1, noise,
+                                          baseline=baseline).estimate
+            from_pair = reinforce_episode(params, inputs, pair, head, 0.1, noise,
+                                          baseline=baseline).estimate
+            np.testing.assert_array_equal(from_list, from_pair)
+
+    def test_batched_list_and_targets_pair_agree(self):
+        rng = np.random.default_rng(73)
+        params, _, _, head = make_instance(rng, hidden=3, length=4)
+        inputs = rng.standard_normal((3, 4, params.input_size))
+        targets = [[int(rng.integers(3)) for _ in range(4)] for _ in range(3)]
+        targets[2][0] = None
+        block = episode_noises(74, range(3), 4, 3)
+        pair = rnn.episode_targets(targets, (3,), 4)
+        from_list = reinforce_episode(params, inputs, targets, head, 0.1, block).estimate
+        from_pair = reinforce_episode(params, inputs, pair, head, 0.1, block).estimate
+        np.testing.assert_array_equal(from_list, from_pair)

@@ -235,7 +235,7 @@ class TestOverflowAndLength:
         tape = run_episode(params, inputs, targets, head)
         n_z = params.preactivation_size
         noise = episode_noise(70, 0, 3, n_z)
-        noise.block.u *= 1e300
+        noise.u *= 1e300
         block = episode_noises(70, range(2), 3, n_z)
         block.u *= 1e300
         schedule = ScalingSchedule(GIR)

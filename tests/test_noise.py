@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uorolab import noise
-from uorolab.noise import (GAUSSIAN, SIGN, coin_bits, coin_block, episode_noise,
+from uorolab.noise import (GAUSSIAN, SIGN, EpisodeNoise, coin_block, episode_noise,
                           episode_noises)
 from uorolab.tasks import QueueSpec, make_queue_episode, queue_block
 
@@ -103,7 +103,7 @@ class TestBitIdentity:
             expected = reference_streams(base_seed, index, 6, 3, tau_kind)
             for stream in STREAMS:
                 assert np.array_equal(getattr(single, stream), expected[stream])
-                assert getattr(single.block, stream).shape[1] == 1
+                assert getattr(single, stream).flags.c_contiguous
             assert_block_matches(episode_noises(base_seed, [index], 6, 3, tau_kind),
                                  tau_kind)
 
@@ -139,7 +139,7 @@ class TestBitIdentity:
             single = block[j]
             assert ((single.base_seed, single.episode_index, single.length,
                      single.dim, single.tau_kind) == (9, index, 3, 2, SIGN))
-            assert single.block._root is block  # drawn from the root's states
+            assert isinstance(single, EpisodeNoise)
             for stream in STREAMS:
                 assert np.array_equal(getattr(single, stream),
                                       getattr(episode_noise(9, index, 3, 2), stream))
@@ -170,11 +170,12 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("index", [0, 5, 2**32 - 1, 2**32 + 1])
     def test_one_index_takes_the_per_index_route(self, index):
-        for block in (episode_noises(13, [index], 4, 2),
-                      episode_noise(13, index, 4, 2).block):
-            (pool, _), = block._index_pools  # one group of Python ints
-            assert all(isinstance(w, int) for w in pool)
-            assert_block_matches(block)
+        block = episode_noises(13, [index], 4, 2)
+        (pool, _), = block._index_pools  # one group of Python ints
+        assert all(isinstance(w, int) for w in pool)
+        assert_block_matches(block)
+        pool, _ = episode_noise(13, index, 4, 2)._pool  # one episode's own
+        assert all(isinstance(w, int) for w in pool)
 
     @pytest.mark.parametrize("indices", [[3, 2**32, 2**64 + 3, 2**100],
                                          [2**32, 2**32 + 5, 2**33]])
@@ -238,10 +239,12 @@ class TestBitIdentity:
                                       inputs[j])
 
     def test_coin_bits_are_the_integers_draw(self):
+        # bit 31 of each 32-bit half of the raw outputs, low half first
         for seed in range(200):
             for length in (1, 2, 5, 6, 24, 28, 101):
+                raw = fresh(seed, (length,)).bit_generator.random_raw((length + 1) // 2)
                 assert np.array_equal(
-                    coin_bits(fresh(seed, (length,)), length),
+                    noise._raw_bits(raw, length),
                     fresh(seed, (length,)).integers(0, 2, size=length)), (seed, length)
 
     def test_interleaved_draws_on_the_shared_generator(self):
@@ -394,10 +397,66 @@ class TestLimbPcg64:
         episode_noises(3, range(32), 6, 4, GAUSSIAN).tau
         assert len(seated) == 32
 
-        # the per-index route seats it for every stream of every index
+        # one episode, and the per-index route, seat it once per normal
+        # stream of each index, and never for sign streams or coin bits
         seated.clear()
         episode_noise(3, 5, 6, 4).u
-        assert len(seated) == 2
+        assert len(seated) == 1
         episode_noises(3, [1, 2**32, 7], 6, 4).tau
         coin_block(3, [1, 2**32, 7], 24)
-        assert len(seated) == 8
+        assert len(seated) == 1
+        episode_noises(3, [1, 2**32, 7], 6, 4).u
+        assert len(seated) == 4
+        episode_noise(3, 5, 6, 4, GAUSSIAN).tau
+        assert len(seated) == 5
+
+
+# One episode draws its own streams: its sign streams are stepped on Python
+# ints with no generator, its normals come from the thread's generator seated
+# once per stream.
+
+ONE_EPISODE_SEEDS = (0, 17, 2**32 - 1, 2**64 + 3, 2**130 + 7)
+ONE_EPISODE_INDICES = (0, 5, 2**32 - 1, 2**32 + 1, 2**70 + 9)
+
+
+class TestOneEpisodeRoute:
+    @pytest.mark.parametrize("tau_kind", [SIGN, GAUSSIAN])
+    @pytest.mark.parametrize("base_seed", ONE_EPISODE_SEEDS)
+    def test_streams_are_numpy_seeding(self, base_seed, tau_kind):
+        for index in ONE_EPISODE_INDICES:
+            for length in (1, 2, 5, 6, 101):
+                single = episode_noise(base_seed, index, length, 3, tau_kind)
+                expected = reference_streams(base_seed, index, length, 3, tau_kind)
+                for stream in STREAMS:
+                    drawn = getattr(single, stream)
+                    assert drawn.flags.c_contiguous
+                    assert np.array_equal(drawn, expected[stream]), \
+                        (base_seed, index, length, stream)
+
+    @pytest.mark.parametrize("base_seed", ONE_EPISODE_SEEDS)
+    def test_scalar_lcg_is_random_raw(self, base_seed):
+        for index in ONE_EPISODE_INDICES:
+            single = episode_noise(base_seed, index, 1, 1)
+            for stream, k in noise._STREAMS.items():
+                expected = fresh(base_seed, (index, k)).bit_generator.random_raw(51)
+                assert noise._raw_words(single._state(stream), 51) == expected.tolist()
+
+    def test_scalar_lcg_at_its_edges(self):
+        """States whose next step lands on the edges of the 128-bit word and
+        of the output rotation (hi >> 58 of 0 and of 63)."""
+        inverse = pow(noise._PCG64_MULT, -1, 2**128)
+        landing = (0, 1, 2**64 - 1, 2**64, 2**122 - 1, 2**122, 2**127, 2**128 - 1)
+        for inc in (1, 2**64 + 1, 2**128 - 1):
+            for target in landing:
+                state = ((target - inc) * inverse) % 2**128
+                gen = np.random.PCG64()
+                gen.state = {"bit_generator": "PCG64",
+                             "state": {"state": state, "inc": inc},
+                             "has_uint32": 0, "uinteger": 0}
+                assert noise._raw_words((state, inc), 3) == gen.random_raw(3).tolist()
+
+    def test_streams_are_kept_and_settable(self):
+        single = episode_noise(3, 1, 4, 2)
+        assert single.u is single.u
+        single.u *= 2.0  # a stream is a plain attribute once drawn
+        assert np.array_equal(single.u, 2.0 * reference_streams(3, 1, 4, 2)["u"])

@@ -187,6 +187,77 @@ class TestLossHeads:
         np.testing.assert_array_equal(grad, np.zeros(3))
 
 
+    @pytest.mark.parametrize("head_kind", ["softmax", "bernoulli"])
+    def test_losses_are_the_loss_of_loss_and_grad(self, head_kind):
+        """losses gives loss_and_grad's loss bit for bit, for stacked rows
+        with masked ones and for one row, down to saturated logits; the
+        error rows loss_grad_errors keeps give param_grad's rows."""
+        rng = np.random.default_rng(11)
+        for scale in (0.5, 40.0):
+            if head_kind == "softmax":
+                head = SoftmaxHead(scale * rng.standard_normal((4, 6)))
+                rows = [[0, 3, None], [None, 2, 1]]
+            else:
+                head = BernoulliHead(scale * rng.standard_normal((3, 6)))
+                rows = [[rng.random(3), np.array([1.0, 0.0, 1.0]), None],
+                        [None, np.array([0.0, 0.0, 1.0]), rng.random(3)]]
+            h = rng.standard_normal((2, 3, 5))
+            loss, grad = head.loss_and_grad(h, rows)
+            np.testing.assert_array_equal(head.losses(h, rows), loss)
+            assert loss[0, 2] == 0.0 and loss[1, 0] == 0.0  # masked rows
+            kept_loss, kept_grad, errors = head.loss_grad_errors(h, rows)
+            np.testing.assert_array_equal(kept_loss, loss)
+            np.testing.assert_array_equal(kept_grad, grad)
+            np.testing.assert_array_equal(head.errors_param_grad(h, errors),
+                                          head.param_grad(h, rows))
+            for target in (rows[0][0], rows[0][1], None):
+                one = head.losses(h[1, 1], target)
+                assert type(one) is float and one == head.loss_and_grad(h[1, 1], target)[0]
+
+    @pytest.mark.parametrize("label", [2.7, 5, -1, 3.0 + 1e-9, float("nan")])
+    def test_losses_refuse_labels_as_loss_and_grad_does(self, label):
+        head = SoftmaxHead(np.zeros((3, 3)))
+        targets = [1, None, label]
+        with pytest.raises(ValueError) as expected:
+            head.loss_and_grad(np.zeros((3, 2)), targets)
+        with pytest.raises(ValueError) as refused:
+            head.losses(np.zeros((3, 2)), targets)
+        assert str(refused.value) == str(expected.value)
+
+    def test_bernoulli_losses_refuse_shapes_as_loss_and_grad_does(self):
+        head = BernoulliHead(np.zeros((2, 3)))
+        targets = [np.array([1.0, 0.0, 1.0]), None]
+        with pytest.raises(ShapeError) as expected:
+            head.loss_and_grad(np.zeros((2, 2)), targets)
+        with pytest.raises(ShapeError) as refused:
+            head.losses(np.zeros((2, 2)), targets)
+        assert str(refused.value) == str(expected.value)
+
+    def test_flat_target_list_is_the_general_form(self):
+        """A flat list with no masked row takes a shortcut that gives what
+        the nested-sequence form gives: the same values, mask and dtypes."""
+        for targets in ([2, 0, 1], [2.0, 0.0, 1.0],
+                        [np.array([1.0, 0.0]), np.array([0.0, 0.5]), np.ones(2)]):
+            fast = rnn.episode_targets(targets, (), 3)
+            general = rnn.episode_targets(tuple(targets), (), 3)
+            for got, want in ((fast.values, general.values), (fast.mask, general.mask)):
+                np.testing.assert_array_equal(got, want)
+                assert got.dtype == want.dtype and got.shape == want.shape
+        with pytest.raises(ShapeError, match=r"expected shape \(T,\) = \(4,\)"):
+            rnn.episode_targets([1, 2, 0], (), 4)
+
+    def test_run_episode_keeps_the_head_error_rows(self):
+        rng = np.random.default_rng(12)
+        params, _, _, head = make_instance(rng, hidden=3, length=4)
+        inputs = rng.standard_normal((2, 4, params.input_size))
+        targets = [[0, 1, None, 2], [2, 2, 0, None]]
+        tape = run_episode(params, inputs, targets, head)
+        np.testing.assert_array_equal(
+            head.errors_param_grad(tape.steps.h, tape.head_errors),
+            head.param_grad(tape.steps.h, tape.targets))
+        np.testing.assert_array_equal(tape.episode(1).head_errors, tape.head_errors[:, 1])
+
+
 class TestJacobianProducts:
     def test_scalar_state_jacobian_value(self):
         _, cache = (

@@ -53,3 +53,23 @@ def test_relative_difference(digests):
     assert digests._rel_diff(1.0, inf) == inf
     assert digests._rel_diff(inf, -inf) == inf
     assert digests._rel_diff(0.0, -2.0) == 1.0
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+REINFORCE_FILE = "reinforce-per-seed.csv"
+
+
+def test_reinforce_per_seed_matches_the_golden_file(digests, tmp_path, capsys):
+    """The per-seed REINFORCE estimates, one reinforce_episode call per seed,
+    are byte for byte the checked-in file (reinforce-per-seed.versions names
+    the numpy and BLAS that wrote it).  A mismatch reports --compare's count
+    of differing cells and their largest relative difference."""
+    golden, fresh = tmp_path / "golden", tmp_path / "fresh"
+    for root in (golden, fresh):
+        root.mkdir()
+    (golden / REINFORCE_FILE).write_bytes((GOLDEN / REINFORCE_FILE).read_bytes())
+    digests.write_reinforce_per_seed(fresh / REINFORCE_FILE)
+    capsys.readouterr()
+    if (fresh / REINFORCE_FILE).read_bytes() != (golden / REINFORCE_FILE).read_bytes():
+        digests.compare(golden, fresh)
+        pytest.fail(capsys.readouterr().out)

@@ -216,7 +216,7 @@ class TestOverflow:
                                                       length=3)
         tape = run_episode(params, inputs, targets, head)
         noise = episode_noise(81, 0, 3, params.preactivation_size)
-        noise.block.tau *= 1e300
+        noise.tau *= 1e300
         block = episode_noises(81, range(2), 3, params.preactivation_size)
         block.tau *= 1e300
         schedule = ScalingSchedule(GIR)

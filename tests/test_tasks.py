@@ -147,6 +147,17 @@ class TestSyntheticStripes:
         assert data.images.min() >= 0.0 and data.images.max() <= 1.0
         assert set(np.unique(data.labels)) <= set(range(10))
 
+    def test_synthetic_set_is_made_once_and_read_only(self):
+        data = load_rowwise_digits(limit=12, seed=5)
+        assert load_rowwise_digits(limit=12, seed=5) is data
+        assert load_rowwise_digits(limit=12, seed=6) is not data
+        made = synthetic_stripes(12, seed=5)
+        np.testing.assert_array_equal(data.images, made.images)
+        np.testing.assert_array_equal(data.labels, made.labels)
+        for array in (data.images, data.labels, data.episode(3)[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
     def test_episode_view(self):
         data = load_rowwise_digits(limit=10, seed=3)
         inputs, targets = data.episode(4)
