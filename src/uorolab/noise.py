@@ -39,17 +39,19 @@ one episode.
 
 Forms.  NoiseBlock (episode_noises) is a block of episode indices of one
 base seed: each stream is (T, B, ...), column j the stream of episode
-indices[j], drawn on first access in that layout.  The block derives each
-stream's states once; a slice is a sub-block that shares that derivation
-and draws its own columns.  EpisodeNoise (episode_noise, or an integer
-index of a block) is one episode, whose streams (T, ...) it draws itself on
-first access from its own pool.  coin_block draws fair coin bits, such as
+indices[j], drawn on first access in that layout.  On the array route the
+block derives each stream's states once, and a slice is a sub-block that
+shares that derivation and draws its own columns; on the per-index route
+column j is the stream of the block's EpisodeNoise of indices[j].
+EpisodeNoise (episode_noise, or an integer index of a block) is one
+episode, whose streams (T, ...) it draws itself on first access from its
+own pool.  coin_block draws fair coin bits, such as
 the queue task's inputs, for a block of one-element spawn keys (i,) from
 the same derivation.
 """
 
 import threading
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -277,19 +279,15 @@ def _state_bits(state, length: int) -> list:
     return bits[:length]
 
 
-def _coin_bits(states, length: int) -> np.ndarray:
+def _coin_bits(limbs: _Limbs, length: int) -> np.ndarray:
     """(B, length) fair coin bits, 0 or 1: row j bit for bit
-    Generator.integers(0, 2, size=length) of a generator seated at state j,
-    with no generator.  states are (B,) _Limbs, stepped together, or a list
-    of (state, inc) Python ints, each stepped on its own.
+    Generator.integers(0, 2, size=length) of a generator seated at state j
+    of (B,) limbs, with no generator.
 
     integers draws each value from the next 32-bit half of the successive
     64-bit outputs, low half first, by Lemire's method, which for the range 2
     never rejects and returns bit 31 of the half (_raw_bits)."""
-    if isinstance(states, _Limbs):
-        return _raw_bits(_limb_raw(states, (length + 1) // 2), length)
-    return np.array([_state_bits(state, length) for state in states],
-                    dtype=np.uint32).reshape(len(states), length)
+    return _raw_bits(_limb_raw(limbs, (length + 1) // 2), length)
 
 
 _thread = threading.local()
@@ -309,15 +307,19 @@ def _generator(state) -> np.random.Generator:
     return gen
 
 
+def _array_route(indices: tuple) -> bool:
+    """Whether indices take the array route: several, each one 32-bit word."""
+    return len(indices) > 1 and 0 <= min(indices) and max(indices) <= _MASK32
+
+
 def _index_pools(base_seed: int, indices: tuple) -> list:
     """(pool, const) after base_seed and each one-element spawn key (i,), in
-    groups: on the array route, when there are several indices and each is
-    one 32-bit word, one group whose pool is a (4, B) uint64 array, row i
-    pool position i; else, on the per-index route, one group of Python ints
-    per index, of any number of words (a negative index raises as in
-    SeedSequence)."""
+    groups: on the array route, one group whose pool is a (4, B) uint64
+    array, row i pool position i; else, on the per-index route, one group of
+    Python ints per index, of any number of words (a negative index raises
+    as in SeedSequence)."""
     pool, const = _seed_pool(int(base_seed))
-    if len(indices) > 1 and 0 <= min(indices) and max(indices) <= _MASK32:
+    if _array_route(indices):
         pairs, const = _hash_consts(const, _MULT_A, _POOL_SIZE)
         xor, mult = np.array(pairs, dtype=np.uint64).T[..., None]
         words = _hash(np.array(indices, dtype=np.uint64), xor, mult)
@@ -325,27 +327,17 @@ def _index_pools(base_seed: int, indices: tuple) -> list:
     return [_absorb(pool, const, _words(i)) for i in indices]
 
 
-def _on_array_route(groups: list) -> bool:
-    """Whether _index_pools took the array route."""
-    return len(groups) == 1 and isinstance(groups[0][0], np.ndarray)
-
-
-def _stream_state(pool, const, stream: str) -> tuple:
-    """The PCG64 (state, inc) of one stream of the episode whose pool and
-    hash const, Python ints, are given."""
-    folds = _stream_hashes(const)[_STREAMS[stream]]
-    return _pcg64_state([_mix(word, fold) for word, fold in zip(pool, folds)])
-
-
 def coin_block(base_seed: int, indices, length: int) -> np.ndarray:
     """(B, length) fair coin bits, 0 or 1: row j bit for bit
     Generator(PCG64(SeedSequence(base_seed, spawn_key=(indices[j],))))
     .integers(0, 2, size=length).  The rows' PCG64 states are derived and
     stepped as a NoiseBlock's sign streams are."""
-    pools = _index_pools(base_seed, tuple(map(int, indices)))
-    if _on_array_route(pools):
+    indices = tuple(map(int, indices))
+    pools = _index_pools(base_seed, indices)
+    if _array_route(indices):
         return _coin_bits(_limb_states(pools[0][0]), length)
-    return _coin_bits([_pcg64_state(pool) for pool, _ in pools], length)
+    return np.array([_state_bits(_pcg64_state(pool), length) for pool, _ in pools],
+                    dtype=np.uint32).reshape(len(pools), length)
 
 
 _SIGNS = np.array([-1.0, 1.0])  # the sign of each coin bit
@@ -354,24 +346,6 @@ _SIGNS = np.array([-1.0, 1.0])  # the sign of each coin bit
 def _check_kind(tau_kind: str):
     if tau_kind not in (SIGN, GAUSSIAN):
         raise ValueError(f"unknown tau kind {tau_kind!r}")
-
-
-class _lazy:
-    """A value computed on first access and kept in the instance's
-    __dict__, where it shadows this non-data descriptor: cached_property
-    without the lock it takes on every first access."""
-
-    def __init__(self, compute):
-        self.compute = compute
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.compute(obj)
-        return value
 
 
 class EpisodeNoise:
@@ -388,24 +362,26 @@ class EpisodeNoise:
         self._pool = _absorb(*_seed_pool(int(base_seed)), _words(episode_index))
 
     def _state(self, stream: str) -> tuple:
-        return _stream_state(*self._pool, stream)
+        """The PCG64 (state, inc) of one stream."""
+        pool, const = self._pool
+        folds = _stream_hashes(const)[_STREAMS[stream]]
+        return _pcg64_state([_mix(word, fold) for word, fold in zip(pool, folds)])
 
-    def _scalars(self, stream: str) -> np.ndarray:
-        if self.tau_kind == SIGN:
+    def _draw(self, stream: str, shape: tuple) -> np.ndarray:
+        """A (T, *shape) stream drawn afresh: signs stepped on Python ints,
+        normals from the thread's generator seated at the stream's state."""
+        if shape == () and self.tau_kind == SIGN:
             return _SIGNS.take(_state_bits(self._state(stream), self.length))
-        return _generator(self._state(stream)).standard_normal(self.length)
+        return _generator(self._state(stream)).standard_normal((self.length, *shape))
 
-    def _normals(self, stream: str) -> np.ndarray:
-        return _generator(self._state(stream)).standard_normal((self.length, self.dim))
+    tau = cached_property(lambda self: self._draw("tau", ()))
+    nu = cached_property(lambda self: self._draw("nu", (self.dim,)))
+    sigma = cached_property(lambda self: self._draw("sigma", ()))
+    mu = cached_property(lambda self: self._draw("mu", (self.dim,)))
 
-    tau = _lazy(lambda self: self._scalars("tau"))
-    nu = _lazy(lambda self: self._normals("nu"))
-    sigma = _lazy(lambda self: self._scalars("sigma"))
-    mu = _lazy(lambda self: self._normals("mu"))
-
-    @_lazy
+    @cached_property
     def u(self) -> np.ndarray:
-        u = self._normals("nu")
+        u = self._draw("nu", (self.dim,))
         u *= self.tau[:, None]
         return u
 
@@ -425,9 +401,11 @@ class NoiseBlock:
     (T, B), nu, mu and u (T, B, dim), column j the stream of episode
     indices[j].  Each stream is drawn on first access.
 
-    block[a:b] is the sub-block of those columns, which draws from the
-    states its root block derived, so the states are derived once per root;
-    block[j] is the EpisodeNoise of episode indices[j]."""
+    block[a:b] is the sub-block of those columns.  On the array route it
+    draws from the states its root block derived, so the states are derived
+    once per root; on the per-index route, as every block there, it stacks
+    the streams of its columns' EpisodeNoise.  block[j] is the EpisodeNoise
+    of episode indices[j]."""
 
     def __init__(self, base_seed: int, indices, length: int, dim: int,
                  tau_kind: str = SIGN):
@@ -439,7 +417,7 @@ class NoiseBlock:
         self.tau_kind = tau_kind
         self._root = None  # the block this one was sliced from, if any
         self._rows = range(len(self.indices))  # its columns of the root
-        self._derived = {}
+        self._on_array_route = _array_route(self.indices)  # the root's route
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -455,14 +433,15 @@ class NoiseBlock:
                           self.dim, self.tau_kind)
         part._root = self if self._root is None else self._root
         part._rows = self._rows[rows]
+        part._on_array_route = self._on_array_route
         return part
 
-    @_lazy
+    @cached_property
     def _index_pools(self) -> list:
         """(pool, const) after the episode indices (_index_pools)."""
         return _index_pools(self.base_seed, self.indices)
 
-    @_lazy
+    @cached_property
     def _limbs(self) -> _Limbs:
         """On the array route, the PCG64 states of all four streams of every
         episode, derived together: (4, B) limbs, row k stream k's."""
@@ -470,67 +449,52 @@ class NoiseBlock:
         hashes = np.array(_stream_hashes(const), dtype=np.uint64)
         return _limb_states(_mix(pool[:, None], hashes.T[..., None]))
 
-    def _states(self, stream: str):
-        """The PCG64 states of one stream, one per column, derived once per
-        root block: (B,) _Limbs on the array route, else a list of (state,
-        inc) Python ints."""
+    def _states(self, stream: str) -> _Limbs:
+        """On the array route, the (B,) PCG64 states of one stream, derived
+        once per root block."""
         if self._root is not None:
-            states = self._root._states(stream)
-            if isinstance(states, _Limbs):
-                return states.take(np.asarray(self._rows))
-            return [states[i] for i in self._rows]
-        groups = self._index_pools
-        if _on_array_route(groups):
-            return self._limbs.take(_STREAMS[stream])
-        states = self._derived.get(stream)
-        if states is None:
-            states = self._derived[stream] = [_stream_state(pool, const, stream)
-                                              for pool, const in groups]
-        return states
+            return self._root._states(stream).take(np.asarray(self._rows))
+        return self._limbs.take(_STREAMS[stream])
 
-    def _draw(self, states, shape: tuple, draw) -> np.ndarray:
-        """A (T, B, *shape) array whose column j is draw(the generator seated
-        at states[j])."""
-        if isinstance(states, _Limbs):
-            states = states.states()
-        if len(states) == 1:  # the one draw, viewed as its only column
-            return draw(_generator(states[0]))[:, None]
+    def _columns(self, stream: str, shape: tuple) -> np.ndarray:
+        """A (T, B, *shape) stream drawn column by column: on the array route
+        from the thread's generator seated at each column's state, else as
+        the EpisodeNoise of each column draws it."""
         out = np.empty((self.length, len(self), *shape))
-        for j, state in enumerate(states):
-            out[:, j] = draw(_generator(state))
+        if self._on_array_route:
+            for j, state in enumerate(self._states(stream).states()):
+                out[:, j] = _generator(state).standard_normal((self.length, *shape))
+        else:
+            for j, episode in enumerate(self):
+                out[:, j] = episode._draw(stream, shape)
         return out
 
     def _block_scalars(self, stream: str) -> np.ndarray:
-        states = self._states(stream)
-        if self.tau_kind == SIGN:
-            return _SIGNS.take(_coin_bits(states, self.length).T)
-        return self._draw(states, (), lambda gen: gen.standard_normal(self.length))
+        if self.tau_kind == SIGN and self._on_array_route:
+            return _SIGNS.take(_coin_bits(self._states(stream), self.length).T)
+        return self._columns(stream, ())
 
-    def _block_normals(self, stream: str) -> np.ndarray:
-        return self._draw(self._states(stream), (self.dim,),
-                          lambda gen: gen.standard_normal((self.length, self.dim)))
-
-    @_lazy
+    @cached_property
     def tau(self) -> np.ndarray:  # (T, B)
         return self._block_scalars("tau")
 
-    @_lazy
+    @cached_property
     def nu(self) -> np.ndarray:  # (T, B, dim)
-        return self._block_normals("nu")
+        return self._columns("nu", (self.dim,))
 
-    @_lazy
+    @cached_property
     def sigma(self) -> np.ndarray:  # (T, B)
         return self._block_scalars("sigma")
 
-    @_lazy
+    @cached_property
     def mu(self) -> np.ndarray:  # (T, B, dim)
-        return self._block_normals("mu")
+        return self._columns("mu", (self.dim,))
 
-    @_lazy
+    @cached_property
     def u(self) -> np.ndarray:  # (T, B, dim)
         # nu drawn again and scaled in place, so a block that reads u does
         # not also hold its nu
-        u = self._block_normals("nu")
+        u = self._columns("nu", (self.dim,))
         u *= self.tau[..., None]
         return u
 

@@ -629,14 +629,9 @@ class _LinearHead:
         pair = _as_targets(target, h.shape[:-1])
         return self._error(h, pair.values, pair.mask, errors)
 
-    def loss_grad_errors(self, h: np.ndarray, target):
-        """loss_and_grad's loss and dL/dh, and the error rows they came from,
-        from which errors_param_grad gives param_grad's rows."""
-        loss, err = self._rows_error(h, target)
-        return _scalar_or_rows(loss), err @ self.weights[:, :-1], err
-
     def loss_and_grad(self, h: np.ndarray, target):
-        return self.loss_grad_errors(h, target)[:2]
+        loss, err = self._rows_error(h, target)
+        return _scalar_or_rows(loss), err @ self.weights[:, :-1]
 
     def losses(self, h: np.ndarray, target):
         """The loss per row alone, bit for bit as loss_and_grad gives it;
@@ -645,11 +640,7 @@ class _LinearHead:
 
     def param_grad(self, h: np.ndarray, target) -> np.ndarray:
         """Exact dL/d(head weights) per row; the head never feeds back into h."""
-        return self.errors_param_grad(h, self._rows_error(h, target)[1])
-
-    @staticmethod
-    def errors_param_grad(h: np.ndarray, err: np.ndarray) -> np.ndarray:
-        """param_grad's rows from the error rows err at the states h."""
+        _, err = self._rows_error(h, target)
         with_bias = np.concatenate([h, np.ones((*h.shape[:-1], 1))], axis=-1)
         return err[..., :, None] * with_bias[..., None, :]
 
@@ -734,9 +725,7 @@ class EpisodeTape:
     step t's cache and tape.steps[:, i] episode i's, both views.
 
     loss_grads rows are dL_t/dh_t (dimension H); embed_state_grad lifts them
-    into the full state space where needed.  Under a linear head run_episode
-    also keeps head_errors, the error rows those came from, from which the
-    head's errors_param_grad gives its param_grad rows.
+    into the full state space where needed.
     """
 
     params: RnnParams
@@ -746,7 +735,6 @@ class EpisodeTape:
     losses: np.ndarray | None = None  # (T, [B])
     loss_grads: np.ndarray | None = None  # (T, [B,] H)
     targets: Targets | None = None  # (T, [B]) rows
-    head_errors: np.ndarray | None = None  # (T, [B,] K)
 
     @property
     def length(self) -> int:
@@ -773,7 +761,6 @@ class EpisodeTape:
             losses=self.losses[:, i],
             loss_grads=self.loss_grads[:, i],
             targets=self.targets[:, i],
-            head_errors=None if self.head_errors is None else self.head_errors[:, i],
         )
 
 
@@ -816,13 +803,8 @@ def run_episode(
     sweep(params, state, np.swapaxes(inputs, 0, -2), tape.steps)
     rows = batch or (1,)
     losses = np.empty((total, *rows))  # filled as well from one scalar loss
-    h = tape.steps.h.reshape(total, *rows, -1)
-    targets = targets if batch else targets[:, None]
-    if isinstance(head, _LinearHead):
-        losses[...], grads, errors = head.loss_grad_errors(h, targets)
-        tape.head_errors = errors.reshape(total, *batch, -1)
-    else:
-        losses[...], grads = loss_grad(h, targets, head)
+    losses[...], grads = loss_grad(tape.steps.h.reshape(total, *rows, -1),
+                                   targets if batch else targets[:, None], head)
     tape.losses = losses.reshape(total, *batch)
     tape.loss_grads = grads.reshape(total, *batch, params.hidden_size)
     return tape

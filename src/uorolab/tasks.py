@@ -140,10 +140,10 @@ def synthetic_stripes(n: int, seed: int = 0) -> DigitDataset:
     return DigitDataset(images=images, labels=labels)
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _synthetic_digits(count: int, seed: int) -> DigitDataset:
-    """synthetic_stripes(count, seed), made once per (count, seed) and
-    shared: its arrays are read-only, so a write to them raises."""
+    """synthetic_stripes(count, seed), kept for the last (count, seed) asked
+    for and shared: its arrays are read-only, so a write to them raises."""
     data = synthetic_stripes(count, seed=seed)
     data.images.flags.writeable = data.labels.flags.writeable = False
     return data
@@ -156,8 +156,8 @@ def load_rowwise_digits(
     limit: int | None = None,
     seed: int = 0,
 ) -> DigitDataset:
-    """The digits of a source.  The synthetic set is made once per (limit,
-    seed) and shared between calls, with read-only arrays."""
+    """The digits of a source.  The synthetic set is shared by calls with
+    the same (limit, seed) in a row, with read-only arrays."""
     if source == SOURCE_SYNTHETIC:
         return _synthetic_digits(2000 if limit is None else limit, seed)
     if source != SOURCE_IDX:

@@ -330,10 +330,7 @@ def _block_sums(config, params, head, inputs, targets, noises, schedule, b_sum,
     else:
         estimates = _estimate_batch(config, params, head, tape, noises)
     counts = np.maximum(tape.targets.mask.sum(axis=0), 1.0)
-    if tape.head_errors is None:  # a head that keeps no error rows
-        head_grads = head.param_grad(tape.steps.h, tape.targets)
-    else:  # from the error rows the forward formed
-        head_grads = head.errors_param_grad(tape.steps.h, tape.head_errors)
+    head_grads = head.param_grad(tape.steps.h, tape.targets)
     return (np.sum(estimates / counts[:, None], axis=0),
             np.sum(head_grads.sum(axis=0) / counts[:, None, None], axis=0),
             float(np.sum(tape.total_loss() / counts)), b_sum)

@@ -377,6 +377,17 @@ class TestLimbPcg64:
             assert np.array_equal(part.tau, block.tau[:, part._rows])
             assert np.array_equal(part.u, block.u[:, part._rows])
 
+    @pytest.mark.parametrize("tau_kind", [SIGN, GAUSSIAN])
+    def test_per_index_sub_blocks_keep_their_root_route(self, tau_kind):
+        # the root's route holds for a slice whose indices are one word each
+        block = episode_noises(7, [3, 2**40, 5, 2**32 + 1], 5, 2, tau_kind)
+        for part in (block[0:3:2], block[1:3], block[3:4], block[2:0:-1]):
+            assert not part._on_array_route
+            assert_block_matches(part, tau_kind)
+            for stream in STREAMS:
+                assert np.array_equal(getattr(part, stream),
+                                      getattr(block, stream)[:, part._rows])
+
     def test_generator_is_seated_only_for_per_column_draws(self, monkeypatch):
         seated = []
         seat = noise._generator

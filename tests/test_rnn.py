@@ -186,12 +186,10 @@ class TestLossHeads:
         assert loss == 0.0
         np.testing.assert_array_equal(grad, np.zeros(3))
 
-
     @pytest.mark.parametrize("head_kind", ["softmax", "bernoulli"])
     def test_losses_are_the_loss_of_loss_and_grad(self, head_kind):
         """losses gives loss_and_grad's loss bit for bit, for stacked rows
-        with masked ones and for one row, down to saturated logits; the
-        error rows loss_grad_errors keeps give param_grad's rows."""
+        with masked ones and for one row, down to saturated logits."""
         rng = np.random.default_rng(11)
         for scale in (0.5, 40.0):
             if head_kind == "softmax":
@@ -202,14 +200,9 @@ class TestLossHeads:
                 rows = [[rng.random(3), np.array([1.0, 0.0, 1.0]), None],
                         [None, np.array([0.0, 0.0, 1.0]), rng.random(3)]]
             h = rng.standard_normal((2, 3, 5))
-            loss, grad = head.loss_and_grad(h, rows)
+            loss = head.loss_and_grad(h, rows)[0]
             np.testing.assert_array_equal(head.losses(h, rows), loss)
             assert loss[0, 2] == 0.0 and loss[1, 0] == 0.0  # masked rows
-            kept_loss, kept_grad, errors = head.loss_grad_errors(h, rows)
-            np.testing.assert_array_equal(kept_loss, loss)
-            np.testing.assert_array_equal(kept_grad, grad)
-            np.testing.assert_array_equal(head.errors_param_grad(h, errors),
-                                          head.param_grad(h, rows))
             for target in (rows[0][0], rows[0][1], None):
                 one = head.losses(h[1, 1], target)
                 assert type(one) is float and one == head.loss_and_grad(h[1, 1], target)[0]
@@ -245,17 +238,6 @@ class TestLossHeads:
                 assert got.dtype == want.dtype and got.shape == want.shape
         with pytest.raises(ShapeError, match=r"expected shape \(T,\) = \(4,\)"):
             rnn.episode_targets([1, 2, 0], (), 4)
-
-    def test_run_episode_keeps_the_head_error_rows(self):
-        rng = np.random.default_rng(12)
-        params, _, _, head = make_instance(rng, hidden=3, length=4)
-        inputs = rng.standard_normal((2, 4, params.input_size))
-        targets = [[0, 1, None, 2], [2, 2, 0, None]]
-        tape = run_episode(params, inputs, targets, head)
-        np.testing.assert_array_equal(
-            head.errors_param_grad(tape.steps.h, tape.head_errors),
-            head.param_grad(tape.steps.h, tape.targets))
-        np.testing.assert_array_equal(tape.episode(1).head_errors, tape.head_errors[:, 1])
 
 
 class TestJacobianProducts:
