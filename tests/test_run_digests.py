@@ -73,3 +73,24 @@ def test_reinforce_per_seed_matches_the_golden_file(digests, tmp_path, capsys):
     if (fresh / REINFORCE_FILE).read_bytes() != (golden / REINFORCE_FILE).read_bytes():
         digests.compare(golden, fresh)
         pytest.fail(capsys.readouterr().out)
+
+
+def test_exact_protocol_runs_match_the_golden_files(digests, tmp_path, capsys):
+    """The seven exact-protocol training runs (alpha or Q0 "ours" with a
+    rank-one sketch) write byte for byte the checked-in metrics.csv and
+    summary.json (exact-protocol.versions names the numpy and BLAS that
+    wrote them).  A mismatch reports --compare's count of differing cells
+    and their largest relative difference."""
+    golden, fresh = tmp_path / "golden", tmp_path / "fresh"
+    for name in digests.EXACT_PROTOCOL:
+        (golden / name).mkdir(parents=True)
+        for path in (GOLDEN / name).iterdir():
+            (golden / name / path.name).write_bytes(path.read_bytes())
+    digests.write_training(fresh, digests.EXACT_PROTOCOL)
+    capsys.readouterr()
+    same = [(fresh / name / path.name).read_bytes() == path.read_bytes()
+            for name in digests.EXACT_PROTOCOL for path in (golden / name).iterdir()]
+    assert len(same) == 2 * len(digests.EXACT_PROTOCOL)
+    if not all(same):
+        digests.compare(golden, fresh)
+        pytest.fail(capsys.readouterr().out)

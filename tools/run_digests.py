@@ -73,20 +73,31 @@ TRAINING = {
     "streaming-preuoro-lstm": config.ExperimentConfig(estimator="preuoro",
                                                       cell="lstm", **STREAMING),
 }
+# the runs that need each episode's exact C or B: alpha or Q0 "ours" with a
+# rank-one sketch
+EXACT_PROTOCOL = ("queue-uoro-alpha-ours", "queue-uoro-q0-ours",
+                  "queue-uoro-state-cut-alpha-ours", "queue-preuoro-alpha-ours",
+                  "digits-ours-ours", "digits-ours-gir", "digits-identity-ours")
 COMMANDS = ("variance-report", "estimator-compare", "alpha-solve")
 REINFORCE_SEEDS = 64
 
 
 def write_runs(out: Path) -> None:
-    for name, cfg in TRAINING.items():
-        (out / name).mkdir(parents=True, exist_ok=True)
-        training.run_training(cfg, out_dir=out / name)
+    write_training(out, TRAINING)
     report = out / "report.cfg"
     config.save(config.ExperimentConfig(**REPORT), report)
     for command in COMMANDS:
         cli.main([command, "--config", str(report), "--out", str(out / command)])
     report.unlink()
     write_reinforce_per_seed(out / "reinforce-per-seed.csv")
+
+
+def write_training(out: Path, names) -> None:
+    """The metrics.csv and summary.json of the named training runs, each in
+    its own directory under out."""
+    for name in names:
+        (out / name).mkdir(parents=True, exist_ok=True)
+        training.run_training(TRAINING[name], out_dir=out / name)
 
 
 def write_reinforce_per_seed(path: Path) -> None:
