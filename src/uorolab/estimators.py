@@ -341,9 +341,43 @@ def run_uoro(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
     is too small for the Gram to decide the cancellation rule
     (GRAM_NORM_RTOL) is formed densely, and its coefficients are zeroed when
     it cancels.  With s_t the step's score (dL_t/dstate . h~_t), the
-    estimate sum_t s_t w~_t is one contraction over the steps at the end.
-    No P-long vector is formed before it.
+    estimate sum_t s_t w~_t is sum_r vec((sum_t s_t c_t[r]) L_r a_r^T), one
+    contraction over the steps of the weighted left factors and the a_r at
+    the end (_uoro_factors).  No P-long vector is formed before it.
     """
+    factors = _uoro_factors(tape, cut, noise, schedule, contribution)
+    return _report("uoro", noise, factors.estimate(), factors.realized_gamma,
+                   factors.realized_beta)
+
+
+@dataclass
+class _Factors:
+    """A sketch run over a tape with its estimate kept as per-step factors:
+    the estimate of row i of its batch is sum_t vec(left[t, i] right[t, i]^T),
+    which estimate() contracts over the steps for any rows, so a caller can
+    take a large batch's estimate a few rows at a time."""
+
+    left: np.ndarray  # (T, [B,] N_z)
+    right: np.ndarray  # (T, [B,] A), a broadcast view where rows share it
+    realized_gamma: np.ndarray  # (T, [B])
+    realized_beta: np.ndarray  # (T, [B])
+
+    def estimate(self, rows=slice(None)) -> np.ndarray:
+        """The estimate ([b,] P) of the batch rows given, all by default; a
+        row rounds the same whichever rows are taken with it."""
+        left, right = self.left[:, rows], self.right[:, rows]
+        product = _rows_as_columns(left) @ np.swapaxes(right, 0, -2)
+        return product.reshape(*left.shape[1:-1], -1)
+
+
+def _uoro_factors(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
+                  contribution: str = CONTRIBUTION_CURRENT) -> _Factors:
+    """run_uoro's recursion, its estimate left as factors: the left factors
+    L_r weighted by sum_t s_t c_t[r] (plus the exact immediate g_z,t under
+    "split") and the a_r.  The spatial noise is shaped one step at a time,
+    the scores are taken in place over the scored sketches, and the weights
+    scale the left factors in place, so that beside the tape and the noise
+    one (T, [B,] N_z) array and one (T, [B,] S) array are alive."""
     params = tape.params
     cut = CutVertex(cut)
     n_z = params.cut_size(cut)
@@ -359,10 +393,13 @@ def run_uoro(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
     batch = np.broadcast_shapes(tape.batch_shape, u.shape[1:-1])
     u = _steps_first(u, len(batch))
     a = _steps_first(tape.steps.a, len(batch))
-    left = np.broadcast_to(schedule.unshape_spatial(u), (t_len, *batch, n_z))
+    left = np.empty((t_len, *batch, n_z))
+    if schedule.Q0_inv is not None and u.shape == left.shape:
+        np.matmul(u, schedule.Q0_inv, out=left)
+    else:
+        left[...] = schedule.unshape_spatial(u)
     if cut == CutVertex.STATE:
-        left = left * _steps_first(tape.steps.d, len(batch))
-    shaped = schedule.shape_spatial(u)
+        left *= _steps_first(tape.steps.d, len(batch))
     greedy = schedule.mode == GIR
     if greedy:
         # terms of about 1e300 overflow here; the loop names the step
@@ -385,7 +422,7 @@ def run_uoro(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
     for t in range(t_len):
         cache = tape.steps[t]
         forwarded = rnn.jvp_state(cache, h_tilde)
-        spatial_in = rnn.jvp_cut(cache, cut, shaped[t])
+        spatial_in = rnn.jvp_cut(cache, cut, schedule.shape_spatial(u[t]))
         if greedy:
             w_norm = np.sqrt(w_sq)
             fwd_norm, in_norm = _norms(forwarded), _norms(spatial_in)
@@ -410,17 +447,19 @@ def run_uoro(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
         gammas[t], betas[t] = gamma, beta
         scored[t] = forwarded if split else h_tilde
     loss_grads = rnn.embed_state_grad(params, tape.loss_grads)
-    scores = np.sum(_steps_first(loss_grads, len(batch)) * scored, axis=-1)
+    scored *= _steps_first(loss_grads, len(batch))
+    scores = np.add.reduce(scored, axis=-1)
+    del scored
     if contribution != CONTRIBUTION_CURRENT:  # both weight w~_{t-1}
         coefficients = np.concatenate([np.zeros_like(coefficients[:1]),
                                        coefficients[:-1]])
     weights = np.einsum("t...,t...r->r...", scores, coefficients)
-    rows = weights[..., None] * left
+    left *= weights[..., None]
     if split:  # plus the exact immediate term, vec(g_z,t a_t^T)
-        rows += _steps_first(rnn.vjp_to_cut(tape.steps, CutVertex.PREACTIVATION,
+        left += _steps_first(rnn.vjp_to_cut(tape.steps, CutVertex.PREACTIVATION,
                                             loss_grads), len(batch))
-    estimate = _rows_as_columns(rows) @ np.swapaxes(a, 0, -2)
-    return _report("uoro", noise, estimate.reshape(*batch, -1), gammas, betas)
+    return _Factors(left, np.broadcast_to(a, (t_len, *batch, a.shape[-1])),
+                    gammas, betas)
 
 
 def _check_alpha(schedule: ScalingSchedule, t_len: int, batch: tuple):
@@ -578,7 +617,16 @@ def preuoro_contribution(state: PreUoroState, loss_grad_full: np.ndarray) -> np.
 def run_preuoro(tape: EpisodeTape, noise, schedule: ScalingSchedule) -> GradientReport:
     """Run the projection-free estimator; noise is one EpisodeNoise or a
     NoiseBlock as for run_uoro, of which only tau is read.  The contributions
-    sum_t vec(r_t w~_t^T) are one matrix product over the steps at the end."""
+    sum_t vec(r_t w~_t^T) are one matrix product over the steps at the end
+    (_preuoro_factors)."""
+    factors = _preuoro_factors(tape, noise, schedule)
+    return _report("preuoro", noise, factors.estimate(), factors.realized_gamma,
+                   factors.realized_beta)
+
+
+def _preuoro_factors(tape: EpisodeTape, noise, schedule: ScalingSchedule) -> _Factors:
+    """run_preuoro's recursion, its estimate left as the factors r_t and
+    w~_t."""
     if schedule.Q0 is not None:
         raise ValueError("the projection-free sketch takes no spatial Q0")
     params = tape.params
@@ -603,8 +651,7 @@ def run_preuoro(tape: EpisodeTape, noise, schedule: ScalingSchedule) -> Gradient
         carried[t] = _carried(state.H_tilde, loss_grads[t])
         w_rows[t] = state.w_tilde
     carried *= gammas[..., None]  # H~_t = gamma_t H_tilde: every step's scale at once
-    estimate = np.moveaxis(carried, 0, -1) @ np.moveaxis(w_rows, 0, -2)
-    return _report("preuoro", noise, estimate.reshape(*batch, -1), gammas, betas)
+    return _Factors(carried, w_rows, gammas, betas)
 
 
 def run_spatial(tape: EpisodeTape, cut, noise) -> GradientReport:

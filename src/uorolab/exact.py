@@ -223,18 +223,22 @@ class SuffixRows:
             None if self.d is None else self.d[:, j])
 
 
-def suffix_rows(tape: EpisodeTape, cut) -> SuffixRows:
+def suffix_rows(tape: EpisodeTape, cut, out: np.ndarray | None = None) -> SuffixRows:
     """The causal suffix rows of every episode of a (batched) tape from one
     reverse sweep that carries suffix-summed adjoints (_adjoint_sweep): at
     step s its live rows pulled back to the cut are v_qs, q >= s, written
     straight into the packed rows.  Equal to the rows
     variance._causal_suffix_rows builds from episode_tensors(...).b, to
-    roundoff (the sums are taken in state space before the pullback)."""
+    roundoff (the sums are taken in state space before the pullback).  out,
+    if given, is the (T(T+1)/2, [B,] N_z) array the rows are written into,
+    such as a buffer that successive blocks of episodes reuse."""
     cut = CutVertex(cut)
     _require_tensor_guard(tape)
     t_len = tape.length
-    rows = np.empty((t_len * (t_len + 1) // 2, *tape.batch_shape,
-                     tape.params.cut_size(cut)))
+    shape = (t_len * (t_len + 1) // 2, *tape.batch_shape, tape.params.cut_size(cut))
+    if out is not None and out.shape != shape:
+        raise ShapeError(f"rows buffer of shape {out.shape} for rows {shape}")
+    rows = np.empty(shape) if out is None else out
     for s, g in _adjoint_sweep(tape, cut, suffix=True):
         q = np.arange(s, t_len)
         rows[q * (q + 1) // 2 + s] = g

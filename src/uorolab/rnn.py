@@ -751,8 +751,9 @@ class EpisodeTape:
     def loss_grad_full(self, t: int) -> np.ndarray:
         return embed_state_grad(self.params, self.loss_grads[t])
 
-    def episode(self, i: int) -> "EpisodeTape":
-        """The tape of episode i of a batched tape; its arrays are views."""
+    def episode(self, i: int | slice) -> "EpisodeTape":
+        """The tape of episode i of a batched tape, or the batched tape of
+        the episodes of a slice i; its arrays are views."""
         return EpisodeTape(
             params=self.params,
             initial_state=self.initial_state[i],

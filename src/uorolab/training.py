@@ -6,11 +6,12 @@ exact-computation recipe: hold a running average Bbar across minibatches,
 set Q0 = (Bbar + damping * mean-eig * I)^{-1/4} for the next minibatch,
 solve for alpha exactly per episode where requested, and fold the episode's
 exact B (computed with the alpha actually used) back into Bbar.  The
-minibatch runs in blocks of TENSOR_BLOCK episodes, each one batched forward,
-one reverse sweep that gives every episode's causal suffix rows (from which
-each episode's C, alpha and B follow) and one sketch call whose schedule
-holds every episode's alpha as a column; only audited episodes build their
-full adjoint tensors.
+minibatch runs as one batched forward, one noise block and one sketch call
+whose schedule holds every episode's alpha as a column.  Only the reverse
+sweeps that give the episodes' causal suffix rows (from which each episode's
+C, alpha and B follow) run in blocks of TENSOR_BLOCK episodes, on views of
+the minibatch's tape, into one rows buffer; only audited episodes build
+their full adjoint tensors.
 """
 
 import time
@@ -25,6 +26,8 @@ from .estimators import (
     PreUoroState,
     RankOneState,
     ScalingSchedule,
+    _preuoro_factors,
+    _uoro_factors,
     preuoro_contribution,
     preuoro_step,
     reinforce_episode,
@@ -143,69 +146,71 @@ def _estimate_batch(config, params, head, tape, noises):
     return run_spatial(tape, CutVertex(config.cut), noises).estimate
 
 
-def _rank_one_batch(config, tape, noises, schedule, b_sum, audits):
-    """uoro or preuoro on the B episodes of a batched tape, whose noise is
+def _rank_one_batch(config, tape, noises, schedule):
+    """uoro or preuoro on the B episodes of a minibatch tape, whose noise is
     the NoiseBlock noises, in one call, and the exact protocol around it.
 
     schedule is the GIR ScalingSchedule shared by the episodes of an update:
     it holds the spatial Q0 (none for preuoro), checked and inverted once.
-    Under alpha "ours" one reverse sweep (suffix_rows) gives the causal
-    suffix rows of every episode, hence its C, its solved alpha and, for Q0
-    "ours", its B; the rows are freed before the sketch runs, which takes
-    the alphas as one (T, B) schedule.  Otherwise the sketch runs first and,
-    for Q0 "ours", the sweep follows it with the alphas the run realized.
-    Last, each audited episode builds its adjoint tensors (episode_tensors)
-    for its offline estimate.  Only "current" uoro runs are audited, since
-    offline_total_estimate is the estimate of that contribution mode; their
-    errors are appended to audits.  Returns the estimates (B, P) and b_sum
-    plus the batch's exact B if Q0 is "ours".
+    Under alpha "ours" the suffix-row sweeps (_suffix_sweeps) give each
+    episode's C, its solved alpha and, for Q0 "ours", its B; their rows are
+    freed before the sketch runs, which takes the alphas as one (T, B)
+    schedule.  Otherwise the sketch runs first and, for Q0 "ours", the
+    sweeps follow it with the alphas the run realized.  Returns the
+    sketch's factors, from which any rows of the estimates (B, P) are
+    contracted, the alphas (T, B) and the sum of the episodes' exact B if
+    Q0 is "ours" (else None).
     """
-    estimator = canonical_estimator(config.estimator)
     cut = CutVertex(config.cut)
-    audited = [j for j, index in enumerate(noises.indices)
-               if estimator == "uoro" and config.contribution == "current"
-               and config.audit_every and index % config.audit_every == 0]
-    q0_ours = config.q0_mode == "ours"
-    alphas = None
+    alphas = b_sum = None
     run_schedule = schedule
     if config.alpha_mode == "ours":
-        rows = suffix_rows(tape, cut)
-        alphas = np.stack([
-            solve_alpha_newton(compute_C(rows.episode(j), schedule.Q0,
-                                         schedule.Q0_inv)).alpha
-            for j in range(tape.batch_shape[0])], axis=1)
-        if q0_ours:
-            b_sum = _add_B(b_sum, rows, alphas)
-        del rows
+        alphas, b_sum = _suffix_sweeps(config, tape, schedule)
         run_schedule = schedule.with_alpha(alphas)
     elif config.alpha_mode == "ones":
         run_schedule = schedule.with_alpha(np.ones(tape.length))
-    if estimator == "uoro":
-        report = run_uoro(tape, cut, noises, run_schedule,
-                          contribution=config.contribution)
+    if canonical_estimator(config.estimator) == "uoro":
+        factors = _uoro_factors(tape, cut, noises, run_schedule, config.contribution)
     else:
-        report = run_preuoro(tape, noises, run_schedule)
+        factors = _preuoro_factors(tape, noises, run_schedule)
     if alphas is None:
-        alphas = (realized_alpha(report) if config.alpha_mode == "gir"
-                  else np.ones(report.realized_beta.shape))
-        if q0_ours:
-            b_sum = _add_B(b_sum, suffix_rows(tape, cut), alphas)
-    for j in audited:
-        offline = offline_total_estimate(episode_tensors(tape.episode(j), cut),
-                                         noises.u[:, j], alphas[:, j], schedule.Q0,
-                                         schedule.Q0_inv)
-        scale = max(np.linalg.norm(offline), 1e-300)
-        audits.append(float(np.linalg.norm(report.estimate[j] - offline) / scale))
-    return report.estimate, b_sum
+        alphas = (realized_alpha(factors) if config.alpha_mode == "gir"
+                  else np.ones(factors.realized_beta.shape))
+        if config.q0_mode == "ours":
+            _, b_sum = _suffix_sweeps(config, tape, schedule, alphas)
+    return factors, alphas, b_sum
 
 
-def _add_B(b_sum, rows, alphas):
-    """b_sum plus the exact B of each episode of a block's SuffixRows, under
-    its column of the alphas (T, B)."""
-    for j in range(alphas.shape[1]):
-        b_episode = compute_B(rows.episode(j), alphas[:, j])
-        b_sum = b_episode if b_sum is None else b_sum + b_episode
-    return b_sum
+def _suffix_sweeps(config, tape, schedule, alphas=None):
+    """One suffix-row sweep (suffix_rows) per block of TENSOR_BLOCK episodes
+    of a minibatch tape, each written into the one rows buffer that every
+    block reuses.  An episode's rows give its C and its solved alpha, unless
+    the alphas (T, B) are given, and for Q0 "ours" its exact B under its
+    alpha.  Returns the alphas and the sum of the episodes' B (None unless
+    Q0 is "ours"); the buffer is freed on return."""
+    cut = CutVertex(config.cut)
+    n = tape.batch_shape[0]
+    solve = alphas is None
+    if solve:
+        alphas = np.empty((tape.length, n))
+    b_sum = buffer = None
+    for start in range(0, n, TENSOR_BLOCK):
+        block = range(start, min(start + TENSOR_BLOCK, n))
+        rows = suffix_rows(tape.episode(slice(block.start, block.stop)), cut,
+                           out=None if buffer is None else buffer[:, :len(block)])
+        if buffer is None:
+            buffer = rows.rows
+        for j, index in enumerate(block):
+            episode = rows.episode(j)
+            if solve:
+                alphas[:, index] = solve_alpha_newton(
+                    compute_C(episode, schedule.Q0, schedule.Q0_inv)).alpha
+            if config.q0_mode == "ours":
+                # a running sum keeps one N_z x N_z matrix alive, not one per
+                # episode
+                b_episode = compute_B(episode, alphas[:, index])
+                b_sum = b_episode if b_sum is None else b_sum + b_episode
+    return alphas, b_sum
 
 
 def run_training(config: ExperimentConfig, out_dir=None) -> dict:
@@ -265,75 +270,91 @@ def run_training(config: ExperimentConfig, out_dir=None) -> dict:
 def _update(config, params, head, inputs, targets, update, b_bar, q0):
     """One minibatch update, for every estimator and for the optimal-Q0 /
     exact-alpha protocol, on the minibatch's inputs (B, T, X) and Targets
-    (T, B).
-
-    The minibatch runs as one batch, or in blocks of TENSOR_BLOCK episodes
-    when the config needs each episode's exact C or B (alpha or Q0 "ours"
-    with a rank-one sketch): each block is one forward, one suffix-row
-    sweep and one estimator call (_rank_one_batch), so one block's rows are
-    alive at a time.
+    (T, B): one forward over the minibatch, the summed estimates of one
+    estimator call (_summed_estimates), then the online/offline audits.
     Returns the mean gradient, head gradient and loss per supervised step,
     the updated Bbar and Q0, and the largest online/offline audit error
     (None if no episode was audited).
     """
-    estimator = canonical_estimator(config.estimator)
     if config.q0_mode == "ours" and b_bar is not None:
         q0 = optimal_Q0(b_bar, damping=config.damping)
-    # q0 is fixed for the whole update: check and invert it once here (the
-    # config allows Q0 "ours" with uoro only)
-    schedule = None
-    if estimator in ("uoro", "preuoro"):
-        schedule = ScalingSchedule(GIR, Q0=q0)
+    tape = run_episode(params, inputs, targets, head)
+    sums, b_sum, audited = _summed_estimates(config, params, head, tape, update, q0)
     n = inputs.shape[0]
-    exact = config.alpha_mode == "ours" or config.q0_mode == "ours"
-    size = TENSOR_BLOCK if exact else n
-    # the states of the minibatch's streams are derived once; each block
-    # draws its own columns
-    first = update * config.minibatch
-    dim = (params.hidden_size if estimator == "reinforce"
-           else params.cut_size(CutVertex(config.cut)))
-    noises = episode_noises(config.base_seed, range(first, first + n),
-                            inputs.shape[1], dim, config.tau_kind)
-    grad_sum = head_grad_sum = loss_sum = 0.0
-    # a running sum keeps one N_z x N_z matrix alive instead of one per episode
-    b_sum = None
-    audits = []
-    for start in range(0, n, size):
-        rows = slice(start, start + size)
-        grad, head_grad, loss, b_sum = _block_sums(
-            config, params, head, inputs[rows], targets[:, rows], noises[rows],
-            schedule, b_sum, audits)
-        grad_sum = grad_sum + grad
-        head_grad_sum = head_grad_sum + head_grad
-        loss_sum += loss
     if b_sum is not None:
         b_mean = b_sum / n
         b_bar = b_mean if b_bar is None else (
             config.bbar_decay * b_bar + (1.0 - config.bbar_decay) * b_mean
         )
+    # each audited episode builds its adjoint tensors for its offline
+    # estimate, once the minibatch's noise and sketch are freed
+    audits = []
+    for j, u, alpha, schedule, estimate in audited:
+        offline = offline_total_estimate(
+            episode_tensors(tape.episode(j), CutVertex(config.cut)), u, alpha,
+            schedule.Q0, schedule.Q0_inv)
+        scale = max(np.linalg.norm(offline), 1e-300)
+        audits.append(float(np.linalg.norm(estimate - offline) / scale))
     audit = max(audits) if audits else None
+    grad_sum, head_grad_sum, loss_sum = sums
     return grad_sum / n, head_grad_sum / n, loss_sum / n, b_bar, q0, audit
 
 
-def _block_sums(config, params, head, inputs, targets, noises, schedule, b_sum,
-                audits):
-    """Run the episodes of one block of a minibatch, its inputs (B, T, X) and
-    Targets (T, B), whose noise is the NoiseBlock noises, as one batch.
-    Returns the block's summed gradient, head gradient and loss, each per
-    supervised step, and b_sum plus the block's exact B; appends the block's
-    audit errors to audits.  The block's tape is freed on return, before the
-    next block runs."""
-    tape = run_episode(params, inputs, targets, head)
-    if schedule is not None:
-        estimates, b_sum = _rank_one_batch(config, tape, noises, schedule,
-                                           b_sum, audits)
+def _summed_estimates(config, params, head, tape, update, q0):
+    """The estimates, head gradients and losses of the B episodes of a
+    minibatch tape, each per supervised step, summed over the episodes:
+    one noise block and one estimator call for the minibatch.
+
+    When the config needs each episode's exact C or B (alpha or Q0 "ours"
+    with a rank-one sketch), the suffix-row sweeps run in blocks of
+    TENSOR_BLOCK episodes (_suffix_sweeps), and the sums are taken per such
+    block, the estimates contracted from the sketch's factors a block at a
+    time, so that no (B, P) estimate is formed.  Returns the three sums,
+    the sum of the episodes' exact B if Q0 is "ours" (else None), and for
+    each audited episode of a "current" uoro run (offline_total_estimate is
+    the estimate of that contribution mode) its position, noise u, alphas,
+    schedule and estimate.
+    """
+    estimator = canonical_estimator(config.estimator)
+    n = tape.batch_shape[0]
+    first = update * config.minibatch
+    dim = (params.hidden_size if estimator == "reinforce"
+           else params.cut_size(CutVertex(config.cut)))
+    noises = episode_noises(config.base_seed, range(first, first + n),
+                            tape.length, dim, config.tau_kind)
+    b_sum = None
+    audited = []
+    if estimator in ("uoro", "preuoro"):
+        # q0 is fixed for the whole update: check and invert it once here
+        # (the config allows Q0 "ours" with uoro only)
+        schedule = ScalingSchedule(GIR, Q0=q0)
+        factors, alphas, b_sum = _rank_one_batch(config, tape, noises, schedule)
+        estimates = factors.estimate
+        if estimator == "uoro" and config.contribution == "current":
+            audited = [j for j, index in enumerate(noises.indices)
+                       if config.audit_every and index % config.audit_every == 0]
     else:
-        estimates = _estimate_batch(config, params, head, tape, noises)
+        estimates = _estimate_batch(config, params, head, tape, noises).__getitem__
+    exact = config.alpha_mode == "ours" or config.q0_mode == "ours"
+    size = TENSOR_BLOCK if exact else n
     counts = np.maximum(tape.targets.mask.sum(axis=0), 1.0)
-    head_grads = head.param_grad(tape.steps.h, tape.targets)
-    return (np.sum(estimates / counts[:, None], axis=0),
-            np.sum(head_grads.sum(axis=0) / counts[:, None, None], axis=0),
-            float(np.sum(tape.total_loss() / counts)), b_sum)
+    grad_sum = head_grad_sum = loss_sum = 0.0
+    kept = {}
+    for start in range(0, n, size):
+        rows = slice(start, start + size)
+        block = tape.episode(rows)
+        block_estimates = estimates(rows)
+        kept.update((j, block_estimates[j - start].copy()) for j in audited
+                    if start <= j < start + size)
+        block_estimates /= counts[rows, None]
+        grad_sum = grad_sum + np.sum(block_estimates, axis=0)
+        head_grads = head.param_grad(block.steps.h, block.targets)
+        head_grad_sum = head_grad_sum + np.sum(
+            head_grads.sum(axis=0) / counts[rows, None, None], axis=0)
+        loss_sum += float(np.sum(block.total_loss() / counts[rows]))
+    audited = [(j, noises.u[:, j].copy(), alphas[:, j], schedule, kept[j])
+               for j in audited]
+    return (grad_sum, head_grad_sum, loss_sum), b_sum, audited
 
 
 def _run_streaming(config, task, params, head, w_state, head_state):
@@ -463,7 +484,7 @@ def _grid_cell(config, params, tape, tensors, q0_mode, alpha_mode, n_seeds,
         alpha = solve_alpha_newton(
             compute_C(tensors, schedule.Q0, schedule.Q0_inv)).alpha
         schedule = schedule.with_alpha(alpha)
-        predicted = predicted_VQ(tensors, alpha, q0)
+        predicted = predicted_VQ(tensors, alpha, schedule.Q0, Q0_inv=schedule.Q0_inv)
     else:
         predicted = None  # resolved below from realized alphas (upper estimate)
     estimates = np.empty((n_seeds, params.num_params))
@@ -472,8 +493,9 @@ def _grid_cell(config, params, tape, tensors, q0_mode, alpha_mode, n_seeds,
         if predicted is None:
             # noise-dependent coefficients: average the per-seed predictions
             # over the first block's realized alphas
-            predicted = float(np.mean([predicted_VQ(tensors, a, q0)
-                                       for a in realized_alpha(report).T]))
+            predicted = float(np.mean([
+                predicted_VQ(tensors, a, schedule.Q0, Q0_inv=schedule.Q0_inv)
+                for a in realized_alpha(report).T]))
     measured = empirical_variance(estimates, exact_g)
     se = float(np.std(np.sum((estimates - exact_g) ** 2, axis=1), ddof=1)
                / np.sqrt(n_seeds))

@@ -338,32 +338,23 @@ def _require_preactivation(tensors: EpisodeTensors, what: str):
         raise UnsupportedCutError(f"{what} requires the preactivation cut")
 
 
-def compute_B(tensors: EpisodeTensors | SuffixRows, alpha: np.ndarray,
-              form: str = "qr") -> np.ndarray:
+def compute_B(tensors: EpisodeTensors | SuffixRows, alpha: np.ndarray) -> np.ndarray:
     """The PSD matrix whose trace pair with Q0 Q0^T gives the structured
-    variance.  Two algebraically equal forms are provided:
+    variance,
 
-      "qr":    sum_{q,r} (alpha_r^2/alpha_q^2) ||a_q||^2 v_qr v_qr^T
-               with v_qr = sum_{s>=q} b[s, r];
-      "minst": sum_{s,t} (sum_{q<=min} alpha_q^{-2} ||a_q||^2)
-                         (sum_r alpha_r^2 b[s,r] b[t,r]^T).
+        sum_{q,r} (alpha_r^2/alpha_q^2) ||a_q||^2 v_qr v_qr^T
+        with v_qr = sum_{s>=q} b[s, r],
 
-    Both need b causal, b[t, r] = 0 for r > t (as episode_tensors builds
-    it); "qr" sums over the T(T+1)/2 distinct rows v_qr, q >= r, which one
-    episode's SuffixRows holds already ("qr" only).
+    the "qr" form.  It needs b causal, b[t, r] = 0 for r > t (as
+    episode_tensors builds it), and sums over the T(T+1)/2 distinct rows
+    v_qr, q >= r, which one episode's SuffixRows holds already.
     """
     _require_preactivation(tensors, "compute_B")
     alpha = np.asarray(alpha, dtype=np.float64)
     t_len = tensors.length
     if alpha.shape != (t_len,):
         raise ShapeError(f"alpha shape {alpha.shape} != ({t_len},)")
-    a_sq = tensors.a_norms**2
-    if form == "qr":
-        b_mat = _qr_B(*_rows_of(tensors), a_sq, alpha)
-    elif form == "minst" and isinstance(tensors, EpisodeTensors):
-        b_mat = _minst_B(tensors.b, a_sq, alpha)
-    else:
-        raise ValueError(f"unknown form {form!r} for {type(tensors).__name__}")
+    b_mat = _qr_B(*_rows_of(tensors), tensors.a_norms**2, alpha)
     return 0.5 * (b_mat + b_mat.T)
 
 
@@ -383,15 +374,6 @@ def _qr_B(rows: np.ndarray, q: np.ndarray, r: np.ndarray, a_sq: np.ndarray,
     w[q == r] = alpha_sq * np.cumsum(ratio)
     weighted = rows * np.sqrt(w)[:, None]
     return weighted.T @ weighted
-
-
-def _minst_B(b: np.ndarray, a_sq: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """The "minst" form of B summed over the loss steps s, t < len(b)."""
-    k = b.shape[0]
-    cum = np.cumsum(a_sq / alpha**2)
-    gram = np.einsum("r,sri,trj->stij", alpha**2, b, b)
-    mins = np.minimum.outer(np.arange(k), np.arange(k))
-    return np.einsum("st,stij->ij", cum[mins], gram)
 
 
 def compute_B_partial(tensors: EpisodeTensors, alpha: np.ndarray, k: int) -> np.ndarray:
@@ -422,17 +404,21 @@ FLAVOR_PREUORO = "preuoro"
 
 def predicted_VQ(tensors: EpisodeTensors, alpha: np.ndarray,
                  Q0: np.ndarray | None = None,
-                 flavor: str = FLAVOR_STRUCTURED) -> float:
+                 flavor: str = FLAVOR_STRUCTURED,
+                 Q0_inv: np.ndarray | None = None) -> float:
     """Predicted Q-dependent part of the total-gradient variance.
 
     "general" evaluates the double time sum of trace products directly (any
     cut); "structured" uses tr(B Q0 Q0^T) tr((Q0 Q0^T)^{-1}) (preactivation
     cut, to which it is algebraically equal); "preuoro" is the projection-free
-    variant, which equals tr(B) and takes no Q0.  A Q0 is checked as
-    ScalingSchedule checks it (estimators._checked_q0).
+    variant, which equals tr(B) and takes no Q0.  Q0_inv, if given, must be
+    the inverse of Q0 as ScalingSchedule holds it, checked and inverted
+    already; otherwise a Q0 is checked here as ScalingSchedule checks it
+    (estimators._checked_q0).
     """
     alpha = np.asarray(alpha, dtype=np.float64)
-    Q0, Q0_inv = (None, None) if Q0 is None else _checked_q0(Q0)
+    if Q0 is not None and Q0_inv is None:
+        Q0, Q0_inv = _checked_q0(Q0)
     if flavor == FLAVOR_STRUCTURED:
         _require_preactivation(tensors, "structured flavor")
         b_mat = compute_B(tensors, alpha)

@@ -9,6 +9,7 @@ import numpy as np
 
 from uorolab import estimators, rnn
 from uorolab.errors import NumericOverflowError, ShapeError
+from uorolab.exact import EpisodeTensors
 from uorolab.rnn import BernoulliHead, RnnParams, SoftmaxHead, run_episode
 from uorolab.tasks import make_queue_episode
 
@@ -366,6 +367,28 @@ def qr_B_oracle(tensors, alpha, k=None):
     w = np.outer(a_sq[:k] / alpha[:k] ** 2, alpha**2).reshape(-1)
     root = np.sqrt(w)[:, None] * v
     out = root.T @ root
+    return 0.5 * (out + out.T)
+
+
+def minst_B(tensors, alpha):
+    """B in its "minst" form, the oracle for variance.compute_B's "qr" form:
+
+        sum_{s,t} (sum_{q<=min(s,t)} alpha_q^{-2} ||a_q||^2)
+                  (sum_r alpha_r^2 b[s,r] b[t,r]^T),
+
+    summed over the loss steps s, t < len(b) of an EpisodeTensors' causal b
+    and symmetrized.  It reads b itself, so the suffix rows of a SuffixRows
+    are refused."""
+    if not isinstance(tensors, EpisodeTensors):
+        raise ValueError(f"the minst form of B needs the b of an EpisodeTensors, "
+                         f"not a {type(tensors).__name__}")
+    b = tensors.b
+    alpha = np.asarray(alpha, dtype=np.float64)
+    k = b.shape[0]
+    cum = np.cumsum(tensors.a_norms**2 / alpha**2)
+    gram = np.einsum("r,sri,trj->stij", alpha**2, b, b)
+    mins = np.minimum.outer(np.arange(k), np.arange(k))
+    out = np.einsum("st,stij->ij", cum[mins], gram)
     return 0.5 * (out + out.T)
 
 

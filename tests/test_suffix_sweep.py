@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uorolab import rnn
+from uorolab import estimators, rnn
 from uorolab.errors import ShapeError
 from uorolab.exact import episode_tensors, suffix_rows
+from uorolab.noise import episode_noises
 from uorolab.rnn import CutVertex, run_episode
 from uorolab.variance import _causal_suffix_rows, compute_B, compute_C
 
-from helpers import make_instance
+from helpers import make_instance, minst_B
 
 RTOL = 1e-12
 
@@ -107,9 +108,81 @@ class TestSweepRows:
         with pytest.raises(ShapeError):
             compute_B(block, np.ones(block.length))
         with pytest.raises(ValueError, match="minst"):
-            compute_B(block.episode(0), np.ones(block.length), form="minst")
+            minst_B(block.episode(0), np.ones(block.length))
         with pytest.raises(ShapeError):
             block.episode(0).episode(0)
+
+
+# a minibatch of 8 in blocks of 3, with a ragged tail of 2 (a block of one
+# episode would run its products as matrix-vector products, which may round
+# differently from a row of a matrix product)
+BLOCKS = ((0, 3), (3, 6), (6, 8))
+
+
+def minibatch(seed, cell, batch=8, hidden=3, length=5):
+    """(params, inputs (B, T, X), targets, head) of a minibatch."""
+    rng = np.random.default_rng(seed)
+    params, _, _, head = make_instance(rng, cell_kind=cell, hidden=hidden,
+                                       length=length)
+    inputs = rng.standard_normal((batch, length, params.input_size))
+    targets = [[int(rng.integers(3)) for _ in range(length)] for _ in range(batch)]
+    return params, inputs, targets, head
+
+
+class TestMinibatchBlocks:
+    """The exact training protocol runs one forward and one sketch over a
+    minibatch but sweeps its suffix rows a block of episodes at a time, on
+    views of the minibatch tape, into one reused rows buffer."""
+
+    @pytest.mark.parametrize("cell,cut", CELL_CUTS)
+    def test_rows_of_a_block_view_are_those_of_its_own_forward(self, cell, cut):
+        params, inputs, targets, head = minibatch(210, cell)
+        tape = run_episode(params, inputs, targets, head)
+        buffer = None
+        for a, b in BLOCKS:
+            own = suffix_rows(run_episode(params, inputs[a:b], targets[a:b], head), cut)
+            view = suffix_rows(tape.episode(slice(a, b)), cut)
+            if buffer is None:
+                buffer = np.full(view.rows.shape, np.nan)
+            reused = suffix_rows(tape.episode(slice(a, b)), cut,
+                                 out=buffer[:, : b - a])
+            for rows in (view, reused):
+                np.testing.assert_array_equal(rows.rows, own.rows)
+                np.testing.assert_array_equal(rows.a_norms, own.a_norms)
+                if cut == CutVertex.STATE:
+                    np.testing.assert_array_equal(rows.d, own.d)
+            assert np.shares_memory(reused.rows, buffer)
+
+    def test_rows_buffer_of_another_shape_is_refused(self):
+        tape = batched_tape(211, rnn.LSTM, batch=3)
+        rows = suffix_rows(tape, CutVertex.PREACTIVATION)
+        with pytest.raises(ShapeError, match="rows buffer"):
+            suffix_rows(tape.episode(slice(0, 2)), CutVertex.PREACTIVATION,
+                        out=rows.rows)
+
+    @pytest.mark.parametrize("cell,cut", CELL_CUTS)
+    def test_one_sketch_call_matches_a_call_per_block(self, cell, cut):
+        """Each row of one fixed-alpha run_uoro over the minibatch, under
+        one Q0 and an alpha column per episode, is the row of the block's
+        own run on its own forward, to relative 1e-12, tails of two and of
+        one episode included."""
+        params, inputs, targets, head = minibatch(212, cell, batch=9)
+        tape = run_episode(params, inputs, targets, head)
+        n_z = params.cut_size(cut)
+        rng = np.random.default_rng(213)
+        q0 = np.eye(n_z) + 0.4 * rng.standard_normal((n_z, n_z)) / np.sqrt(n_z)
+        alphas = rng.uniform(0.5, 2.0, (tape.length, 9))
+        base = estimators.ScalingSchedule(estimators.GIR, Q0=q0)
+        noises = episode_noises(214, range(9), tape.length, n_z)
+        whole = estimators.run_uoro(tape, cut, noises, base.with_alpha(alphas))
+        for a, b in (*BLOCKS, (8, 9)):
+            own = run_episode(params, inputs[a:b], targets[a:b], head)
+            block = estimators.run_uoro(own, cut, noises[a:b],
+                                        base.with_alpha(alphas[:, a:b]))
+            for j in range(b - a):
+                reference = block.estimate[j]
+                error = np.abs(whole.estimate[a + j] - reference).max()
+                assert error <= RTOL * np.abs(reference).max()
 
 
 @settings(max_examples=40, deadline=None)

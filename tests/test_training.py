@@ -3,7 +3,7 @@ import weakref
 import numpy as np
 import pytest
 
-from uorolab import estimators, training
+from uorolab import estimators, training, variance
 from uorolab.config import ExperimentConfig, as_dict
 from uorolab.exact import bptt_gradient, episode_tensors
 from uorolab.noise import episode_noise
@@ -177,15 +177,24 @@ class TestRunTraining:
     @pytest.mark.parametrize("q0_mode,alpha_mode", [
         ("ours", "ours"), ("identity", "ours"), ("ours", "gir")])
     def test_exact_protocol_runs_in_blocks(self, monkeypatch, q0_mode, alpha_mode):
-        """Per update the exact protocol runs one forward and one suffix-row
-        sweep per block of TENSOR_BLOCK episodes, and builds the adjoint
-        tensors of the audited episodes only (0, 2, 4 and then 6, 8)."""
-        calls = {"episode_tensors": 0, "run_episode": 0, "suffix_rows": 0}
+        """Per update the exact protocol runs one forward, one noise draw and
+        one sketch call over the whole minibatch, one suffix-row sweep per
+        block of TENSOR_BLOCK episodes (2, 2 and 1 of 5), and builds the
+        adjoint tensors of the audited episodes only (0, 2, 4 and then 6,
+        8)."""
+        calls = {"episode_tensors": [], "run_episode": [], "episode_noises": [],
+                 "_uoro_factors": [], "suffix_rows": []}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
+                result = fn(*args, **kwargs)
+                # the episodes of the call: its noises', or its tape's batch
+                if name == "episode_noises":
+                    calls[name].append(len(result))
+                else:
+                    tape = result if name == "run_episode" else args[0]
+                    calls[name].append(tape.batch_shape)
+                return result
             return wrapper
 
         for name in calls:
@@ -195,18 +204,19 @@ class TestRunTraining:
         one_update = training._update
 
         def update(*args):
-            before = dict(calls)
+            before = {k: len(v) for k, v in calls.items()}
             result = one_update(*args)
-            per_update.append({k: calls[k] - before[k] for k in calls})
+            per_update.append({k: v[before[k]:] for k, v in calls.items()})
             return result
 
         monkeypatch.setattr(training, "_update", update)
         cfg = tiny_digits_config(q0_mode, alpha_mode, minibatch=5, updates=2,
                                  audit_every=2)
         training.run_training(cfg)
-        assert per_update == [
-            {"episode_tensors": 3, "run_episode": 3, "suffix_rows": 3},
-            {"episode_tensors": 2, "run_episode": 3, "suffix_rows": 3}]
+        whole = {"run_episode": [(5,)], "episode_noises": [5],
+                 "_uoro_factors": [(5,)], "suffix_rows": [(2,), (2,), (1,)]}
+        assert per_update == [{**whole, "episode_tensors": [()] * 3},
+                              {**whole, "episode_tensors": [()] * 2}]
 
     def test_state_cut_exact_alpha_matches_per_episode_replay(self, tmp_path,
                                                               monkeypatch):
@@ -332,27 +342,31 @@ class TestRunTraining:
         ]
 
     def test_suffix_rows_freed_before_the_sketch_runs(self, monkeypatch):
-        """Under alpha "ours" the block's SuffixRows, from which each
-        episode's C, alpha and B come, is freed before run_uoro runs, so one
-        block holds its rows or its sketch, not both (TENSOR_BLOCK's sizing)."""
-        sweeps, alive = [], []
+        """Under alpha "ours" the SuffixRows of every block, from which each
+        episode's C, alpha and B come, are written into one rows buffer that
+        the blocks of an update reuse, and are freed before the sketch runs,
+        so the minibatch holds one block's rows or its sketch, not both
+        (TENSOR_BLOCK's sizing)."""
+        sweeps, addresses, alive = [], [], []
 
-        def sweep(*args):
-            rows = suffix_rows(*args)
+        def sweep(*args, **kwargs):
+            rows = suffix_rows(*args, **kwargs)
             sweeps.append(weakref.ref(rows))
+            addresses.append(rows.rows.__array_interface__["data"][0])
             return rows
 
         def run(*args, **kwargs):
             alive.append(sum(ref() is not None for ref in sweeps))
-            return run_uoro(*args, **kwargs)
+            return uoro_factors(*args, **kwargs)
 
-        suffix_rows, run_uoro = training.suffix_rows, training.run_uoro
+        suffix_rows, uoro_factors = training.suffix_rows, training._uoro_factors
         monkeypatch.setattr(training, "suffix_rows", sweep)
-        monkeypatch.setattr(training, "run_uoro", run)
+        monkeypatch.setattr(training, "_uoro_factors", run)
         monkeypatch.setattr(training, "TENSOR_BLOCK", 2)
         training.run_training(tiny_digits_config("ours", "ours", minibatch=5,
                                                  updates=2, audit_every=2))
-        assert len(sweeps) == 6 and alive == [0] * 6
+        assert len(sweeps) == 6 and alive == [0] * 2
+        assert [len(set(addresses[i:i + 3])) for i in (0, 3)] == [1, 1]
 
     def test_audit_metric_value(self, tmp_path):
         cfg = tiny_queue_config(estimator="uoro", alpha_mode="ours",
@@ -431,6 +445,32 @@ class TestVarianceReport:
         _, out = report
         assert (out / "variance_report.csv").exists()
         assert (out / "variance_report.json").exists()
+
+    def test_q0_checked_once_per_cell(self, monkeypatch):
+        """A cell's Q0 is checked and inverted once, by its ScalingSchedule;
+        the predictions, one per realized alpha under "gir", take the
+        checked pair.  The identity cells check nothing."""
+        checks = []
+        checked_q0 = estimators._checked_q0
+
+        def counted(*args):
+            checks[-1] += 1
+            return checked_q0(*args)
+
+        def cell(*args):
+            checks.append(0)
+            return grid_cell(*args)
+
+        grid_cell = training._grid_cell
+        monkeypatch.setattr(estimators, "_checked_q0", counted)
+        monkeypatch.setattr(variance, "_checked_q0", counted)
+        monkeypatch.setattr(training, "_grid_cell", cell)
+        cfg = ExperimentConfig(task="queue", hidden=3, delay=2, stream_length=5,
+                               num_seeds=70, base_seed=35, data_seed=36)
+        summary = training.run_variance_report(cfg)
+        assert [(c["q0"], c["alpha"]) for c in summary["grid"]] == [
+            ("identity", "gir"), ("identity", "ours"), ("ours", "gir"), ("ours", "ours")]
+        assert checks == [0, 0, 1, 1]
 
 
 class TestEstimatorCompare:

@@ -40,6 +40,7 @@ from helpers import (
     dense_theta_jacobians,
     greedy_coefficients,
     make_instance,
+    minst_B,
     online_B_replay,
     row_rel,
 )
@@ -348,8 +349,8 @@ class TestComputeB:
         rng = np.random.default_rng(88)
         _, tensors = make_tensors(88, hidden=3, length=4)
         alpha = rng.uniform(0.5, 2.0, size=4)
-        qr = compute_B(tensors, alpha, form="qr")
-        minst = compute_B(tensors, alpha, form="minst")
+        qr = compute_B(tensors, alpha)
+        minst = minst_B(tensors, alpha)
         scale = max(np.abs(qr).max(), 1e-12)
         assert np.abs(qr - minst).max() <= 1e-9 * scale
 
@@ -374,7 +375,7 @@ class TestComputeB:
                 brute += (alpha[r] ** 2 / alpha[q] ** 2) * a_sq[q] * np.outer(v, v)
         scale = np.abs(brute).max()
         assert np.abs(compute_B(tensors, alpha) - brute).max() <= 1e-12 * scale
-        minst = compute_B(tensors, alpha, form="minst")
+        minst = minst_B(tensors, alpha)
         assert np.abs(minst - brute).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("k", [1, 3, 5])
@@ -384,7 +385,7 @@ class TestComputeB:
         alpha = rng.uniform(0.5, 2.0, size=6)
         truncated = EpisodeTensors(cut=tensors.cut, b=tensors.b[:k, :k],
                                    a=tensors.a[:k], a_norms=tensors.a_norms[:k])
-        expected = compute_B(truncated, alpha[:k], form="minst")
+        expected = minst_B(truncated, alpha[:k])
         partial = compute_B_partial(tensors, alpha, k)
         assert np.abs(partial - expected).max() <= 1e-12 * np.abs(expected).max()
 
