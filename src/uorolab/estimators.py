@@ -22,11 +22,9 @@ plain recursions.  The per-step gradient contribution is
 roundoff of its two terms is set exactly to zero, so that its last bits
 cannot pick the next coefficient.
 
-Over a whole tape w~ is never formed: every term u_r^T Q0^{-1} J_theta,r is
-the rank-one vec(L_r a_r^T) at either cut, so run_uoro carries w~_t as its
-coefficients over those terms and contracts the estimate once at the end.
-uoro_step is the same recursion with a dense w~, for streaming updates and
-as the test oracle.
+Over a whole tape run_uoro never forms w~ (it carries its coefficients over
+rank-one terms); uoro_step is the same recursion with a dense w~, for
+streaming updates and as the test oracle.
 
 preUORO exploits the rank-one structure of the preactivation-to-parameter
 Jacobian to skip the spatial projection: the sketch carries a full S x N_z
@@ -342,8 +340,7 @@ def run_uoro(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
     (GRAM_NORM_RTOL) is formed densely, and its coefficients are zeroed when
     it cancels.  With s_t the step's score (dL_t/dstate . h~_t), the
     estimate sum_t s_t w~_t is sum_r vec((sum_t s_t c_t[r]) L_r a_r^T), one
-    contraction over the steps of the weighted left factors and the a_r at
-    the end (_uoro_factors).  No P-long vector is formed before it.
+    contraction over the steps at the end (_uoro_factors).
     """
     factors = _uoro_factors(tape, cut, noise, schedule, contribution)
     return _report("uoro", noise, factors.estimate(), factors.realized_gamma,
@@ -352,10 +349,9 @@ def run_uoro(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
 
 @dataclass
 class _Factors:
-    """A sketch run over a tape with its estimate kept as per-step factors:
-    the estimate of row i of its batch is sum_t vec(left[t, i] right[t, i]^T),
-    which estimate() contracts over the steps for any rows, so a caller can
-    take a large batch's estimate a few rows at a time."""
+    """A sketch run with its estimate kept as per-step factors: row i of the
+    estimate is sum_t vec(left[t, i] right[t, i]^T), contracted for any
+    rows, so a large batch's estimate can be taken a few rows at a time."""
 
     left: np.ndarray  # (T, [B,] N_z)
     right: np.ndarray  # (T, [B,] A), a broadcast view where rows share it
@@ -372,12 +368,10 @@ class _Factors:
 
 def _uoro_factors(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
                   contribution: str = CONTRIBUTION_CURRENT) -> _Factors:
-    """run_uoro's recursion, its estimate left as factors: the left factors
-    L_r weighted by sum_t s_t c_t[r] (plus the exact immediate g_z,t under
-    "split") and the a_r.  The spatial noise is shaped one step at a time,
-    the scores are taken in place over the scored sketches, and the weights
-    scale the left factors in place, so that beside the tape and the noise
-    one (T, [B,] N_z) array and one (T, [B,] S) array are alive."""
+    """run_uoro's recursion, its estimate left as the L_r weighted by
+    sum_t s_t c_t[r] (plus g_z,t under "split") and the a_r.  The noise is
+    shaped a step at a time and the rest is done in place, so that beside
+    the tape and the noise one (T, [B,] N_z) and one (T, [B,] S) array live."""
     params = tape.params
     cut = CutVertex(cut)
     n_z = params.cut_size(cut)
@@ -393,9 +387,10 @@ def _uoro_factors(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
     batch = np.broadcast_shapes(tape.batch_shape, u.shape[1:-1])
     u = _steps_first(u, len(batch))
     a = _steps_first(tape.steps.a, len(batch))
+    # a fresh array, which the weights scale in place at the end
     left = np.empty((t_len, *batch, n_z))
     if schedule.Q0_inv is not None and u.shape == left.shape:
-        np.matmul(u, schedule.Q0_inv, out=left)
+        np.matmul(u, schedule.Q0_inv, out=left)  # no temporary of left's size
     else:
         left[...] = schedule.unshape_spatial(u)
     if cut == CutVertex.STATE:
@@ -446,8 +441,7 @@ def _uoro_factors(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
             raise NumericOverflowError(f"rank-one sketch overflowed at step {t}")
         gammas[t], betas[t] = gamma, beta
         scored[t] = forwarded if split else h_tilde
-    loss_grads = rnn.embed_state_grad(params, tape.loss_grads)
-    scored *= _steps_first(loss_grads, len(batch))
+    scored *= _steps_first(rnn.embed_state_grad(params, tape.loss_grads), len(batch))
     scores = np.add.reduce(scored, axis=-1)
     del scored
     if contribution != CONTRIBUTION_CURRENT:  # both weight w~_{t-1}
@@ -456,8 +450,9 @@ def _uoro_factors(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
     weights = np.einsum("t...,t...r->r...", scores, coefficients)
     left *= weights[..., None]
     if split:  # plus the exact immediate term, vec(g_z,t a_t^T)
-        left += _steps_first(rnn.vjp_to_cut(tape.steps, CutVertex.PREACTIVATION,
-                                            loss_grads), len(batch))
+        left += _steps_first(rnn.vjp_to_cut(
+            tape.steps, CutVertex.PREACTIVATION,
+            rnn.embed_state_grad(params, tape.loss_grads)), len(batch))
     return _Factors(left, np.broadcast_to(a, (t_len, *batch, a.shape[-1])),
                     gammas, betas)
 
@@ -617,16 +612,14 @@ def preuoro_contribution(state: PreUoroState, loss_grad_full: np.ndarray) -> np.
 def run_preuoro(tape: EpisodeTape, noise, schedule: ScalingSchedule) -> GradientReport:
     """Run the projection-free estimator; noise is one EpisodeNoise or a
     NoiseBlock as for run_uoro, of which only tau is read.  The contributions
-    sum_t vec(r_t w~_t^T) are one matrix product over the steps at the end
-    (_preuoro_factors)."""
+    sum_t vec(r_t w~_t^T) are one matrix product over the steps at the end."""
     factors = _preuoro_factors(tape, noise, schedule)
     return _report("preuoro", noise, factors.estimate(), factors.realized_gamma,
                    factors.realized_beta)
 
 
 def _preuoro_factors(tape: EpisodeTape, noise, schedule: ScalingSchedule) -> _Factors:
-    """run_preuoro's recursion, its estimate left as the factors r_t and
-    w~_t."""
+    """run_preuoro's recursion, its estimate left as the r_t and w~_t."""
     if schedule.Q0 is not None:
         raise ValueError("the projection-free sketch takes no spatial Q0")
     params = tape.params

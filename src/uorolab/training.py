@@ -5,13 +5,10 @@ The per-episode protocol with the optimal spatial matrix follows the
 exact-computation recipe: hold a running average Bbar across minibatches,
 set Q0 = (Bbar + damping * mean-eig * I)^{-1/4} for the next minibatch,
 solve for alpha exactly per episode where requested, and fold the episode's
-exact B (computed with the alpha actually used) back into Bbar.  The
-minibatch runs as one batched forward, one noise block and one sketch call
-whose schedule holds every episode's alpha as a column.  Only the reverse
-sweeps that give the episodes' causal suffix rows (from which each episode's
-C, alpha and B follow) run in blocks of TENSOR_BLOCK episodes, on views of
-the minibatch's tape, into one rows buffer; only audited episodes build
-their full adjoint tensors.
+exact B (computed with the alpha actually used) back into Bbar.  A minibatch
+is one forward, one noise block and one sketch call, whose schedule holds
+each episode's alpha as a column; only the sweeps for the episodes' causal
+suffix rows (their C, alpha and B) run in blocks of TENSOR_BLOCK episodes.
 """
 
 import time
@@ -55,12 +52,14 @@ from .variance import (
 
 EXACT_ESTIMATORS = ("bptt", "rtrl")
 
-# Episodes per forward, suffix-row sweep and sketch call in the exact alpha /
-# Q0 protocol.  Larger blocks take fewer Python-level steps per episode but
-# hold the block's suffix rows, T(T+1)/2 x N_z floats per episode (0.65 MB at
-# the digits shape), at once.  perfbench digits-q0 (LSTM, N_z = 200, T = 28,
-# 50 episodes per update; one Xeon core, one BLAS thread) measured round_ms /
-# peak_rss_mb of about 340 / 59.3 at 5, 327 / 62.9 at 8 and 300 / 65.7 at 10.
+# Episodes per suffix-row sweep of the exact alpha / Q0 protocol, which also
+# sums its estimates, head gradients and losses per block of this many (the
+# run files' bytes depend on it).  A block's suffix rows, T(T+1)/2 x N_z
+# floats per episode (0.65 MB at the digits shape), live in one buffer beside
+# the minibatch's tape.  perfbench digits-q0 (LSTM, N_z = 200, T = 28, 50
+# episodes per update; one Xeon core, one BLAS thread) measured round_ms /
+# peak_rss_mb of about RMS_NEW / RSS_NEW, against RMS_OLD / RSS_OLD with a
+# forward and a sketch call per block.
 TENSOR_BLOCK = 8
 
 
@@ -150,16 +149,13 @@ def _rank_one_batch(config, tape, noises, schedule):
     """uoro or preuoro on the B episodes of a minibatch tape, whose noise is
     the NoiseBlock noises, in one call, and the exact protocol around it.
 
-    schedule is the GIR ScalingSchedule shared by the episodes of an update:
-    it holds the spatial Q0 (none for preuoro), checked and inverted once.
-    Under alpha "ours" the suffix-row sweeps (_suffix_sweeps) give each
-    episode's C, its solved alpha and, for Q0 "ours", its B; their rows are
-    freed before the sketch runs, which takes the alphas as one (T, B)
-    schedule.  Otherwise the sketch runs first and, for Q0 "ours", the
-    sweeps follow it with the alphas the run realized.  Returns the
-    sketch's factors, from which any rows of the estimates (B, P) are
-    contracted, the alphas (T, B) and the sum of the episodes' exact B if
-    Q0 is "ours" (else None).
+    schedule is the GIR ScalingSchedule of the update, with its Q0 (none
+    for preuoro) checked and inverted once.  Under alpha "ours" the sweeps
+    (_suffix_sweeps) give each episode's C, solved alpha and, for Q0
+    "ours", B, and are freed before the sketch runs; otherwise the sketch
+    runs first and, for Q0 "ours", the sweeps follow with its realized
+    alphas.  Returns the sketch's factors, the alphas (T, B) and the sum of
+    the episodes' exact B if Q0 is "ours" (else None).
     """
     cut = CutVertex(config.cut)
     alphas = b_sum = None
@@ -183,11 +179,10 @@ def _rank_one_batch(config, tape, noises, schedule):
 
 def _suffix_sweeps(config, tape, schedule, alphas=None):
     """One suffix-row sweep (suffix_rows) per block of TENSOR_BLOCK episodes
-    of a minibatch tape, each written into the one rows buffer that every
-    block reuses.  An episode's rows give its C and its solved alpha, unless
-    the alphas (T, B) are given, and for Q0 "ours" its exact B under its
-    alpha.  Returns the alphas and the sum of the episodes' B (None unless
-    Q0 is "ours"); the buffer is freed on return."""
+    of a minibatch tape, into one rows buffer that every block reuses.  An
+    episode's rows give its C and solved alpha, unless the alphas (T, B) are
+    given, and for Q0 "ours" its B under its alpha.  Returns the alphas and
+    the sum of the B (None unless Q0 is "ours")."""
     cut = CutVertex(config.cut)
     n = tape.batch_shape[0]
     solve = alphas is None
@@ -205,9 +200,7 @@ def _suffix_sweeps(config, tape, schedule, alphas=None):
             if solve:
                 alphas[:, index] = solve_alpha_newton(
                     compute_C(episode, schedule.Q0, schedule.Q0_inv)).alpha
-            if config.q0_mode == "ours":
-                # a running sum keeps one N_z x N_z matrix alive, not one per
-                # episode
+            if config.q0_mode == "ours":  # one N_z x N_z sum alive, not one each
                 b_episode = compute_B(episode, alphas[:, index])
                 b_sum = b_episode if b_sum is None else b_sum + b_episode
     return alphas, b_sum
@@ -270,11 +263,9 @@ def run_training(config: ExperimentConfig, out_dir=None) -> dict:
 def _update(config, params, head, inputs, targets, update, b_bar, q0):
     """One minibatch update, for every estimator and for the optimal-Q0 /
     exact-alpha protocol, on the minibatch's inputs (B, T, X) and Targets
-    (T, B): one forward over the minibatch, the summed estimates of one
-    estimator call (_summed_estimates), then the online/offline audits.
-    Returns the mean gradient, head gradient and loss per supervised step,
-    the updated Bbar and Q0, and the largest online/offline audit error
-    (None if no episode was audited).
+    (T, B).  Returns the mean gradient, head gradient and loss per
+    supervised step, the updated Bbar and Q0, and the largest online/offline
+    audit error (None if no episode was audited).
     """
     if config.q0_mode == "ours" and b_bar is not None:
         q0 = optimal_Q0(b_bar, damping=config.damping)
@@ -286,8 +277,7 @@ def _update(config, params, head, inputs, targets, update, b_bar, q0):
         b_bar = b_mean if b_bar is None else (
             config.bbar_decay * b_bar + (1.0 - config.bbar_decay) * b_mean
         )
-    # each audited episode builds its adjoint tensors for its offline
-    # estimate, once the minibatch's noise and sketch are freed
+    # the audits build their adjoint tensors once the sketch and noise are freed
     audits = []
     for j, u, alpha, schedule, estimate in audited:
         offline = offline_total_estimate(
@@ -301,19 +291,15 @@ def _update(config, params, head, inputs, targets, update, b_bar, q0):
 
 
 def _summed_estimates(config, params, head, tape, update, q0):
-    """The estimates, head gradients and losses of the B episodes of a
-    minibatch tape, each per supervised step, summed over the episodes:
-    one noise block and one estimator call for the minibatch.
-
-    When the config needs each episode's exact C or B (alpha or Q0 "ours"
-    with a rank-one sketch), the suffix-row sweeps run in blocks of
-    TENSOR_BLOCK episodes (_suffix_sweeps), and the sums are taken per such
-    block, the estimates contracted from the sketch's factors a block at a
-    time, so that no (B, P) estimate is formed.  Returns the three sums,
-    the sum of the episodes' exact B if Q0 is "ours" (else None), and for
-    each audited episode of a "current" uoro run (offline_total_estimate is
-    the estimate of that contribution mode) its position, noise u, alphas,
-    schedule and estimate.
+    """The estimates, head gradients and losses per supervised step of the
+    B episodes of a minibatch tape, summed, from one noise block and one
+    estimator call.  When the config needs each episode's exact C or B
+    (alpha or Q0 "ours" with a rank-one sketch) they are summed per block of
+    TENSOR_BLOCK episodes, the estimates contracted from the sketch's
+    factors a block at a time, so no (B, P) estimate is formed.  Returns the
+    sums, the sum of the exact B (or None), and each audited episode's
+    position, noise u, alphas, schedule and estimate: the "current" uoro
+    runs, whose estimate offline_total_estimate is.
     """
     estimator = canonical_estimator(config.estimator)
     n = tape.batch_shape[0]
@@ -331,10 +317,12 @@ def _summed_estimates(config, params, head, tape, update, q0):
         factors, alphas, b_sum = _rank_one_batch(config, tape, noises, schedule)
         estimates = factors.estimate
         if estimator == "uoro" and config.contribution == "current":
-            audited = [j for j, index in enumerate(noises.indices)
+            audited = [(j, noises.u[:, j].copy(), alphas[:, j])
+                       for j, index in enumerate(noises.indices)
                        if config.audit_every and index % config.audit_every == 0]
     else:
         estimates = _estimate_batch(config, params, head, tape, noises).__getitem__
+    del noises  # freed before the sums: the audits keep their own columns
     exact = config.alpha_mode == "ours" or config.q0_mode == "ours"
     size = TENSOR_BLOCK if exact else n
     counts = np.maximum(tape.targets.mask.sum(axis=0), 1.0)
@@ -344,7 +332,7 @@ def _summed_estimates(config, params, head, tape, update, q0):
         rows = slice(start, start + size)
         block = tape.episode(rows)
         block_estimates = estimates(rows)
-        kept.update((j, block_estimates[j - start].copy()) for j in audited
+        kept.update((j, block_estimates[j - start].copy()) for j, *_ in audited
                     if start <= j < start + size)
         block_estimates /= counts[rows, None]
         grad_sum = grad_sum + np.sum(block_estimates, axis=0)
@@ -352,8 +340,7 @@ def _summed_estimates(config, params, head, tape, update, q0):
         head_grad_sum = head_grad_sum + np.sum(
             head_grads.sum(axis=0) / counts[rows, None, None], axis=0)
         loss_sum += float(np.sum(block.total_loss() / counts[rows]))
-    audited = [(j, noises.u[:, j].copy(), alphas[:, j], schedule, kept[j])
-               for j in audited]
+    audited = [(j, u, alpha, schedule, kept[j]) for j, u, alpha in audited]
     return (grad_sum, head_grad_sum, loss_sum), b_sum, audited
 
 
