@@ -354,14 +354,16 @@ class _Factors:
     rows, so a large batch's estimate can be taken a few rows at a time."""
 
     left: np.ndarray  # (T, [B,] N_z)
-    right: np.ndarray  # (T, [B,] A), a broadcast view where rows share it
+    right: np.ndarray  # (T, [B,] A), or (T, 1, A) shared by every row
     realized_gamma: np.ndarray  # (T, [B])
     realized_beta: np.ndarray  # (T, [B])
 
     def estimate(self, rows=slice(None)) -> np.ndarray:
         """The estimate ([b,] P) of the batch rows given, all by default; a
         row rounds the same whichever rows are taken with it."""
-        left, right = self.left[:, rows], self.right[:, rows]
+        left, right = self.left[:, rows], self.right
+        if right.shape[1:-1] == self.left.shape[1:-1]:
+            right = right[:, rows]
         product = _rows_as_columns(left) @ np.swapaxes(right, 0, -2)
         return product.reshape(*left.shape[1:-1], -1)
 
@@ -387,14 +389,13 @@ def _uoro_factors(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
     batch = np.broadcast_shapes(tape.batch_shape, u.shape[1:-1])
     u = _steps_first(u, len(batch))
     a = _steps_first(tape.steps.a, len(batch))
-    # a fresh array, which the weights scale in place at the end
-    left = np.empty((t_len, *batch, n_z))
-    if schedule.Q0_inv is not None and u.shape == left.shape:
-        np.matmul(u, schedule.Q0_inv, out=left)  # no temporary of left's size
-    else:
-        left[...] = schedule.unshape_spatial(u)
+    left = schedule.unshape_spatial(u)
     if cut == CutVertex.STATE:
-        left *= _steps_first(tape.steps.d, len(batch))
+        left = left * _steps_first(tape.steps.d, len(batch))
+    # the weights scale a fresh left in place at the end, not the noise's u
+    fresh = left is not u and left.shape == (t_len, *batch, n_z)
+    if not fresh:
+        left = np.broadcast_to(left, (t_len, *batch, n_z))
     greedy = schedule.mode == GIR
     if greedy:
         # terms of about 1e300 overflow here; the loop names the step
@@ -448,13 +449,12 @@ def _uoro_factors(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
         coefficients = np.concatenate([np.zeros_like(coefficients[:1]),
                                        coefficients[:-1]])
     weights = np.einsum("t...,t...r->r...", scores, coefficients)
-    left *= weights[..., None]
+    left = np.multiply(weights[..., None], left, out=left if fresh else None)
     if split:  # plus the exact immediate term, vec(g_z,t a_t^T)
         left += _steps_first(rnn.vjp_to_cut(
             tape.steps, CutVertex.PREACTIVATION,
             rnn.embed_state_grad(params, tape.loss_grads)), len(batch))
-    return _Factors(left, np.broadcast_to(a, (t_len, *batch, a.shape[-1])),
-                    gammas, betas)
+    return _Factors(left, a, gammas, betas)
 
 
 def _check_alpha(schedule: ScalingSchedule, t_len: int, batch: tuple):

@@ -317,7 +317,8 @@ def _summed_estimates(config, params, head, tape, update, q0):
         factors, alphas, b_sum = _rank_one_batch(config, tape, noises, schedule)
         estimates = factors.estimate
         if estimator == "uoro" and config.contribution == "current":
-            audited = [(j, noises.u[:, j].copy(), alphas[:, j])
+            audited = [(j, noises.u[:, j].copy(), alphas[:, j], schedule,
+                        factors.estimate(slice(j, j + 1))[0])
                        for j, index in enumerate(noises.indices)
                        if config.audit_every and index % config.audit_every == 0]
     else:
@@ -327,20 +328,16 @@ def _summed_estimates(config, params, head, tape, update, q0):
     size = TENSOR_BLOCK if exact else n
     counts = np.maximum(tape.targets.mask.sum(axis=0), 1.0)
     grad_sum = head_grad_sum = loss_sum = 0.0
-    kept = {}
     for start in range(0, n, size):
         rows = slice(start, start + size)
         block = tape.episode(rows)
         block_estimates = estimates(rows)
-        kept.update((j, block_estimates[j - start].copy()) for j, *_ in audited
-                    if start <= j < start + size)
         block_estimates /= counts[rows, None]
         grad_sum = grad_sum + np.sum(block_estimates, axis=0)
         head_grads = head.param_grad(block.steps.h, block.targets)
         head_grad_sum = head_grad_sum + np.sum(
             head_grads.sum(axis=0) / counts[rows, None, None], axis=0)
         loss_sum += float(np.sum(block.total_loss() / counts[rows]))
-    audited = [(j, u, alpha, schedule, kept[j]) for j, u, alpha in audited]
     return (grad_sum, head_grad_sum, loss_sum), b_sum, audited
 
 
