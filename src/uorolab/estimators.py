@@ -372,8 +372,9 @@ def _uoro_factors(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
                   contribution: str = CONTRIBUTION_CURRENT) -> _Factors:
     """run_uoro's recursion, its estimate left as the L_r weighted by
     sum_t s_t c_t[r] (plus g_z,t under "split") and the a_r.  The noise is
-    shaped a step at a time and the rest is done in place, so that beside
-    the tape and the noise one (T, [B,] N_z) and one (T, [B,] S) array live."""
+    shaped a step at a time and the scores and weights are taken in place,
+    so that beside the tape and the noise at most one (T, [B,] N_z) array,
+    the left factors, and one (T, [B,] S) array, the scored sketches, live."""
     params = tape.params
     cut = CutVertex(cut)
     n_z = params.cut_size(cut)
