@@ -75,22 +75,41 @@ def test_reinforce_per_seed_matches_the_golden_file(digests, tmp_path, capsys):
         pytest.fail(capsys.readouterr().out)
 
 
+def assert_golden_runs(digests, names, write, tmp_path, capsys):
+    """The run directories names, written under a fresh directory by
+    write(out), hold byte for byte the checked-in files of the same names;
+    a mismatch fails with --compare's count of differing cells and their
+    largest relative difference."""
+    golden, fresh = tmp_path / "golden", tmp_path / "fresh"
+    for name in names:
+        (golden / name).mkdir(parents=True)
+        for path in (GOLDEN / name).iterdir():
+            (golden / name / path.name).write_bytes(path.read_bytes())
+    fresh.mkdir()
+    write(fresh)
+    capsys.readouterr()
+    same = [(fresh / name / path.name).read_bytes() == path.read_bytes()
+            for name in names for path in (golden / name).iterdir()]
+    assert len(same) == 2 * len(names)
+    if not all(same):
+        digests.compare(golden, fresh)
+        pytest.fail(capsys.readouterr().out)
+
+
 def test_exact_protocol_runs_match_the_golden_files(digests, tmp_path, capsys):
     """The seven exact-protocol training runs (alpha or Q0 "ours" with a
     rank-one sketch) write byte for byte the checked-in metrics.csv and
     summary.json (exact-protocol.versions names the numpy and BLAS that
-    wrote them).  A mismatch reports --compare's count of differing cells
-    and their largest relative difference."""
-    golden, fresh = tmp_path / "golden", tmp_path / "fresh"
-    for name in digests.EXACT_PROTOCOL:
-        (golden / name).mkdir(parents=True)
-        for path in (GOLDEN / name).iterdir():
-            (golden / name / path.name).write_bytes(path.read_bytes())
-    digests.write_training(fresh, digests.EXACT_PROTOCOL)
-    capsys.readouterr()
-    same = [(fresh / name / path.name).read_bytes() == path.read_bytes()
-            for name in digests.EXACT_PROTOCOL for path in (golden / name).iterdir()]
-    assert len(same) == 2 * len(digests.EXACT_PROTOCOL)
-    if not all(same):
-        digests.compare(golden, fresh)
-        pytest.fail(capsys.readouterr().out)
+    wrote them)."""
+    assert_golden_runs(digests, digests.EXACT_PROTOCOL,
+                       lambda out: digests.write_training(out, digests.EXACT_PROTOCOL),
+                       tmp_path, capsys)
+
+
+def test_report_commands_match_the_golden_files(digests, tmp_path, capsys):
+    """The variance-report, estimator-compare and alpha-solve commands, which
+    call compute_C, solve_alpha_newton and compute_B, write byte for byte
+    the checked-in CSV and JSON files (report-commands.versions names the
+    numpy and BLAS that wrote them)."""
+    assert_golden_runs(digests, digests.COMMANDS, digests.write_commands,
+                       tmp_path, capsys)

@@ -84,12 +84,18 @@ REINFORCE_SEEDS = 64
 
 def write_runs(out: Path) -> None:
     write_training(out, TRAINING)
+    write_commands(out)
+    write_reinforce_per_seed(out / "reinforce-per-seed.csv")
+
+
+def write_commands(out: Path) -> None:
+    """The CSV and JSON files of the report commands, each in its own
+    directory under out."""
     report = out / "report.cfg"
     config.save(config.ExperimentConfig(**REPORT), report)
     for command in COMMANDS:
         cli.main([command, "--config", str(report), "--out", str(out / command)])
     report.unlink()
-    write_reinforce_per_seed(out / "reinforce-per-seed.csv")
 
 
 def write_training(out: Path, names) -> None:
