@@ -147,17 +147,21 @@ def _adjoint_sweep(tape: EpisodeTape, cut: CutVertex, suffix: bool):
     dL_s/d(state_s) at step s.  The live rows t >= s are pulled back to the
     cut and, for s > 0, through J_state to state_{s-1} in one product; the
     adjoints of the state before step 0 are not formed, since nothing reads
-    them.  Yields (s, g), g (T - s, [B,] N_z) the cut adjoints of rows
-    s..T-1 at step s."""
+    them.  The pullback writes the rows' state adjoints over them in place
+    and their cut adjoints into one buffer for the sweep.  Yields (s, g),
+    g (T - s, [B,] N_z) the cut adjoints of rows s..T-1 at step s, valid
+    until the next step overwrites them."""
     t_len = tape.length
     deltas = np.zeros((t_len, *tape.batch_shape, tape.params.state_size))
+    cut_rows = np.empty((t_len, *tape.batch_shape, tape.params.cut_size(cut)))
     for s in range(t_len - 1, -1, -1):
         deltas[s] = tape.loss_grad_full(s)
         if suffix and s + 1 < t_len:
             deltas[s] += deltas[s + 1]
         # causality: losses before s have no adjoint here
         if s:
-            g, deltas[s:] = rnn.vjp_to_cut_and_state(tape.steps[s], cut, deltas[s:])
+            g, _ = rnn.vjp_to_cut_and_state(tape.steps[s], cut, deltas[s:],
+                                            out=(cut_rows[s:], deltas[s:]))
         else:
             g = rnn.vjp_to_cut(tape.steps[0], cut, deltas)
         yield s, g

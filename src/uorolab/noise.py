@@ -401,11 +401,8 @@ class NoiseBlock:
     (T, B), nu, mu and u (T, B, dim), column j the stream of episode
     indices[j].  Each stream is drawn on first access.
 
-    block[a:b] is the sub-block of those columns.  On the array route it
-    draws from the states its root block derived, so the states are derived
-    once per root; on the per-index route, as every block there, it stacks
-    the streams of its columns' EpisodeNoise.  block[j] is the EpisodeNoise
-    of episode indices[j]."""
+    block[a:b] is the NoiseBlock of those columns' indices, which draws the
+    same streams, and block[j] the EpisodeNoise of episode indices[j]."""
 
     def __init__(self, base_seed: int, indices, length: int, dim: int,
                  tau_kind: str = SIGN):
@@ -415,9 +412,6 @@ class NoiseBlock:
         self.length = length
         self.dim = dim
         self.tau_kind = tau_kind
-        self._root = None  # the block this one was sliced from, if any
-        self._rows = range(len(self.indices))  # its columns of the root
-        self._on_array_route = _array_route(self.indices)  # the root's route
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -426,43 +420,25 @@ class NoiseBlock:
         return (self[j] for j in range(len(self)))
 
     def __getitem__(self, rows):
-        if not isinstance(rows, slice):
-            return EpisodeNoise(self.base_seed, self.indices[rows], self.length,
-                                self.dim, self.tau_kind)
-        part = NoiseBlock(self.base_seed, self.indices[rows], self.length,
-                          self.dim, self.tau_kind)
-        part._root = self if self._root is None else self._root
-        part._rows = self._rows[rows]
-        part._on_array_route = self._on_array_route
-        return part
-
-    @cached_property
-    def _index_pools(self) -> list:
-        """(pool, const) after the episode indices (_index_pools)."""
-        return _index_pools(self.base_seed, self.indices)
+        kind = NoiseBlock if isinstance(rows, slice) else EpisodeNoise
+        return kind(self.base_seed, self.indices[rows], self.length, self.dim,
+                    self.tau_kind)
 
     @cached_property
     def _limbs(self) -> _Limbs:
         """On the array route, the PCG64 states of all four streams of every
         episode, derived together: (4, B) limbs, row k stream k's."""
-        (pool, const), = self._index_pools
+        (pool, const), = _index_pools(self.base_seed, self.indices)
         hashes = np.array(_stream_hashes(const), dtype=np.uint64)
         return _limb_states(_mix(pool[:, None], hashes.T[..., None]))
-
-    def _states(self, stream: str) -> _Limbs:
-        """On the array route, the (B,) PCG64 states of one stream, derived
-        once per root block."""
-        if self._root is not None:
-            return self._root._states(stream).take(np.asarray(self._rows))
-        return self._limbs.take(_STREAMS[stream])
 
     def _columns(self, stream: str, shape: tuple) -> np.ndarray:
         """A (T, B, *shape) stream drawn column by column: on the array route
         from the thread's generator seated at each column's state, else as
         the EpisodeNoise of each column draws it."""
         out = np.empty((self.length, len(self), *shape))
-        if self._on_array_route:
-            for j, state in enumerate(self._states(stream).states()):
+        if _array_route(self.indices):
+            for j, state in enumerate(self._limbs.take(_STREAMS[stream]).states()):
                 out[:, j] = _generator(state).standard_normal((self.length, *shape))
         else:
             for j, episode in enumerate(self):
@@ -470,8 +446,9 @@ class NoiseBlock:
         return out
 
     def _block_scalars(self, stream: str) -> np.ndarray:
-        if self.tau_kind == SIGN and self._on_array_route:
-            return _SIGNS.take(_coin_bits(self._states(stream), self.length).T)
+        if self.tau_kind == SIGN and _array_route(self.indices):
+            limbs = self._limbs.take(_STREAMS[stream])
+            return _SIGNS.take(_coin_bits(limbs, self.length).T)
         return self._columns(stream, ())
 
     @cached_property

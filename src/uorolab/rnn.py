@@ -374,14 +374,14 @@ def _lstm_zc_jvp(cache: StepCache, scaled: np.ndarray, dc_prev, forget, out=None
     return out
 
 
-def _lstm_adjoint(cache: StepCache, v: np.ndarray):
-    """Adjoint rows (g_h, g_c) -> (g_zbar, g_c_prev).  g_h_prev is
-    g_zbar W_h, left to the caller that needs it."""
+def _lstm_adjoint(cache: StepCache, v: np.ndarray, out: np.ndarray | None = None):
+    """Adjoint rows (g_h, g_c) -> (g_zbar, g_c_prev), g_zbar written into out
+    if given.  g_h_prev is g_zbar W_h, left to the caller that needs it."""
     h = cache.params.hidden_size
     g_h, g_c = v[..., :h], v[..., h:]
     gc_total = g_c + g_h * cache.dh_dc
-    g_z = np.concatenate([gc_total, gc_total, gc_total, g_h], axis=-1) * cache.dz
-    return g_z, gc_total * cache.f
+    g_z = np.concatenate([gc_total, gc_total, gc_total, g_h], axis=-1)
+    return np.multiply(g_z, cache.dz, out=out), gc_total * cache.f
 
 
 def jvp_state(cache: StepCache, v: np.ndarray, out: np.ndarray | None = None,
@@ -438,23 +438,29 @@ def vjp_to_cut(cache: StepCache, cut, v: np.ndarray) -> np.ndarray:
     return v * cache.d
 
 
-def vjp_to_cut_and_state(cache: StepCache, cut, v: np.ndarray):
+def vjp_to_cut_and_state(cache: StepCache, cut, v: np.ndarray, out=None):
     """(v^T J_cut, v^T J_state): vjp_to_cut and vjp_state of the same rows,
     equal to them bit for bit.  At the preactivation cut both come from one
     pullback to the preactivations (one _lstm_adjoint for the LSTM); the
-    state adjoint always goes through that pullback."""
+    state adjoint always goes through that pullback.  out, if given, is the
+    pair of arrays they are written into and returned; its second may be v
+    itself, as v is read before it is written."""
     p = cache.params
     cut = _as_cut(cut)
-    to_cut = None if cut == CutVertex.PREACTIVATION else vjp_to_cut(cache, cut, v)
+    p.cut_size(cut)  # validates cut/cell compatibility
     v = _rows(v, p.state_size, "state")
+    to_cut, to_state = (None, None) if out is None else out
+    pre = cut == CutVertex.PREACTIVATION
+    if not pre:  # the state cut's adjoint is v; np.positive copies it
+        to_cut = np.positive(v, out=to_cut)
     w_h = p.weights[:, : p.hidden_size]
-    if p.cell_kind == LSTM:
-        g_z, g_c_prev = _lstm_adjoint(cache, v)
-        to_state = np.concatenate([g_z @ w_h, g_c_prev], axis=-1)
+    if p.cell_kind == LSTM:  # at the preactivation cut
+        g_z, g_c_prev = _lstm_adjoint(cache, v, to_cut)
+        to_state = np.concatenate([g_z @ w_h, g_c_prev], axis=-1, out=to_state)
     else:
-        g_z = v * cache.d
-        to_state = g_z @ w_h
-    return (g_z if to_cut is None else to_cut), to_state
+        g_z = np.multiply(v, cache.d, out=to_cut if pre else None)
+        to_state = np.matmul(g_z, w_h, out=to_state)
+    return (g_z if pre else to_cut), to_state
 
 
 def vjp_cut(cache: StepCache, cut, v: np.ndarray) -> np.ndarray:

@@ -5,10 +5,11 @@ The per-episode protocol with the optimal spatial matrix follows the
 exact-computation recipe: hold a running average Bbar across minibatches,
 set Q0 = (Bbar + damping * mean-eig * I)^{-1/4} for the next minibatch,
 solve for alpha exactly per episode where requested, and fold the episode's
-exact B (computed with the alpha actually used) back into Bbar.  A minibatch
-is one forward, one noise block and one sketch call, whose schedule holds
-each episode's alpha as a column; only the sweeps for the episodes' causal
-suffix rows (their C, alpha and B) run in blocks of TENSOR_BLOCK episodes.
+exact B (computed with the alpha actually used) back into Bbar, but for the
+last update, whose Bbar would set no later Q0.  A minibatch is one forward,
+one noise block and one sketch call, whose schedule holds each episode's
+alpha as a column; only the sweeps for the episodes' causal suffix rows
+(their C, alpha and B) run in blocks of TENSOR_BLOCK episodes.
 """
 
 import time
@@ -57,9 +58,9 @@ EXACT_ESTIMATORS = ("bptt", "rtrl")
 # run files' bytes depend on it).  A block's suffix rows, T(T+1)/2 x N_z
 # floats per episode (0.65 MB at the digits shape), live in one buffer beside
 # the minibatch's tape.  perfbench digits-q0 (LSTM, N_z = 200, T = 28, 50
-# episodes per update; one Xeon core, one BLAS thread) measured round_ms /
-# peak_rss_mb of about 255 / 62.4, against 295 / 60.2 with a
-# forward and a sketch call per block.
+# episodes per update; one Xeon core) read round_ms / peak_rss_mb of 222 /
+# 61.7, against 283 / 62.2 with the last update's B, a B sum per episode,
+# Newton's repeated rescalings and a copying pullback.
 TENSOR_BLOCK = 8
 
 
@@ -145,23 +146,23 @@ def _estimate_batch(config, params, head, tape, noises):
     return run_spatial(tape, CutVertex(config.cut), noises).estimate
 
 
-def _rank_one_batch(config, tape, noises, schedule):
+def _rank_one_batch(config, tape, noises, schedule, b_sum):
     """uoro or preuoro on the B episodes of a minibatch tape, whose noise is
     the NoiseBlock noises, in one call, and the exact protocol around it.
 
     schedule is the GIR ScalingSchedule of the update, with its Q0 (none
     for preuoro) checked and inverted once.  Under alpha "ours" the sweeps
-    (_suffix_sweeps) give each episode's C, solved alpha and, for Q0
-    "ours", B, and are freed before the sketch runs; otherwise the sketch
-    runs first and, for Q0 "ours", the sweeps follow with its realized
-    alphas.  Returns the sketch's factors, the alphas (T, B) and the sum of
-    the episodes' exact B if Q0 is "ours" (else None).
+    (_suffix_sweeps) give each episode's C, solved alpha and, unless b_sum
+    is None, B, and are freed before the sketch runs; otherwise the sketch
+    runs first and, unless b_sum is None, the sweeps follow with its
+    realized alphas.  The episodes' exact B are added into b_sum.  Returns
+    the sketch's factors and the alphas (T, B).
     """
     cut = CutVertex(config.cut)
-    alphas = b_sum = None
+    alphas = None
     run_schedule = schedule
     if config.alpha_mode == "ours":
-        alphas, b_sum = _suffix_sweeps(config, tape, schedule)
+        alphas = _suffix_sweeps(config, tape, schedule, b_sum)
         run_schedule = schedule.with_alpha(alphas)
     elif config.alpha_mode == "ones":
         run_schedule = schedule.with_alpha(np.ones(tape.length))
@@ -172,23 +173,23 @@ def _rank_one_batch(config, tape, noises, schedule):
     if alphas is None:
         alphas = (realized_alpha(factors) if config.alpha_mode == "gir"
                   else np.ones(factors.realized_beta.shape))
-        if config.q0_mode == "ours":
-            _, b_sum = _suffix_sweeps(config, tape, schedule, alphas)
-    return factors, alphas, b_sum
+        if b_sum is not None:
+            _suffix_sweeps(config, tape, schedule, b_sum, alphas)
+    return factors, alphas
 
 
-def _suffix_sweeps(config, tape, schedule, alphas=None):
+def _suffix_sweeps(config, tape, schedule, b_sum, alphas=None):
     """One suffix-row sweep (suffix_rows) per block of TENSOR_BLOCK episodes
     of a minibatch tape, into one rows buffer that every block reuses.  An
     episode's rows give its C and solved alpha, unless the alphas (T, B) are
-    given, and for Q0 "ours" its B under its alpha.  Returns the alphas and
-    the sum of the B (None unless Q0 is "ours")."""
+    given, and its B under its alpha, added into b_sum unless that is None
+    (compute_B's out).  Returns the alphas."""
     cut = CutVertex(config.cut)
     n = tape.batch_shape[0]
     solve = alphas is None
     if solve:
         alphas = np.empty((tape.length, n))
-    b_sum = buffer = None
+    buffer = None
     for start in range(0, n, TENSOR_BLOCK):
         block = range(start, min(start + TENSOR_BLOCK, n))
         rows = suffix_rows(tape.episode(slice(block.start, block.stop)), cut,
@@ -200,10 +201,9 @@ def _suffix_sweeps(config, tape, schedule, alphas=None):
             if solve:
                 alphas[:, index] = solve_alpha_newton(
                     compute_C(episode, schedule.Q0, schedule.Q0_inv)).alpha
-            if config.q0_mode == "ours":  # one N_z x N_z sum alive, not one each
-                b_episode = compute_B(episode, alphas[:, index])
-                b_sum = b_episode if b_sum is None else b_sum + b_episode
-    return alphas, b_sum
+            if b_sum is not None:
+                compute_B(episode, alphas[:, index], out=b_sum)
+    return alphas
 
 
 def run_training(config: ExperimentConfig, out_dir=None) -> dict:
@@ -264,16 +264,16 @@ def _update(config, params, head, inputs, targets, update, b_bar, q0):
     """One minibatch update, for every estimator and for the optimal-Q0 /
     exact-alpha protocol, on the minibatch's inputs (B, T, X) and Targets
     (T, B).  Returns the mean gradient, head gradient and loss per
-    supervised step, the updated Bbar and Q0, and the largest online/offline
-    audit error (None if no episode was audited).
+    supervised step, the updated Bbar (the last update leaves it) and Q0,
+    and the largest online/offline audit error (None if none was audited).
     """
     if config.q0_mode == "ours" and b_bar is not None:
         q0 = optimal_Q0(b_bar, damping=config.damping)
     tape = run_episode(params, inputs, targets, head)
     sums, b_sum, audited = _summed_estimates(config, params, head, tape, update, q0)
     n = inputs.shape[0]
-    if b_sum is not None:
-        b_mean = b_sum / n
+    if b_sum is not None:  # each B is symmetric as formed: one pass for the sum
+        b_mean = 0.5 * (b_sum + b_sum.T) / n
         b_bar = b_mean if b_bar is None else (
             config.bbar_decay * b_bar + (1.0 - config.bbar_decay) * b_mean
         )
@@ -297,7 +297,8 @@ def _summed_estimates(config, params, head, tape, update, q0):
     (alpha or Q0 "ours" with a rank-one sketch) they are summed per block of
     TENSOR_BLOCK episodes, the estimates contracted from the sketch's
     factors a block at a time, so no (B, P) estimate is formed.  Returns the
-    sums, the sum of the exact B (or None), and each audited episode's
+    sums, the sum of the exact B (None unless Q0 is "ours" and the update
+    is not the last), and each audited episode's
     position, noise u, alphas, schedule and estimate: the "current" uoro
     runs, whose estimate offline_total_estimate is.
     """
@@ -314,7 +315,9 @@ def _summed_estimates(config, params, head, tape, update, q0):
         # q0 is fixed for the whole update: check and invert it once here
         # (the config allows Q0 "ours" with uoro only)
         schedule = ScalingSchedule(GIR, Q0=q0)
-        factors, alphas, b_sum = _rank_one_batch(config, tape, noises, schedule)
+        if config.q0_mode == "ours" and update + 1 < config.updates:
+            b_sum = np.zeros((dim, dim))
+        factors, alphas = _rank_one_batch(config, tape, noises, schedule, b_sum)
         estimates = factors.estimate
         if estimator == "uoro" and config.contribution == "current":
             audited = [(j, noises.u[:, j].copy(), alphas[:, j], schedule,

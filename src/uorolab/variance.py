@@ -277,10 +277,10 @@ def solve_alpha_newton(C: np.ndarray) -> AlphaSolution:
     c = C / scale
     t_len = c.shape[0]
     zeta = np.zeros(t_len)
+    cbar = _rescaled(c, zeta)  # always Z^{-1} C Z at the current zeta
     iterations = 0
     resolved = False
     for iterations in range(1, 201):
-        cbar = _rescaled(c, zeta)
         grad = cbar.sum(axis=0) - cbar.sum(axis=1)
         if float(np.max(np.abs(grad))) <= NEWTON_TOL:
             break
@@ -293,19 +293,20 @@ def solve_alpha_newton(C: np.ndarray) -> AlphaSolution:
             # objective sum, so a line search could not tell descent from
             # noise: take the full step and stop.
             zeta = zeta - direction
+            cbar = _rescaled(c, zeta)
             resolved = True
             break
         step = 1.0
         for _ in range(50):
             candidate = zeta - step * direction
             candidate -= candidate.min()
-            if _alpha_objective(_rescaled(c, candidate)) <= obj:
-                zeta = candidate
+            trial = _rescaled(c, candidate)
+            if _alpha_objective(trial) <= obj:
+                zeta, cbar = candidate, trial
                 break
             step *= 0.5
         else:
             break  # no descent at the smallest step: stalled
-    cbar = _rescaled(c, zeta)
     residual = float(np.max(np.abs(cbar.sum(axis=0) - cbar.sum(axis=1))))
     zeta = zeta - zeta.min()
     return AlphaSolution(
@@ -338,7 +339,8 @@ def _require_preactivation(tensors: EpisodeTensors, what: str):
         raise UnsupportedCutError(f"{what} requires the preactivation cut")
 
 
-def compute_B(tensors: EpisodeTensors | SuffixRows, alpha: np.ndarray) -> np.ndarray:
+def compute_B(tensors: EpisodeTensors | SuffixRows, alpha: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
     """The PSD matrix whose trace pair with Q0 Q0^T gives the structured
     variance,
 
@@ -347,7 +349,9 @@ def compute_B(tensors: EpisodeTensors | SuffixRows, alpha: np.ndarray) -> np.nda
 
     the "qr" form.  It needs b causal, b[t, r] = 0 for r > t (as
     episode_tensors builds it), and sums over the T(T+1)/2 distinct rows
-    v_qr, q >= r, which one episode's SuffixRows holds already.
+    v_qr, q >= r, which one episode's SuffixRows holds already.  out, if
+    given, is a running sum that B is added into and that is returned, not
+    symmetrized: a caller that sums many B symmetrizes the sum once.
     """
     _require_preactivation(tensors, "compute_B")
     alpha = np.asarray(alpha, dtype=np.float64)
@@ -355,6 +359,8 @@ def compute_B(tensors: EpisodeTensors | SuffixRows, alpha: np.ndarray) -> np.nda
     if alpha.shape != (t_len,):
         raise ShapeError(f"alpha shape {alpha.shape} != ({t_len},)")
     b_mat = _qr_B(*_rows_of(tensors), tensors.a_norms**2, alpha)
+    if out is not None:
+        return np.add(out, b_mat, out=out)
     return 0.5 * (b_mat + b_mat.T)
 
 

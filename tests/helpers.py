@@ -7,7 +7,7 @@ cross-check.
 
 import numpy as np
 
-from uorolab import estimators, rnn
+from uorolab import estimators, rnn, variance
 from uorolab.errors import NumericOverflowError, ShapeError
 from uorolab.exact import EpisodeTensors
 from uorolab.rnn import BernoulliHead, RnnParams, SoftmaxHead, run_episode
@@ -108,6 +108,55 @@ def balanced_alpha(c, sweeps=10000):
         if change < 1e-14:
             break
     return np.sqrt(d / d.min())
+
+
+def newton_oracle(C):
+    """variance.solve_alpha_newton as it was before it kept the matrix its
+    line search accepted: it rescales C again at the head of every iteration
+    and once more after the loop.  It calls variance._rescaled through the
+    module, so a test can count its calls: one per iteration, one per
+    line-search trial, plus one."""
+    C = np.asarray(C, dtype=np.float64)
+    scale = float(C.max())
+    c = C / scale
+    t_len = c.shape[0]
+    zeta = np.zeros(t_len)
+    iterations = 0
+    resolved = False
+    for iterations in range(1, 201):
+        cbar = variance._rescaled(c, zeta)
+        grad = cbar.sum(axis=0) - cbar.sum(axis=1)
+        if float(np.max(np.abs(grad))) <= variance.NEWTON_TOL:
+            break
+        s = cbar + cbar.T
+        hess = np.diag(s.sum(axis=1)) - s
+        direction = np.linalg.solve(hess + 1e-8 * np.eye(t_len), grad)
+        obj = variance._alpha_objective(cbar)
+        if float(grad @ direction) <= t_len * variance.EPS * obj:
+            zeta = zeta - direction
+            resolved = True
+            break
+        step = 1.0
+        for _ in range(50):
+            candidate = zeta - step * direction
+            candidate -= candidate.min()
+            if variance._alpha_objective(variance._rescaled(c, candidate)) <= obj:
+                zeta = candidate
+                break
+            step *= 0.5
+        else:
+            break
+    cbar = variance._rescaled(c, zeta)
+    residual = float(np.max(np.abs(cbar.sum(axis=0) - cbar.sum(axis=1))))
+    zeta = zeta - zeta.min()
+    return variance.AlphaSolution(
+        zeta=zeta,
+        alpha=np.exp(zeta / 2.0),
+        residual=residual,
+        objective=variance._alpha_objective(cbar) * scale,
+        iterations=iterations,
+        converged=residual <= variance.NEWTON_TOL or resolved,
+    )
 
 
 def sqrt_ratio_or_one_oracle(numerator, denominator):

@@ -164,14 +164,16 @@ class TestBitIdentity:
 
     def test_one_word_indices_take_the_array_route(self):
         block = episode_noises(2**64 + 3, [0, 5, 2**32 - 1], 4, 2)
-        (pool, _), = block._index_pools  # one group of (B,) uint64 arrays
+        # one group of (B,) uint64 arrays
+        (pool, _), = noise._index_pools(block.base_seed, block.indices)
         assert all(isinstance(w, np.ndarray) and w.dtype == np.uint64 for w in pool)
         assert_block_matches(block)
 
     @pytest.mark.parametrize("index", [0, 5, 2**32 - 1, 2**32 + 1])
     def test_one_index_takes_the_per_index_route(self, index):
         block = episode_noises(13, [index], 4, 2)
-        (pool, _), = block._index_pools  # one group of Python ints
+        # one group of Python ints
+        (pool, _), = noise._index_pools(block.base_seed, block.indices)
         assert all(isinstance(w, int) for w in pool)
         assert_block_matches(block)
         pool, _ = episode_noise(13, index, 4, 2)._pool  # one episode's own
@@ -181,7 +183,8 @@ class TestBitIdentity:
                                          [2**32, 2**32 + 5, 2**33]])
     def test_multi_word_indices_take_the_per_index_route(self, indices):
         block = episode_noises(7, indices, 4, 2)
-        groups = block._index_pools  # one group of Python ints per index
+        # one group of Python ints per index
+        groups = noise._index_pools(block.base_seed, block.indices)
         assert len(groups) == len(indices)
         assert all(isinstance(w, int) for pool, _ in groups for w in pool)
         assert_block_matches(block)
@@ -329,7 +332,7 @@ class TestLimbPcg64:
     def test_raw_words_are_random_raw(self, base_seed, size):
         block = episode_noises(base_seed, array_route_indices(size), 3, 2)
         for stream, k in noise._STREAMS.items():
-            limbs = block._states(stream)
+            limbs = block._limbs.take(k)
             assert isinstance(limbs, noise._Limbs)
             expected = np.array([fresh(base_seed, (i, k)).bit_generator.random_raw(
                 (max(LENGTHS) + 1) // 2) for i in block.indices])
@@ -370,23 +373,28 @@ class TestLimbPcg64:
             assert block.tau.shape == (length, len(indices))
             assert block.u.shape == (length, len(indices), 2)
 
-    def test_sub_blocks_step_their_root_limbs(self):
-        block = episode_noises(11, array_route_indices(32), 7, 2)
-        for part in (block[3:9], block[30:1:-4], block[31:32]):
-            assert isinstance(part._states("tau"), noise._Limbs)
-            assert np.array_equal(part.tau, block.tau[:, part._rows])
-            assert np.array_equal(part.u, block.u[:, part._rows])
+    @pytest.mark.parametrize("tau_kind", [SIGN, GAUSSIAN])
+    def test_array_route_slices_draw_the_roots_columns(self, tau_kind):
+        # a slice is the block of its indices: the root's columns, bit for bit
+        block = episode_noises(11, array_route_indices(32), 7, 2, tau_kind)
+        for rows in (slice(3, 9), slice(30, 1, -4), slice(31, 32)):
+            part = block[rows]
+            assert part.indices == block.indices[rows]
+            for stream in STREAMS:
+                assert np.array_equal(getattr(part, stream),
+                                      getattr(block, stream)[:, rows]), stream
 
     @pytest.mark.parametrize("tau_kind", [SIGN, GAUSSIAN])
-    def test_per_index_sub_blocks_keep_their_root_route(self, tau_kind):
-        # the root's route holds for a slice whose indices are one word each
+    def test_per_index_slices_draw_the_roots_columns(self, tau_kind):
+        # the root takes the per-index route; a slice of one-word indices
+        # takes the array route and draws the same streams
         block = episode_noises(7, [3, 2**40, 5, 2**32 + 1], 5, 2, tau_kind)
-        for part in (block[0:3:2], block[1:3], block[3:4], block[2:0:-1]):
-            assert not part._on_array_route
+        for rows in (slice(0, 3, 2), slice(1, 3), slice(3, 4), slice(2, 0, -1)):
+            part = block[rows]
             assert_block_matches(part, tau_kind)
             for stream in STREAMS:
                 assert np.array_equal(getattr(part, stream),
-                                      getattr(block, stream)[:, part._rows])
+                                      getattr(block, stream)[:, rows]), stream
 
     def test_generator_is_seated_only_for_per_column_draws(self, monkeypatch):
         seated = []

@@ -216,6 +216,53 @@ class TestFusedPullback:
         np.testing.assert_array_equal(to_cut, rnn.vjp_to_cut(cache, cut, v))
         np.testing.assert_array_equal(to_state, rnn.vjp_state(cache, v))
 
+    @pytest.mark.parametrize("cell,cut", CELL_CUTS)
+    @pytest.mark.parametrize("rows_shape", [(), (4,), (2, 3)])
+    @pytest.mark.parametrize("alias", [False, True], ids=["fresh", "over-v"])
+    def test_out_equals_the_call_without_out_bit_for_bit(self, cell, cut,
+                                                         rows_shape, alias):
+        """With out=, the results are written into the pair given, a fresh
+        one or one whose state rows are v itself (as the sweep passes its
+        live rows), bit for bit those of the call without out."""
+        tape = batched_tape(207, cell)
+        rng = np.random.default_rng(208)
+        cache = tape.steps[2]
+        v = rng.standard_normal((*rows_shape, *cache.batch_shape,
+                                 tape.params.state_size))
+        to_cut, to_state = rnn.vjp_to_cut_and_state(cache, cut, v)
+        rows = v.copy()
+        out = (np.full(to_cut.shape, np.nan),
+               rows if alias else np.full(to_state.shape, np.nan))
+        written = rnn.vjp_to_cut_and_state(cache, cut, rows, out=out)
+        assert written[0] is out[0] and written[1] is out[1]
+        assert written[0].tobytes() == to_cut.tobytes()
+        assert written[1].tobytes() == to_state.tobytes()
+        if not alias:
+            assert rows.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("cell,cut", CELL_CUTS)
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_sweep_rows_equal_a_replay_without_out(self, cell, cut, batch):
+        """suffix_rows, whose sweep pulls back in place, gives bit for bit
+        the rows of a per-step replay through the calls without out=."""
+        tape = batched_tape(215, cell, batch=batch, length=6)
+        t_len = tape.length
+        deltas = np.zeros((t_len, *tape.batch_shape, tape.params.state_size))
+        expected = np.empty((t_len * (t_len + 1) // 2, *tape.batch_shape,
+                             tape.params.cut_size(cut)))
+        for s in range(t_len - 1, -1, -1):
+            deltas[s] = tape.loss_grad_full(s)
+            if s + 1 < t_len:
+                deltas[s] += deltas[s + 1]
+            if s:
+                g, deltas[s:] = rnn.vjp_to_cut_and_state(tape.steps[s], cut,
+                                                         deltas[s:])
+            else:
+                g = rnn.vjp_to_cut(tape.steps[0], cut, deltas)
+            q = np.arange(s, t_len)
+            expected[q * (q + 1) // 2 + s] = g
+        assert suffix_rows(tape, cut).rows.tobytes() == expected.tobytes()
+
     def test_checks_the_rows(self):
         tape = batched_tape(209, rnn.LSTM)
         with pytest.raises(ShapeError):

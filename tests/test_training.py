@@ -1,3 +1,4 @@
+import functools
 import weakref
 
 import numpy as np
@@ -181,9 +182,11 @@ class TestRunTraining:
         one sketch call over the whole minibatch, one suffix-row sweep per
         block of TENSOR_BLOCK episodes (2, 2 and 1 of 5), and builds the
         adjoint tensors of the audited episodes only (0, 2, 4 and then 6,
-        8)."""
+        8).  Under Q0 "ours" every update but the last computes each
+        episode's B; the last computes none, since its Bbar sets no later
+        Q0, so under alpha "gir" it runs no sweep at all."""
         calls = {"episode_tensors": [], "run_episode": [], "episode_noises": [],
-                 "_uoro_factors": [], "suffix_rows": []}
+                 "_uoro_factors": [], "suffix_rows": [], "compute_B": []}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -191,6 +194,8 @@ class TestRunTraining:
                 # the episodes of the call: its noises', or its tape's batch
                 if name == "episode_noises":
                     calls[name].append(len(result))
+                elif name == "compute_B":  # one episode's rows
+                    calls[name].append(args[0].rows.shape[1:])
                 else:
                     tape = result if name == "run_episode" else args[0]
                     calls[name].append(tape.batch_shape)
@@ -214,9 +219,47 @@ class TestRunTraining:
                                  audit_every=2)
         training.run_training(cfg)
         whole = {"run_episode": [(5,)], "episode_noises": [5],
-                 "_uoro_factors": [(5,)], "suffix_rows": [(2,), (2,), (1,)]}
-        assert per_update == [{**whole, "episode_tensors": [()] * 3},
-                              {**whole, "episode_tensors": [()] * 2}]
+                 "_uoro_factors": [(5,)]}
+        sweeps = [(2,), (2,), (1,)]
+        b_work = [(4 * cfg.hidden,)] * 5 if q0_mode == "ours" else []
+        assert per_update == [
+            {**whole, "suffix_rows": sweeps, "compute_B": b_work,
+             "episode_tensors": [()] * 3},
+            {**whole, "suffix_rows": sweeps if alpha_mode == "ours" else [],
+             "compute_B": [], "episode_tensors": [()] * 2}]
+
+    @pytest.mark.parametrize("alpha_mode", ["ours", "gir"])
+    def test_bbar_folds_the_mean_of_the_episodes_B(self, monkeypatch, alpha_mode):
+        """Bbar after each non-final update of a 3-update run is, bit for bit,
+        the mean of that update's per-episode compute_B results folded in
+        with bbar_decay.  Training adds each episode's B as BLAS forms it into
+        one sum and symmetrizes the sum once; that equals the mean of the
+        symmetrized B only because each B is exactly symmetric as formed."""
+        per_episode, results = [], []
+
+        def b_work(episode, alpha, out=None):
+            per_episode[-1].append(compute_B(episode, alpha))
+            return compute_B(episode, alpha, out=out)
+
+        one_update = training._update
+
+        def update(*args):
+            per_episode.append([])
+            results.append(one_update(*args))
+            return results[-1]
+
+        monkeypatch.setattr(training, "compute_B", b_work)
+        monkeypatch.setattr(training, "_update", update)
+        monkeypatch.setattr(training, "TENSOR_BLOCK", 2)
+        cfg = tiny_digits_config("ours", alpha_mode, minibatch=5, updates=3)
+        training.run_training(cfg)
+        assert [len(mats) for mats in per_episode] == [5, 5, 0]
+        b_bar = None
+        for mats, (_, _, _, written, *_) in zip(per_episode[:2], results):
+            b_mean = functools.reduce(np.add, mats) / len(mats)
+            b_bar = b_mean if b_bar is None else (
+                cfg.bbar_decay * b_bar + (1.0 - cfg.bbar_decay) * b_mean)
+            assert written.tobytes() == b_bar.tobytes()
 
     def test_state_cut_exact_alpha_matches_per_episode_replay(self, tmp_path,
                                                               monkeypatch):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from uorolab import variance
 from uorolab.errors import ShapeError, SingularMatrixError, UnsupportedCutError
 from uorolab.estimators import (
     FIXED_ALPHA,
@@ -41,6 +42,7 @@ from helpers import (
     greedy_coefficients,
     make_instance,
     minst_B,
+    newton_oracle,
     online_B_replay,
     row_rel,
 )
@@ -277,6 +279,60 @@ class TestAlphaNewtonStoppingRule:
         reference = balanced_alpha(c)
         log_ratio = np.log(sol.alpha / reference)
         assert np.max(np.abs(np.expm1(log_ratio - log_ratio.mean()))) <= 1e-6
+
+
+def newton_exit_cases():
+    """(name, C) reaching each exit of solve_alpha_newton: the tolerance, the
+    decrement the objective cannot resolve, a line search that finds no
+    descent (a NaN entry makes every trial's objective NaN), a 1 x 1 C
+    (stationary at once) and a rank-one C."""
+    tolerance = np.random.default_rng(0).uniform(0.05, 5.0, size=(8, 8))
+    resolved = np.exp(np.random.default_rng(21).uniform(
+        np.log(0.139), np.log(266), (28, 28)))
+    stalled = np.ones((3, 3))
+    stalled[0, 2] = np.nan
+    rng = np.random.default_rng(0)
+    rank_one = np.outer(rng.uniform(0.5, 4.0, size=6), rng.uniform(0.5, 4.0, size=6))
+    return [("tolerance", tolerance), ("resolved", resolved), ("stalled", stalled),
+            ("one-by-one", np.array([[2.5]])), ("rank-one", rank_one)]
+
+
+class TestAlphaNewtonOracle:
+    """solve_alpha_newton keeps the matrix its line search accepted instead of
+    rescaling C again; every field of its solution is the oracle's (the solver
+    that rescaled at each iteration head), bit for bit, at every exit."""
+
+    @pytest.mark.parametrize("name,c", newton_exit_cases(),
+                             ids=[name for name, _ in newton_exit_cases()])
+    def test_solution_and_rescales_match_the_oracle(self, monkeypatch, name, c):
+        calls = []
+
+        def rescaled(*args):
+            calls.append(None)
+            return rescale(*args)
+
+        rescale = variance._rescaled
+        monkeypatch.setattr(variance, "_rescaled", rescaled)
+        expected = newton_oracle(c)
+        oracle_calls = len(calls)
+        calls.clear()
+        solution = solve_alpha_newton(c)
+        for field in ("zeta", "alpha", "residual", "objective", "iterations",
+                      "converged"):
+            got, want = getattr(solution, field), getattr(expected, field)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field
+        # the oracle rescales once per iteration head, once per line-search
+        # trial and once after the loop
+        trials = oracle_calls - expected.iterations - 1
+        resolved = name == "resolved"  # its full step is a trial without search
+        assert len(calls) == 1 + trials + resolved
+        exits = {"tolerance": solution.residual <= variance.NEWTON_TOL and trials > 0,
+                 "resolved": solution.converged and trials > 0,
+                 "stalled": not solution.converged and solution.iterations == 1
+                 and trials == 50,
+                 "one-by-one": solution.iterations == 1 and trials == 0,
+                 "rank-one": solution.residual <= variance.NEWTON_TOL}
+        assert exits[name]
 
 
 class TestAlphaClosedForm:
