@@ -60,7 +60,6 @@ class ExperimentConfig:
     tau_kind: str = "sign"
     sigma: float = 0.001  # reinforce state-noise scale
     baseline: str = "noise-free"
-    streaming: bool = False
     # optimization
     learning_rate: float = 0.002
     momentum: float = 0.5
@@ -124,15 +123,6 @@ class ExperimentConfig:
             raise ValueError(f"alpha_mode = 'ours' schedules the rank-one sketches "
                              f"uoro and preuoro; estimator = {self.estimator!r} "
                              f"has no alpha")
-        if self.streaming and (self.task != "queue"
-                               or estimator not in ("uoro", "preuoro")):
-            raise ValueError("streaming = True covers queue training with the "
-                             "rank-one estimators uoro and preuoro")
-        if self.streaming:  # the streaming loop runs GIR without Q0
-            for key, plain in (("alpha_mode", "gir"), ("q0_mode", "identity")):
-                if getattr(self, key) != plain:
-                    raise ValueError(f"streaming = True runs {key} = {plain!r} "
-                                     f"only, not {getattr(self, key)!r}")
 
 
 def canonical_estimator(name: str) -> str:
@@ -159,23 +149,17 @@ def from_text(text: str) -> ExperimentConfig:
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in known:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-        values[key] = _coerce(value, known[key], key)
+        values[key] = _coerce(value, known[key])
     return ExperimentConfig(**values)
 
 
-def _coerce(value: str, kind, key: str):
+def _coerce(value: str, kind):
     # dataclass field types may be type objects or annotation strings
     name = kind if isinstance(kind, str) else getattr(kind, "__name__", str(kind))
     if name == "int":
         return int(value)
     if name == "float":
         return float(value)
-    if name == "bool":
-        if value in ("True", "true", "1"):
-            return True
-        if value in ("False", "false", "0"):
-            return False
-        raise ValueError(f"{key}: cannot parse bool from {value!r}")
     # strings may be repr-quoted
     if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
         return value[1:-1]

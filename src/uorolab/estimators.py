@@ -22,9 +22,8 @@ plain recursions.  The per-step gradient contribution is
 roundoff of its two terms is set exactly to zero, so that its last bits
 cannot pick the next coefficient.
 
-Over a whole tape run_uoro never forms w~ (it carries its coefficients over
-rank-one terms); uoro_step is the same recursion with a dense w~, for
-streaming updates and as the test oracle.
+Over a whole tape run_uoro never forms w~: it carries its coefficients over
+rank-one terms (_uoro_factors, the one rank-one recursion of the package).
 
 preUORO exploits the rank-one structure of the preactivation-to-parameter
 Jacobian to skip the spatial projection: the sketch carries a full S x N_z
@@ -57,7 +56,7 @@ from .errors import (
 )
 from .linalg import sqrt_ratio_or_one
 from .noise import EpisodeNoise, NoiseBlock
-from .rnn import CutVertex, EpisodeTape, outer_rows
+from .rnn import CutVertex, EpisodeTape
 
 GIR = "gir"
 FIXED_ALPHA = "fixed-alpha"
@@ -72,12 +71,6 @@ _CANCEL_RTOL = CANCEL_EPS_MULTIPLE * np.finfo(np.float64).eps
 # eps * scale^2 in its square, so below this fraction of the scale it cannot
 # decide the cancellation rule; such a row is formed densely instead.
 GRAM_NORM_RTOL = 1e-6
-
-
-@dataclass
-class RankOneState:
-    h_tilde: np.ndarray  # ([B,] S)
-    w_tilde: np.ndarray  # ([B,] P)
 
 
 @dataclass
@@ -269,53 +262,6 @@ def _report(name, noise, estimate, gammas=None, betas=None) -> GradientReport:
     return GradientReport(name, seed, index, estimate, gammas, betas)
 
 
-def uoro_step(state: RankOneState, cache, cut, u: np.ndarray,
-              schedule: ScalingSchedule, t: int):
-    """Advance the rank-one sketch one step; u and the state may carry a
-    batch axis.
-
-    In "gir" mode the coefficients equalize the cross-term norms
-    (_gir_coefficients):
-
-        gamma_t^2 = ||w~_{t-1}|| / ||J_state h~_{t-1}||
-        beta_t^2  = ||u^T Q0^{-1} J_theta|| / ||J_cut Q0 u||
-
-    and a new sketch within CANCEL_EPS_MULTIPLE eps of its two terms' summed
-    norms is set to zero.
-    Returns (new state, gamma_t, beta_t).  Raises NumericOverflowError naming
-    the step if the propagated quantities leave the float range; under GIR
-    that includes their norms, which the next coefficients are taken from.
-    """
-    forwarded = rnn.jvp_state(cache, state.h_tilde)
-    spatial_in = rnn.jvp_cut(cache, cut, schedule.shape_spatial(u))
-    spatial_out = rnn.vjp_cut(cache, cut, schedule.unshape_spatial(u))
-    greedy = schedule.mode == GIR
-    if greedy:
-        w_norm, fwd_norm = _norms(state.w_tilde), _norms(forwarded)
-        out_norm, in_norm = _norms(spatial_out), _norms(spatial_in)
-        gamma, beta = _gir_coefficients(w_norm, fwd_norm, out_norm, in_norm)
-    else:
-        gamma, beta = schedule.fixed_coefficients(t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        h_tilde = _col(gamma) * forwarded + _col(beta) * spatial_in
-        w_tilde = state.w_tilde / _col(gamma) + spatial_out / _col(beta)
-        if greedy:
-            h_norm, w_new_norm = _norms(h_tilde), _norms(w_tilde)
-            h_tilde = _zero_cancelled(h_tilde, h_norm,
-                                      gamma * fwd_norm + beta * in_norm)
-            w_tilde = _zero_cancelled(w_tilde, w_new_norm,
-                                      w_norm / gamma + out_norm / beta)
-    checked = (h_norm, w_new_norm) if greedy else (h_tilde, w_tilde)
-    if not all(np.isfinite(x).all() for x in checked):
-        raise NumericOverflowError(f"rank-one sketch overflowed at step {t}")
-    return RankOneState(h_tilde, w_tilde), gamma, beta
-
-
-def uoro_contribution(state: RankOneState, loss_grad_full: np.ndarray) -> np.ndarray:
-    """Per-step gradient contribution (dL_t/d state . h~_t) w~_t."""
-    return _col(np.sum(loss_grad_full * state.h_tilde, axis=-1)) * state.w_tilde
-
-
 CONTRIBUTION_CURRENT = "current"  # (g_t . h~_t) w~_t
 CONTRIBUTION_STALE_W = "stale-w"  # (g_t . h~_t) w~_{t-1}
 CONTRIBUTION_SPLIT = "split"  # exact immediate + forwarded previous sketch
@@ -329,7 +275,7 @@ def run_uoro(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
     noise is one EpisodeNoise, or a NoiseBlock of B: one per episode of a
     batched tape, or B seeds on one episode.  Its first T steps are used.
 
-    The recursion is uoro_step's, with w~ factored: at either cut the term
+    The recursion is the pair above, with w~ factored: at either cut the term
     of step r is vec(L_r a_r^T), with the left factor L_r = Q0^{-T} u_r
     (times f'(z_r) at the state cut), so w~_t is carried as its coefficients
     c_t[r] over those terms, row t of a (T, [B,] T) array:
@@ -602,12 +548,6 @@ def _zero_cancelled_rows(rows, rows_sq, scale, factor):
 def _carried(H_tilde: np.ndarray, loss_grad_full: np.ndarray) -> np.ndarray:
     """H_tilde^T dL/dstate for each row, which the state's scale multiplies."""
     return np.einsum("...sk,...s->...k", H_tilde, loss_grad_full)
-
-
-def preuoro_contribution(state: PreUoroState, loss_grad_full: np.ndarray) -> np.ndarray:
-    """vec of the outer product (H~_t^T dL/dstate) w~_t^T, row-major."""
-    return outer_rows(_col(state.scale) * _carried(state.H_tilde, loss_grad_full),
-                      state.w_tilde)
 
 
 def run_preuoro(tape: EpisodeTape, noise, schedule: ScalingSchedule) -> GradientReport:

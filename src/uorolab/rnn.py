@@ -188,7 +188,7 @@ class StepCache:
 
 def empty_steps(params: RnnParams, shape: tuple) -> StepCache:
     """An unfilled StepCache whose arrays have the leading shape given, such
-    as a tape's (T, [B]), for sweep or step(..., out=) to fill."""
+    as a tape's (T, [B]), for sweep (or a single step) to fill."""
     h = params.hidden_size
 
     def empty(size):
@@ -306,7 +306,8 @@ def _lstm_cell(steps: StepCache, t: int, z: np.ndarray, c_prev: np.ndarray):
 def step(params: RnnParams, state_prev: np.ndarray, x: np.ndarray,
          out: StepCache | None = None):
     """Run one transition, a sweep of one step; returns (new full state,
-    cache).
+    cache).  No loop of the package calls it, since every tape is one sweep;
+    it serves the tests and perfbench's step count.
 
     state_prev is the full recurrent state: (H,) for vanilla cells,
     (2H,) = (h, c) for the LSTM, or (B, S) for B episodes with inputs (B, X).

@@ -17,26 +17,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rnn
 from .config import ExperimentConfig, as_dict, canonical_estimator
 from .estimators import (
     GIR,
-    PreUoroState,
-    RankOneState,
     ScalingSchedule,
     _preuoro_factors,
     _uoro_factors,
-    preuoro_contribution,
-    preuoro_step,
     reinforce_episode,
     run_preuoro,
     run_spatial,
     run_uoro,
-    uoro_contribution,
-    uoro_step,
 )
 from .exact import bptt_gradient, episode_tensors, suffix_rows
-from .noise import episode_noise, episode_noises
+from .noise import episode_noises
 from .optim import AdamState, adam_update
 from .reports import write_json_summary, write_metrics_csv
 from .rnn import BernoulliHead, CutVertex, SoftmaxHead, init_params, run_episode
@@ -70,7 +63,9 @@ class TaskBundle:
 
     input_size: int
     make_head: callable
-    episode: callable  # (data_seed, index) -> (inputs, targets list)
+    # (data_seed, index) -> (inputs, targets list): one episode, for the report
+    # instance
+    episode: callable
     block: callable  # (data_seed, indices) -> (inputs (B, T, X), Targets (T, B))
 
 
@@ -217,33 +212,29 @@ def run_training(config: ExperimentConfig, out_dir=None) -> dict:
     head = task.make_head(rng)
     w_state = AdamState.zeros_like(params.theta())
     head_state = AdamState.zeros_like(head.weights)
-    if config.streaming:
-        rows, losses = _run_streaming(config, task, params, head, w_state,
-                                      head_state)
-    else:
-        rows, losses = [], []
-        b_bar = None
-        q0 = None  # identity until a Bbar exists
-        for update in range(config.updates):
-            first = update * config.minibatch
-            inputs, targets = task.block(config.data_seed,
-                                         range(first, first + config.minibatch))
-            grad, head_grad, mean_loss, b_bar, q0, audit = _update(
-                config, params, head, inputs, targets, update, b_bar, q0
-            )
-            if audit is not None:
-                rows.append((update, config.base_seed, "audit_offline_rel_err", audit))
-            params = params.with_theta(
-                adam_update(params.theta(), grad, w_state, config.learning_rate,
-                            config.momentum, config.beta2, config.eps)
-            )
-            head.weights = adam_update(head.weights, head_grad, head_state,
-                                       config.learning_rate, config.momentum,
-                                       config.beta2, config.eps)
-            losses.append(mean_loss)
-            rows.append((update, config.base_seed, "loss", mean_loss))
-            rows.append((update, config.base_seed, "grad_norm",
-                         float(np.linalg.norm(grad))))
+    rows, losses = [], []
+    b_bar = None
+    q0 = None  # identity until a Bbar exists
+    for update in range(config.updates):
+        first = update * config.minibatch
+        inputs, targets = task.block(config.data_seed,
+                                     range(first, first + config.minibatch))
+        grad, head_grad, mean_loss, b_bar, q0, audit = _update(
+            config, params, head, inputs, targets, update, b_bar, q0
+        )
+        if audit is not None:
+            rows.append((update, config.base_seed, "audit_offline_rel_err", audit))
+        params = params.with_theta(
+            adam_update(params.theta(), grad, w_state, config.learning_rate,
+                        config.momentum, config.beta2, config.eps)
+        )
+        head.weights = adam_update(head.weights, head_grad, head_state,
+                                   config.learning_rate, config.momentum,
+                                   config.beta2, config.eps)
+        losses.append(mean_loss)
+        rows.append((update, config.base_seed, "loss", mean_loss))
+        rows.append((update, config.base_seed, "grad_norm",
+                     float(np.linalg.norm(grad))))
 
     summary = {
         "config": as_dict(config),
@@ -251,8 +242,6 @@ def run_training(config: ExperimentConfig, out_dir=None) -> dict:
         "min_loss": min(losses) if losses else None,
         "updates": config.updates,
     }
-    if config.streaming:
-        summary["mode"] = "streaming"
     if out_dir is not None:
         write_metrics_csv(f"{out_dir}/metrics.csv", rows)
         write_json_summary(f"{out_dir}/summary.json", summary)
@@ -342,62 +331,6 @@ def _summed_estimates(config, params, head, tape, update, q0):
             head_grads.sum(axis=0) / counts[rows, None, None], axis=0)
         loss_sum += float(np.sum(block.total_loss() / counts[rows]))
     return (grad_sum, head_grad_sum, loss_sum), b_sum, audited
-
-
-def _run_streaming(config, task, params, head, w_state, head_state):
-    """Queue streaming mode: the parameters update at every step, so the
-    sketch carries stale influence (accepted and documented; the estimate is
-    only unbiased for slowly moving parameters).  It runs GIR without Q0,
-    the only alpha_mode and q0_mode the config admits with streaming.
-    Returns the metric rows and the mean loss of each episode."""
-    estimator = canonical_estimator(config.estimator)
-    schedule = ScalingSchedule(GIR)
-    rows = []
-    losses = []
-    for episode_index in range(config.updates):
-        inputs, targets = task.episode(config.data_seed, episode_index)
-        t_len = inputs.shape[0]
-        targets = rnn.episode_targets(targets, (), t_len)
-        noise = episode_noise(config.base_seed, episode_index, t_len,
-                              params.cut_size(CutVertex.PREACTIVATION),
-                              config.tau_kind)
-        state_vec = np.zeros(params.state_size)
-        if estimator == "uoro":
-            sketch = RankOneState(np.zeros(params.state_size),
-                                  np.zeros(params.num_params))
-        else:
-            sketch = PreUoroState(
-                np.zeros((params.state_size, params.preactivation_size)),
-                np.zeros(params.augmented_size),
-            )
-        episode_loss = 0.0
-        for t in range(t_len):
-            state_vec, cache = rnn.step(params, state_vec, inputs[t])
-            loss_t, g_t = rnn.loss_grad(cache.h, targets[t], head)
-            g_full = rnn.embed_state_grad(params, g_t)
-            if estimator == "uoro":
-                sketch, _, _ = uoro_step(sketch, cache, CutVertex.PREACTIVATION,
-                                         noise.u[t], schedule, t)
-                contribution = uoro_contribution(sketch, g_full)
-            else:
-                sketch, _, _ = preuoro_step(sketch, cache, float(noise.tau[t]),
-                                            schedule, t)
-                contribution = preuoro_contribution(sketch, g_full)
-            if targets.mask[t]:
-                episode_loss += loss_t
-                params = params.with_theta(
-                    adam_update(params.theta(), contribution, w_state,
-                                config.learning_rate, config.momentum,
-                                config.beta2, config.eps)
-                )
-                head.weights = adam_update(
-                    head.weights, head.param_grad(cache.h, targets[t]),
-                    head_state, config.learning_rate, config.momentum,
-                    config.beta2, config.eps)
-        mean_loss = episode_loss / max(float(targets.mask.sum()), 1.0)
-        losses.append(mean_loss)
-        rows.append((episode_index, config.base_seed, "loss", mean_loss))
-    return rows, losses
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ sums) deliberately avoid the library's fast paths so that agreement is a real
 cross-check.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from uorolab import estimators, rnn, variance
@@ -49,7 +51,6 @@ def forbid_steps(monkeypatch):
 
     monkeypatch.setattr(rnn, "step", fail)
     monkeypatch.setattr(rnn, "sweep", fail)
-    monkeypatch.setattr(estimators, "uoro_step", fail)
     monkeypatch.setattr(estimators, "preuoro_step", fail)
     # run_uoro advances h~ itself through these products
     monkeypatch.setattr(rnn, "jvp_state", fail)
@@ -242,6 +243,72 @@ def finite_difference_loss_at_cut(tape, cut, t_loss, s_cut, direction, head,
     return (perturbed_loss(eps) - perturbed_loss(-eps)) / (2 * eps)
 
 
+@dataclass
+class RankOneState:
+    """The dense rank-one sketch (h~, w~), w~ a P-long vector per row."""
+
+    h_tilde: np.ndarray  # ([B,] S)
+    w_tilde: np.ndarray  # ([B,] P)
+
+
+def uoro_step(state: RankOneState, cache, cut, u: np.ndarray,
+              schedule: estimators.ScalingSchedule, t: int):
+    """Advance the dense rank-one sketch one step, the oracle of run_uoro's
+    factored recursion; u and the state may carry a batch axis.
+
+    In "gir" mode the coefficients equalize the cross-term norms
+    (estimators._gir_coefficients):
+
+        gamma_t^2 = ||w~_{t-1}|| / ||J_state h~_{t-1}||
+        beta_t^2  = ||u^T Q0^{-1} J_theta|| / ||J_cut Q0 u||
+
+    and a new sketch within CANCEL_EPS_MULTIPLE eps of its two terms' summed
+    norms is set to zero.
+    Returns (new state, gamma_t, beta_t).  Raises NumericOverflowError naming
+    the step if the propagated quantities leave the float range; under GIR
+    that includes their norms, which the next coefficients are taken from.
+    """
+    col, norms = estimators._col, estimators._norms
+    forwarded = rnn.jvp_state(cache, state.h_tilde)
+    spatial_in = rnn.jvp_cut(cache, cut, schedule.shape_spatial(u))
+    spatial_out = rnn.vjp_cut(cache, cut, schedule.unshape_spatial(u))
+    greedy = schedule.mode == estimators.GIR
+    if greedy:
+        w_norm, fwd_norm = norms(state.w_tilde), norms(forwarded)
+        out_norm, in_norm = norms(spatial_out), norms(spatial_in)
+        gamma, beta = estimators._gir_coefficients(w_norm, fwd_norm, out_norm,
+                                                   in_norm)
+    else:
+        gamma, beta = schedule.fixed_coefficients(t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_tilde = col(gamma) * forwarded + col(beta) * spatial_in
+        w_tilde = state.w_tilde / col(gamma) + spatial_out / col(beta)
+        if greedy:
+            h_norm, w_new_norm = norms(h_tilde), norms(w_tilde)
+            h_tilde = estimators._zero_cancelled(h_tilde, h_norm,
+                                                 gamma * fwd_norm + beta * in_norm)
+            w_tilde = estimators._zero_cancelled(w_tilde, w_new_norm,
+                                                 w_norm / gamma + out_norm / beta)
+    checked = (h_norm, w_new_norm) if greedy else (h_tilde, w_tilde)
+    if not all(np.isfinite(x).all() for x in checked):
+        raise NumericOverflowError(f"rank-one sketch overflowed at step {t}")
+    return RankOneState(h_tilde, w_tilde), gamma, beta
+
+
+def uoro_contribution(state: RankOneState, loss_grad_full: np.ndarray) -> np.ndarray:
+    """Per-step gradient contribution (dL_t/d state . h~_t) w~_t."""
+    return (estimators._col(np.sum(loss_grad_full * state.h_tilde, axis=-1))
+            * state.w_tilde)
+
+
+def preuoro_contribution(state: estimators.PreUoroState,
+                         loss_grad_full: np.ndarray) -> np.ndarray:
+    """vec of the outer product (H~_t^T dL/dstate) w~_t^T, row-major."""
+    return rnn.outer_rows(estimators._col(state.scale)
+                          * estimators._carried(state.H_tilde, loss_grad_full),
+                          state.w_tilde)
+
+
 def uoro_replay(tape, cut, noise, schedule, contribution=estimators.CONTRIBUTION_CURRENT):
     """run_uoro's estimate and realized (gamma, beta) replayed step by step
     with the dense one-step form: uoro_step carries w~ as a P-long vector
@@ -249,27 +316,25 @@ def uoro_replay(tape, cut, noise, schedule, contribution=estimators.CONTRIBUTION
     params = tape.params
     u = noise.u
     batch = np.broadcast_shapes(tape.batch_shape, u.shape[1:-1])
-    state = estimators.RankOneState(np.zeros((*batch, params.state_size)),
-                                    np.zeros((*batch, params.num_params)))
+    state = RankOneState(np.zeros((*batch, params.state_size)),
+                         np.zeros((*batch, params.num_params)))
     estimate = np.zeros((*batch, params.num_params))
     gammas = np.zeros((tape.length, *batch))
     betas = np.zeros((tape.length, *batch))
     for t in range(tape.length):
         cache = tape.steps[t]
         prev = state
-        state, gammas[t], betas[t] = estimators.uoro_step(state, cache, cut, u[t],
-                                                          schedule, t)
+        state, gammas[t], betas[t] = uoro_step(state, cache, cut, u[t], schedule, t)
         g_full = tape.loss_grad_full(t)
         if contribution == estimators.CONTRIBUTION_CURRENT:
-            estimate += estimators.uoro_contribution(state, g_full)
+            estimate += uoro_contribution(state, g_full)
         elif contribution == estimators.CONTRIBUTION_STALE_W:
-            estimate += estimators.uoro_contribution(
-                estimators.RankOneState(state.h_tilde, prev.w_tilde), g_full)
+            estimate += uoro_contribution(
+                RankOneState(state.h_tilde, prev.w_tilde), g_full)
         else:
-            carried = estimators.RankOneState(rnn.jvp_state(cache, prev.h_tilde),
-                                              prev.w_tilde)
+            carried = RankOneState(rnn.jvp_state(cache, prev.h_tilde), prev.w_tilde)
             estimate += (rnn.vjp_params(cache, g_full)
-                         + estimators.uoro_contribution(carried, g_full))
+                         + uoro_contribution(carried, g_full))
     return estimate, gammas, betas
 
 
@@ -334,7 +399,7 @@ def preuoro_replay(tape, noise, schedule, initial=None):
             raise NumericOverflowError(f"projection-free sketch overflowed at step {t}")
         gammas[t], betas[t] = gamma, beta
         state = estimators.PreUoroState(np.moveaxis(rows, 0, -1), w_tilde)
-        estimate += estimators.preuoro_contribution(state, tape.loss_grad_full(t))
+        estimate += preuoro_contribution(state, tape.loss_grad_full(t))
     return estimate, gammas, betas
 
 

@@ -8,17 +8,15 @@ from uorolab.errors import NumericOverflowError, ShapeError, SingularMatrixError
 from uorolab.estimators import (
     FIXED_ALPHA,
     GIR,
-    RankOneState,
     ScalingSchedule,
     reinforce_episode,
     run_preuoro,
     run_uoro,
-    uoro_step,
 )
 from uorolab.noise import episode_noise, episode_noises
 from uorolab.rnn import CutVertex, run_episode
 
-from helpers import forbid_steps, make_instance
+from helpers import RankOneState, forbid_steps, make_instance, uoro_step
 
 
 class TestScheduleValidation:

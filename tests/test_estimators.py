@@ -9,22 +9,25 @@ from uorolab.estimators import (
     FIXED_ALPHA,
     GIR,
     PreUoroState,
-    RankOneState,
     ScalingSchedule,
     preuoro_step,
     reinforce_episode,
     run_preuoro,
     run_spatial,
     run_uoro,
-    uoro_contribution,
-    uoro_step,
 )
 from uorolab.exact import bptt_gradient, episode_tensors, rtrl_jacobians
 from uorolab.noise import episode_noise, episode_noises
 from uorolab.rnn import CutVertex, run_episode
 from uorolab.variance import offline_total_estimate
 
-from helpers import ConstantHead, make_instance
+from helpers import (
+    ConstantHead,
+    RankOneState,
+    make_instance,
+    uoro_contribution,
+    uoro_step,
+)
 
 
 def fixed_schedule(length, Q0=None, alpha=None):

@@ -63,8 +63,7 @@ class TestAdam:
 
 class TestConfig:
     def test_round_trip_lossless(self):
-        cfg = ExperimentConfig(task="queue", hidden=13,
-                               learning_rate=0.00313, streaming=True,
+        cfg = ExperimentConfig(task="queue", hidden=13, learning_rate=0.00313,
                                idx_images="/tmp/x y.idx")
         rebuilt = from_text(to_text(cfg))
         assert rebuilt == cfg
@@ -76,7 +75,8 @@ class TestConfig:
         assert cfg.task == "queue"
 
     def test_unknown_key_rejected(self):
-        for line in ("not_a_key = 3", "exact_method = 'rtrl'", "gir_scale = 1.0"):
+        for line in ("not_a_key = 3", "exact_method = 'rtrl'", "gir_scale = 1.0",
+                     "streaming = True"):
             with pytest.raises(ValueError, match="unknown key"):
                 from_text(line + "\n")
 
@@ -118,9 +118,6 @@ class TestConfig:
         ("cut", {"cell": "lstm", "cut": "state"}),
         ("cut", {"cut": "state", "q0_mode": "ours"}),
         ("cut", {"cut": "state", "q0_mode": "ours", "alpha_mode": "ours"}),
-        ("streaming", {"task": "rowwise-digits", "streaming": True}),
-        ("streaming", {"estimator": "reinforce", "streaming": True}),
-        ("streaming", {"estimator": "neither", "streaming": True}),
         ("q0_mode", {"estimator": "preuoro", "q0_mode": "ours"}),
         ("q0_mode", {"estimator": "temporal", "q0_mode": "ours", "alpha_mode": "ours"}),
         ("q0_mode", {"estimator": "bptt", "q0_mode": "ours"}),
@@ -129,10 +126,6 @@ class TestConfig:
         ("alpha_mode", {"estimator": "neither", "alpha_mode": "ours"}),
         ("alpha_mode", {"estimator": "spatial", "alpha_mode": "ours"}),
         ("alpha_mode", {"estimator": "reinforce", "alpha_mode": "ours"}),
-        ("alpha_mode", {"streaming": True, "alpha_mode": "ones"}),
-        ("alpha_mode", {"streaming": True, "estimator": "temporal", "alpha_mode": "ours"}),
-        ("q0_mode", {"streaming": True, "q0_mode": "ours"}),
-        ("alpha_mode", {"streaming": True, "alpha_mode": "ours", "q0_mode": "ours"}),
         ("bbar_decay", {"bbar_decay": -0.1}),
         ("eps", {"eps": 0.0}),
         ("eps", {"eps": -1e-8}),
@@ -163,7 +156,6 @@ class TestConfig:
         ExperimentConfig(base_seed=2**64 + 3, data_seed=2**32)
         ExperimentConfig(task="rowwise-digits", delay=20, stream_length=8)
         ExperimentConfig(cell="vanilla-tanh", cut="state")
-        ExperimentConfig(streaming=True, estimator="temporal")
         ExperimentConfig(estimator="both", q0_mode="ours", alpha_mode="ours")
         ExperimentConfig(estimator="temporal", alpha_mode="ours")
         ExperimentConfig(num_seeds=2)

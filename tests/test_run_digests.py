@@ -1,5 +1,6 @@
-"""tools/run_digests.py --compare: per differing run file, the count of
-differing numeric cells and their largest relative difference."""
+"""tools/run_digests.py: --compare gives, per differing run file, the count
+of differing numeric cells and their largest relative difference, and the
+whole set of run files is byte for byte the golden files."""
 
 import importlib.util
 import json
@@ -56,60 +57,29 @@ def test_relative_difference(digests):
 
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
-REINFORCE_FILE = "reinforce-per-seed.csv"
 
 
-def test_reinforce_per_seed_matches_the_golden_file(digests, tmp_path, capsys):
-    """The per-seed REINFORCE estimates, one reinforce_episode call per seed,
-    are byte for byte the checked-in file (reinforce-per-seed.versions names
-    the numpy and BLAS that wrote it).  A mismatch reports --compare's count
-    of differing cells and their largest relative difference."""
+def _files(root: Path) -> dict:
+    """The bytes of each file under root by its relative path, but for the
+    .versions notes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*")
+            if p.is_file() and p.suffix != ".versions"}
+
+
+def test_run_files_match_the_golden_files(digests, tmp_path, capsys):
+    """write_runs writes byte for byte the checked-in files of
+    tests/data/golden/, file for file: a run file that moves, or a run with
+    no golden file, fails (the .versions notes name the numpy and BLAS that
+    wrote them).  A mismatch reports --compare's count of differing cells
+    and their largest relative difference, and any file found on one side
+    only."""
     golden, fresh = tmp_path / "golden", tmp_path / "fresh"
-    for root in (golden, fresh):
-        root.mkdir()
-    (golden / REINFORCE_FILE).write_bytes((GOLDEN / REINFORCE_FILE).read_bytes())
-    digests.write_reinforce_per_seed(fresh / REINFORCE_FILE)
-    capsys.readouterr()
-    if (fresh / REINFORCE_FILE).read_bytes() != (golden / REINFORCE_FILE).read_bytes():
-        digests.compare(golden, fresh)
-        pytest.fail(capsys.readouterr().out)
-
-
-def assert_golden_runs(digests, names, write, tmp_path, capsys):
-    """The run directories names, written under a fresh directory by
-    write(out), hold byte for byte the checked-in files of the same names;
-    a mismatch fails with --compare's count of differing cells and their
-    largest relative difference."""
-    golden, fresh = tmp_path / "golden", tmp_path / "fresh"
-    for name in names:
-        (golden / name).mkdir(parents=True)
-        for path in (GOLDEN / name).iterdir():
-            (golden / name / path.name).write_bytes(path.read_bytes())
+    for name, text in _files(GOLDEN).items():
+        (golden / name).parent.mkdir(parents=True, exist_ok=True)
+        (golden / name).write_bytes(text)
     fresh.mkdir()
-    write(fresh)
+    digests.write_runs(fresh)
     capsys.readouterr()
-    same = [(fresh / name / path.name).read_bytes() == path.read_bytes()
-            for name in names for path in (golden / name).iterdir()]
-    assert len(same) == 2 * len(names)
-    if not all(same):
+    if _files(fresh) != _files(golden):
         digests.compare(golden, fresh)
         pytest.fail(capsys.readouterr().out)
-
-
-def test_exact_protocol_runs_match_the_golden_files(digests, tmp_path, capsys):
-    """The seven exact-protocol training runs (alpha or Q0 "ours" with a
-    rank-one sketch) write byte for byte the checked-in metrics.csv and
-    summary.json (exact-protocol.versions names the numpy and BLAS that
-    wrote them)."""
-    assert_golden_runs(digests, digests.EXACT_PROTOCOL,
-                       lambda out: digests.write_training(out, digests.EXACT_PROTOCOL),
-                       tmp_path, capsys)
-
-
-def test_report_commands_match_the_golden_files(digests, tmp_path, capsys):
-    """The variance-report, estimator-compare and alpha-solve commands, which
-    call compute_C, solve_alpha_newton and compute_B, write byte for byte
-    the checked-in CSV and JSON files (report-commands.versions names the
-    numpy and BLAS that wrote them)."""
-    assert_golden_runs(digests, digests.COMMANDS, digests.write_commands,
-                       tmp_path, capsys)

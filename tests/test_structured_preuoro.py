@@ -14,7 +14,7 @@ from uorolab.estimators import FIXED_ALPHA, GIR, ScalingSchedule, run_preuoro
 from uorolab.noise import episode_noise, episode_noises
 from uorolab.rnn import CutVertex, RnnParams, SoftmaxHead, run_episode
 
-from helpers import make_instance, preuoro_replay, row_rel
+from helpers import make_instance, preuoro_contribution, preuoro_replay, row_rel
 
 RTOL = 1e-12
 
@@ -238,8 +238,7 @@ def chained_steps(tape, noise, schedule, state):
     for t in range(tape.length):
         state, gamma, beta = estimators.preuoro_step(state, tape.steps[t],
                                                      noise.tau[t], schedule, t)
-        estimate = estimate + estimators.preuoro_contribution(
-            state, tape.loss_grad_full(t))
+        estimate = estimate + preuoro_contribution(state, tape.loss_grad_full(t))
         rows = state.w_tilde.shape[:-1]
         gammas.append(np.broadcast_to(gamma, rows))
         betas.append(np.broadcast_to(beta, rows))

@@ -319,23 +319,6 @@ class TestRunTraining:
         summary = training.run_training(cfg)
         assert np.isfinite(summary["final_loss"])
 
-    def test_streaming_mode_smoke(self):
-        cfg = tiny_queue_config(streaming=True, estimator="uoro", updates=3,
-                                learning_rate=0.002)
-        summary = training.run_training(cfg)
-        assert summary["mode"] == "streaming"
-        assert np.isfinite(summary["final_loss"])
-
-    @pytest.mark.parametrize("cell", ["vanilla-tanh", "lstm"])
-    @pytest.mark.parametrize("estimator", ["uoro", "preuoro"])
-    def test_streaming_runs_for_both_cells_and_sketches(self, cell, estimator):
-        # the uoro noise has the preactivation cut's size, 4H on the LSTM cell
-        cfg = tiny_queue_config(streaming=True, cell=cell, hidden=3,
-                                estimator=estimator, updates=2)
-        summary = training.run_training(cfg)
-        assert summary["mode"] == "streaming"
-        assert np.isfinite(summary["final_loss"])
-
     def test_lstm_digits_with_optimal_scalings_smoke(self):
         cfg = ExperimentConfig(
             task="rowwise-digits", cell="lstm", hidden=5, estimator="uoro",

@@ -20,14 +20,14 @@ comma-separated fields.  A change that moves numbers by roundoff is then
 stated and bounded by one command.
 
 The package is imported from the src/ directory next to this script.  The
-runs are 17 training configurations (queue H=6, T=10, minibatch 10, 3
-updates, audit every 3; digits LSTM H=5, minibatch 10, 3 updates; two
-streaming runs), each writing metrics.csv and summary.json, and the
-variance-report, estimator-compare and alpha-solve commands at H=4, T=6 and
-150 seeds, each writing a CSV and a JSON file.  On the same H=4, T=6 queue
-instance, reinforce-per-seed.csv holds the REINFORCE estimates of 64 seeds
-with the noise-free baseline, one reinforce_episode call per seed.  That makes
-41 files, 19 of them JSON with a config block, so 60 lines.
+runs are 15 training configurations (queue H=6, T=10, minibatch 10, 3
+updates, audit every 3; digits LSTM H=5, minibatch 10, 3 updates), each
+writing metrics.csv and summary.json, and the variance-report,
+estimator-compare and alpha-solve commands at H=4, T=6 and 150 seeds, each
+writing a CSV and a JSON file.  On the same H=4, T=6 queue instance,
+reinforce-per-seed.csv holds the REINFORCE estimates of 64 seeds with the
+noise-free baseline, one reinforce_episode call per seed.  That makes 37
+files, 17 of them JSON with a config block, so 54 lines.
 """
 
 import argparse
@@ -46,8 +46,6 @@ from uorolab import cli, config, estimators, noise, rnn, training  # noqa: E402
 
 QUEUE = dict(hidden=6, stream_length=10, minibatch=10, updates=3, audit_every=3)
 DIGITS = dict(hidden=5, minibatch=10, updates=3, audit_every=3)
-STREAMING = dict(task="queue", hidden=6, stream_length=10, updates=3,
-                 streaming=True)
 REPORT = dict(task="queue", hidden=4, stream_length=6, num_seeds=150)
 
 TRAINING = {
@@ -69,21 +67,13 @@ TRAINING = {
     "digits-ours-ours": config.digits_config("ours", "ours", **DIGITS),
     "digits-ours-gir": config.digits_config("ours", "gir", **DIGITS),
     "digits-identity-ours": config.digits_config("identity", "ours", **DIGITS),
-    "streaming-uoro-vanilla": config.ExperimentConfig(estimator="uoro", **STREAMING),
-    "streaming-preuoro-lstm": config.ExperimentConfig(estimator="preuoro",
-                                                      cell="lstm", **STREAMING),
 }
-# the runs that need each episode's exact C or B: alpha or Q0 "ours" with a
-# rank-one sketch
-EXACT_PROTOCOL = ("queue-uoro-alpha-ours", "queue-uoro-q0-ours",
-                  "queue-uoro-state-cut-alpha-ours", "queue-preuoro-alpha-ours",
-                  "digits-ours-ours", "digits-ours-gir", "digits-identity-ours")
 COMMANDS = ("variance-report", "estimator-compare", "alpha-solve")
 REINFORCE_SEEDS = 64
 
 
 def write_runs(out: Path) -> None:
-    write_training(out, TRAINING)
+    write_training(out)
     write_commands(out)
     write_reinforce_per_seed(out / "reinforce-per-seed.csv")
 
@@ -98,12 +88,12 @@ def write_commands(out: Path) -> None:
     report.unlink()
 
 
-def write_training(out: Path, names) -> None:
-    """The metrics.csv and summary.json of the named training runs, each in
-    its own directory under out."""
-    for name in names:
+def write_training(out: Path) -> None:
+    """The metrics.csv and summary.json of the training runs, each in its own
+    directory under out."""
+    for name, cfg in TRAINING.items():
         (out / name).mkdir(parents=True, exist_ok=True)
-        training.run_training(TRAINING[name], out_dir=out / name)
+        training.run_training(cfg, out_dir=out / name)
 
 
 def write_reinforce_per_seed(path: Path) -> None:
