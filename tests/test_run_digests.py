@@ -2,8 +2,11 @@
 of differing numeric cells and their largest relative difference, and the
 whole set of run files is byte for byte the golden files."""
 
+import contextlib
 import importlib.util
+import io
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -11,12 +14,21 @@ import pytest
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "run_digests.py"
 
 
-@pytest.fixture(scope="module")
-def digests():
+def _load_tool():
     spec = importlib.util.spec_from_file_location("run_digests", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+RUN_DIGESTS = _load_tool()
+# each run's directory (or file) under an --out directory
+RUNS = (*RUN_DIGESTS.TRAINING, *RUN_DIGESTS.COMMANDS, "reinforce-per-seed.csv")
+
+
+@pytest.fixture(scope="module")
+def digests():
+    return RUN_DIGESTS
 
 
 def write(root: Path, name: str, text: str):
@@ -66,20 +78,37 @@ def _files(root: Path) -> dict:
             if p.is_file() and p.suffix != ".versions"}
 
 
-def test_run_files_match_the_golden_files(digests, tmp_path, capsys):
-    """write_runs writes byte for byte the checked-in files of
-    tests/data/golden/, file for file: a run file that moves, or a run with
-    no golden file, fails (the .versions notes name the numpy and BLAS that
-    wrote them).  A mismatch reports --compare's count of differing cells
-    and their largest relative difference, and any file found on one side
-    only."""
+@pytest.fixture(scope="module")
+def fresh_runs(digests, tmp_path_factory):
+    """The whole set of run files, written once by write_runs (the commands'
+    one-line summaries are dropped)."""
+    fresh = tmp_path_factory.mktemp("fresh")
+    with contextlib.redirect_stdout(io.StringIO()):
+        digests.write_runs(fresh)
+    return fresh
+
+
+def test_run_files_match_the_golden_files(fresh_runs):
+    """write_runs writes the files of tests/data/golden/ and no other, under
+    the same names: a run file that moves, or a run with no golden file,
+    fails (the .versions notes name the numpy and BLAS that wrote them)."""
+    assert sorted(_files(fresh_runs)) == sorted(_files(GOLDEN))
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_run_matches_its_golden_files(digests, fresh_runs, name, tmp_path, capsys):
+    """Each run's files are byte for byte its checked-in files.  A mismatch
+    reports --compare's count of differing cells and their largest relative
+    difference, and any file found on one side only."""
     golden, fresh = tmp_path / "golden", tmp_path / "fresh"
-    for name, text in _files(GOLDEN).items():
-        (golden / name).parent.mkdir(parents=True, exist_ok=True)
-        (golden / name).write_bytes(text)
-    fresh.mkdir()
-    digests.write_runs(fresh)
-    capsys.readouterr()
+    for root, source in ((golden, GOLDEN / name), (fresh, fresh_runs / name)):
+        root.mkdir()
+        if source.is_dir():
+            shutil.copytree(source, root / name)
+        elif source.is_file():
+            shutil.copyfile(source, root / name)
+    assert _files(fresh), f"{name} wrote no file"
     if _files(fresh) != _files(golden):
+        capsys.readouterr()
         digests.compare(golden, fresh)
         pytest.fail(capsys.readouterr().out)
