@@ -6,10 +6,10 @@ or a NoiseBlock of B episodes of one base seed, and its first T steps drive a
 tape of T steps; a shorter noise raises ShapeError before any step.  The
 rank-one sketches and REINFORCE are batch-first: given a NoiseBlock they
 advance B episodes of a batched tape, or B seeds on one tape, in one pass,
-with one estimate row per episode or seed; the spatial ablation takes a
-block too and runs its rows one at a time.  The rank-one sketch
-(h_tilde, w_tilde) of the state-to-parameter influence matrix is maintained
-by the pair of recursions
+with one estimate row per episode or seed, as does the spatial ablation,
+BPTT's backward sweep with each cut adjoint projected onto its step's noise.
+The rank-one sketch (h_tilde, w_tilde) of the state-to-parameter influence
+matrix is maintained by the pair of recursions
 
     h~_t = gamma_t J_state h~_{t-1} + beta_t J_cut Q0 u_t
     w~_t = (1/gamma_t) w~_{t-1} + (1/beta_t) u_t^T Q0^{-1} J_theta
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rnn
+from . import exact, rnn
 from .errors import (
     NumericOverflowError,
     ShapeError,
@@ -301,8 +301,8 @@ class _Factors:
 
     left: np.ndarray  # (T, [B,] N_z)
     right: np.ndarray  # (T, [B,] A), or (T, 1, A) shared by every row
-    realized_gamma: np.ndarray  # (T, [B])
-    realized_beta: np.ndarray  # (T, [B])
+    realized_gamma: np.ndarray | None = None  # (T, [B])
+    realized_beta: np.ndarray | None = None  # (T, [B])
 
     def estimate(self, rows=slice(None)) -> np.ndarray:
         """The estimate ([b,] P) of the batch rows given, all by default; a
@@ -326,8 +326,8 @@ def _uoro_factors(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
     n_z = params.cut_size(cut)
     if contribution not in CONTRIBUTIONS:
         raise ValueError(f"unknown contribution mode {contribution!r}")
-    if noise.dim != n_z:
-        raise ShapeError(f"noise dim {noise.dim} != cut dim {n_z}")
+    if noise.dim != tape.params.cut_size(cut):
+        raise ShapeError(f"noise dim {noise.dim} != cut dim {tape.params.cut_size(cut)}")
     t_len = tape.length
     _check_length(noise, t_len)
     u = noise.u[:t_len]
@@ -593,15 +593,12 @@ def run_spatial(tape: EpisodeTape, cut, noise) -> GradientReport:
     rank-one spatial projection (J_cut nu)(nu^T J_theta); no temporal noise.
 
     noise is one EpisodeNoise, or a NoiseBlock of B as for run_uoro: B seeds
-    on one tape, which share each step's dense J_state, or one per episode of
-    a batched tape, row j running episode j.  The rows run one at a time,
-    since a dense S x P influence matrix per row would make a batch cost B
-    times that memory.
+    on one tape, or one per episode of a batched tape.  The estimate is
+    sum_s <c_s, nu_s> nu_s^T J_theta(s) = sum_s vec((w_s nu_s f_s) a_s^T):
+    c_s is the total loss's adjoint at step s's cut (exact.cut_adjoints),
+    w_s = <c_s, nu_s>, and f_s is f'(z_s) at the state cut, 1 at the
+    preactivation cut.  So it is BPTT's sweep and one contraction (_Factors).
     """
-    params = tape.params
-    cut = CutVertex(cut)
-    if params.num_params * params.state_size > rnn.DENSE_GUARD:
-        raise ShapeError("influence matrix too large for the spatial estimator")
     _check_length(noise, tape.length)
     single = isinstance(noise, EpisodeNoise)
     try:
@@ -609,21 +606,15 @@ def run_spatial(tape: EpisodeTape, cut, noise) -> GradientReport:
     except ValueError:
         raise ShapeError(f"{tape.batch_shape[0]} episodes for {len(noise)} "
                          f"noises") from None
-    nu = noise.nu[: tape.length]
-    nu = nu[:, None] if single else nu  # (T, 1 or B, N_z)
-    estimate = np.zeros((*(batch or (1,)), params.num_params))
-    for j, row in enumerate(estimate):
-        if j == 0 or tape.batch_shape:  # one dense J_state per episode
-            episode = tape.episode(j) if tape.batch_shape else tape
-            j_state = rnn.dense_state_jacobian(episode.steps)
-        row_nu = nu[:, j % nu.shape[1]]
-        spatial_in = rnn.jvp_cut(episode.steps, cut, row_nu)
-        spatial_out = rnn.vjp_cut(episode.steps, cut, row_nu)
-        influence = np.zeros((params.state_size, params.num_params))
-        for t in range(tape.length):
-            influence = j_state[t] @ influence + np.outer(spatial_in[t], spatial_out[t])
-            row += episode.loss_grad_full(t) @ influence
-    return _report("spatial", noise, estimate.reshape(*batch, -1))
+    if noise.dim != tape.params.cut_size(cut):
+        raise ShapeError(f"noise dim {noise.dim} != cut dim {tape.params.cut_size(cut)}")
+    nu = _steps_first(noise.nu[: tape.length], len(batch))
+    c = _steps_first(exact.cut_adjoints(tape, cut), len(batch))
+    left = np.add.reduce(c * nu, axis=-1, keepdims=True) * nu
+    if cut == CutVertex.STATE:
+        left *= _steps_first(tape.steps.d, len(batch))
+    factors = _Factors(left, _steps_first(tape.steps.a, len(batch)))
+    return _report("spatial", noise, factors.estimate())
 
 
 BASELINE_NONE = "none"

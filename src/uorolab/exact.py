@@ -3,7 +3,8 @@
 Two exact engines compute the same total gradient by the two accumulation
 orders: reverse accumulation (bptt_gradient) propagates a state adjoint
 backwards, forward accumulation (rtrl_jacobians) carries the full
-state-to-parameter influence matrix forwards.  episode_tensors materializes
+state-to-parameter influence matrix forwards.  BPTT's sweep, cut_adjoints,
+also serves the spatial estimator.  episode_tensors materializes
 the per-step adjoints dL_t/dz_s that the variance toolkit consumes, and
 suffix_rows, from the same reverse sweep, only their causal suffix sums, for
 a whole block of episodes at once.
@@ -43,30 +44,36 @@ class GradientVector:
     total_loss: float | np.ndarray
 
 
-def bptt_gradient(tape: EpisodeTape) -> GradientVector:
-    """Reverse accumulation: one backward sweep over the tape.
+def cut_adjoints(tape: EpisodeTape, cut) -> np.ndarray:
+    """The adjoints c_t = dL/dz_t of the total loss at each step's cut value,
+    (T, [B,] N_z), from one backward sweep over the tape.
 
     Maintains delta_t = dL/d(state_t) by
         delta_t = delta_{t+1} J_state(t+1) + dL_t/d(state_t)
-    and pulls it back to the preactivations, g_t = delta_t J_cut(t); the
-    gradient sum_t vec(g_t a_t^T) is then one matrix product over the steps.
-    A batched tape gives one gradient row per episode.
+    and pulls it back to the cut, c_t = delta_t J_cut(t).  A batched tape
+    gives one row per episode.
     """
     if tape.length == 0:
         raise ShapeError("empty tape")
-    params = tape.params
-    batch = tape.batch_shape
-    g_z = np.empty((tape.length, *batch, params.preactivation_size))
-    delta = np.zeros((*batch, params.state_size))
+    c = np.empty((tape.length, *tape.batch_shape, tape.params.cut_size(cut)))
+    delta = np.zeros((*tape.batch_shape, tape.params.state_size))
     for t in range(tape.length - 1, -1, -1):
         delta = delta + tape.loss_grad_full(t)
         if t:
-            g_z[t], delta = rnn.vjp_to_cut_and_state(
-                tape.steps[t], CutVertex.PREACTIVATION, delta)
+            c[t], delta = rnn.vjp_to_cut_and_state(tape.steps[t], cut, delta)
         else:  # nothing reads the adjoint of the state before step 0
-            g_z[0] = rnn.vjp_to_cut(tape.steps[0], CutVertex.PREACTIVATION, delta)
+            c[0] = rnn.vjp_to_cut(tape.steps[0], cut, delta)
+    return c
+
+
+def bptt_gradient(tape: EpisodeTape) -> GradientVector:
+    """Reverse accumulation: the preactivation adjoints g_t of cut_adjoints'
+    sweep, and the gradient sum_t vec(g_t a_t^T) as one matrix product over
+    the steps.  A batched tape gives one gradient row per episode.
+    """
+    g_z = cut_adjoints(tape, CutVertex.PREACTIVATION)
     grad = np.moveaxis(g_z, 0, -1) @ np.moveaxis(tape.steps.a, 0, -2)
-    return GradientVector(g=grad.reshape(*batch, -1), total_loss=tape.total_loss())
+    return GradientVector(grad.reshape(*tape.batch_shape, -1), tape.total_loss())
 
 
 def rtrl_jacobians(tape: EpisodeTape):

@@ -128,9 +128,9 @@ def _estimate_batch(config, params, head, tape, noises):
     """Gradient estimates (B, P) of the exact and the other non-sketch
     engines (bptt, rtrl, spatial, reinforce) for the B episodes of a batched
     tape, whose noise is the NoiseBlock noises, each in one call.  The exact
-    arms are one batched BPTT sweep (RTRL gives the same gradient; the tests
-    check it against exact.rtrl_jacobians); reinforce takes the tape's losses
-    as its noise-free baseline."""
+    arms are one batched BPTT sweep (the tests check RTRL's equal gradient),
+    and spatial is that sweep with each cut adjoint projected onto its noise;
+    reinforce takes the tape's losses as its noise-free baseline."""
     estimator = canonical_estimator(config.estimator)
     if estimator in EXACT_ESTIMATORS:
         return bptt_gradient(tape).g

@@ -12,6 +12,7 @@ import numpy as np
 from uorolab import estimators, rnn, variance
 from uorolab.errors import NumericOverflowError, ShapeError
 from uorolab.exact import EpisodeTensors
+from uorolab.noise import EpisodeNoise
 from uorolab.rnn import BernoulliHead, RnnParams, SoftmaxHead, run_episode
 from uorolab.tasks import make_queue_episode
 
@@ -44,8 +45,8 @@ class ConstantHead:
 
 
 def forbid_steps(monkeypatch):
-    """Make any transition or sketch step fail the test, so that a check
-    must raise before the first one."""
+    """Make any transition, sketch step or backward sweep step fail the
+    test, so that a check must raise before the first one."""
     def fail(*args, **kwargs):
         raise AssertionError("a step ran before the inputs were checked")
 
@@ -55,6 +56,9 @@ def forbid_steps(monkeypatch):
     # run_uoro advances h~ itself through these products
     monkeypatch.setattr(rnn, "jvp_state", fail)
     monkeypatch.setattr(rnn, "jvp_cut", fail)
+    # and the backward sweep (exact.cut_adjoints) through these
+    monkeypatch.setattr(rnn, "vjp_to_cut", fail)
+    monkeypatch.setattr(rnn, "vjp_to_cut_and_state", fail)
 
 
 def reinforce_by_definition(params, inputs, targets, head, sigma, u, Q0=None,
@@ -436,6 +440,32 @@ def online_B_replay(tape, noise, schedule, eta_zeta="ones"):
         m, n = sums["nu"], sums["mu"]
         estimates.append(0.5 * (np.outer(m, n) + np.outer(n, m)))
     return np.array(estimates), a_tilde
+
+
+def spatial_by_definition(tape, cut, noise):
+    """run_spatial's estimate by forward accumulation of a dense S x P
+    influence matrix, one row of the batch at a time:
+        H_t = J_state(t) H_{t-1} + (J_cut nu_t)(nu_t^T J_theta(t)),
+    summed as sum_t g_t^T H_t.  noise is one EpisodeNoise or a NoiseBlock,
+    as for run_spatial; returns the estimate ([B,] P)."""
+    params = tape.params
+    single = isinstance(noise, EpisodeNoise)
+    batch = np.broadcast_shapes(tape.batch_shape, () if single else (len(noise),))
+    nu = noise.nu[: tape.length]
+    nu = nu[:, None] if single else nu  # (T, 1 or B, N_z)
+    estimate = np.zeros((*(batch or (1,)), params.num_params))
+    for j, row in enumerate(estimate):
+        if j == 0 or tape.batch_shape:  # one dense J_state per episode
+            episode = tape.episode(j) if tape.batch_shape else tape
+            j_state = rnn.dense_state_jacobian(episode.steps)
+        row_nu = nu[:, j % nu.shape[1]]
+        spatial_in = rnn.jvp_cut(episode.steps, cut, row_nu)
+        spatial_out = rnn.vjp_cut(episode.steps, cut, row_nu)
+        influence = np.zeros((params.state_size, params.num_params))
+        for t in range(tape.length):
+            influence = j_state[t] @ influence + np.outer(spatial_in[t], spatial_out[t])
+            row += episode.loss_grad_full(t) @ influence
+    return estimate.reshape(*batch, -1)
 
 
 def suffix_sums(b):

@@ -6,7 +6,7 @@ adjoint tensors."""
 import numpy as np
 import pytest
 
-from uorolab import rnn, training
+from uorolab import exact, rnn, training
 from uorolab.config import ExperimentConfig, queue_config
 from uorolab.errors import ShapeError, SingularMatrixError
 from uorolab.estimators import (
@@ -26,7 +26,7 @@ from uorolab.rnn import BernoulliHead, CutVertex, RnnParams, run_episode
 from uorolab.variance import offline_total_estimate
 
 from helpers import (ConstantHead, forbid_steps, make_instance,
-                     reinforce_by_definition)
+                     reinforce_by_definition, row_rel, spatial_by_definition)
 
 RTOL = 1e-12
 
@@ -343,9 +343,11 @@ class TestSeedsOnOneTape:
 
 
 class TestSpatialBlocks:
-    """run_spatial takes a NoiseBlock: B seeds on one tape share each step's
-    dense J_state, and on a batched tape row j runs episode j.  Its rows run
-    one at a time, so each equals the call on its view bit for bit."""
+    """run_spatial takes a NoiseBlock: B seeds on one tape share one backward
+    sweep, so each row equals the call on its view bit for bit.  On a
+    batched tape row j runs episode j in one sweep of the B episodes; here
+    its rows equal the one-episode calls bit for bit too, although a matrix
+    product over B rows may round otherwise than one over a single row."""
 
     @pytest.mark.parametrize("cell,cut", [
         (rnn.VANILLA_TANH, CutVertex.PREACTIVATION),
@@ -358,12 +360,12 @@ class TestSpatialBlocks:
         tape = run_episode(params, inputs, targets, head)
         noises = episode_noises(142, range(5, 9), 4, params.cut_size(cut))
         views = [run_spatial(tape, cut, noise).estimate for noise in noises]
-        builds = []
-        dense = rnn.dense_state_jacobian
-        monkeypatch.setattr(rnn, "dense_state_jacobian",
-                            lambda cache: builds.append(1) or dense(cache))
+        sweeps = []
+        sweep = exact.cut_adjoints
+        monkeypatch.setattr(exact, "cut_adjoints",
+                            lambda *args: sweeps.append(1) or sweep(*args))
         report = run_spatial(tape, cut, noises)
-        assert len(builds) == 1  # one whole-tape J_state, shared by the seeds
+        assert len(sweeps) == 1  # one backward sweep, shared by the seeds
         assert report.estimate.shape == (4, params.num_params)
         assert report.episode_index == noises.indices
         for j, view in enumerate(views):
@@ -383,6 +385,28 @@ class TestSpatialBlocks:
                 report.estimate[j],
                 run_spatial(tape.episode(j), cut, noises[j]).estimate)
 
+    @pytest.mark.parametrize("cell,cut", [
+        (rnn.VANILLA_TANH, CutVertex.STATE),
+        (rnn.VANILLA_TANH, CutVertex.PREACTIVATION),
+        (rnn.LSTM, CutVertex.PREACTIVATION)])
+    def test_matches_the_dense_recursion(self, cell, cut):
+        """The backward sweep gives the estimate of the dense influence
+        recursion on one episode, on a batched tape with one noise per
+        episode, and for a block of seeds on one tape."""
+        rng = np.random.default_rng(147)
+        params, inputs, targets, head = softmax_batch(rng, cell=cell, batch=3,
+                                                      length=5, hidden=4)
+        batched = run_episode(params, inputs, targets, head)
+        n_z = params.cut_size(cut)
+        cases = [(batched.episode(1), episode_noise(148, 0, 5, n_z)),
+                 (batched, episode_noises(148, range(3), 5, n_z)),
+                 (batched.episode(0), episode_noises(149, range(4), 5, n_z))]
+        for tape, noise in cases:
+            estimate = run_spatial(tape, cut, noise).estimate
+            reference = spatial_by_definition(tape, cut, noise)
+            assert estimate.shape == reference.shape
+            assert row_rel(estimate, reference) <= RTOL
+
     def test_count_mismatch_raises_shape_error(self):
         rng = np.random.default_rng(145)
         params, inputs, targets, head = softmax_batch(rng, batch=3, length=4,
@@ -391,6 +415,15 @@ class TestSpatialBlocks:
         noises = episode_noises(146, range(2), 4, 3)
         with pytest.raises(ShapeError, match="3 episodes for 2 noises"):
             run_spatial(tape, CutVertex.PREACTIVATION, noises)
+
+    def test_noise_dim_mismatch_raises_before_the_sweep(self, monkeypatch):
+        rng = np.random.default_rng(145)
+        params, inputs, targets, head = make_instance(rng, hidden=3, length=4)
+        tape = run_episode(params, inputs, targets, head)
+        forbid_steps(monkeypatch)
+        for noise in (episode_noise(146, 0, 4, 1), episode_noises(146, range(2), 4, 1)):
+            with pytest.raises(ShapeError, match="noise dim 1 != cut dim 3"):
+                run_spatial(tape, CutVertex.PREACTIVATION, noise)
 
     def test_training_and_measure_make_one_call_per_block(self, monkeypatch):
         """A spatial minibatch and measure_estimator's spatial arm call

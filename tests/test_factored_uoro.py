@@ -270,9 +270,7 @@ class TestOverflowAndLength:
             "spatial": lambda n: run_spatial(tape, CutVertex.PREACTIVATION, n),
             "online B": lambda n: estimate_B_online(tape, n, schedule),
         }[estimator]
-        noises = [episode_noise(73, 0, 3, 3)]
-        if estimator != "spatial":  # the spatial estimator runs one episode
-            noises.append(episode_noises(73, range(2), 3, 3))
+        noises = [episode_noise(73, 0, 3, 3), episode_noises(73, range(2), 3, 3)]
         forbid_steps(monkeypatch)
         for noise in noises:
             with pytest.raises(ShapeError, match="noise of 3 steps for an episode of 4"):

@@ -6,6 +6,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -53,9 +54,36 @@ def test_compare_counts_cells_and_bounds_them(digests, tmp_path, capsys):
         f"only-a.csv: only in {a}",
         "run/metrics.csv: 1 numeric cells differ, largest relative difference "
         "1.39e-16; 1 other cells differ",
+        "  loss: 1 numeric cells differ, largest relative difference "
+        "1.39e-16; 1 other cells differ",
         "run/summary.json: 1 numeric cells differ, largest relative difference "
         "0.333; 1 other cells differ",
+        "  grid/extra: 0 numeric cells differ, largest relative difference "
+        "0; 1 other cells differ",
+        "  grid/vq: 1 numeric cells differ, largest relative difference "
+        "0.333; 0 other cells differ",
         "1 of 4 files identical",
+    ]
+
+
+def test_compare_bounds_each_metric_apart(digests, tmp_path, capsys):
+    """grad_norm cells one ulp apart get their own bound, and the identical
+    loss cells beside them get no line."""
+    a, b = tmp_path / "a", tmp_path / "b"
+    rows = [(0, "loss", 0.7), (0, "grad_norm", 0.2), (1, "loss", 0.6),
+            (1, "grad_norm", 0.3)]
+    for root, moved in ((a, False), (b, True)):
+        values = [math.nextafter(v, 1.0) if moved and m == "grad_norm" else v
+                  for _, m, v in rows]
+        write(root, "run/metrics.csv", "episode,seed,metric,value\n" + "".join(
+            f"{i},0,{m},{v!r}\n" for (i, m, _), v in zip(rows, values)))
+    assert digests.main(["--compare", str(a), str(b)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "run/metrics.csv: 2 numeric cells differ, largest relative difference "
+        "1.85e-16; 0 other cells differ",
+        "  grad_norm: 2 numeric cells differ, largest relative difference "
+        "1.85e-16; 0 other cells differ",
+        "0 of 1 files identical",
     ]
 
 

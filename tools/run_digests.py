@@ -14,10 +14,13 @@ can still show that every result stayed the same.
 --compare takes two --out directories and, for each file whose bytes (and so
 whose digest) differ, prints how many numeric cells differ and the largest
 relative difference among them, |a - b| / max(|a|, |b|), plus the count of
-other cells that differ (text, or cells present in one file only).  The cells
-of a JSON file are its leaf values; those of any other file are its
-comma-separated fields.  A change that moves numbers by roundoff is then
-stated and bounded by one command.
+other cells that differ (text, or cells present in one file only); under it,
+one indented line gives the same for each metric that has a differing cell.
+The cells of a JSON file are its leaf values, and a leaf's metric is its key
+path without list indices, such as "grid/measured_vq"; those of any other
+file are its comma-separated fields, and a field's metric is its line's
+third field, such as "grad_norm" in metrics.csv.  A change that moves numbers
+by roundoff is then stated and bounded, metric by metric, by one command.
 
 The package is imported from the src/ directory next to this script.  The
 runs are 15 training configurations (queue H=6, T=10, minibatch 10, 3
@@ -152,8 +155,9 @@ def main(argv=None) -> int:
 def compare(dir_a: Path, dir_b: Path) -> int:
     """Print, for each run file whose bytes differ between two --out
     directories, its count of differing numeric cells, their largest
-    relative difference and its count of other differing cells; then how
-    many files are identical."""
+    relative difference and its count of other differing cells, and under it
+    the same for each metric with a differing cell; then how many files are
+    identical."""
     names = sorted({p.relative_to(d).as_posix() for d in (dir_a, dir_b)
                     for p in d.rglob("*") if p.is_file()})
     same = 0
@@ -166,29 +170,48 @@ def compare(dir_a: Path, dir_b: Path) -> int:
             same += 1
             continue
         cells_a, cells_b = _cells(a), _cells(b)
-        numeric, largest, other = 0, 0.0, 0
+        metrics = {}  # metric -> [numeric cells, largest difference, other cells]
         for key in cells_a.keys() | cells_b.keys():
-            cell_a, cell_b = cells_a.get(key, _MISSING), cells_b.get(key, _MISSING)
+            metric_a, cell_a = cells_a.get(key, (None, _MISSING))
+            metric_b, cell_b = cells_b.get(key, (None, _MISSING))
+            counts = metrics.setdefault(metric_a or metric_b, [0, 0.0, 0])
             x, y = _number(cell_a), _number(cell_b)
             if x is None or y is None:
-                other += cell_a != cell_b
+                counts[2] += cell_a != cell_b
             elif _rel_diff(x, y):
-                numeric += 1
-                largest = max(largest, _rel_diff(x, y))
-        print(f"{name}: {numeric} numeric cells differ, largest relative "
-              f"difference {largest:.3g}; {other} other cells differ")
+                counts[0] += 1
+                counts[1] = max(counts[1], _rel_diff(x, y))
+        counts = metrics.values()
+        print(f"{name}: " + _differ(sum(c[0] for c in counts),
+                                    max((c[1] for c in counts), default=0.0),
+                                    sum(c[2] for c in counts)))
+        for metric, (numeric, largest, other) in sorted(metrics.items()):
+            if numeric or other:
+                print(f"  {metric}: {_differ(numeric, largest, other)}")
     print(f"{same} of {len(names)} files identical")
     return 0
 
 
+def _differ(numeric: int, largest: float, other: int) -> str:
+    return (f"{numeric} numeric cells differ, largest relative difference "
+            f"{largest:.3g}; {other} other cells differ")
+
+
 def _cells(path: Path) -> dict:
-    """The cells of a run file by position: the leaf values of a JSON file
-    by their key path, the comma-separated fields of any other file by
-    (line, column)."""
+    """The cells of a run file by position, each as (metric, value): the
+    leaf values of a JSON file by their key path, with the path's keys but
+    not its list indices as the metric, and the comma-separated fields of
+    any other file by (line, column), with the line's third field as the
+    metric, or the column where that field is missing or a number."""
     text = path.read_text(encoding="utf-8")
     if path.suffix != ".json":
-        return {(i, j): cell for i, line in enumerate(text.splitlines())
-                for j, cell in enumerate(line.split(","))}
+        cells = {}
+        for i, line in enumerate(text.splitlines()):
+            fields = line.split(",")
+            named = len(fields) > 2 and _number(fields[2]) is None
+            for j, cell in enumerate(fields):
+                cells[i, j] = (fields[2] if named else f"column {j}", cell)
+        return cells
     cells = {}
     pending = [((), json.loads(text))]
     while pending:
@@ -198,7 +221,7 @@ def _cells(path: Path) -> dict:
         elif isinstance(value, list):
             pending.extend((key + (i,), v) for i, v in enumerate(value))
         else:
-            cells[key] = value
+            cells[key] = ("/".join(k for k in key if isinstance(k, str)), value)
     return cells
 
 
