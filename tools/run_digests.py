@@ -174,7 +174,8 @@ def compare(dir_a: Path, dir_b: Path) -> int:
         for key in cells_a.keys() | cells_b.keys():
             metric_a, cell_a = cells_a.get(key, (None, _MISSING))
             metric_b, cell_b = cells_b.get(key, (None, _MISSING))
-            counts = metrics.setdefault(metric_a or metric_b, [0, 0.0, 0])
+            metric = metric_b if metric_a is None else metric_a
+            counts = metrics.setdefault(metric, [0, 0.0, 0])
             x, y = _number(cell_a), _number(cell_b)
             if x is None or y is None:
                 counts[2] += cell_a != cell_b
