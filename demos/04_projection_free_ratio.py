@@ -10,10 +10,11 @@ multiplied by the cut dimension; this script measures both sides.
 import numpy as np
 
 from uorolab.estimators import FIXED_ALPHA, ScalingSchedule, run_preuoro, run_uoro
-from uorolab.exact import bptt_gradient, episode_tensors
+from uorolab.exact import bptt_gradient, suffix_rows
+from uorolab.linalg import trace
 from uorolab.noise import episode_noise
 from uorolab.rnn import CutVertex, RnnParams, SoftmaxHead, run_episode
-from uorolab.variance import empirical_variance, predicted_VQ
+from uorolab.variance import compute_B, empirical_variance, predicted_VQ
 
 rng = np.random.default_rng(2)
 hidden, inputs_dim, length = 4, 2, 6
@@ -23,7 +24,7 @@ inputs = rng.standard_normal((length, inputs_dim))
 targets = [int(rng.integers(3)) for _ in range(length)]
 head = SoftmaxHead(rng.standard_normal((3, hidden + 1)))
 tape = run_episode(params, inputs, targets, head)
-tensors = episode_tensors(tape, CutVertex.PREACTIVATION)
+rows = suffix_rows(tape, CutVertex.PREACTIVATION)
 exact = bptt_gradient(tape)
 alpha = np.ones(length)
 schedule = ScalingSchedule(FIXED_ALPHA, alpha=alpha)
@@ -43,8 +44,8 @@ for i in range(n):
 
 m_proj = empirical_variance(with_projection, exact)
 m_free = empirical_variance(without, exact)
-pred_proj = predicted_VQ(tensors, alpha)
-pred_free = predicted_VQ(tensors, alpha, flavor="preuoro")
+pred_proj = predicted_VQ(rows, alpha)          # N_z tr(B) without Q0
+pred_free = trace(compute_B(rows, alpha))      # the projection-free tr(B)
 
 print(f"cut dimension (preactivations): {params.preactivation_size}")
 print(f"predicted variances:  projected {pred_proj:9.3f}   "

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import config as config_mod
 from . import training
-from .exact import bptt_gradient, episode_tensors
+from .exact import bptt_gradient, suffix_rows
 from .reports import write_json_summary, write_metrics_csv
 from .rnn import CutVertex
 from .variance import compute_C, moment_lemma_zscores, solve_alpha_newton
@@ -97,8 +97,7 @@ def _sample_count(text: str) -> int:
 def cmd_alpha_solve(args) -> int:
     cfg = _load_config(args)
     _, tape = training.build_report_instance(cfg)
-    tensors = episode_tensors(tape, CutVertex(cfg.cut))
-    solution = solve_alpha_newton(compute_C(tensors, None))
+    solution = solve_alpha_newton(compute_C(suffix_rows(tape, CutVertex(cfg.cut))))
     rows = [(s, cfg.base_seed, "alpha", float(a))
             for s, a in enumerate(solution.alpha)]
     rows.append((0, cfg.base_seed, "residual", solution.residual))
@@ -112,7 +111,7 @@ def cmd_alpha_solve(args) -> int:
         "converged": solution.converged,
         "exact_gradient_norm": float(np.linalg.norm(bptt_gradient(tape).g)),
     })
-    print(f"alpha-solve: T={tensors.length} residual {solution.residual:.2e} "
+    print(f"alpha-solve: T={solution.alpha.size} residual {solution.residual:.2e} "
           f"in {solution.iterations} iterations -> {args.out}")
     return 0
 

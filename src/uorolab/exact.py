@@ -4,10 +4,11 @@ Two exact engines compute the same total gradient by the two accumulation
 orders: reverse accumulation (bptt_gradient) propagates a state adjoint
 backwards, forward accumulation (rtrl_jacobians) carries the full
 state-to-parameter influence matrix forwards.  BPTT's sweep, cut_adjoints,
-also serves the spatial estimator.  episode_tensors materializes
-the per-step adjoints dL_t/dz_s that the variance toolkit consumes, and
-suffix_rows, from the same reverse sweep, only their causal suffix sums, for
-a whole block of episodes at once.
+also serves the spatial estimator.  suffix_rows gives the causal suffix
+sums of the per-step adjoints dL_t/dz_s, the rows that the variance toolkit
+consumes, for a whole block of episodes at once; episode_tensors, from the
+same reverse sweep, materializes the adjoints themselves, which the
+online/offline audit reads.
 """
 
 from dataclasses import dataclass
@@ -238,11 +239,11 @@ def suffix_rows(tape: EpisodeTape, cut, out: np.ndarray | None = None) -> Suffix
     """The causal suffix rows of every episode of a (batched) tape from one
     reverse sweep that carries suffix-summed adjoints (_adjoint_sweep): at
     step s its live rows pulled back to the cut are v_qs, q >= s, written
-    straight into the packed rows.  Equal to the rows
-    variance._causal_suffix_rows builds from episode_tensors(...).b, to
-    roundoff (the sums are taken in state space before the pullback).  out,
-    if given, is the (T(T+1)/2, [B,] N_z) array the rows are written into,
-    such as a buffer that successive blocks of episodes reuse."""
+    straight into the packed rows.  Equal to the suffix sums of
+    episode_tensors(...).b, to roundoff (the sums are taken in state space
+    before the pullback).  out, if given, is the (T(T+1)/2, [B,] N_z) array
+    the rows are written into, such as a buffer that successive blocks of
+    episodes reuse."""
     cut = CutVertex(cut)
     _require_tensor_guard(tape)
     t_len = tape.length

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig, as_dict, canonical_estimator
+from .errors import UnsupportedCutError
 from .estimators import (
     GIR,
     ScalingSchedule,
@@ -386,25 +387,25 @@ def measure_estimator(config, params, tape, tensors, estimator, schedule,
     return estimates
 
 
-def _grid_cell(config, params, tape, tensors, q0_mode, alpha_mode, n_seeds,
+def _grid_cell(config, params, tape, suffix, q0_mode, alpha_mode, n_seeds,
                exact_g):
     """One cell of the {Q0} x {alpha} grid: predicted and measured variance."""
     # Resolve alpha at identity Q0 first, then the optimal Q0 from its B.
     if alpha_mode == "ours":
-        alpha0 = solve_alpha_newton(compute_C(tensors, None)).alpha
+        alpha0 = solve_alpha_newton(compute_C(suffix, None)).alpha
     else:
         alpha0 = None
     if q0_mode == "ours":
-        probe_alpha = alpha0 if alpha0 is not None else np.ones(tensors.length)
-        q0 = optimal_Q0(compute_B(tensors, probe_alpha), damping=config.damping)
+        probe_alpha = alpha0 if alpha0 is not None else np.ones(suffix.length)
+        q0 = optimal_Q0(compute_B(suffix, probe_alpha), damping=config.damping)
     else:
         q0 = None
     schedule = ScalingSchedule(GIR, Q0=q0)
     if alpha_mode == "ours":
         alpha = solve_alpha_newton(
-            compute_C(tensors, schedule.Q0, schedule.Q0_inv)).alpha
+            compute_C(suffix, schedule.Q0, schedule.Q0_inv)).alpha
         schedule = schedule.with_alpha(alpha)
-        predicted = predicted_VQ(tensors, alpha, schedule.Q0, Q0_inv=schedule.Q0_inv)
+        predicted = predicted_VQ(suffix, alpha, schedule.Q0, Q0_inv=schedule.Q0_inv)
     else:
         predicted = None  # resolved below from realized alphas (upper estimate)
     estimates = np.empty((n_seeds, params.num_params))
@@ -414,7 +415,7 @@ def _grid_cell(config, params, tape, tensors, q0_mode, alpha_mode, n_seeds,
             # noise-dependent coefficients: average the per-seed predictions
             # over the first block's realized alphas
             predicted = float(np.mean([
-                predicted_VQ(tensors, a, schedule.Q0, Q0_inv=schedule.Q0_inv)
+                predicted_VQ(suffix, a, schedule.Q0, Q0_inv=schedule.Q0_inv)
                 for a in realized_alpha(report).T]))
     measured = empirical_variance(estimates, exact_g)
     se = float(np.std(np.sum((estimates - exact_g) ** 2, axis=1), ddof=1)
@@ -460,11 +461,16 @@ def _ablation(config, params, tape, exact):
 
 def run_variance_report(config: ExperimentConfig, out_dir=None) -> dict:
     """The four-cell {Q0} x {alpha} grid plus the estimator-ablation grid
-    {neither, spatial, temporal, both}, on one fixed instance."""
+    {neither, spatial, temporal, both}, on one fixed instance.  The grid's
+    Q0 "ours" cells need B, so a cut other than the preactivation cut is
+    refused before any work."""
+    if config.cut != CutVertex.PREACTIVATION:
+        raise UnsupportedCutError(f"the variance report needs the preactivation "
+                                  f"cut for its Q0 'ours' cells, not {config.cut!r}")
     params, tape = build_report_instance(config)
-    tensors = episode_tensors(tape, CutVertex(config.cut))
+    suffix = suffix_rows(tape, CutVertex.PREACTIVATION)
     exact = bptt_gradient(tape)
-    cells = [_grid_cell(config, params, tape, tensors, q0_mode, alpha_mode,
+    cells = [_grid_cell(config, params, tape, suffix, q0_mode, alpha_mode,
                         config.num_seeds, exact.g)
              for q0_mode in ("identity", "ours") for alpha_mode in ("gir", "ours")]
     ablation = _ablation(config, params, tape, exact)

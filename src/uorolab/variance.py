@@ -1,9 +1,9 @@
 """Closed-form variance machinery for the total gradient estimate.
 
-Given the exact per-episode adjoints (EpisodeTensors), this module predicts
-the noise-dependent part V of the total-variance of rank-one gradient
-estimators, and optimizes the two structural degrees of freedom of the
-noise-shaping matrices Q_s = alpha_s Q0:
+Given the causal suffix rows of one episode's exact adjoints (SuffixRows),
+this module predicts the noise-dependent part V of the total-variance of
+rank-one gradient estimators, and optimizes the two structural degrees of
+freedom of the noise-shaping matrices Q_s = alpha_s Q0:
 
   * the per-step scalars alpha via a convex equilibration problem on a
     nonnegative T x T matrix C (Newton solver, closed form for rank-one C);
@@ -155,74 +155,54 @@ def _tril_indices(t_len: int):
     return q, r
 
 
-def _causal_suffix_rows(b: np.ndarray):
-    """The distinct suffix rows v_qr = sum_{t>=q} b[t, r] of a causal b
-    (T, T, N_z), with b[t, r] = 0 for r > t and hence v_qr = v_rr for
-    q <= r.  Returns (rows, q, r): the T(T+1)/2 rows with q >= r in
-    np.tril_indices order, and their index arrays.  Row q's block
-    (q, 0..q) gains the first q + 1 rows of block q + 1 in one in-place
-    reverse pass, the same sums as a cumulative sum from the last step."""
-    t_len = b.shape[0]
-    q, r = _tril_indices(t_len)
-    rows = b[q, r]
-    for t in range(t_len - 2, -1, -1):
-        start = t * (t + 1) // 2
-        end = start + t + 1
-        rows[start:end] += rows[end:end + t + 1]
-    return rows, q, r
-
-
-def _rows_of(tensors: EpisodeTensors | SuffixRows):
-    """(rows, q, r) as _causal_suffix_rows returns them: built from the b of
-    an EpisodeTensors, or the rows of one episode's SuffixRows.  The callers
-    read the rows and write nothing into them."""
-    if not isinstance(tensors, SuffixRows):
-        return _causal_suffix_rows(tensors.b)
-    if tensors.rows.ndim != 2:
+def _rows_of(rows: SuffixRows):
+    """(v, q, r): one episode's packed suffix rows v_qr and their index
+    arrays, np.tril_indices(T).  The callers read the rows and write nothing
+    into them."""
+    if rows.rows.ndim != 2:
         raise ShapeError("this takes the rows of one episode: slice a block's "
                          "rows with rows.episode(j)")
-    return (tensors.rows, *_tril_indices(tensors.length))
+    return (rows.rows, *_tril_indices(rows.length))
 
 
-def _theta_weights(tensors: EpisodeTensors | SuffixRows,
-                   Q0_inv: np.ndarray | None) -> np.ndarray:
+def _theta_weights(rows: SuffixRows, Q0_inv: np.ndarray | None) -> np.ndarray:
     """w_q = ||Q0^{-1} J_q||_F^2 per step.  With J_q = diag(f_q) (I (x) a_q^T)
     it is ||Q0^{-1} diag(f_q)||_F^2 ||a_q||^2, where the first factor is
     sum_j f_qj^2 ||column j of Q0^{-1}||^2 (N_z or ||Q0^{-1}||_F^2 for
     f_q = 1)."""
-    if tensors.d is None:
-        scale = tensors.cut_dim if Q0_inv is None else float(np.sum(Q0_inv**2))
+    if rows.d is None:
+        scale = rows.cut_dim if Q0_inv is None else float(np.sum(Q0_inv**2))
     else:
-        f_sq = np.square(tensors.d)
+        f_sq = np.square(rows.d)
         scale = (np.sum(f_sq, axis=-1) if Q0_inv is None
                  else f_sq @ np.sum(Q0_inv**2, axis=0))
-    return scale * tensors.a_norms**2
+    return scale * rows.a_norms**2
 
 
-def compute_C(tensors: EpisodeTensors | SuffixRows, Q0: np.ndarray | None = None,
+def compute_C(rows: SuffixRows, Q0: np.ndarray | None = None,
               Q0_inv: np.ndarray | None = None) -> np.ndarray:
     """The T x T nonnegative matrix defining the alpha objective
     sum_{q,r} (alpha_r^2 / alpha_q^2) C[q, r]:
 
-        C[q, r] = || sum_{t>=q} b[t, r]^T Q0 ||^2 * ||Q0^{-1} J_q||_F^2.
+        C[q, r] = || v_qr^T Q0 ||^2 * ||Q0^{-1} J_q||_F^2,
+        v_qr = sum_{t>=q} b[t, r],
 
-    b must be causal, b[t, r] = 0 for r > t (as episode_tensors builds it):
-    Q0 acts on the T(T+1)/2 distinct suffix rows only, and C[q, r] for
-    q < r reads the diagonal row (r, r).  The rows of one episode's
-    SuffixRows are taken as they are.  Q0_inv, if given, must be the inverse
-    of Q0 as ScalingSchedule holds it, checked and inverted already;
-    otherwise Q0 is checked and inverted here (estimators._checked_q0).
+    from one episode's suffix rows: Q0 acts on the T(T+1)/2 distinct rows
+    only, and C[q, r] for q < r reads the diagonal row (r, r).  Q0_inv, if
+    given, must be the inverse of Q0 as ScalingSchedule holds it, checked and
+    inverted already; otherwise Q0 is checked and inverted here
+    (estimators._checked_q0).
     """
     if Q0 is not None and Q0_inv is None:
         Q0, Q0_inv = _checked_q0(Q0)
-    rows, q, r = _rows_of(tensors)
+    v, q, r = _rows_of(rows)
     if Q0 is None:
-        squares = np.square(rows)
+        squares = np.square(v)
     else:
-        squares = rows @ Q0
+        squares = v @ Q0
         np.square(squares, out=squares)
     norms = np.sum(squares, axis=1)
-    weights = _theta_weights(tensors, Q0_inv)
+    weights = _theta_weights(rows, Q0_inv)
     c = np.outer(weights, norms[q == r])  # above the diagonal v_qr = v_rr
     c[q, r] = norms * weights[q]
     return c
@@ -334,12 +314,19 @@ def alpha_closed_form_rank1(m: np.ndarray, n: np.ndarray) -> np.ndarray:
 # The B matrix, optimal Q0, and predicted variance
 # ---------------------------------------------------------------------------
 
-def _require_preactivation(tensors: EpisodeTensors, what: str):
-    if tensors.cut != CutVertex.PREACTIVATION:
+def _require_preactivation(rows: SuffixRows, what: str):
+    if rows.cut != CutVertex.PREACTIVATION:
         raise UnsupportedCutError(f"{what} requires the preactivation cut")
 
 
-def compute_B(tensors: EpisodeTensors | SuffixRows, alpha: np.ndarray,
+def _checked_alpha(rows: SuffixRows, alpha: np.ndarray) -> np.ndarray:
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if alpha.shape != (rows.length,):
+        raise ShapeError(f"alpha shape {alpha.shape} != ({rows.length},)")
+    return alpha
+
+
+def compute_B(rows: SuffixRows, alpha: np.ndarray,
               out: np.ndarray | None = None) -> np.ndarray:
     """The PSD matrix whose trace pair with Q0 Q0^T gives the structured
     variance,
@@ -347,18 +334,14 @@ def compute_B(tensors: EpisodeTensors | SuffixRows, alpha: np.ndarray,
         sum_{q,r} (alpha_r^2/alpha_q^2) ||a_q||^2 v_qr v_qr^T
         with v_qr = sum_{s>=q} b[s, r],
 
-    the "qr" form.  It needs b causal, b[t, r] = 0 for r > t (as
-    episode_tensors builds it), and sums over the T(T+1)/2 distinct rows
-    v_qr, q >= r, which one episode's SuffixRows holds already.  out, if
-    given, is a running sum that B is added into and that is returned, not
-    symmetrized: a caller that sums many B symmetrizes the sum once.
+    the "qr" form, summed over one episode's T(T+1)/2 distinct suffix rows
+    v_qr, q >= r.  out, if given, is a running sum that B is added into and
+    that is returned, not symmetrized: a caller that sums many B symmetrizes
+    the sum once.
     """
-    _require_preactivation(tensors, "compute_B")
-    alpha = np.asarray(alpha, dtype=np.float64)
-    t_len = tensors.length
-    if alpha.shape != (t_len,):
-        raise ShapeError(f"alpha shape {alpha.shape} != ({t_len},)")
-    b_mat = _qr_B(*_rows_of(tensors), tensors.a_norms**2, alpha)
+    _require_preactivation(rows, "compute_B")
+    alpha = _checked_alpha(rows, alpha)
+    b_mat = _qr_B(*_rows_of(rows), rows.a_norms**2, alpha)
     if out is not None:
         return np.add(out, b_mat, out=out)
     return 0.5 * (b_mat + b_mat.T)
@@ -382,14 +365,18 @@ def _qr_B(rows: np.ndarray, q: np.ndarray, r: np.ndarray, a_sq: np.ndarray,
     return weighted.T @ weighted
 
 
-def compute_B_partial(tensors: EpisodeTensors, alpha: np.ndarray, k: int) -> np.ndarray:
+def compute_B_partial(rows: SuffixRows, alpha: np.ndarray, k: int) -> np.ndarray:
     """The running B truncated to the first k steps (1 <= k <= T): the exact
-    target of the online estimator at step k."""
-    _require_preactivation(tensors, "compute_B_partial")
-    if not 1 <= k <= tensors.length:
-        raise ValueError(f"k = {k} is outside 1..{tensors.length}")
+    target of the online estimator at step k.  The truncated episode's
+    suffix rows are v_qr - v_kr, q < k, with v_Tr = 0."""
+    _require_preactivation(rows, "compute_B_partial")
+    if not 1 <= k <= rows.length:
+        raise ValueError(f"k = {k} is outside 1..{rows.length}")
     alpha = np.asarray(alpha, dtype=np.float64)
-    out = _qr_B(*_causal_suffix_rows(tensors.b[:k, :k]), tensors.a_norms**2, alpha)
+    v, _, _ = _rows_of(rows)
+    q, r = _tril_indices(k)
+    truncated = v[:q.size] if k == rows.length else v[:q.size] - v[q.size + r]
+    out = _qr_B(truncated, q, r, rows.a_norms**2, alpha)
     return 0.5 * (out + out.T)
 
 
@@ -403,49 +390,17 @@ def optimal_Q0(b_bar: np.ndarray, damping: float = 0.0) -> np.ndarray:
     return psd_frac_power(damped, -0.25)
 
 
-FLAVOR_GENERAL = "general"
-FLAVOR_STRUCTURED = "structured"
-FLAVOR_PREUORO = "preuoro"
-
-
-def predicted_VQ(tensors: EpisodeTensors, alpha: np.ndarray,
+def predicted_VQ(rows: SuffixRows, alpha: np.ndarray,
                  Q0: np.ndarray | None = None,
-                 flavor: str = FLAVOR_STRUCTURED,
                  Q0_inv: np.ndarray | None = None) -> float:
-    """Predicted Q-dependent part of the total-gradient variance.
-
-    "general" evaluates the double time sum of trace products directly (any
-    cut); "structured" uses tr(B Q0 Q0^T) tr((Q0 Q0^T)^{-1}) (preactivation
-    cut, to which it is algebraically equal); "preuoro" is the projection-free
-    variant, which equals tr(B) and takes no Q0.  Q0_inv, if given, must be
-    the inverse of Q0 as ScalingSchedule holds it, checked and inverted
-    already; otherwise a Q0 is checked here as ScalingSchedule checks it
-    (estimators._checked_q0).
-    """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if Q0 is not None and Q0_inv is None:
-        Q0, Q0_inv = _checked_q0(Q0)
-    if flavor == FLAVOR_STRUCTURED:
-        _require_preactivation(tensors, "structured flavor")
-        b_mat = compute_B(tensors, alpha)
-        n = b_mat.shape[0]
-        if Q0 is None:
-            return trace(b_mat) * n
-        qq = Q0 @ Q0.T
-        return trace(b_mat @ qq) * trace(np.linalg.inv(qq))
-    if flavor == FLAVOR_PREUORO:
-        if Q0 is not None:
-            raise ValueError("the projection-free flavor takes no Q0")
-        return trace(compute_B(tensors, alpha))
-    if flavor != FLAVOR_GENERAL:
-        raise ValueError(f"unknown flavor {flavor!r}")
-    shaped = tensors.b if Q0 is None else tensors.b @ Q0
-    left = np.einsum("r,tri,sri->st", alpha**2, shaped, shaped)
-    weights = _theta_weights(tensors, Q0_inv)
-    cum = np.cumsum(weights / alpha**2)
-    t_len = tensors.length
-    mins = np.minimum.outer(np.arange(t_len), np.arange(t_len))
-    return float(np.sum(left * cum[mins]))
+    """Predicted Q-dependent part of the total-gradient variance, the alpha
+    objective sum_{q,r} (alpha_r^2 / alpha_q^2) C[q, r] at Q0 (compute_C), at
+    either cut.  At the preactivation cut it equals
+    tr(B Q0 Q0^T) tr((Q0 Q0^T)^{-1}), and N_z tr(B) without Q0; the
+    projection-free variant's prediction is tr(B).  Q0 and Q0_inv are taken
+    as compute_C takes them."""
+    alpha_sq = np.square(_checked_alpha(rows, alpha))
+    return float((1.0 / alpha_sq) @ compute_C(rows, Q0, Q0_inv) @ alpha_sq)
 
 
 # ---------------------------------------------------------------------------

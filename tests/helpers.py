@@ -500,6 +500,21 @@ def compute_C_oracle(tensors, steps, Q0=None):
     return np.sum(shaped**2, axis=2) * theta_weights_oracle(tensors, steps, Q0)[:, None]
 
 
+def predicted_VQ_oracle(tensors, steps, alpha, Q0=None):
+    """variance.predicted_VQ as the double time sum over the tensors' b,
+
+        sum_{s,t} (sum_r alpha_r^2 <b[t, r]^T Q0, b[s, r]^T Q0>)
+                  (sum_{q<=min(s,t)} ||Q0^{-1} J_q||_F^2 / alpha_q^2),
+
+    at either cut, with J_q formed densely from the tape's steps."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    shaped = tensors.b if Q0 is None else tensors.b @ Q0
+    left = np.einsum("r,tri,sri->st", alpha**2, shaped, shaped)
+    cum = np.cumsum(theta_weights_oracle(tensors, steps, Q0) / alpha**2)
+    mins = np.minimum.outer(np.arange(tensors.length), np.arange(tensors.length))
+    return float(np.sum(left * cum[mins]))
+
+
 def qr_B_oracle(tensors, alpha, k=None):
     """The "qr" B truncated to the loss steps q < k (all of them by default)
     over all k T suffix rows: sum_{q,r} (alpha_r^2 / alpha_q^2) ||a_q||^2

@@ -20,7 +20,7 @@ from uorolab.estimators import (
     run_preuoro,
     run_uoro,
 )
-from uorolab.exact import bptt_gradient, episode_tensors, rtrl_jacobians
+from uorolab.exact import bptt_gradient, rtrl_jacobians, suffix_rows
 from uorolab.linalg import psd_frac_power, trace
 from uorolab.noise import episode_noises
 from uorolab.rnn import CutVertex, run_episode
@@ -95,9 +95,9 @@ def h4t6_instance():
         rng, hidden=4, length=6, weight_scale=0.45
     )
     tape = run_episode(params, inputs, targets, head)
-    tensors = episode_tensors(tape, CutVertex.PREACTIVATION)
+    rows = suffix_rows(tape, CutVertex.PREACTIVATION)
     exact = bptt_gradient(tape)
-    return params, inputs, targets, head, tape, tensors, exact
+    return params, inputs, targets, head, tape, rows, exact
 
 
 def test_criterion_01_exact_engine_agreement():
@@ -128,7 +128,7 @@ def test_criterion_01_exact_engine_agreement():
 
 def test_criterion_02_unbiasedness(h4t6_instance):
     started = time.monotonic()
-    params, inputs, targets, head, tape, tensors, exact = h4t6_instance
+    params, inputs, targets, head, tape, _, exact = h4t6_instance
     n = 100_000
     p = params.num_params
     clean_losses = tape.losses.copy()
@@ -175,9 +175,9 @@ def test_criterion_03_moment_lemmas():
 
 
 def test_criterion_04_variance_prediction(h4t6_instance):
-    params, inputs, targets, head, tape, tensors, exact = h4t6_instance
+    params, inputs, targets, head, tape, rows, exact = h4t6_instance
     alpha = np.ones(6)
-    predicted = predicted_VQ(tensors, alpha)
+    predicted = predicted_VQ(rows, alpha)
     schedule = ScalingSchedule(FIXED_ALPHA, alpha=alpha)
     n = 10_000
     estimates = mc_rows(lambda seeds: run_uoro(tape, CutVertex.PREACTIVATION,
@@ -201,12 +201,12 @@ def test_criterion_05_variance_reduction_ordering():
             rng, hidden=3, length=5, weight_scale=0.5
         )
         tape = run_episode(params, inputs, targets, head)
-        tensors = episode_tensors(tape, CutVertex.PREACTIVATION)
+        rows = suffix_rows(tape, CutVertex.PREACTIVATION)
         exact = bptt_gradient(tape)
-        solution = solve_alpha_newton(compute_C(tensors, None))
-        b_mat = compute_B(tensors, solution.alpha)
+        solution = solve_alpha_newton(compute_C(rows, None))
+        b_mat = compute_B(rows, solution.alpha)
         q0 = optimal_Q0(b_mat)
-        predicted_opt = predicted_VQ(tensors, solution.alpha, q0)
+        predicted_opt = predicted_VQ(rows, solution.alpha, q0)
         target = trace(psd_frac_power(b_mat, 0.5)) ** 2
         pred_ok &= abs(predicted_opt - target) <= 1e-6 * target
         cs_ok &= target <= trace(b_mat) * b_mat.shape[0] * (1 + 1e-12)
@@ -231,7 +231,7 @@ def test_criterion_05_variance_reduction_ordering():
 
 
 def test_criterion_06_projection_free_ratio(h4t6_instance):
-    params, inputs, targets, head, tape, tensors, exact = h4t6_instance
+    params, inputs, targets, head, tape, _, exact = h4t6_instance
     alpha = np.ones(6)
     schedule = ScalingSchedule(FIXED_ALPHA, alpha=alpha)
     n = 20_000
@@ -299,9 +299,9 @@ def test_criterion_09_online_B_estimator():
         rng, hidden=1, inputs_dim=1, length=2, n_classes=2
     )
     tape = run_episode(params, inputs, targets, head)
-    tensors = episode_tensors(tape, CutVertex.PREACTIVATION)
+    rows = suffix_rows(tape, CutVertex.PREACTIVATION)
     alpha = np.ones(2)
-    exact = np.array([compute_B_partial(tensors, alpha, k) for k in (1, 2)])
+    exact = np.array([compute_B_partial(rows, alpha, k) for k in (1, 2)])
     schedule = ScalingSchedule(FIXED_ALPHA, alpha=alpha)
     n = 100_000
     # per seed, the estimates of steps 1 and 2 as one row

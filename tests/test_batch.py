@@ -345,9 +345,8 @@ class TestSeedsOnOneTape:
 class TestSpatialBlocks:
     """run_spatial takes a NoiseBlock: B seeds on one tape share one backward
     sweep, so each row equals the call on its view bit for bit.  On a
-    batched tape row j runs episode j in one sweep of the B episodes; here
-    its rows equal the one-episode calls bit for bit too, although a matrix
-    product over B rows may round otherwise than one over a single row."""
+    batched tape row j runs episode j in one sweep of the B episodes, whose
+    rows equal the one-episode calls to relative 1e-12."""
 
     @pytest.mark.parametrize("cell,cut", [
         (rnn.VANILLA_TANH, CutVertex.PREACTIVATION),
@@ -373,6 +372,11 @@ class TestSpatialBlocks:
 
     @pytest.mark.parametrize("cell", [rnn.VANILLA_TANH, rnn.LSTM])
     def test_batched_tape_rows_equal_episode_views(self, cell):
+        """Bit for bit at this size only: the sweep's pullback is a matrix
+        product over the B rows of a batched tape and a matrix-vector
+        product for one episode, which OpenBLAS rounds alike at H = 3 but
+        not from a cut dimension of 4 on.  The case at H = 8 below holds
+        the rows to relative 1e-12 instead."""
         rng = np.random.default_rng(143)
         params, inputs, targets, head = softmax_batch(rng, cell=cell, batch=3,
                                                       length=5, hidden=3)
@@ -384,6 +388,19 @@ class TestSpatialBlocks:
             np.testing.assert_array_equal(
                 report.estimate[j],
                 run_spatial(tape.episode(j), cut, noises[j]).estimate)
+
+    @pytest.mark.parametrize("cell", [rnn.VANILLA_TANH, rnn.LSTM])
+    def test_batched_tape_rows_equal_episode_views_at_h8(self, cell):
+        rng = np.random.default_rng(150)
+        params, inputs, targets, head = softmax_batch(rng, cell=cell, batch=3,
+                                                      length=5, hidden=8)
+        tape = run_episode(params, inputs, targets, head)
+        cut = CutVertex.PREACTIVATION
+        noises = episode_noises(151, range(3), 5, params.cut_size(cut))
+        report = run_spatial(tape, cut, noises)
+        for j in range(3):
+            view = run_spatial(tape.episode(j), cut, noises[j]).estimate
+            assert row_rel(report.estimate[j], view) <= RTOL
 
     @pytest.mark.parametrize("cell,cut", [
         (rnn.VANILLA_TANH, CutVertex.STATE),

@@ -1,6 +1,7 @@
-"""compute_C, compute_B and compute_B_partial work on the T(T+1)/2 distinct
-suffix rows v_qr, q >= r, of a causal b (v_qr = v_rr for q <= r); against
-the forms over all T^2 rows they must agree to roundoff."""
+"""compute_C, compute_B and compute_B_partial work on one episode's
+T(T+1)/2 distinct suffix rows v_qr, q >= r (exact.suffix_rows; v_qr = v_rr
+for q <= r by causality); against the oracles over all T^2 suffix sums of the
+episode's own b (exact.episode_tensors) they must agree to roundoff."""
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uorolab import rnn
-from uorolab.exact import episode_tensors
+from uorolab.exact import episode_tensors, suffix_rows
 from uorolab.rnn import CutVertex, run_episode
 from uorolab.variance import (
-    _causal_suffix_rows,
+    _tril_indices,
     compute_B,
     compute_B_partial,
     compute_C,
@@ -24,14 +25,15 @@ RTOL = 1e-12
 CELLS = [rnn.VANILLA_TANH, rnn.VANILLA_LINEAR, rnn.LSTM]
 
 
-def tensors_for(seed, cell, hidden=3, length=5, cut=CutVertex.PREACTIVATION):
-    """(steps, tensors): the tape's steps, from which the oracles form J_theta
-    densely, and the episode's tensors."""
+def rows_for(seed, cell, hidden=3, length=5, cut=CutVertex.PREACTIVATION):
+    """(steps, rows, tensors): the tape's steps, from which the oracles form
+    J_theta densely, the episode's suffix rows, and its tensors, whose b the
+    oracles read."""
     rng = np.random.default_rng(seed)
     params, inputs, targets, head = make_instance(rng, cell_kind=cell, hidden=hidden,
                                                   length=length)
     tape = run_episode(params, inputs, targets, head)
-    return tape.steps, episode_tensors(tape, cut)
+    return tape.steps, suffix_rows(tape, cut), episode_tensors(tape, cut)
 
 
 def dense_q0(rng, n):
@@ -47,24 +49,16 @@ def assert_close(value, reference):
 class TestRows:
     @pytest.mark.parametrize("cell", CELLS)
     @pytest.mark.parametrize("length", [1, 2, 6])
-    def test_rows_equal_the_flipped_cumsum_bit_for_bit(self, cell, length):
-        _, tensors = tensors_for(100 + length, cell, length=length)
-        rows, q, r = _causal_suffix_rows(tensors.b)
-        expected_q, expected_r = np.tril_indices(length)
-        np.testing.assert_array_equal(q, expected_q)
-        np.testing.assert_array_equal(r, expected_r)
-        np.testing.assert_array_equal(rows, suffix_sums(tensors.b)[q, r])
-
-    def test_input_is_left_unchanged(self):
-        _, tensors = tensors_for(107, rnn.LSTM)
-        before = tensors.b.copy()
-        _causal_suffix_rows(tensors.b)
-        np.testing.assert_array_equal(tensors.b, before)
+    def test_rows_equal_the_flipped_cumsum(self, cell, length):
+        _, rows, tensors = rows_for(100 + length, cell, length=length)
+        q, r = _tril_indices(length)
+        np.testing.assert_array_equal(q, np.tril_indices(length)[0])
+        np.testing.assert_array_equal(r, np.tril_indices(length)[1])
+        assert_close(rows.rows, suffix_sums(tensors.b)[q, r])
 
     def test_index_arrays_are_shared_and_read_only(self):
-        _, tensors = tensors_for(108, rnn.VANILLA_TANH, length=4)
-        _, q, r = _causal_suffix_rows(tensors.b)
-        _, q_again, r_again = _causal_suffix_rows(tensors.b)
+        q, r = _tril_indices(4)
+        q_again, r_again = _tril_indices(4)
         assert q is q_again and r is r_again  # made once per length
         for index in (q, r):
             with pytest.raises(ValueError, match="read-only"):
@@ -75,41 +69,41 @@ class TestAgainstAllRows:
     @pytest.mark.parametrize("cell", CELLS)
     @pytest.mark.parametrize("with_q0", [False, True])
     def test_C(self, cell, with_q0):
-        steps, tensors = tensors_for(110, cell)
-        q0 = dense_q0(np.random.default_rng(111), tensors.cut_dim) if with_q0 else None
-        assert_close(compute_C(tensors, q0), compute_C_oracle(tensors, steps, q0))
+        steps, rows, tensors = rows_for(110, cell)
+        q0 = dense_q0(np.random.default_rng(111), rows.cut_dim) if with_q0 else None
+        assert_close(compute_C(rows, q0), compute_C_oracle(tensors, steps, q0))
 
     @pytest.mark.parametrize("with_q0", [False, True])
     def test_C_at_the_state_cut(self, with_q0):
-        steps, tensors = tensors_for(112, rnn.VANILLA_TANH, cut=CutVertex.STATE)
-        q0 = dense_q0(np.random.default_rng(113), tensors.cut_dim) if with_q0 else None
-        assert_close(compute_C(tensors, q0), compute_C_oracle(tensors, steps, q0))
+        steps, rows, tensors = rows_for(112, rnn.VANILLA_TANH, cut=CutVertex.STATE)
+        q0 = dense_q0(np.random.default_rng(113), rows.cut_dim) if with_q0 else None
+        assert_close(compute_C(rows, q0), compute_C_oracle(tensors, steps, q0))
 
     @pytest.mark.parametrize("cell", CELLS)
     @pytest.mark.parametrize("alpha_kind", ["ones", "random"])
     def test_B(self, cell, alpha_kind):
-        _, tensors = tensors_for(114, cell, length=6)
+        _, rows, tensors = rows_for(114, cell, length=6)
         rng = np.random.default_rng(115)
         alpha = np.ones(6) if alpha_kind == "ones" else rng.uniform(0.3, 3.0, 6)
-        assert_close(compute_B(tensors, alpha), qr_B_oracle(tensors, alpha))
+        assert_close(compute_B(rows, alpha), qr_B_oracle(tensors, alpha))
 
     @pytest.mark.parametrize("cell", CELLS)
     @pytest.mark.parametrize("alpha_kind", ["ones", "random"])
     def test_B_partial_at_every_k(self, cell, alpha_kind):
-        _, tensors = tensors_for(116, cell, length=6)
+        _, rows, tensors = rows_for(116, cell, length=6)
         rng = np.random.default_rng(117)
         alpha = np.ones(6) if alpha_kind == "ones" else rng.uniform(0.3, 3.0, 6)
         for k in range(1, 7):
-            assert_close(compute_B_partial(tensors, alpha, k),
+            assert_close(compute_B_partial(rows, alpha, k),
                          qr_B_oracle(tensors, alpha, k))
 
     @pytest.mark.parametrize("k", [-1, 0, 7])
     def test_B_partial_refuses_k_outside_the_episode(self, k):
         """A slice would take these quietly: k = -1 as the first 5 steps,
         k = 7 as all 6."""
-        _, tensors = tensors_for(118, rnn.VANILLA_TANH, length=6)
+        _, rows, _ = rows_for(118, rnn.VANILLA_TANH, length=6)
         with pytest.raises(ValueError, match="k = "):
-            compute_B_partial(tensors, np.ones(6), k)
+            compute_B_partial(rows, np.ones(6), k)
 
 
 @settings(max_examples=40, deadline=None)
@@ -120,14 +114,13 @@ class TestAgainstAllRows:
     seed=st.integers(0, 2**31 - 1),
 )
 def test_distinct_rows_match_all_rows(cell, hidden, length, seed):
-    steps, tensors = tensors_for(seed, cell, hidden=hidden, length=length)
+    steps, rows, tensors = rows_for(seed, cell, hidden=hidden, length=length)
     rng = np.random.default_rng(seed)
-    rows, q, r = _causal_suffix_rows(tensors.b)
-    np.testing.assert_array_equal(rows, suffix_sums(tensors.b)[q, r])
-    q0 = dense_q0(rng, tensors.cut_dim)
+    assert_close(rows.rows, suffix_sums(tensors.b)[_tril_indices(length)])
+    q0 = dense_q0(rng, rows.cut_dim)
     for shape in (None, q0):
-        assert_close(compute_C(tensors, shape), compute_C_oracle(tensors, steps, shape))
+        assert_close(compute_C(rows, shape), compute_C_oracle(tensors, steps, shape))
     alpha = rng.uniform(0.3, 3.0, length)
-    assert_close(compute_B(tensors, alpha), qr_B_oracle(tensors, alpha))
+    assert_close(compute_B(rows, alpha), qr_B_oracle(tensors, alpha))
     for k in range(1, length + 1):
-        assert_close(compute_B_partial(tensors, alpha, k), qr_B_oracle(tensors, alpha, k))
+        assert_close(compute_B_partial(rows, alpha, k), qr_B_oracle(tensors, alpha, k))

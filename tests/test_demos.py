@@ -1,8 +1,9 @@
-"""The demos import only names the package still has.
+"""The demos import only names the package still has, and the README's
+quick start runs.
 
 Each demo is parsed, never run: every `from uorolab... import name` must
 resolve to an attribute of that module, and every imported uorolab module
-must exist.
+must exist.  The quick start's fenced block is run as it stands.
 """
 
 import ast
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def uorolab_imports(path):
@@ -39,3 +41,18 @@ def test_demo_imports_resolve(path):
         module = importlib.import_module(module_name)
         if name is not None:
             assert hasattr(module, name), f"{path.name}: {module_name}.{name} is gone"
+
+
+def quick_start_source():
+    """The fenced python block under the README's "## Quick start" heading."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split(
+        "\n## Quick start\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def test_readme_quick_start_runs(capsys):
+    exec(compile(quick_start_source(), "README.md (Quick start)", "exec"), {})
+    out = capsys.readouterr().out
+    for line in ("predicted variance:", "one-seed estimate error:",
+                 "256-seed mean error:"):
+        assert line in out

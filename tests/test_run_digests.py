@@ -1,15 +1,19 @@
 """tools/run_digests.py: --compare gives, per differing run file, the count
 of differing numeric cells and their largest relative difference, and the
-whole set of run files is byte for byte the golden files."""
+whole set of run files is byte for byte the golden files.  A run that moves
+also names the numpy and BLAS of its golden files' .versions note beside the
+running ones."""
 
 import contextlib
 import importlib.util
 import io
 import json
 import math
+import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "run_digests.py"
@@ -106,6 +110,59 @@ def _files(root: Path) -> dict:
             if p.is_file() and p.suffix != ".versions"}
 
 
+def running_versions() -> dict:
+    """The numpy and BLAS of this process, named as a .versions note names
+    them ("blas <name> <version>")."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
+def versions_note(name: str, golden: Path = GOLDEN) -> Path | None:
+    """The .versions note that names run `name` as a whole word."""
+    named = re.compile(rf"(?<![\w-]){re.escape(name)}(?![\w-])")
+    return next((note for note in sorted(golden.glob("*.versions"))
+                 if named.search(note.read_text(encoding="utf-8"))), None)
+
+
+def versions_line(name: str, golden: Path = GOLDEN) -> str:
+    """The numpy and BLAS named by the lines "numpy <version>" and
+    "blas <name> <version>" of the run's note, beside the running ones, and
+    whether they differ."""
+    note = versions_note(name, golden)
+    if note is None:
+        return f"no .versions note names {name}"
+    text = note.read_text(encoding="utf-8")
+    written = {key: (m.group(1) if m else "(not named)") for key, m in (
+        ("numpy", re.search(r"^numpy (\S+)", text, re.M)),
+        ("blas", re.search(r"^blas (\S+ \S+)", text, re.M)))}
+    running = running_versions()
+    differ = [key for key in written if written[key] != running[key]]
+    return (f"{note.name} names numpy {written['numpy']}, blas {written['blas']}; "
+            f"running numpy {running['numpy']}, blas {running['blas']}: "
+            + (f"they differ in {' and '.join(differ)}" if differ
+               else "the same numpy and blas"))
+
+
+def test_every_run_has_a_versions_note():
+    assert [name for name in RUNS if versions_note(name) is None] == []
+
+
+def test_versions_line_flags_another_numpy(tmp_path):
+    """A synthetic note that names another numpy is flagged; one that names
+    the running numpy and BLAS is not.  queue-a must not match queue-a-b."""
+    running = running_versions()
+    write(tmp_path, "other.versions", "queue-a-b was written with:\n"
+          f"numpy {running['numpy']}\nblas {running['blas']} (threads unset)\n")
+    write(tmp_path, "old.versions", "queue-a and queue-c were written with:\n"
+          f"python 3.11.7\nnumpy 1.0.0\nblas {running['blas']} (threads unset)\n")
+    line = versions_line("queue-a", tmp_path)
+    assert line == (f"old.versions names numpy 1.0.0, blas {running['blas']}; "
+                    f"running numpy {running['numpy']}, blas {running['blas']}: "
+                    "they differ in numpy")
+    assert versions_line("queue-a-b", tmp_path).endswith(": the same numpy and blas")
+    assert versions_line("queue-d", tmp_path) == "no .versions note names queue-d"
+
+
 @pytest.fixture(scope="module")
 def fresh_runs(digests, tmp_path_factory):
     """The whole set of run files, written once by write_runs (the commands'
@@ -127,7 +184,8 @@ def test_run_files_match_the_golden_files(fresh_runs):
 def test_run_matches_its_golden_files(digests, fresh_runs, name, tmp_path, capsys):
     """Each run's files are byte for byte its checked-in files.  A mismatch
     reports --compare's count of differing cells and their largest relative
-    difference, and any file found on one side only."""
+    difference, any file found on one side only, and the numpy and BLAS of
+    the run's .versions note beside the running ones."""
     golden, fresh = tmp_path / "golden", tmp_path / "fresh"
     for root, source in ((golden, GOLDEN / name), (fresh, fresh_runs / name)):
         root.mkdir()
@@ -139,4 +197,4 @@ def test_run_matches_its_golden_files(digests, fresh_runs, name, tmp_path, capsy
     if _files(fresh) != _files(golden):
         capsys.readouterr()
         digests.compare(golden, fresh)
-        pytest.fail(capsys.readouterr().out)
+        pytest.fail(capsys.readouterr().out + versions_line(name))

@@ -1,8 +1,8 @@
 """exact.suffix_rows: one reverse sweep over a (batched) tape that carries
 suffix-summed adjoints gives each episode's causal suffix rows, which must
-equal those variance._causal_suffix_rows builds from the episode's own
-episode_tensors, to roundoff; and rnn.vjp_to_cut_and_state, the one pullback
-per step behind it, must equal vjp_to_cut and vjp_state bit for bit."""
+equal the suffix sums of the episode's own episode_tensors b, to roundoff;
+and rnn.vjp_to_cut_and_state, the one pullback per step behind it, must
+equal vjp_to_cut and vjp_state bit for bit."""
 
 import numpy as np
 import pytest
@@ -14,9 +14,9 @@ from uorolab.errors import ShapeError
 from uorolab.exact import episode_tensors, suffix_rows
 from uorolab.noise import episode_noises
 from uorolab.rnn import CutVertex, run_episode
-from uorolab.variance import _causal_suffix_rows, compute_B, compute_C
+from uorolab.variance import compute_B, compute_C
 
-from helpers import make_instance, minst_B
+from helpers import compute_C_oracle, make_instance, minst_B, qr_B_oracle, suffix_sums
 
 RTOL = 1e-12
 
@@ -52,7 +52,8 @@ def assert_rows_match(tape, cut):
     block = suffix_rows(tape, cut)
     for j, single in enumerate(episodes(tape)):
         rows = block if not tape.batch_shape else block.episode(j)
-        expected, _, _ = _causal_suffix_rows(episode_tensors(single, cut).b)
+        q, r = np.tril_indices(single.length)
+        expected = suffix_sums(episode_tensors(single, cut).b)[q, r]
         assert rows.rows.shape == expected.shape
         assert_close(rows.rows, expected)
 
@@ -89,7 +90,7 @@ class TestSweepRows:
             tensors = episode_tensors(single, cut)
             for shape in (None, q0):
                 assert_close(compute_C(block.episode(j), shape),
-                             compute_C(tensors, shape))
+                             compute_C_oracle(tensors, single.steps, shape))
 
     @pytest.mark.parametrize("cell", CELLS)
     def test_B_of_an_episodes_rows(self, cell):
@@ -99,7 +100,7 @@ class TestSweepRows:
         for j, single in enumerate(episodes(tape)):
             tensors = episode_tensors(single, CutVertex.PREACTIVATION)
             assert_close(compute_B(block.episode(j), alphas[:, j]),
-                         compute_B(tensors, alphas[:, j]))
+                         qr_B_oracle(tensors, alphas[:, j]))
 
     def test_block_rows_refused_where_one_episode_is_needed(self):
         block = suffix_rows(batched_tape(206, rnn.LSTM), CutVertex.PREACTIVATION)

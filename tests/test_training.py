@@ -6,13 +6,16 @@ import pytest
 
 from uorolab import estimators, training, variance
 from uorolab.config import ExperimentConfig, as_dict
-from uorolab.exact import bptt_gradient, episode_tensors
+from uorolab.errors import UnsupportedCutError
+from uorolab.exact import bptt_gradient, suffix_rows
 from uorolab.noise import episode_noise
 from uorolab.optim import AdamState, adam_update
 from uorolab.reports import read_metrics_csv
 from uorolab.rnn import CutVertex, init_params, run_episode
 from uorolab.tasks import QueueSpec, make_queue_episode
 from uorolab.variance import compute_B, compute_C, optimal_Q0, solve_alpha_newton
+
+from helpers import forbid_steps
 
 
 def tiny_queue_config(**overrides):
@@ -139,9 +142,9 @@ class TestRunTraining:
                                       params.cut_size(cut))
                 schedule = base
                 if alpha_mode == "ours":
-                    tensors = episode_tensors(tape, cut)
+                    rows = suffix_rows(tape, cut)
                     alpha = solve_alpha_newton(
-                        compute_C(tensors, base.Q0, base.Q0_inv)).alpha
+                        compute_C(rows, base.Q0, base.Q0_inv)).alpha
                     schedule = base.with_alpha(alpha)
                 if estimator == "uoro":
                     report = estimators.run_uoro(tape, cut, noise, schedule)
@@ -149,9 +152,9 @@ class TestRunTraining:
                     report = estimators.run_preuoro(tape, noise, schedule)
                 if q0_mode == "ours":
                     if alpha_mode == "gir":
-                        tensors = episode_tensors(tape, cut)
+                        rows = suffix_rows(tape, cut)
                         alpha = training.realized_alpha(report)
-                    b_mats.append(compute_B(tensors, alpha))
+                    b_mats.append(compute_B(rows, alpha))
                 n_sup = sum(1 for t in targets if t is not None)
                 grads.append(report.estimate / n_sup)
                 head_grads.append(sum(
@@ -265,7 +268,7 @@ class TestRunTraining:
                                                               monkeypatch):
         """A vanilla run at the state cut with alpha "ours" solves each
         episode's alpha from the suffix rows of its block's sweep; replay it
-        with one episode_tensors, Newton solve and unbatched run_uoro per
+        with one suffix_rows, Newton solve and unbatched run_uoro per
         episode."""
         monkeypatch.setattr(training, "TENSOR_BLOCK", 2)
         cfg = tiny_queue_config(cut="state", alpha_mode="ours", minibatch=5,
@@ -289,7 +292,7 @@ class TestRunTraining:
                 tape = run_episode(params, inputs, targets, head)
                 noise = episode_noise(cfg.base_seed, index, tape.length,
                                       params.cut_size(cut))
-                alpha = solve_alpha_newton(compute_C(episode_tensors(tape, cut))).alpha
+                alpha = solve_alpha_newton(compute_C(suffix_rows(tape, cut))).alpha
                 report = estimators.run_uoro(tape, cut, noise, base.with_alpha(alpha))
                 n_sup = sum(1 for t in targets if t is not None)
                 grads.append(report.estimate / n_sup)
@@ -498,6 +501,15 @@ class TestVarianceReport:
             ("identity", "gir"), ("identity", "ours"), ("ours", "gir"), ("ours", "ours")]
         assert checks == [0, 0, 1, 1]
 
+    def test_state_cut_refused_before_any_work(self, monkeypatch):
+        """The Q0 "ours" cells need B, which the preactivation cut alone
+        has: any other cut is refused before the instance's forward."""
+        forbid_steps(monkeypatch)
+        cfg = ExperimentConfig(task="queue", hidden=4, stream_length=6,
+                               num_seeds=10, cut="state")
+        with pytest.raises(UnsupportedCutError, match="'state'"):
+            training.run_variance_report(cfg)
+
 
 class TestEstimatorCompare:
     def test_smoke(self, tmp_path):
@@ -519,9 +531,10 @@ class TestEstimatorCompare:
     def test_each_report_runs_its_work_once(self, monkeypatch):
         """A variance report runs uoro once per NoiseBlock of each grid cell
         and of the "both" arm (the alpha-gir cells read their realized alphas
-        from their own first block) and builds the instance's adjoint tensors
-        once; the estimator comparison builds none."""
-        calls = {"run_uoro": 0, "episode_tensors": 0}
+        from their own first block) and builds the instance's suffix rows
+        once and no adjoint tensors; the estimator comparison builds
+        neither."""
+        calls = {"run_uoro": 0, "suffix_rows": 0, "episode_tensors": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -535,7 +548,17 @@ class TestEstimatorCompare:
                                num_seeds=training.SEED_BLOCK + 6, base_seed=35,
                                data_seed=36)
         training.run_variance_report(cfg)
-        assert calls == {"run_uoro": 5 * 2, "episode_tensors": 1}
-        calls.update(run_uoro=0, episode_tensors=0)
+        assert calls == {"run_uoro": 5 * 2, "suffix_rows": 1, "episode_tensors": 0}
+        calls.update(run_uoro=0, suffix_rows=0)
         training.estimator_compare(cfg)
-        assert calls == {"run_uoro": 2, "episode_tensors": 0}
+        assert calls == {"run_uoro": 2, "suffix_rows": 0, "episode_tensors": 0}
+
+    def test_runs_at_the_state_cut(self):
+        """The ablation arms need no B, so the comparison runs at the state
+        cut, where the variance report is refused."""
+        cfg = ExperimentConfig(task="queue", hidden=3, delay=2, stream_length=5,
+                               num_seeds=70, base_seed=37, data_seed=38, cut="state")
+        rows = training.estimator_compare(cfg)["estimators"]
+        assert [r["estimator"] for r in rows] == ["neither", "spatial", "temporal",
+                                                  "both"]
+        assert all(np.isfinite(r["measured_actual"]) for r in rows)

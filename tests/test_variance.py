@@ -11,7 +11,7 @@ from uorolab.estimators import (
     run_preuoro,
     run_uoro,
 )
-from uorolab.exact import EpisodeTensors, bptt_gradient, episode_tensors
+from uorolab.exact import EpisodeTensors, bptt_gradient, episode_tensors, suffix_rows
 from uorolab.linalg import psd_frac_power, trace
 from uorolab.noise import episode_noise, episode_noises
 from uorolab.rnn import LSTM, VANILLA_TANH, CutVertex, run_episode
@@ -44,6 +44,7 @@ from helpers import (
     minst_B,
     newton_oracle,
     online_B_replay,
+    predicted_VQ_oracle,
     row_rel,
 )
 
@@ -65,6 +66,13 @@ def make_tensors(seed, hidden=3, length=4, cut=CutVertex.PREACTIVATION, **kw):
     params, inputs, targets, head = make_instance(rng, hidden=hidden, length=length, **kw)
     tape = run_episode(params, inputs, targets, head)
     return tape, episode_tensors(tape, cut)
+
+
+def make_rows(seed, hidden=3, length=4, cut=CutVertex.PREACTIVATION, **kw):
+    """(tape, rows, tensors): the instance of make_tensors, its suffix rows,
+    and its tensors, whose b the oracles read."""
+    tape, tensors = make_tensors(seed, hidden, length, cut, **kw)
+    return tape, suffix_rows(tape, cut), tensors
 
 
 class TestQuarticMoment:
@@ -134,13 +142,13 @@ class TestCovarianceClosed:
 
 class TestComputeC:
     def test_zero_adjoints_give_zero(self):
-        _, tensors = make_tensors(73)
-        tensors.b[:] = 0.0
-        np.testing.assert_array_equal(compute_C(tensors), np.zeros((4, 4)))
+        _, rows, _ = make_rows(73)
+        rows.rows[:] = 0.0
+        np.testing.assert_array_equal(compute_C(rows), np.zeros((4, 4)))
 
     def test_single_step(self):
-        _, tensors = make_tensors(74, length=1)
-        c = compute_C(tensors)
+        _, rows, tensors = make_rows(74, length=1)
+        c = compute_C(rows)
         b11 = tensors.b[0, 0]
         expected = (b11 @ b11) * tensors.theta_frob_sq(0)
         assert c[0, 0] == pytest.approx(expected, rel=1e-12)
@@ -148,7 +156,7 @@ class TestComputeC:
     @pytest.mark.parametrize("use_q0", [False, True])
     def test_brute_force_four_fold_sum(self, use_q0):
         rng = np.random.default_rng(75)
-        _, tensors = make_tensors(75, hidden=3, length=4)
+        _, rows, tensors = make_rows(75, hidden=3, length=4)
         q0 = None
         qq = np.eye(3)
         if use_q0:
@@ -169,36 +177,35 @@ class TestComputeC:
                         left = trace(np.outer(tensors.b[s, r], tensors.b[t, r]) @ qq)
                         right = trace(j_dense[q] @ j_dense[q].T @ qq_inv)
                         brute[q, r] += left * right
-        np.testing.assert_allclose(compute_C(tensors, q0), brute, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(compute_C(rows, q0), brute, rtol=1e-9, atol=1e-12)
 
     def test_precomputed_inverse_gives_same_C(self):
         rng = np.random.default_rng(94)
-        _, tensors = make_tensors(94)
+        _, rows, _ = make_rows(94)
         q0 = random_pd(rng, 3)
         np.testing.assert_array_equal(
-            compute_C(tensors, q0, np.linalg.inv(q0)), compute_C(tensors, q0))
+            compute_C(rows, q0, np.linalg.inv(q0)), compute_C(rows, q0))
 
     def test_singular_q0_rejected(self):
-        _, tensors = make_tensors(76)
+        _, rows, _ = make_rows(76)
         with pytest.raises(SingularMatrixError):
-            compute_C(tensors, np.zeros((3, 3)))
+            compute_C(rows, np.zeros((3, 3)))
 
     @pytest.mark.parametrize("name", ["compute_C", "offline_total_estimate",
-                                      "general", "structured"])
+                                      "predicted_VQ"])
     def test_ill_conditioned_q0_rejected_like_schedule(self, name):
         """A Q0 beyond estimators.MAX_Q0_CONDITION, which ScalingSchedule and
         reinforce_episode refuse, is refused by the variance functions too,
         not inverted into entries near 1e18."""
-        _, tensors = make_tensors(76)
+        _, rows, tensors = make_rows(76)
         q0 = np.diag([1.0, 1e-9, 1.0])
         with pytest.raises(SingularMatrixError, match="condition"):
             ScalingSchedule(GIR, Q0=q0)
         calls = {
-            "compute_C": lambda: compute_C(tensors, q0),
+            "compute_C": lambda: compute_C(rows, q0),
             "offline_total_estimate": lambda: offline_total_estimate(
                 tensors, np.ones((4, 3)), np.ones(4), q0),
-            "general": lambda: predicted_VQ(tensors, np.ones(4), q0, flavor="general"),
-            "structured": lambda: predicted_VQ(tensors, np.ones(4), q0),
+            "predicted_VQ": lambda: predicted_VQ(rows, np.ones(4), q0),
         }
         with pytest.raises(SingularMatrixError, match="condition"):
             calls[name]()
@@ -389,38 +396,38 @@ class TestGreedyCoefficients:
 
 class TestComputeB:
     def test_zero_adjoints(self):
-        _, tensors = make_tensors(86)
-        tensors.b[:] = 0.0
+        _, rows, _ = make_rows(86)
+        rows.rows[:] = 0.0
         np.testing.assert_array_equal(
-            compute_B(tensors, np.ones(4)), np.zeros((3, 3))
+            compute_B(rows, np.ones(4)), np.zeros((3, 3))
         )
 
     def test_single_step(self):
-        _, tensors = make_tensors(87, length=1)
-        b = compute_B(tensors, np.ones(1))
+        _, rows, tensors = make_rows(87, length=1)
+        b = compute_B(rows, np.ones(1))
         expected = tensors.a_norms[0] ** 2 * np.outer(tensors.b[0, 0], tensors.b[0, 0])
         np.testing.assert_allclose(b, expected, atol=1e-12)
 
     def test_dual_formulas_agree(self):
         rng = np.random.default_rng(88)
-        _, tensors = make_tensors(88, hidden=3, length=4)
+        _, rows, tensors = make_rows(88, hidden=3, length=4)
         alpha = rng.uniform(0.5, 2.0, size=4)
-        qr = compute_B(tensors, alpha)
+        qr = compute_B(rows, alpha)
         minst = minst_B(tensors, alpha)
         scale = max(np.abs(qr).max(), 1e-12)
         assert np.abs(qr - minst).max() <= 1e-9 * scale
 
     def test_partial_at_full_length_is_B(self):
         rng = np.random.default_rng(91)
-        _, tensors = make_tensors(91, hidden=3, length=5)
+        _, rows, _ = make_rows(91, hidden=3, length=5)
         alpha = rng.uniform(0.5, 2.0, size=5)
-        full = compute_B(tensors, alpha)
-        partial = compute_B_partial(tensors, alpha, 5)
+        full = compute_B(rows, alpha)
+        partial = compute_B_partial(rows, alpha, 5)
         assert np.abs(partial - full).max() <= 1e-12 * np.abs(full).max()
 
     def test_lstm_matches_minst_and_double_loop(self):
         rng = np.random.default_rng(92)
-        _, tensors = make_tensors(92, hidden=50, length=5, cell_kind=LSTM)
+        _, rows, tensors = make_rows(92, hidden=50, length=5, cell_kind=LSTM)
         assert tensors.cut_dim == 200
         alpha = rng.uniform(0.5, 2.0, size=5)
         a_sq = tensors.a_norms**2
@@ -430,31 +437,31 @@ class TestComputeB:
                 v = tensors.b[q:, r].sum(axis=0)
                 brute += (alpha[r] ** 2 / alpha[q] ** 2) * a_sq[q] * np.outer(v, v)
         scale = np.abs(brute).max()
-        assert np.abs(compute_B(tensors, alpha) - brute).max() <= 1e-12 * scale
+        assert np.abs(compute_B(rows, alpha) - brute).max() <= 1e-12 * scale
         minst = minst_B(tensors, alpha)
         assert np.abs(minst - brute).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_partial_is_minst_B_of_truncated_episode(self, k):
         rng = np.random.default_rng(93)
-        _, tensors = make_tensors(93, hidden=3, length=6)
+        _, rows, tensors = make_rows(93, hidden=3, length=6)
         alpha = rng.uniform(0.5, 2.0, size=6)
         truncated = EpisodeTensors(cut=tensors.cut, b=tensors.b[:k, :k],
                                    a=tensors.a[:k], a_norms=tensors.a_norms[:k])
         expected = minst_B(truncated, alpha[:k])
-        partial = compute_B_partial(tensors, alpha, k)
+        partial = compute_B_partial(rows, alpha, k)
         assert np.abs(partial - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_result_is_psd(self):
-        _, tensors = make_tensors(89, hidden=4, length=5)
-        b = compute_B(tensors, np.ones(5))
+        _, rows, _ = make_rows(89, hidden=4, length=5)
+        b = compute_B(rows, np.ones(5))
         eigs = np.linalg.eigvalsh(b)
         assert eigs.min() >= -1e-10 * max(eigs.max(), 1e-300)
 
     def test_requires_preactivation_cut(self):
-        _, tensors = make_tensors(90, cut=CutVertex.STATE)
+        _, rows, _ = make_rows(90, cut=CutVertex.STATE)
         with pytest.raises(UnsupportedCutError):
-            compute_B(tensors, np.ones(4))
+            compute_B(rows, np.ones(4))
 
 
 class TestOptimalQ0:
@@ -498,46 +505,53 @@ class TestOptimalQ0:
 
 class TestPredictedVQ:
     def test_zero_gradients(self):
-        _, tensors = make_tensors(93)
-        tensors.b[:] = 0.0
-        assert predicted_VQ(tensors, np.ones(4)) == 0.0
+        _, rows, _ = make_rows(93)
+        rows.rows[:] = 0.0
+        assert predicted_VQ(rows, np.ones(4)) == 0.0
 
     def test_identity_q0_is_trace_times_dim(self):
-        _, tensors = make_tensors(94, hidden=4, length=5)
+        _, rows, _ = make_rows(94, hidden=4, length=5)
         alpha = np.ones(5)
-        b = compute_B(tensors, alpha)
-        assert predicted_VQ(tensors, alpha) == pytest.approx(trace(b) * 4, rel=1e-12)
+        b = compute_B(rows, alpha)
+        assert predicted_VQ(rows, alpha) == pytest.approx(trace(b) * 4, rel=1e-12)
 
     @pytest.mark.parametrize("use_q0", [False, True])
-    def test_structured_equals_general(self, use_q0):
+    def test_equals_the_trace_pair_of_B(self, use_q0):
+        """At the preactivation cut the alpha objective at Q0 is
+        tr(B Q0 Q0^T) tr((Q0 Q0^T)^{-1}), the form Q0 minimizes, and the
+        double time sum over the tensors' b with dense J_theta."""
         rng = np.random.default_rng(95)
-        _, tensors = make_tensors(95, hidden=3, length=5)
+        tape, rows, tensors = make_rows(95, hidden=3, length=5)
         alpha = rng.uniform(0.5, 2.0, size=5)
         q0 = random_pd(rng, 3, floor=1.0) if use_q0 else None
-        structured = predicted_VQ(tensors, alpha, q0, flavor="structured")
-        general = predicted_VQ(tensors, alpha, q0, flavor="general")
-        assert general == pytest.approx(structured, rel=1e-9)
+        qq = np.eye(3) if q0 is None else q0 @ q0.T
+        value = predicted_VQ(rows, alpha, q0)
+        pair = trace(compute_B(rows, alpha) @ qq) * trace(np.linalg.inv(qq))
+        assert value == pytest.approx(pair, rel=1e-12)
+        assert value == pytest.approx(
+            predicted_VQ_oracle(tensors, tape.steps, alpha, q0), rel=1e-12)
 
-    def test_preuoro_flavor_is_uoro_over_cut_dim(self):
+    def test_projection_free_prediction_is_uoro_over_cut_dim(self):
         rng = np.random.default_rng(96)
-        _, tensors = make_tensors(96, hidden=4, length=5)
+        _, rows, _ = make_rows(96, hidden=4, length=5)
         alpha = rng.uniform(0.5, 2.0, size=5)
-        uoro = predicted_VQ(tensors, alpha, flavor="structured")
-        pre = predicted_VQ(tensors, alpha, flavor="preuoro")
+        uoro = predicted_VQ(rows, alpha)
+        pre = trace(compute_B(rows, alpha))
         assert uoro / pre == pytest.approx(4.0, rel=1e-12)
 
-    def test_general_flavor_supports_state_cut(self):
-        rng = np.random.default_rng(97)
-        _, tensors = make_tensors(97, cut=CutVertex.STATE)
-        v = predicted_VQ(tensors, np.ones(4), flavor="general")
+    def test_supports_the_state_cut(self):
+        tape, rows, tensors = make_rows(97, cut=CutVertex.STATE)
+        v = predicted_VQ(rows, np.ones(4))
         assert v > 0
+        assert v == pytest.approx(
+            predicted_VQ_oracle(tensors, tape.steps, np.ones(4)), rel=1e-12)
 
     @pytest.mark.parametrize("use_q0", [False, True])
-    def test_general_flavor_at_state_cut_against_dense_jacobians(self, use_q0):
+    def test_at_the_state_cut_against_dense_jacobians(self, use_q0):
         """The double time sum with its weights ||Q0^{-1} J_q||_F^2 taken
         from J_q formed densely from the tape's steps."""
         rng = np.random.default_rng(98)
-        tape, tensors = make_tensors(98, cut=CutVertex.STATE)
+        tape, rows, tensors = make_rows(98, cut=CutVertex.STATE)
         alpha = rng.uniform(0.5, 2.0, size=4)
         q0 = random_pd(rng, 3, floor=1.0) if use_q0 else np.eye(3)
         q0_inv = np.linalg.inv(q0)
@@ -548,8 +562,13 @@ class TestPredictedVQ:
             alpha[r] ** 2 * (shaped[t, r] @ shaped[s, r])
             * sum(weights[q] / alpha[q] ** 2 for q in range(min(s, t) + 1))
             for s in range(4) for t in range(4) for r in range(4))
-        value = predicted_VQ(tensors, alpha, q0 if use_q0 else None, flavor="general")
+        value = predicted_VQ(rows, alpha, q0 if use_q0 else None)
         assert value == pytest.approx(expected, rel=1e-12)
+
+    def test_alpha_of_another_length_refused(self):
+        _, rows, _ = make_rows(99)
+        with pytest.raises(ShapeError, match="alpha"):
+            predicted_VQ(rows, np.ones(5))
 
 
 class TestTraceProduct:
@@ -701,9 +720,9 @@ class TestOnlineB:
             rng, hidden=1, inputs_dim=1, length=2, n_classes=2
         )
         tape = run_episode(params, inputs, targets, head)
-        tensors = episode_tensors(tape, CutVertex.PREACTIVATION)
+        rows = suffix_rows(tape, CutVertex.PREACTIVATION)
         alpha = np.ones(2)
-        exact = np.array([compute_B_partial(tensors, alpha, k) for k in (1, 2)])
+        exact = np.array([compute_B_partial(rows, alpha, k) for k in (1, 2)])
         n = 20000
         sums = np.zeros((2, 1, 1))
         sums_sq = np.zeros((2, 1, 1))
@@ -751,10 +770,10 @@ class TestEmpiricalVariance:
         rng = np.random.default_rng(110)
         params, inputs, targets, head = make_instance(rng, hidden=4, length=6)
         tape = run_episode(params, inputs, targets, head)
-        tensors = episode_tensors(tape, CutVertex.PREACTIVATION)
+        rows = suffix_rows(tape, CutVertex.PREACTIVATION)
         exact = bptt_gradient(tape)
         alpha = np.ones(6)
-        predicted = predicted_VQ(tensors, alpha)
+        predicted = predicted_VQ(rows, alpha)
         schedule = ScalingSchedule(FIXED_ALPHA, alpha=alpha)
         runs = [
             run_uoro(tape, CutVertex.PREACTIVATION,
@@ -788,7 +807,7 @@ class TestEmpiricalVariance:
             float(partial[s, min(s, t)] @ partial[t, min(s, t)])
             for s in range(t_len) for t in range(t_len)
         )
-        expected = predicted_VQ(tensors, alpha) + cross
+        expected = predicted_VQ(suffix_rows(tape, CutVertex.PREACTIVATION), alpha) + cross
         schedule = ScalingSchedule(FIXED_ALPHA, alpha=alpha)
         samples = np.array([
             np.sum((run_uoro(tape, CutVertex.PREACTIVATION,
