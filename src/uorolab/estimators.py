@@ -247,11 +247,25 @@ def _gir_coefficients(w_norm, fwd_norm, out_norm, in_norm):
     return sqrt_ratio_or_one(w_norm, fwd_norm), sqrt_ratio_or_one(out_norm, in_norm)
 
 
-def _check_length(noise: EpisodeNoise | NoiseBlock, t_len: int):
-    """Raise ShapeError unless the noise covers a tape of t_len steps; an
-    estimator reads its first t_len."""
+def _noise_batch(noise: EpisodeNoise | NoiseBlock, t_len: int, episodes: tuple,
+                 dim: int | None = None, what: str = "cut dim") -> tuple:
+    """The batch shape of an engine's rows, the episodes' batch shape
+    broadcast with the noise's: () for one EpisodeNoise, (B,) for a
+    NoiseBlock of B.  Raises ShapeError, before any step, unless the noise
+    is dim wide (named what; not checked for dim None), covers t_len steps
+    (an engine reads its first t_len) and has one noise per episode or the
+    episodes are one."""
+    if dim is not None and noise.dim != dim:
+        raise ShapeError(f"noise dim {noise.dim} != {what} {dim}")
     if noise.length < t_len:
         raise ShapeError(f"noise of {noise.length} steps for an episode of {t_len}")
+    noises = () if isinstance(noise, EpisodeNoise) else (len(noise),)
+    if not episodes or not noises or episodes == noises:
+        return episodes or noises  # without np.broadcast_shapes' microseconds
+    try:
+        return np.broadcast_shapes(episodes, noises)
+    except ValueError:
+        raise ShapeError(f"{episodes[0]} episodes for {len(noise)} noises") from None
 
 
 def _report(name, noise, estimate, gammas=None, betas=None) -> GradientReport:
@@ -326,14 +340,11 @@ def _uoro_factors(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
     n_z = params.cut_size(cut)
     if contribution not in CONTRIBUTIONS:
         raise ValueError(f"unknown contribution mode {contribution!r}")
-    if noise.dim != tape.params.cut_size(cut):
-        raise ShapeError(f"noise dim {noise.dim} != cut dim {tape.params.cut_size(cut)}")
     t_len = tape.length
-    _check_length(noise, t_len)
+    batch = _noise_batch(noise, t_len, tape.batch_shape, n_z)
     u = noise.u[:t_len]
     if schedule.Q0 is not None and schedule.Q0.shape[0] != n_z:
         raise ShapeError(f"Q0 shape {schedule.Q0.shape} != cut dim ({n_z}, {n_z})")
-    batch = np.broadcast_shapes(tape.batch_shape, u.shape[1:-1])
     u = _steps_first(u, len(batch))
     a = _steps_first(tape.steps.a, len(batch))
     left = schedule.unshape_spatial(u)
@@ -565,9 +576,9 @@ def _preuoro_factors(tape: EpisodeTape, noise, schedule: ScalingSchedule) -> _Fa
         raise ValueError("the projection-free sketch takes no spatial Q0")
     params = tape.params
     n_z = params.preactivation_size
-    _check_length(noise, tape.length)
+    # only tau is read, so the noise may have any dim
+    batch = _noise_batch(noise, tape.length, tape.batch_shape)
     tau = noise.tau
-    batch = np.broadcast_shapes(tape.batch_shape, tau.shape[1:])
     if schedule.mode == FIXED_ALPHA:
         _check_alpha(schedule, tape.length, batch)
     # H~ lives in one of two rows buffers; each step writes the other one
@@ -599,15 +610,8 @@ def run_spatial(tape: EpisodeTape, cut, noise) -> GradientReport:
     w_s = <c_s, nu_s>, and f_s is f'(z_s) at the state cut, 1 at the
     preactivation cut.  So it is BPTT's sweep and one contraction (_Factors).
     """
-    _check_length(noise, tape.length)
-    single = isinstance(noise, EpisodeNoise)
-    try:
-        batch = np.broadcast_shapes(tape.batch_shape, () if single else (len(noise),))
-    except ValueError:
-        raise ShapeError(f"{tape.batch_shape[0]} episodes for {len(noise)} "
-                         f"noises") from None
-    if noise.dim != tape.params.cut_size(cut):
-        raise ShapeError(f"noise dim {noise.dim} != cut dim {tape.params.cut_size(cut)}")
+    batch = _noise_batch(noise, tape.length, tape.batch_shape,
+                         tape.params.cut_size(cut))
     nu = _steps_first(noise.nu[: tape.length], len(batch))
     c = _steps_first(exact.cut_adjoints(tape, cut), len(batch))
     left = np.add.reduce(c * nu, axis=-1, keepdims=True) * nu
@@ -665,17 +669,10 @@ def reinforce_episode(params: rnn.RnnParams, inputs, targets, head,
     values, mask = targets.values, targets.mask
     if not episodes:  # the episode as one column
         values, mask = values[:, None], mask[:, None]
-    single = isinstance(noise, EpisodeNoise)
-    if noise.dim != h_size:
-        raise ShapeError(f"noise dim {noise.dim} != hidden size {h_size}")
-    _check_length(noise, t_len)
+    batch = _noise_batch(noise, t_len, episodes, h_size, "hidden size")
     q0, q0_inv = (None, None) if Q0 is None else _checked_q0(Q0)
     if q0 is not None and q0.shape[0] != h_size:
         raise ShapeError(f"Q0 shape {q0.shape} != hidden size ({h_size}, {h_size})")
-    try:
-        batch = episodes if single else np.broadcast_shapes(episodes, (len(noise),))
-    except ValueError:
-        raise ShapeError(f"{episodes[0]} episodes for {len(noise)} noises") from None
     baseline_values = _baseline_rows(baseline, t_len, batch)
     clean = baseline_values is None
 
@@ -687,7 +684,7 @@ def reinforce_episode(params: rnn.RnnParams, inputs, targets, head,
     total = n + episode_count if clean else n
     rows = np.arange(total) % episode_count
     x = inputs.swapaxes(0, -2).reshape(t_len, episode_count, -1).take(rows, axis=1)
-    u = noise.u[:t_len, None] if single else noise.u[:t_len]  # (T, 1 or n, H)
+    u = noise.u[:t_len].reshape(t_len, -1, h_size)  # (T, 1 or n, H)
     # the perturbation offsets, which the sweep turns into the perturbed
     # states h_bar; unperturbed rows and the LSTM cell add 0
     states = np.zeros((t_len, total, params.state_size))
@@ -702,12 +699,8 @@ def reinforce_episode(params: rnn.RnnParams, inputs, targets, head,
     suffix = advantage[::-1].cumsum(axis=0)[::-1]
     directions = rnn.embed_state_grad(
         params, suffix[..., None] * (u if q0_inv is None else u @ q0_inv))
-    # the pullback to the preactivations, vjp_to_cut's, on the perturbed
-    # rows of the tape's arrays
-    if params.cell_kind == rnn.LSTM:
-        g_z = rnn.vjp_to_cut(steps[:, :n], CutVertex.PREACTIVATION, directions)
-    else:
-        g_z = directions * steps.d[:, :n]
+    # the pullback to the preactivations on the perturbed rows of the tape
+    g_z = rnn.vjp_to_cut(steps[:, :n], CutVertex.PREACTIVATION, directions)
     estimate = (g_z.transpose(1, 2, 0) @ steps.a[:, :n].transpose(1, 0, 2)) / sigma
     return _report("reinforce", noise, estimate.reshape(*batch, -1))
 

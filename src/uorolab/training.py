@@ -36,12 +36,12 @@ from .reports import write_json_summary, write_metrics_csv
 from .rnn import BernoulliHead, CutVertex, SoftmaxHead, init_params, run_episode
 from .tasks import QueueSpec, load_rowwise_digits, make_queue_episode, queue_block
 from .variance import (
+    _alpha_objective_of,
     compute_B,
     compute_C,
     empirical_variance,
     offline_total_estimate,
     optimal_Q0,
-    predicted_VQ,
     solve_alpha_newton,
 )
 
@@ -389,23 +389,25 @@ def measure_estimator(config, params, tape, tensors, estimator, schedule,
 
 def _grid_cell(config, params, tape, suffix, q0_mode, alpha_mode, n_seeds,
                exact_g):
-    """One cell of the {Q0} x {alpha} grid: predicted and measured variance."""
+    """One cell of the {Q0} x {alpha} grid: predicted and measured variance,
+    from one compute_C at the cell's Q0 (two for Q0 and alpha "ours", whose
+    Q0 comes from the alpha solved at identity Q0)."""
     # Resolve alpha at identity Q0 first, then the optimal Q0 from its B.
+    alpha = q0 = None
     if alpha_mode == "ours":
-        alpha0 = solve_alpha_newton(compute_C(suffix, None)).alpha
-    else:
-        alpha0 = None
+        c = compute_C(suffix, None)
+        alpha = solve_alpha_newton(c).alpha
     if q0_mode == "ours":
-        probe_alpha = alpha0 if alpha0 is not None else np.ones(suffix.length)
+        probe_alpha = alpha if alpha is not None else np.ones(suffix.length)
         q0 = optimal_Q0(compute_B(suffix, probe_alpha), damping=config.damping)
-    else:
-        q0 = None
     schedule = ScalingSchedule(GIR, Q0=q0)
-    if alpha_mode == "ours":
-        alpha = solve_alpha_newton(
-            compute_C(suffix, schedule.Q0, schedule.Q0_inv)).alpha
+    if q0 is not None or alpha is None:  # else c is already the cell's C
+        c = compute_C(suffix, schedule.Q0, schedule.Q0_inv)
+        if alpha is not None:
+            alpha = solve_alpha_newton(c).alpha
+    if alpha is not None:
         schedule = schedule.with_alpha(alpha)
-        predicted = predicted_VQ(suffix, alpha, schedule.Q0, Q0_inv=schedule.Q0_inv)
+        predicted = _alpha_objective_of(c, alpha)
     else:
         predicted = None  # resolved below from realized alphas (upper estimate)
     estimates = np.empty((n_seeds, params.num_params))
@@ -414,9 +416,8 @@ def _grid_cell(config, params, tape, suffix, q0_mode, alpha_mode, n_seeds,
         if predicted is None:
             # noise-dependent coefficients: average the per-seed predictions
             # over the first block's realized alphas
-            predicted = float(np.mean([
-                predicted_VQ(suffix, a, schedule.Q0, Q0_inv=schedule.Q0_inv)
-                for a in realized_alpha(report).T]))
+            predicted = float(np.mean([_alpha_objective_of(c, a)
+                                       for a in realized_alpha(report).T]))
     measured = empirical_variance(estimates, exact_g)
     se = float(np.std(np.sum((estimates - exact_g) ** 2, axis=1), ddof=1)
                / np.sqrt(n_seeds))

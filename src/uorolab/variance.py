@@ -12,7 +12,9 @@ freedom of the noise-shaping matrices Q_s = alpha_s Q0:
 
 Fourth-moment lemmas for standard random vectors (excess kurtosis kappa)
 back the predictions; an online rank-one estimator of B and empirical
-variance measurement utilities close the loop.
+variance measurement utilities close the loop.  The same rows give the
+online/offline audit's offline_total_estimate, so every function here that
+reads adjoints reads SuffixRows, the one adjoint form.
 """
 
 from dataclasses import dataclass
@@ -23,15 +25,15 @@ import numpy as np
 
 from . import rnn
 from .errors import ShapeError, UnsupportedCutError
-from .exact import EpisodeTensors, GradientVector, SuffixRows
+from .exact import GradientVector, SuffixRows
 from .estimators import (
     FIXED_ALPHA,
     ScalingSchedule,
     _check_alpha,
-    _check_length,
     _checked_q0,
     _col,
     _gir_coefficients,
+    _noise_batch,
     _norms,
 )
 from .linalg import frob_norm, psd_frac_power, trace
@@ -399,8 +401,14 @@ def predicted_VQ(rows: SuffixRows, alpha: np.ndarray,
     tr(B Q0 Q0^T) tr((Q0 Q0^T)^{-1}), and N_z tr(B) without Q0; the
     projection-free variant's prediction is tr(B).  Q0 and Q0_inv are taken
     as compute_C takes them."""
-    alpha_sq = np.square(_checked_alpha(rows, alpha))
-    return float((1.0 / alpha_sq) @ compute_C(rows, Q0, Q0_inv) @ alpha_sq)
+    return _alpha_objective_of(compute_C(rows, Q0, Q0_inv), _checked_alpha(rows, alpha))
+
+
+def _alpha_objective_of(C: np.ndarray, alpha: np.ndarray) -> float:
+    """(1/alpha^2)^T C alpha^2, the alpha objective at C (predicted_VQ), so
+    that a caller with many alphas for one C forms C once."""
+    alpha_sq = np.square(alpha)
+    return float((1.0 / alpha_sq) @ C @ alpha_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -461,33 +469,41 @@ def check_minimizer(A: np.ndarray, X: np.ndarray, Y: np.ndarray) -> bool:
 # Offline estimate, online B estimator, empirical variance
 # ---------------------------------------------------------------------------
 
-def offline_total_estimate(tensors: EpisodeTensors, u: np.ndarray,
+def offline_total_estimate(rows: SuffixRows, u: np.ndarray,
                            alpha: np.ndarray,
                            Q0: np.ndarray | None = None,
                            Q0_inv: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate the total gradient estimate directly from the adjoint tensors
-    and the realized noise:
+    """Evaluate the total gradient estimate directly from one episode's
+    suffix rows and the realized noise.  The estimate
 
         sum_t (sum_s alpha_s b[t,s]^T Q0 u_s)
-              (sum_{r<=t} alpha_r^{-1} u_r^T Q0^{-1} J_r).
+              (sum_{r<=t} alpha_r^{-1} u_r^T Q0^{-1} J_r)
 
-    This is the audit oracle for the online recursions: with matching alpha
-    and noise it reproduces their accumulated estimate to roundoff.  Q0_inv,
-    if given, must be the checked inverse of Q0, as for compute_C.
+    gathers, for each step r, the losses t >= r, and sum_{t>=r} b[t, s] =
+    v_{max(r,s),s}; so it is sum_r (w_r / alpha_r) vec((f_r . Q0^{-T} u_r)
+    a_r^T) with the step weights w_r = sum_s alpha_s <v_{max(r,s),s}, Q0 u_s>,
+    one product over the steps.  This is the audit oracle for the online
+    recursions: with matching alpha and noise it reproduces their
+    accumulated estimate to roundoff.  Q0_inv, if given, must be the checked
+    inverse of Q0, as for compute_C.
     """
     if Q0 is not None and Q0_inv is None:
         Q0, Q0_inv = _checked_q0(Q0)
-    alpha = np.asarray(alpha, dtype=np.float64)
+    alpha = _checked_alpha(rows, alpha)
     u = np.asarray(u, dtype=np.float64)
-    t_len = tensors.length
-    shaped_u = u if Q0 is None else u @ Q0.T  # row s = Q0 u_s
-    left = np.einsum("tsi,s,si->t", tensors.b, alpha, shaped_u)
-    unshaped = u if Q0_inv is None else u @ Q0_inv  # row s = u_s^T Q0^{-1}
-    if tensors.d is not None:  # u_s^T Q0^{-1} diag(f_s)
-        unshaped = unshaped * tensors.d
-    rows = np.einsum("s,si,sj->sij", 1.0 / alpha, unshaped, tensors.a).reshape(t_len, -1)
-    # summed in place: one (T, P) array fewer alive
-    return left @ np.cumsum(rows, axis=0, out=rows)
+    v, q, r = _rows_of(rows)
+    shaped = u if Q0 is None else u @ Q0.T  # row s = Q0 u_s
+    inner = np.einsum("ki,ki->k", v, shaped[r]) * alpha[r]
+    # terms[r, s] = alpha_s <v_{max(r,s),s}, Q0 u_s>: for s > r the diagonal
+    # row's term, as in compute_C
+    terms = np.empty((rows.length, rows.length))
+    terms[:] = inner[q == r]
+    terms[q, r] = inner
+    left = u if Q0_inv is None else u @ Q0_inv  # row r = u_r^T Q0^{-1}
+    if rows.d is not None:  # u_r^T Q0^{-1} diag(f_r)
+        left = left * rows.d
+    weights = terms.sum(axis=1) / alpha
+    return ((left.T * weights) @ rows.a).reshape(-1)
 
 
 ETA_ZETA_ONES = "ones"
@@ -521,15 +537,12 @@ def estimate_B_online(tape: EpisodeTape, noise: EpisodeNoise | NoiseBlock,
     params = tape.params
     n_z = params.preactivation_size
     t_len = tape.length
-    if noise.dim != n_z:
-        raise ShapeError(f"noise dim {noise.dim} != preactivation dim {n_z}")
-    _check_length(noise, t_len)
+    batch = _noise_batch(noise, t_len, tape.batch_shape, n_z, "preactivation dim")
     if eta_zeta not in (ETA_ZETA_ONES, ETA_ZETA_GIR):
         raise ValueError(f"unknown eta/zeta mode {eta_zeta!r}")
     if schedule.mode != FIXED_ALPHA or schedule.Q0 is not None:
         raise ValueError("the online B estimator takes a fixed-alpha schedule "
                          "without Q0")
-    batch = np.broadcast_shapes(tape.batch_shape, noise.tau.shape[1:])
     _check_alpha(schedule, t_len, batch)
     spatial = np.stack([noise.nu, noise.mu], axis=1)  # (T, 2, [B,] N_z)
     a_tilde = np.zeros(batch)

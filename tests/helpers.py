@@ -11,7 +11,6 @@ import numpy as np
 
 from uorolab import estimators, rnn, variance
 from uorolab.errors import NumericOverflowError, ShapeError
-from uorolab.exact import EpisodeTensors
 from uorolab.noise import EpisodeNoise
 from uorolab.rnn import BernoulliHead, RnnParams, SoftmaxHead, run_episode
 from uorolab.tasks import make_queue_episode
@@ -197,6 +196,87 @@ def episode_tensors_per_loss(tape, cut):
             b[t, s] = rnn.vjp_to_cut(cache, cut, delta)
             delta = rnn.vjp_state(cache, delta)
     return b
+
+
+@dataclass
+class EpisodeTensors:
+    """Exact per-episode adjoints at a fixed cut vertex.
+
+    b[t, s] = dL_{t+1}/dz_{s+1} (0-indexed; zero for s > t by causality),
+    a[s] the augmented inputs, a_norms their Euclidean norms.  The parameter
+    Jacobian of step s is d(z_s)/d(theta) = diag(f_s) (I (x) a_s^T), with
+    f_s = d[s], the tape's f'(z_s), at the state cut and 1 at the
+    preactivation cut, where d is None.
+    """
+
+    cut: rnn.CutVertex
+    b: np.ndarray  # (T, T, N_z)
+    a: np.ndarray  # (T, A)
+    a_norms: np.ndarray  # (T,)
+    d: np.ndarray | None = None  # (T, N_z) at the state cut
+
+    @property
+    def length(self) -> int:
+        return self.b.shape[0]
+
+    @property
+    def cut_dim(self) -> int:
+        return self.b.shape[2]
+
+    def theta_frob_sq(self, s: int) -> float:
+        """||d(z_s)/d(theta)||_F^2 = ||f_s||^2 ||a_s||^2."""
+        f_sq = self.cut_dim if self.d is None else float(self.d[s] @ self.d[s])
+        return f_sq * float(self.a_norms[s] ** 2)
+
+    def total_gradient(self) -> np.ndarray:
+        """sum_t sum_{s<=t} b[t,s]^T d(z_s)/d(theta), the sum over s of
+        vec((f_s sum_{t>=s} b[t,s]) a_s^T); equals the BPTT gradient."""
+        grad = None
+        for s in range(self.length):
+            coeff = self.b[s:, s].sum(axis=0)
+            if self.d is not None:
+                coeff = coeff * self.d[s]
+            term = np.outer(coeff, self.a[s]).reshape(-1)
+            grad = term if grad is None else grad + term
+        return grad
+
+
+def episode_tensors_oracle(tape, cut) -> EpisodeTensors:
+    """The dense adjoints of one episode: b from episode_tensors_per_loss,
+    and the tape's a, their norms and, at the state cut, its f'(z)."""
+    cut = rnn.CutVertex(cut)
+    a = tape.steps.a
+    return EpisodeTensors(cut=cut, b=episode_tensors_per_loss(tape, cut), a=a,
+                          a_norms=np.linalg.norm(a, axis=-1),
+                          d=tape.steps.d if cut == rnn.CutVertex.STATE else None)
+
+
+def offline_total_estimate_oracle(tensors: EpisodeTensors, u: np.ndarray,
+                                  alpha: np.ndarray,
+                                  Q0: np.ndarray | None = None,
+                                  Q0_inv: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate the total gradient estimate directly from the adjoint tensors
+    and the realized noise:
+
+        sum_t (sum_s alpha_s b[t,s]^T Q0 u_s)
+              (sum_{r<=t} alpha_r^{-1} u_r^T Q0^{-1} J_r).
+
+    The b form of variance.offline_total_estimate, its oracle.  Q0_inv, if
+    given, must be the checked inverse of Q0.
+    """
+    if Q0 is not None and Q0_inv is None:
+        Q0, Q0_inv = estimators._checked_q0(Q0)
+    alpha = np.asarray(alpha, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
+    t_len = tensors.length
+    shaped_u = u if Q0 is None else u @ Q0.T  # row s = Q0 u_s
+    left = np.einsum("tsi,s,si->t", tensors.b, alpha, shaped_u)
+    unshaped = u if Q0_inv is None else u @ Q0_inv  # row s = u_s^T Q0^{-1}
+    if tensors.d is not None:  # u_s^T Q0^{-1} diag(f_s)
+        unshaped = unshaped * tensors.d
+    rows = np.einsum("s,si,sj->sij", 1.0 / alpha, unshaped, tensors.a).reshape(t_len, -1)
+    # summed in place: one (T, P) array fewer alive
+    return left @ np.cumsum(rows, axis=0, out=rows)
 
 
 def episode_loss(params, inputs, targets, head, initial_state=None):

@@ -23,10 +23,11 @@ from uorolab.estimators import (
 from uorolab.exact import bptt_gradient, episode_tensors
 from uorolab.noise import episode_noise, episode_noises
 from uorolab.rnn import BernoulliHead, CutVertex, RnnParams, run_episode
-from uorolab.variance import offline_total_estimate
+from uorolab.variance import estimate_B_online, offline_total_estimate
 
-from helpers import (ConstantHead, forbid_steps, make_instance,
-                     reinforce_by_definition, row_rel, spatial_by_definition)
+from helpers import (ConstantHead, episode_tensors_oracle, forbid_steps,
+                     make_instance, reinforce_by_definition, row_rel,
+                     spatial_by_definition)
 
 RTOL = 1e-12
 
@@ -175,7 +176,7 @@ class TestGradientKernels:
             grads = bptt_gradient(run_episode(params, inputs, targets, head)).g
             for b, single in enumerate(singles(params, inputs, targets, head)):
                 one = run_episode(params, inputs[b:b + 1], targets[b:b + 1], head)
-                tensors = episode_tensors(single, CutVertex.PREACTIVATION)
+                tensors = episode_tensors_oracle(single, CutVertex.PREACTIVATION)
                 assert rel(grads[b], bptt_gradient(single).g) <= RTOL
                 assert rel(grads[b], bptt_gradient(one).g[0]) <= RTOL
                 assert rel(grads[b], tensors.total_gradient()) <= RTOL
@@ -423,15 +424,6 @@ class TestSpatialBlocks:
             reference = spatial_by_definition(tape, cut, noise)
             assert estimate.shape == reference.shape
             assert row_rel(estimate, reference) <= RTOL
-
-    def test_count_mismatch_raises_shape_error(self):
-        rng = np.random.default_rng(145)
-        params, inputs, targets, head = softmax_batch(rng, batch=3, length=4,
-                                                      hidden=3)
-        tape = run_episode(params, inputs, targets, head)
-        noises = episode_noises(146, range(2), 4, 3)
-        with pytest.raises(ShapeError, match="3 episodes for 2 noises"):
-            run_spatial(tape, CutVertex.PREACTIVATION, noises)
 
     def test_noise_dim_mismatch_raises_before_the_sweep(self, monkeypatch):
         rng = np.random.default_rng(145)
@@ -714,3 +706,27 @@ class TestCriterion11Minibatch:
         cancels = (x[:, 0] == 0) & (x[:, 1] == 0) & (tau[:, 0] == -tau[:, 1])
         assert cancels.sum() > 0
         np.testing.assert_array_equal(report.realized_gamma[2] == 1.0, cancels)
+
+
+
+@pytest.mark.parametrize("engine", ["run_uoro", "run_preuoro", "estimate_B_online",
+                                    "run_spatial", "reinforce_episode"])
+def test_count_mismatch_raises_the_same_error_in_every_engine(monkeypatch, engine):
+    """A tape of 3 episodes with a block of 2 noises is refused with the
+    same ShapeError by each engine, before any step."""
+    rng = np.random.default_rng(158)
+    params, inputs, targets, head = softmax_batch(rng, length=4, hidden=3)
+    tape = run_episode(params, inputs, targets, head)
+    noises = episode_noises(159, range(2), 4, 3)
+    fixed = ScalingSchedule(FIXED_ALPHA, alpha=np.ones(4))
+    calls = {
+        "run_uoro": lambda: run_uoro(tape, CutVertex.PREACTIVATION, noises, fixed),
+        "run_preuoro": lambda: run_preuoro(tape, noises, fixed),
+        "estimate_B_online": lambda: estimate_B_online(tape, noises, fixed),
+        "run_spatial": lambda: run_spatial(tape, CutVertex.PREACTIVATION, noises),
+        "reinforce_episode": lambda: reinforce_episode(params, inputs, targets, head,
+                                                       SIGMA, noises),
+    }
+    forbid_steps(monkeypatch)
+    with pytest.raises(ShapeError, match="^3 episodes for 2 noises$"):
+        calls[engine]()

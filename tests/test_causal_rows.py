@@ -1,7 +1,8 @@
 """compute_C, compute_B and compute_B_partial work on one episode's
 T(T+1)/2 distinct suffix rows v_qr, q >= r (exact.suffix_rows; v_qr = v_rr
 for q <= r by causality); against the oracles over all T^2 suffix sums of the
-episode's own b (exact.episode_tensors) they must agree to roundoff."""
+episode's own dense b (helpers.episode_tensors_oracle) they must agree to
+roundoff."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uorolab import rnn
-from uorolab.exact import episode_tensors, suffix_rows
+from uorolab.exact import suffix_rows
 from uorolab.rnn import CutVertex, run_episode
 from uorolab.variance import (
     _tril_indices,
@@ -18,7 +19,13 @@ from uorolab.variance import (
     compute_C,
 )
 
-from helpers import compute_C_oracle, make_instance, qr_B_oracle, suffix_sums
+from helpers import (
+    compute_C_oracle,
+    episode_tensors_oracle,
+    make_instance,
+    qr_B_oracle,
+    suffix_sums,
+)
 
 RTOL = 1e-12
 
@@ -27,13 +34,13 @@ CELLS = [rnn.VANILLA_TANH, rnn.VANILLA_LINEAR, rnn.LSTM]
 
 def rows_for(seed, cell, hidden=3, length=5, cut=CutVertex.PREACTIVATION):
     """(steps, rows, tensors): the tape's steps, from which the oracles form
-    J_theta densely, the episode's suffix rows, and its tensors, whose b the
-    oracles read."""
+    J_theta densely, the episode's suffix rows, and its dense tensors, whose b
+    the oracles read."""
     rng = np.random.default_rng(seed)
     params, inputs, targets, head = make_instance(rng, cell_kind=cell, hidden=hidden,
                                                   length=length)
     tape = run_episode(params, inputs, targets, head)
-    return tape.steps, suffix_rows(tape, cut), episode_tensors(tape, cut)
+    return tape.steps, suffix_rows(tape, cut), episode_tensors_oracle(tape, cut)
 
 
 def dense_q0(rng, n):

@@ -24,6 +24,7 @@ from uorolab.variance import offline_total_estimate
 from helpers import (
     ConstantHead,
     RankOneState,
+    episode_tensors_oracle,
     make_instance,
     uoro_contribution,
     uoro_step,
@@ -147,8 +148,8 @@ class TestUoroUnbiasedness:
         rng = np.random.default_rng(46)
         params, inputs, targets, head = make_instance(rng, hidden=4, length=5)
         tape = run_episode(params, inputs, targets, head)
-        # oracle: dL_5/dtheta from the adjoint tensors at the parameter level
-        tensors = episode_tensors(tape, CutVertex.PREACTIVATION)
+        # oracle: dL_5/dtheta from the dense adjoints at the parameter level
+        tensors = episode_tensors_oracle(tape, CutVertex.PREACTIVATION)
         t_last = 4
         oracle = np.zeros(params.num_params)
         for s in range(t_last + 1):

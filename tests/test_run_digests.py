@@ -1,5 +1,6 @@
 """tools/run_digests.py: --compare gives, per differing run file, the count
-of differing numeric cells and their largest relative difference, and the
+of differing numeric cells and their largest relative difference (a
+roundoff metric's largest absolute values against a floor), and the
 whole set of run files is byte for byte the golden files.  A run that moves
 also names the numpy and BLAS of its golden files' .versions note beside the
 running ones."""
@@ -88,6 +89,39 @@ def test_compare_bounds_each_metric_apart(digests, tmp_path, capsys):
         "  grad_norm: 2 numeric cells differ, largest relative difference "
         "1.85e-16; 0 other cells differ",
         "0 of 1 files identical",
+    ]
+
+
+def test_compare_reads_roundoff_metrics_against_the_floor(digests, tmp_path, capsys):
+    """audit_offline_rel_err cells, relative errors themselves, are counted
+    apart as roundoff cells, and their line gives the largest absolute value
+    on each side and whether both are below ROUNDOFF_FLOOR; the file line's
+    relative difference is that of the other metrics."""
+    assert digests.ROUNDOFF_FLOOR == 1e-14
+    a, b = tmp_path / "a", tmp_path / "b"
+    audits = {"below": ((3.59e-15, 1.2e-15), (5.46e-15, 2.0e-15)),
+              "above": ((3.59e-15, 1.2e-15), (3.59e-15, 2.5e-14))}
+    for name, (before, after) in audits.items():
+        for root, values, loss in ((a, before, 0.5), (b, after, 0.5 if name == "below"
+                                                      else 0.75)):
+            write(root, f"{name}/metrics.csv", "".join(
+                f"{i},0,audit_offline_rel_err,{v!r}\n{i},0,loss,{loss!r}\n"
+                for i, v in enumerate(values)))
+    assert digests.main(["--compare", str(a), str(b)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "above/metrics.csv: 2 numeric cells differ, largest relative difference "
+        "0.333; 0 other cells differ; 1 roundoff cells differ",
+        "  audit_offline_rel_err: 1 roundoff cells differ, largest absolute value "
+        "1.2e-15 and 2.5e-14; not both below the roundoff floor 1e-14; 0 other "
+        "cells differ",
+        "  loss: 2 numeric cells differ, largest relative difference 0.333; 0 other "
+        "cells differ",
+        "below/metrics.csv: 0 numeric cells differ, largest relative difference 0; "
+        "0 other cells differ; 2 roundoff cells differ",
+        "  audit_offline_rel_err: 2 roundoff cells differ, largest absolute value "
+        "3.59e-15 and 5.46e-15; both below the roundoff floor 1e-14; 0 other "
+        "cells differ",
+        "0 of 2 files identical",
     ]
 
 

@@ -1,6 +1,7 @@
 """exact.suffix_rows: one reverse sweep over a (batched) tape that carries
 suffix-summed adjoints gives each episode's causal suffix rows, which must
-equal the suffix sums of the episode's own episode_tensors b, to roundoff;
+equal the suffix sums of the episode's own dense b
+(helpers.episode_tensors_oracle), to roundoff;
 and rnn.vjp_to_cut_and_state, the one pullback per step behind it, must
 equal vjp_to_cut and vjp_state bit for bit."""
 
@@ -11,12 +12,19 @@ from hypothesis import strategies as st
 
 from uorolab import estimators, rnn
 from uorolab.errors import ShapeError
-from uorolab.exact import episode_tensors, suffix_rows
+from uorolab.exact import suffix_rows
 from uorolab.noise import episode_noises
 from uorolab.rnn import CutVertex, run_episode
 from uorolab.variance import compute_B, compute_C
 
-from helpers import compute_C_oracle, make_instance, minst_B, qr_B_oracle, suffix_sums
+from helpers import (
+    compute_C_oracle,
+    episode_tensors_oracle,
+    make_instance,
+    minst_B,
+    qr_B_oracle,
+    suffix_sums,
+)
 
 RTOL = 1e-12
 
@@ -53,7 +61,7 @@ def assert_rows_match(tape, cut):
     for j, single in enumerate(episodes(tape)):
         rows = block if not tape.batch_shape else block.episode(j)
         q, r = np.tril_indices(single.length)
-        expected = suffix_sums(episode_tensors(single, cut).b)[q, r]
+        expected = suffix_sums(episode_tensors_oracle(single, cut).b)[q, r]
         assert rows.rows.shape == expected.shape
         assert_close(rows.rows, expected)
 
@@ -69,8 +77,9 @@ class TestSweepRows:
         tape = batched_tape(201, cell)
         block = suffix_rows(tape, cut)
         for j, single in enumerate(episodes(tape)):
-            tensors = episode_tensors(single, cut)
+            tensors = episode_tensors_oracle(single, cut)
             rows = block.episode(j)
+            np.testing.assert_array_equal(rows.a, tensors.a)
             np.testing.assert_array_equal(rows.a_norms, tensors.a_norms)
             assert rows.length == tensors.length
             assert rows.cut_dim == tensors.cut_dim
@@ -87,7 +96,7 @@ class TestSweepRows:
         rng = np.random.default_rng(203)
         q0 = np.eye(n_z) + 0.4 * rng.standard_normal((n_z, n_z)) / np.sqrt(n_z)
         for j, single in enumerate(episodes(tape)):
-            tensors = episode_tensors(single, cut)
+            tensors = episode_tensors_oracle(single, cut)
             for shape in (None, q0):
                 assert_close(compute_C(block.episode(j), shape),
                              compute_C_oracle(tensors, single.steps, shape))
@@ -98,9 +107,22 @@ class TestSweepRows:
         block = suffix_rows(tape, CutVertex.PREACTIVATION)
         alphas = np.random.default_rng(205).uniform(0.3, 3.0, (tape.length, 4))
         for j, single in enumerate(episodes(tape)):
-            tensors = episode_tensors(single, CutVertex.PREACTIVATION)
+            tensors = episode_tensors_oracle(single, CutVertex.PREACTIVATION)
             assert_close(compute_B(block.episode(j), alphas[:, j]),
                          qr_B_oracle(tensors, alphas[:, j]))
+
+    @pytest.mark.parametrize("cell,cut", CELL_CUTS)
+    def test_a_is_the_tapes_steps_a_uncopied(self, cell, cut):
+        """SuffixRows.a is a view of the tape's steps.a, for a block and for
+        episode(j), so the audit reads the inputs without a copy."""
+        tape = batched_tape(216, cell)
+        block = suffix_rows(tape, cut)
+        assert np.shares_memory(block.a, tape.steps.a)
+        np.testing.assert_array_equal(block.a, tape.steps.a)
+        for j in range(tape.batch_shape[0]):
+            rows = block.episode(j)
+            assert np.shares_memory(rows.a, tape.steps.a)
+            np.testing.assert_array_equal(rows.a, tape.steps.a[:, j])
 
     def test_block_rows_refused_where_one_episode_is_needed(self):
         block = suffix_rows(batched_tape(206, rnn.LSTM), CutVertex.PREACTIVATION)

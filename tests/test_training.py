@@ -501,6 +501,27 @@ class TestVarianceReport:
             ("identity", "gir"), ("identity", "ours"), ("ours", "gir"), ("ours", "ours")]
         assert checks == [0, 0, 1, 1]
 
+    def test_one_compute_C_per_cell(self, monkeypatch):
+        """A report forms C five times: once per cell at the cell's Q0, and
+        once more at identity Q0 for the alpha behind Q0 and alpha "ours".
+        The alpha-gir cells evaluate their realized alphas (64 each here)
+        against the cell's one C, and the identity/ours cell solves alpha
+        once."""
+        calls = []
+        compute = variance.compute_C
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:])
+            return compute(*args, **kwargs)
+
+        monkeypatch.setattr(variance, "compute_C", counted)
+        monkeypatch.setattr(training, "compute_C", counted)
+        cfg = ExperimentConfig(task="queue", hidden=3, delay=2, stream_length=5,
+                               num_seeds=training.SEED_BLOCK + 6, base_seed=35,
+                               data_seed=36)
+        training.run_variance_report(cfg)
+        assert len(calls) == 5
+
     def test_state_cut_refused_before_any_work(self, monkeypatch):
         """The Q0 "ours" cells need B, which the preactivation cut alone
         has: any other cut is refused before the instance's forward."""

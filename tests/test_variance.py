@@ -11,7 +11,7 @@ from uorolab.estimators import (
     run_preuoro,
     run_uoro,
 )
-from uorolab.exact import EpisodeTensors, bptt_gradient, episode_tensors, suffix_rows
+from uorolab.exact import bptt_gradient, suffix_rows
 from uorolab.linalg import psd_frac_power, trace
 from uorolab.noise import episode_noise, episode_noises
 from uorolab.rnn import LSTM, VANILLA_TANH, CutVertex, run_episode
@@ -37,12 +37,15 @@ from uorolab.variance import (
 )
 
 from helpers import (
+    EpisodeTensors,
     balanced_alpha,
     dense_theta_jacobians,
+    episode_tensors_oracle,
     greedy_coefficients,
     make_instance,
     minst_B,
     newton_oracle,
+    offline_total_estimate_oracle,
     online_B_replay,
     predicted_VQ_oracle,
     row_rel,
@@ -65,12 +68,12 @@ def make_tensors(seed, hidden=3, length=4, cut=CutVertex.PREACTIVATION, **kw):
     rng = np.random.default_rng(seed)
     params, inputs, targets, head = make_instance(rng, hidden=hidden, length=length, **kw)
     tape = run_episode(params, inputs, targets, head)
-    return tape, episode_tensors(tape, cut)
+    return tape, episode_tensors_oracle(tape, cut)
 
 
 def make_rows(seed, hidden=3, length=4, cut=CutVertex.PREACTIVATION, **kw):
     """(tape, rows, tensors): the instance of make_tensors, its suffix rows,
-    and its tensors, whose b the oracles read."""
+    and its dense tensors, whose b the oracles read."""
     tape, tensors = make_tensors(seed, hidden, length, cut, **kw)
     return tape, suffix_rows(tape, cut), tensors
 
@@ -197,14 +200,14 @@ class TestComputeC:
         """A Q0 beyond estimators.MAX_Q0_CONDITION, which ScalingSchedule and
         reinforce_episode refuse, is refused by the variance functions too,
         not inverted into entries near 1e18."""
-        _, rows, tensors = make_rows(76)
+        _, rows, _ = make_rows(76)
         q0 = np.diag([1.0, 1e-9, 1.0])
         with pytest.raises(SingularMatrixError, match="condition"):
             ScalingSchedule(GIR, Q0=q0)
         calls = {
             "compute_C": lambda: compute_C(rows, q0),
             "offline_total_estimate": lambda: offline_total_estimate(
-                tensors, np.ones((4, 3)), np.ones(4), q0),
+                rows, np.ones((4, 3)), np.ones(4), q0),
             "predicted_VQ": lambda: predicted_VQ(rows, np.ones(4), q0),
         }
         with pytest.raises(SingularMatrixError, match="condition"):
@@ -793,7 +796,7 @@ class TestEmpiricalVariance:
         rng = np.random.default_rng(113)
         params, inputs, targets, head = make_instance(rng, hidden=4, length=6)
         tape = run_episode(params, inputs, targets, head)
-        tensors = episode_tensors(tape, CutVertex.PREACTIVATION)
+        tensors = episode_tensors_oracle(tape, CutVertex.PREACTIVATION)
         exact = bptt_gradient(tape)
         alpha = np.ones(6)
         t_len = 6
@@ -821,9 +824,34 @@ class TestEmpiricalVariance:
 
 class TestOfflineEstimate:
     def test_zero_noise_gives_zero(self):
-        _, tensors = make_tensors(112)
-        out = offline_total_estimate(tensors, np.zeros((4, 3)), np.ones(4))
-        np.testing.assert_array_equal(out, np.zeros(tensors.cut_dim * tensors.a.shape[1]))
+        _, rows, _ = make_rows(112)
+        out = offline_total_estimate(rows, np.zeros((4, 3)), np.ones(4))
+        np.testing.assert_array_equal(out, np.zeros(rows.cut_dim * rows.a.shape[1]))
+
+    @pytest.mark.parametrize("cell,cut", [(VANILLA_TANH, CutVertex.PREACTIVATION),
+                                          (VANILLA_TANH, CutVertex.STATE),
+                                          (LSTM, CutVertex.PREACTIVATION)])
+    @pytest.mark.parametrize("use_q0", [False, True])
+    def test_equals_the_b_form(self, cell, cut, use_q0):
+        """The suffix-row form equals the b form over the dense adjoints
+        (helpers.offline_total_estimate_oracle) to relative 1e-12 of the
+        largest entry, for T = 1..8."""
+        rng = np.random.default_rng(116)
+        for length in range(1, 9):
+            tape, rows, tensors = make_rows(int(rng.integers(2**31)), length=length,
+                                            cell_kind=cell, cut=cut)
+            n_z = rows.cut_dim
+            u = rng.standard_normal((length, n_z))
+            alpha = rng.uniform(0.3, 3.0, size=length)
+            q0 = np.eye(n_z) + 0.4 * rng.standard_normal((n_z, n_z)) if use_q0 else None
+            expected = offline_total_estimate_oracle(tensors, u, alpha, q0)
+            out = offline_total_estimate(rows, u, alpha, q0)
+            assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_alpha_of_another_length_refused(self):
+        _, rows, _ = make_rows(117)
+        with pytest.raises(ShapeError, match="alpha shape"):
+            offline_total_estimate(rows, np.ones((4, 3)), np.ones(5))
 
     @pytest.mark.parametrize("cut", [CutVertex.PREACTIVATION, CutVertex.STATE])
     @pytest.mark.parametrize("use_q0", [False, True])
@@ -832,7 +860,7 @@ class TestOfflineEstimate:
         (sum_{r<=t} alpha_r^{-1} u_r^T Q0^{-1} J_r), with each J_r formed
         densely from the tape's steps."""
         rng = np.random.default_rng(115)
-        tape, tensors = make_tensors(115, cut=cut)
+        tape, rows, tensors = make_rows(115, cut=cut)
         u = rng.standard_normal((4, 3))
         alpha = rng.uniform(0.5, 2.0, size=4)
         q0 = random_pd(rng, 3, floor=1.0) if use_q0 else np.eye(3)
@@ -841,6 +869,6 @@ class TestOfflineEstimate:
         expected = sum(
             sum(alpha[s] * (tensors.b[t, s] @ q0 @ u[s]) for s in range(4))
             * terms[:t + 1].sum(axis=0) for t in range(4))
-        out = offline_total_estimate(tensors, u, alpha, q0 if use_q0 else None)
+        out = offline_total_estimate(rows, u, alpha, q0 if use_q0 else None)
         np.testing.assert_allclose(out, expected, rtol=0,
                                    atol=1e-12 * np.abs(expected).max())

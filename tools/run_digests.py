@@ -19,8 +19,13 @@ one indented line gives the same for each metric that has a differing cell.
 The cells of a JSON file are its leaf values, and a leaf's metric is its key
 path without list indices, such as "grid/measured_vq"; those of any other
 file are its comma-separated fields, and a field's metric is its line's
-third field, such as "grad_norm" in metrics.csv.  A change that moves numbers
-by roundoff is then stated and bounded, metric by metric, by one command.
+third field, such as "grad_norm" in metrics.csv.  A metric that is itself a
+relative error of two evaluations of one number, such as the training runs'
+audit_offline_rel_err, is roundoff, so a relative difference between two
+such cells says nothing: its cells are counted apart as roundoff cells, and
+its line gives the largest absolute value on each side and whether both are
+below ROUNDOFF_FLOOR.  A change that moves numbers by roundoff is then
+stated and bounded, metric by metric, by one command.
 
 The package is imported from the src/ directory next to this script.  The
 runs are 15 training configurations (queue H=6, T=10, minibatch 10, 3
@@ -73,6 +78,16 @@ TRAINING = {
 }
 COMMANDS = ("variance-report", "estimator-compare", "alpha-solve")
 REINFORCE_SEEDS = 64
+
+# Metrics whose cells are relative errors between two evaluations of the same
+# number: the online/offline audit compares a sketch's estimate with the
+# offline sum of the same terms in another order.
+ROUNDOFF_METRICS = ("audit_offline_rel_err",)
+# Such an error is roundoff while it stays within a few ulps of 1 (2.2e-16)
+# per summed step, T <= 28 here: 1e-14 (45 ulps) is above every audit these
+# runs have read (5.5e-15 at most) and orders of magnitude below a wrong
+# coefficient or a missing term, which reads 1e-3 or more.
+ROUNDOFF_FLOOR = 1e-14
 
 
 def write_runs(out: Path) -> None:
@@ -155,9 +170,11 @@ def main(argv=None) -> int:
 def compare(dir_a: Path, dir_b: Path) -> int:
     """Print, for each run file whose bytes differ between two --out
     directories, its count of differing numeric cells, their largest
-    relative difference and its count of other differing cells, and under it
-    the same for each metric with a differing cell; then how many files are
-    identical."""
+    relative difference and its count of other differing cells, plus its
+    count of differing roundoff cells (ROUNDOFF_METRICS) if any, and under it
+    the same for each metric with a differing cell, a roundoff metric with
+    its largest absolute value on each side against ROUNDOFF_FLOOR; then how
+    many files are identical."""
     names = sorted({p.relative_to(d).as_posix() for d in (dir_a, dir_b)
                     for p in d.rglob("*") if p.is_file()})
     same = 0
@@ -170,24 +187,38 @@ def compare(dir_a: Path, dir_b: Path) -> int:
             same += 1
             continue
         cells_a, cells_b = _cells(a), _cells(b)
-        metrics = {}  # metric -> [numeric cells, largest difference, other cells]
+        # metric -> [numeric cells, largest difference, other cells,
+        #            largest |a|, largest |b|]
+        metrics = {}
         for key in cells_a.keys() | cells_b.keys():
             metric_a, cell_a = cells_a.get(key, (None, _MISSING))
             metric_b, cell_b = cells_b.get(key, (None, _MISSING))
             metric = metric_b if metric_a is None else metric_a
-            counts = metrics.setdefault(metric, [0, 0.0, 0])
+            counts = metrics.setdefault(metric, [0, 0.0, 0, 0.0, 0.0])
             x, y = _number(cell_a), _number(cell_b)
             if x is None or y is None:
                 counts[2] += cell_a != cell_b
             elif _rel_diff(x, y):
                 counts[0] += 1
                 counts[1] = max(counts[1], _rel_diff(x, y))
-        counts = metrics.values()
-        print(f"{name}: " + _differ(sum(c[0] for c in counts),
-                                    max((c[1] for c in counts), default=0.0),
-                                    sum(c[2] for c in counts)))
-        for metric, (numeric, largest, other) in sorted(metrics.items()):
-            if numeric or other:
+                counts[3] = max(counts[3], abs(x))
+                counts[4] = max(counts[4], abs(y))
+        plain = [c for m, c in metrics.items() if m not in ROUNDOFF_METRICS]
+        roundoff = [c for m, c in metrics.items() if m in ROUNDOFF_METRICS]
+        line = _differ(sum(c[0] for c in plain),
+                       max((c[1] for c in plain), default=0.0),
+                       sum(c[2] for c in metrics.values()))
+        if any(c[0] for c in roundoff):
+            line += f"; {sum(c[0] for c in roundoff)} roundoff cells differ"
+        print(f"{name}: {line}")
+        for metric, (numeric, largest, other, top_a, top_b) in sorted(metrics.items()):
+            if metric in ROUNDOFF_METRICS and numeric:
+                below = "both" if max(top_a, top_b) < ROUNDOFF_FLOOR else "not both"
+                print(f"  {metric}: {numeric} roundoff cells differ, largest "
+                      f"absolute value {top_a:.3g} and {top_b:.3g}; {below} below "
+                      f"the roundoff floor {ROUNDOFF_FLOOR:.3g}; {other} other "
+                      f"cells differ")
+            elif numeric or other:
                 print(f"  {metric}: {_differ(numeric, largest, other)}")
     print(f"{same} of {len(names)} files identical")
     return 0
