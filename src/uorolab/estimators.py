@@ -23,7 +23,11 @@ roundoff of its two terms is set exactly to zero, so that its last bits
 cannot pick the next coefficient.
 
 Over a whole tape run_uoro never forms w~: it carries its coefficients over
-rank-one terms (_uoro_factors, the one rank-one recursion of the package).
+rank-one terms.  Since J_theta = diag(f) (I (x) a^T), every estimator here
+writes its estimate as a sum of per-step rank-one terms
+sum_t vec(L_t R_t^T), and its GradientReport keeps those factors: the
+estimate is contracted from them, in one product over the steps, when it is
+first read, and a caller may contract any rows of a batch instead.
 
 preUORO exploits the rank-one structure of the preactivation-to-parameter
 Jacobian to skip the spatial projection: the sketch carries a full S x N_z
@@ -45,6 +49,7 @@ seeds or B episodes, and the noise-free baseline, are rows of one sweep.
 
 import copy
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,26 +79,44 @@ GRAM_NORM_RTOL = 1e-6
 
 
 @dataclass
-class PreUoroState:
-    """The projection-free sketch: H~ = scale * H_tilde, with a scalar or
-    per-row scale, and w~."""
+class _Factors:
+    """An estimate kept as per-step factors: row i of the estimate is
+    sum_t vec(left[t, i] right[t, i]^T), contracted for any rows, so a large
+    batch's estimate can be taken a few rows at a time."""
 
-    H_tilde: np.ndarray  # ([B,] S, N_z)
-    w_tilde: np.ndarray  # ([B,] A)
-    scale: float | np.ndarray = 1.0  # () or ([B])
+    left: np.ndarray  # (T, [B,] N_z)
+    right: np.ndarray  # (T, [B,] A), or (T, 1, A) shared by every row
+
+    def estimate(self, rows=None) -> np.ndarray:
+        """The estimate ([b,] P) of the batch rows given, a slice of the
+        batch axis, or of all rows by default; a row rounds the same
+        whichever rows are taken with it."""
+        left, right = self.left, self.right
+        if rows is not None:
+            left = left[:, rows]
+            if right.shape[1:-1] == self.left.shape[1:-1]:
+                right = right[:, rows]
+        product = _rows_as_columns(left) @ right.swapaxes(0, -2)
+        return product.reshape(*left.shape[1:-1], -1)
 
 
 @dataclass
 class GradientReport:
-    """A total gradient estimate plus provenance; batched runs hold one row
-    per episode or seed, and tuples of seeds and indices."""
+    """A total gradient estimate, kept as its per-step factors, plus
+    provenance; batched runs hold one row per episode or seed, and tuples
+    of seeds and indices."""
 
     estimator: str
     base_seed: int | tuple
     episode_index: int | tuple
-    estimate: np.ndarray  # ([B,] P)
+    factors: _Factors
     realized_gamma: np.ndarray | None = None  # (T, [B])
     realized_beta: np.ndarray | None = None  # (T, [B])
+
+    @cached_property
+    def estimate(self) -> np.ndarray:
+        """The estimate ([B,] P), contracted from the factors once."""
+        return self.factors.estimate()
 
 
 class ScalingSchedule:
@@ -211,13 +234,8 @@ def _frobenius_sq(rows: np.ndarray) -> np.ndarray:
     return np.einsum("k...i,k...i->...", rows, rows)
 
 
-def _columns_as_rows(m: np.ndarray) -> np.ndarray:
-    """The columns of matrices ([B,] S, N_z) as stacked rows (N_z, [B], S)."""
-    return m.transpose(m.ndim - 1, *range(m.ndim - 1))
-
-
 def _rows_as_columns(rows: np.ndarray) -> np.ndarray:
-    """Inverse of _columns_as_rows."""
+    """Stacked rows (K, ..., n) as the columns of matrices (..., n, K)."""
     return rows.transpose(*range(1, rows.ndim), 0)
 
 
@@ -268,12 +286,12 @@ def _noise_batch(noise: EpisodeNoise | NoiseBlock, t_len: int, episodes: tuple,
         raise ShapeError(f"{episodes[0]} episodes for {len(noise)} noises") from None
 
 
-def _report(name, noise, estimate, gammas=None, betas=None) -> GradientReport:
+def _report(name, noise, factors, gammas=None, betas=None) -> GradientReport:
     if isinstance(noise, NoiseBlock):
         seed, index = (noise.base_seed,) * len(noise), noise.indices
     else:
         seed, index = noise.base_seed, noise.episode_index
-    return GradientReport(name, seed, index, estimate, gammas, betas)
+    return GradientReport(name, seed, index, factors, gammas, betas)
 
 
 CONTRIBUTION_CURRENT = "current"  # (g_t . h~_t) w~_t
@@ -300,41 +318,13 @@ def run_uoro(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
     (GRAM_NORM_RTOL) is formed densely, and its coefficients are zeroed when
     it cancels.  With s_t the step's score (dL_t/dstate . h~_t), the
     estimate sum_t s_t w~_t is sum_r vec((sum_t s_t c_t[r]) L_r a_r^T), one
-    contraction over the steps at the end (_uoro_factors).
+    contraction over the steps, which the report's factors keep: the left
+    factors are the L_r weighted by sum_t s_t c_t[r] (plus g_z,r under
+    "split"), the right ones the a_r.  The noise is shaped a step at a time
+    and the scores and weights are taken in place, so that beside the tape
+    and the noise at most one (T, [B,] N_z) array, the left factors, and one
+    (T, [B,] S) array, the scored sketches, live.
     """
-    factors = _uoro_factors(tape, cut, noise, schedule, contribution)
-    return _report("uoro", noise, factors.estimate(), factors.realized_gamma,
-                   factors.realized_beta)
-
-
-@dataclass
-class _Factors:
-    """A sketch run with its estimate kept as per-step factors: row i of the
-    estimate is sum_t vec(left[t, i] right[t, i]^T), contracted for any
-    rows, so a large batch's estimate can be taken a few rows at a time."""
-
-    left: np.ndarray  # (T, [B,] N_z)
-    right: np.ndarray  # (T, [B,] A), or (T, 1, A) shared by every row
-    realized_gamma: np.ndarray | None = None  # (T, [B])
-    realized_beta: np.ndarray | None = None  # (T, [B])
-
-    def estimate(self, rows=slice(None)) -> np.ndarray:
-        """The estimate ([b,] P) of the batch rows given, all by default; a
-        row rounds the same whichever rows are taken with it."""
-        left, right = self.left[:, rows], self.right
-        if right.shape[1:-1] == self.left.shape[1:-1]:
-            right = right[:, rows]
-        product = _rows_as_columns(left) @ np.swapaxes(right, 0, -2)
-        return product.reshape(*left.shape[1:-1], -1)
-
-
-def _uoro_factors(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
-                  contribution: str = CONTRIBUTION_CURRENT) -> _Factors:
-    """run_uoro's recursion, its estimate left as the L_r weighted by
-    sum_t s_t c_t[r] (plus g_z,t under "split") and the a_r.  The noise is
-    shaped a step at a time and the scores and weights are taken in place,
-    so that beside the tape and the noise at most one (T, [B,] N_z) array,
-    the left factors, and one (T, [B,] S) array, the scored sketches, live."""
     params = tape.params
     cut = CutVertex(cut)
     n_z = params.cut_size(cut)
@@ -412,7 +402,7 @@ def _uoro_factors(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
         left += _steps_first(rnn.vjp_to_cut(
             tape.steps, CutVertex.PREACTIVATION,
             rnn.embed_state_grad(params, tape.loss_grads)), len(batch))
-    return _Factors(left, a, gammas, betas)
+    return _report("uoro", noise, _Factors(left, a), gammas, betas)
 
 
 def _check_alpha(schedule: ScalingSchedule, t_len: int, batch: tuple):
@@ -470,74 +460,6 @@ def _w_norm_sq(coefficients, t, gamma, beta, w_sq, gram, scale, left, a):
     return w_sq
 
 
-def preuoro_step(state: PreUoroState, cache, tau_t, schedule: ScalingSchedule,
-                 t: int, out: np.ndarray | None = None):
-    """Advance the projection-free sketch one step (preactivation cut only);
-    tau_t and the state may carry a batch axis.
-
-    H~_t = gamma_t J_state H~_{t-1} + beta_t tau_t J_cut
-    w~_t = (1/gamma_t) w~_{t-1} + (tau_t/beta_t) a_t
-
-    H~ is held as scale * H_tilde, its columns stacked as rows (N_z, [B,] S).
-    J_state acts on the rows in one matrix product with the state's scale
-    folded into its per-row factors (rnn.jvp_state), written into out if
-    given (a rows array that shares no memory with state.H_tilde): that is
-    the forwarded sketch F = J_state H~_{t-1}.  The new sketch is gamma_t R_t
-    with R_t = F + (beta_t tau_t / gamma_t) J_cut, the immediate term added
-    at the nonzeros of J_cut alone (rnn.preactivation_cut_nonzeros), so the
-    rows are never rescaled.  Under GIR the norms come from those nonzeros
-    and one Frobenius pass over F, with ||H~_t||^2 = gamma^2 ||F||^2
-    + 2 gamma beta tau <F, J_cut> + beta^2 tau^2 ||J_cut||^2; a row below
-    GRAM_NORM_RTOL of its terms' summed norms takes its norm densely,
-    gamma ||R||, for the cancellation rule, and a non-finite norm is
-    confirmed densely before it raises.  The new H_tilde is a view of the
-    rows and its scale is gamma_t.
-    """
-    if schedule.Q0 is not None:
-        raise ValueError("the projection-free sketch takes no spatial Q0")
-    state_index, cut_index, values = rnn.preactivation_cut_nonzeros(cache)
-    rows = rnn.jvp_state(cache, _columns_as_rows(state.H_tilde), out=out,
-                         scale=state.scale)
-    at = (cut_index, Ellipsis, state_index)  # rows[at] is (nnz, [B])
-    values = values.T  # (nnz, [B]): a cache carries at most one batch axis
-    if values.ndim < rows.ndim - 1:  # B seeds on one tape
-        values = values[:, None]
-    greedy = schedule.mode == GIR
-    if greedy:
-        w_norm, a_norm = _norms(state.w_tilde), _norms(cache.a)
-        fwd_sq = _frobenius_sq(rows)
-        imm_sq = np.einsum("k...,k...->...", values, values)
-        cross = np.einsum("k...,k...->...", rows[at], values)
-        fwd_norm, imm_norm = np.sqrt(fwd_sq), np.sqrt(imm_sq)
-        gamma, beta = _gir_coefficients(w_norm, fwd_norm, a_norm, imm_norm)
-    else:
-        gamma, beta = schedule.fixed_coefficients(t)
-    beta_tau = beta * tau_t
-    gamma_col = _col(gamma)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rows[at] += values * (beta_tau / gamma)
-        w_tilde = state.w_tilde / gamma_col + _col(tau_t / beta) * cache.a
-        if greedy:
-            rows_sq = (gamma * gamma * fwd_sq + 2.0 * gamma * beta_tau * cross
-                       + beta_tau * beta_tau * imm_sq)
-            size = np.abs(tau_t)
-            _zero_cancelled_rows(rows, rows_sq,
-                                 gamma * fwd_norm + beta * size * imm_norm, gamma)
-            w_new_norm = _norms(w_tilde)
-            _zero_cancelled(w_tilde, w_new_norm, w_norm / gamma + size / beta * a_norm)
-        # the new H~ is gamma * rows; a non-finite formula norm is confirmed
-        # densely
-        if greedy:
-            finite = ((np.isfinite(rows_sq).all()
-                       or np.isfinite(_frobenius_sq(rows * gamma_col)).all())
-                      and np.isfinite(w_new_norm).all())
-        else:
-            finite = np.isfinite(rows * gamma_col).all() and np.isfinite(w_tilde).all()
-    if not finite:
-        raise NumericOverflowError(f"projection-free sketch overflowed at step {t}")
-    return PreUoroState(_rows_as_columns(rows), w_tilde, gamma), gamma, beta
-
-
 def _zero_cancelled_rows(rows, rows_sq, scale, factor):
     """Set exactly to 0 each H~ = factor * rows (stacked rows (N_z, [B,] S),
     a scalar or per-row factor) that cancels to roundoff of scale, the
@@ -556,47 +478,98 @@ def _zero_cancelled_rows(rows, rows_sq, scale, factor):
             row[...] = 0.0
 
 
-def _carried(H_tilde: np.ndarray, loss_grad_full: np.ndarray) -> np.ndarray:
-    """H_tilde^T dL/dstate for each row, which the state's scale multiplies."""
-    return np.einsum("...sk,...s->...k", H_tilde, loss_grad_full)
-
-
 def run_preuoro(tape: EpisodeTape, noise, schedule: ScalingSchedule) -> GradientReport:
-    """Run the projection-free estimator; noise is one EpisodeNoise or a
-    NoiseBlock as for run_uoro, of which only tau is read.  The contributions
-    sum_t vec(r_t w~_t^T) are one matrix product over the steps at the end."""
-    factors = _preuoro_factors(tape, noise, schedule)
-    return _report("preuoro", noise, factors.estimate(), factors.realized_gamma,
-                   factors.realized_beta)
+    """Run the projection-free estimator (preactivation cut only); noise is
+    one EpisodeNoise or a NoiseBlock as for run_uoro, of which only tau is
+    read.  Each step advances
 
+        H~_t = gamma_t J_state H~_{t-1} + beta_t tau_t J_cut
+        w~_t = (1/gamma_t) w~_{t-1} + (tau_t/beta_t) a_t
 
-def _preuoro_factors(tape: EpisodeTape, noise, schedule: ScalingSchedule) -> _Factors:
-    """run_preuoro's recursion, its estimate left as the r_t and w~_t."""
+    H~ is held as scale times its columns stacked as rows (N_z, [B,] S), in
+    one of two rows buffers: each step writes the other one.  J_state acts
+    on the rows in one matrix product with the scale folded into its
+    per-row factors (rnn.jvp_state): that is the forwarded sketch
+    F = J_state H~_{t-1}.  The new sketch is gamma_t R_t with
+    R_t = F + (beta_t tau_t / gamma_t) J_cut, the immediate term added at
+    the nonzeros of J_cut alone (rnn.preactivation_cut_nonzeros), so the
+    rows are never rescaled, and its scale is gamma_t.  Under GIR the norms
+    come from those nonzeros and one Frobenius pass over F, with
+    ||H~_t||^2 = gamma^2 ||F||^2 + 2 gamma beta tau <F, J_cut>
+    + beta^2 tau^2 ||J_cut||^2; a row below GRAM_NORM_RTOL of its terms'
+    summed norms takes its norm densely, gamma ||R||, for the cancellation
+    rule, and a non-finite norm is confirmed densely before it raises.  The
+    estimate sum_t vec(r_t w~_t^T), r_t = H~_t^T dL_t/dstate, is kept as
+    the factors r_t and w~_t.
+    """
     if schedule.Q0 is not None:
         raise ValueError("the projection-free sketch takes no spatial Q0")
     params = tape.params
     n_z = params.preactivation_size
+    t_len = tape.length
     # only tau is read, so the noise may have any dim
-    batch = _noise_batch(noise, tape.length, tape.batch_shape)
+    batch = _noise_batch(noise, t_len, tape.batch_shape)
     tau = noise.tau
-    if schedule.mode == FIXED_ALPHA:
-        _check_alpha(schedule, tape.length, batch)
-    # H~ lives in one of two rows buffers; each step writes the other one
+    greedy = schedule.mode == GIR
+    if not greedy:
+        _check_alpha(schedule, t_len, batch)
     buffers = [np.zeros((n_z, *batch, params.state_size)) for _ in range(2)]
-    state = PreUoroState(_rows_as_columns(buffers[0]),
-                         np.zeros((*batch, params.augmented_size)))
-    carried = np.empty((tape.length, *batch, n_z))
-    w_rows = np.empty((tape.length, *batch, params.augmented_size))
-    gammas = np.zeros((tape.length, *batch))
-    betas = np.zeros((tape.length, *batch))
+    scale = 1.0
+    w_tilde = np.zeros((*batch, params.augmented_size))
+    carried = np.empty((t_len, *batch, n_z))
+    w_rows = np.empty((t_len, *batch, params.augmented_size))
+    gammas = np.zeros((t_len, *batch))
+    betas = np.zeros((t_len, *batch))
     loss_grads = rnn.embed_state_grad(params, tape.loss_grads)
-    for t in range(tape.length):
-        state, gammas[t], betas[t] = preuoro_step(state, tape.steps[t], tau[t],
-                                                  schedule, t, out=buffers[(t + 1) % 2])
-        carried[t] = _carried(state.H_tilde, loss_grads[t])
-        w_rows[t] = state.w_tilde
-    carried *= gammas[..., None]  # H~_t = gamma_t H_tilde: every step's scale at once
-    return _Factors(carried, w_rows, gammas, betas)
+    for t in range(t_len):
+        cache = tape.steps[t]
+        state_index, cut_index, values = rnn.preactivation_cut_nonzeros(cache)
+        rows = rnn.jvp_state(cache, buffers[t % 2], out=buffers[(t + 1) % 2],
+                             scale=scale)
+        at = (cut_index, Ellipsis, state_index)  # rows[at] is (nnz, [B])
+        values = values.T  # (nnz, [B]): a cache carries at most one batch axis
+        if values.ndim < rows.ndim - 1:  # B seeds on one tape
+            values = values[:, None]
+        if greedy:
+            w_norm, a_norm = _norms(w_tilde), _norms(cache.a)
+            fwd_sq = _frobenius_sq(rows)
+            imm_sq = np.einsum("k...,k...->...", values, values)
+            cross = np.einsum("k...,k...->...", rows[at], values)
+            fwd_norm, imm_norm = np.sqrt(fwd_sq), np.sqrt(imm_sq)
+            gamma, beta = _gir_coefficients(w_norm, fwd_norm, a_norm, imm_norm)
+        else:
+            gamma, beta = schedule.fixed_coefficients(t)
+        beta_tau = beta * tau[t]
+        gamma_col = _col(gamma)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            rows[at] += values * (beta_tau / gamma)
+            w_tilde = w_tilde / gamma_col + _col(tau[t] / beta) * cache.a
+            if greedy:
+                rows_sq = (gamma * gamma * fwd_sq + 2.0 * gamma * beta_tau * cross
+                           + beta_tau * beta_tau * imm_sq)
+                size = np.abs(tau[t])
+                _zero_cancelled_rows(rows, rows_sq,
+                                     gamma * fwd_norm + beta * size * imm_norm, gamma)
+                w_new_norm = _norms(w_tilde)
+                _zero_cancelled(w_tilde, w_new_norm,
+                                w_norm / gamma + size / beta * a_norm)
+                # the new H~ is gamma * rows; a non-finite formula norm is
+                # confirmed densely
+                finite = ((np.isfinite(rows_sq).all()
+                           or np.isfinite(_frobenius_sq(rows * gamma_col)).all())
+                          and np.isfinite(w_new_norm).all())
+            else:
+                finite = (np.isfinite(rows * gamma_col).all()
+                          and np.isfinite(w_tilde).all())
+        if not finite:
+            raise NumericOverflowError(f"projection-free sketch overflowed at step {t}")
+        scale = gamma
+        gammas[t], betas[t] = gamma, beta
+        carried[t] = np.einsum("...sk,...s->...k", _rows_as_columns(rows),
+                               loss_grads[t])
+        w_rows[t] = w_tilde
+    carried *= gammas[..., None]  # H~_t = gamma_t R_t: every step's scale at once
+    return _report("preuoro", noise, _Factors(carried, w_rows), gammas, betas)
 
 
 def run_spatial(tape: EpisodeTape, cut, noise) -> GradientReport:
@@ -608,7 +581,8 @@ def run_spatial(tape: EpisodeTape, cut, noise) -> GradientReport:
     sum_s <c_s, nu_s> nu_s^T J_theta(s) = sum_s vec((w_s nu_s f_s) a_s^T):
     c_s is the total loss's adjoint at step s's cut (exact.cut_adjoints),
     w_s = <c_s, nu_s>, and f_s is f'(z_s) at the state cut, 1 at the
-    preactivation cut.  So it is BPTT's sweep and one contraction (_Factors).
+    preactivation cut.  So it is BPTT's sweep, and its factors are the
+    w_s nu_s f_s and the a_s.
     """
     batch = _noise_batch(noise, tape.length, tape.batch_shape,
                          tape.params.cut_size(cut))
@@ -617,8 +591,8 @@ def run_spatial(tape: EpisodeTape, cut, noise) -> GradientReport:
     left = np.add.reduce(c * nu, axis=-1, keepdims=True) * nu
     if cut == CutVertex.STATE:
         left *= _steps_first(tape.steps.d, len(batch))
-    factors = _Factors(left, _steps_first(tape.steps.a, len(batch)))
-    return _report("spatial", noise, factors.estimate())
+    return _report("spatial", noise,
+                   _Factors(left, _steps_first(tape.steps.a, len(batch))))
 
 
 BASELINE_NONE = "none"
@@ -654,12 +628,12 @@ def reinforce_episode(params: rnn.RnnParams, inputs, targets, head,
     sweep, one per distinct episode, with zero offsets.  All losses come from
     one head call after the sweep, which forms no dL/dh.  The score is not
     accumulated: with the suffix sums R_s = sum_{t>=s} (L_t - baseline_t)
-    the estimate is (1/sigma) sum_s vjp_params(cache_s, R_s Q0^{-T} u_s),
+    the estimate is sum_s vjp_params(cache_s, (R_s / sigma) Q0^{-T} u_s),
     since vjp_params is linear in its rows, and its vec(g_z a^T) terms are
-    one contraction over the steps.
+    the report's factors.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be finite and positive, not {sigma!r}")
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim < 2:
         inputs = np.atleast_2d(inputs)
@@ -693,16 +667,17 @@ def reinforce_episode(params: rnn.RnnParams, inputs, targets, head,
     rnn.sweep(params, np.zeros(states.shape[1:]), x, steps, offsets=states)
 
     targets = rnn.Targets(values.take(rows, axis=1), mask.take(rows, axis=1))
-    losses = rnn.row_losses(states[..., :h_size], targets, head)
+    losses = head.losses(states[..., :h_size], targets)
     losses = np.zeros((t_len, total)) + losses  # a head may return one scalar
     advantage = losses[:, :n] - (losses[:, n:] if clean else baseline_values)
-    suffix = advantage[::-1].cumsum(axis=0)[::-1]
+    suffix = advantage[::-1].cumsum(axis=0)[::-1] / sigma
     directions = rnn.embed_state_grad(
         params, suffix[..., None] * (u if q0_inv is None else u @ q0_inv))
     # the pullback to the preactivations on the perturbed rows of the tape
     g_z = rnn.vjp_to_cut(steps[:, :n], CutVertex.PREACTIVATION, directions)
-    estimate = (g_z.transpose(1, 2, 0) @ steps.a[:, :n].transpose(1, 0, 2)) / sigma
-    return _report("reinforce", noise, estimate.reshape(*batch, -1))
+    factors = _Factors(g_z.reshape(t_len, *batch, -1),
+                       steps.a[:, :n].reshape(t_len, *batch, -1))
+    return _report("reinforce", noise, factors)
 
 
 def _baseline_rows(baseline, t_len: int, batch: tuple):

@@ -711,15 +711,6 @@ def loss_grad(h: np.ndarray, target, head):
     return head.loss_and_grad(np.asarray(h, dtype=np.float64), target)
 
 
-def row_losses(h: np.ndarray, target, head):
-    """The loss of loss_grad alone: from the head's losses where it has
-    them, so dL/dh is never formed, else from a custom head's
-    loss_and_grad."""
-    h = np.asarray(h, dtype=np.float64)
-    alone = getattr(head, "losses", None)
-    return head.loss_and_grad(h, target)[0] if alone is None else alone(h, target)
-
-
 # ---------------------------------------------------------------------------
 # Episode tape
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ set Q0 = (Bbar + damping * mean-eig * I)^{-1/4} for the next minibatch,
 solve for alpha exactly per episode where requested, and fold the episode's
 exact B (computed with the alpha actually used) back into Bbar, but for the
 last update, whose Bbar would set no later Q0.  A minibatch is one forward,
-one noise block and one sketch call, whose schedule holds each episode's
-alpha as a column; only the sweeps for the episodes' causal suffix rows
-(their C, alpha and B) run in blocks of TENSOR_BLOCK episodes.
+one noise block and one sketch call (run_uoro or run_preuoro), whose
+schedule holds each episode's alpha as a column; only the sweeps for the
+episodes' causal suffix rows (their C, alpha and B) run in blocks of
+TENSOR_BLOCK episodes.  The sketch's report keeps its estimate as per-step
+factors, which training contracts a block of episodes at a time.
 """
 
 import time
@@ -22,8 +24,6 @@ from .errors import UnsupportedCutError
 from .estimators import (
     GIR,
     ScalingSchedule,
-    _preuoro_factors,
-    _uoro_factors,
     reinforce_episode,
     run_preuoro,
     run_spatial,
@@ -152,7 +152,8 @@ def _rank_one_batch(config, tape, noises, schedule, b_sum):
     is None, B, and are freed before the sketch runs; otherwise the sketch
     runs first and, unless b_sum is None, the sweeps follow with its
     realized alphas.  The episodes' exact B are added into b_sum.  Returns
-    the sketch's factors and the alphas (T, B).
+    the report's factors, from which the caller contracts the estimates,
+    and the alphas (T, B).
     """
     cut = CutVertex(config.cut)
     alphas = None
@@ -163,15 +164,15 @@ def _rank_one_batch(config, tape, noises, schedule, b_sum):
     elif config.alpha_mode == "ones":
         run_schedule = schedule.with_alpha(np.ones(tape.length))
     if canonical_estimator(config.estimator) == "uoro":
-        factors = _uoro_factors(tape, cut, noises, run_schedule, config.contribution)
+        report = run_uoro(tape, cut, noises, run_schedule, config.contribution)
     else:
-        factors = _preuoro_factors(tape, noises, run_schedule)
+        report = run_preuoro(tape, noises, run_schedule)
     if alphas is None:
-        alphas = (realized_alpha(factors) if config.alpha_mode == "gir"
-                  else np.ones(factors.realized_beta.shape))
+        alphas = (realized_alpha(report) if config.alpha_mode == "gir"
+                  else np.ones(report.realized_beta.shape))
         if b_sum is not None:
             _suffix_sweeps(config, tape, schedule, b_sum, alphas)
-    return factors, alphas
+    return report.factors, alphas
 
 
 def _suffix_sweeps(config, tape, schedule, b_sum, alphas=None):

@@ -167,6 +167,36 @@ def _rows_of(rows: SuffixRows):
     return (rows.rows, *_tril_indices(rows.length))
 
 
+def _checked(rows: SuffixRows, alpha=None, u=None, Q0=None, Q0_inv=None):
+    """The prologue of each function here that reads one episode's suffix
+    rows: (alpha, u, Q0, Q0_inv) as float arrays, None where not given.
+    Raises ShapeError naming both shapes, before any work, unless the rows
+    are one episode's, alpha is (T,), u is (T, N_z) and Q0 is (N_z, N_z).
+    A Q0 given without its inverse is then checked and inverted
+    (estimators._checked_q0); Q0_inv, if given, must be that inverse, as
+    ScalingSchedule holds it."""
+    _rows_of(rows)
+    steps, dim = rows.length, rows.cut_dim
+    if alpha is not None:
+        alpha = np.asarray(alpha, dtype=np.float64)
+        if alpha.shape != (steps,):
+            raise ShapeError(f"alpha shape {alpha.shape} != ({steps},) for "
+                             f"rows of {steps} steps")
+    if u is not None:
+        u = np.asarray(u, dtype=np.float64)
+        if u.shape != (steps, dim):
+            raise ShapeError(f"noise u shape {u.shape} != ({steps}, {dim}) for "
+                             f"rows of {steps} steps and cut dim {dim}")
+    if Q0 is not None:
+        Q0 = np.asarray(Q0, dtype=np.float64)
+        if Q0.shape != (dim, dim):
+            raise ShapeError(f"Q0 shape {Q0.shape} != ({dim}, {dim}) for rows "
+                             f"of cut dim {dim}")
+        if Q0_inv is None:
+            Q0, Q0_inv = _checked_q0(Q0)
+    return alpha, u, Q0, Q0_inv
+
+
 def _theta_weights(rows: SuffixRows, Q0_inv: np.ndarray | None) -> np.ndarray:
     """w_q = ||Q0^{-1} J_q||_F^2 per step.  With J_q = diag(f_q) (I (x) a_q^T)
     it is ||Q0^{-1} diag(f_q)||_F^2 ||a_q||^2, where the first factor is
@@ -195,8 +225,7 @@ def compute_C(rows: SuffixRows, Q0: np.ndarray | None = None,
     inverted already; otherwise Q0 is checked and inverted here
     (estimators._checked_q0).
     """
-    if Q0 is not None and Q0_inv is None:
-        Q0, Q0_inv = _checked_q0(Q0)
+    _, _, Q0, Q0_inv = _checked(rows, Q0=Q0, Q0_inv=Q0_inv)
     v, q, r = _rows_of(rows)
     if Q0 is None:
         squares = np.square(v)
@@ -321,13 +350,6 @@ def _require_preactivation(rows: SuffixRows, what: str):
         raise UnsupportedCutError(f"{what} requires the preactivation cut")
 
 
-def _checked_alpha(rows: SuffixRows, alpha: np.ndarray) -> np.ndarray:
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.shape != (rows.length,):
-        raise ShapeError(f"alpha shape {alpha.shape} != ({rows.length},)")
-    return alpha
-
-
 def compute_B(rows: SuffixRows, alpha: np.ndarray,
               out: np.ndarray | None = None) -> np.ndarray:
     """The PSD matrix whose trace pair with Q0 Q0^T gives the structured
@@ -342,7 +364,7 @@ def compute_B(rows: SuffixRows, alpha: np.ndarray,
     the sum once.
     """
     _require_preactivation(rows, "compute_B")
-    alpha = _checked_alpha(rows, alpha)
+    alpha = _checked(rows, alpha)[0]
     b_mat = _qr_B(*_rows_of(rows), rows.a_norms**2, alpha)
     if out is not None:
         return np.add(out, b_mat, out=out)
@@ -374,7 +396,7 @@ def compute_B_partial(rows: SuffixRows, alpha: np.ndarray, k: int) -> np.ndarray
     _require_preactivation(rows, "compute_B_partial")
     if not 1 <= k <= rows.length:
         raise ValueError(f"k = {k} is outside 1..{rows.length}")
-    alpha = np.asarray(alpha, dtype=np.float64)
+    alpha = _checked(rows, alpha)[0]
     v, _, _ = _rows_of(rows)
     q, r = _tril_indices(k)
     truncated = v[:q.size] if k == rows.length else v[:q.size] - v[q.size + r]
@@ -401,7 +423,8 @@ def predicted_VQ(rows: SuffixRows, alpha: np.ndarray,
     tr(B Q0 Q0^T) tr((Q0 Q0^T)^{-1}), and N_z tr(B) without Q0; the
     projection-free variant's prediction is tr(B).  Q0 and Q0_inv are taken
     as compute_C takes them."""
-    return _alpha_objective_of(compute_C(rows, Q0, Q0_inv), _checked_alpha(rows, alpha))
+    alpha, _, Q0, Q0_inv = _checked(rows, alpha, Q0=Q0, Q0_inv=Q0_inv)
+    return _alpha_objective_of(compute_C(rows, Q0, Q0_inv), alpha)
 
 
 def _alpha_objective_of(C: np.ndarray, alpha: np.ndarray) -> float:
@@ -487,10 +510,7 @@ def offline_total_estimate(rows: SuffixRows, u: np.ndarray,
     accumulated estimate to roundoff.  Q0_inv, if given, must be the checked
     inverse of Q0, as for compute_C.
     """
-    if Q0 is not None and Q0_inv is None:
-        Q0, Q0_inv = _checked_q0(Q0)
-    alpha = _checked_alpha(rows, alpha)
-    u = np.asarray(u, dtype=np.float64)
+    alpha, u, Q0, Q0_inv = _checked(rows, alpha, u, Q0, Q0_inv)
     v, q, r = _rows_of(rows)
     shaped = u if Q0 is None else u @ Q0.T  # row s = Q0 u_s
     inner = np.einsum("ki,ki->k", v, shaped[r]) * alpha[r]

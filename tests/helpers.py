@@ -42,6 +42,9 @@ class ConstantHead:
     def loss_and_grad(self, h, target):
         return 1.7, np.zeros_like(h)
 
+    def losses(self, h, target):
+        return 1.7
+
 
 def forbid_steps(monkeypatch):
     """Make any transition, sketch step or backward sweep step fail the
@@ -51,8 +54,7 @@ def forbid_steps(monkeypatch):
 
     monkeypatch.setattr(rnn, "step", fail)
     monkeypatch.setattr(rnn, "sweep", fail)
-    monkeypatch.setattr(estimators, "preuoro_step", fail)
-    # run_uoro advances h~ itself through these products
+    # the sketches advance through these products
     monkeypatch.setattr(rnn, "jvp_state", fail)
     monkeypatch.setattr(rnn, "jvp_cut", fail)
     # and the backward sweep (exact.cut_adjoints) through these
@@ -385,12 +387,12 @@ def uoro_contribution(state: RankOneState, loss_grad_full: np.ndarray) -> np.nda
             * state.w_tilde)
 
 
-def preuoro_contribution(state: estimators.PreUoroState,
+def preuoro_contribution(H_tilde: np.ndarray, w_tilde: np.ndarray,
                          loss_grad_full: np.ndarray) -> np.ndarray:
-    """vec of the outer product (H~_t^T dL/dstate) w~_t^T, row-major."""
-    return rnn.outer_rows(estimators._col(state.scale)
-                          * estimators._carried(state.H_tilde, loss_grad_full),
-                          state.w_tilde)
+    """vec of the outer product (H~_t^T dL/dstate) w~_t^T, row-major, for
+    H~_t ([B,] S, N_z)."""
+    return rnn.outer_rows(np.einsum("...sk,...s->...k", H_tilde, loss_grad_full),
+                          w_tilde)
 
 
 def uoro_replay(tape, cut, noise, schedule, contribution=estimators.CONTRIBUTION_CURRENT):
@@ -422,23 +424,19 @@ def uoro_replay(tape, cut, noise, schedule, contribution=estimators.CONTRIBUTION
     return estimate, gammas, betas
 
 
-def preuoro_replay(tape, noise, schedule, initial=None):
+def preuoro_replay(tape, noise, schedule):
     """run_preuoro's estimate and realized (gamma, beta) replayed step by step
     with the dense one-step form: the immediate term is J_cut applied to the
     identity basis, every norm is taken over the whole (N_z, [B,] S) rows,
     the cancellation rule zeroes a sketch by its dense norm (never where the
     terms' norms overflowed), a non-finite sketch norm under GIR raises, and
-    preuoro_contribution adds each step's contribution.  The sketch starts
-    from zero, or from the (H~, w~) pair initial."""
+    preuoro_contribution adds each step's contribution."""
     params = tape.params
     n_z = params.preactivation_size
     tau = noise.tau
     batch = np.broadcast_shapes(tape.batch_shape, tau.shape[1:])
     rows = np.zeros((n_z, *batch, params.state_size))
     w_tilde = np.zeros((*batch, params.augmented_size))
-    if initial is not None:
-        rows = rows + np.moveaxis(initial[0], -1, 0)
-        w_tilde = w_tilde + initial[1]
     estimate = np.zeros((*batch, params.num_params))
     gammas = np.zeros((tape.length, *batch))
     betas = np.zeros((tape.length, *batch))
@@ -482,8 +480,8 @@ def preuoro_replay(tape, noise, schedule, initial=None):
         if not all(np.isfinite(x).all() for x in checked):
             raise NumericOverflowError(f"projection-free sketch overflowed at step {t}")
         gammas[t], betas[t] = gamma, beta
-        state = estimators.PreUoroState(np.moveaxis(rows, 0, -1), w_tilde)
-        estimate += preuoro_contribution(state, tape.loss_grad_full(t))
+        estimate += preuoro_contribution(np.moveaxis(rows, 0, -1), w_tilde,
+                                         tape.loss_grad_full(t))
     return estimate, gammas, betas
 
 

@@ -613,6 +613,8 @@ class TestReinforceBatch:
 
     @pytest.mark.parametrize("case, error, match", [
         ("sigma", ValueError, "sigma"),
+        ("sigma nan", ValueError, "sigma must be finite and positive"),
+        ("sigma inf", ValueError, "sigma must be finite and positive"),
         ("noise dim", ShapeError, "noise dim"),
         ("noise length", ShapeError, "steps"),
         ("Q0 size", ShapeError, "Q0"),
@@ -627,8 +629,9 @@ class TestReinforceBatch:
         params, inputs, targets, head = softmax_batch(rng)
         noises = episode_noises(157, range(3), 6, 4)
         kwargs = {"sigma": SIGMA, "noise": noises}
-        if case == "sigma":
-            kwargs["sigma"] = 0.0
+        if case.startswith("sigma"):
+            kwargs["sigma"] = {"sigma": 0.0, "sigma nan": np.nan,
+                               "sigma inf": np.inf}[case]
         elif case == "noise dim":
             kwargs["noise"] = episode_noises(157, range(3), 6, 5)
         elif case == "noise length":

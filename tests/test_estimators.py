@@ -8,9 +8,7 @@ from uorolab.estimators import (
     CONTRIBUTION_STALE_W,
     FIXED_ALPHA,
     GIR,
-    PreUoroState,
     ScalingSchedule,
-    preuoro_step,
     reinforce_episode,
     run_preuoro,
     run_spatial,
@@ -268,19 +266,26 @@ class TestContributionModes:
 
 class TestPreUoro:
     def test_gir_formulas(self):
+        """The greedy coefficients of a two-step run from dense Jacobians:
+        beta_t^2 = ||a_t|| / ||J_cut(t)||_F, gamma_0 = 1 on the zero sketch,
+        and gamma_1^2 = ||w~_0|| / ||J_state(1) H~_0||, with
+        H~_0 = beta_0 tau_0 J_cut(0) and w~_0 = (tau_0 / beta_0) a_0."""
         rng = np.random.default_rng(54)
         params, inputs, targets, head = make_instance(rng, hidden=3, length=2)
         tape = run_episode(params, inputs, targets, head)
-        state = PreUoroState(rng.standard_normal((3, 3)), rng.standard_normal(6))
-        schedule = ScalingSchedule(GIR)
-        new, gamma, beta = preuoro_step(state, tape.steps[1], 1.0, schedule, 1)
-        fwd = rnn.dense_state_jacobian(tape.steps[1]) @ state.H_tilde
-        jzt = rnn.dense_cut_jacobian(tape.steps[1], CutVertex.PREACTIVATION)
-        assert gamma**2 == pytest.approx(
-            np.linalg.norm(state.w_tilde) / np.linalg.norm(fwd), rel=1e-10
-        )
-        assert beta**2 == pytest.approx(
-            np.linalg.norm(tape.steps[1].a) / np.linalg.norm(jzt), rel=1e-10
+        noise = episode_noise(54, 0, 2, 3, tau_kind="gaussian")
+        report = run_preuoro(tape, noise, ScalingSchedule(GIR))
+        jzt = [rnn.dense_cut_jacobian(tape.steps[t], CutVertex.PREACTIVATION)
+               for t in range(2)]
+        betas = [np.sqrt(np.linalg.norm(tape.steps[t].a) / np.linalg.norm(jzt[t]))
+                 for t in range(2)]
+        np.testing.assert_allclose(report.realized_beta, betas, rtol=1e-10)
+        tau = noise.tau
+        fwd = rnn.dense_state_jacobian(tape.steps[1]) @ (betas[0] * tau[0] * jzt[0])
+        w_tilde = tau[0] / betas[0] * tape.steps[0].a
+        assert report.realized_gamma[0] == 1.0
+        assert report.realized_gamma[1]**2 == pytest.approx(
+            np.linalg.norm(w_tilde) / np.linalg.norm(fwd), rel=1e-10
         )
 
     def test_single_step_sign_noise_is_exact(self):
@@ -313,14 +318,13 @@ class TestPreUoro:
         assert z.max() < 4.5
 
     def test_rejects_q0(self):
-        # Q0 is legal on the schedule itself; the projection-free step rejects it
+        # Q0 is legal on the schedule itself; the projection-free sketch rejects it
         rng = np.random.default_rng(59)
         params, inputs, targets, head = make_instance(rng, hidden=3, length=1)
         tape = run_episode(params, inputs, targets, head)
-        state = PreUoroState(np.zeros((3, 3)), np.zeros(6))
         schedule = ScalingSchedule(FIXED_ALPHA, Q0=np.eye(3), alpha=np.ones(1))
-        with pytest.raises(ValueError):
-            preuoro_step(state, tape.steps[0], 1.0, schedule, 0)
+        with pytest.raises(ValueError, match="Q0"):
+            run_preuoro(tape, episode_noise(59, 0, 1, 3), schedule)
 
 
 class TestSpatial:

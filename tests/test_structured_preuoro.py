@@ -14,7 +14,7 @@ from uorolab.estimators import FIXED_ALPHA, GIR, ScalingSchedule, run_preuoro
 from uorolab.noise import episode_noise, episode_noises
 from uorolab.rnn import CutVertex, RnnParams, SoftmaxHead, run_episode
 
-from helpers import make_instance, preuoro_contribution, preuoro_replay, row_rel
+from helpers import make_instance, preuoro_replay, row_rel
 
 RTOL = 1e-12
 
@@ -182,30 +182,18 @@ class TestOverflow:
         with pytest.raises(NumericOverflowError, match="step 1"):
             run_preuoro(tape, noise, schedule)
 
-    def test_greedy_overflow_names_the_step(self):
-        """A non-finite forwarded sketch makes the formula norm non-finite;
-        the dense check confirms it and the error names the step."""
-        rng = np.random.default_rng(79)
-        params, inputs, targets, head = make_instance(rng, hidden=3, length=3)
-        tape = run_episode(params, inputs, targets, head)
-        state = estimators.PreUoroState(np.full((3, 3), np.nan), np.ones(6))
-        with pytest.raises(NumericOverflowError, match="step 2"):
-            estimators.preuoro_step(state, tape.steps[2], 1.0, ScalingSchedule(GIR), 2)
-
     def test_overflowed_sketch_is_not_taken_for_cancellation(self):
-        """An H~ of 1e300 entries forwards to finite entries whose squared
-        norms overflow: the terms' summed norms are infinite, which is no
-        roundoff of a cancellation, so the step raises instead of zeroing
-        the sketch."""
-        rng = np.random.default_rng(79)
-        params, inputs, targets, head = make_instance(rng, hidden=3, length=3)
-        tape = run_episode(params, inputs, targets, head)
-        state = estimators.PreUoroState(np.full((3, 3), 1e300), np.ones(6))
-        with pytest.raises(NumericOverflowError, match="step 1"):
-            estimators.preuoro_step(state, tape.steps[1], 1.0, ScalingSchedule(GIR), 1)
+        """An infinite scale, the summed norms of two terms whose squares
+        overflowed, is no roundoff of a cancellation: neither rule zeroes a
+        sketch of 1e300 entries under it, so the step's finiteness check
+        raises instead of the sketch being zeroed."""
         sketch = np.full((2, 3), 1e300)
         estimators._zero_cancelled(sketch, np.full(2, np.inf), np.full(2, np.inf))
         np.testing.assert_array_equal(sketch, 1e300)
+        rows = np.full((2, 3, 4), 1e300)
+        estimators._zero_cancelled_rows(rows, np.full(3, np.inf), np.full(3, np.inf),
+                                        1.0)
+        np.testing.assert_array_equal(rows, 1e300)
 
     @pytest.mark.parametrize("cell", [rnn.VANILLA_TANH, rnn.LSTM])
     def test_greedy_run_with_overflowing_norms_names_the_step(self, cell):
@@ -227,73 +215,3 @@ class TestOverflow:
         with pytest.raises(NumericOverflowError, match="step 0"):
             run_preuoro(tape, block, schedule)
 
-
-def chained_steps(tape, noise, schedule, state):
-    """The estimate and realized (gamma, beta) of preuoro_step chained over
-    the tape from state, adding preuoro_contribution at each step; the
-    coefficients (T, [B]) hold one value per row, where a step may give one
-    for all rows."""
-    estimate = 0.0
-    gammas, betas = [], []
-    for t in range(tape.length):
-        state, gamma, beta = estimators.preuoro_step(state, tape.steps[t],
-                                                     noise.tau[t], schedule, t)
-        estimate = estimate + preuoro_contribution(state, tape.loss_grad_full(t))
-        rows = state.w_tilde.shape[:-1]
-        gammas.append(np.broadcast_to(gamma, rows))
-        betas.append(np.broadcast_to(beta, rows))
-    return estimate, np.array(gammas), np.array(betas)
-
-
-class TestDeferredScale:
-    """preuoro_step holds H~ as gamma_t times its rows and folds that scale
-    into the next J_state product.  Chained from a user PreUoroState (scale
-    1), it still follows the dense replay from the same state."""
-
-    @pytest.mark.parametrize("cell", CELLS)
-    @pytest.mark.parametrize("mode", ["gir", "fixed"])
-    def test_chained_from_a_user_state_matches_replay(self, cell, mode):
-        rng = np.random.default_rng(83)
-        params, _, _, head = make_instance(rng, cell_kind=cell, hidden=4, length=6)
-        schedule = schedule_for(mode, 6, rng)
-        for name, tape, noise in layouts(rng, params, 6, head):
-            batch = np.broadcast_shapes(tape.batch_shape, noise.tau.shape[1:])
-            h0 = rng.standard_normal((*batch, params.state_size,
-                                      params.preactivation_size))
-            w0 = rng.standard_normal((*batch, params.augmented_size))
-            state = estimators.PreUoroState(h0, w0)
-            assert state.scale == 1.0
-            estimate, gammas, betas = chained_steps(tape, noise, schedule, state)
-            replayed, replay_gammas, replay_betas = preuoro_replay(
-                tape, noise, schedule, initial=(h0, w0))
-            assert row_rel(estimate, replayed) <= RTOL, name
-            np.testing.assert_allclose(gammas, replay_gammas, rtol=RTOL, err_msg=name)
-            np.testing.assert_allclose(betas, replay_betas, rtol=RTOL, err_msg=name)
-
-    def test_cancelled_row_from_a_user_state(self):
-        tape, noise = identity_episode()
-        state = estimators.PreUoroState(np.zeros((2, 2)), np.zeros(4))
-        schedule = ScalingSchedule(GIR)
-        estimate, gammas, betas = chained_steps(tape, noise, schedule, state)
-        replayed, replay_gammas, replay_betas = preuoro_replay(
-            tape, noise, schedule, initial=(state.H_tilde, state.w_tilde))
-        assert row_rel(estimate, replayed) <= RTOL
-        np.testing.assert_array_equal(gammas, replay_gammas)
-        np.testing.assert_array_equal(betas, replay_betas)
-        for t in range(2):
-            state, _, _ = estimators.preuoro_step(state, tape.steps[t], noise.tau[t],
-                                                  schedule, t)
-        np.testing.assert_array_equal(state.scale * state.H_tilde, 0.0)
-
-    @pytest.mark.parametrize("fill", [np.nan, 1e300], ids=["nan", "1e300"])
-    def test_overflow_from_a_user_state_names_the_step(self, fill):
-        rng = np.random.default_rng(79)
-        params, inputs, targets, head = make_instance(rng, hidden=3, length=3)
-        tape = run_episode(params, inputs, targets, head)
-        noise = episode_noise(84, 0, 3, 3)
-        h0, w0 = np.full((3, 3), fill), np.ones(6)
-        schedule = ScalingSchedule(GIR)
-        with pytest.raises(NumericOverflowError, match="step 0"):
-            preuoro_replay(tape, noise, schedule, initial=(h0, w0))
-        with pytest.raises(NumericOverflowError, match="step 0"):
-            chained_steps(tape, noise, schedule, estimators.PreUoroState(h0, w0))

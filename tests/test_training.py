@@ -189,7 +189,7 @@ class TestRunTraining:
         episode's B; the last computes none, since its Bbar sets no later
         Q0, so under alpha "gir" it runs no sweep at all."""
         calls = {"episode_tensors": [], "run_episode": [], "episode_noises": [],
-                 "_uoro_factors": [], "suffix_rows": [], "compute_B": []}
+                 "run_uoro": [], "suffix_rows": [], "compute_B": []}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -222,7 +222,7 @@ class TestRunTraining:
                                  audit_every=2)
         training.run_training(cfg)
         whole = {"run_episode": [(5,)], "episode_noises": [5],
-                 "_uoro_factors": [(5,)]}
+                 "run_uoro": [(5,)]}
         sweeps = [(2,), (2,), (1,)]
         b_work = [(4 * cfg.hidden,)] * 5 if q0_mode == "ours" else []
         assert per_update == [
@@ -386,11 +386,11 @@ class TestRunTraining:
 
         def run(*args, **kwargs):
             alive.append(sum(ref() is not None for ref in sweeps))
-            return uoro_factors(*args, **kwargs)
+            return run_uoro(*args, **kwargs)
 
-        suffix_rows, uoro_factors = training.suffix_rows, training._uoro_factors
+        suffix_rows, run_uoro = training.suffix_rows, training.run_uoro
         monkeypatch.setattr(training, "suffix_rows", sweep)
-        monkeypatch.setattr(training, "_uoro_factors", run)
+        monkeypatch.setattr(training, "run_uoro", run)
         monkeypatch.setattr(training, "TENSOR_BLOCK", 2)
         training.run_training(tiny_digits_config("ours", "ours", minibatch=5,
                                                  updates=2, audit_every=2))

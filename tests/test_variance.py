@@ -872,3 +872,45 @@ class TestOfflineEstimate:
         out = offline_total_estimate(rows, u, alpha, q0 if use_q0 else None)
         np.testing.assert_allclose(out, expected, rtol=0,
                                    atol=1e-12 * np.abs(expected).max())
+
+
+# Inputs of the wrong size for rows of T = 5 steps and cut dim N_z = 4, each
+# with the error it must raise: (call on the rows, message naming both shapes).
+MISSHAPEN = {
+    "B_partial-long-alpha": (lambda rows: compute_B_partial(rows, np.ones(6), 3),
+                             r"alpha shape \(6,\) != \(5,\)"),
+    "B_partial-short-alpha": (lambda rows: compute_B_partial(rows, np.ones(3), 3),
+                              r"alpha shape \(3,\) != \(5,\)"),
+    "offline-u-short": (lambda rows: offline_total_estimate(rows, np.ones((4, 4)),
+                                                            np.ones(5)),
+                        r"u shape \(4, 4\) != \(5, 4\)"),
+    "offline-u-long": (lambda rows: offline_total_estimate(rows, np.ones((6, 4)),
+                                                           np.ones(5)),
+                       r"u shape \(6, 4\) != \(5, 4\)"),
+    "offline-u-wide": (lambda rows: offline_total_estimate(rows, np.ones((5, 5)),
+                                                           np.ones(5)),
+                       r"u shape \(5, 5\) != \(5, 4\)"),
+    "C-Q0": (lambda rows: compute_C(rows, np.eye(3)), r"Q0 shape \(3, 3\) != \(4, 4\)"),
+    "VQ-Q0": (lambda rows: predicted_VQ(rows, np.ones(5), np.eye(3)),
+              r"Q0 shape \(3, 3\) != \(4, 4\)"),
+    "offline-Q0": (lambda rows: offline_total_estimate(rows, np.ones((5, 4)),
+                                                       np.ones(5), np.eye(3)),
+                   r"Q0 shape \(3, 3\) != \(4, 4\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSHAPEN))
+def test_misshapen_input_refused_against_the_rows(monkeypatch, case):
+    """alpha, u and Q0 are checked against the rows by one prologue, which
+    raises ShapeError naming both shapes before Q0 is inverted or B summed."""
+    _, rows, _ = make_rows(118, hidden=4, length=5)
+    assert (rows.length, rows.cut_dim) == (5, 4)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("work ran before the shapes were checked")
+
+    monkeypatch.setattr(variance, "_checked_q0", fail)
+    monkeypatch.setattr(variance, "_qr_B", fail)
+    call, message = MISSHAPEN[case]
+    with pytest.raises(ShapeError, match=message):
+        call(rows)
