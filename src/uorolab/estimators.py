@@ -149,10 +149,8 @@ class ScalingSchedule:
 
     def _set_alpha(self, alpha):
         alpha = np.asarray(alpha, dtype=np.float64)
-        if np.any(alpha <= 0):
-            raise ValueError("alpha entries must be positive")
-        self.alpha = alpha
         self._beta, self._gamma = alpha_to_beta_gamma(alpha)
+        self.alpha = alpha
 
     def with_alpha(self, alpha: np.ndarray) -> "ScalingSchedule":
         """A fixed-alpha copy that shares this schedule's already checked
@@ -190,6 +188,8 @@ def alpha_to_beta_gamma(alpha: np.ndarray):
     gamma (T-1, [B])).
     """
     alpha = np.asarray(alpha, dtype=np.float64)
+    if not np.isfinite(alpha).all():
+        raise ValueError("alpha entries must be finite")
     if np.any(alpha <= 0):
         raise ValueError("alpha entries must be positive")
     t_len = alpha.shape[0]
@@ -210,6 +210,8 @@ def _checked_q0(Q0: np.ndarray):
     Q0 = np.asarray(Q0, dtype=np.float64)
     if Q0.ndim != 2 or Q0.shape[0] != Q0.shape[1]:
         raise ShapeError("Q0 must be square")
+    if not np.isfinite(Q0).all():
+        raise ValueError("Q0 must be finite")
     cond = np.linalg.cond(Q0)
     if not np.isfinite(cond) or cond > MAX_Q0_CONDITION:
         raise SingularMatrixError(

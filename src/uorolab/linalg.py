@@ -36,6 +36,8 @@ def _require_square_symmetric(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix must be finite")
     scale = frob_norm(m)
     if frob_norm(m - m.T) > SYMMETRY_RTOL * max(scale, 1e-300):
         raise NotSymmetricError("matrix is not symmetric within tolerance")

@@ -280,6 +280,8 @@ def solve_alpha_newton(C: np.ndarray) -> AlphaSolution:
     C = np.asarray(C, dtype=np.float64)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise ShapeError("C must be square")
+    if not np.isfinite(C).all():
+        raise ValueError("C must be finite")
     if np.any(C < 0):
         raise ValueError("C must be nonnegative")
     scale = float(C.max())
@@ -409,6 +411,8 @@ def optimal_Q0(b_bar: np.ndarray, damping: float = 0.0) -> np.ndarray:
     to the power -1/4.  With zero damping and positive definite B it satisfies
     B (Q0 Q0^T) = (Q0 Q0^T)^{-1}."""
     b_bar = np.asarray(b_bar, dtype=np.float64)
+    if not np.isfinite(b_bar).all():
+        raise ValueError("b_bar must be finite")
     n = b_bar.shape[0]
     damped = b_bar + damping * (trace(b_bar) / n) * np.eye(n)
     return psd_frac_power(damped, -0.25)

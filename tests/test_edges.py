@@ -29,6 +29,20 @@ class TestScheduleValidation:
         with pytest.raises(ValueError):
             ScalingSchedule(FIXED_ALPHA, alpha=np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_alpha_rejected(self, bad):
+        with pytest.raises(ValueError, match="alpha entries must be finite"):
+            ScalingSchedule(FIXED_ALPHA, alpha=np.array([1.0, bad, 1.0]))
+        with pytest.raises(ValueError, match="alpha entries must be finite"):
+            ScalingSchedule(GIR).with_alpha(np.array([1.0, bad, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_q0_rejected(self, bad):
+        q0 = np.eye(3)
+        q0[1, 1] = bad
+        with pytest.raises(ValueError, match="Q0 must be finite"):
+            ScalingSchedule(GIR, Q0=q0)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             ScalingSchedule("adaptive")

@@ -132,6 +132,14 @@ class TestPsdFracPower:
         out = psd_frac_power(m, 0.5)
         np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-7)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        m = np.eye(3)
+        m[0, 2] = m[2, 0] = bad
+        for call in (lambda: psd_frac_power(m, -0.25), lambda: sym_eig(m)):
+            with pytest.raises(ValueError, match="matrix must be finite"):
+                call()
+
 
 class TestFrobeniusAndTrace:
     def test_rank_one_norm_identity(self):

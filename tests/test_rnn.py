@@ -433,6 +433,33 @@ class TestScaledJvpState:
             np.testing.assert_array_equal(getattr(cache, name), x, err_msg=name)
 
 
+class TestStackedJvpState:
+    """run_preuoro forwards its whole sketch, N_z stacked rows (N_z, B, S),
+    through one jvp_state call per step, with out= and per-row scales.  At
+    the queue shape (vanilla, H = 50, B = 100) and the digits shape (LSTM,
+    H = 50, B = 50) that call equals the per-slice calls bit for bit, and
+    the dense J_state to 1e-13 of each row."""
+
+    @pytest.mark.parametrize("cell, batch, inputs_dim", [
+        (rnn.VANILLA_TANH, 100, 1), (rnn.LSTM, 50, 28)])
+    def test_equals_per_slice_calls_and_dense_jacobian(self, cell, batch, inputs_dim):
+        rng = np.random.default_rng(83)
+        params, _, _, head = make_instance(rng, cell_kind=cell, hidden=50,
+                                           inputs_dim=inputs_dim)
+        inputs = rng.standard_normal((batch, 2, inputs_dim))
+        targets = rng.integers(3, size=(batch, 2)).tolist()
+        cache = run_episode(params, inputs, targets, head).steps[1]
+        rows = rng.standard_normal((params.preactivation_size, batch, params.state_size))
+        scale = rng.uniform(0.1, 3.0, batch)
+        out = np.empty_like(rows)
+        stacked = jvp_state(cache, rows, out=out, scale=scale)
+        assert stacked is out
+        np.testing.assert_array_equal(
+            stacked, np.stack([jvp_state(cache, r, scale=scale) for r in rows]))
+        dense = scale[:, None, None] * rnn.dense_state_jacobian(cache)  # (B, S, S)
+        assert row_rel(stacked, np.einsum("bij,kbj->kbi", dense, rows)) <= 1e-13
+
+
 class TestEpisode:
     def test_run_episode_records_everything(self):
         rng = np.random.default_rng(16)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -276,6 +278,15 @@ class TestAlphaNewton:
         with pytest.raises(ValueError):
             solve_alpha_newton(-np.ones((2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_c_before_any_work(self, bad):
+        c = np.ones((3, 3))
+        c[0, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="C must be finite"):
+                solve_alpha_newton(c)
+
 
 class TestAlphaNewtonStoppingRule:
     def test_unresolvable_decrement_counts_as_converged(self):
@@ -294,13 +305,13 @@ class TestAlphaNewtonStoppingRule:
 def newton_exit_cases():
     """(name, C) reaching each exit of solve_alpha_newton: the tolerance, the
     decrement the objective cannot resolve, a line search that finds no
-    descent (a NaN entry makes every trial's objective NaN), a 1 x 1 C
-    (stationary at once) and a rank-one C."""
+    descent (the test makes every trial's objective NaN, as the solver
+    refuses a C with a NaN entry), a 1 x 1 C (stationary at once) and a
+    rank-one C."""
     tolerance = np.random.default_rng(0).uniform(0.05, 5.0, size=(8, 8))
     resolved = np.exp(np.random.default_rng(21).uniform(
         np.log(0.139), np.log(266), (28, 28)))
-    stalled = np.ones((3, 3))
-    stalled[0, 2] = np.nan
+    stalled = np.arange(1.0, 10.0).reshape(3, 3)
     rng = np.random.default_rng(0)
     rank_one = np.outer(rng.uniform(0.5, 4.0, size=6), rng.uniform(0.5, 4.0, size=6))
     return [("tolerance", tolerance), ("resolved", resolved), ("stalled", stalled),
@@ -317,9 +328,11 @@ class TestAlphaNewtonOracle:
     def test_solution_and_rescales_match_the_oracle(self, monkeypatch, name, c):
         calls = []
 
-        def rescaled(*args):
+        def rescaled(matrix, zeta):
             calls.append(None)
-            return rescale(*args)
+            if name == "stalled" and zeta.any():  # a trial step: no descent
+                return np.full_like(matrix, np.nan)
+            return rescale(matrix, zeta)
 
         rescale = variance._rescaled
         monkeypatch.setattr(variance, "_rescaled", rescaled)
@@ -505,6 +518,13 @@ class TestOptimalQ0:
             rhs = trace(b) * n
             assert lhs <= rhs * (1 + 1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_b_bar(self, bad):
+        b = np.eye(3)
+        b[0, 2] = b[2, 0] = bad
+        with pytest.raises(ValueError, match="b_bar must be finite"):
+            optimal_Q0(b)
+
 
 class TestPredictedVQ:
     def test_zero_gradients(self):
@@ -640,6 +660,11 @@ class TestAlphaToBetaGamma:
         beta, gamma = alpha_to_beta_gamma(np.array([3.0]))
         assert gamma.size == 0
         np.testing.assert_array_equal(beta, [3.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_alpha(self, bad):
+        with pytest.raises(ValueError, match="alpha entries must be finite"):
+            alpha_to_beta_gamma(np.array([1.0, bad, 1.0]))
 
 
 def fixed_alpha(alpha):
