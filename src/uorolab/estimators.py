@@ -489,20 +489,24 @@ def run_preuoro(tape: EpisodeTape, noise, schedule: ScalingSchedule) -> Gradient
         w~_t = (1/gamma_t) w~_{t-1} + (tau_t/beta_t) a_t
 
     H~ is held as scale times its columns stacked as rows (N_z, [B,] S), in
-    one of two rows buffers: each step writes the other one.  J_state acts
-    on the rows in one matrix product with the scale folded into its
-    per-row factors (rnn.jvp_state): that is the forwarded sketch
-    F = J_state H~_{t-1}.  The new sketch is gamma_t R_t with
-    R_t = F + (beta_t tau_t / gamma_t) J_cut, the immediate term added at
-    the nonzeros of J_cut alone (rnn.preactivation_cut_nonzeros), so the
-    rows are never rescaled, and its scale is gamma_t.  Under GIR the norms
+    one of two rows buffers: each step writes the other one.  H~_{-1} = 0,
+    so step 0 forms no product.  From step 1 on, J_state acts on the rows
+    in one stacked matrix product with the scale folded into its per-row
+    factors (rnn.jvp_state): that is the forwarded sketch
+    F = J_state H~_{t-1}, and the step's only work that grows as N_z S^2.
+    The new sketch is gamma_t R_t with R_t = F + (beta_t tau_t / gamma_t)
+    J_cut, the immediate term added at the nonzeros of J_cut alone
+    (rnn.preactivation_cut_nonzeros), so the rows are never rescaled, and
+    its scale is gamma_t.  Under GIR the norms
     come from those nonzeros and one Frobenius pass over F, with
     ||H~_t||^2 = gamma^2 ||F||^2 + 2 gamma beta tau <F, J_cut>
     + beta^2 tau^2 ||J_cut||^2; a row below GRAM_NORM_RTOL of its terms'
     summed norms takes its norm densely, gamma ||R||, for the cancellation
     rule, and a non-finite norm is confirmed densely before it raises.  The
     estimate sum_t vec(r_t w~_t^T), r_t = H~_t^T dL_t/dstate, is kept as
-    the factors r_t and w~_t.
+    the factors r_t and w~_t; each r_t is one stacked matrix-vector product
+    on the rows.  np.vecdot for the Frobenius pass (numpy >= 2 only) and
+    per-step np.moveaxis or as_strided views of the rows did not pay.
     """
     if schedule.Q0 is not None:
         raise ValueError("the projection-free sketch takes no spatial Q0")
@@ -515,7 +519,8 @@ def run_preuoro(tape: EpisodeTape, noise, schedule: ScalingSchedule) -> Gradient
     greedy = schedule.mode == GIR
     if not greedy:
         _check_alpha(schedule, t_len, batch)
-    buffers = [np.zeros((n_z, *batch, params.state_size)) for _ in range(2)]
+    buffers = [np.empty((n_z, *batch, params.state_size)),  # step 1 writes all of it
+               np.zeros((n_z, *batch, params.state_size))]  # step 0's rows
     scale = 1.0
     w_tilde = np.zeros((*batch, params.augmented_size))
     carried = np.empty((t_len, *batch, n_z))
@@ -523,17 +528,18 @@ def run_preuoro(tape: EpisodeTape, noise, schedule: ScalingSchedule) -> Gradient
     gammas = np.zeros((t_len, *batch))
     betas = np.zeros((t_len, *batch))
     loss_grads = rnn.embed_state_grad(params, tape.loss_grads)
+    a_norms = _norms(tape.steps.a)
     for t in range(t_len):
         cache = tape.steps[t]
         state_index, cut_index, values = rnn.preactivation_cut_nonzeros(cache)
-        rows = rnn.jvp_state(cache, buffers[t % 2], out=buffers[(t + 1) % 2],
-                             scale=scale)
+        rows = buffers[1] if t == 0 else rnn.jvp_state(
+            cache, buffers[t % 2], out=buffers[(t + 1) % 2], scale=scale)
         at = (cut_index, Ellipsis, state_index)  # rows[at] is (nnz, [B])
         values = values.T  # (nnz, [B]): a cache carries at most one batch axis
         if values.ndim < rows.ndim - 1:  # B seeds on one tape
             values = values[:, None]
         if greedy:
-            w_norm, a_norm = _norms(w_tilde), _norms(cache.a)
+            w_norm, a_norm = _norms(w_tilde), a_norms[t]
             fwd_sq = _frobenius_sq(rows)
             imm_sq = np.einsum("k...,k...->...", values, values)
             cross = np.einsum("k...,k...->...", rows[at], values)
@@ -567,8 +573,8 @@ def run_preuoro(tape: EpisodeTape, noise, schedule: ScalingSchedule) -> Gradient
             raise NumericOverflowError(f"projection-free sketch overflowed at step {t}")
         scale = gamma
         gammas[t], betas[t] = gamma, beta
-        carried[t] = np.einsum("...sk,...s->...k", _rows_as_columns(rows),
-                               loss_grads[t])
+        np.matmul(rows.swapaxes(0, -2), loss_grads[t][..., None],
+                  out=carried[t][..., None])
         w_rows[t] = w_tilde
     carried *= gammas[..., None]  # H~_t = gamma_t R_t: every step's scale at once
     return _report("preuoro", noise, _Factors(carried, w_rows), gammas, betas)

@@ -39,6 +39,7 @@ vectors (T, [B,] S).
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -112,6 +113,12 @@ class RnnParams:
     @property
     def num_params(self) -> int:
         return self.weights.size
+
+    @cached_property
+    def w_h_t(self) -> np.ndarray:
+        """W_h^T as a C-contiguous array, made on first read: weights are
+        never changed in place (with_theta makes new parameters)."""
+        return np.ascontiguousarray(self.weights[:, : self.hidden_size].T)
 
     def theta(self) -> np.ndarray:
         return self.weights.reshape(-1).copy()
@@ -399,20 +406,20 @@ def jvp_state(cache: StepCache, v: np.ndarray, out: np.ndarray | None = None,
     v = _rows(v, p.state_size, "state")
     h = p.hidden_size
     s = None if scale is None else np.asarray(scale)[..., None]
-    # W_h^T as a C-contiguous copy, not the transposed column-slice view:
-    # numpy then runs one GEMM per leading slice of stacked rows (N_z, B, S),
-    # not one over N_z*B rows, and each slice's result is bit for bit the
-    # per-slice call's.  One Xeon core, OpenBLAS 0.3.31 (Haswell kernel): the
-    # product took 850 -> 480 us at rows (50, 100, 50) and 6900 -> 4700 us at
-    # the LSTM's (200, 50, 100), and perfbench queue-ablation's temporal
-    # (preUORO) arm 89.3 -> 72.6 ms per update (medians of 10 pairs).
-    w_h_t = np.ascontiguousarray(p.weights[:, :h].T)
+    # p.w_h_t is W_h^T made C-contiguous once per parameter set, not the
+    # transposed column-slice view: numpy then runs one GEMM per leading slice
+    # of stacked rows (N_z, B, S), not one over N_z*B rows, and each slice's
+    # result is bit for bit the per-slice call's.  One Xeon core, OpenBLAS
+    # 0.3.31 (Haswell kernel): the product took 850 -> 480 us at rows
+    # (50, 100, 50) and 6900 -> 4700 us at the LSTM's (200, 50, 100), and
+    # perfbench queue-ablation's temporal (preUORO) arm 89.3 -> 72.6 ms per
+    # update (medians of 10 pairs).
     if p.cell_kind == LSTM:
-        dz = v[..., :h] @ w_h_t
+        dz = v[..., :h] @ p.w_h_t
         gates, forget = (cache.dz, cache.f) if s is None else (s * cache.dz, s * cache.f)
         return _lstm_zc_jvp(cache, _scaled(gates, dz), v[..., h:], forget, out)
     d = cache.d if s is None else s * cache.d
-    return _scaled(d, np.matmul(v, w_h_t, out=out))
+    return _scaled(d, np.matmul(v, p.w_h_t, out=out))
 
 
 def vjp_state(cache: StepCache, v: np.ndarray) -> np.ndarray:

@@ -242,6 +242,31 @@ class TestGradientKernels:
                 assert rel(report.estimate[b], one[0]) <= RTOL, f"{cell}/{b}"
                 assert rel(report.estimate[b], offline) <= RTOL, f"{cell}/{b}"
 
+    @pytest.mark.parametrize("mode", ["gir", "fixed"])
+    @pytest.mark.parametrize("cell", [rnn.VANILLA_TANH, rnn.LSTM])
+    def test_preuoro_rows_match_at_the_queue_width(self, cell, mode):
+        """At H = 50, the queue ablation's width, where OpenBLAS's stacked
+        and single products may round differently, each row of a batched
+        sketch equals its per-episode call, estimate and realized scalars."""
+        rng = np.random.default_rng(128)
+        if cell == rnn.LSTM:
+            params, inputs, targets, head = softmax_batch(rng, cell=cell, batch=4,
+                                                          length=8, hidden=50)
+        else:
+            params, inputs, targets, head = queue_batch(rng, batch=4, length=8,
+                                                        hidden=50)
+        noises = episode_noises(13, range(4), 8, params.preactivation_size)
+        schedule = schedule_for(mode, 8, rng)
+        report = run_preuoro(run_episode(params, inputs, targets, head), noises,
+                             schedule)
+        for b, single in enumerate(singles(params, inputs, targets, head)):
+            ref = run_preuoro(single, noises[b], schedule)
+            assert row_rel(report.estimate[b], ref.estimate) <= RTOL, f"episode {b}"
+            np.testing.assert_allclose(report.realized_gamma[:, b],
+                                       ref.realized_gamma, rtol=RTOL)
+            np.testing.assert_allclose(report.realized_beta[:, b],
+                                       ref.realized_beta, rtol=RTOL)
+
 
 class TestPerRowAlpha:
     """A (T, B) alpha gives row j of a batched run the schedule of column j:

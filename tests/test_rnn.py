@@ -459,6 +459,19 @@ class TestStackedJvpState:
         dense = scale[:, None, None] * rnn.dense_state_jacobian(cache)  # (B, S, S)
         assert row_rel(stacked, np.einsum("bij,kbj->kbi", dense, rows)) <= 1e-13
 
+    @pytest.mark.parametrize("cell", [rnn.VANILLA_TANH, rnn.LSTM])
+    def test_w_h_t_is_made_once_per_parameter_set(self, cell):
+        """jvp_state reads W_h^T from its parameters, one C-contiguous array
+        per parameter set; with_theta's new parameters make their own."""
+        rng = np.random.default_rng(84)
+        params, _, _, _ = make_instance(rng, cell_kind=cell, hidden=5)
+        w_h_t = params.w_h_t
+        assert w_h_t.flags.c_contiguous
+        np.testing.assert_array_equal(w_h_t, params.weights[:, :5].T)
+        assert params.w_h_t is w_h_t
+        moved = params.with_theta(params.theta() + 1.0)
+        np.testing.assert_array_equal(moved.w_h_t, w_h_t + 1.0)
+
 
 class TestEpisode:
     def test_run_episode_records_everything(self):

@@ -100,6 +100,32 @@ class TestStructuredMatchesDenseReplay:
                 for schedule in (ScalingSchedule(GIR), schedule_for("fixed", 4, rng)):
                     run_preuoro(tape, noises, schedule)
 
+    @pytest.mark.parametrize("length", [1, 5])
+    def test_step_zero_forms_no_product(self, monkeypatch, length):
+        """H~_{-1} = 0, so a T-step sketch makes T - 1 J_state products, none
+        at step 0, for either cell, schedule and layout; a one-step tape makes
+        none and still matches the dense replay."""
+        rng = np.random.default_rng(76)
+        jvp_state, calls = rnn.jvp_state, []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return jvp_state(*args, **kwargs)
+
+        for cell in (rnn.VANILLA_TANH, rnn.LSTM):
+            params, _, _, head = make_instance(rng, cell_kind=cell, hidden=3,
+                                               length=length)
+            for name, tape, noise in layouts(rng, params, length, head):
+                for schedule in (ScalingSchedule(GIR),
+                                 schedule_for("fixed", length, rng)):
+                    where = f"{cell}/{name}/{schedule.mode}"
+                    calls.clear()
+                    with monkeypatch.context() as patched:
+                        patched.setattr(rnn, "jvp_state", counted)
+                        run_preuoro(tape, noise, schedule)
+                    assert len(calls) == length - 1, where
+                    assert_matches_replay(tape, noise, schedule, where)
+
 
 class TestCutNonzeros:
     @pytest.mark.parametrize("cell", CELLS)
