@@ -490,9 +490,10 @@ def run_preuoro(tape: EpisodeTape, noise, schedule: ScalingSchedule) -> Gradient
 
     H~ is held as scale times its columns stacked as rows (N_z, [B,] S), in
     one of two rows buffers: each step writes the other one.  H~_{-1} = 0,
-    so step 0 forms no product.  From step 1 on, J_state acts on the rows
-    in one stacked matrix product with the scale folded into its per-row
-    factors (rnn.jvp_state): that is the forwarded sketch
+    so step 0 forms no product, and under GIR its ||F||^2 and <F, J_cut>
+    are zeros, not passes over the rows.  From step 1 on, J_state acts on
+    the rows in one stacked matrix product with the scale folded into its
+    per-row factors (rnn.jvp_state): that is the forwarded sketch
     F = J_state H~_{t-1}, and the step's only work that grows as N_z S^2.
     The new sketch is gamma_t R_t with R_t = F + (beta_t tau_t / gamma_t)
     J_cut, the immediate term added at the nonzeros of J_cut alone
@@ -540,9 +541,10 @@ def run_preuoro(tape: EpisodeTape, noise, schedule: ScalingSchedule) -> Gradient
             values = values[:, None]
         if greedy:
             w_norm, a_norm = _norms(w_tilde), a_norms[t]
-            fwd_sq = _frobenius_sq(rows)
             imm_sq = np.einsum("k...,k...->...", values, values)
-            cross = np.einsum("k...,k...->...", rows[at], values)
+            # F = J_state H~_{-1} = 0 at step 0
+            fwd_sq = _frobenius_sq(rows) if t else np.zeros(rows.shape[1:-1])
+            cross = np.einsum("k...,k...->...", rows[at], values) if t else fwd_sq
             fwd_norm, imm_norm = np.sqrt(fwd_sq), np.sqrt(imm_sq)
             gamma, beta = _gir_coefficients(w_norm, fwd_norm, a_norm, imm_norm)
         else:

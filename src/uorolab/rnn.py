@@ -176,11 +176,10 @@ class StepCache:
     a: np.ndarray  # (..., A) augmented input (h_prev, x, 1)
     h: np.ndarray  # (..., H) new hidden output
     d: np.ndarray | None = None  # vanilla: activation derivative f'(z)
-    # LSTM: forget gate f, cell c, and the step's gate derivatives, computed
-    # once: dz = (dc/dz_i, dc/dz_f, dc/dz_g, direct dh/dz_o) per unit, stacked
-    # like the preactivations, and dh_dc = o (1 - tanh(c)^2)
+    # LSTM: forget gate f and the step's gate derivatives (no product reads
+    # the cell state c): dz = (dc/dz_i, dc/dz_f, dc/dz_g, direct dh/dz_o) per
+    # unit, stacked like the preactivations, and dh_dc = o (1 - tanh(c)^2)
     f: np.ndarray | None = None
-    c: np.ndarray | None = None
     dz: np.ndarray | None = None
     dh_dc: np.ndarray | None = None
 
@@ -203,7 +202,7 @@ def empty_steps(params: RnnParams, shape: tuple) -> StepCache:
 
     if params.cell_kind == LSTM:
         return StepCache(params, empty(params.augmented_size), empty(h), f=empty(h),
-                         c=empty(h), dz=empty(4 * h), dh_dc=empty(h))
+                         dz=empty(4 * h), dh_dc=empty(h))
     return StepCache(params, empty(params.augmented_size), empty(h), d=empty(h))
 
 
@@ -227,9 +226,10 @@ def sweep(params: RnnParams, state: np.ndarray, inputs: np.ndarray,
     starts from that sum, so the sweep leaves the offset states there.
 
     The shapes are checked, the inputs and the bias column written into
-    steps.a, the vanilla f'(z) taken over the whole tape and the states
-    checked finite once per sweep; the first step whose new state (before
-    its offset) is not finite raises NumericOverflowError naming it.
+    steps.a, the vanilla f'(z) taken over the whole tape and the hidden
+    states checked finite once per sweep, the LSTM cell state (two rolling
+    rows) at each step; the first step whose new state (before its offset)
+    is not finite raises NumericOverflowError naming it.
     """
     h_size = params.hidden_size
     state = np.asarray(state, dtype=np.float64)
@@ -263,10 +263,14 @@ def sweep(params: RnnParams, state: np.ndarray, inputs: np.ndarray,
     offset_h = None if offsets is None else offsets[..., :h_size]
     offset_c = None if offsets is None else offsets[..., h_size:]
     c = state[..., h_size:]  # the LSTM cell state
+    cells = np.empty((2, *batch, h_size)) if lstm else None
+    first = total  # the first step whose state is not finite
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(total):
             if lstm:
-                h, c = _lstm_cell(steps, t, a[t] @ w_t, c)
+                h, c = _lstm_cell(steps, t, a[t] @ w_t, c, cells[t % 2])
+                if first == total and not np.isfinite(c).all():
+                    first = t
             else:
                 h = np.matmul(a[t], w_t, out=steps.h[t])
                 if tanh:
@@ -283,25 +287,25 @@ def sweep(params: RnnParams, state: np.ndarray, inputs: np.ndarray,
     elif not lstm:  # VANILLA_LINEAR
         steps.d.fill(1.0)
     finite = np.isfinite(steps.h)
-    if lstm:
-        finite &= np.isfinite(steps.c)
     if not finite.all():
-        first = np.argmin(finite.reshape(total, -1).all(axis=1))
+        first = min(first, np.argmin(finite.reshape(total, -1).all(axis=1)))
+    if first < total:
         raise NumericOverflowError(f"step {first} produced non-finite state")
     return np.concatenate([h, c], axis=-1) if lstm else h
 
 
-def _lstm_cell(steps: StepCache, t: int, z: np.ndarray, c_prev: np.ndarray):
+def _lstm_cell(steps: StepCache, t: int, z: np.ndarray, c_prev: np.ndarray,
+               c_out: np.ndarray):
     """The LSTM transition of step t from its preactivations z and the
-    previous cell state: fills the step's f, c, h, dz and dh_dc and returns
-    its (h, c)."""
+    previous cell state: fills the step's f, h, dz and dh_dc, writes its cell
+    state into c_out, not c_prev (read last), and returns its (h, c)."""
     h_size = steps.params.hidden_size
     i = _sigmoid(z[..., :h_size])
     f = _sigmoid(z[..., h_size : 2 * h_size])
     g = np.tanh(z[..., 2 * h_size : 3 * h_size])
     o = _sigmoid(z[..., 3 * h_size :])
     steps.f[t] = f
-    c = np.add(f * c_prev, i * g, out=steps.c[t])
+    c = np.add(f * c_prev, i * g, out=c_out)
     tanh_c = np.tanh(c)
     h = np.multiply(o, tanh_c, out=steps.h[t])
     np.concatenate([g * (i * (1 - i)), c_prev * (f * (1 - f)),

@@ -51,10 +51,11 @@ EXACT_ESTIMATORS = ("bptt", "rtrl")
 # sums its estimates, head gradients and losses per block of this many (the
 # run files' bytes depend on it).  A block's suffix rows, T(T+1)/2 x N_z
 # floats per episode (0.65 MB at the digits shape), live in one buffer beside
-# the minibatch's tape.  perfbench digits-q0 (LSTM, N_z = 200, T = 28, 50
-# episodes per update; one Xeon core) read round_ms / peak_rss_mb of 222 /
-# 61.7, against 283 / 62.2 with the last update's B, a B sum per episode,
-# Newton's repeated rescalings and a copying pullback.
+# the minibatch's tape, and its C are one compute_C call.  perfbench digits-q0
+# (LSTM, N_z = 200, T = 28, 50 episodes per update; one Xeon core, medians of
+# 10 alternating pairs) read round_ms / peak_rss_mb of 220 / 61.0, against
+# 235 / 61.4 with a compute_C call per episode, an allocating Newton loop
+# and the LSTM tape's cell states.
 TENSOR_BLOCK = 8
 
 
@@ -177,10 +178,11 @@ def _rank_one_batch(config, tape, noises, schedule, b_sum):
 
 def _suffix_sweeps(config, tape, schedule, b_sum, alphas=None):
     """One suffix-row sweep (suffix_rows) per block of TENSOR_BLOCK episodes
-    of a minibatch tape, into one rows buffer that every block reuses.  An
-    episode's rows give its C and solved alpha, unless the alphas (T, B) are
-    given, and its B under its alpha, added into b_sum unless that is None
-    (compute_B's out).  Returns the alphas."""
+    of a minibatch tape, into one rows buffer that every block reuses.  Unless
+    the alphas (T, B) are given, one compute_C per block gives its episodes'
+    C, a fresh stack, and each episode's alpha is solved from its own 2-D
+    slice; each episode's B under its alpha is added into b_sum unless that
+    is None (compute_B's out).  Returns the alphas."""
     cut = CutVertex(config.cut)
     n = tape.batch_shape[0]
     solve = alphas is None
@@ -193,13 +195,12 @@ def _suffix_sweeps(config, tape, schedule, b_sum, alphas=None):
                            out=None if buffer is None else buffer[:, :len(block)])
         if buffer is None:
             buffer = rows.rows
+        cs = compute_C(rows, schedule.Q0, schedule.Q0_inv) if solve else None
         for j, index in enumerate(block):
-            episode = rows.episode(j)
             if solve:
-                alphas[:, index] = solve_alpha_newton(
-                    compute_C(episode, schedule.Q0, schedule.Q0_inv)).alpha
+                alphas[:, index] = solve_alpha_newton(cs[j]).alpha
             if b_sum is not None:
-                compute_B(episode, alphas[:, index], out=b_sum)
+                compute_B(rows.episode(j), alphas[:, index], out=b_sum)
     return alphas
 
 

@@ -167,15 +167,17 @@ def _rows_of(rows: SuffixRows):
     return (rows.rows, *_tril_indices(rows.length))
 
 
-def _checked(rows: SuffixRows, alpha=None, u=None, Q0=None, Q0_inv=None):
-    """The prologue of each function here that reads one episode's suffix
-    rows: (alpha, u, Q0, Q0_inv) as float arrays, None where not given.
-    Raises ShapeError naming both shapes, before any work, unless the rows
-    are one episode's, alpha is (T,), u is (T, N_z) and Q0 is (N_z, N_z).
-    A Q0 given without its inverse is then checked and inverted
+def _checked(rows: SuffixRows, alpha=None, u=None, Q0=None, Q0_inv=None,
+             block=False):
+    """The prologue of each function here that reads suffix rows: (alpha, u,
+    Q0, Q0_inv) as float arrays, None where not given.  Raises ShapeError
+    naming both shapes, before any work, unless the rows are one episode's
+    (or, if block, a block's), alpha is (T,), u is (T, N_z) and Q0 is
+    (N_z, N_z).  A Q0 given without its inverse is then checked and inverted
     (estimators._checked_q0); Q0_inv, if given, must be that inverse, as
     ScalingSchedule holds it."""
-    _rows_of(rows)
+    if not block:
+        _rows_of(rows)
     steps, dim = rows.length, rows.cut_dim
     if alpha is not None:
         alpha = np.asarray(alpha, dtype=np.float64)
@@ -198,16 +200,16 @@ def _checked(rows: SuffixRows, alpha=None, u=None, Q0=None, Q0_inv=None):
 
 
 def _theta_weights(rows: SuffixRows, Q0_inv: np.ndarray | None) -> np.ndarray:
-    """w_q = ||Q0^{-1} J_q||_F^2 per step.  With J_q = diag(f_q) (I (x) a_q^T)
-    it is ||Q0^{-1} diag(f_q)||_F^2 ||a_q||^2, where the first factor is
-    sum_j f_qj^2 ||column j of Q0^{-1}||^2 (N_z or ||Q0^{-1}||_F^2 for
-    f_q = 1)."""
+    """w_q = ||Q0^{-1} J_q||_F^2 per step, (T, [b]).  With J_q = diag(f_q)
+    (I (x) a_q^T) it is ||Q0^{-1} diag(f_q)||_F^2 ||a_q||^2, where the first
+    factor is sum_j f_qj^2 ||column j of Q0^{-1}||^2 (N_z or ||Q0^{-1}||_F^2
+    for f_q = 1), one matrix-vector product per episode."""
     if rows.d is None:
         scale = rows.cut_dim if Q0_inv is None else float(np.sum(Q0_inv**2))
     else:
         f_sq = np.square(rows.d)
-        scale = (np.sum(f_sq, axis=-1) if Q0_inv is None
-                 else f_sq @ np.sum(Q0_inv**2, axis=0))
+        scale = (np.sum(f_sq, axis=-1) if Q0_inv is None else np.swapaxes(
+            f_sq.swapaxes(0, -2) @ np.sum(Q0_inv**2, axis=0), 0, -1))
     return scale * rows.a_norms**2
 
 
@@ -219,24 +221,31 @@ def compute_C(rows: SuffixRows, Q0: np.ndarray | None = None,
         C[q, r] = || v_qr^T Q0 ||^2 * ||Q0^{-1} J_q||_F^2,
         v_qr = sum_{t>=q} b[t, r],
 
-    from one episode's suffix rows: Q0 acts on the T(T+1)/2 distinct rows
-    only, and C[q, r] for q < r reads the diagonal row (r, r).  Q0_inv, if
-    given, must be the inverse of Q0 as ScalingSchedule holds it, checked and
-    inverted already; otherwise Q0 is checked and inverted here
-    (estimators._checked_q0).
+    from one episode's suffix rows, or the fresh (b, T, T) stack of a
+    block's: Q0 acts on the T(T+1)/2 distinct rows only, and C[q, r] for
+    q < r reads the diagonal row (r, r).  A block runs one prologue and per
+    episode only the product by Q0, as the episode's own call forms it, and
+    the squares, in place in one (T(T+1)/2, N_z) scratch, so each slice is
+    that call's C bit for bit.  Q0_inv, if given, must be the inverse of Q0
+    as ScalingSchedule holds it, checked and inverted already; otherwise Q0
+    is checked and inverted here (estimators._checked_q0).
     """
-    _, _, Q0, Q0_inv = _checked(rows, Q0=Q0, Q0_inv=Q0_inv)
-    v, q, r = _rows_of(rows)
-    if Q0 is None:
-        squares = np.square(v)
-    else:
-        squares = v @ Q0
-        np.square(squares, out=squares)
-    norms = np.sum(squares, axis=1)
-    weights = _theta_weights(rows, Q0_inv)
-    c = np.outer(weights, norms[q == r])  # above the diagonal v_qr = v_rr
-    c[q, r] = norms * weights[q]
-    return c
+    _, _, Q0, Q0_inv = _checked(rows, Q0=Q0, Q0_inv=Q0_inv, block=True)
+    q, r = _tril_indices(rows.length)
+    v = rows.rows.reshape(len(q), -1, rows.cut_dim)  # (K, b, N_z), a view
+    squares = np.empty((len(q), rows.cut_dim))
+    norms = np.empty((v.shape[1], len(q)))
+    for j in range(v.shape[1]):
+        if Q0 is None:
+            np.square(v[:, j], out=squares)
+        else:
+            np.matmul(v[:, j], Q0, out=squares)
+            np.square(squares, out=squares)
+        np.sum(squares, axis=1, out=norms[j])
+    weights = _theta_weights(rows, Q0_inv).reshape(rows.length, -1).T
+    c = weights[:, :, None] * norms[:, None, q == r]  # above the diagonal v_qr = v_rr
+    c[:, q, r] = norms * weights[:, q]
+    return c.reshape(*rows.rows.shape[1:-1], rows.length, rows.length)
 
 
 @dataclass
@@ -257,12 +266,15 @@ NEWTON_TOL = 1e-8  # on the relative stationarity residual of solve_alpha_newton
 
 
 def _alpha_objective(c_scaled: np.ndarray) -> float:
-    return float(np.sum(c_scaled))
+    return float(c_scaled.sum())
 
 
-def _rescaled(c: np.ndarray, zeta: np.ndarray) -> np.ndarray:
-    """Z^{-1} C Z with Z = diag(exp(zeta))."""
-    return c * np.exp(zeta[None, :] - zeta[:, None])
+def _rescaled(c: np.ndarray, zeta: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Z^{-1} C Z with Z = diag(exp(zeta)), written into out if given."""
+    out = np.subtract(zeta[None, :], zeta[:, None], out=out)
+    np.exp(out, out=out)
+    return np.multiply(c, out, out=out)
 
 
 def solve_alpha_newton(C: np.ndarray) -> AlphaSolution:
@@ -275,14 +287,17 @@ def solve_alpha_newton(C: np.ndarray) -> AlphaSolution:
     NEWTON_TOL, within 200 steps; a step is halved on stall.  C is normalized by its largest entry first (the minimizer is
     scale-invariant), so tolerances are relative.  A solve also counts as
     converged when the objective can no longer resolve the Newton step;
-    residual still reports the gradient actually reached.
+    residual still reports the gradient actually reached.  The loop
+    allocates no T x T matrix: the damped Hessian is built in one buffer,
+    Cbar and the line search's trial alternate between two, and the
+    accepted trial's objective is the next iteration's.
     """
     C = np.asarray(C, dtype=np.float64)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise ShapeError("C must be square")
     if not np.isfinite(C).all():
         raise ValueError("C must be finite")
-    if np.any(C < 0):
+    if (C < 0).any():
         raise ValueError("C must be nonnegative")
     scale = float(C.max())
     if scale == 0.0:
@@ -291,31 +306,39 @@ def solve_alpha_newton(C: np.ndarray) -> AlphaSolution:
     t_len = c.shape[0]
     zeta = np.zeros(t_len)
     cbar = _rescaled(c, zeta)  # always Z^{-1} C Z at the current zeta
+    spare, hess = np.empty_like(cbar), np.empty_like(cbar)  # trial, Hessian
+    diagonal = hess.reshape(-1)[:: t_len + 1]
+    obj = _alpha_objective(cbar)
     iterations = 0
     resolved = False
     for iterations in range(1, 201):
         grad = cbar.sum(axis=0) - cbar.sum(axis=1)
-        if float(np.max(np.abs(grad))) <= NEWTON_TOL:
+        if float(np.abs(grad).max()) <= NEWTON_TOL:
             break
-        s = cbar + cbar.T
-        hess = np.diag(s.sum(axis=1)) - s
-        direction = np.linalg.solve(hess + 1e-8 * np.eye(t_len), grad)
-        obj = _alpha_objective(cbar)
+        # diag(S 1) - S + 1e-8 I, S = Cbar + Cbar^T, rounded as
+        # np.diag(S.sum(axis=1)) - S + 1e-8 * np.eye(T) rounds it
+        np.add(cbar, cbar.T, out=hess)
+        degrees = hess.sum(axis=1) - diagonal
+        np.subtract(0.0, hess, out=hess)
+        diagonal[:] = degrees + 1e-8
+        direction = np.linalg.solve(hess, grad)
         if float(grad @ direction) <= t_len * EPS * obj:
             # The Newton decrement is below the rounding error of the
             # objective sum, so a line search could not tell descent from
             # noise: take the full step and stop.
             zeta = zeta - direction
-            cbar = _rescaled(c, zeta)
+            cbar = _rescaled(c, zeta, spare)
             resolved = True
             break
         step = 1.0
         for _ in range(50):
             candidate = zeta - step * direction
             candidate -= candidate.min()
-            trial = _rescaled(c, candidate)
-            if _alpha_objective(trial) <= obj:
-                zeta, cbar = candidate, trial
+            trial = _rescaled(c, candidate, spare)
+            trial_obj = _alpha_objective(trial)
+            if trial_obj <= obj:
+                zeta, obj = candidate, trial_obj
+                cbar, spare = trial, cbar
                 break
             step *= 0.5
         else:

@@ -165,6 +165,56 @@ def newton_oracle(C):
     )
 
 
+def newton_allocating_oracle(C):
+    """variance.solve_alpha_newton as it was before its loop stopped
+    allocating: a fresh Hessian by np.diag and np.eye, a fresh rescaled
+    matrix per line-search trial and the objective summed again at every
+    iteration.  It calls variance._rescaled through the module (without an
+    out buffer), so a test can make its trials fail."""
+    C = np.asarray(C, dtype=np.float64)
+    scale = float(C.max())
+    c = C / scale
+    t_len = c.shape[0]
+    zeta = np.zeros(t_len)
+    cbar = variance._rescaled(c, zeta)
+    iterations = 0
+    resolved = False
+    for iterations in range(1, 201):
+        grad = cbar.sum(axis=0) - cbar.sum(axis=1)
+        if float(np.max(np.abs(grad))) <= variance.NEWTON_TOL:
+            break
+        s = cbar + cbar.T
+        hess = np.diag(s.sum(axis=1)) - s
+        direction = np.linalg.solve(hess + 1e-8 * np.eye(t_len), grad)
+        obj = variance._alpha_objective(cbar)
+        if float(grad @ direction) <= t_len * variance.EPS * obj:
+            zeta = zeta - direction
+            cbar = variance._rescaled(c, zeta)
+            resolved = True
+            break
+        step = 1.0
+        for _ in range(50):
+            candidate = zeta - step * direction
+            candidate -= candidate.min()
+            trial = variance._rescaled(c, candidate)
+            if variance._alpha_objective(trial) <= obj:
+                zeta, cbar = candidate, trial
+                break
+            step *= 0.5
+        else:
+            break
+    residual = float(np.max(np.abs(cbar.sum(axis=0) - cbar.sum(axis=1))))
+    zeta = zeta - zeta.min()
+    return variance.AlphaSolution(
+        zeta=zeta,
+        alpha=np.exp(zeta / 2.0),
+        residual=residual,
+        objective=variance._alpha_objective(cbar) * scale,
+        iterations=iterations,
+        converged=residual <= variance.NEWTON_TOL or resolved,
+    )
+
+
 def sqrt_ratio_or_one_oracle(numerator, denominator):
     """linalg.sqrt_ratio_or_one by explicit masks: sqrt(numerator /
     denominator), or 1 where either is nonpositive or not finite; a float

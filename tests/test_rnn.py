@@ -497,7 +497,8 @@ class TestEpisode:
         if cell == rnn.LSTM:
             assert steps.d is None
             assert steps.dz.shape == (5, 4, 12)
-            assert steps.c.shape == steps.f.shape == steps.dh_dc.shape == (5, 4, 3)
+            assert steps.f.shape == steps.dh_dc.shape == (5, 4, 3)
+            assert "c" not in vars(steps)  # no product reads the cell state
         else:
             assert steps.d.shape == (5, 4, 3)
         for name, x in vars(steps).items():
@@ -577,6 +578,31 @@ class TestSweep:
             with pytest.raises(NumericOverflowError,
                                match="step 3 produced non-finite state"):
                 run_episode(params, inputs, targets, head)
+
+    @pytest.mark.parametrize("with_offsets", [False, True])
+    def test_lstm_names_the_first_non_finite_cell_state(self, with_offsets):
+        """The sweep keeps two rolling rows of the LSTM cell state and checks
+        each step's before its offset: a cell state that is infinite from
+        step k on, while h = o tanh(c) stays finite, raises naming step k.
+        Without offsets it is the initial cell state (step 0); with them, an
+        infinite offset at step 2, which that step's own state does not
+        carry, so step 3 is named."""
+        rng = np.random.default_rng(40)
+        params, _, _, _ = make_instance(rng, cell_kind=rnn.LSTM, hidden=3)
+        inputs = rng.standard_normal((6, 2, 2))
+        state = 0.5 * rng.standard_normal((2, params.state_size))
+        offsets = np.zeros((6, 2, params.state_size)) if with_offsets else None
+        if with_offsets:
+            offsets[2, 1, 3:] = np.inf
+        else:
+            state[1, 3:] = np.inf
+        steps = rnn.empty_steps(params, (6, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflowError,
+                               match=f"step {3 if with_offsets else 0} produced"):
+                rnn.sweep(params, state, inputs, steps, offsets)
+        assert np.isfinite(steps.h).all()
 
     def test_reinforce_names_the_first_non_finite_step(self):
         params, inputs, targets, head = self.blowup()

@@ -10,12 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uorolab import estimators, rnn
+from uorolab import estimators, rnn, variance
 from uorolab.errors import ShapeError
 from uorolab.exact import suffix_rows
 from uorolab.noise import episode_noises
 from uorolab.rnn import CutVertex, run_episode
-from uorolab.variance import compute_B, compute_C
+from uorolab.variance import (
+    compute_B,
+    compute_B_partial,
+    compute_C,
+    offline_total_estimate,
+    predicted_VQ,
+)
 
 from helpers import (
     compute_C_oracle,
@@ -125,15 +131,100 @@ class TestSweepRows:
             np.testing.assert_array_equal(rows.a, tape.steps.a[:, j])
 
     def test_block_rows_refused_where_one_episode_is_needed(self):
+        """compute_C takes a block's rows (TestBlockC); the other readers of
+        suffix rows take one episode's."""
         block = suffix_rows(batched_tape(206, rnn.LSTM), CutVertex.PREACTIVATION)
+        ones = np.ones(block.length)
+        u = np.ones((block.length, block.cut_dim))
         with pytest.raises(ShapeError):
-            compute_C(block)
+            compute_B(block, ones)
         with pytest.raises(ShapeError):
-            compute_B(block, np.ones(block.length))
+            compute_B_partial(block, ones, 1)
+        with pytest.raises(ShapeError):
+            predicted_VQ(block, ones)
+        with pytest.raises(ShapeError):
+            offline_total_estimate(block, u, ones)
         with pytest.raises(ValueError, match="minst"):
             minst_B(block.episode(0), np.ones(block.length))
         with pytest.raises(ShapeError):
             block.episode(0).episode(0)
+
+
+def spd(n, seed):
+    m = np.random.default_rng(seed).standard_normal((n, n))
+    return np.eye(n) + m @ m.T / n
+
+
+def assert_block_C_is_each_episodes(tape, cut, blocks, q0):
+    """compute_C of each block's rows, swept as training sweeps them into one
+    reused rows buffer (so a ragged tail's rows are a strided view), is the
+    (b, T, T) stack of the episodes' own calls, bit for bit."""
+    buffer = None
+    for a, b in blocks:
+        rows = suffix_rows(tape.episode(slice(a, b)), cut,
+                           out=None if buffer is None else buffer[:, : b - a])
+        if buffer is None:
+            buffer = rows.rows
+        for shape in (None, q0):
+            stack = compute_C(rows, shape)
+            assert stack.shape == (b - a, tape.length, tape.length)
+            for j in range(b - a):
+                single = compute_C(rows.episode(j), shape)
+                assert stack[j].tobytes() == single.tobytes(), (a, j, shape is None)
+
+
+class TestBlockC:
+    """compute_C of a block's suffix rows is one call per block in training;
+    each slice of its stack is the episode's own call bit for bit."""
+
+    @pytest.mark.parametrize("cell,cut", CELL_CUTS)
+    def test_each_slice_is_the_episodes_call(self, cell, cut):
+        params, inputs, targets, head = minibatch(220, cell)
+        tape = run_episode(params, inputs, targets, head)
+        assert_block_C_is_each_episodes(tape, cut, ((0, 6), (6, 8)),
+                                        spd(params.cut_size(cut), 221))
+
+    @pytest.mark.parametrize("cell,cut", [(rnn.LSTM, CutVertex.PREACTIVATION),
+                                          (rnn.VANILLA_TANH, CutVertex.STATE)])
+    def test_each_slice_is_the_episodes_call_at_the_digits_shape(self, cell, cut):
+        """T = 28 and H = 50: N_z = 200 for the LSTM, as in the digits
+        protocol, and 50 for the vanilla cell, where a product over several
+        episodes' rows would round differently from the episode's own (at
+        OpenBLAS's small-matrix threshold), so the block multiplies each
+        episode's rows by Q0 alone."""
+        params, inputs, targets, head = minibatch(222, cell, batch=10,
+                                                  hidden=50, length=28)
+        tape = run_episode(params, inputs, targets, head)
+        assert_block_C_is_each_episodes(tape, cut, ((0, 8), (8, 10)),
+                                        spd(params.cut_size(cut), 223))
+
+    def test_a_block_of_one_is_the_episodes_call(self):
+        tape = batched_tape(224, rnn.LSTM, batch=1)
+        rows = suffix_rows(tape, CutVertex.PREACTIVATION)
+        q0 = spd(rows.cut_dim, 225)
+        assert (compute_C(rows, q0)[0].tobytes()
+                == compute_C(rows.episode(0), q0).tobytes())
+
+    def test_wrong_q0_shape_is_refused_before_any_work(self, monkeypatch):
+        block = suffix_rows(batched_tape(226, rnn.LSTM), CutVertex.PREACTIVATION)
+        n_z = block.cut_dim
+
+        def forbidden(*args):
+            raise AssertionError("work before the shape check")
+
+        monkeypatch.setattr(variance, "_tril_indices", forbidden)
+        monkeypatch.setattr(variance, "_theta_weights", forbidden)
+        with pytest.raises(ShapeError, match=rf"\({n_z + 1}, {n_z + 1}\) != "
+                                             rf"\({n_z}, {n_z}\)"):
+            compute_C(block, np.eye(n_z + 1))
+
+    def test_stack_is_fresh_per_call(self):
+        block = suffix_rows(batched_tape(227, rnn.LSTM), CutVertex.PREACTIVATION)
+        first = compute_C(block)
+        kept = first.copy()
+        second = compute_C(block)
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == kept.tobytes() == second.tobytes()
 
 
 # a minibatch of 8 in blocks of 3, with a ragged tail of 2 (a block of one

@@ -370,6 +370,35 @@ class TestRunTraining:
             {"checked_q0": 1, "cond": 1, "inv": 1},
         ]
 
+    def test_one_newton_solve_per_episode_on_a_kept_2d_C(self, monkeypatch):
+        """Under alpha "ours" each update forms its C once per block of
+        TENSOR_BLOCK episodes (8 and 2 of 10) and calls
+        variance.solve_alpha_newton once per episode with that episode's
+        2-D (T, T) C, which nothing writes afterwards.  perfbench's digits-q0
+        check relies on this: it observes solve_alpha_newton by name, keeps
+        every C argument until the operation ends and solves it again."""
+        solves, blocks = [], []
+
+        def solve(c):
+            solves.append((c, c.copy()))
+            return solve_alpha_newton(c)
+
+        def form(rows, *args):
+            stack = compute_C(rows, *args)
+            blocks.append(stack.shape)
+            return stack
+
+        monkeypatch.setattr(training, "solve_alpha_newton", solve)
+        monkeypatch.setattr(training, "compute_C", form)
+        cfg = tiny_digits_config("ours", "ours", minibatch=10, updates=2)
+        training.run_training(cfg)
+        t_len = 28
+        assert blocks == [(8, t_len, t_len), (2, t_len, t_len)] * 2
+        assert len(solves) == 20
+        for c, kept in solves:
+            assert c.shape == (t_len, t_len)
+            assert c.tobytes() == kept.tobytes()
+
     def test_suffix_rows_freed_before_the_sketch_runs(self, monkeypatch):
         """Under alpha "ours" the SuffixRows of every block, from which each
         episode's C, alpha and B come, are written into one rows buffer that

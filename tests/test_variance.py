@@ -46,6 +46,7 @@ from helpers import (
     greedy_coefficients,
     make_instance,
     minst_B,
+    newton_allocating_oracle,
     newton_oracle,
     offline_total_estimate_oracle,
     online_B_replay,
@@ -328,11 +329,11 @@ class TestAlphaNewtonOracle:
     def test_solution_and_rescales_match_the_oracle(self, monkeypatch, name, c):
         calls = []
 
-        def rescaled(matrix, zeta):
+        def rescaled(matrix, zeta, out=None):
             calls.append(None)
             if name == "stalled" and zeta.any():  # a trial step: no descent
                 return np.full_like(matrix, np.nan)
-            return rescale(matrix, zeta)
+            return rescale(matrix, zeta, out)
 
         rescale = variance._rescaled
         monkeypatch.setattr(variance, "_rescaled", rescaled)
@@ -939,3 +940,55 @@ def test_misshapen_input_refused_against_the_rows(monkeypatch, case):
     call, message = MISSHAPEN[case]
     with pytest.raises(ShapeError, match=message):
         call(rows)
+
+
+SOLUTION_FIELDS = ("zeta", "alpha", "residual", "objective", "iterations",
+                   "converged")
+
+
+def assert_same_solution(solution, expected):
+    for field in SOLUTION_FIELDS:
+        got, want = getattr(solution, field), getattr(expected, field)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field
+
+
+def digits_shape_cs():
+    """The T = 28 C matrices of a block of 4 LSTM episodes at the digits
+    shape (H = 50, so N_z = 200), at identity Q0 and at an SPD Q0."""
+    rng = np.random.default_rng(230)
+    params, _, _, head = make_instance(rng, cell_kind=LSTM, hidden=50, length=28)
+    inputs = rng.standard_normal((4, 28, params.input_size))
+    targets = [[int(rng.integers(3)) for _ in range(28)] for _ in range(4)]
+    rows = suffix_rows(run_episode(params, inputs, targets, head),
+                       CutVertex.PREACTIVATION)
+    m = rng.standard_normal((rows.cut_dim, rows.cut_dim))
+    q0 = np.eye(rows.cut_dim) + m @ m.T / rows.cut_dim
+    return [*compute_C(rows), *compute_C(rows, q0)]
+
+
+class TestAlphaNewtonInPlace:
+    """solve_alpha_newton builds its Hessian in place, rescales into two
+    alternating buffers and keeps the accepted trial's objective; every
+    field of its solution is that of the solver that allocated them
+    (helpers.newton_allocating_oracle), bit for bit."""
+
+    def test_digits_shape_solutions_match_the_oracle(self):
+        for c in digits_shape_cs():
+            assert c.shape == (28, 28)
+            assert_same_solution(solve_alpha_newton(c), newton_allocating_oracle(c))
+
+    @pytest.mark.parametrize("name,c", newton_exit_cases(),
+                             ids=[name for name, _ in newton_exit_cases()])
+    def test_every_exit_matches_the_oracle(self, monkeypatch, name, c):
+        rescale = variance._rescaled
+
+        def rescaled(matrix, zeta, out=None):
+            if name == "stalled" and zeta.any():  # a trial step: no descent
+                return np.full_like(matrix, np.nan)
+            return rescale(matrix, zeta, out)
+
+        monkeypatch.setattr(variance, "_rescaled", rescaled)
+        expected = newton_allocating_oracle(c)
+        assert_same_solution(solve_alpha_newton(c), expected)
+        if name == "stalled":
+            assert not expected.converged and expected.iterations == 1
