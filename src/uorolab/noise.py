@@ -16,38 +16,33 @@ episodes may be processed in any order.  Stream k (tau 0, nu 1, sigma 2,
 mu 3) of episode i is bit for bit what numpy's Generator draws from
 PCG64(SeedSequence(base_seed, spawn_key=(i, k))).  Seeds and indices are
 non-negative integers of any size; a negative one raises ValueError, as in
-SeedSequence.
+SeedSequence, when the noise or coin block is made, before any draw.
 
-Derivation.  No SeedSequence or PCG64 is built per stream.  The part of
-SeedSequence's pool hash that depends only on the base seed (its entropy
-words and the pool mixes) is computed once per seed and cached, and so is
-the hash of each stream word at each pool position, so a stream's pool is
-its episode's pool with four words mixed in.  The output words and PCG64's
-seeding follow by the same arithmetic, on two routes.  For one episode, or
-indices of more than one 32-bit word, they run on Python ints per index
-and stream.  For several indices that are each one 32-bit word, a block
-derives the states of all four streams together on uint64 arrays and keeps
-them as 64-bit limbs (state_hi, state_lo, inc_hi, inc_lo).  On either route
-no generator draws a sign stream, or coin_block's bits: the states are
-stepped by PCG64's 128-bit LCG and XSL-RR output (O'Neill 2014, "PCG: A
+Derivation, on two routes.  On the per-index route, for one episode, or a
+block of one index or with an index wider than one 32-bit word, a stream is
+drawn from numpy's own PCG64(SeedSequence(base_seed, spawn_key=(i, k))).
+On the array route, for a block of several one-word indices, the PCG64
+states of every episode's four streams are derived together on uint64
+arrays and kept as 64-bit limbs (state_hi, state_lo, inc_hi, inc_lo); the
+part of SeedSequence's pool hash that depends only on the base seed is
+computed once per seed and cached, and so is the hash of each stream word
+at each pool position.  Sign streams and coin_block's bits step the limbs
+together by PCG64's 128-bit LCG and XSL-RR output (O'Neill 2014, "PCG: A
 Family of Simple Fast Space-Efficient Statistically Good Algorithms for
-Random Number Generation"), on Python ints per state or together as limbs,
-and the bits read from the raw outputs.  Normals still come from numpy's
-ziggurat, on one generator per thread whose PCG64 state is set just before
-each stream, or each column of a block, is drawn: one seat per stream for
-one episode.
+Random Number Generation"), with no generator; normals come from numpy's
+ziggurat, on one generator per thread seated at each column's state just
+before the column is drawn.  On both routes one reader, _raw_bits, takes
+the coin bits from the 64-bit raw outputs.
 
 Forms.  NoiseBlock (episode_noises) is a block of episode indices of one
 base seed: each stream is (T, B, ...), column j the stream of episode
-indices[j], drawn on first access in that layout.  On the array route the
-block derives each stream's states once, and a slice is a sub-block that
-shares that derivation and draws its own columns; on the per-index route
-column j is the stream of the block's EpisodeNoise of indices[j].
-EpisodeNoise (episode_noise, or an integer index of a block) is one
-episode, whose streams (T, ...) it draws itself on first access from its
-own pool.  coin_block draws fair coin bits, such as
-the queue task's inputs, for a block of one-element spawn keys (i,) from
-the same derivation.
+indices[j], drawn on first access in that layout; on the per-index route,
+column j is what block[j] draws.  A slice is a new block of its columns'
+indices, which derives its states again.  EpisodeNoise (episode_noise, or
+an integer index of a block) is one episode on the per-index route, which
+draws its streams (T, ...) on first access.  coin_block draws fair coin
+bits, such as the queue task's inputs, for a block of one-element spawn
+keys (i,) on the same two routes.
 """
 
 import threading
@@ -70,16 +65,20 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 # PCG64's 128-bit LCG multiplier.
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
 
 
-def _words(n) -> list:
+def _check_key(base_seed, indices):
+    """Refuse a negative base seed or episode index, as SeedSequence does."""
+    if base_seed < 0:
+        raise ValueError(f"base_seed must be non-negative, got {base_seed}")
+    for index in indices:
+        if index < 0:
+            raise ValueError(f"episode index must be non-negative, got {index}")
+
+
+def _words(n: int) -> list:
     """The 32-bit words of a non-negative integer, least significant first,
-    as SeedSequence splits its entropy and spawn keys."""
-    n = int(n)
-    if n < 0:
-        raise ValueError("expected non-negative integer")
+    as SeedSequence splits its entropy."""
     words = [n & _MASK32]
     n >>= 32
     while n:
@@ -155,25 +154,6 @@ def _stream_hashes(const: int) -> tuple:
                  for k in range(len(_STREAMS)))
 
 
-_OUTPUT_CONSTS = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)[0]
-
-
-def _pcg64_state(pool) -> tuple:
-    """PCG64's (state, inc) seeded from a final pool of Python ints.
-
-    SeedSequence.generate_state(4, uint64) hashes the pool into eight
-    32-bit words, which little-endian pairs make the 128-bit seed and
-    sequence words; PCG64 seeds with inc = 2 seq + 1 and
-    state = (seed + inc) * MULT + inc."""
-    w = []
-    for word, (xor, mult) in zip((*pool, *pool), _OUTPUT_CONSTS):
-        word = ((word ^ xor) * mult) & _MASK32
-        w.append(word ^ (word >> _XSHIFT))
-    seed = (w[1] << 96) | (w[0] << 64) | (w[3] << 32) | w[2]
-    inc = ((w[5] << 97) | (w[4] << 65) | (w[7] << 33) | (w[6] << 1) | 1) & _MASK128
-    return ((seed + inc) * _PCG64_MULT + inc) & _MASK128, inc
-
-
 # PCG64 on uint64 limbs: a 128-bit value is its high and low 64-bit words,
 # arrays of any shape, and numpy's uint64 arithmetic wraps modulo 2**64.
 
@@ -187,6 +167,10 @@ class _Limbs(NamedTuple):
     def take(self, rows) -> "_Limbs":
         """The limbs at rows of the leading axis."""
         return _Limbs(*(limb[rows] for limb in self))
+
+    def random_raw(self, words: int) -> np.ndarray:
+        """(B, words) raw outputs of (B,) limbs, as _limb_raw."""
+        return _limb_raw(self, words)
 
     def states(self) -> list:
         """The (state, inc) Python ints of each element, as a generator is
@@ -206,7 +190,8 @@ _ONE, _U32, _U58, _U63, _LO32 = map(_u64, (1, 32, 58, 63, _MASK32))
 _MULT_HI, _MULT_LO = map(_u64, divmod(_PCG64_MULT, 1 << 64))
 _MULT_LO_LO, _MULT_LO_HI = map(_u64, (_PCG64_MULT & _MASK32,
                                       (_PCG64_MULT >> 32) & _MASK32))
-_OUTPUT_XOR, _OUTPUT_MULT = np.array(_OUTPUT_CONSTS, dtype=np.uint64).T[..., None]
+_OUTPUT_XOR, _OUTPUT_MULT = np.array(_hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)[0],
+                                     dtype=np.uint64).T[..., None]
 
 
 def _lcg_step(hi, lo, inc_hi, inc_lo):
@@ -224,7 +209,10 @@ def _lcg_step(hi, lo, inc_hi, inc_lo):
 
 def _limb_states(pool: np.ndarray) -> _Limbs:
     """PCG64's states seeded from final pools (4, ...) of uint64 arrays, one
-    per trailing element: _pcg64_state on limbs."""
+    per trailing element: SeedSequence.generate_state(4, uint64) hashes each
+    pool into eight 32-bit words, which little-endian pairs make the 128-bit
+    seed and sequence words; PCG64 seeds with inc = 2 seq + 1 and
+    state = (seed + inc) * MULT + inc."""
     shape = pool.shape[1:]
     pool = pool.reshape(_POOL_SIZE, -1)
     w = _hash(np.concatenate([pool, pool]), _OUTPUT_XOR, _OUTPUT_MULT)
@@ -258,36 +246,15 @@ def _limb_raw(limbs: _Limbs, words: int) -> np.ndarray:
     return raw
 
 
-def _raw_words(state, words: int) -> list:
-    """random_raw(words) of a generator seated at state = (state, inc), on
-    Python ints: _limb_raw's step and output, each on one 128-bit int."""
-    s, inc = state
-    raw = []
-    for _ in range(words):
-        s = (s * _PCG64_MULT + inc) & _MASK128
-        x, rot = ((s >> 64) ^ s) & _MASK64, s >> 122
-        raw.append(((x >> rot) | (x << (64 - rot))) & _MASK64)
-    return raw
-
-
-def _state_bits(state, length: int) -> list:
-    """The length coin bits of a generator seated at state = (state, inc),
-    as _raw_bits reads them from _raw_words."""
-    bits = []
-    for x in _raw_words(state, (length + 1) // 2):
-        bits += (x >> 31) & 1, x >> 63
-    return bits[:length]
-
-
-def _coin_bits(limbs: _Limbs, length: int) -> np.ndarray:
-    """(B, length) fair coin bits, 0 or 1: row j bit for bit
-    Generator.integers(0, 2, size=length) of a generator seated at state j
-    of (B,) limbs, with no generator.
+def _coin_bits(bits, length: int) -> np.ndarray:
+    """(..., length) fair coin bits, 0 or 1, bit for bit
+    Generator.integers(0, 2, size=length) of bits: a PCG64, or (B,) limbs,
+    row j that of a generator seated at state j, stepped with no generator.
 
     integers draws each value from the next 32-bit half of the successive
     64-bit outputs, low half first, by Lemire's method, which for the range 2
     never rejects and returns bit 31 of the half (_raw_bits)."""
-    return _raw_bits(_limb_raw(limbs, (length + 1) // 2), length)
+    return _raw_bits(bits.random_raw((length + 1) // 2), length)
 
 
 _thread = threading.local()
@@ -309,35 +276,36 @@ def _generator(state) -> np.random.Generator:
 
 def _array_route(indices: tuple) -> bool:
     """Whether indices take the array route: several, each one 32-bit word."""
-    return len(indices) > 1 and 0 <= min(indices) and max(indices) <= _MASK32
+    return len(indices) > 1 and max(indices) <= _MASK32
 
 
-def _index_pools(base_seed: int, indices: tuple) -> list:
-    """(pool, const) after base_seed and each one-element spawn key (i,), in
-    groups: on the array route, one group whose pool is a (4, B) uint64
-    array, row i pool position i; else, on the per-index route, one group of
-    Python ints per index, of any number of words (a negative index raises
-    as in SeedSequence)."""
+def _index_pool(base_seed: int, indices: tuple):
+    """(pool, const) after base_seed and each one-element spawn key (i,) of
+    the array route: pool is a (4, B) uint64 array, row i pool position i."""
     pool, const = _seed_pool(int(base_seed))
-    if _array_route(indices):
-        pairs, const = _hash_consts(const, _MULT_A, _POOL_SIZE)
-        xor, mult = np.array(pairs, dtype=np.uint64).T[..., None]
-        words = _hash(np.array(indices, dtype=np.uint64), xor, mult)
-        return [(_mix(np.array(pool, dtype=np.uint64)[:, None], words), const)]
-    return [_absorb(pool, const, _words(i)) for i in indices]
+    pairs, const = _hash_consts(const, _MULT_A, _POOL_SIZE)
+    xor, mult = np.array(pairs, dtype=np.uint64).T[..., None]
+    words = _hash(np.array(indices, dtype=np.uint64), xor, mult)
+    return _mix(np.array(pool, dtype=np.uint64)[:, None], words), const
+
+
+def _pcg64(base_seed: int, spawn_key: tuple) -> np.random.PCG64:
+    """The per-index route: numpy's own PCG64 of one spawn key."""
+    return np.random.PCG64(np.random.SeedSequence(int(base_seed),
+                                                  spawn_key=spawn_key))
 
 
 def coin_block(base_seed: int, indices, length: int) -> np.ndarray:
     """(B, length) fair coin bits, 0 or 1: row j bit for bit
     Generator(PCG64(SeedSequence(base_seed, spawn_key=(indices[j],))))
-    .integers(0, 2, size=length).  The rows' PCG64 states are derived and
-    stepped as a NoiseBlock's sign streams are."""
+    .integers(0, 2, size=length), on the route a NoiseBlock of indices
+    takes for its sign streams."""
     indices = tuple(map(int, indices))
-    pools = _index_pools(base_seed, indices)
+    _check_key(base_seed, indices)
     if _array_route(indices):
-        return _coin_bits(_limb_states(pools[0][0]), length)
-    return np.array([_state_bits(_pcg64_state(pool), length) for pool, _ in pools],
-                    dtype=np.uint32).reshape(len(pools), length)
+        return _coin_bits(_limb_states(_index_pool(base_seed, indices)[0]), length)
+    return np.array([_coin_bits(_pcg64(base_seed, (i,)), length) for i in indices],
+                    dtype=np.uint32).reshape(len(indices), length)
 
 
 _SIGNS = np.array([-1.0, 1.0])  # the sign of each coin bit
@@ -351,28 +319,22 @@ def _check_kind(tau_kind: str):
 class EpisodeNoise:
     """The noise of one episode: its base_seed, episode_index, length, dim
     and tau_kind, and streams tau and sigma (T,) and nu, mu and u (T, dim),
-    each drawn on first access.  Its pool is derived on Python ints when it
-    is made, and each stream's state from that pool."""
+    each drawn on first access from numpy's own seeding of the stream."""
 
     def __init__(self, base_seed: int, episode_index: int, length: int, dim: int,
                  tau_kind: str = SIGN):
         _check_kind(tau_kind)
+        _check_key(base_seed, (episode_index,))
         self.base_seed, self.episode_index = base_seed, episode_index
         self.length, self.dim, self.tau_kind = length, dim, tau_kind
-        self._pool = _absorb(*_seed_pool(int(base_seed)), _words(episode_index))
-
-    def _state(self, stream: str) -> tuple:
-        """The PCG64 (state, inc) of one stream."""
-        pool, const = self._pool
-        folds = _stream_hashes(const)[_STREAMS[stream]]
-        return _pcg64_state([_mix(word, fold) for word, fold in zip(pool, folds)])
 
     def _draw(self, stream: str, shape: tuple) -> np.ndarray:
-        """A (T, *shape) stream drawn afresh: signs stepped on Python ints,
-        normals from the thread's generator seated at the stream's state."""
+        """A (T, *shape) stream drawn afresh from the stream's own PCG64:
+        signs read from its raw outputs, normals through a Generator."""
+        bits = _pcg64(self.base_seed, (int(self.episode_index), _STREAMS[stream]))
         if shape == () and self.tau_kind == SIGN:
-            return _SIGNS.take(_state_bits(self._state(stream), self.length))
-        return _generator(self._state(stream)).standard_normal((self.length, *shape))
+            return _SIGNS.take(_coin_bits(bits, self.length))
+        return np.random.Generator(bits).standard_normal((self.length, *shape))
 
     tau = cached_property(lambda self: self._draw("tau", ()))
     nu = cached_property(lambda self: self._draw("nu", (self.dim,)))
@@ -386,13 +348,8 @@ class EpisodeNoise:
         return u
 
 
-def episode_noise(
-    base_seed: int,
-    episode_index: int,
-    length: int,
-    dim: int,
-    tau_kind: str = SIGN,
-) -> EpisodeNoise:
+def episode_noise(base_seed: int, episode_index: int, length: int, dim: int,
+                  tau_kind: str = SIGN) -> EpisodeNoise:
     return EpisodeNoise(base_seed, episode_index, length, dim, tau_kind)
 
 
@@ -409,9 +366,8 @@ class NoiseBlock:
         _check_kind(tau_kind)
         self.base_seed = base_seed
         self.indices = tuple(map(int, indices))
-        self.length = length
-        self.dim = dim
-        self.tau_kind = tau_kind
+        _check_key(base_seed, self.indices)
+        self.length, self.dim, self.tau_kind = length, dim, tau_kind
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -428,7 +384,7 @@ class NoiseBlock:
     def _limbs(self) -> _Limbs:
         """On the array route, the PCG64 states of all four streams of every
         episode, derived together: (4, B) limbs, row k stream k's."""
-        (pool, const), = _index_pools(self.base_seed, self.indices)
+        pool, const = _index_pool(self.base_seed, self.indices)
         hashes = np.array(_stream_hashes(const), dtype=np.uint64)
         return _limb_states(_mix(pool[:, None], hashes.T[..., None]))
 

@@ -164,29 +164,20 @@ class TestBitIdentity:
 
     def test_one_word_indices_take_the_array_route(self):
         block = episode_noises(2**64 + 3, [0, 5, 2**32 - 1], 4, 2)
-        # one group of (B,) uint64 arrays
-        (pool, _), = noise._index_pools(block.base_seed, block.indices)
-        assert all(isinstance(w, np.ndarray) and w.dtype == np.uint64 for w in pool)
+        assert noise._array_route(block.indices)
         assert_block_matches(block)
 
     @pytest.mark.parametrize("index", [0, 5, 2**32 - 1, 2**32 + 1])
     def test_one_index_takes_the_per_index_route(self, index):
         block = episode_noises(13, [index], 4, 2)
-        # one group of Python ints
-        (pool, _), = noise._index_pools(block.base_seed, block.indices)
-        assert all(isinstance(w, int) for w in pool)
+        assert not noise._array_route(block.indices)
         assert_block_matches(block)
-        pool, _ = episode_noise(13, index, 4, 2)._pool  # one episode's own
-        assert all(isinstance(w, int) for w in pool)
 
     @pytest.mark.parametrize("indices", [[3, 2**32, 2**64 + 3, 2**100],
                                          [2**32, 2**32 + 5, 2**33]])
     def test_multi_word_indices_take_the_per_index_route(self, indices):
         block = episode_noises(7, indices, 4, 2)
-        # one group of Python ints per index
-        groups = noise._index_pools(block.base_seed, block.indices)
-        assert len(groups) == len(indices)
-        assert all(isinstance(w, int) for pool, _ in groups for w in pool)
+        assert not noise._array_route(block.indices)
         assert_block_matches(block)
 
     @pytest.mark.parametrize("base_seed", [2**32, 2**64 + 3, 2**127, 2**130 + 7])
@@ -200,13 +191,17 @@ class TestBitIdentity:
                                      dict(index=-2**32)])
     def test_negative_seed_or_index_raises_like_seed_sequence(self, bad):
         base_seed, index = bad.get("base_seed", 3), bad.get("index", 0)
+        named = "base_seed" if base_seed < 0 else "index"
         with pytest.raises(ValueError):
             np.random.SeedSequence(base_seed, spawn_key=(index, 0))
-        with pytest.raises(ValueError):
-            episode_noise(base_seed, index, 3, 2).tau
+        # refused when the noise is made, before any draw
+        with pytest.raises(ValueError, match=named):
+            episode_noise(base_seed, index, 3, 2)
         # a negative index in a block is refused, never masked to 32 bits
-        with pytest.raises(ValueError):
-            episode_noises(base_seed, [1, index, 2], 3, 2).u
+        with pytest.raises(ValueError, match=named):
+            episode_noises(base_seed, [1, index, 2], 3, 2)
+        with pytest.raises(ValueError, match=named):
+            coin_block(base_seed, [1, index, 2], 4)
         with pytest.raises(ValueError):
             queue_block(QueueSpec(), base_seed, (index,))
         with pytest.raises(ValueError):
@@ -249,6 +244,20 @@ class TestBitIdentity:
                 assert np.array_equal(
                     noise._raw_bits(raw, length),
                     fresh(seed, (length,)).integers(0, 2, size=length)), (seed, length)
+
+    @pytest.mark.parametrize("length", [0, 1, 5, 24])
+    def test_coin_block_rows_are_uint32_on_both_routes(self, length):
+        # make_queue_episode draws each episode as a block of one index
+        for index in (0, 7, 2**32 - 1):
+            one = coin_block(5, [index], length)
+            wide = coin_block(5, [2**40 + index], length)
+            pair = coin_block(5, [index, 9], length)  # the array route
+            for bits, key in ((one, index), (wide, 2**40 + index)):
+                assert bits.dtype == np.uint32 and bits.shape == (1, length)
+                assert np.array_equal(bits[0],
+                                      fresh(5, (key,)).integers(0, 2, size=length))
+            assert pair.dtype == np.uint32
+            assert np.array_equal(one[0], pair[0])
 
     def test_interleaved_draws_on_the_shared_generator(self):
         # an odd length leaves half of a 64-bit draw buffered after the signs
@@ -416,23 +425,8 @@ class TestLimbPcg64:
         episode_noises(3, range(32), 6, 4, GAUSSIAN).tau
         assert len(seated) == 32
 
-        # one episode, and the per-index route, seat it once per normal
-        # stream of each index, and never for sign streams or coin bits
-        seated.clear()
-        episode_noise(3, 5, 6, 4).u
-        assert len(seated) == 1
-        episode_noises(3, [1, 2**32, 7], 6, 4).tau
-        coin_block(3, [1, 2**32, 7], 24)
-        assert len(seated) == 1
-        episode_noises(3, [1, 2**32, 7], 6, 4).u
-        assert len(seated) == 4
-        episode_noise(3, 5, 6, 4, GAUSSIAN).tau
-        assert len(seated) == 5
 
-
-# One episode draws its own streams: its sign streams are stepped on Python
-# ints with no generator, its normals come from the thread's generator seated
-# once per stream.
+# One episode draws its own streams from numpy's own seeding of each.
 
 ONE_EPISODE_SEEDS = (0, 17, 2**32 - 1, 2**64 + 3, 2**130 + 7)
 ONE_EPISODE_INDICES = (0, 5, 2**32 - 1, 2**32 + 1, 2**70 + 9)
@@ -451,28 +445,6 @@ class TestOneEpisodeRoute:
                     assert drawn.flags.c_contiguous
                     assert np.array_equal(drawn, expected[stream]), \
                         (base_seed, index, length, stream)
-
-    @pytest.mark.parametrize("base_seed", ONE_EPISODE_SEEDS)
-    def test_scalar_lcg_is_random_raw(self, base_seed):
-        for index in ONE_EPISODE_INDICES:
-            single = episode_noise(base_seed, index, 1, 1)
-            for stream, k in noise._STREAMS.items():
-                expected = fresh(base_seed, (index, k)).bit_generator.random_raw(51)
-                assert noise._raw_words(single._state(stream), 51) == expected.tolist()
-
-    def test_scalar_lcg_at_its_edges(self):
-        """States whose next step lands on the edges of the 128-bit word and
-        of the output rotation (hi >> 58 of 0 and of 63)."""
-        inverse = pow(noise._PCG64_MULT, -1, 2**128)
-        landing = (0, 1, 2**64 - 1, 2**64, 2**122 - 1, 2**122, 2**127, 2**128 - 1)
-        for inc in (1, 2**64 + 1, 2**128 - 1):
-            for target in landing:
-                state = ((target - inc) * inverse) % 2**128
-                gen = np.random.PCG64()
-                gen.state = {"bit_generator": "PCG64",
-                             "state": {"state": state, "inc": inc},
-                             "has_uint32": 0, "uinteger": 0}
-                assert noise._raw_words((state, inc), 3) == gen.random_raw(3).tolist()
 
     def test_streams_are_kept_and_settable(self):
         single = episode_noise(3, 1, 4, 2)
