@@ -335,6 +335,24 @@ class TestLimbPcg64:
                      & (2**128 - 1))
             assert (got_hi, got_lo) == divmod(state, 2**64)
 
+    @pytest.mark.parametrize("inc", [1, 2**64 + 1, 2**128 - 1])
+    def test_limb_raw_at_its_edges(self, inc):
+        """States whose next step lands on the edges of the 128-bit word and
+        of the output rotation (hi >> 58 of 0 and of 63), stepped as limbs."""
+        inverse = pow(noise._PCG64_MULT, -1, 2**128)
+        landing = (0, 1, 2**64 - 1, 2**64, 2**122 - 1, 2**122, 2**127, 2**128 - 1)
+        states = [((target - inc) * inverse) % 2**128 for target in landing]
+        limbs = noise._Limbs(*(np.array(words, dtype=np.uint64) for words in zip(
+            *(divmod(state, 2**64) + divmod(inc, 2**64) for state in states))))
+        assert limbs.states() == [(state, inc) for state in states]
+        raw = noise._limb_raw(limbs, 3)
+        for state, row in zip(states, raw):
+            gen = np.random.PCG64()
+            gen.state = {"bit_generator": "PCG64",
+                         "state": {"state": state, "inc": inc},
+                         "has_uint32": 0, "uinteger": 0}
+            assert np.array_equal(row, gen.random_raw(3)), (state, inc)
+
     @pytest.mark.parametrize("base_seed", [0, 17, 2**32 - 1, 2**32, 2**64 + 3,
                                            2**130 + 7])
     @pytest.mark.parametrize("size", [2, 32, 100])
@@ -424,6 +442,23 @@ class TestLimbPcg64:
         seated.clear()
         episode_noises(3, range(32), 6, 4, GAUSSIAN).tau
         assert len(seated) == 32
+
+    def test_per_index_route_never_seats_the_generator(self, monkeypatch):
+        # one episode and a per-index block draw from numpy's own PCG64 of
+        # each stream, and leave the thread's generator alone
+        seated = []
+        seat = noise._generator
+        monkeypatch.setattr(noise, "_generator",
+                            lambda state: seated.append(state) or seat(state))
+        for tau_kind in (SIGN, GAUSSIAN):
+            single = episode_noise(3, 5, 6, 4, tau_kind)
+            block = episode_noises(3, [1, 2**32, 7], 6, 4, tau_kind)
+            for stream in STREAMS:
+                getattr(single, stream)
+                getattr(block, stream)
+        coin_block(3, [1, 2**32, 7], 24)
+        coin_block(3, [5], 24)
+        assert len(seated) == 0
 
 
 # One episode draws its own streams from numpy's own seeding of each.
