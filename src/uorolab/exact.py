@@ -3,12 +3,15 @@
 Two exact engines compute the same total gradient by the two accumulation
 orders: reverse accumulation (bptt_gradient) propagates a state adjoint
 backwards, forward accumulation (rtrl_jacobians) carries the full
-state-to-parameter influence matrix forwards.  BPTT's sweep, cut_adjoints,
-also serves the spatial estimator.  suffix_rows gives the causal suffix
-sums of the per-step adjoints dL_t/dz_s for a whole block of episodes at
-once: the one adjoint form that the variance toolkit and the online/offline
-audit read (episode_tensors takes them for one episode).  The full
-(T, T, N_z) tensor of the adjoints themselves is formed by no engine here.
+state-to-parameter influence matrix forwards as P rows of S, advanced by
+rnn.jvp_state, the product the sketches take.  No engine forms a dense local
+Jacobian: the dense oracles, RTRL's dense recursion among them, are in
+tests/helpers.py.  BPTT's sweep, cut_adjoints, also serves the spatial
+estimator.  suffix_rows gives the causal suffix sums of the per-step
+adjoints dL_t/dz_s for a whole block of episodes at once: the one adjoint
+form that the variance toolkit and the online/offline audit read
+(episode_tensors takes them for one episode).  The full (T, T, N_z) tensor
+of the adjoints themselves is formed by no engine here.
 """
 
 from dataclasses import dataclass
@@ -22,6 +25,9 @@ from .rnn import CutVertex, EpisodeTape
 # Cap on T * state_size for the suffix-row sweep, whose output holds
 # O(T^2 * N_z) floats per episode.
 TENSOR_GUARD = 10**5
+
+# Cap on P * state_size for rtrl_jacobians' T influence matrices (S, P).
+DENSE_GUARD = 10**7
 
 
 def _require_tensor_guard(tape: EpisodeTape):
@@ -83,23 +89,26 @@ def rtrl_jacobians(tape: EpisodeTape):
 
     The influence matrix G_t = d(state_t)/d(theta) obeys
         G_t = J_state(t) G_{t-1} + d(state_t)/d(theta_t)
-    and the gradient is sum_t dL_t/d(state_t) G_t.  One episode per call.
+    and the gradient is sum_t dL_t/d(state_t) G_t.  G_t is carried as its P
+    columns, rows (P, S) that one stacked rnn.jvp_state advances (the
+    product preUORO's sketch takes; none at step 0, as G_{-1} = 0), and
+    returned as their (S, P) transpose.  One episode per call.
     """
     if tape.length == 0:
         raise ShapeError("empty tape")
     _require_one_episode(tape)
     params = tape.params
-    if params.num_params * params.state_size > rnn.DENSE_GUARD:
+    if params.num_params * params.state_size > DENSE_GUARD:
         raise SizeGuardError("influence matrix too large to materialize")
-    influence = np.zeros((params.state_size, params.num_params))
+    eye = np.eye(params.state_size)
     jacobians = []
     grad = np.zeros(params.num_params)
-    eye = np.eye(params.state_size)
-    j_state = rnn.dense_state_jacobian(tape.steps)
     for t in range(tape.length):
-        influence = j_state[t] @ influence + rnn.vjp_params(tape.steps[t], eye)
-        jacobians.append(influence.copy())
-        grad += tape.loss_grad_full(t) @ influence
+        cache = tape.steps[t]
+        immediate = rnn.vjp_params(cache, eye).T  # (P, S)
+        rows = rnn.jvp_state(cache, rows) + immediate if t else immediate
+        jacobians.append(rows.T)
+        grad += rows @ tape.loss_grad_full(t)
     return jacobians, GradientVector(g=grad, total_loss=tape.total_loss())
 
 

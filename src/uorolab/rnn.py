@@ -19,7 +19,10 @@ vanilla only) or the stacked preactivations W a_t ("preactivation").  At
 both, J_theta has the one form diag(f_t) (I (x) a_t^T): f_t is 1 at the
 preactivation cut, which leaves the Kronecker structure itself, and the
 step's f'(z_t), the cache's d, at the state cut.  The estimators and the
-variance toolkit use that form and never materialize J_theta.
+variance toolkit use that form and never materialize J_theta.  Nothing here
+materializes a local Jacobian: RTRL (exact.rtrl_jacobians) advances its
+influence matrix as rows through jvp_state, and the dense J_state, J_cut and
+J_theta are test oracles (tests/helpers.py).
 
 Everything is batch-first: a step taken from states (B, S) and inputs (B, X)
 records a cache whose arrays carry that leading batch axis, and the products
@@ -43,19 +46,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    NumericOverflowError,
-    ShapeError,
-    SizeGuardError,
-    UnsupportedCutError,
-)
+from .errors import NumericOverflowError, ShapeError, UnsupportedCutError
 
 VANILLA_TANH = "vanilla-tanh"
 VANILLA_LINEAR = "vanilla-linear"  # identity activation, for analytic tests
 LSTM = "lstm"
 CELL_KINDS = (VANILLA_TANH, VANILLA_LINEAR, LSTM)
-
-DENSE_GUARD = 10**7  # refuse to materialize J^{state}_{theta} beyond this
 
 
 class CutVertex(str, Enum):
@@ -426,12 +422,6 @@ def jvp_state(cache: StepCache, v: np.ndarray, out: np.ndarray | None = None,
     return _scaled(d, np.matmul(v, p.w_h_t, out=out))
 
 
-def vjp_state(cache: StepCache, v: np.ndarray) -> np.ndarray:
-    """v^T J_state: pull state adjoints back to the previous state (through
-    the preactivations, whatever the cut)."""
-    return vjp_to_cut_and_state(cache, CutVertex.PREACTIVATION, v)[1]
-
-
 def jvp_cut(cache: StepCache, cut, v: np.ndarray) -> np.ndarray:
     """J_cut v: propagate perturbations of the cut value to the new state."""
     p = cache.params
@@ -459,8 +449,8 @@ def vjp_to_cut(cache: StepCache, cut, v: np.ndarray) -> np.ndarray:
 
 
 def vjp_to_cut_and_state(cache: StepCache, cut, v: np.ndarray, out=None):
-    """(v^T J_cut, v^T J_state): vjp_to_cut and vjp_state of the same rows,
-    equal to them bit for bit.  At the preactivation cut both come from one
+    """(v^T J_cut, v^T J_state) of the same rows, the first equal to
+    vjp_to_cut bit for bit.  At the preactivation cut both come from one
     pullback to the preactivations (one _lstm_adjoint for the LSTM); the
     state adjoint always goes through that pullback.  out, if given, is the
     pair of arrays they are written into and returned; its second may be v
@@ -481,19 +471,6 @@ def vjp_to_cut_and_state(cache: StepCache, cut, v: np.ndarray, out=None):
         g_z = np.multiply(v, cache.d, out=to_cut if pre else None)
         to_state = np.matmul(g_z, w_h, out=to_state)
     return (g_z if pre else to_cut), to_state
-
-
-def vjp_cut(cache: StepCache, cut, v: np.ndarray) -> np.ndarray:
-    """v^T J_theta: contract cut-space adjoints against d(cut)/d(theta),
-    diag(f) (I (x) a^T): vec(v a^T) at the preactivation cut, vec((v d) a^T)
-    at the state cut.
-    """
-    p = cache.params
-    cut = _as_cut(cut)
-    v = _rows(v, p.cut_size(cut), "cut")
-    if cut == CutVertex.PREACTIVATION:
-        return outer_rows(v, cache.a)
-    return outer_rows(v * cache.d, cache.a)
 
 
 def vjp_params(cache: StepCache, v: np.ndarray) -> np.ndarray:
@@ -529,40 +506,6 @@ def preactivation_cut_nonzeros(cache: StepCache):
     return (np.concatenate([np.tile(units, 3), np.tile(units + h, 3), units]),
             np.concatenate([gate_columns, gate_columns, units + 3 * h]),
             np.concatenate([through_c, cell_gates, dz[..., 3 * h :]], axis=-1))
-
-
-def basis_rows(size: int, batch_ndim: int) -> np.ndarray:
-    """The identity as `size` stacked rows that broadcast over batch_ndim
-    batch axes: shape (size, 1, .., 1, size)."""
-    return np.eye(size).reshape(size, *(1,) * batch_ndim, size)
-
-
-def dense_state_jacobian(cache: StepCache) -> np.ndarray:
-    """Materialize J_state ([B,] S x S)."""
-    s = cache.params.state_size
-    return np.moveaxis(jvp_state(cache, basis_rows(s, len(cache.batch_shape))), 0, -1)
-
-
-def dense_cut_jacobian(cache: StepCache, cut) -> np.ndarray:
-    """Materialize J_cut ([B,] S x N_z)."""
-    cut = _as_cut(cut)
-    n_z = cache.params.cut_size(cut)
-    if cut == CutVertex.STATE:
-        return np.zeros((*cache.batch_shape, n_z, n_z)) + np.eye(n_z)
-    return np.moveaxis(jvp_cut(cache, cut, basis_rows(n_z, len(cache.batch_shape))), 0, -1)
-
-
-def dense_theta_jacobian(cache: StepCache, cut) -> np.ndarray:
-    """Materialize J_theta ([B,] N_z x P), guarded against absurd sizes: the
-    dense oracle of vjp_cut, which no engine forms."""
-    p = cache.params
-    cut = _as_cut(cut)
-    if p.num_params * p.state_size > DENSE_GUARD:
-        raise SizeGuardError(
-            f"dense Jacobian of {p.num_params} params refused (guard {DENSE_GUARD})"
-        )
-    n_z = p.cut_size(cut)
-    return np.moveaxis(vjp_cut(cache, cut, basis_rows(n_z, len(cache.batch_shape))), 0, -2)
 
 
 # ---------------------------------------------------------------------------

@@ -284,7 +284,8 @@ def solve_alpha_newton(C: np.ndarray) -> AlphaSolution:
     its gradient is (Cbar^T - Cbar) 1 and its Hessian the graph Laplacian of
     Cbar + Cbar^T, damped by 1e-8 because the all-ones shift is a null
     direction.  Stationarity is equal row and column sums of Cbar, to
-    NEWTON_TOL, within 200 steps; a step is halved on stall.  C is normalized by its largest entry first (the minimizer is
+    NEWTON_TOL, within 200 steps; a step is halved on stall.  C is
+    normalized by its largest entry first (the minimizer is
     scale-invariant), so tolerances are relative.  A solve also counts as
     converged when the objective can no longer resolve the Newton step;
     residual still reports the gradient actually reached.  The loop

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from uorolab import estimators, rnn, variance
-from uorolab.errors import NumericOverflowError, ShapeError
+from uorolab import estimators, exact, rnn, variance
+from uorolab.errors import NumericOverflowError, ShapeError, SizeGuardError
 from uorolab.noise import EpisodeNoise
 from uorolab.rnn import BernoulliHead, RnnParams, SoftmaxHead, run_episode
 from uorolab.tasks import make_queue_episode
@@ -233,6 +233,77 @@ def row_rel(value, reference):
                                                           axis=-1), 1e-300)))
 
 
+def vjp_state(cache, v: np.ndarray) -> np.ndarray:
+    """v^T J_state: pull state adjoints back to the previous state (through
+    the preactivations, whatever the cut)."""
+    return rnn.vjp_to_cut_and_state(cache, rnn.CutVertex.PREACTIVATION, v)[1]
+
+
+def vjp_cut(cache, cut, v: np.ndarray) -> np.ndarray:
+    """v^T J_theta: contract cut-space adjoints against d(cut)/d(theta),
+    diag(f) (I (x) a^T): vec(v a^T) at the preactivation cut, vec((v d) a^T)
+    at the state cut.
+    """
+    p = cache.params
+    cut = rnn._as_cut(cut)
+    v = rnn._rows(v, p.cut_size(cut), "cut")
+    if cut == rnn.CutVertex.PREACTIVATION:
+        return rnn.outer_rows(v, cache.a)
+    return rnn.outer_rows(v * cache.d, cache.a)
+
+
+def basis_rows(size: int, batch_ndim: int) -> np.ndarray:
+    """The identity as `size` stacked rows that broadcast over batch_ndim
+    batch axes: shape (size, 1, .., 1, size)."""
+    return np.eye(size).reshape(size, *(1,) * batch_ndim, size)
+
+
+def dense_state_jacobian(cache) -> np.ndarray:
+    """Materialize J_state ([B,] S x S)."""
+    s = cache.params.state_size
+    return np.moveaxis(rnn.jvp_state(cache, basis_rows(s, len(cache.batch_shape))), 0, -1)
+
+
+def dense_cut_jacobian(cache, cut) -> np.ndarray:
+    """Materialize J_cut ([B,] S x N_z)."""
+    cut = rnn._as_cut(cut)
+    n_z = cache.params.cut_size(cut)
+    if cut == rnn.CutVertex.STATE:
+        return np.zeros((*cache.batch_shape, n_z, n_z)) + np.eye(n_z)
+    return np.moveaxis(rnn.jvp_cut(cache, cut, basis_rows(n_z, len(cache.batch_shape))),
+                       0, -1)
+
+
+def dense_theta_jacobian(cache, cut) -> np.ndarray:
+    """Materialize J_theta ([B,] N_z x P), guarded against absurd sizes: the
+    dense oracle of vjp_cut, which no engine forms."""
+    p = cache.params
+    cut = rnn._as_cut(cut)
+    if p.num_params * p.state_size > exact.DENSE_GUARD:
+        raise SizeGuardError(
+            f"dense Jacobian of {p.num_params} params refused (guard {exact.DENSE_GUARD})"
+        )
+    n_z = p.cut_size(cut)
+    return np.moveaxis(vjp_cut(cache, cut, basis_rows(n_z, len(cache.batch_shape))), 0, -2)
+
+
+def rtrl_by_dense_recursion(tape):
+    """exact.rtrl_jacobians' influence matrices and gradient by the dense
+    recursion G_t = J_state(t) G_{t-1} + d(state_t)/d(theta_t), with every
+    J_state materialized by dense_state_jacobian.  One episode."""
+    params = tape.params
+    influence = np.zeros((params.state_size, params.num_params))
+    jacobians = []
+    grad = np.zeros(params.num_params)
+    eye = np.eye(params.state_size)
+    j_state = dense_state_jacobian(tape.steps)
+    for t in range(tape.length):
+        influence = j_state[t] @ influence + rnn.vjp_params(tape.steps[t], eye)
+        jacobians.append(influence.copy())
+        grad += tape.loss_grad_full(t) @ influence
+    return jacobians, grad
+
+
 def episode_tensors_per_loss(tape, cut):
     """b[t, s] = dL_t/dz_s by one backward sweep per loss index t, each
     pulling a single adjoint vector back from step t to step 0 (O(T^2)
@@ -246,7 +317,7 @@ def episode_tensors_per_loss(tape, cut):
         for s in range(t, -1, -1):
             cache = tape.steps[s]
             b[t, s] = rnn.vjp_to_cut(cache, cut, delta)
-            delta = rnn.vjp_state(cache, delta)
+            delta = vjp_state(cache, delta)
     return b
 
 
@@ -407,7 +478,7 @@ def uoro_step(state: RankOneState, cache, cut, u: np.ndarray,
     col, norms = estimators._col, estimators._norms
     forwarded = rnn.jvp_state(cache, state.h_tilde)
     spatial_in = rnn.jvp_cut(cache, cut, schedule.shape_spatial(u))
-    spatial_out = rnn.vjp_cut(cache, cut, schedule.unshape_spatial(u))
+    spatial_out = vjp_cut(cache, cut, schedule.unshape_spatial(u))
     greedy = schedule.mode == estimators.GIR
     if greedy:
         w_norm, fwd_norm = norms(state.w_tilde), norms(forwarded)
@@ -503,7 +574,7 @@ def preuoro_replay(tape, noise, schedule):
         cache = tape.steps[t]
         forwarded = rnn.jvp_state(cache, rows)
         immediate = rnn.jvp_cut(cache, rnn.CutVertex.PREACTIVATION,
-                                rnn.basis_rows(n_z, len(batch)))
+                                basis_rows(n_z, len(batch)))
         greedy = schedule.mode == estimators.GIR
         if greedy:
             w_norm = np.linalg.norm(w_tilde, axis=-1)
@@ -585,10 +656,10 @@ def spatial_by_definition(tape, cut, noise):
     for j, row in enumerate(estimate):
         if j == 0 or tape.batch_shape:  # one dense J_state per episode
             episode = tape.episode(j) if tape.batch_shape else tape
-            j_state = rnn.dense_state_jacobian(episode.steps)
+            j_state = dense_state_jacobian(episode.steps)
         row_nu = nu[:, j % nu.shape[1]]
         spatial_in = rnn.jvp_cut(episode.steps, cut, row_nu)
-        spatial_out = rnn.vjp_cut(episode.steps, cut, row_nu)
+        spatial_out = vjp_cut(episode.steps, cut, row_nu)
         influence = np.zeros((params.state_size, params.num_params))
         for t in range(tape.length):
             influence = j_state[t] @ influence + np.outer(spatial_in[t], spatial_out[t])
@@ -604,9 +675,9 @@ def suffix_sums(b):
 
 def dense_theta_jacobians(steps, cut):
     """J_q = d(z_q)/d(theta) of each of a tape's steps (T, N_z, P), formed
-    densely by rnn.dense_theta_jacobian from the steps, not from any tensors
+    densely by dense_theta_jacobian from the steps, not from any tensors
     built over them."""
-    return np.array([rnn.dense_theta_jacobian(steps[q], cut)
+    return np.array([dense_theta_jacobian(steps[q], cut)
                      for q in range(len(steps.a))])
 
 

@@ -22,10 +22,13 @@ from uorolab.variance import offline_total_estimate
 from helpers import (
     ConstantHead,
     RankOneState,
+    dense_cut_jacobian,
+    dense_state_jacobian,
     episode_tensors_oracle,
     make_instance,
     uoro_contribution,
     uoro_step,
+    vjp_cut,
 )
 
 
@@ -95,7 +98,7 @@ class TestGirCoefficients:
         cut = CutVertex.PREACTIVATION
         gamma, beta = gir_step(state, cache, cut, u)
         fwd = np.linalg.norm(rnn.jvp_state(cache, state.h_tilde))
-        out = np.linalg.norm(rnn.vjp_cut(cache, cut, u))
+        out = np.linalg.norm(vjp_cut(cache, cut, u))
         inn = np.linalg.norm(rnn.jvp_cut(cache, cut, u))
         wno = np.linalg.norm(state.w_tilde)
         lhs = (gamma / beta) ** 2 * (fwd * out) ** 2
@@ -275,13 +278,13 @@ class TestPreUoro:
         tape = run_episode(params, inputs, targets, head)
         noise = episode_noise(54, 0, 2, 3, tau_kind="gaussian")
         report = run_preuoro(tape, noise, ScalingSchedule(GIR))
-        jzt = [rnn.dense_cut_jacobian(tape.steps[t], CutVertex.PREACTIVATION)
+        jzt = [dense_cut_jacobian(tape.steps[t], CutVertex.PREACTIVATION)
                for t in range(2)]
         betas = [np.sqrt(np.linalg.norm(tape.steps[t].a) / np.linalg.norm(jzt[t]))
                  for t in range(2)]
         np.testing.assert_allclose(report.realized_beta, betas, rtol=1e-10)
         tau = noise.tau
-        fwd = rnn.dense_state_jacobian(tape.steps[1]) @ (betas[0] * tau[0] * jzt[0])
+        fwd = dense_state_jacobian(tape.steps[1]) @ (betas[0] * tau[0] * jzt[0])
         w_tilde = tau[0] / betas[0] * tape.steps[0].a
         assert report.realized_gamma[0] == 1.0
         assert report.realized_gamma[1]**2 == pytest.approx(

@@ -3,15 +3,26 @@ import pytest
 
 from uorolab import rnn
 from uorolab.errors import ShapeError, SizeGuardError, UnsupportedCutError
-from uorolab.exact import bptt_gradient, episode_tensors, rtrl_jacobians, suffix_rows
+from uorolab.exact import (
+    DENSE_GUARD,
+    bptt_gradient,
+    episode_tensors,
+    rtrl_jacobians,
+    suffix_rows,
+)
 from uorolab.rnn import CutVertex, RnnParams, SoftmaxHead, run_episode, vjp_params
 
 from helpers import (
+    dense_cut_jacobian,
+    dense_theta_jacobian,
     dense_theta_jacobians,
     episode_tensors_oracle,
     finite_difference_gradient,
     finite_difference_loss_at_cut,
+    forbid_steps,
     make_instance,
+    rtrl_by_dense_recursion,
+    vjp_state,
 )
 
 
@@ -71,8 +82,8 @@ class TestRtrl:
         tape = run_episode(params, inputs, targets, head)
         jacobians, _ = rtrl_jacobians(tape)
         cache = tape.steps[0]
-        expected = rnn.dense_cut_jacobian(cache, CutVertex.PREACTIVATION) @ \
-            rnn.dense_theta_jacobian(cache, CutVertex.PREACTIVATION)
+        expected = dense_cut_jacobian(cache, CutVertex.PREACTIVATION) @ \
+            dense_theta_jacobian(cache, CutVertex.PREACTIVATION)
         np.testing.assert_allclose(jacobians[0], expected, atol=1e-12)
 
     def test_agrees_with_bptt(self):
@@ -96,6 +107,49 @@ class TestRtrl:
             # tanh'(0) = 1, so the influence is exactly the Kronecker block
             expected = np.kron(np.eye(3), tape.steps[t].a[None, :])
             np.testing.assert_allclose(jac, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("cell", [rnn.VANILLA_TANH, rnn.VANILLA_LINEAR, rnn.LSTM])
+    @pytest.mark.parametrize("length", [1, 5, 20])
+    def test_influence_matrices_equal_dense_recursion(self, cell, length):
+        """The rows that jvp_state advances are the dense recursion's G_t at
+        every step, to 1e-12 of its largest entry, and give its gradient."""
+        rng = np.random.default_rng(27)
+        for hidden in (2, 6):
+            params, inputs, targets, head = make_instance(
+                rng, cell_kind=cell, hidden=hidden, length=length)
+            tape = run_episode(params, inputs, targets, head)
+            jacobians, fwd = rtrl_jacobians(tape)
+            expected, grad = rtrl_by_dense_recursion(tape)
+            assert len(jacobians) == length
+            for t, (jac, ref) in enumerate(zip(jacobians, expected)):
+                assert jac.shape == (params.state_size, params.num_params)
+                assert np.abs(jac - ref).max() <= 1e-12 * np.abs(ref).max(), \
+                    f"H={hidden}, step {t}"
+            assert np.abs(fwd.g - grad).max() <= 1e-12 * np.abs(grad).max()
+
+    def test_refusals_come_before_any_step(self, monkeypatch):
+        """An empty tape, a batched tape and an influence matrix past
+        DENSE_GUARD are refused before any product runs."""
+        rng = np.random.default_rng(28)
+        params, inputs, targets, head = make_instance(rng, length=3)
+        empty = run_episode(params, inputs, targets, head)
+        empty.steps = empty.steps[:0]
+        batched = run_episode(params, np.stack([inputs, inputs]), [targets] * 2, head)
+        wide, inputs, targets, head = make_instance(rng, hidden=220, length=1)
+        assert wide.num_params * wide.state_size > DENSE_GUARD  # 220 * 223 * 220
+        big = run_episode(wide, inputs, targets, head)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a product ran before the tape was checked")
+
+        forbid_steps(monkeypatch)  # jvp_state among them
+        monkeypatch.setattr(rnn, "vjp_params", fail)
+        with pytest.raises(ShapeError, match="empty tape"):
+            rtrl_jacobians(empty)
+        with pytest.raises(ShapeError, match=r"tape\.episode\(i\)"):
+            rtrl_jacobians(batched)
+        with pytest.raises(SizeGuardError):
+            rtrl_jacobians(big)
 
 
 class TestEpisodeTensors:
@@ -210,18 +264,18 @@ class TestOneSweepTensors:
             params, inputs, targets, head = make_instance(rng, cell_kind=cell, length=2)
             cache = run_episode(params, inputs, targets, head).steps[1]
             rows = rng.standard_normal((2, 3, params.state_size))
-            stacked_state = rnn.vjp_state(cache, rows)
+            stacked_state = vjp_state(cache, rows)
             stacked_cut = rnn.vjp_to_cut(cache, cut, rows)
             for i in range(2):
                 for j in range(3):
                     np.testing.assert_allclose(
-                        stacked_state[i, j], rnn.vjp_state(cache, rows[i, j]),
+                        stacked_state[i, j], vjp_state(cache, rows[i, j]),
                         rtol=1e-13, atol=1e-15)
                     np.testing.assert_allclose(
                         stacked_cut[i, j], rnn.vjp_to_cut(cache, cut, rows[i, j]),
                         rtol=1e-13, atol=1e-15)
             with pytest.raises(ShapeError):
-                rnn.vjp_state(cache, rows[..., :-1])
+                vjp_state(cache, rows[..., :-1])
             with pytest.raises(ShapeError):
                 rnn.vjp_to_cut(cache, cut, rows[..., :-1])
 

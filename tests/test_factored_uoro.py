@@ -134,7 +134,7 @@ class TestFactoredMatchesDenseReplay:
         def fail(*args, **kwargs):
             raise AssertionError("a P-long product ran")
 
-        for name in ("vjp_cut", "vjp_params", "outer_rows"):
+        for name in ("vjp_params", "outer_rows"):
             monkeypatch.setattr(rnn, name, fail)
         # estimators no longer imports outer_rows; guard a name bound there again
         monkeypatch.setattr(estimators, "outer_rows", fail, raising=False)

@@ -18,13 +18,19 @@ from uorolab.rnn import (
     loss_grad,
     run_episode,
     step,
-    vjp_cut,
     vjp_params,
-    vjp_state,
     vjp_to_cut,
 )
 
-from helpers import make_instance, row_rel
+from helpers import (
+    dense_cut_jacobian,
+    dense_state_jacobian,
+    dense_theta_jacobian,
+    make_instance,
+    row_rel,
+    vjp_cut,
+    vjp_state,
+)
 
 
 def scalar_params(w=0.5, wx=0.0, b=0.0, kind=rnn.VANILLA_TANH):
@@ -246,7 +252,7 @@ class TestJacobianProducts:
             scalar_params(),
             step(scalar_params(), np.array([1.0]), np.array([0.0]))[1],
         )
-        j = rnn.dense_state_jacobian(cache)
+        j = dense_state_jacobian(cache)
         expected = (1 - np.tanh(0.5) ** 2) * 0.5
         assert j[0, 0] == pytest.approx(expected, rel=1e-12)
         assert j[0, 0] == pytest.approx(0.39322, abs=1e-5)
@@ -260,7 +266,7 @@ class TestJacobianProducts:
     def test_preactivation_theta_jacobian_is_kron(self):
         rng = np.random.default_rng(4)
         params, cache = random_cache(rng)
-        j_theta = rnn.dense_theta_jacobian(cache, CutVertex.PREACTIVATION)
+        j_theta = dense_theta_jacobian(cache, CutVertex.PREACTIVATION)
         np.testing.assert_array_equal(
             j_theta, np.kron(np.eye(params.preactivation_size), cache.a[None, :])
         )
@@ -286,9 +292,9 @@ class TestJacobianProducts:
     def test_products_match_dense_contractions(self, cell, cut):
         rng = np.random.default_rng(8)
         params, cache = random_cache(rng, cell_kind=cell)
-        j_state = rnn.dense_state_jacobian(cache)
-        j_cut = rnn.dense_cut_jacobian(cache, cut)
-        j_theta = rnn.dense_theta_jacobian(cache, cut)
+        j_state = dense_state_jacobian(cache)
+        j_cut = dense_cut_jacobian(cache, cut)
+        j_theta = dense_theta_jacobian(cache, cut)
         s, n_z = params.state_size, params.cut_size(cut)
         for _ in range(3):
             v = rng.standard_normal(s)
@@ -308,7 +314,7 @@ class TestJacobianProducts:
         )
         state0 = 0.5 * rng.standard_normal(params.state_size)
         _, cache = step(params, state0, inputs[0])
-        j_state = rnn.dense_state_jacobian(cache)
+        j_state = dense_state_jacobian(cache)
         eps = 1e-6
         fd = np.zeros_like(j_state)
         for j in range(params.state_size):
@@ -320,8 +326,8 @@ class TestJacobianProducts:
         np.testing.assert_allclose(j_state, fd, rtol=1e-6, atol=1e-8)
 
         theta = params.theta()
-        full_theta = rnn.dense_cut_jacobian(cache, CutVertex.PREACTIVATION) @ \
-            rnn.dense_theta_jacobian(cache, CutVertex.PREACTIVATION)
+        full_theta = dense_cut_jacobian(cache, CutVertex.PREACTIVATION) @ \
+            dense_theta_jacobian(cache, CutVertex.PREACTIVATION)
         fd_theta = np.zeros_like(full_theta)
         for j in range(theta.size):
             bump = np.zeros_like(theta)
@@ -456,7 +462,7 @@ class TestStackedJvpState:
         assert stacked is out
         np.testing.assert_array_equal(
             stacked, np.stack([jvp_state(cache, r, scale=scale) for r in rows]))
-        dense = scale[:, None, None] * rnn.dense_state_jacobian(cache)  # (B, S, S)
+        dense = scale[:, None, None] * dense_state_jacobian(cache)  # (B, S, S)
         assert row_rel(stacked, np.einsum("bij,kbj->kbi", dense, rows)) <= 1e-13
 
     @pytest.mark.parametrize("cell", [rnn.VANILLA_TANH, rnn.LSTM])

@@ -14,7 +14,7 @@ from uorolab.estimators import FIXED_ALPHA, GIR, ScalingSchedule, run_preuoro
 from uorolab.noise import episode_noise, episode_noises
 from uorolab.rnn import CutVertex, RnnParams, SoftmaxHead, run_episode
 
-from helpers import make_instance, preuoro_replay, row_rel
+from helpers import dense_cut_jacobian, make_instance, preuoro_replay, row_rel
 
 RTOL = 1e-12
 
@@ -82,8 +82,9 @@ class TestStructuredMatchesDenseReplay:
         assert_matches_replay(tape, noises, schedule)
 
     def test_no_identity_pushed_through_jvp_cut(self, monkeypatch):
-        """The immediate term comes from the nonzeros of J_cut: neither the
-        identity basis nor jvp_cut runs inside run_preuoro."""
+        """The immediate term comes from the nonzeros of J_cut: jvp_cut, the
+        one product that could take an identity basis, never runs inside
+        run_preuoro."""
         rng = np.random.default_rng(73)
 
         def fail(*args, **kwargs):
@@ -96,7 +97,6 @@ class TestStructuredMatchesDenseReplay:
             noises = episode_noises(74, range(2), 4, 3)
             with monkeypatch.context() as patched:
                 patched.setattr(rnn, "jvp_cut", fail)
-                patched.setattr(rnn, "basis_rows", fail)
                 for schedule in (ScalingSchedule(GIR), schedule_for("fixed", 4, rng)):
                     run_preuoro(tape, noises, schedule)
 
@@ -142,7 +142,7 @@ class TestCutNonzeros:
         built = np.zeros((*batch, params.state_size, params.preactivation_size))
         built[..., state_index, cut_index] = values
         np.testing.assert_array_equal(
-            built, rnn.dense_cut_jacobian(cache, CutVertex.PREACTIVATION))
+            built, dense_cut_jacobian(cache, CutVertex.PREACTIVATION))
         assert state_index.size == (7 if cell == rnn.LSTM else 1) * params.hidden_size
 
 
