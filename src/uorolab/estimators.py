@@ -48,6 +48,7 @@ seeds or B episodes, and the noise-free baseline, are rows of one sweep.
 """
 
 import copy
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -314,7 +315,8 @@ def run_uoro(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
     (times f'(z_r) at the state cut), so w~_t is carried as its coefficients
     c_t[r] over those terms, row t of a (T, [B,] T) array:
     c_t[:t] = c_{t-1}[:t] / gamma_t and c_t[t] = 1 / beta_t, written by the
-    step loop under either schedule mode.  Under GIR ||w~_t||^2 is
+    step loop under either schedule mode (under a fixed alpha from arrays
+    made once, with every h~_t kept and checked once after the loop).  Under GIR ||w~_t||^2 is
     tracked from the Gram of the terms, (L L^T) * (A A^T); a row whose norm
     is too small for the Gram to decide the cancellation rule
     (GRAM_NORM_RTOL) is formed densely, and its coefficients are zeroed when
@@ -347,51 +349,21 @@ def run_uoro(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
     if not fresh:
         left = np.broadcast_to(left, (t_len, *batch, n_z))
     greedy = schedule.mode == GIR
-    if greedy:
-        # terms of about 1e300 overflow here; the loop names the step
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram = _gram(left) * _gram(a)
-            out_norms = _norms(left) * _norms(a)
-        w_sq = np.zeros(batch)
-    else:
+    if not greedy:
         _check_alpha(schedule, t_len, batch)
     # row t: the coefficients of w~_t over the terms of steps r <= t, one row
     # per row of the batch, or per column of a fixed alpha
     coefficients = np.zeros((t_len, *(batch if greedy else schedule.alpha.shape[1:]),
                              t_len))
     split = contribution == CONTRIBUTION_SPLIT
-    h_tilde = np.zeros((*batch, params.state_size))
     # the sketch each step's score reads: h~_t, or J_state h~_{t-1} for split
     scored = np.empty((t_len, *batch, params.state_size))
-    gammas = np.zeros((t_len, *batch))
-    betas = np.zeros((t_len, *batch))
-    for t in range(t_len):
-        cache = tape.steps[t]
-        forwarded = rnn.jvp_state(cache, h_tilde)
-        spatial_in = rnn.jvp_cut(cache, cut, schedule.shape_spatial(u[t]))
-        if greedy:
-            w_norm = np.sqrt(w_sq)
-            fwd_norm, in_norm = _norms(forwarded), _norms(spatial_in)
-            gamma, beta = _gir_coefficients(w_norm, fwd_norm, out_norms[t], in_norm)
-        else:
-            gamma, beta = schedule.fixed_coefficients(t)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            h_tilde = _col(gamma) * forwarded + _col(beta) * spatial_in
-            row = coefficients[t]
-            if t:
-                np.divide(coefficients[t - 1], _col(gamma), out=row)
-            row[..., t] = 1.0 / beta
-            if greedy:
-                h_norm = _norms(h_tilde)
-                h_tilde = _zero_cancelled(h_tilde, h_norm,
-                                          gamma * fwd_norm + beta * in_norm)
-                w_sq = _w_norm_sq(coefficients, t, gamma, beta, w_sq, gram,
-                                  w_norm / gamma + out_norms[t] / beta, left, a)
-        checked = (h_norm, w_sq) if greedy else (h_tilde, coefficients[t])
-        if not all(np.isfinite(x).all() for x in checked):
-            raise NumericOverflowError(f"rank-one sketch overflowed at step {t}")
-        gammas[t], betas[t] = gamma, beta
-        scored[t] = forwarded if split else h_tilde
+    if greedy:
+        gammas, betas = _gir_uoro_loop(tape, cut, u, schedule, coefficients, scored,
+                                       split, left, a)
+    else:
+        gammas, betas = _fixed_uoro_loop(tape, cut, u, schedule, coefficients, scored,
+                                         split)
     scored *= _steps_first(rnn.embed_state_grad(params, tape.loss_grads), len(batch))
     scores = np.add.reduce(scored, axis=-1)
     del scored
@@ -405,6 +377,105 @@ def run_uoro(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
             tape.steps, CutVertex.PREACTIVATION,
             rnn.embed_state_grad(params, tape.loss_grads)), len(batch))
     return _report("uoro", noise, _Factors(left, a), gammas, betas)
+
+
+def _gir_uoro_loop(tape, cut, u, schedule, coefficients, scored, split, left, a):
+    """run_uoro's step loop under GIR, as _fixed_uoro_loop with the
+    coefficients picked from the sketches' norms (left and a are the terms'
+    factors, whose Gram gives ||w~_t||); each step checks its norms."""
+    t_len = tape.length
+    batch = scored.shape[1:-1]
+    # terms of about 1e300 overflow here; the loop names the step
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = _gram(left) * _gram(a)
+        out_norms = _norms(left) * _norms(a)
+    w_sq = np.zeros(batch)
+    h_tilde = np.zeros(scored.shape[1:])
+    gammas = np.zeros((t_len, *batch))
+    betas = np.zeros((t_len, *batch))
+    for t, cache in enumerate(tape.step_caches):
+        forwarded = rnn.jvp_state(cache, h_tilde)
+        spatial_in = rnn.jvp_cut(cache, cut, schedule.shape_spatial(u[t]))
+        w_norm = np.sqrt(w_sq)
+        fwd_norm, in_norm = _norms(forwarded), _norms(spatial_in)
+        gamma, beta = _gir_coefficients(w_norm, fwd_norm, out_norms[t], in_norm)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            h_tilde = _col(gamma) * forwarded + _col(beta) * spatial_in
+            row = coefficients[t]
+            if t:
+                np.divide(coefficients[t - 1], _col(gamma), out=row)
+            row[..., t] = 1.0 / beta
+            h_norm = _norms(h_tilde)
+            h_tilde = _zero_cancelled(h_tilde, h_norm, gamma * fwd_norm + beta * in_norm)
+            w_sq = _w_norm_sq(coefficients, t, gamma, beta, w_sq, gram,
+                              w_norm / gamma + out_norms[t] / beta, left, a)
+        if not (np.isfinite(h_norm).all() and np.isfinite(w_sq).all()):
+            raise NumericOverflowError(f"rank-one sketch overflowed at step {t}")
+        gammas[t], betas[t] = gamma, beta
+        scored[t] = forwarded if split else h_tilde
+    return gammas, betas
+
+
+def _fixed_uoro_loop(tape, cut, u, schedule, coefficients, scored, split):
+    """run_uoro's step loop under a fixed alpha, given the shaped-steps
+    noise u and its buffers: fills the (T, [B,] T) coefficients and the
+    (T, [B,] S) scored sketches and returns the realized (gammas, betas),
+    (T, [B]).  Only the step's two products and the coefficient recursion
+    run per step: (gamma_t, beta_t) and 1 / beta_t are arrays made once,
+    the loop runs under one np.errstate, and every h~_t is kept (in scored
+    unless split) so that one check after the loop names the first step
+    whose sketch or coefficients are not finite."""
+    t_len = tape.length
+    gamma, beta = _fixed_steps(schedule, t_len)
+    gamma_cols, beta_cols = gamma[..., None], beta[..., None]
+    sketches = np.empty_like(scored) if split else scored
+    h_tilde = np.zeros(scored.shape[1:])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        inverse_beta = 1.0 / beta
+        for t, cache in enumerate(tape.step_caches):
+            forwarded = rnn.jvp_state(cache, h_tilde)
+            spatial_in = rnn.jvp_cut(cache, cut, schedule.shape_spatial(u[t]))
+            h_tilde = np.multiply(gamma_cols[t], forwarded, out=sketches[t])
+            h_tilde += beta_cols[t] * spatial_in
+            if t:
+                np.divide(coefficients[t - 1], gamma_cols[t], out=coefficients[t])
+            coefficients[t, ..., t] = inverse_beta[t]
+            if split:
+                scored[t] = forwarded
+    _raise_first_overflow("rank-one sketch", sketches, coefficients)
+    batch = scored.shape[1:-1]
+    return _over_rows(gamma, batch), _over_rows(beta, batch)
+
+
+def _fixed_steps(schedule: ScalingSchedule, t_len: int):
+    """The fixed-alpha (gamma_t, beta_t) of t_len steps as (T, [B]) arrays,
+    as fixed_coefficients gives them step by step (gamma_0 is 1)."""
+    beta = schedule._beta[:t_len]
+    gamma = np.concatenate([np.ones((1, *beta.shape[1:])), schedule._gamma[:t_len - 1]])
+    return gamma, beta
+
+
+def _per_step(steps: np.ndarray, batch: tuple) -> np.ndarray:
+    """Per-step scalars (T,) or (T, *batch) as a view that broadcasts
+    against (T, *batch)."""
+    return steps.reshape(len(steps), *(steps.shape[1:] or (1,) * len(batch)))
+
+
+def _over_rows(steps: np.ndarray, batch: tuple) -> np.ndarray:
+    """Per-step scalars (T,) or (T, *batch) as a new (T, *batch) array."""
+    rows = np.empty((len(steps), *batch))
+    np.copyto(rows, _per_step(steps, batch))
+    return rows
+
+
+def _raise_first_overflow(what: str, *per_step: np.ndarray):
+    """Raise NumericOverflowError naming the first step t at which any of
+    the per-step arrays (T, ...) holds a non-finite entry."""
+    finite = np.ones(len(per_step[0]), dtype=bool)
+    for x in per_step:
+        finite &= np.isfinite(x).all(axis=tuple(range(1, x.ndim)))
+    if not finite.all():
+        raise NumericOverflowError(f"{what} overflowed at step {np.argmin(finite)}")
 
 
 def _check_alpha(schedule: ScalingSchedule, t_len: int, batch: tuple):
@@ -506,40 +577,84 @@ def run_preuoro(tape: EpisodeTape, noise, schedule: ScalingSchedule) -> Gradient
     rule, and a non-finite norm is confirmed densely before it raises.  The
     estimate sum_t vec(r_t w~_t^T), r_t = H~_t^T dL_t/dstate, is kept as
     the factors r_t and w~_t; each r_t is one stacked matrix-vector product
-    on the rows.  np.vecdot for the Frobenius pass (numpy >= 2 only) and
-    per-step np.moveaxis or as_strided views of the rows did not pay.
+    on the rows.  Under a fixed alpha, (gamma_t, beta_t), beta_t tau_t /
+    gamma_t and tau_t / beta_t come from arrays made once per call, the loop
+    runs under one np.errstate, each step checks its new H~ by one sum of
+    squares (entry by entry only where that bound is not finite), and the
+    kept w~ are checked once after the loop.  np.vecdot for the Frobenius
+    pass (numpy >= 2 only) and per-step np.moveaxis or as_strided views of
+    the rows did not pay.
     """
     if schedule.Q0 is not None:
         raise ValueError("the projection-free sketch takes no spatial Q0")
     params = tape.params
-    n_z = params.preactivation_size
     t_len = tape.length
     # only tau is read, so the noise may have any dim
     batch = _noise_batch(noise, t_len, tape.batch_shape)
-    tau = noise.tau
     greedy = schedule.mode == GIR
     if not greedy:
         _check_alpha(schedule, t_len, batch)
-    buffers = [np.empty((n_z, *batch, params.state_size)),  # step 1 writes all of it
-               np.zeros((n_z, *batch, params.state_size))]  # step 0's rows
-    scale = 1.0
-    w_tilde = np.zeros((*batch, params.augmented_size))
-    carried = np.empty((t_len, *batch, n_z))
-    w_rows = np.empty((t_len, *batch, params.augmented_size))
-    gammas = np.zeros((t_len, *batch))
-    betas = np.zeros((t_len, *batch))
-    loss_grads = rnn.embed_state_grad(params, tape.loss_grads)
-    a_norms = _norms(tape.steps.a)
-    for t in range(t_len):
-        cache = tape.steps[t]
-        state_index, cut_index, values = rnn.preactivation_cut_nonzeros(cache)
-        rows = buffers[1] if t == 0 else rnn.jvp_state(
-            cache, buffers[t % 2], out=buffers[(t + 1) % 2], scale=scale)
-        at = (cut_index, Ellipsis, state_index)  # rows[at] is (nnz, [B])
-        values = values.T  # (nnz, [B]): a cache carries at most one batch axis
-        if values.ndim < rows.ndim - 1:  # B seeds on one tape
-            values = values[:, None]
-        if greedy:
+    # J_cut's nonzeros at every step: rows[at] is (nnz, [B]), and values[t]
+    # the step's (nnz, [B]) or, for B seeds on one tape, (nnz, 1)
+    state_index, cut_index, values = rnn.preactivation_cut_nonzeros(tape.steps)
+    values = np.moveaxis(values, -1, 1)
+    if values.ndim < len(batch) + 2:
+        values = values[:, :, None]
+    sketch = _PreuoroSketch(tape, noise.tau, (cut_index, Ellipsis, state_index), values,
+                            batch)
+    if greedy:
+        gammas, betas = sketch.gir_loop()
+    else:
+        gammas, betas = sketch.fixed_loop(schedule)
+    carried = sketch.carried
+    carried *= gammas[..., None]  # H~_t = gamma_t R_t: every step's scale at once
+    return _report("preuoro", noise, _Factors(carried, sketch.w_rows), gammas, betas)
+
+
+class _PreuoroSketch:
+    """run_preuoro's recursion over one tape, under either schedule mode.
+    H~ is held as scale times rows (N_z, [B,] S) in one of two buffers; at
+    is J_cut's nonzeros as an index of the rows and values (T, nnz, [B])
+    their values.  A loop fills carried (T, [B,] N_z), each step's
+    r_t / gamma_t, and w_rows (T, [B,] A), each step's w~_t, and returns the
+    realized (gammas, betas)."""
+
+    def __init__(self, tape: EpisodeTape, tau, at, values, batch):
+        params = tape.params
+        n_z, t_len = params.preactivation_size, tape.length
+        self.tape, self.tau, self.at, self.values = tape, tau, at, values
+        self.batch = batch
+        self.buffers = [np.empty((n_z, *batch, params.state_size)),  # step 1 writes all
+                        np.zeros((n_z, *batch, params.state_size))]  # step 0's rows
+        self.carried = np.empty((t_len, *batch, n_z))
+        self.w_rows = np.empty((t_len, *batch, params.augmented_size))
+        # dL_t/dstate as columns, (T, [B,] S, 1)
+        self.loss_cols = rnn.embed_state_grad(params, tape.loss_grads)[..., None]
+
+    def forwarded(self, t: int, cache, scale):
+        """The rows of J_state H~_{t-1} (H~_{t-1} = scale times its rows)
+        in the buffer step t writes; zeros at step 0, with no product."""
+        if t == 0:
+            return self.buffers[1]
+        return rnn.jvp_state(cache, self.buffers[t % 2], out=self.buffers[(t + 1) % 2],
+                             scale=scale)
+
+    def carry(self, t: int, rows):
+        """carried[t] = rows^T dL_t/dstate, one stacked matrix-vector product."""
+        np.matmul(rows.swapaxes(0, -2), self.loss_cols[t],
+                  out=self.carried[t, ..., None])
+
+    def gir_loop(self):
+        at, tau = self.at, self.tau
+        t_len = self.tape.length
+        gammas = np.zeros((t_len, *self.batch))
+        betas = np.zeros((t_len, *self.batch))
+        a_norms = _norms(self.tape.steps.a)
+        scale = 1.0
+        w_tilde = np.zeros(self.w_rows.shape[1:])
+        for t, cache in enumerate(self.tape.step_caches):
+            rows = self.forwarded(t, cache, scale)
+            values = self.values[t]
             w_norm, a_norm = _norms(w_tilde), a_norms[t]
             imm_sq = np.einsum("k...,k...->...", values, values)
             # F = J_state H~_{-1} = 0 at step 0
@@ -547,39 +662,66 @@ def run_preuoro(tape: EpisodeTape, noise, schedule: ScalingSchedule) -> Gradient
             cross = np.einsum("k...,k...->...", rows[at], values) if t else fwd_sq
             fwd_norm, imm_norm = np.sqrt(fwd_sq), np.sqrt(imm_sq)
             gamma, beta = _gir_coefficients(w_norm, fwd_norm, a_norm, imm_norm)
-        else:
-            gamma, beta = schedule.fixed_coefficients(t)
-        beta_tau = beta * tau[t]
-        gamma_col = _col(gamma)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            rows[at] += values * (beta_tau / gamma)
-            w_tilde = w_tilde / gamma_col + _col(tau[t] / beta) * cache.a
-            if greedy:
+            beta_tau = beta * tau[t]
+            gamma_col = _col(gamma)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                rows[at] += values * (beta_tau / gamma)
+                w_tilde = w_tilde / gamma_col + _col(tau[t] / beta) * cache.a
                 rows_sq = (gamma * gamma * fwd_sq + 2.0 * gamma * beta_tau * cross
                            + beta_tau * beta_tau * imm_sq)
                 size = np.abs(tau[t])
                 _zero_cancelled_rows(rows, rows_sq,
                                      gamma * fwd_norm + beta * size * imm_norm, gamma)
                 w_new_norm = _norms(w_tilde)
-                _zero_cancelled(w_tilde, w_new_norm,
-                                w_norm / gamma + size / beta * a_norm)
+                _zero_cancelled(w_tilde, w_new_norm, w_norm / gamma + size / beta * a_norm)
                 # the new H~ is gamma * rows; a non-finite formula norm is
                 # confirmed densely
                 finite = ((np.isfinite(rows_sq).all()
                            or np.isfinite(_frobenius_sq(rows * gamma_col)).all())
                           and np.isfinite(w_new_norm).all())
-            else:
-                finite = (np.isfinite(rows * gamma_col).all()
-                          and np.isfinite(w_tilde).all())
-        if not finite:
-            raise NumericOverflowError(f"projection-free sketch overflowed at step {t}")
-        scale = gamma
-        gammas[t], betas[t] = gamma, beta
-        np.matmul(rows.swapaxes(0, -2), loss_grads[t][..., None],
-                  out=carried[t][..., None])
-        w_rows[t] = w_tilde
-    carried *= gammas[..., None]  # H~_t = gamma_t R_t: every step's scale at once
-    return _report("preuoro", noise, _Factors(carried, w_rows), gammas, betas)
+            if not finite:
+                raise NumericOverflowError(
+                    f"projection-free sketch overflowed at step {t}")
+            scale = gamma
+            gammas[t], betas[t] = gamma, beta
+            self.carry(t, rows)
+            self.w_rows[t] = w_tilde
+        return gammas, betas
+
+    def fixed_loop(self, schedule: ScalingSchedule):
+        """The loop under a fixed alpha: (gamma_t, beta_t), beta_t tau_t /
+        gamma_t and tau_t / beta_t are arrays made once, the loop runs under
+        one np.errstate, and the w~_t, all kept, are checked once after it;
+        each step checks only its new H~, and an earlier non-finite w~
+        names its own step first."""
+        at = self.at
+        t_len = self.tape.length
+        gamma, beta = _fixed_steps(schedule, t_len)
+        gamma_cols = gamma[..., None]
+        gamma_sq_max = np.max(gamma * gamma, axis=tuple(range(1, gamma.ndim)),
+                              initial=0.0).tolist()
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            tau = _per_step(self.tau[:t_len], self.batch)
+            beta_rows = _per_step(beta, self.batch)
+            immediate = beta_rows * tau / _per_step(gamma, self.batch)
+            tau_beta = (tau / beta_rows)[..., None]
+            w_tilde = np.zeros(self.w_rows.shape[1:])
+            for t, cache in enumerate(self.tape.step_caches):
+                rows = self.forwarded(t, cache, gamma[t - 1])
+                rows[at] += self.values[t] * immediate[t]
+                w_tilde = np.divide(w_tilde, gamma_cols[t], out=self.w_rows[t])
+                w_tilde += tau_beta[t] * cache.a
+                # the new H~ is gamma * rows, all finite if max gamma^2
+                # ||rows||^2 is; only a step where that bound is not finite
+                # checks the entries themselves
+                if not (math.isfinite(gamma_sq_max[t] * np.vdot(rows, rows))
+                        or np.isfinite(rows * gamma_cols[t]).all()):
+                    _raise_first_overflow("projection-free sketch", self.w_rows[:t])
+                    raise NumericOverflowError(
+                        f"projection-free sketch overflowed at step {t}")
+                self.carry(t, rows)
+        _raise_first_overflow("projection-free sketch", self.w_rows)
+        return _over_rows(gamma, self.batch), _over_rows(beta, self.batch)
 
 
 def run_spatial(tape: EpisodeTape, cut, noise) -> GradientReport:

@@ -64,12 +64,13 @@ def cut_adjoints(tape: EpisodeTape, cut) -> np.ndarray:
         raise ShapeError("empty tape")
     c = np.empty((tape.length, *tape.batch_shape, tape.params.cut_size(cut)))
     delta = np.zeros((*tape.batch_shape, tape.params.state_size))
+    steps = tape.step_caches
     for t in range(tape.length - 1, -1, -1):
         delta = delta + tape.loss_grad_full(t)
         if t:
-            c[t], delta = rnn.vjp_to_cut_and_state(tape.steps[t], cut, delta)
+            c[t], delta = rnn.vjp_to_cut_and_state(steps[t], cut, delta)
         else:  # nothing reads the adjoint of the state before step 0
-            c[0] = rnn.vjp_to_cut(tape.steps[0], cut, delta)
+            c[0] = rnn.vjp_to_cut(steps[0], cut, delta)
     return c
 
 
@@ -103,8 +104,7 @@ def rtrl_jacobians(tape: EpisodeTape):
     eye = np.eye(params.state_size)
     jacobians = []
     grad = np.zeros(params.num_params)
-    for t in range(tape.length):
-        cache = tape.steps[t]
+    for t, cache in enumerate(tape.step_caches):
         immediate = rnn.vjp_params(cache, eye).T  # (P, S)
         rows = rnn.jvp_state(cache, rows) + immediate if t else immediate
         jacobians.append(rows.T)
@@ -174,16 +174,17 @@ def suffix_rows(tape: EpisodeTape, cut, out: np.ndarray | None = None) -> Suffix
     rows = np.empty(shape) if out is None else out
     deltas = np.zeros((t_len, *tape.batch_shape, tape.params.state_size))
     cut_rows = np.empty((t_len, *shape[1:]))
+    steps = tape.step_caches
     for s in range(t_len - 1, -1, -1):
         deltas[s] = tape.loss_grad_full(s)
         if s + 1 < t_len:
             deltas[s] += deltas[s + 1]
         # causality: losses before s have no adjoint here
         if s:
-            g, _ = rnn.vjp_to_cut_and_state(tape.steps[s], cut, deltas[s:],
+            g, _ = rnn.vjp_to_cut_and_state(steps[s], cut, deltas[s:],
                                             out=(cut_rows[s:], deltas[s:]))
         else:
-            g = rnn.vjp_to_cut(tape.steps[0], cut, deltas)
+            g = rnn.vjp_to_cut(steps[0], cut, deltas)
         q = np.arange(s, t_len)
         rows[q * (q + 1) // 2 + s] = g
     a = tape.steps.a

@@ -26,13 +26,17 @@ states of every episode's four streams are derived together on uint64
 arrays and kept as 64-bit limbs (state_hi, state_lo, inc_hi, inc_lo); the
 part of SeedSequence's pool hash that depends only on the base seed is
 computed once per seed and cached, and so is the hash of each stream word
-at each pool position.  Sign streams and coin_block's bits step the limbs
-together by PCG64's 128-bit LCG and XSL-RR output (O'Neill 2014, "PCG: A
-Family of Simple Fast Space-Efficient Statistically Good Algorithms for
-Random Number Generation"), with no generator; normals come from numpy's
-ziggurat, on one generator per thread seated at each column's state just
-before the column is drawn.  On both routes one reader, _raw_bits, takes
-the coin bits from the 64-bit raw outputs.
+at each pool position.  Sign streams and coin_block's bits take the state
+of every output word from the seated one in one pass, by LCG jump-ahead
+(F. Brown 1994): state m is MULT^m s + (sum_{i<m} MULT^i) inc modulo
+2**128, two constant 128-bit multiplies over the limbs, followed by PCG64's
+XSL-RR output (O'Neill 2014, "PCG: A Family of Simple Fast Space-Efficient
+Statistically Good Algorithms for Random Number Generation"), with no
+generator.  Normals come from numpy's ziggurat, on one generator per thread
+seated at each column's state just before the column is drawn; each column
+is drawn into its own contiguous row, and the rows are copied once into the
+steps-first layout.  On both routes one reader, _raw_bits, takes the coin
+bits from the 64-bit raw outputs.
 
 Forms.  NoiseBlock (episode_noises) is a block of episode indices of one
 base seed: each stream is (T, B, ...), column j the stream of episode
@@ -187,24 +191,65 @@ def _u64(value) -> np.ndarray:
 
 
 _ONE, _U32, _U58, _U63, _LO32 = map(_u64, (1, 32, 58, 63, _MASK32))
-_MULT_HI, _MULT_LO = map(_u64, divmod(_PCG64_MULT, 1 << 64))
-_MULT_LO_LO, _MULT_LO_HI = map(_u64, (_PCG64_MULT & _MASK32,
-                                      (_PCG64_MULT >> 32) & _MASK32))
 _OUTPUT_XOR, _OUTPUT_MULT = np.array(_hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)[0],
                                      dtype=np.uint64).T[..., None]
 
 
+def _halves(x):
+    """The low and high 32-bit halves of 64-bit words."""
+    return x & _LO32, x >> _U32
+
+
+def _constant(values: list) -> tuple:
+    """128-bit constants, Python ints, as (hi, lo, halves of lo): (n,)
+    uint64 arrays, the form _mul takes."""
+    hi, lo = np.array([divmod(v, 1 << 64) for v in values],
+                      dtype=np.uint64).reshape(-1, 2).T
+    return hi, lo, _halves(lo)
+
+
+def _mul(hi, lo, c_hi, c_lo, c_halves):
+    """(hi, lo) * c modulo 2**128 for a constant c of _constant.  The high
+    word of lo * c_lo comes from 32-bit halves (Hacker's Delight, mulhu),
+    whose products and partial sums each fit in 64 bits."""
+    x_lo, x_hi = _halves(lo)
+    c_lo_lo, c_lo_hi = c_halves
+    mid = x_hi * c_lo_lo + ((x_lo * c_lo_lo) >> _U32)
+    cross = (mid & _LO32) + x_lo * c_lo_hi
+    lo_mult_hi = x_hi * c_lo_hi + (mid >> _U32) + (cross >> _U32)
+    return lo_mult_hi + lo * c_hi + hi * c_lo, lo * c_lo
+
+
+def _add(hi, lo, y_hi, y_lo):
+    """(hi, lo) + (y_hi, y_lo) modulo 2**128."""
+    lo = lo + y_lo
+    return hi + y_hi + (lo < y_lo), lo
+
+
+_MULT = _constant([_PCG64_MULT])
+
+
 def _lcg_step(hi, lo, inc_hi, inc_lo):
-    """(hi, lo) * MULT + (inc_hi, inc_lo) modulo 2**128.  The high word of
-    lo * MULT_LO comes from 32-bit halves (Hacker's Delight, mulhu), whose
-    products and partial sums each fit in 64 bits."""
-    lo_lo, lo_hi = lo & _LO32, lo >> _U32
-    mid = lo_hi * _MULT_LO_LO + ((lo_lo * _MULT_LO_LO) >> _U32)
-    cross = (mid & _LO32) + lo_lo * _MULT_LO_HI
-    lo_mult_hi = lo_hi * _MULT_LO_HI + (mid >> _U32) + (cross >> _U32)
-    hi = lo_mult_hi + lo * _MULT_HI + hi * _MULT_LO + inc_hi
-    lo = lo * _MULT_LO + inc_lo
-    return hi + (lo < inc_lo), lo
+    """(hi, lo) * MULT + (inc_hi, inc_lo) modulo 2**128."""
+    return _add(*_mul(hi, lo, *_MULT), inc_hi, inc_lo)
+
+
+@lru_cache(maxsize=64)
+def _jump(words: int, count: int) -> tuple:
+    """The constants that take a state s to each of its next words states
+    in one pass: state m is A_m s + C_m inc modulo 2**128, with
+    A_m = MULT^m and C_m = sum_{i<m} MULT^i (F. Brown, "Random Number
+    Generation with Arbitrary Strides", Trans. Am. Nucl. Soc. 1994).
+    Returns (A, C), each in _constant's form over (count * words,): the
+    words constants repeated for count states, so that every operand of
+    _limb_raw's arithmetic has one shape (a broadcast (B, 1) by (W,)
+    operand costs several same-shape ufunc calls)."""
+    a, c, powers, sums = 1, 0, [], []
+    for _ in range(words):
+        a, c = (a * _PCG64_MULT) % (1 << 128), (c * _PCG64_MULT + 1) % (1 << 128)
+        powers.append(a)
+        sums.append(c)
+    return _constant(powers * count), _constant(sums * count)
 
 
 def _limb_states(pool: np.ndarray) -> _Limbs:
@@ -234,16 +279,15 @@ def _raw_bits(raw: np.ndarray, length: int) -> np.ndarray:
 
 def _limb_raw(limbs: _Limbs, words: int) -> np.ndarray:
     """(B, words) 64-bit outputs, row j bit for bit random_raw(words) of a
-    generator seated at state j of (B,) limbs: the states stepped together,
-    each step s <- s * MULT + inc followed by the XSL-RR output
-    rotr64(hi ^ lo, hi >> 58)."""
-    hi, lo, inc_hi, inc_lo = limbs
-    raw = np.empty((len(hi), words), dtype=np.uint64)
-    for m in range(words):
-        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
-        x, rot = hi ^ lo, hi >> _U58
-        np.bitwise_or(x >> rot, x << (np.negative(rot) & _U63), out=raw[:, m])
-    return raw
+    generator seated at state j of (B,) limbs: output m is the XSL-RR
+    rotr64(hi ^ lo, hi >> 58) of state m + 1, every state taken from the
+    seated one in one pass (_jump) over the limbs repeated words times."""
+    count = len(limbs.state_hi)
+    hi, lo, inc_hi, inc_lo = (np.repeat(limb, words) for limb in limbs)
+    powers, sums = _jump(words, count)
+    hi, lo = _add(*_mul(hi, lo, *powers), *_mul(inc_hi, inc_lo, *sums))
+    x, rot = hi ^ lo, hi >> _U58
+    return ((x >> rot) | (x << (np.negative(rot) & _U63))).reshape(count, words)
 
 
 def _coin_bits(bits, length: int) -> np.ndarray:
@@ -388,17 +432,24 @@ class NoiseBlock:
         hashes = np.array(_stream_hashes(const), dtype=np.uint64)
         return _limb_states(_mix(pool[:, None], hashes.T[..., None]))
 
-    def _columns(self, stream: str, shape: tuple) -> np.ndarray:
-        """A (T, B, *shape) stream drawn column by column: on the array route
-        from the thread's generator seated at each column's state, else as
-        the EpisodeNoise of each column draws it."""
-        out = np.empty((self.length, len(self), *shape))
+    def _columns(self, stream: str, shape: tuple, factor=None) -> np.ndarray:
+        """A (T, B, *shape) stream drawn column by column, each column into
+        its own contiguous row of a (B, T, *shape) buffer: on the array route
+        from the thread's generator seated at the column's state, else as
+        the EpisodeNoise of the column draws it.  The rows are copied once
+        into the steps-first layout, times factor (T, B, ...) if given."""
+        rows = np.empty((len(self), self.length, *shape))
         if _array_route(self.indices):
-            for j, state in enumerate(self._limbs.take(_STREAMS[stream]).states()):
-                out[:, j] = _generator(state).standard_normal((self.length, *shape))
+            for state, row in zip(self._limbs.take(_STREAMS[stream]).states(), rows):
+                _generator(state).standard_normal(out=row)
         else:
-            for j, episode in enumerate(self):
-                out[:, j] = episode._draw(stream, shape)
+            for episode, row in zip(self, rows):
+                row[...] = episode._draw(stream, shape)
+        out = np.empty((self.length, len(self), *shape))
+        if factor is None:
+            np.copyto(out, rows.swapaxes(0, 1))
+        else:
+            np.multiply(rows.swapaxes(0, 1), factor, out=out)
         return out
 
     def _block_scalars(self, stream: str) -> np.ndarray:
@@ -425,11 +476,9 @@ class NoiseBlock:
 
     @cached_property
     def u(self) -> np.ndarray:  # (T, B, dim)
-        # nu drawn again and scaled in place, so a block that reads u does
-        # not also hold its nu
-        u = self._columns("nu", (self.dim,))
-        u *= self.tau[..., None]
-        return u
+        # nu drawn again and scaled as it is copied, so a block that reads u
+        # does not also hold its nu
+        return self._columns("nu", (self.dim,), self.tau[..., None])
 
 
 def episode_noises(base_seed: int, indices, length: int, dim: int,

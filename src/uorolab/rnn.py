@@ -35,9 +35,10 @@ An episode's tape holds its steps as one StepCache whose arrays have the step
 axis first, (T, [B,] .), filled in place by sweep, which checks the shapes,
 writes the inputs and takes the vanilla f'(z) once per tape; step is a sweep
 of one step.  Indexing a cache indexes every array, as Targets does: steps[t]
-is step t and steps[:, i] episode i, both views.  A product that needs no
-recursion over the steps is taken over the whole tape in one call, with
-vectors (T, [B,] S).
+is step t and steps[:, i] episode i, both views; a tape's step_caches are
+its steps[t], made once, which every per-step loop reads.  A product that
+needs no recursion over the steps is taken over the whole tape in one call,
+with vectors (T, [B,] S).
 """
 
 from dataclasses import dataclass
@@ -703,6 +704,13 @@ class EpisodeTape:
     @property
     def batch_shape(self) -> tuple:
         return self.initial_state.shape[:-1]
+
+    @cached_property
+    def step_caches(self) -> list:
+        """steps[t] of every step, made on first read: the views every
+        per-step loop reads, so that no loop builds a StepCache per step.
+        A tape's steps are filled in place and never replaced."""
+        return [self.steps[t] for t in range(self.length)]
 
     def total_loss(self):
         """The summed loss of the episode, or (B,) per-episode sums."""

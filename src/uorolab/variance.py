@@ -598,8 +598,7 @@ def estimate_B_online(tape: EpisodeTape, noise: EpisodeNoise | NoiseBlock,
     nu_tilde = np.zeros((2, *batch, n_z))
     m_tilde = np.zeros((2, *batch, n_z))  # m~ and n~
     estimates = np.empty((t_len, *batch, n_z, n_z))
-    for t in range(t_len):
-        cache = tape.steps[t]
+    for t, cache in enumerate(tape.step_caches):
         gamma, beta = schedule.fixed_coefficients(t)
         a_tilde = a_tilde / gamma + noise.sigma[t] * _norms(cache.a) / beta
         forwarded = _col(gamma) * rnn.jvp_state(cache, h_tilde)

@@ -811,3 +811,103 @@ def frob_inner(a, b):
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
     return float(np.sum(a * b))
+
+
+def uoro_fixed_alpha_oracle(tape, cut, noise, schedule,
+                            contribution=estimators.CONTRIBUTION_CURRENT):
+    """run_uoro under a fixed-alpha schedule by its step-at-a-time loop: a
+    StepCache, (gamma_t, beta_t) from fixed_coefficients and a finiteness
+    check per step.  The engine must match it bit for bit."""
+    E = estimators
+    params = tape.params
+    cut = rnn.CutVertex(cut)
+    n_z = params.cut_size(cut)
+    t_len = tape.length
+    batch = E._noise_batch(noise, t_len, tape.batch_shape, n_z)
+    E._check_alpha(schedule, t_len, batch)
+    u = E._steps_first(noise.u[:t_len], len(batch))
+    a = E._steps_first(tape.steps.a, len(batch))
+    left = schedule.unshape_spatial(u)
+    if cut == rnn.CutVertex.STATE:
+        left = left * E._steps_first(tape.steps.d, len(batch))
+    left = np.broadcast_to(left, (t_len, *batch, n_z)).copy()
+    coefficients = np.zeros((t_len, *schedule.alpha.shape[1:], t_len))
+    split = contribution == E.CONTRIBUTION_SPLIT
+    h_tilde = np.zeros((*batch, params.state_size))
+    scored = np.empty((t_len, *batch, params.state_size))
+    gammas = np.zeros((t_len, *batch))
+    betas = np.zeros((t_len, *batch))
+    for t in range(t_len):
+        cache = tape.steps[t]
+        forwarded = rnn.jvp_state(cache, h_tilde)
+        spatial_in = rnn.jvp_cut(cache, cut, schedule.shape_spatial(u[t]))
+        gamma, beta = schedule.fixed_coefficients(t)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            h_tilde = E._col(gamma) * forwarded + E._col(beta) * spatial_in
+            row = coefficients[t]
+            if t:
+                np.divide(coefficients[t - 1], E._col(gamma), out=row)
+            row[..., t] = 1.0 / beta
+        if not (np.isfinite(h_tilde).all() and np.isfinite(coefficients[t]).all()):
+            raise NumericOverflowError(f"rank-one sketch overflowed at step {t}")
+        gammas[t], betas[t] = gamma, beta
+        scored[t] = forwarded if split else h_tilde
+    scored *= E._steps_first(rnn.embed_state_grad(params, tape.loss_grads), len(batch))
+    scores = np.add.reduce(scored, axis=-1)
+    if contribution != E.CONTRIBUTION_CURRENT:
+        coefficients = np.concatenate([np.zeros_like(coefficients[:1]),
+                                       coefficients[:-1]])
+    left *= np.einsum("t...,t...r->r...", scores, coefficients)[..., None]
+    if split:
+        left += E._steps_first(rnn.vjp_to_cut(
+            tape.steps, rnn.CutVertex.PREACTIVATION,
+            rnn.embed_state_grad(params, tape.loss_grads)), len(batch))
+    return E._report("uoro", noise, E._Factors(left, a), gammas, betas)
+
+
+def preuoro_fixed_alpha_oracle(tape, noise, schedule):
+    """run_preuoro under a fixed-alpha schedule by its step-at-a-time loop:
+    a StepCache, J_cut's nonzeros, (gamma_t, beta_t) and a finiteness check
+    per step.  The engine must match it bit for bit."""
+    E = estimators
+    params = tape.params
+    n_z = params.preactivation_size
+    t_len = tape.length
+    batch = E._noise_batch(noise, t_len, tape.batch_shape)
+    E._check_alpha(schedule, t_len, batch)
+    tau = noise.tau
+    buffers = [np.empty((n_z, *batch, params.state_size)),
+               np.zeros((n_z, *batch, params.state_size))]
+    scale = 1.0
+    w_tilde = np.zeros((*batch, params.augmented_size))
+    carried = np.empty((t_len, *batch, n_z))
+    w_rows = np.empty((t_len, *batch, params.augmented_size))
+    gammas = np.zeros((t_len, *batch))
+    betas = np.zeros((t_len, *batch))
+    loss_grads = rnn.embed_state_grad(params, tape.loss_grads)
+    for t in range(t_len):
+        cache = tape.steps[t]
+        state_index, cut_index, values = rnn.preactivation_cut_nonzeros(cache)
+        rows = buffers[1] if t == 0 else rnn.jvp_state(
+            cache, buffers[t % 2], out=buffers[(t + 1) % 2], scale=scale)
+        at = (cut_index, Ellipsis, state_index)
+        values = values.T
+        if values.ndim < rows.ndim - 1:
+            values = values[:, None]
+        gamma, beta = schedule.fixed_coefficients(t)
+        beta_tau = beta * tau[t]
+        gamma_col = E._col(gamma)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            rows[at] += values * (beta_tau / gamma)
+            w_tilde = w_tilde / gamma_col + E._col(tau[t] / beta) * cache.a
+            finite = (np.isfinite(rows * gamma_col).all()
+                      and np.isfinite(w_tilde).all())
+        if not finite:
+            raise NumericOverflowError(f"projection-free sketch overflowed at step {t}")
+        scale = gamma
+        gammas[t], betas[t] = gamma, beta
+        np.matmul(rows.swapaxes(0, -2), loss_grads[t][..., None],
+                  out=carried[t][..., None])
+        w_rows[t] = w_tilde
+    carried *= gammas[..., None]
+    return E._report("preuoro", noise, E._Factors(carried, w_rows), gammas, betas)

@@ -335,23 +335,52 @@ class TestLimbPcg64:
                      & (2**128 - 1))
             assert (got_hi, got_lo) == divmod(state, 2**64)
 
+    @pytest.mark.parametrize("words", [1, 3, 12])
     @pytest.mark.parametrize("inc", [1, 2**64 + 1, 2**128 - 1])
-    def test_limb_raw_at_its_edges(self, inc):
+    def test_limb_raw_at_its_edges(self, inc, words):
         """States whose next step lands on the edges of the 128-bit word and
-        of the output rotation (hi >> 58 of 0 and of 63), stepped as limbs."""
+        of the output rotation (hi >> 58 of 0 and of 63), every word's state
+        jumped to from the seated one."""
         inverse = pow(noise._PCG64_MULT, -1, 2**128)
         landing = (0, 1, 2**64 - 1, 2**64, 2**122 - 1, 2**122, 2**127, 2**128 - 1)
         states = [((target - inc) * inverse) % 2**128 for target in landing]
         limbs = noise._Limbs(*(np.array(words, dtype=np.uint64) for words in zip(
             *(divmod(state, 2**64) + divmod(inc, 2**64) for state in states))))
         assert limbs.states() == [(state, inc) for state in states]
-        raw = noise._limb_raw(limbs, 3)
+        raw = noise._limb_raw(limbs, words)
         for state, row in zip(states, raw):
             gen = np.random.PCG64()
             gen.state = {"bit_generator": "PCG64",
                          "state": {"state": state, "inc": inc},
                          "has_uint32": 0, "uinteger": 0}
-            assert np.array_equal(row, gen.random_raw(3)), (state, inc)
+            assert np.array_equal(row, gen.random_raw(words)), (state, inc)
+
+    def test_jump_constants_are_the_lcg_steps(self):
+        """State m of the jump is m LCG steps of the seated state."""
+        state, inc = 2**127 + 12345, 2**100 + 1
+        limbs = noise._Limbs(*(np.array([w], dtype=np.uint64)
+                               for w in divmod(state, 2**64) + divmod(inc, 2**64)))
+        powers, sums = noise._jump(5, 1)
+        hi, lo = noise._add(*noise._mul(*limbs[:2], *powers), *noise._mul(*limbs[2:], *sums))
+        for m, (got_hi, got_lo) in enumerate(zip(hi.tolist(), lo.tolist())):
+            state = (state * noise._PCG64_MULT + inc) % 2**128
+            assert (got_hi << 64 | got_lo) == state, m
+
+    @pytest.mark.parametrize("size", [2, 32, 100])
+    def test_jumped_bits_are_numpys_draws(self, size):
+        """Coin bits and sign streams drawn by jump-ahead, at lengths of an
+        odd and an even number of 32-bit halves around one and twelve
+        words, are numpy's own draws of each spawn key."""
+        indices = array_route_indices(size)
+        for length in (0, 1, 2, 5, 6, 23, 24, 25):
+            bits = coin_block(21, indices, length)
+            block = episode_noises(21, indices, length, 2)
+            for j, index in enumerate(indices):
+                assert np.array_equal(
+                    bits[j], fresh(21, (index,)).integers(0, 2, size=length)), length
+                for stream, k in (("tau", 0), ("sigma", 2)):
+                    signs = fresh(21, (index, k)).integers(0, 2, size=length) * 2.0 - 1.0
+                    assert np.array_equal(getattr(block, stream)[:, j], signs), length
 
     @pytest.mark.parametrize("base_seed", [0, 17, 2**32 - 1, 2**32, 2**64 + 3,
                                            2**130 + 7])
