@@ -170,6 +170,13 @@ class ScalingSchedule:
         gamma = 1.0 if t == 0 else self._gamma[t - 1]
         return gamma, self._beta[t]
 
+    def fixed_steps(self, t_len: int):
+        """(gamma, beta) of the first t_len steps as (T,) or (T, B) arrays
+        whose row t is fixed_coefficients(t)."""
+        beta = self._beta[:t_len]
+        first = np.ones((1, *beta.shape[1:]))
+        return np.concatenate([first, self._gamma[:max(t_len - 1, 0)]]), beta
+
     def shape_spatial(self, v: np.ndarray) -> np.ndarray:
         """Q0 v for each row of v."""
         return v if self.Q0 is None else v @ self.Q0.T
@@ -316,18 +323,20 @@ def run_uoro(tape: EpisodeTape, cut, noise, schedule: ScalingSchedule,
     c_t[r] over those terms, row t of a (T, [B,] T) array:
     c_t[:t] = c_{t-1}[:t] / gamma_t and c_t[t] = 1 / beta_t, written by the
     step loop under either schedule mode (under a fixed alpha from arrays
-    made once, with every h~_t kept and checked once after the loop).  Under GIR ||w~_t||^2 is
-    tracked from the Gram of the terms, (L L^T) * (A A^T); a row whose norm
-    is too small for the Gram to decide the cancellation rule
-    (GRAM_NORM_RTOL) is formed densely, and its coefficients are zeroed when
-    it cancels.  With s_t the step's score (dL_t/dstate . h~_t), the
-    estimate sum_t s_t w~_t is sum_r vec((sum_t s_t c_t[r]) L_r a_r^T), one
-    contraction over the steps, which the report's factors keep: the left
-    factors are the L_r weighted by sum_t s_t c_t[r] (plus g_z,r under
-    "split"), the right ones the a_r.  The noise is shaped a step at a time
+    made once, with every h~_t kept and checked once after the loop).
+    Under GIR ||w~_t||^2 is tracked from the Gram of the terms,
+    (L L^T) * (A A^T); a row whose norm is too small for the Gram to decide
+    the cancellation rule (GRAM_NORM_RTOL) is formed densely, and its
+    coefficients are zeroed when it cancels.  With s_t the step's score
+    (dL_t/dstate . h~_t), the estimate sum_t s_t w~_t is
+    sum_r vec((sum_t s_t c_t[r]) L_r a_r^T), one contraction over the
+    steps, which the report's factors keep: the left factors are the L_r
+    weighted by sum_t s_t c_t[r] (plus g_z,r under "split"), the right ones
+    the a_r.  The noise is shaped a step at a time
     and the scores and weights are taken in place, so that beside the tape
     and the noise at most one (T, [B,] N_z) array, the left factors, and one
-    (T, [B,] S) array, the scored sketches, live.
+    (T, [B,] S) array, the scored sketches, live; a fixed alpha under
+    "split" keeps a second, every h~_t, for its check after the loop.
     """
     params = tape.params
     cut = CutVertex(cut)
@@ -426,7 +435,7 @@ def _fixed_uoro_loop(tape, cut, u, schedule, coefficients, scored, split):
     unless split) so that one check after the loop names the first step
     whose sketch or coefficients are not finite."""
     t_len = tape.length
-    gamma, beta = _fixed_steps(schedule, t_len)
+    gamma, beta = schedule.fixed_steps(t_len)
     gamma_cols, beta_cols = gamma[..., None], beta[..., None]
     sketches = np.empty_like(scored) if split else scored
     h_tilde = np.zeros(scored.shape[1:])
@@ -445,14 +454,6 @@ def _fixed_uoro_loop(tape, cut, u, schedule, coefficients, scored, split):
     _raise_first_overflow("rank-one sketch", sketches, coefficients)
     batch = scored.shape[1:-1]
     return _over_rows(gamma, batch), _over_rows(beta, batch)
-
-
-def _fixed_steps(schedule: ScalingSchedule, t_len: int):
-    """The fixed-alpha (gamma_t, beta_t) of t_len steps as (T, [B]) arrays,
-    as fixed_coefficients gives them step by step (gamma_0 is 1)."""
-    beta = schedule._beta[:t_len]
-    gamma = np.concatenate([np.ones((1, *beta.shape[1:])), schedule._gamma[:t_len - 1]])
-    return gamma, beta
 
 
 def _per_step(steps: np.ndarray, batch: tuple) -> np.ndarray:
@@ -588,6 +589,7 @@ def run_preuoro(tape: EpisodeTape, noise, schedule: ScalingSchedule) -> Gradient
     if schedule.Q0 is not None:
         raise ValueError("the projection-free sketch takes no spatial Q0")
     params = tape.params
+    n_z = params.preactivation_size
     t_len = tape.length
     # only tau is read, so the noise may have any dim
     batch = _noise_batch(noise, t_len, tape.batch_shape)
@@ -600,128 +602,107 @@ def run_preuoro(tape: EpisodeTape, noise, schedule: ScalingSchedule) -> Gradient
     values = np.moveaxis(values, -1, 1)
     if values.ndim < len(batch) + 2:
         values = values[:, :, None]
-    sketch = _PreuoroSketch(tape, noise.tau, (cut_index, Ellipsis, state_index), values,
-                            batch)
+    buffers = [np.empty((n_z, *batch, params.state_size)),  # step 1 writes all of it
+               np.zeros((n_z, *batch, params.state_size))]  # step 0's rows
+    carried = np.empty((t_len, *batch, n_z))
+    w_rows = np.empty((t_len, *batch, params.augmented_size))
+    at = (cut_index, Ellipsis, state_index)
     if greedy:
-        gammas, betas = sketch.gir_loop()
+        gammas, betas = _gir_preuoro_loop(tape, noise.tau, at, values, buffers, carried,
+                                          w_rows)
     else:
-        gammas, betas = sketch.fixed_loop(schedule)
-    carried = sketch.carried
+        gammas, betas = _fixed_preuoro_loop(tape, noise.tau, at, values, buffers, carried,
+                                            w_rows, schedule)
     carried *= gammas[..., None]  # H~_t = gamma_t R_t: every step's scale at once
-    return _report("preuoro", noise, _Factors(carried, sketch.w_rows), gammas, betas)
+    return _report("preuoro", noise, _Factors(carried, w_rows), gammas, betas)
 
 
-class _PreuoroSketch:
-    """run_preuoro's recursion over one tape, under either schedule mode.
-    H~ is held as scale times rows (N_z, [B,] S) in one of two buffers; at
-    is J_cut's nonzeros as an index of the rows and values (T, nnz, [B])
-    their values.  A loop fills carried (T, [B,] N_z), each step's
-    r_t / gamma_t, and w_rows (T, [B,] A), each step's w~_t, and returns the
-    realized (gammas, betas)."""
-
-    def __init__(self, tape: EpisodeTape, tau, at, values, batch):
-        params = tape.params
-        n_z, t_len = params.preactivation_size, tape.length
-        self.tape, self.tau, self.at, self.values = tape, tau, at, values
-        self.batch = batch
-        self.buffers = [np.empty((n_z, *batch, params.state_size)),  # step 1 writes all
-                        np.zeros((n_z, *batch, params.state_size))]  # step 0's rows
-        self.carried = np.empty((t_len, *batch, n_z))
-        self.w_rows = np.empty((t_len, *batch, params.augmented_size))
-        # dL_t/dstate as columns, (T, [B,] S, 1)
-        self.loss_cols = rnn.embed_state_grad(params, tape.loss_grads)[..., None]
-
-    def forwarded(self, t: int, cache, scale):
-        """The rows of J_state H~_{t-1} (H~_{t-1} = scale times its rows)
-        in the buffer step t writes; zeros at step 0, with no product."""
-        if t == 0:
-            return self.buffers[1]
-        return rnn.jvp_state(cache, self.buffers[t % 2], out=self.buffers[(t + 1) % 2],
-                             scale=scale)
-
-    def carry(self, t: int, rows):
-        """carried[t] = rows^T dL_t/dstate, one stacked matrix-vector product."""
-        np.matmul(rows.swapaxes(0, -2), self.loss_cols[t],
-                  out=self.carried[t, ..., None])
-
-    def gir_loop(self):
-        at, tau = self.at, self.tau
-        t_len = self.tape.length
-        gammas = np.zeros((t_len, *self.batch))
-        betas = np.zeros((t_len, *self.batch))
-        a_norms = _norms(self.tape.steps.a)
-        scale = 1.0
-        w_tilde = np.zeros(self.w_rows.shape[1:])
-        for t, cache in enumerate(self.tape.step_caches):
-            rows = self.forwarded(t, cache, scale)
-            values = self.values[t]
-            w_norm, a_norm = _norms(w_tilde), a_norms[t]
-            imm_sq = np.einsum("k...,k...->...", values, values)
-            # F = J_state H~_{-1} = 0 at step 0
-            fwd_sq = _frobenius_sq(rows) if t else np.zeros(rows.shape[1:-1])
-            cross = np.einsum("k...,k...->...", rows[at], values) if t else fwd_sq
-            fwd_norm, imm_norm = np.sqrt(fwd_sq), np.sqrt(imm_sq)
-            gamma, beta = _gir_coefficients(w_norm, fwd_norm, a_norm, imm_norm)
-            beta_tau = beta * tau[t]
-            gamma_col = _col(gamma)
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                rows[at] += values * (beta_tau / gamma)
-                w_tilde = w_tilde / gamma_col + _col(tau[t] / beta) * cache.a
-                rows_sq = (gamma * gamma * fwd_sq + 2.0 * gamma * beta_tau * cross
-                           + beta_tau * beta_tau * imm_sq)
-                size = np.abs(tau[t])
-                _zero_cancelled_rows(rows, rows_sq,
-                                     gamma * fwd_norm + beta * size * imm_norm, gamma)
-                w_new_norm = _norms(w_tilde)
-                _zero_cancelled(w_tilde, w_new_norm, w_norm / gamma + size / beta * a_norm)
-                # the new H~ is gamma * rows; a non-finite formula norm is
-                # confirmed densely
-                finite = ((np.isfinite(rows_sq).all()
-                           or np.isfinite(_frobenius_sq(rows * gamma_col)).all())
-                          and np.isfinite(w_new_norm).all())
-            if not finite:
-                raise NumericOverflowError(
-                    f"projection-free sketch overflowed at step {t}")
-            scale = gamma
-            gammas[t], betas[t] = gamma, beta
-            self.carry(t, rows)
-            self.w_rows[t] = w_tilde
-        return gammas, betas
-
-    def fixed_loop(self, schedule: ScalingSchedule):
-        """The loop under a fixed alpha: (gamma_t, beta_t), beta_t tau_t /
-        gamma_t and tau_t / beta_t are arrays made once, the loop runs under
-        one np.errstate, and the w~_t, all kept, are checked once after it;
-        each step checks only its new H~, and an earlier non-finite w~
-        names its own step first."""
-        at = self.at
-        t_len = self.tape.length
-        gamma, beta = _fixed_steps(schedule, t_len)
-        gamma_cols = gamma[..., None]
-        gamma_sq_max = np.max(gamma * gamma, axis=tuple(range(1, gamma.ndim)),
-                              initial=0.0).tolist()
+def _gir_preuoro_loop(tape, tau, at, values, buffers, carried, w_rows):
+    """run_preuoro's step loop under GIR.  H~ is held as scale times rows
+    (N_z, [B,] S), each step writing the other of the two buffers; at is
+    J_cut's nonzeros as an index of the rows and values (T, nnz, [B]) their
+    values.  Fills carried (T, [B,] N_z), each step's r_t / gamma_t, and
+    w_rows (T, [B,] A), each step's w~_t, and returns the realized
+    (gammas, betas), (T, [B]); each step checks its norms."""
+    t_len = tape.length
+    batch = carried.shape[1:-1]
+    gammas = np.zeros((t_len, *batch))
+    betas = np.zeros((t_len, *batch))
+    loss_cols = rnn.embed_state_grad(tape.params, tape.loss_grads)[..., None]
+    a_norms = _norms(tape.steps.a)
+    scale = 1.0
+    w_tilde = np.zeros(w_rows.shape[1:])
+    for t, cache in enumerate(tape.step_caches):
+        rows = buffers[1] if t == 0 else rnn.jvp_state(
+            cache, buffers[t % 2], out=buffers[(t + 1) % 2], scale=scale)
+        w_norm, a_norm = _norms(w_tilde), a_norms[t]
+        imm_sq = np.einsum("k...,k...->...", values[t], values[t])
+        # F = J_state H~_{-1} = 0 at step 0
+        fwd_sq = _frobenius_sq(rows) if t else np.zeros(rows.shape[1:-1])
+        cross = np.einsum("k...,k...->...", rows[at], values[t]) if t else fwd_sq
+        fwd_norm, imm_norm = np.sqrt(fwd_sq), np.sqrt(imm_sq)
+        gamma, beta = _gir_coefficients(w_norm, fwd_norm, a_norm, imm_norm)
+        beta_tau = beta * tau[t]
+        gamma_col = _col(gamma)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            tau = _per_step(self.tau[:t_len], self.batch)
-            beta_rows = _per_step(beta, self.batch)
-            immediate = beta_rows * tau / _per_step(gamma, self.batch)
-            tau_beta = (tau / beta_rows)[..., None]
-            w_tilde = np.zeros(self.w_rows.shape[1:])
-            for t, cache in enumerate(self.tape.step_caches):
-                rows = self.forwarded(t, cache, gamma[t - 1])
-                rows[at] += self.values[t] * immediate[t]
-                w_tilde = np.divide(w_tilde, gamma_cols[t], out=self.w_rows[t])
-                w_tilde += tau_beta[t] * cache.a
-                # the new H~ is gamma * rows, all finite if max gamma^2
-                # ||rows||^2 is; only a step where that bound is not finite
-                # checks the entries themselves
-                if not (math.isfinite(gamma_sq_max[t] * np.vdot(rows, rows))
-                        or np.isfinite(rows * gamma_cols[t]).all()):
-                    _raise_first_overflow("projection-free sketch", self.w_rows[:t])
-                    raise NumericOverflowError(
-                        f"projection-free sketch overflowed at step {t}")
-                self.carry(t, rows)
-        _raise_first_overflow("projection-free sketch", self.w_rows)
-        return _over_rows(gamma, self.batch), _over_rows(beta, self.batch)
+            rows[at] += values[t] * (beta_tau / gamma)
+            w_tilde = w_tilde / gamma_col + _col(tau[t] / beta) * cache.a
+            rows_sq = (gamma * gamma * fwd_sq + 2.0 * gamma * beta_tau * cross
+                       + beta_tau * beta_tau * imm_sq)
+            size = np.abs(tau[t])
+            _zero_cancelled_rows(rows, rows_sq,
+                                 gamma * fwd_norm + beta * size * imm_norm, gamma)
+            w_new_norm = _norms(w_tilde)
+            _zero_cancelled(w_tilde, w_new_norm, w_norm / gamma + size / beta * a_norm)
+            # the new H~ is gamma * rows; a non-finite formula norm is
+            # confirmed densely
+            finite = ((np.isfinite(rows_sq).all()
+                       or np.isfinite(_frobenius_sq(rows * gamma_col)).all())
+                      and np.isfinite(w_new_norm).all())
+        if not finite:
+            raise NumericOverflowError(f"projection-free sketch overflowed at step {t}")
+        scale = gamma
+        gammas[t], betas[t] = gamma, beta
+        np.matmul(rows.swapaxes(0, -2), loss_cols[t], out=carried[t, ..., None])
+        w_rows[t] = w_tilde
+    return gammas, betas
+
+
+def _fixed_preuoro_loop(tape, tau, at, values, buffers, carried, w_rows, schedule):
+    """run_preuoro's step loop under a fixed alpha, as _gir_preuoro_loop:
+    (gamma_t, beta_t), beta_t tau_t / gamma_t and tau_t / beta_t are arrays
+    made once, the loop runs under one np.errstate, and the w~_t, all kept,
+    are checked once after it; each step checks only its new H~, and an
+    earlier non-finite w~ names its own step first."""
+    t_len = tape.length
+    batch = carried.shape[1:-1]
+    gamma, beta = schedule.fixed_steps(t_len)
+    gamma_cols = gamma[..., None]
+    gamma_sq_max = np.max(gamma * gamma, axis=tuple(range(1, gamma.ndim)),
+                          initial=0.0).tolist()
+    loss_cols = rnn.embed_state_grad(tape.params, tape.loss_grads)[..., None]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        tau = _per_step(tau[:t_len], batch)
+        beta_rows = _per_step(beta, batch)
+        immediate = beta_rows * tau / _per_step(gamma, batch)
+        tau_beta = (tau / beta_rows)[..., None]
+        w_tilde = np.zeros(w_rows.shape[1:])
+        for t, cache in enumerate(tape.step_caches):
+            rows = buffers[1] if t == 0 else rnn.jvp_state(
+                cache, buffers[t % 2], out=buffers[(t + 1) % 2], scale=gamma[t - 1])
+            rows[at] += values[t] * immediate[t]
+            w_tilde = np.divide(w_tilde, gamma_cols[t], out=w_rows[t])
+            w_tilde += tau_beta[t] * cache.a
+            # the new H~ is gamma * rows, all finite if max gamma^2 ||rows||^2
+            # is; only a step where that bound is not finite checks the
+            # entries themselves
+            if not (math.isfinite(gamma_sq_max[t] * np.vdot(rows, rows))
+                    or np.isfinite(rows * gamma_cols[t]).all()):
+                _raise_first_overflow("projection-free sketch", w_rows[:t])
+                raise NumericOverflowError(f"projection-free sketch overflowed at step {t}")
+            np.matmul(rows.swapaxes(0, -2), loss_cols[t], out=carried[t, ..., None])
+    _raise_first_overflow("projection-free sketch", w_rows)
+    return _over_rows(gamma, batch), _over_rows(beta, batch)
 
 
 def run_spatial(tape: EpisodeTape, cut, noise) -> GradientReport:

@@ -34,9 +34,10 @@ XSL-RR output (O'Neill 2014, "PCG: A Family of Simple Fast Space-Efficient
 Statistically Good Algorithms for Random Number Generation"), with no
 generator.  Normals come from numpy's ziggurat, on one generator per thread
 seated at each column's state just before the column is drawn; each column
-is drawn into its own contiguous row, and the rows are copied once into the
-steps-first layout.  On both routes one reader, _raw_bits, takes the coin
-bits from the 64-bit raw outputs.
+is drawn into its own contiguous row of a buffer of at most _ROWS_BYTES, and
+each filled buffer is copied once into the steps-first layout.  On both
+routes one reader, _raw_bits, takes the coin bits from the 64-bit raw
+outputs.
 
 Forms.  NoiseBlock (episode_noises) is a block of episode indices of one
 base seed: each stream is (T, B, ...), column j the stream of episode
@@ -49,6 +50,7 @@ bits, such as the queue task's inputs, for a block of one-element spawn
 keys (i,) on the same two routes.
 """
 
+import math
 import threading
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -59,6 +61,10 @@ SIGN = "sign"
 GAUSSIAN = "gaussian"
 
 _STREAMS = {"tau": 0, "nu": 1, "sigma": 2, "mu": 3}
+# Normal columns are drawn into a buffer of at most this many bytes, so that
+# it stays below glibc's default mmap threshold (128 KiB) and is reused from
+# the heap rather than mapped and faulted in afresh at every block.
+_ROWS_BYTES = 1 << 16
 
 # SeedSequence's pool size and hash constants (numpy.random.bit_generator).
 _POOL_SIZE = 4
@@ -434,22 +440,30 @@ class NoiseBlock:
 
     def _columns(self, stream: str, shape: tuple, factor=None) -> np.ndarray:
         """A (T, B, *shape) stream drawn column by column, each column into
-        its own contiguous row of a (B, T, *shape) buffer: on the array route
-        from the thread's generator seated at the column's state, else as
-        the EpisodeNoise of the column draws it.  The rows are copied once
-        into the steps-first layout, times factor (T, B, ...) if given."""
-        rows = np.empty((len(self), self.length, *shape))
-        if _array_route(self.indices):
-            for state, row in zip(self._limbs.take(_STREAMS[stream]).states(), rows):
-                _generator(state).standard_normal(out=row)
-        else:
-            for episode, row in zip(self, rows):
-                row[...] = episode._draw(stream, shape)
+        its own contiguous row of a (b, T, *shape) buffer of at most
+        _ROWS_BYTES: on the array route from the thread's generator seated
+        at the column's state, else as the EpisodeNoise of the column draws
+        it.  Each filled buffer is copied once into its columns of the
+        steps-first layout, times factor (T, B, ...) if given."""
         out = np.empty((self.length, len(self), *shape))
-        if factor is None:
-            np.copyto(out, rows.swapaxes(0, 1))
-        else:
-            np.multiply(rows.swapaxes(0, 1), factor, out=out)
+        column_bytes = max(1, out.itemsize * self.length * math.prod(shape))
+        rows = np.empty((max(1, min(len(self), _ROWS_BYTES // column_bytes)),
+                         self.length, *shape))
+        array_route = _array_route(self.indices)
+        sources = iter(self._limbs.take(_STREAMS[stream]).states() if array_route
+                       else self)
+        for start in range(0, len(self), len(rows)):
+            filled = rows[:len(self) - start]
+            for row, source in zip(filled, sources):
+                if array_route:
+                    _generator(source).standard_normal(out=row)
+                else:
+                    row[...] = source._draw(stream, shape)
+            columns = slice(start, start + len(filled))
+            if factor is None:
+                np.copyto(out[:, columns], filled.swapaxes(0, 1))
+            else:
+                np.multiply(filled.swapaxes(0, 1), factor[:, columns], out=out[:, columns])
         return out
 
     def _block_scalars(self, stream: str) -> np.ndarray:

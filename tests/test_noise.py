@@ -180,6 +180,17 @@ class TestBitIdentity:
         assert not noise._array_route(block.indices)
         assert_block_matches(block)
 
+    @pytest.mark.parametrize("indices, dim", [(list(range(40)), 2),
+                                              ([3, 2**32, 2**64 + 3], 30)])
+    @pytest.mark.parametrize("tau_kind", [SIGN, GAUSSIAN])
+    def test_columns_past_one_buffer(self, indices, dim, tau_kind):
+        # 300 steps: 13 columns of dim 2 fill the normals' buffer, 40 take
+        # four buffers, the last part full; one column of dim 30 exceeds it
+        block = episode_noises(11, indices, 300, dim, tau_kind)
+        assert noise._ROWS_BYTES // (8 * 300 * dim) == (13 if dim == 2 else 0)
+        assert_block_matches(block, tau_kind)
+        assert np.array_equal(block.u, block.nu * block.tau[..., None])
+
     @pytest.mark.parametrize("base_seed", [2**32, 2**64 + 3, 2**127, 2**130 + 7])
     def test_multi_word_seeds(self, base_seed):
         # beyond four words the seed's entropy is mixed in after the pool

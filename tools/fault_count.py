@@ -12,8 +12,7 @@ run, divided by N - 3: minor faults from resource.getrusage(RUSAGE_SELF)
 and wall time from time.perf_counter.  That leaves out what a run does once
 (building the task, the first update's allocations).  Faults depend on the
 allocator's state, which every earlier run in the process shapes, so compare
-figures taken in the same order.  --hidden, --minibatch and --stream-length
-shrink the queue runs, as the tier-1 smoke test does.
+figures taken in the same order.
 """
 
 import argparse
@@ -30,6 +29,7 @@ from uorolab.config import digits_config, queue_config  # noqa: E402
 
 QUEUE_ARMS = ("neither", "temporal", "both")
 BASELINE_UPDATES = 3
+SEED = 9971
 
 
 def minor_faults() -> int:
@@ -52,18 +52,14 @@ def per_update(config, updates: int):
     return (long_faults - short_faults) / extra, 1e3 * (long_s - short_s) / extra
 
 
-def arms(args):
+def arms(digits: bool):
     """(name, config) of every arm measured."""
-    shape = {key: value for key, value in (("hidden", args.hidden),
-                                           ("minibatch", args.minibatch))
-             if value is not None}
     for arm in QUEUE_ARMS:
-        yield arm, queue_config(arm, stream_length=args.stream_length, updates=1,
-                                base_seed=args.seed + 1, data_seed=1000 + args.seed,
-                                **shape)
-    if args.digits:
-        yield "digits-ours", digits_config("ours", "ours", updates=1,
-                                           base_seed=args.seed + 1, data_seed=args.seed)
+        yield arm, queue_config(arm, stream_length=24, updates=1, base_seed=SEED + 1,
+                                data_seed=1000 + SEED)
+    if digits:
+        yield "digits-ours", digits_config("ours", "ours", updates=1, base_seed=SEED + 1,
+                                           data_seed=SEED)
 
 
 def main(argv=None):
@@ -72,14 +68,10 @@ def main(argv=None):
                         help="updates of the long run (more than 3)")
     parser.add_argument("--digits", action="store_true",
                         help="also measure the digits q0_mode=ours protocol")
-    parser.add_argument("--seed", type=int, default=9971)
-    parser.add_argument("--stream-length", type=int, default=24)
-    parser.add_argument("--hidden", type=int, default=None)
-    parser.add_argument("--minibatch", type=int, default=None)
     args = parser.parse_args(argv)
     if args.updates <= BASELINE_UPDATES:
         parser.error(f"--updates must exceed {BASELINE_UPDATES}")
-    for name, config in arms(args):
+    for name, config in arms(args.digits):
         faults, ms = per_update(config, args.updates)
         print(f"{name}: {faults:.0f} minor faults, {ms:.2f} ms per update")
 
