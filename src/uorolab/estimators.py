@@ -758,12 +758,12 @@ def reinforce_episode(params: rnn.RnnParams, inputs, targets, head,
     The call is one batched rnn.sweep whose offsets are the perturbations
     sigma Q0 u_t, so the sweep leaves the perturbed states in them.  Under
     "noise-free" the unperturbed network runs as extra rows of the same
-    sweep, one per distinct episode, with zero offsets.  All losses come from
-    one head call after the sweep, which forms no dL/dh.  The score is not
-    accumulated: with the suffix sums R_s = sum_{t>=s} (L_t - baseline_t)
-    the estimate is sum_s vjp_params(cache_s, (R_s / sigma) Q0^{-T} u_s),
-    since vjp_params is linear in its rows, and its vec(g_z a^T) terms are
-    the report's factors.
+    sweep, one per distinct episode, with zero offsets; the rows repeat the
+    episodes' inputs and targets.  One head call after the sweep gives every
+    loss and forms no dL/dh.  With the suffix sums R_s = sum_{t>=s} (L_t -
+    baseline_t) the estimate is sum_s vjp_params(cache_s, (R_s / sigma)
+    Q0^{-T} u_s), as vjp_params is linear in its rows: its vec(g_z a^T)
+    terms, g_z pulled back from the steps' arrays, are the report's factors.
     """
     if not 0 < sigma < np.inf:
         raise ValueError(f"sigma must be finite and positive, not {sigma!r}")
@@ -773,9 +773,6 @@ def reinforce_episode(params: rnn.RnnParams, inputs, targets, head,
     episodes = inputs.shape[:-2]
     t_len, h_size = inputs.shape[-2], params.hidden_size
     targets = rnn.episode_targets(targets, episodes, t_len)
-    values, mask = targets.values, targets.mask
-    if not episodes:  # the episode as one column
-        values, mask = values[:, None], mask[:, None]
     batch = _noise_batch(noise, t_len, episodes, h_size, "hidden size")
     q0, q0_inv = (None, None) if Q0 is None else _checked_q0(Q0)
     if q0 is not None and q0.shape[0] != h_size:
@@ -783,34 +780,37 @@ def reinforce_episode(params: rnn.RnnParams, inputs, targets, head,
     baseline_values = _baseline_rows(baseline, t_len, batch)
     clean = baseline_values is None
 
-    # sweep rows 0..n-1 are perturbed, then under "noise-free" one
-    # unperturbed row per episode; row j runs episode j mod E of the E
-    # episodes, the perturbed rows and then the unperturbed ones alike
+    # rows 0..n-1 are perturbed, then under "noise-free" one clean row per episode
     n = batch[0] if batch else 1
-    episode_count = mask.shape[1]
-    total = n + episode_count if clean else n
-    rows = np.arange(total) % episode_count
-    x = inputs.swapaxes(0, -2).reshape(t_len, episode_count, -1).take(rows, axis=1)
-    u = noise.u[:t_len].reshape(t_len, -1, h_size)  # (T, 1 or n, H)
-    # the perturbation offsets, which the sweep turns into the perturbed
-    # states h_bar; unperturbed rows and the LSTM cell add 0
-    states = np.zeros((t_len, total, params.state_size))
-    np.multiply(sigma, u if q0 is None else u @ q0.T, out=states[:, :n, :h_size])
-    steps = rnn.empty_steps(params, states.shape[:2])
-    rnn.sweep(params, np.zeros(states.shape[1:]), x, steps, offsets=states)
+    count = episodes[0] if episodes else 1
+    total = n + count if clean else n
 
-    targets = rnn.Targets(values.take(rows, axis=1), mask.take(rows, axis=1))
-    losses = head.losses(states[..., :h_size], targets)
+    def rows(x):  # (T, [E,] ...) as (T, total, ...): row j runs episode j mod E
+        x = x[:, None].repeat(total // count, axis=1)
+        return x.reshape(t_len, total, *x.shape[3:]) if episodes else x
+
+    u = noise.u[:t_len].reshape(t_len, -1, h_size)  # (T, 1 or n, H)
+    # the offsets; unperturbed rows and the LSTM cell add 0
+    states = np.zeros((t_len, total, params.state_size))
+    states[:, :n, :h_size] = u if q0 is None else u @ q0.T
+    states *= sigma
+    steps = rnn.empty_steps(params, (t_len, total))
+    rnn.sweep(params, np.zeros((total, params.state_size)), rows(inputs.swapaxes(0, -2)),
+              steps, offsets=states)
+
+    losses = head.losses(states[..., :h_size],
+                         rnn.Targets(rows(targets.values), rows(targets.mask)))
     losses = np.zeros((t_len, total)) + losses  # a head may return one scalar
     advantage = losses[:, :n] - (losses[:, n:] if clean else baseline_values)
-    suffix = advantage[::-1].cumsum(axis=0)[::-1] / sigma
-    directions = rnn.embed_state_grad(
-        params, suffix[..., None] * (u if q0_inv is None else u @ q0_inv))
-    # the pullback to the preactivations on the perturbed rows of the tape
-    g_z = rnn.vjp_to_cut(steps[:, :n], CutVertex.PREACTIVATION, directions)
-    factors = _Factors(g_z.reshape(t_len, *batch, -1),
-                       steps.a[:, :n].reshape(t_len, *batch, -1))
-    return _report("reinforce", noise, factors)
+    suffix = (np.add.accumulate(advantage[::-1]) / sigma)[::-1]  # contiguous passes
+    directions = suffix[..., None] * (u if q0_inv is None else u @ q0_inv)
+    if params.cell_kind == rnn.LSTM:  # the pullback on the perturbed rows
+        g_z = rnn.vjp_to_cut(steps[:, :n], CutVertex.PREACTIVATION,
+                             rnn.embed_state_grad(params, directions))
+    else:
+        g_z = np.multiply(directions, steps.d[:, :n], out=directions)
+    perturbed = slice(None, n) if batch else 0  # the factors' (T, [B,] .) rows
+    return _report("reinforce", noise, _Factors(g_z[:, perturbed], steps.a[:, perturbed]))
 
 
 def _baseline_rows(baseline, t_len: int, batch: tuple):

@@ -193,14 +193,11 @@ def empty_steps(params: RnnParams, shape: tuple) -> StepCache:
     """An unfilled StepCache whose arrays have the leading shape given, such
     as a tape's (T, [B]), for sweep (or a single step) to fill."""
     h = params.hidden_size
-
-    def empty(size):
-        return np.empty((*shape, size))
-
+    a = np.empty((*shape, params.augmented_size))
     if params.cell_kind == LSTM:
-        return StepCache(params, empty(params.augmented_size), empty(h), f=empty(h),
-                         dz=empty(4 * h), dh_dc=empty(h))
-    return StepCache(params, empty(params.augmented_size), empty(h), d=empty(h))
+        return StepCache(params, a, np.empty((*shape, h)), f=np.empty((*shape, h)),
+                         dz=np.empty((*shape, 4 * h)), dh_dc=np.empty((*shape, h)))
+    return StepCache(params, a, np.empty((*shape, h)), np.empty((*shape, h)))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -224,9 +221,9 @@ def sweep(params: RnnParams, state: np.ndarray, inputs: np.ndarray,
 
     The shapes are checked, the inputs and the bias column written into
     steps.a, the vanilla f'(z) taken over the whole tape and the hidden
-    states checked finite once per sweep, the LSTM cell state (two rolling
-    rows) at each step; the first step whose new state (before its offset)
-    is not finite raises NumericOverflowError naming it.
+    states (the perturbed ones, with offsets) checked finite once per sweep,
+    the LSTM cell state (two rolling rows, before its offset) at each step;
+    the first non-finite state raises NumericOverflowError naming its step.
     """
     h_size = params.hidden_size
     state = np.asarray(state, dtype=np.float64)
@@ -257,33 +254,36 @@ def sweep(params: RnnParams, state: np.ndarray, inputs: np.ndarray,
     lstm = params.cell_kind == LSTM
     tanh = params.cell_kind == VANILLA_TANH
     w_t = params.weights.T
-    offset_h = None if offsets is None else offsets[..., :h_size]
-    offset_c = None if offsets is None else offsets[..., h_size:]
+    product = np.matmul if offsets is None else np.dot  # dot: no ufunc dispatch
     c = state[..., h_size:]  # the LSTM cell state
     cells = np.empty((2, *batch, h_size)) if lstm else None
     first = total  # the first step whose state is not finite
+    nexts = [*a_h[1:], None]  # each step's arrays are views made once
+    offset_h = [None] * total if offsets is None else offsets[..., :h_size]
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(total):
+        for t, (a_t, new_h, offset, next_h) in enumerate(
+                zip(a, steps.h, offset_h, nexts)):
             if lstm:
-                h, c = _lstm_cell(steps, t, a[t] @ w_t, c, cells[t % 2])
+                h, c = _lstm_cell(steps, t, a_t @ w_t, c, cells[t % 2])
                 if first == total and not np.isfinite(c).all():
                     first = t
             else:
-                h = np.matmul(a[t], w_t, out=steps.h[t])
+                h = product(a_t, w_t, new_h)
                 if tanh:
                     np.tanh(h, out=h)
-            if offsets is not None:
-                h = np.add(h, offset_h[t], out=offset_h[t])
+            if offset is not None:
+                h = np.add(h, offset, out=offset)
                 if lstm:
-                    c = np.add(c, offset_c[t], out=offset_c[t])
-            if t + 1 < total:
-                a_h[t + 1] = h
+                    c = np.add(c, offsets[t, ..., h_size:], out=offsets[t, ..., h_size:])
+            if next_h is not None:
+                next_h[...] = h
 
     if tanh:
         np.subtract(1.0, np.multiply(steps.h, steps.h, out=steps.d), out=steps.d)
     elif not lstm:  # VANILLA_LINEAR
         steps.d.fill(1.0)
-    finite = np.isfinite(steps.h)
+    # a non-finite new state leaves its perturbed state non-finite
+    finite = np.isfinite(steps.h if offsets is None else offsets[..., :h_size])
     if not finite.all():
         first = min(first, np.argmin(finite.reshape(total, -1).all(axis=1)))
     if first < total:

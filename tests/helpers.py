@@ -86,6 +86,74 @@ def reinforce_by_definition(params, inputs, targets, head, sigma, u, Q0=None,
     return estimate
 
 
+def softmax_losses_oracle(head, h, targets):
+    """SoftmaxHead.losses by its former sequence of operations: a one-hot
+    mask, the logits, a max shift, exp, the row sums, and the label's entry
+    divided by its row sum."""
+    labels, mask = targets.values, targets.mask
+    onehot = labels[..., None] == np.arange(head.n_classes)
+    assert np.count_nonzero(onehot) == labels.size
+    probs = h @ head.weights[:, :-1].T + head.weights[:, -1]
+    probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    total = np.add.reduce(probs, axis=-1, keepdims=True)
+    picked = probs[onehot] / total.reshape(-1)
+    return -np.log(np.maximum(picked, 1e-300)).reshape(labels.shape) * mask
+
+
+def reinforce_oracle(params, inputs, targets, head, sigma, noise, Q0=None,
+                     baseline=estimators.BASELINE_NOISE_FREE):
+    """The estimate of reinforce_episode as its former, unfused form made
+    it: sweep rows taken from the episodes by index, the offset states made
+    by a loop of rnn.step that adds each step's offset to its new state,
+    the softmax losses by softmax_losses_oracle, vjp_to_cut on a sliced
+    StepCache and the factors contracted in one product.  The engine must
+    match it bit for bit."""
+    E = estimators
+    inputs = np.asarray(inputs, dtype=np.float64)
+    episodes = inputs.shape[:-2]
+    t_len, h_size = inputs.shape[-2], params.hidden_size
+    targets = rnn.episode_targets(targets, episodes, t_len)
+    values, mask = targets.values, targets.mask
+    if not episodes:
+        values, mask = values[:, None], mask[:, None]
+    batch = E._noise_batch(noise, t_len, episodes, h_size, "hidden size")
+    q0, q0_inv = (None, None) if Q0 is None else E._checked_q0(Q0)
+    baseline_values = E._baseline_rows(baseline, t_len, batch)
+    clean = baseline_values is None
+
+    n = batch[0] if batch else 1
+    episode_count = mask.shape[1]
+    total = n + episode_count if clean else n
+    rows = np.arange(total) % episode_count
+    x = inputs.swapaxes(0, -2).reshape(t_len, episode_count, -1).take(rows, axis=1)
+    u = noise.u[:t_len].reshape(t_len, -1, h_size)
+    states = np.zeros((t_len, total, params.state_size))
+    np.multiply(sigma, u if q0 is None else u @ q0.T, out=states[:, :n, :h_size])
+    steps = rnn.empty_steps(params, states.shape[:2])
+    state = np.zeros(states.shape[1:])
+    for t in range(t_len):
+        new_state, _ = rnn.step(params, state, x[t], out=steps[t])
+        state = np.add(new_state, states[t], out=states[t])
+
+    targets = rnn.Targets(values.take(rows, axis=1), mask.take(rows, axis=1))
+    h_bar = states[..., :h_size]
+    if isinstance(head, SoftmaxHead):
+        losses = softmax_losses_oracle(head, h_bar, targets)
+    else:
+        losses = head.losses(h_bar, targets)
+    losses = np.zeros((t_len, total)) + losses
+    advantage = losses[:, :n] - (losses[:, n:] if clean else baseline_values)
+    suffix = advantage[::-1].cumsum(axis=0)[::-1] / sigma
+    directions = rnn.embed_state_grad(
+        params, suffix[..., None] * (u if q0_inv is None else u @ q0_inv))
+    g_z = rnn.vjp_to_cut(steps[:, :n], rnn.CutVertex.PREACTIVATION, directions)
+    left = g_z.reshape(t_len, *batch, -1)
+    right = steps.a[:, :n].reshape(t_len, *batch, -1)
+    product = E._rows_as_columns(left) @ right.swapaxes(0, -2)
+    return product.reshape(*left.shape[1:-1], -1)
+
+
 def make_queue_instance(rng, hidden=4, length=8, delay=2):
     """A small queue-style instance with a one-bit Bernoulli head."""
     w = 0.5 * rng.standard_normal((hidden, hidden + 2)) / np.sqrt(hidden + 2)

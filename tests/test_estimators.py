@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uorolab import rnn
+from uorolab import rnn, training
 from uorolab.errors import ShapeError
 from uorolab.estimators import (
     CONTRIBUTION_SPLIT,
@@ -232,11 +232,14 @@ class TestOnlineOfflineEquality:
             total = np.zeros(params.num_params)
             total_sq = np.zeros(params.num_params)
             n = 20000
-            for i in range(n):
-                noise = episode_noise(902, i, 4, 3)
-                est = run_uoro(tape, CutVertex.PREACTIVATION, noise, schedule).estimate
-                total += est
-                total_sq += est * est
+            # blocks of seeds, their rows added in seed order: each row is the
+            # per-seed estimate bit for bit, so the sums are the per-seed sums
+            for start in range(0, n, training.SEED_BLOCK):
+                block = episode_noises(902, range(start, min(start + training.SEED_BLOCK, n)),
+                                       4, 3)
+                for est in run_uoro(tape, CutVertex.PREACTIVATION, block, schedule).estimate:
+                    total += est
+                    total_sq += est * est
             mean = total / n
             se = np.sqrt(np.maximum(total_sq / n - mean**2, 0) / n)
             z = np.abs(mean - exact) / np.maximum(se, 1e-12)
